@@ -3,14 +3,16 @@
 All values are immutable; operations are pure functions, so everything here is
 safe to share across threads. Flat ontologies keep their axiom sets canonical
 (see canonicalize_axiom) and signature-closed: every symbol occurring in an
-axiom is also in the signature.
+axiom is also in the signature. Each flat ontology also carries a name -> kind
+index of its signature; it is built once, when the ontology is constructed,
+and never mutated afterwards, so it too is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .diagnostics import KindClash, UnmappedSymbol
 
@@ -258,6 +260,12 @@ def canonicalize_axiom(a: Axiom) -> Axiom:
 class FlatOntology:
     signature: frozenset[Symbol]
     axioms: frozenset[Axiom]
+    # name -> kind index of the signature; built from it when not given
+    kinds: Mapping[NameTerm, SymbolKind] = field(default=None, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        if self.kinds is None:
+            object.__setattr__(self, "kinds", _index_kinds(self.signature, {}))
 
     def sorted_signature(self) -> list[Symbol]:
         return sorted(self.signature, key=Symbol.key)
@@ -266,27 +274,30 @@ class FlatOntology:
         return sorted(self.axioms, key=Axiom.sort_key)
 
     def kind_of(self, n: NameTerm) -> SymbolKind | None:
-        for s in self.signature:
-            if s.name == n:
-                return s.kind
-        return None
+        return self.kinds.get(n)
 
     def is_empty(self) -> bool:
         return not self.signature and not self.axioms
 
 
+def _index_kinds(
+    symbols: Collection[Symbol], index: dict[NameTerm, SymbolKind]
+) -> dict[NameTerm, SymbolKind]:
+    """Add `symbols` to the name -> kind `index`, a dict the caller owns.
+
+    A clash names the least clashing name and its two least kinds, so the
+    message does not depend on set iteration order.
+    """
+    clashes = [s.name for s in symbols if index.setdefault(s.name, s.kind) is not s.kind]
+    if clashes:
+        n = min(clashes, key=NameTerm.key)
+        kinds = {index[n]} | {s.kind for s in symbols if s.name == n}
+        first, second = sorted(kinds, key=kind_order)[:2]
+        raise KindClash(f"kind clash for '{n.render()}': {first.value} vs {second.value}")
+    return index
+
+
 EMPTY_ONTOLOGY = FlatOntology(frozenset(), frozenset())
-
-
-def _check_kinds(symbols: Iterable[Symbol]) -> None:
-    kinds: dict[NameTerm, SymbolKind] = {}
-    for s in symbols:
-        seen = kinds.get(s.name)
-        if seen is not None and seen is not s.kind:
-            raise KindClash(
-                f"kind clash for '{s.name.render()}': {seen.value} vs {s.kind.value}"
-            )
-        kinds[s.name] = s.kind
 
 
 def make_ontology(symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> FlatOntology:
@@ -296,22 +307,20 @@ def make_ontology(symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> FlatOnt
     for a in axs:
         for n, k in a.refs():
             sig.add(Symbol(n, k))
-    _check_kinds(sig)
-    return FlatOntology(frozenset(sig), axs)
+    return FlatOntology(frozenset(sig), axs, _index_kinds(sig, {}))
 
 
 def union_flat(a: FlatOntology, b: FlatOntology) -> FlatOntology:
-    """Same Name - Same Thing union: deduplicating, kind-clash checked."""
-    sig = a.signature | b.signature
-    _check_kinds(sig)
-    return FlatOntology(sig, a.axioms | b.axioms)
+    """Same Name - Same Thing union: deduplicating, kind-clash checked.
 
-
-def union_all(onts: Iterable[FlatOntology]) -> FlatOntology:
-    out = EMPTY_ONTOLOGY
-    for o in onts:
-        out = union_flat(out, o)
-    return out
+    Only the smaller operand's new symbols are checked, against a copy of the
+    larger operand's index.
+    """
+    large, small = (a, b) if len(a.signature) >= len(b.signature) else (b, a)
+    if small.is_empty():
+        return large
+    kinds = _index_kinds(small.signature - large.signature, dict(large.kinds))
+    return FlatOntology(large.signature | small.signature, large.axioms | small.axioms, kinds)
 
 
 def axioms_mentioning(o: FlatOntology, dead: Iterable[Symbol]) -> frozenset[Axiom]:
@@ -322,10 +331,9 @@ def axioms_mentioning(o: FlatOntology, dead: Iterable[Symbol]) -> frozenset[Axio
 
 def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:
     """Rename every symbol and axiom occurrence; kind-clash checked on merge."""
-    sig = [Symbol(fn(s.name), s.kind) for s in o.signature]
-    axs = [a.rename(fn) for a in o.axioms]
-    _check_kinds(sig)
-    return FlatOntology(frozenset(sig), frozenset(axs))
+    sig = frozenset(Symbol(fn(s.name), s.kind) for s in o.signature)
+    axs = frozenset(a.rename(fn) for a in o.axioms)
+    return FlatOntology(sig, axs, _index_kinds(sig, {}))
 
 
 def validate_closure(o: FlatOntology) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, Sequence, Union
 
 from .core import (
     EMPTY_ONTOLOGY,
@@ -115,7 +115,7 @@ def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
     return n
 
 
-def _contains_base(n: NameTerm, bases: frozenset[str]) -> bool:
+def _contains_base(n: NameTerm, bases: AbstractSet[str]) -> bool:
     return any(b in bases for b in n.bases())
 
 
@@ -186,7 +186,7 @@ class _Ctx:
         return NameTerm(base)
 
     def is_placeholder(self, n: NameTerm) -> bool:
-        return _contains_base(n, frozenset(self.placeholders)) if self.placeholders else False
+        return bool(self.placeholders) and _contains_base(n, self.placeholders)
 
 
 @dataclass

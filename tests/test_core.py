@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,29 @@ def test_union_kind_clash():
     b = make_ontology([Symbol(name("C"), OP)], [])
     with pytest.raises(KindClash):
         union_flat(a, b)
+
+
+def _clash_message(build) -> str:
+    with pytest.raises(KindClash) as e:
+        build()
+    return e.value.message
+
+
+def test_kind_clash_message_names_kinds_in_kind_order():
+    cls, op = Symbol(name("C"), CLS), Symbol(name("C"), OP)
+    a, b = make_ontology([cls], []), make_ontology([op], [])
+    expected = "kind clash for 'C': Class vs ObjectProperty"
+    assert _clash_message(lambda: union_flat(a, b)) == expected
+    assert _clash_message(lambda: union_flat(b, a)) == expected
+    assert _clash_message(lambda: make_ontology([cls, op], [])) == expected
+    assert _clash_message(lambda: make_ontology([op, cls], [])) == expected
+
+
+def test_kind_clash_message_with_several_clashes_is_order_independent():
+    symbols = [Symbol(name("D"), k) for k in (IND, OP, CLS)] + [Symbol(name("C"), IND), Symbol(name("C"), OP)]
+    expected = "kind clash for 'C': ObjectProperty vs Individual"
+    for order in itertools.permutations(symbols):
+        assert _clash_message(lambda: make_ontology(order, [])) == expected
 
 
 # -- morphisms -----------------------------------------------------------------

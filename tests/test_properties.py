@@ -3,7 +3,8 @@
 The parser must be total (parse or raise a positioned library error, never
 anything else); pretty-printed ASTs must reparse to themselves; CLI output
 must be byte-identical across processes regardless of hash randomization;
-expansion must be safe to run from several threads at once.
+expansion must be safe to run from several threads at once; a flat ontology's
+kind index must agree with a linear scan of its signature.
 """
 
 from __future__ import annotations
@@ -11,13 +12,25 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import subprocess
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godp import expand_named, parse_library, pretty_print
-from godp.core import NameTerm, SymbolKind
-from godp.diagnostics import GodpError
+import godp
+from godp import elide_optional, expand_named, parse_library, pretty_print
+from godp.core import (
+    FlatOntology,
+    NameTerm,
+    Symbol,
+    SymbolKind,
+    make_ontology,
+    name,
+    rename_ontology,
+    union_flat,
+)
+from godp.diagnostics import GodpError, KindClash
 from godp.parser import FIELD_KEYWORDS, KEYWORDS, KIND_KEYWORDS
 from godp.syntax import (
     ArgAst,
@@ -170,11 +183,12 @@ def test_parser_is_total_on_token_soup(text):
 
 def test_cli_byte_identical_across_hash_seeds():
     corpus = [str(p) for p in corpus_paths()]
+    src = os.path.dirname(os.path.dirname(godp.__file__))
     outs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         r = subprocess.run(
-            ["godp", "expand", "--target", "GradedRelsSub_Significance",
+            [sys.executable, "-m", "godp", "expand", "--target", "GradedRelsSub_Significance",
              "--format", "dump", *corpus],
             capture_output=True, env=env, text=True,
         )
@@ -190,3 +204,71 @@ def test_concurrent_expansions_agree(corpus_lib):
     reference = {t: expand_named(corpus_lib, t) for t in set(targets)}
     for t, o in results:
         assert o == reference[t]
+
+
+# -- the kind index of flat ontologies ------------------------------------------
+
+def _scanned_kind(o: FlatOntology, n: NameTerm) -> SymbolKind | None:
+    """Reference for FlatOntology.kind_of: a linear scan of the signature."""
+    for s in o.signature:
+        if s.name == n:
+            return s.kind
+    return None
+
+
+def _wrapped(n: NameTerm) -> NameTerm:
+    return name("w", n)
+
+
+_pool = [NameTerm("a"), NameTerm("b"), name("p", "a"), name("p", "b"), name("q", name("p", "a"))]
+_probes = _pool + [_wrapped(n) for n in _pool] + [NameTerm("absent")]
+
+# clash-free: each name gets one kind
+_signatures = st.dictionaries(st.sampled_from(_pool), st.sampled_from(list(SymbolKind)), max_size=5).map(
+    lambda kinds: [Symbol(n, k) for n, k in kinds.items()]
+)
+
+_built_ontologies = st.one_of(
+    _signatures.map(lambda sig: make_ontology(sig, [])),
+    _signatures.map(lambda sig: FlatOntology(frozenset(sig), frozenset())),
+    st.builds(
+        lambda sig, i, j: union_flat(make_ontology(sig[:i], []), FlatOntology(frozenset(sig[j:]), frozenset())),
+        _signatures, st.integers(0, 5), st.integers(0, 5),
+    ),
+    _signatures.map(lambda sig: rename_ontology(make_ontology(sig, []), _wrapped)),
+    st.builds(lambda sig, i: elide_optional(make_ontology(sig, []), sig[:i]), _signatures, st.integers(0, 5)),
+)
+
+
+@settings(max_examples=100)
+@given(_built_ontologies)
+def test_kind_index_agrees_with_signature_scan(o):
+    for n in _probes:
+        assert o.kind_of(n) == _scanned_kind(o, n)
+
+
+@settings(max_examples=100)
+@given(_signatures, _signatures)
+def test_union_raises_kind_clash_exactly_on_conflicting_kinds(sig_a, sig_b):
+    a, b = make_ontology(sig_a, []), make_ontology(sig_b, [])
+    clash = any(x.name == y.name and x.kind is not y.kind for x in sig_a for y in sig_b)
+    for first, second in ((a, b), (b, a)):
+        if clash:
+            with pytest.raises(KindClash):
+                union_flat(first, second)
+        else:
+            u = union_flat(first, second)
+            assert u.signature == a.signature | b.signature
+            for n in _probes:
+                assert u.kind_of(n) == _scanned_kind(u, n)
+
+
+@settings(max_examples=60)
+@given(_signatures, st.integers(0, 5))
+def test_equality_and_hash_ignore_the_kind_index(sig, i):
+    o = make_ontology(sig, [])
+    stale = FlatOntology(o.signature, o.axioms, {NameTerm("absent"): SymbolKind.CLASS})
+    unioned = union_flat(make_ontology(sig[:i], []), make_ontology(sig[i:], []))
+    for other in (stale, unioned):
+        assert other == o
+        assert hash(other) == hash(o)
