@@ -5,7 +5,8 @@
                 [--depth N] [-o OUT] FILES...
     godp list FILES...
 
-Exit codes: 0 success, 1 semantic/parse error, 2 I/O or usage error.
+Exit codes: 0 success, 1 semantic/parse error, 2 I/O or usage error (an input
+file that is not valid UTF-8 is an I/O error).
 Diagnostics go to stderr in `file:line:col: severity: message` form; payload
 goes to stdout or `-o`. The GODP_DEPTH environment variable overrides the
 default expansion depth; an explicit --depth wins over both.
@@ -54,7 +55,11 @@ def _read_library(cfg: CliConfig) -> Library:
     """Concatenate the input files into one library namespace, in order."""
     items: list[PatternDefAst] = []
     for path in cfg.inputs:
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            # an unreadable input file, reported like the other I/O errors
+            raise OSError(f"{path}: not valid UTF-8 ({e.reason} at byte {e.start})") from None
         ast = parse_library(text, str(path))
         items.extend(ast.items)
     return build_library(LibraryAst(tuple(items)))

@@ -9,11 +9,10 @@ inside the offending input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     """A 1-based (line, column) position in a named input."""
 
     file: str

@@ -169,15 +169,6 @@ class ListTemplate:
     def matches(self, n: int) -> bool:
         return n == 0 if self.head is None else n >= self.min_len
 
-    def cons_depth(self) -> int:
-        return self.min_len
-
-    def describe(self) -> str:
-        if self.head is None:
-            return "empty"
-        names = [self.head] + ([self.head2] if self.head2 else []) + [self.tail or "?"]
-        return " :: ".join(names)
-
 
 @dataclass(frozen=True)
 class ParamSpec:
@@ -220,9 +211,6 @@ class PatternDef:
 
     def shape_words(self) -> list[str]:
         return [p.shape_word for p in self.clauses[0].params]
-
-    def list_slots(self) -> list[int]:
-        return [p.index for p in self.clauses[0].params if p.is_list]
 
 
 @dataclass
@@ -422,7 +410,7 @@ def _clause_tail_depths(clause: Clause) -> dict[str, int]:
     depths: dict[str, int] = {}
     for p in clause.params:
         if p.is_list and p.shape.tail is not None:
-            depths[p.shape.tail] = p.shape.cons_depth()
+            depths[p.shape.tail] = p.shape.min_len
     return depths
 
 

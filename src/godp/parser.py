@@ -23,11 +23,19 @@ DifferentIndividuals. Names may be parameterized (`greater[Val]`); identifiers
 are made of letters, digits and underscores with at least one non-digit, so
 grade names like `0Insignificant` lex as names. Comments run from `%%` to end
 of line.
+
+The lexer is one loop over a compiled master regex (`_LEXEME`) whose named
+groups are the token kinds; columns are counted from the start of the current
+line. The parser reads a token list padded with copies of EOF, so lookahead is
+a plain index. Nesting of `[` (in names and instantiations) and of `let` is
+bounded by MAX_NESTING; deeper input is a positioned ParseError at the token
+that opens the level past the bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .core import NameTerm, SymbolKind
 from .diagnostics import LexError, ParseError, SourcePos
@@ -69,9 +77,12 @@ FIELD_KEYWORDS = {
 
 CHARACTERISTICS = {"Transitive", "Reflexive"}
 
+# Deepest nesting of `[` (names and instantiations) and `let` the parser
+# accepts; deeper input is a ParseError, never an interpreter recursion error.
+MAX_NESTING = 100
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str
     value: str
     pos: SourcePos
@@ -80,86 +91,80 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.pos.line}:{self.pos.col})"
 
 
-_SINGLES = {
-    "[": "LBRACKET", "]": "RBRACKET",
-    "{": "LBRACE", "}": "RBRACE",
-    ";": "SEMI", ",": "COMMA",
-    "=": "EQUALS", "?": "QUESTION",
+# One alternative per lexeme, named after its token kind, and each match also
+# takes the blanks after it, so most matches are exactly one token. SPACE
+# matches only blanks that follow no lexeme (at the start of the input or of a
+# line); BAD takes any other character, so `finditer` never skips one.
+_LEXEME = re.compile(r"""
+    (?:
+      (?P<IDENT>[A-Za-z0-9_]+)
+    | (?P<NEWLINE>\n)
+    | (?P<COMMENT>%%[^\n]*)
+    | (?P<CONS>::)
+    | (?P<COLON>:)
+    | (?P<MAPSTO>\|->)
+    | (?P<LBRACKET>\[) | (?P<RBRACKET>\])
+    | (?P<LBRACE>\{) | (?P<RBRACE>\})
+    | (?P<SEMI>;) | (?P<COMMA>,)
+    | (?P<EQUALS>=) | (?P<QUESTION>\?)
+    | (?P<SPACE>(?=[ \t\r]))
+    | (?P<BAD>[\s\S])
+    )[ \t\r]*
+""", re.VERBOSE)
+
+_PUNCTUATION = {
+    "CONS": "::", "COLON": ":", "MAPSTO": "|->",
+    "LBRACKET": "[", "RBRACKET": "]", "LBRACE": "{", "RBRACE": "}",
+    "SEMI": ";", "COMMA": ",", "EQUALS": "=", "QUESTION": "?",
 }
 
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch == "_")
+# builds a Token or SourcePos from a tuple of its fields without the Python
+# frame of the NamedTuple constructor, which is most of the cost per token
+_new = tuple.__new__
 
 
 def tokenize(text: str, file: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%" and i + 1 < n and text[i + 1] == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = SourcePos(file, line, col)
-        if ch == ":":
-            if i + 1 < n and text[i + 1] == ":":
-                tokens.append(Token("CONS", "::", pos))
-                i += 2
-                col += 2
-            else:
-                tokens.append(Token("COLON", ":", pos))
-                i += 1
-                col += 1
-            continue
-        if ch == "|":
-            if text[i:i + 3] == "|->":
-                tokens.append(Token("MAPSTO", "|->", pos))
-                i += 3
-                col += 3
-                continue
-            raise LexError(f"bad character {ch!r}", pos)
-        if ch in _SINGLES:
-            tokens.append(Token(_SINGLES[ch], ch, pos))
-            i += 1
-            col += 1
-            continue
-        if _is_ident_char(ch):
-            start = i
-            while i < n and _is_ident_char(text[i]):
-                i += 1
-            word = text[start:i]
-            col += len(word)
-            if word.isdigit():
+    append = tokens.append
+    line, line_start = 1, 0
+    end = len(text)  # where the EOF token sits; a trailing comment moves it back
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "IDENT":
+            word = m[1]  # IDENT is group 1
+            pos = _new(SourcePos, (file, line, m.start() - line_start + 1))
+            if word in KEYWORDS:
+                kind = "KEYWORD"
+            elif word.isdigit():
                 raise LexError(f"bad token {word!r}: names need at least one letter or '_'", pos)
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, pos))
-            continue
-        raise LexError(f"bad character {ch!r}", pos)
-    tokens.append(Token("EOF", "", SourcePos(file, line, col)))
+            append(_new(Token, (kind, word, pos)))
+        elif kind == "NEWLINE":
+            line += 1
+            line_start = m.start() + 1
+        elif kind in _PUNCTUATION:
+            pos = _new(SourcePos, (file, line, m.start() - line_start + 1))
+            append(_new(Token, (kind, _PUNCTUATION[kind], pos)))
+        elif kind == "COMMENT":
+            if m.end() == len(text):
+                end = m.start()
+        elif kind == "BAD":
+            raise LexError(f"bad character {m[kind]!r}", SourcePos(file, line, m.start() - line_start + 1))
+    append(Token("EOF", "", SourcePos(file, line, end - line_start + 1)))
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # copies of EOF past the end let `peek` (at most 3 ahead) index
+        # without a bounds check; `advance` never moves past the first EOF
+        self.tokens = tokens + tokens[-1:] * 3
         self.i = 0
+        self.depth = 0
 
     # -- token access ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+        return self.tokens[self.i + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -168,19 +173,27 @@ class _Parser:
         return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def at_keyword(self, word: str) -> bool:
-        return self.at("KEYWORD", word)
+        tok = self.tokens[self.i]
+        return tok.kind == "KEYWORD" and tok.value == word
 
     def accept(self, kind: str, value: str | None = None) -> Token | None:
-        if self.at(kind, value):
+        tok = self.tokens[self.i]
+        if tok.kind == kind and (value is None or tok.value == value):
             return self.advance()
         return None
 
+    def nest(self, tok: Token) -> None:
+        """Enter one level of `[` or `let` nesting opened by `tok`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+
     def expect(self, kind: str, value: str | None = None, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == kind and (value is None or tok.value == value):
             return self.advance()
         expected = what or (repr(value) if value is not None else kind)
@@ -195,11 +208,13 @@ class _Parser:
     def parse_name_term(self) -> NameTerm:
         base = self.parse_plain_name()
         args: list[NameTerm] = []
-        if self.accept("LBRACKET"):
+        if self.at("LBRACKET"):
+            self.nest(self.advance())
             args.append(self.parse_name_term())
             while self.accept("COMMA"):
                 args.append(self.parse_name_term())
             self.expect("RBRACKET", what="']'")
+            self.depth -= 1
         return NameTerm(base, tuple(args))
 
     def _name_list(self) -> tuple[NameTerm, ...]:
@@ -211,16 +226,16 @@ class _Parser:
     # -- frames --------------------------------------------------------------
 
     def at_frame_start(self) -> bool:
-        tok = self.peek()
-        if tok.kind != "IDENT" or self.peek(1).kind != "COLON":
+        tok = self.tokens[self.i]
+        if tok.kind != "IDENT" or self.tokens[self.i + 1].kind != "COLON":
             return False
         return tok.value in KIND_KEYWORDS or tok.value == "DifferentIndividuals"
 
-    def parse_frames(self, stop_kinds: frozenset[str]) -> tuple[Frame, ...]:
+    def parse_frames(self, stop_kinds: tuple[str, ...]) -> tuple[Frame, ...]:
         frames: list[Frame] = []
         while self.at_frame_start():
             frames.append(self.parse_frame())
-            if self.peek().kind in stop_kinds:
+            if self.tokens[self.i].kind in stop_kinds:
                 break
         if not frames:
             tok = self.peek()
@@ -248,8 +263,13 @@ class _Parser:
             return self._parse_individual_fields(self.parse_name_term(), tok.pos)
         raise ParseError(f"unknown frame keyword {tok.value!r}", tok.pos)
 
-    def _at_field(self, word: str) -> bool:
-        return self.at("IDENT", word) and self.peek(1).kind == "COLON"
+    def _take_field(self, words: dict[str, list]) -> str | None:
+        """Consume a `Word:` field header and return Word, if Word is in `words`."""
+        tok = self.tokens[self.i]
+        if tok.kind == "IDENT" and tok.value in words and self.tokens[self.i + 1].kind == "COLON":
+            self.i += 2
+            return tok.value
+        return None
 
     def _parse_property_fields(self, name: NameTerm, pos: SourcePos) -> ObjectPropertyFrame:
         domains: list[NameTerm] = []
@@ -257,37 +277,26 @@ class _Parser:
         characteristics: list[str] = []
         subs: list[NameTerm] = []
         inverses: list[NameTerm] = []
-        while True:
-            if self._at_field("Domain"):
-                self.advance(); self.advance()
-                domains.extend(self._name_list())
-            elif self._at_field("Range"):
-                self.advance(); self.advance()
-                ranges.extend(self._name_list())
-            elif self._at_field("Characteristics"):
-                self.advance(); self.advance()
-                while True:
-                    ctok = self.expect("IDENT", what="a characteristic")
-                    if ctok.value not in CHARACTERISTICS:
-                        raise ParseError(
-                            f"unsupported characteristic {ctok.value!r} "
-                            f"(supported: {', '.join(sorted(CHARACTERISTICS))})",
-                            ctok.pos,
-                        )
-                    characteristics.append(ctok.value)
-                    if not (self.at("COMMA") and self.peek(1).kind == "IDENT"
-                            and self.peek(1).value in CHARACTERISTICS
-                            and self.peek(2).kind != "COLON"):
-                        break
-                    self.advance()
-            elif self._at_field("SubPropertyOf"):
-                self.advance(); self.advance()
-                subs.extend(self._name_list())
-            elif self._at_field("InverseOf"):
-                self.advance(); self.advance()
-                inverses.extend(self._name_list())
-            else:
-                break
+        fields = {"Domain": domains, "Range": ranges, "Characteristics": characteristics,
+                  "SubPropertyOf": subs, "InverseOf": inverses}
+        while (word := self._take_field(fields)) is not None:
+            if word != "Characteristics":
+                fields[word].extend(self._name_list())
+                continue
+            while True:
+                ctok = self.expect("IDENT", what="a characteristic")
+                if ctok.value not in CHARACTERISTICS:
+                    raise ParseError(
+                        f"unsupported characteristic {ctok.value!r} "
+                        f"(supported: {', '.join(sorted(CHARACTERISTICS))})",
+                        ctok.pos,
+                    )
+                characteristics.append(ctok.value)
+                if not (self.at("COMMA") and self.peek(1).kind == "IDENT"
+                        and self.peek(1).value in CHARACTERISTICS
+                        and self.peek(2).kind != "COLON"):
+                    break
+                self.advance()
         return ObjectPropertyFrame(
             name, tuple(domains), tuple(ranges), tuple(characteristics),
             tuple(subs), tuple(inverses), pos=pos,
@@ -296,15 +305,9 @@ class _Parser:
     def _parse_individual_fields(self, name: NameTerm, pos: SourcePos) -> IndividualFrame:
         types: list[NameTerm] = []
         different: list[NameTerm] = []
-        while True:
-            if self._at_field("Types"):
-                self.advance(); self.advance()
-                types.extend(self._name_list())
-            elif self._at_field("DifferentFrom"):
-                self.advance(); self.advance()
-                different.extend(self._name_list())
-            else:
-                break
+        fields = {"Types": types, "DifferentFrom": different}
+        while (word := self._take_field(fields)) is not None:
+            fields[word].extend(self._name_list())
         return IndividualFrame(name, tuple(types), tuple(different), pos=pos)
 
     # -- expressions ---------------------------------------------------------
@@ -320,22 +323,23 @@ class _Parser:
         return ThenExpr(tuple(terms), pos=first.pos)
 
     def parse_term(self) -> ExprAst:
-        tok = self.peek()
-        if self.at("LBRACE"):
+        tok = self.tokens[self.i]
+        if tok.kind == "LBRACE":
             self.advance()
             frames: tuple[Frame, ...] = ()
             if not self.at("RBRACE"):
-                frames = self.parse_frames(frozenset({"RBRACE"}))
+                frames = self.parse_frames(("RBRACE",))
             self.expect("RBRACE", what="'}'")
             return BlockExpr(frames, pos=tok.pos)
         if self.at_frame_start():
-            return BlockExpr(self.parse_frames(frozenset()), pos=tok.pos)
-        if self.at("IDENT"):
+            return BlockExpr(self.parse_frames(()), pos=tok.pos)
+        if tok.kind == "IDENT":
             name = self.advance().value
             if self.at("LBRACKET"):
-                self.advance()
+                self.nest(self.advance())
                 args = self.parse_args()
                 self.expect("RBRACKET", what="']'")
+                self.depth -= 1
                 return InstExpr(name, args, pos=tok.pos)
             return RefExpr(name, pos=tok.pos)
         raise ParseError(f"expected an ontology expression, got {tok.value or tok.kind!r}", tok.pos)
@@ -349,10 +353,10 @@ class _Parser:
         return tuple(args)
 
     def parse_arg(self) -> ArgAst:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind in ("SEMI", "RBRACKET"):
             return ArgAst(MissingArg(), pos=tok.pos)
-        if self.at_keyword("empty"):
+        if tok.kind == "KEYWORD" and tok.value == "empty":
             self.advance()
             value = EmptyArg()
         else:
@@ -437,7 +441,7 @@ class _Parser:
                 tail = self.parse_plain_name()
                 return ParamClauseAst(optional, ListHeaderParam(kind, head, second, tail), pos=tok.pos)
             return ParamClauseAst(optional, ListHeaderParam(kind, head, None, second), pos=tok.pos)
-        frames = self.parse_frames(frozenset({"SEMI", "RBRACKET"}))
+        frames = self.parse_frames(("SEMI", "RBRACKET"))
         return ParamClauseAst(optional, FramesParam(frames), pos=tok.pos)
 
     # -- definitions -------------------------------------------------------------
@@ -459,11 +463,12 @@ class _Parser:
         self.expect("EQUALS", what="'='")
         locals_: tuple[PatternDefAst, ...] = ()
         if self.at_keyword("let"):
-            self.advance()
+            self.nest(self.advance())
             defs = []
             while self.at_keyword("ontology"):
                 defs.append(self.parse_def())
             self.expect("KEYWORD", "in", what="'in'")
+            self.depth -= 1
             locals_ = tuple(defs)
         body = self.parse_expr()
         end = self.peek().pos
@@ -524,6 +529,6 @@ def parse_frames(text: str, file: str = "<frames>") -> tuple[Frame, ...]:
     p = _Parser(tokenize(text, file))
     if p.at("EOF"):
         return ()
-    frames = p.parse_frames(frozenset())
+    frames = p.parse_frames(())
     p.expect("EOF", what="end of input")
     return frames

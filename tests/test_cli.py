@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from godp.cli import main
+from godp.parser import MAX_NESTING
 
 from conftest import CORPUS, ERRORS, corpus_paths
 
@@ -37,6 +38,16 @@ def test_check_semantic_error_exits_one(capsys):
 def test_check_missing_file_exits_two(capsys):
     code, out, err = run(capsys, "check", str(CORPUS / "does_not_exist.gdp"))
     assert code == 2
+
+
+def test_check_non_utf8_exits_two(tmp_path, capsys):
+    f = tmp_path / "latin1.gdp"
+    f.write_bytes("%% café au lait\nontology Latin = { Class: Cafe }\n".encode("latin-1"))
+    for argv in (["check", str(f)], ["list", str(f)], ["expand", "--target", "Latin", str(f)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"godp: {f}: not valid UTF-8 (invalid continuation byte at byte 6)\n"
 
 
 def test_check_parse_error_exits_one(tmp_path, capsys):
@@ -205,3 +216,43 @@ def test_invalid_depth_values(monkeypatch, capsys):
 def test_usage_error_exits_two(capsys):
     assert main(["expand"]) == 2  # argparse: missing required arguments
     assert main(["frobnicate", "x"]) == 2
+
+
+# -- deep nesting -------------------------------------------------------------------
+
+def _deep_wrap(tmp_path, depth):
+    f = tmp_path / "deep.gdp"
+    nest = "Wrap[" * depth + "Thing" + "]" * depth
+    f.write_text(f"ontology Wrap [Class: C] = {{ Class: C }}\nontology Deep = {nest}\n", encoding="utf-8")
+    return f
+
+
+def _deep_name(tmp_path, depth):
+    f = tmp_path / "deep.gdp"
+    f.write_text("ontology Deep = { Class: " + "g[" * depth + "x" + "]" * depth + " }\n", encoding="utf-8")
+    return f
+
+
+def test_nesting_at_the_bound_expands(tmp_path, capsys):
+    f = _deep_wrap(tmp_path, MAX_NESTING)
+    assert run(capsys, "check", str(f)) == (0, "", "")
+    assert run(capsys, "expand", "--target", "Deep", str(f)) == (0, "Class: Thing\n", "")
+    assert run(capsys, "expand", "--target", "Deep", "--format", "dump", str(f)) == (0, "SYM Class Thing\n", "")
+    f = _deep_name(tmp_path, MAX_NESTING)
+    flat = "g_" * MAX_NESTING + "x"
+    assert run(capsys, "expand", "--target", "Deep", str(f)) == (0, f"Class: {flat}\n", "")
+    assert run(capsys, "expand", "--target", "Deep", "--format", "dump", str(f)) == (0, f"SYM Class {flat}\n", "")
+
+
+def test_nesting_past_the_bound_exits_one_with_a_position(tmp_path, capsys):
+    for depth in (MAX_NESTING + 1, 1500):
+        for make, line in ((_deep_wrap, 2), (_deep_name, 1)):
+            f = make(tmp_path, depth)
+            code, out, err = run(capsys, "check", str(f))
+            assert code == 1
+            assert err.count("\n") == 1
+            where, message = err.split(": error: ")
+            assert message == f"nesting deeper than {MAX_NESTING} levels\n"
+            file, at_line, at_col = where.rsplit(":", 2)
+            assert (file, int(at_line)) == (str(f), line)
+            assert 1 <= int(at_col) <= len(f.read_text(encoding="utf-8").splitlines()[line - 1])

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godp import parse_frames, parse_library, pretty_print, render_diagnostics
 from godp.core import NameTerm, SymbolKind, name
 from godp.diagnostics import Diagnostic, LexError, ParseError, SourcePos
 from godp.elaborate import build_block
+from godp.parser import MAX_NESTING, tokenize
 from godp.syntax import (
     BlockExpr,
     ClassFrame,
@@ -173,3 +176,159 @@ def test_pretty_print_round_trip_corpus():
         ast = parse_library(src, str(f))
         again = parse_library(pretty_print(ast), str(f))
         assert again == ast, f"round trip failed for {f}"
+
+
+# -- the lexer against a character-by-character reference -----------------------
+
+_REF_SINGLES = {
+    "[": "LBRACKET", "]": "RBRACKET",
+    "{": "LBRACE", "}": "RBRACE",
+    ";": "SEMI", ",": "COMMA",
+    "=": "EQUALS", "?": "QUESTION",
+}
+_REF_KEYWORDS = {"ontology", "given", "let", "in", "then", "fit", "empty", "end"}
+
+
+def _ref_is_ident_char(ch: str) -> bool:
+    return ch.isascii() and (ch.isalnum() or ch == "_")
+
+
+def reference_tokenize(text: str, file: str) -> list[tuple[str, str, SourcePos]]:
+    """The lexer as a scan of one character at a time: (kind, value, pos) per token."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%" and i + 1 < n and text[i + 1] == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        pos = SourcePos(file, line, col)
+        if ch == ":":
+            if i + 1 < n and text[i + 1] == ":":
+                tokens.append(("CONS", "::", pos))
+                i += 2
+                col += 2
+            else:
+                tokens.append(("COLON", ":", pos))
+                i += 1
+                col += 1
+            continue
+        if ch == "|":
+            if text[i:i + 3] == "|->":
+                tokens.append(("MAPSTO", "|->", pos))
+                i += 3
+                col += 3
+                continue
+            raise LexError(f"bad character {ch!r}", pos)
+        if ch in _REF_SINGLES:
+            tokens.append((_REF_SINGLES[ch], ch, pos))
+            i += 1
+            col += 1
+            continue
+        if _ref_is_ident_char(ch):
+            start = i
+            while i < n and _ref_is_ident_char(text[i]):
+                i += 1
+            word = text[start:i]
+            col += len(word)
+            if word.isdigit():
+                raise LexError(f"bad token {word!r}: names need at least one letter or '_'", pos)
+            tokens.append(("KEYWORD" if word in _REF_KEYWORDS else "IDENT", word, pos))
+            continue
+        raise LexError(f"bad character {ch!r}", pos)
+    tokens.append(("EOF", "", SourcePos(file, line, col)))
+    return tokens
+
+
+def _lex_outcome(lexer, text: str):
+    try:
+        return [tuple(t) for t in lexer(text, "<lex>")]
+    except LexError as e:
+        return ("LexError", e.message, e.pos)
+
+
+def assert_lexes_like_reference(text: str) -> None:
+    assert _lex_outcome(tokenize, text) == _lex_outcome(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", [
+    "ontology A = { Class: C } %% trailing comment",  # EOF sits at the comment's start
+    "%% only a comment",
+    "ontology A = { Class: C }\n   %% indented comment",
+    "a % b",
+    "%",
+    "G[a |- b]",
+    "G[a |",
+    "Individual: 042",
+    "x 12345 y",
+    "ontology A =\r\n  { Class: C }\r\n",
+    "\r\n\r\nA\r\n",
+    "A\tB \x0c C",
+    "Class: café",
+    "a::b :: c ::: d",
+    "p |-> q|->r",
+    "",
+    "   ",
+    "\n\n",
+])
+def test_lexer_matches_reference_on_edge_cases(text):
+    assert_lexes_like_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("%|->:[]{};,=? \r\n\t\x0ca_Zé0179")), max_size=60))
+def test_lexer_matches_reference_on_characters(text):
+    assert_lexes_like_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["ontology", "let", "in", "x1", "0c", "42", "%%", "%", "|->", "|-", "|", "::", ":",
+     "-", ">", "\r\n", "\n", "\t", " ", "\x0c", "é", "[", "]"]
+)).map("".join))
+def test_lexer_matches_reference_on_lexeme_soup(text):
+    assert_lexes_like_reference(text)
+
+
+# -- the nesting bound ---------------------------------------------------------
+
+def _wrap(depth: int) -> str:
+    return "ontology Deep = " + "Wrap[" * depth + "Thing" + "]" * depth + "\n"
+
+
+def _name_nest(depth: int) -> str:
+    return "ontology Deep = { Class: " + "g[" * depth + "x" + "]" * depth + " }\n"
+
+
+def _let_nest(depth: int) -> str:
+    return "ontology A = let " * depth + "ontology Z = { Class: C }" + " in Z" * depth + "\n"
+
+
+@pytest.mark.parametrize("source", [_wrap, _name_nest, _let_nest])
+def test_nesting_up_to_the_bound_parses(source):
+    assert len(parse_library(source(MAX_NESTING)).items) == 1
+
+
+@pytest.mark.parametrize("source, col", [
+    # the `[` or `let` that opens level MAX_NESTING + 1
+    (_wrap, len("ontology Deep = ") + 5 * MAX_NESTING + 5),
+    (_name_nest, len("ontology Deep = { Class: ") + 2 * MAX_NESTING + 2),
+    (_let_nest, len("ontology A = let ") * MAX_NESTING + len("ontology A = ") + 1),
+])
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1500])
+def test_nesting_past_the_bound_is_a_positioned_parse_error(source, col, depth):
+    with pytest.raises(ParseError) as exc:
+        parse_library(source(depth), "deep.gdp")
+    assert exc.value.message == f"nesting deeper than {MAX_NESTING} levels"
+    assert exc.value.pos == SourcePos("deep.gdp", 1, col)

@@ -1,10 +1,11 @@
 """Generative and environmental robustness checks.
 
 The parser must be total (parse or raise a positioned library error, never
-anything else); pretty-printed ASTs must reparse to themselves; CLI output
-must be byte-identical across processes regardless of hash randomization;
-expansion must be safe to run from several threads at once; a flat ontology's
-kind index must agree with a linear scan of its signature.
+anything else, even on input nested far past its bound); pretty-printed ASTs
+must reparse to themselves; CLI output must be byte-identical across processes
+regardless of hash randomization; expansion must be safe to run from several
+threads at once; a flat ontology's kind index must agree with a linear scan of
+its signature.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from godp.core import (
     union_flat,
 )
 from godp.diagnostics import GodpError, KindClash
-from godp.parser import FIELD_KEYWORDS, KEYWORDS, KIND_KEYWORDS
+from godp.parser import FIELD_KEYWORDS, KEYWORDS, KIND_KEYWORDS, MAX_NESTING
 from godp.syntax import (
     ArgAst,
     BlockExpr,
@@ -179,6 +180,36 @@ def test_parser_is_total_on_token_soup(text):
         parse_library(text, "<soup>")
     except GodpError as e:
         assert e.pos is not None
+
+
+@st.composite
+def _deep_nests(draw):
+    """A definition nested up to 2000 deep: instantiations, then names, or `let`s.
+
+    Returns the text and its nesting depth; `closed` decides whether every
+    opened level is closed again.
+    """
+    depth = draw(st.integers(0, 2000))
+    closed = draw(st.booleans())
+    if draw(st.booleans()):
+        k = draw(st.integers(0, depth))  # levels of instantiation around the name
+        inner = "g[" * (depth - k) + "x" + "]" * (depth - k) * closed
+        text = "ontology Deep = " + "Wrap[" * k + "{ Class: " + inner + " }" + "]" * k * closed
+    else:
+        text = "ontology A = let " * depth + "ontology Z = { Class: C }" + " in Z" * depth * closed
+    return text + "\n", depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(_deep_nests())
+def test_parser_is_total_on_deep_nesting(nest):
+    text, depth = nest
+    try:
+        parse_library(text, "<deep>")
+    except GodpError as e:
+        assert e.pos is not None
+    else:
+        assert depth <= MAX_NESTING
 
 
 def test_cli_byte_identical_across_hash_seeds():
