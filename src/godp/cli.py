@@ -56,11 +56,12 @@ def _read_library(cfg: CliConfig) -> Library:
     items: list[PatternDefAst] = []
     for path in cfg.inputs:
         try:
-            text = path.read_text(encoding="utf-8")
+            # no newline translation, so positions match parse_library on the same text
+            text = path.read_bytes().decode("utf-8")
         except UnicodeDecodeError as e:
             # an unreadable input file, reported like the other I/O errors
             raise OSError(f"{path}: not valid UTF-8 ({e.reason} at byte {e.start})") from None
-        ast = parse_library(text, str(path))
+        ast = parse_library(text.removeprefix("\ufeff"), str(path))  # one byte-order mark
         items.extend(ast.items)
     return build_library(LibraryAst(tuple(items)))
 

@@ -4,12 +4,19 @@ Resolves references (locals shadow library names inside their defining
 pattern), merges same-name definitions into ordered template clauses, computes
 sequential parameter environments along the inclusion chain, and enforces the
 recursion guard: a self or mutual call is only legal when it strictly shrinks
-some list parameter.
+some list parameter. One walk over the clause bodies does both the reference
+check and the call graph for the guard.
+
+Clauses are frozen. Each is made first without the deltas of its plain
+parameters, which the checks above do not need, then once more with them and
+its environments; imports are expanded by `instantiate.expand_named`, each
+with a fresh default depth budget. Once `build_library` returns, nothing in
+the Library changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .core import (
@@ -39,7 +46,6 @@ from .diagnostics import (
 )
 from .syntax import (
     ArgAst,
-    BlockExpr,
     ClassFrame,
     DifferentIndividualsFrame,
     EmptyParam,
@@ -159,12 +165,14 @@ class ListTemplate:
     head: str | None
     head2: str | None
     tail: str | None
+    heads: tuple[str, ...] = field(init=False, compare=False, repr=False)  # the bound heads
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "heads", tuple(h for h in (self.head, self.head2) if h is not None))
 
     @property
     def min_len(self) -> int:
-        if self.head is None:
-            return 0
-        return 2 if self.head2 is not None else 1
+        return len(self.heads)
 
     def matches(self, n: int) -> bool:
         return n == 0 if self.head is None else n >= self.min_len
@@ -187,12 +195,15 @@ class ParamSpec:
         return "optional" if self.optional else "plain"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Clause:
-    params: list[ParamSpec]
+    params: tuple[ParamSpec, ...]
     body: ExprAst
     pos: object
-    envs: list[FlatOntology] = dc_field(default_factory=list)
+    # envs[i]: what parameter i sees (imports plus the deltas of parameters
+    # 0..i-1); envs[-1] is the full parameter environment. A by-product of
+    # computing PlainShape.new_symbols.
+    envs: tuple[FlatOntology, ...] = ()
 
 
 @dataclass
@@ -201,7 +212,7 @@ class PatternDef:
     qual: str
     imports: tuple[str, ...]
     locals: dict[str, "PatternDef"]
-    clauses: list[Clause]
+    clauses: tuple[Clause, ...]
     pos: object
     parent: "PatternDef | None" = None
 
@@ -299,7 +310,7 @@ def _build_def(
             clause_asts[1].pos,
         )
 
-    d = PatternDef(name, qual, first.given, {}, [], first.pos, parent)
+    d = PatternDef(name, qual, first.given, {}, (), first.pos, parent)
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
     for ca in clause_asts:
@@ -308,15 +319,17 @@ def _build_def(
     for lname, lasts in local_asts.items():
         d.locals[lname] = _build_def(lname, lasts, f"{qual}::{lname}", d)
 
+    clauses: list[Clause] = []
     for ca in clause_asts:
         params: list[ParamSpec] = []
         for i, p in enumerate(ca.params):
             if _param_category(p) == "plain":
-                shape = PlainShape(p.payload.frames, EMPTY_ONTOLOGY, ())  # delta in phase B
+                shape = PlainShape(p.payload.frames, EMPTY_ONTOLOGY, ())  # delta with the envs
             else:
                 shape = _template_of(p)
             params.append(ParamSpec(i, p.optional, shape))
-        d.clauses.append(Clause(params, ca.body, ca.pos))
+        clauses.append(Clause(tuple(params), ca.body, ca.pos))
+    d.clauses = tuple(clauses)
     return d
 
 
@@ -332,10 +345,11 @@ def build_library(ast: LibraryAst) -> Library:
         defs[name] = _build_def(name, clause_asts, name, None)
     lib = Library(defs)
 
+    edges: list = []
     for d in defs.values():
         _validate_imports(lib, d)
-        _resolve_references(lib, d)
-    _check_cycles(lib)
+        _collect_edges(lib, d, edges)
+    _check_cycles(lib, edges)
     for d in defs.values():
         _compute_environments(lib, d)
     return lib
@@ -358,50 +372,14 @@ def _validate_imports(lib: Library, d: PatternDef) -> None:
 
 # -- reference resolution ----------------------------------------------------
 
-def _scopes_for(d: PatternDef) -> list[dict[str, PatternDef]]:
-    scopes = []
-    cur: PatternDef | None = d
-    while cur is not None:
-        scopes.append(cur.locals)
-        cur = cur.parent
-    return scopes
-
-
 def resolve_name(lib: Library, d: PatternDef, name: str) -> PatternDef | None:
     """Resolve a pattern/ontology name as seen from inside `d`."""
-    for scope in _scopes_for(d):
-        if name in scope:
-            return scope[name]
+    cur: PatternDef | None = d
+    while cur is not None:
+        if name in cur.locals:
+            return cur.locals[name]
+        cur = cur.parent
     return lib.lookup(name)
-
-
-def _resolve_references(lib: Library, d: PatternDef) -> None:
-    for clause in d.clauses:
-        _walk_expr_refs(lib, d, clause.body, strict=True)
-    for loc in d.locals.values():
-        _resolve_references(lib, loc)
-
-
-def _walk_expr_refs(lib: Library, d: PatternDef, expr: ExprAst, strict: bool) -> None:
-    if isinstance(expr, ThenExpr):
-        for t in expr.terms:
-            _walk_expr_refs(lib, d, t, strict)
-        return
-    if isinstance(expr, BlockExpr):
-        return
-    if isinstance(expr, RefExpr):
-        if strict and resolve_name(lib, d, expr.name) is None:
-            raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
-        return
-    if isinstance(expr, InstExpr):
-        target = resolve_name(lib, d, expr.name)
-        if strict and target is None:
-            raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
-        for a in expr.args:
-            if isinstance(a.value, (RefExpr, InstExpr, ThenExpr, BlockExpr)):
-                # argument names may be local symbols, so unknown heads are fine here
-                _walk_expr_refs(lib, d, a.value, strict=False)
-        return
 
 
 # -- recursion guard -----------------------------------------------------------
@@ -425,32 +403,30 @@ def _arg_shrinks(a: ArgAst, tails: dict[str, int]) -> bool:
 
 
 def _collect_edges(lib: Library, d: PatternDef, edges: list) -> None:
+    """The calls of `d` and its locals; an unknown reference in a body raises."""
     for clause in d.clauses:
         tails = _clause_tail_depths(clause)
-        _walk_calls(lib, d, clause.body, tails, edges)
+        _walk_calls(lib, d, clause.body, tails, edges, strict=True)
     for loc in d.locals.values():
         _collect_edges(lib, loc, edges)
 
 
-def _walk_calls(lib: Library, d: PatternDef, expr: ExprAst, tails, edges) -> None:
+def _walk_calls(lib: Library, d: PatternDef, expr: ExprAst, tails, edges, strict: bool) -> None:
     if isinstance(expr, ThenExpr):
         for t in expr.terms:
-            _walk_calls(lib, d, t, tails, edges)
+            _walk_calls(lib, d, t, tails, edges, strict)
         return
-    if isinstance(expr, RefExpr):
+    if isinstance(expr, (RefExpr, InstExpr)):
         target = resolve_name(lib, d, expr.name)
         if target is not None:
-            edges.append((d.qual, target.qual, False, expr.pos))
-        return
-    if isinstance(expr, InstExpr):
-        target = resolve_name(lib, d, expr.name)
-        if target is not None:
-            shrinks = any(_arg_shrinks(a, tails) for a in expr.args)
+            shrinks = isinstance(expr, InstExpr) and any(_arg_shrinks(a, tails) for a in expr.args)
             edges.append((d.qual, target.qual, shrinks, expr.pos))
+        elif strict:  # in argument position a name may be a local symbol
+            raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
+    if isinstance(expr, InstExpr):
         for a in expr.args:
             if isinstance(a.value, (RefExpr, InstExpr, ThenExpr)):
-                _walk_calls(lib, d, a.value, tails, edges)
-        return
+                _walk_calls(lib, d, a.value, tails, edges, strict=False)
 
 
 def _all_defs(lib: Library):
@@ -463,10 +439,7 @@ def _all_defs(lib: Library):
         yield from walk(d)
 
 
-def _check_cycles(lib: Library) -> None:
-    edges: list = []
-    for d in lib.defs.values():
-        _collect_edges(lib, d, edges)
+def _check_cycles(lib: Library, edges: list) -> None:
     for d in _all_defs(lib):
         for imp in d.imports:
             edges.append((d.qual, lib.defs[imp].qual, False, d.pos))
@@ -539,70 +512,53 @@ def _tarjan_scc(nodes: set[str], adj: dict[str, set[str]]) -> dict[str, int]:
 
 # -- environments --------------------------------------------------------------
 
-def _imports_ontology(lib: Library, d: PatternDef) -> FlatOntology:
-    if not d.imports:
-        return EMPTY_ONTOLOGY
-    from .instantiate import expand_named  # circular at module level by design
-
-    out = EMPTY_ONTOLOGY
-    for imp in d.imports:
-        out = union_flat(out, expand_named(lib, imp))
-    return out
-
-
 def _compute_environments(lib: Library, d: PatternDef, prefix: FlatOntology | None = None) -> None:
-    base = prefix if prefix is not None else _imports_ontology(lib, d)
-    for clause in d.clauses:
-        envs = [base]
-        new_params: list[ParamSpec] = []
-        for p in clause.params:
-            env = envs[-1]
-            if p.is_list:
-                tmpl: ListTemplate = p.shape
-                delta_syms = []
-                if tmpl.head is not None:
-                    delta_syms.append(Symbol(NameTerm(tmpl.head), tmpl.kind))
-                if tmpl.head2 is not None:
-                    delta_syms.append(Symbol(NameTerm(tmpl.head2), tmpl.kind))
-                delta = make_ontology(delta_syms, [])
-                new_params.append(p)
-            else:
-                try:
-                    delta = build_block(p.shape.frames)
-                    union_flat(env, delta)  # well-formedness in this environment
-                except GodpError as e:
-                    e.ensure_pos(p.shape.frames[0].pos if p.shape.frames else d.pos)
-                    raise
-                new_syms = tuple(
-                    sorted(
-                        (s for s in delta.signature if s not in env.signature),
-                        key=Symbol.key,
-                    )
-                )
-                new_params.append(
-                    ParamSpec(p.index, p.optional, PlainShape(p.shape.frames, delta, new_syms))
-                )
-            envs.append(union_flat(env, delta))
-        clause.params = new_params
-        clause.envs = envs
-    full = d.clauses[0].envs[-1]
+    if prefix is None:
+        from .instantiate import _imports_ontology, expand_named  # circular at module level by design
+
+        prefix = _imports_ontology(d, lambda imp: expand_named(lib, imp))
+    d.clauses = tuple(_with_environments(d, clause, prefix) for clause in d.clauses)
     for loc in d.locals.values():
-        _compute_environments(lib, loc, prefix=full)
+        _compute_environments(lib, loc, prefix=d.clauses[0].envs[-1])
+
+
+def _with_environments(d: PatternDef, clause: Clause, base: FlatOntology) -> Clause:
+    envs = [base]
+    params: list[ParamSpec] = []
+    for p in clause.params:
+        env = envs[-1]
+        if p.is_list:
+            tmpl: ListTemplate = p.shape
+            delta = make_ontology([Symbol(NameTerm(h), tmpl.kind) for h in tmpl.heads], [])
+        else:
+            try:
+                delta = build_block(p.shape.frames)
+                union_flat(env, delta)  # well-formedness in this environment
+            except GodpError as e:
+                e.ensure_pos(p.shape.frames[0].pos if p.shape.frames else d.pos)
+                raise
+            new_syms = tuple(
+                sorted(
+                    (s for s in delta.signature if s not in env.signature),
+                    key=Symbol.key,
+                )
+            )
+            p = ParamSpec(p.index, p.optional, PlainShape(p.shape.frames, delta, new_syms))
+        params.append(p)
+        envs.append(union_flat(env, delta))
+    return Clause(tuple(params), clause.body, clause.pos, tuple(envs))
 
 
 def param_environments(d: PatternDef) -> list[FlatOntology]:
     """env[i] = what parameter i sees: imports plus deltas of parameters 0..i-1.
 
-    The final entry env[arity] is the full parameter environment. Computed
-    from the first clause (clauses share plain parameters).
+    The final entry env[arity] is the full parameter environment. Read from
+    the first clause (clauses share plain parameters).
     """
     return list(d.clauses[0].envs)
 
 
 def resolve_local_subpatterns(lib: Library, d: PatternDef) -> PatternDef:
-    """Recompute local sub-pattern environments, prefixed by the enclosing
-    pattern's full environment; returns the same definition."""
-    full = d.clauses[0].envs[-1]
-    for loc in d.locals.values():
-        _compute_environments(lib, loc, prefix=full)
+    """The definition itself: `build_library` already gave its local
+    sub-patterns environments prefixed by its full parameter environment."""
     return d

@@ -6,6 +6,13 @@ parameter constraints, elides optional parameters, recurses over list
 parameters with first-match template selection, and produces flat ontologies
 under the Same Name - Same Thing union.
 
+Each of these has one implementation, the one `expand`/`expand_named` run:
+the public helpers `derive_fitting`, `check_compatibility`,
+`check_constraints`, `match_template` and `elide_optional` are entry points
+into it, and the engine itself works on the public argument forms
+(`NamedOntologyArg` ... `ListArg`), which carry the argument's source
+position when they come from `.gdp` text.
+
 Expansion is pure over an immutable Library; every top-level call gets its own
 context (depth budget, memo table for 0-parameter expansions, placeholder
 registry), so independent expansions can run concurrently.
@@ -14,8 +21,8 @@ registry), so independent expansions can run concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import AbstractSet, Iterable, Sequence, Union
+from dataclasses import dataclass, field as dc_field, replace
+from typing import AbstractSet, Callable, Iterable, Sequence, Union
 
 from .core import (
     EMPTY_ONTOLOGY,
@@ -120,35 +127,55 @@ def _contains_base(n: NameTerm, bases: AbstractSet[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Public argument forms
+# Argument forms
 # ---------------------------------------------------------------------------
+# `pos` is where the argument was written (None when built in Python); it
+# takes no part in equality.
+
+def _pos_field():
+    return dc_field(default=None, compare=False)
+
 
 @dataclass(frozen=True)
 class NamedOntologyArg:
     name: str
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
+    pos: SourcePos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class AnonymousArg:
     ontology: FlatOntology
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
+    pos: SourcePos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class LocalSymbolArg:
     term: NameTerm
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
+    pos: SourcePos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class EmptyOptArg:
-    pass
+    pos: SourcePos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class ListArg:
     items: tuple[NameTerm, ...]
+    pos: SourcePos | None = _pos_field()
+
+
+@dataclass(frozen=True)
+class _ExprArg:
+    """An argument expression (an instantiation, a `then` chain or inline
+    frames), evaluated on top of the local environment in the caller's scope."""
+
+    expr: ExprAst
+    fits: tuple[tuple[NameTerm, NameTerm], ...]
+    pos: SourcePos | None = _pos_field()
 
 
 ArgumentForm = Union[NamedOntologyArg, AnonymousArg, LocalSymbolArg, EmptyOptArg, ListArg]
@@ -213,42 +240,10 @@ _ROOT_SCOPE = _RuntimeScope(None, EMPTY_BINDINGS, None)
 
 
 # ---------------------------------------------------------------------------
-# Internal argument forms (normalized against the callee's parameter shapes)
+# Argument normalization (against the callee's parameter shapes)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _EmptyForm:
-    pos: SourcePos | None
-
-
-@dataclass
-class _LocalForm:
-    term: NameTerm
-    fits: tuple[tuple[NameTerm, NameTerm], ...]
-    pos: SourcePos | None
-
-
-@dataclass
-class _OntForm:
-    expr: ExprAst | None
-    ont: FlatOntology | None
-    named: str | None
-    fits: tuple[tuple[NameTerm, NameTerm], ...]
-    pos: SourcePos | None
-
-
-@dataclass
-class _ListForm:
-    items: tuple[NameTerm, ...]
-    pos: SourcePos | None
-
-
-_Form = Union[_EmptyForm, _LocalForm, _OntForm, _ListForm]
-
-
-def _resolve_items(
-    raw: Iterable[NameTerm], b: Bindings, pos: SourcePos | None
-) -> tuple[NameTerm, ...]:
+def _resolve_items(raw: Iterable[NameTerm], b: Bindings) -> tuple[NameTerm, ...]:
     out: list[NameTerm] = []
     for t in raw:
         spliced = b.items_of(t)
@@ -265,15 +260,15 @@ def _normalize_ast_arg(
     lib: Library,
     scope: _RuntimeScope,
     b: Bindings,
-) -> _Form:
+) -> ArgumentForm | _ExprArg:
     v = a.value
     if pspec.is_list:
         if a.fits:
             raise UnsupportedArgument("fit maps are not allowed on list arguments", a.pos)
         if isinstance(v, (MissingArg, EmptyArg)):
-            return _ListForm((), a.pos)
+            return ListArg((), a.pos)
         if isinstance(v, ListArgAst):
-            items = list(_resolve_items(v.items, b, a.pos))
+            items = list(_resolve_items(v.items, b))
             if v.tail is not None:
                 rest = b.items_of(v.tail)
                 if rest is None:
@@ -283,13 +278,13 @@ def _normalize_ast_arg(
                         a.pos,
                     )
                 items.extend(rest)
-            return _ListForm(tuple(items), a.pos)
+            return ListArg(tuple(items), a.pos)
         if isinstance(v, NameTerm):
-            return _ListForm(_resolve_items([v], b, a.pos), a.pos)
+            return ListArg(_resolve_items([v], b), a.pos)
         if isinstance(v, (RefExpr, InstExpr)):
             t = expr_to_name_term(v)
             if t is not None and (not isinstance(v, InstExpr) or scope.resolve(lib, v.name) is None):
-                return _ListForm(_resolve_items([t], b, a.pos), a.pos)
+                return ListArg(_resolve_items([t], b), a.pos)
         raise UnsupportedArgument(
             "a list argument must be a comma or '::' list of names", a.pos
         )
@@ -300,11 +295,11 @@ def _normalize_ast_arg(
             raise UnsupportedArgument(
                 "fit maps are meaningless on an empty argument", a.pos
             )
-        return _EmptyForm(a.pos)
+        return EmptyOptArg(a.pos)
     if isinstance(v, ListArgAst):
         raise UnsupportedArgument("list argument given for a non-list parameter", a.pos)
     if isinstance(v, NameTerm):
-        return _LocalForm(b.apply(v), _subst_fits(a.fits, b), a.pos)
+        return LocalSymbolArg(b.apply(v), _subst_fits(a.fits, b), a.pos)
     if isinstance(v, RefExpr):
         hit = scope.resolve(lib, v.name)
         if hit is not None:
@@ -314,18 +309,18 @@ def _normalize_ast_arg(
                     f"'{v.name}' is generic and needs arguments to be used as an argument",
                     a.pos,
                 )
-            return _OntForm(None, None, v.name, _subst_fits(a.fits, b), a.pos)
-        return _LocalForm(b.apply(NameTerm(v.name)), _subst_fits(a.fits, b), a.pos)
+            return NamedOntologyArg(v.name, _subst_fits(a.fits, b), a.pos)
+        return LocalSymbolArg(b.apply(NameTerm(v.name)), _subst_fits(a.fits, b), a.pos)
     if isinstance(v, InstExpr):
         hit = scope.resolve(lib, v.name)
         if hit is not None:
-            return _OntForm(v, None, None, _subst_fits(a.fits, b), a.pos)
+            return _ExprArg(v, _subst_fits(a.fits, b), a.pos)
         t = expr_to_name_term(v)
         if t is not None:
-            return _LocalForm(b.apply(t), _subst_fits(a.fits, b), a.pos)
+            return LocalSymbolArg(b.apply(t), _subst_fits(a.fits, b), a.pos)
         raise UnknownReference(f"unknown ontology or pattern '{v.name}'", a.pos)
     if isinstance(v, (ThenExpr, BlockExpr)):
-        return _OntForm(v, None, None, _subst_fits(a.fits, b), a.pos)
+        return _ExprArg(v, _subst_fits(a.fits, b), a.pos)
     raise UnsupportedArgument(f"unsupported argument form {type(v).__name__}", a.pos)
 
 
@@ -337,34 +332,42 @@ def _subst_fits(
     return tuple((src, b.apply(dst)) for src, dst in fits)
 
 
-def _public_to_form(arg: ArgumentForm, pos: SourcePos | None) -> _Form:
-    if isinstance(arg, NamedOntologyArg):
-        return _OntForm(None, None, arg.name, arg.fits, pos)
-    if isinstance(arg, AnonymousArg):
-        return _OntForm(None, arg.ontology, None, arg.fits, pos)
-    if isinstance(arg, LocalSymbolArg):
-        return _LocalForm(arg.term, arg.fits, pos)
-    if isinstance(arg, EmptyOptArg):
-        return _EmptyForm(pos)
-    if isinstance(arg, ListArg):
-        return _ListForm(arg.items, pos)
-    raise UnsupportedArgument(f"unsupported argument form {type(arg).__name__}", pos)
-
-
 # ---------------------------------------------------------------------------
 # Template matching
 # ---------------------------------------------------------------------------
 
-def _clause_matches(clause: Clause, forms: Sequence[_Form]) -> bool:
+def _of(owner: str | None) -> str:
+    """The pattern part of a message; helpers called without one leave it out."""
+    return f" of '{owner}'" if owner is not None else ""
+
+
+def _clause_matches(clause: Clause, forms: Sequence[ArgumentForm | _ExprArg]) -> bool:
     for p, f in zip(clause.params, forms):
         if p.is_list:
-            if not isinstance(f, _ListForm):
-                if isinstance(f, _EmptyForm):
-                    continue  # padded trailing optional list: empty
+            if not isinstance(f, ListArg):
+                if isinstance(f, EmptyOptArg):
+                    continue  # an empty argument for a list parameter: empty
                 return False
             if not p.shape.matches(len(f.items)):
                 return False
     return True
+
+
+def _select_clause(
+    clauses: Sequence[Clause],
+    forms: Sequence[ArgumentForm | _ExprArg],
+    owner: str | None,
+    pos: SourcePos | None,
+) -> Clause:
+    for clause in clauses:
+        if _clause_matches(clause, forms):
+            return clause
+    lengths = [len(f.items) for f in forms if isinstance(f, ListArg)]
+    raise NoMatch(
+        f"no template clause{_of(owner)} matches list argument length(s) "
+        f"{lengths}; the instantiation is incorrect",
+        pos,
+    )
 
 
 def match_template(
@@ -372,51 +375,37 @@ def match_template(
 ) -> tuple[Clause, Bindings]:
     """First clause (source order) whose list template matches the argument's
     length structure, with head/tail bindings; raises NoMatch otherwise."""
-    for clause in clauses:
-        slots = [p for p in clause.params if p.is_list]
-        if len(slots) != 1:
-            raise UnsupportedArgument(
-                "match_template expects clauses with exactly one list parameter"
-            )
-        tmpl: ListTemplate = slots[0].shape
-        if tmpl.matches(len(arg.items)):
-            b = Bindings()
-            _bind_template(tmpl, arg.items, b)
-            return clause, b
-    raise NoMatch(
-        f"no template clause matches a list argument of length {len(arg.items)}; "
-        f"the instantiation is incorrect"
-    )
+    if any(sum(p.is_list for p in c.params) != 1 for c in clauses):
+        raise UnsupportedArgument(
+            "match_template expects clauses with exactly one list parameter"
+        )
+    # the clauses of one pattern share their parameter shapes; the clause
+    # test reads only the list position
+    params = clauses[0].params if clauses else ()
+    forms = [arg if p.is_list else EmptyOptArg() for p in params]
+    clause = _select_clause(clauses, forms, None, None)
+    b = Bindings()
+    _bind_template(next(p.shape for p in clause.params if p.is_list), arg.items, b)
+    return clause, b
 
 
 def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings) -> None:
-    if tmpl.head is None:
-        return
-    b.name_map[NameTerm(tmpl.head)] = items[0]
-    rest = items[1:]
-    if tmpl.head2 is not None:
-        b.name_map[NameTerm(tmpl.head2)] = items[1]
-        rest = items[2:]
+    for head, item in zip(tmpl.heads, items):
+        b.name_map[NameTerm(head)] = item
     if tmpl.tail is not None:
-        b.list_map[tmpl.tail] = rest
+        b.list_map[tmpl.tail] = items[tmpl.min_len:]
 
 
 # ---------------------------------------------------------------------------
-# Fitting derivation
+# Fittings and constraints
 # ---------------------------------------------------------------------------
 
 def check_compatibility(fittings: Sequence[FittingMorphism]) -> None:
     """A symbol shared between parameters must map identically everywhere."""
-    seen: dict[Symbol, Symbol] = {}
+    seen = Bindings()
     for m in fittings:
         for src, dst in m.pairs:
-            prior = seen.get(src)
-            if prior is not None and prior != dst:
-                raise IncompatibleFittings(
-                    f"'{src.name.render()}' is mapped both to '{prior.name.render()}' "
-                    f"and to '{dst.name.render()}'"
-                )
-            seen[src] = dst
+            _bind_checked(seen, src.name, dst.name, None)
 
 
 def check_constraints(
@@ -425,16 +414,29 @@ def check_constraints(
     """Translated parameter axioms must already hold (syntactic membership
     after canonicalization) in the available environment."""
     table = {src.name: dst.name for src, dst in m.pairs}
+    _check_constraints(
+        _Ctx(None, DEFAULT_DEPTH), param_axioms, lambda n: table.get(n, n), available, None
+    )
 
-    def fn(n: NameTerm) -> NameTerm:
-        return table.get(n, n)
 
-    for ax in sorted(param_axioms, key=Axiom.sort_key):
-        translated = ax.rename(fn).canonical()
+def _check_constraints(
+    ctx: _Ctx,
+    axioms: Iterable[Axiom],
+    rename: Callable[[NameTerm], NameTerm],
+    available: FlatOntology,
+    pos: SourcePos | None,
+) -> None:
+    for ax in sorted(axioms, key=Axiom.sort_key):
+        translated = ax.rename(rename).canonical()
+        if any(ctx.is_placeholder(n) for n, _ in translated.refs()):
+            continue  # the elided branch contributes nothing to check
         if translated not in available.axioms:
             raise UnmetConstraint(
-                f"argument does not satisfy required axiom: {' '.join(translated.dump_fields())}"
+                f"argument does not satisfy required axiom: "
+                f"{' '.join(translated.dump_fields())}",
+                pos,
             )
+        ctx.constraint_trace.append((translated, available.axioms))
 
 
 def derive_fitting(
@@ -444,78 +446,164 @@ def derive_fitting(
     explicit: Sequence[tuple[NameTerm, NameTerm]] = (),
     lib: Library | None = None,
 ) -> FittingMorphism:
-    """Derive the fitting morphism for one parameter.
+    """Derive the fitting morphism for one plain parameter, as `expand` does.
 
-    Candidate symbols for ontology arguments are the argument's contribution
-    beyond the local environment; local-symbol arguments map the parameter's
-    single new symbol to an environment symbol (or a fresh one). Resolving a
-    NamedOntologyArg needs `lib`.
+    `explicit` is appended to the argument's own fit map. Candidate symbols
+    for ontology arguments are the argument's contribution beyond the local
+    environment `env`; a local-symbol argument maps the parameter's single new
+    symbol to its term, which must not clash with its kind in `env`. Fits of
+    other symbols are checked against each other but are not part of the
+    result. Resolving a NamedOntologyArg needs `lib`.
     """
     if param.is_list:
         raise UnsupportedArgument("derive_fitting applies to plain parameters")
-    shape: PlainShape = param.shape
-    explicit_map = {src: dst for src, dst in explicit}
-    mapping: dict[Symbol, Symbol] = {}
     if isinstance(arg, EmptyOptArg):
         if not param.optional:
             raise MissingArgument("missing argument for a non-optional parameter")
         return FittingMorphism.of({})
+    if not isinstance(arg, (LocalSymbolArg, NamedOntologyArg, AnonymousArg)):
+        raise UnsupportedArgument(f"unsupported argument form {type(arg).__name__}")
+    if isinstance(arg, NamedOntologyArg) and lib is None:
+        raise UnsupportedArgument("resolving a named ontology argument needs the library")
+    ctx = _Ctx(lib, DEFAULT_DEPTH)
+    arg = replace(arg, fits=arg.fits + tuple(explicit))
+    fit_pairs: list[tuple[Symbol, Symbol]] = []
     if isinstance(arg, LocalSymbolArg):
-        if len(shape.new_symbols) != 1:
-            raise UnsupportedArgument(
-                "a bare symbol argument fits only parameters that define exactly "
-                "one new symbol"
-            )
-        n = shape.new_symbols[0]
-        target = explicit_map.get(n.name, arg.term)
-        found = env.kind_of(target)
-        if found is not None and found is not n.kind:
-            raise KindMismatch(
-                f"'{target.render()}' has kind {found.value}, parameter "
-                f"'{n.name.render()}' needs {n.kind.value}"
-            )
-        mapping[n] = Symbol(target, n.kind)
-        return FittingMorphism.of(mapping)
-    if isinstance(arg, (NamedOntologyArg, AnonymousArg)):
-        if isinstance(arg, NamedOntologyArg):
-            if lib is None:
-                raise UnsupportedArgument(
-                    "resolving a named ontology argument needs the library"
+        _fit_local(ctx, None, param, arg, Bindings(), env, fit_pairs)
+    else:
+        arg_ont = _eval_arg_ontology(ctx, arg, env, _ROOT_SCOPE)
+        _fit_ontology(param, arg, arg_ont, env, Bindings(), fit_pairs)
+    return FittingMorphism.of(dict(fit_pairs))
+
+
+def _bind_checked(sigma: Bindings, src: NameTerm, dst: NameTerm, pos) -> None:
+    prior = sigma.name_map.get(src)
+    if prior is not None and prior != dst:
+        raise IncompatibleFittings(
+            f"'{src.render()}' is mapped both to '{prior.render()}' and to "
+            f"'{dst.render()}'",
+            pos,
+        )
+    sigma.name_map[src] = dst
+
+
+def _fit_local(
+    ctx: _Ctx,
+    owner: str | None,
+    pspec: ParamSpec,
+    form: LocalSymbolArg,
+    sigma: Bindings,
+    avail: FlatOntology,
+    fit_pairs: list,
+) -> FlatOntology:
+    shape: PlainShape = pspec.shape
+    if len(shape.new_symbols) != 1:
+        raise UnsupportedArgument(
+            f"parameter {pspec.index + 1}{_of(owner)} defines "
+            f"{len(shape.new_symbols)} new symbols; a bare symbol argument fits "
+            f"only single-symbol parameters",
+            form.pos,
+        )
+    n = shape.new_symbols[0]
+    term = form.term
+    for src, dst in form.fits:
+        if src == n.name:
+            if dst != term:
+                raise IncompatibleFittings(
+                    f"'{src.render()}' is mapped both to '{term.render()}' and to "
+                    f"'{dst.render()}'",
+                    form.pos,
                 )
-            ontology = expand_named(lib, arg.name)
-            arg = AnonymousArg(ontology, arg.fits)
-        pool = [s for s in arg.ontology.sorted_signature() if s not in env.signature]
-        for n in shape.new_symbols:
-            if n.name in explicit_map:
-                target = explicit_map[n.name]
-                k = arg.ontology.kind_of(target) or env.kind_of(target)
-                if k is None:
-                    raise NoCandidate(
-                        f"fit target '{target.render()}' is not a symbol of the argument"
-                    )
-                if k is not n.kind:
-                    raise KindMismatch(
-                        f"fit target '{target.render()}' has kind {k.value}, parameter "
-                        f"'{n.name.render()}' needs {n.kind.value}"
-                    )
-                mapping[n] = Symbol(target, n.kind)
-                continue
+        else:
+            _bind_checked(sigma, src, dst, form.pos)
+    added = EMPTY_ONTOLOGY
+    if ctx.is_placeholder(term):
+        added = make_ontology([Symbol(term, n.kind)], [])
+    else:
+        found = avail.kind_of(term)
+        if found is None:
+            # not visible in the local environment: declared fresh
+            added = make_ontology([Symbol(term, n.kind)], [])
+        elif found is not n.kind:
+            raise KindMismatch(
+                f"'{term.render()}' has kind {found.value}, parameter "
+                f"'{n.name.render()}' needs {n.kind.value}",
+                form.pos,
+            )
+    _bind_checked(sigma, n.name, term, form.pos)
+    fit_pairs.append((n, Symbol(term, n.kind)))
+    return added
+
+
+def _eval_arg_ontology(
+    ctx: _Ctx,
+    form: NamedOntologyArg | AnonymousArg | _ExprArg,
+    env: FlatOntology,
+    caller_scope: _RuntimeScope,
+) -> FlatOntology:
+    if isinstance(form, AnonymousArg):
+        return union_flat(env, form.ontology)
+    if isinstance(form, NamedOntologyArg):
+        d = ctx.lib.lookup(form.name)
+        if d is None:
+            raise UnknownReference(f"unknown ontology '{form.name}'", form.pos)
+        return union_flat(env, _closed_expansion(ctx, d, form.pos))
+    # local-environment injection: the argument is evaluated on top of env,
+    # in the caller's scope (its bindings substitute enclosing parameters)
+    return _eval_expr(ctx, form.expr, env, caller_scope)
+
+
+def _fit_ontology(
+    pspec: ParamSpec,
+    form: NamedOntologyArg | AnonymousArg | _ExprArg,
+    arg_ont: FlatOntology,
+    env: FlatOntology,
+    sigma: Bindings,
+    fit_pairs: list,
+) -> None:
+    shape: PlainShape = pspec.shape
+    explicit = dict(form.fits)
+    consumed: set[NameTerm] = set()
+    pool = [s for s in arg_ont.sorted_signature() if s not in env.signature]
+    for n in shape.new_symbols:
+        if n.name in explicit:
+            image = explicit[n.name]
+            consumed.add(n.name)
+            k = arg_ont.kind_of(image)
+            if k is None:
+                raise NoCandidate(
+                    f"fit target '{image.render()}' is not a symbol of the argument",
+                    form.pos,
+                )
+            if k is not n.kind:
+                raise KindMismatch(
+                    f"fit target '{image.render()}' has kind {k.value}, parameter "
+                    f"'{n.name.render()}' needs {n.kind.value}",
+                    form.pos,
+                )
+        else:
             candidates = [s for s in pool if s.kind is n.kind]
             if not candidates:
                 raise NoCandidate(
                     f"no {n.kind.value} symbol in the argument to fit parameter "
-                    f"'{n.name.render()}'"
+                    f"'{n.name.render()}'",
+                    form.pos,
                 )
             if len(candidates) > 1:
                 raise AmbiguousFitting(
                     f"parameter '{n.name.render()}' has {len(candidates)} "
                     f"{n.kind.value} candidates "
                     f"({', '.join(c.name.render() for c in candidates)}); "
-                    f"give an explicit fit map"
+                    f"give an explicit fit map",
+                    form.pos,
                 )
-            mapping[n] = candidates[0]
-        return FittingMorphism.of(mapping)
-    raise UnsupportedArgument(f"unsupported argument form {type(arg).__name__}")
+            image = candidates[0].name
+        _bind_checked(sigma, n.name, image, form.pos)
+        fit_pairs.append((n, Symbol(image, n.kind)))
+    for src, dst in form.fits:
+        if src in consumed:
+            continue
+        _bind_checked(sigma, src, dst, form.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +612,12 @@ def derive_fitting(
 
 def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
     """Remove the dead symbols and every axiom mentioning one of them."""
-    dead_names = frozenset(s.name for s in dead)
-    sig = frozenset(s for s in body.signature if s.name not in dead_names)
-    axs = frozenset(a for a in body.axioms if not a.mentions(dead_names))
-    return FlatOntology(sig, axs)
+    return _elide(body, frozenset(s.name for s in dead).__contains__)
 
 
-def _elide_placeholders(body: FlatOntology, bases: frozenset[str]) -> FlatOntology:
-    sig = frozenset(s for s in body.signature if not _contains_base(s.name, bases))
-    axs = frozenset(
-        a for a in body.axioms
-        if not any(_contains_base(n, bases) for n, _ in a.refs())
-    )
+def _elide(body: FlatOntology, dead: Callable[[NameTerm], bool]) -> FlatOntology:
+    sig = frozenset(s for s in body.signature if not dead(s.name))
+    axs = frozenset(a for a in body.axioms if not any(dead(n) for n, _ in a.refs()))
     return FlatOntology(sig, axs)
 
 
@@ -543,10 +625,13 @@ def _elide_placeholders(body: FlatOntology, bases: frozenset[str]) -> FlatOntolo
 # The expansion proper
 # ---------------------------------------------------------------------------
 
-def _imports_ontology(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
+def _imports_ontology(
+    d: PatternDef, expand_import: Callable[[str], FlatOntology]
+) -> FlatOntology:
+    """The union of `d`'s imports, each expanded by `expand_import`."""
     out = EMPTY_ONTOLOGY
     for imp in d.imports:
-        out = union_flat(out, _closed_expansion(ctx, ctx.lib.defs[imp], pos))
+        out = union_flat(out, expand_import(imp))
     return out
 
 
@@ -607,81 +692,76 @@ def _normalize_call(
     args: Sequence[ArgAst],
     scope: _RuntimeScope,
     pos: SourcePos | None,
-) -> list[_Form]:
-    shape = target.clauses[0].params
-    arity = len(shape)
-    if len(args) == 1 and arity == 0 and isinstance(args[0].value, MissingArg):
+) -> list[ArgumentForm | _ExprArg]:
+    params = target.clauses[0].params
+    if len(args) == 1 and not params and isinstance(args[0].value, MissingArg):
         args = []  # G[] on a 0-parameter pattern
-    if len(args) > arity:
-        raise ArityMismatch(
-            f"'{target.name}' takes {arity} argument(s), got {len(args)}", pos
-        )
-    forms: list[_Form] = []
-    for i, p in enumerate(shape):
-        if i < len(args):
-            forms.append(_normalize_ast_arg(args[i], p, ctx.lib, scope, scope.bindings))
-        else:
-            if p.is_list:
-                raise ArityMismatch(
-                    f"missing argument for list parameter {i + 1} of '{target.name}'", pos
-                )
-            if not p.optional:
-                raise MissingArgument(
-                    f"missing argument for non-optional parameter {i + 1} of "
-                    f"'{target.name}'",
-                    pos,
-                )
-            forms.append(_EmptyForm(pos))
+    _check_arity(target, len(args), pos)
+    forms = [
+        _normalize_ast_arg(a, p, ctx.lib, scope, scope.bindings) for a, p in zip(args, params)
+    ]
+    _pad_args(target, forms, pos)
     return forms
 
 
-def _select_clause(target: PatternDef, forms: Sequence[_Form], pos) -> Clause:
-    for clause in target.clauses:
-        if _clause_matches(clause, forms):
-            return clause
-    lengths = [len(f.items) for f in forms if isinstance(f, _ListForm)]
-    raise NoMatch(
-        f"no template clause of '{target.name}' matches list argument length(s) "
-        f"{lengths}; the instantiation is incorrect",
-        pos,
-    )
+def _check_arity(target: PatternDef, given: int, pos: SourcePos | None) -> None:
+    if given > target.arity:
+        raise ArityMismatch(
+            f"'{target.name}' takes {target.arity} argument(s), got {given}", pos
+        )
+
+
+def _pad_args(target: PatternDef, forms: list, pos: SourcePos | None) -> None:
+    """Fill in left-out trailing arguments, which only optional plain
+    parameters allow, with empty ones."""
+    params = target.clauses[0].params
+    for i in range(len(forms), len(params)):
+        if params[i].is_list:
+            raise ArityMismatch(
+                f"missing argument for list parameter {i + 1} of '{target.name}'", pos
+            )
+        if not params[i].optional:
+            raise MissingArgument(
+                f"missing argument for non-optional parameter {i + 1} of "
+                f"'{target.name}'",
+                pos,
+            )
+        forms.append(EmptyOptArg(pos))
 
 
 def _instantiate(
     ctx: _Ctx,
     target: PatternDef,
     found_scope: _RuntimeScope | None,
-    forms: Sequence[_Form],
+    forms: Sequence[ArgumentForm | _ExprArg],
     env: FlatOntology,
     pos: SourcePos | None,
     caller_scope: _RuntimeScope = _ROOT_SCOPE,
 ) -> FlatOntology:
     ctx.tick(pos)
-    clause = _select_clause(target, forms, pos)
+    clause = _select_clause(target.clauses, forms, target.name, pos)
     base = found_scope.bindings if found_scope is not None else EMPTY_BINDINGS
     sigma = base.child()
-    imports_ont = _imports_ontology(ctx, target, pos)
+    imports_ont = _imports_ontology(
+        target, lambda imp: _closed_expansion(ctx, ctx.lib.defs[imp], pos)
+    )
     avail = union_flat(env, imports_ont)
     result = avail
-    dead: list[str] = []
+    dead: set[str] = set()
     fit_pairs: list[tuple[Symbol, Symbol]] = []
 
     for pspec, form in zip(clause.params, forms):
         try:
             if pspec.is_list:
-                items = form.items if isinstance(form, _ListForm) else ()
+                items = form.items if isinstance(form, ListArg) else ()
                 declared = _declare_items(ctx, pspec.shape, items, avail, form.pos)
                 avail = union_flat(avail, declared)
                 result = union_flat(result, declared)
                 _bind_template(pspec.shape, items, sigma)
                 tmpl: ListTemplate = pspec.shape
-                for head in (tmpl.head, tmpl.head2):
-                    if head is not None:
-                        fit_pairs.append(
-                            (Symbol(NameTerm(head), tmpl.kind),
-                             Symbol(sigma.name_map[NameTerm(head)], tmpl.kind))
-                        )
-            elif isinstance(form, _EmptyForm):
+                for head, item in zip(tmpl.heads, items):
+                    fit_pairs.append((Symbol(NameTerm(head), tmpl.kind), Symbol(item, tmpl.kind)))
+            elif isinstance(form, EmptyOptArg):
                 if not pspec.optional:
                     raise MissingArgument(
                         f"missing argument for non-optional parameter {pspec.index + 1} "
@@ -691,21 +771,19 @@ def _instantiate(
                 for s in pspec.shape.new_symbols:
                     ph = ctx.fresh_placeholder(s.name)
                     _bind_checked(sigma, s.name, ph, form.pos)
-                    dead.append(ph.base)
+                    dead.add(ph.base)
                     declared = make_ontology([Symbol(ph, s.kind)], [])
                     avail = union_flat(avail, declared)
                     result = union_flat(result, declared)
-            elif isinstance(form, _LocalForm):
-                added = _fit_local(ctx, target, pspec, form, sigma, avail, fit_pairs)
+            elif isinstance(form, (LocalSymbolArg, NamedOntologyArg, AnonymousArg, _ExprArg)):
+                if isinstance(form, LocalSymbolArg):
+                    added = _fit_local(ctx, target.name, pspec, form, sigma, avail, fit_pairs)
+                else:
+                    added = _eval_arg_ontology(ctx, form, env, caller_scope)
+                    _fit_ontology(pspec, form, added, env, sigma, fit_pairs)
                 avail = union_flat(avail, added)
                 result = union_flat(result, added)
-                _check_param_constraints(ctx, pspec, sigma, avail, form.pos)
-            elif isinstance(form, _OntForm):
-                arg_ont = _eval_arg_ontology(ctx, form, env, caller_scope, pos)
-                _fit_ontology(ctx, target, pspec, form, arg_ont, env, sigma, fit_pairs)
-                avail = union_flat(avail, arg_ont)
-                result = union_flat(result, arg_ont)
-                _check_param_constraints(ctx, pspec, sigma, avail, form.pos)
+                _check_constraints(ctx, pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
             else:
                 raise UnsupportedArgument(
                     f"argument form {type(form).__name__} does not fit parameter "
@@ -720,7 +798,7 @@ def _instantiate(
     body_scope = _RuntimeScope(target, sigma, found_scope)
     out = _eval_expr(ctx, clause.body, result, body_scope)
     if dead:
-        out = _elide_placeholders(out, frozenset(dead))
+        out = _elide(out, lambda n: _contains_base(n, dead))
     return out
 
 
@@ -749,156 +827,6 @@ def _declare_items(
     return make_ontology(symbols, [])
 
 
-def _bind_checked(sigma: Bindings, src: NameTerm, dst: NameTerm, pos) -> None:
-    prior = sigma.name_map.get(src)
-    if prior is not None and prior != dst:
-        raise IncompatibleFittings(
-            f"'{src.render()}' is mapped both to '{prior.render()}' and to "
-            f"'{dst.render()}'",
-            pos,
-        )
-    sigma.name_map[src] = dst
-
-
-def _fit_local(
-    ctx: _Ctx,
-    target: PatternDef,
-    pspec: ParamSpec,
-    form: _LocalForm,
-    sigma: Bindings,
-    avail: FlatOntology,
-    fit_pairs: list,
-) -> FlatOntology:
-    shape: PlainShape = pspec.shape
-    if len(shape.new_symbols) != 1:
-        raise UnsupportedArgument(
-            f"parameter {pspec.index + 1} of '{target.name}' defines "
-            f"{len(shape.new_symbols)} new symbols; a bare symbol argument fits "
-            f"only single-symbol parameters",
-            form.pos,
-        )
-    n = shape.new_symbols[0]
-    term = form.term
-    for src, dst in form.fits:
-        if src == n.name:
-            if dst != term:
-                raise IncompatibleFittings(
-                    f"'{src.render()}' is mapped both to '{term.render()}' and to "
-                    f"'{dst.render()}'",
-                    form.pos,
-                )
-        else:
-            _bind_checked(sigma, src, dst, form.pos)
-    added = EMPTY_ONTOLOGY
-    if ctx.is_placeholder(term):
-        added = make_ontology([Symbol(term, n.kind)], [])
-    else:
-        found = avail.kind_of(term)
-        if found is None:
-            # not visible in the local environment: declared fresh
-            added = make_ontology([Symbol(term, n.kind)], [])
-        elif found is not n.kind:
-            raise KindMismatch(
-                f"'{term.render()}' has kind {found.value}, parameter "
-                f"'{n.name.render()}' needs {n.kind.value}",
-                form.pos,
-            )
-    _bind_checked(sigma, n.name, term, form.pos)
-    fit_pairs.append((n, Symbol(term, n.kind)))
-    return added
-
-
-def _eval_arg_ontology(
-    ctx: _Ctx,
-    form: _OntForm,
-    env: FlatOntology,
-    caller_scope: _RuntimeScope,
-    pos,
-) -> FlatOntology:
-    if form.ont is not None:
-        return union_flat(env, form.ont)
-    if form.named is not None:
-        d = ctx.lib.lookup(form.named)
-        if d is None:
-            raise UnknownReference(f"unknown ontology '{form.named}'", form.pos)
-        return union_flat(env, _closed_expansion(ctx, d, form.pos))
-    # local-environment injection: the argument is evaluated on top of env,
-    # in the caller's scope (its bindings substitute enclosing parameters)
-    return _eval_expr(ctx, form.expr, env, caller_scope)
-
-
-def _fit_ontology(
-    ctx: _Ctx,
-    target: PatternDef,
-    pspec: ParamSpec,
-    form: _OntForm,
-    arg_ont: FlatOntology,
-    env: FlatOntology,
-    sigma: Bindings,
-    fit_pairs: list,
-) -> None:
-    shape: PlainShape = pspec.shape
-    explicit = dict(form.fits)
-    consumed: set[NameTerm] = set()
-    pool = [s for s in arg_ont.sorted_signature() if s not in env.signature]
-    for n in shape.new_symbols:
-        if n.name in explicit:
-            image = explicit[n.name]
-            consumed.add(n.name)
-            k = arg_ont.kind_of(image)
-            if k is None:
-                raise NoCandidate(
-                    f"fit target '{image.render()}' is not a symbol of the argument",
-                    form.pos,
-                )
-            if k is not n.kind:
-                raise KindMismatch(
-                    f"fit target '{image.render()}' has kind {k.value}, parameter "
-                    f"'{n.name.render()}' needs {n.kind.value}",
-                    form.pos,
-                )
-        else:
-            candidates = [s for s in pool if s.kind is n.kind]
-            if not candidates:
-                raise NoCandidate(
-                    f"no {n.kind.value} symbol in the argument to fit parameter "
-                    f"'{n.name.render()}'",
-                    form.pos,
-                )
-            if len(candidates) > 1:
-                raise AmbiguousFitting(
-                    f"parameter '{n.name.render()}' has {len(candidates)} "
-                    f"{n.kind.value} candidates "
-                    f"({', '.join(c.name.render() for c in candidates)}); "
-                    f"give an explicit fit map",
-                    form.pos,
-                )
-            image = candidates[0].name
-        _bind_checked(sigma, n.name, image, form.pos)
-        fit_pairs.append((n, Symbol(image, n.kind)))
-    for src, dst in form.fits:
-        if src in consumed:
-            continue
-        _bind_checked(sigma, src, dst, form.pos)
-
-
-def _check_param_constraints(
-    ctx: _Ctx, pspec: ParamSpec, sigma: Bindings, avail: FlatOntology, pos
-) -> None:
-    shape: PlainShape = pspec.shape
-    for ax in sorted(shape.delta.axioms, key=Axiom.sort_key):
-        translated = ax.rename(sigma.apply).canonical()
-        if any(ctx.is_placeholder(n) for n, _ in translated.refs()):
-            continue  # the elided branch contributes nothing to check
-        if translated not in avail.axioms:
-            raise UnmetConstraint(
-                f"argument does not satisfy required axiom: "
-                f"{' '.join(translated.dump_fields())}",
-                pos,
-            )
-        ctx.constraint_trace.append((translated, avail.axioms))
-
-
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
@@ -909,24 +837,15 @@ def expand(
     depth: int = DEFAULT_DEPTH,
     _ctx_out: list | None = None,
 ) -> FlatOntology:
-    """Expand one instantiation against its local environment."""
+    """Expand one instantiation against its local environment; arguments left
+    out at the end are handled as in `.gdp` text."""
     ctx = _Ctx(lib, depth)
     if _ctx_out is not None:
         _ctx_out.append(ctx)
     target = lib.require(inst.pattern)
-    forms = [_public_to_form(a, None) for a in inst.args]
-    shape = target.clauses[0].params
-    if len(forms) > len(shape):
-        raise ArityMismatch(
-            f"'{target.name}' takes {len(shape)} argument(s), got {len(forms)}"
-        )
-    while len(forms) < len(shape):
-        p = shape[len(forms)]
-        if p.is_list or not p.optional:
-            raise ArityMismatch(
-                f"missing argument for parameter {len(forms) + 1} of '{target.name}'"
-            )
-        forms.append(_EmptyForm(None))
+    forms = list(inst.args)
+    _check_arity(target, len(forms), None)
+    _pad_args(target, forms, None)
     return _instantiate(ctx, target, None, forms, inst.local_env, None)
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import pytest
+
+from godp import parse_library, render_diagnostics
 from godp.cli import main
+from godp.diagnostics import ParseError
 from godp.parser import MAX_NESTING
 
 from conftest import CORPUS, ERRORS, corpus_paths
@@ -48,6 +52,34 @@ def test_check_non_utf8_exits_two(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err == f"godp: {f}: not valid UTF-8 (invalid continuation byte at byte 6)\n"
+
+
+def test_check_strips_one_byte_order_mark(tmp_path, capsys):
+    f = tmp_path / "bom.gdp"
+    f.write_bytes(b"\xef\xbb\xbfontology A = { Class: C }\n")
+    assert run(capsys, "check", str(f)) == (0, "", "")
+    # positions are those of the text after the mark
+    f.write_bytes(b"\xef\xbb\xbfontology A = { Class: C }\nontology B = { Class: D } Q\n")
+    assert run(capsys, "check", str(f)) == (1, "", f"{f}:2:27: error: expected 'ontology', got 'Q'\n")
+    f.write_bytes(b"\xef\xbb\xbfontology A = { Class: C } Q\n")
+    assert run(capsys, "check", str(f)) == (1, "", f"{f}:1:27: error: expected 'ontology', got 'Q'\n")
+    # only one mark is dropped
+    f.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfontology A = { Class: C }\n")
+    assert run(capsys, "check", str(f)) == (1, "", f"{f}:1:1: error: bad character '\\ufeff'\n")
+
+
+@pytest.mark.parametrize("line_end, position", [(b"\r", "1:53"), (b"\r\n", "2:27")])
+def test_positions_match_parse_library_on_the_same_bytes(tmp_path, capsys, line_end, position):
+    f = tmp_path / "line_ends.gdp"
+    data = b"ontology A = { Class: C }" + line_end + b"ontology B = { Class: D } Q"
+    f.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        parse_library(data.decode("utf-8"), str(f))
+    assert exc.value.pos.render() == f"{f}:{position}"
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out) == (1, "")
+    assert err == render_diagnostics([exc.value.to_diagnostic()])
+    assert err == f"{f}:{position}: error: expected 'ontology', got 'Q'\n"
 
 
 def test_check_parse_error_exits_one(tmp_path, capsys):

@@ -96,6 +96,28 @@ def test_new_symbols_equal_env_difference(corpus_lib):
                     assert frozenset(p.shape.new_symbols) == diff
 
 
+def test_imports_are_expanded_by_expand_named_with_a_fresh_budget(monkeypatch):
+    import godp.instantiate as instantiate
+
+    seen = []
+    expand_named = instantiate.expand_named
+
+    def recording(lib, name, *args, **kwargs):
+        seen.append((name, args, kwargs))
+        return expand_named(lib, name, *args, **kwargs)
+
+    monkeypatch.setattr(instantiate, "expand_named", recording)
+    lib = lib_of(
+        "ontology Base = { Class: Person }\n"
+        "ontology Other = { Class: Place }\n"
+        "ontology A [Class: C] given Base, Other = { Class: C }\n"
+        "ontology B given Base = { ObjectProperty: livesIn Domain: Person }\n"
+    )
+    # one call per import of each definition, each with the default depth
+    assert seen == [("Base", (), {}), ("Other", (), {}), ("Base", (), {})]
+    assert {s.name.base for s in param_environments(lib.defs["A"])[0].signature} == {"Person", "Place"}
+
+
 def test_locals_share_enclosing_parameters(corpus_lib):
     valset = resolve_local_subpatterns(corpus_lib, corpus_lib.defs["ValSet"])
     step = valset.locals["OrderStep"]

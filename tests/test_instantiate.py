@@ -32,6 +32,7 @@ from godp.core import (
 )
 from godp.diagnostics import (
     AmbiguousFitting,
+    ArityMismatch,
     DepthExceeded,
     IncompatibleFittings,
     KindMismatch,
@@ -121,6 +122,117 @@ def test_fit_empty_against_non_optional(corpus_lib):
     first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
     with pytest.raises(MissingArgument):
         derive_fitting(first, EmptyOptArg(), EMPTY_ONTOLOGY)
+
+
+# -- the public helpers are the engine's entry points ------------------------------
+
+def test_fit_anonymous_argument_applies_its_own_fit_map(corpus_lib):
+    first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
+    ont = make_ontology([sym("q1", OP), sym("q2", OP)], [])
+    m = derive_fitting(first, AnonymousArg(ont, fits=((name("r"), name("q2")),)), EMPTY_ONTOLOGY)
+    assert m.as_dict() == {sym("r", OP): sym("q2", OP)}
+
+
+def test_fit_local_symbol_with_a_conflicting_fit_is_incompatible_as_in_the_language(corpus_lib):
+    first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
+    conflict = ((name("r"), name("b")),)
+    with pytest.raises(IncompatibleFittings):
+        derive_fitting(first, LocalSymbolArg(name("a"), fits=conflict), EMPTY_ONTOLOGY)
+    with pytest.raises(IncompatibleFittings):
+        derive_fitting(first, LocalSymbolArg(name("a")), EMPTY_ONTOLOGY, explicit=conflict)
+    # an agreeing fit is no conflict
+    m = derive_fitting(first, LocalSymbolArg(name("a")), EMPTY_ONTOLOGY, explicit=[(name("r"), name("a"))])
+    assert m.as_dict() == {sym("r", OP): sym("a", OP)}
+    lib = lib_of(
+        (CORPUS / "patterns.gdp").read_text(encoding="utf-8")
+        + "ontology Use = { Class: Person } then TransitiveRelation[a fit r |-> b; Person]\n"
+    )
+    with pytest.raises(IncompatibleFittings):
+        expand_named(lib, "Use")
+
+
+# the corpus passes bare symbols only; these pass the other argument forms
+ARGUMENT_FORMS = """
+ontology TwoProps = { ObjectProperty: q1  ObjectProperty: q2 }
+ontology Rel = { ObjectProperty: owns }
+ontology ByName = TransitiveRelation[Rel; Thing]
+ontology ByNameFit = TransitiveRelation[TwoProps fit r |-> q2; Thing]
+ontology ByFrames = TransitiveRelation[{ ObjectProperty: likes }; Thing]
+ontology ByFramesInEnv =
+  { ObjectProperty: owns } then TransitiveRelation[{ ObjectProperty: likes }; Thing]
+ontology ByInstance given Agents =
+  SubProp[isParentOf; Person; Person;
+          TransitiveRelation[isAncestorOf; Person] fit p |-> isAncestorOf]
+"""
+
+
+def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
+    """Record each parameter fitting the engine derives while expanding the
+    corpus, then derive it again through derive_fitting from the same
+    parameter, argument and environment."""
+    import godp.instantiate as engine
+
+    src = "".join(p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.gdp")))
+    lib = lib_of(src + ARGUMENT_FORMS)
+
+    calls = []  # (parameter, argument, environment, engine's pairs, its instantiation's pairs)
+    fit_local, fit_ontology = engine._fit_local, engine._fit_ontology
+
+    def record_local(ctx, owner, pspec, form, sigma, avail, fit_pairs):
+        start = len(fit_pairs)
+        added = fit_local(ctx, owner, pspec, form, sigma, avail, fit_pairs)
+        calls.append((pspec, form, avail, fit_pairs[start:], fit_pairs))
+        return added
+
+    def record_ontology(pspec, form, arg_ont, env, sigma, fit_pairs):
+        start = len(fit_pairs)
+        fit_ontology(pspec, form, arg_ont, env, sigma, fit_pairs)
+        if isinstance(form, engine._ExprArg):  # an expression argument, already evaluated
+            form = AnonymousArg(arg_ont, form.fits)
+        calls.append((pspec, form, env, fit_pairs[start:], fit_pairs))
+
+    monkeypatch.setattr(engine, "_fit_local", record_local)
+    monkeypatch.setattr(engine, "_fit_ontology", record_ontology)
+    traced = []
+    for target in sorted(lib.zero_param_names()):
+        holder = []
+        expand_named(lib, target, _ctx_out=holder)
+        traced.extend(m for _, m in holder[0].fitting_trace)
+    monkeypatch.undo()
+
+    kinds = {type(arg).__name__ for _, arg, _, _, _ in calls}
+    assert kinds == {"LocalSymbolArg", "NamedOntologyArg", "AnonymousArg"}
+    for pspec, arg, env, pairs, _ in calls:
+        assert derive_fitting(pspec, arg, env, lib=lib) == FittingMorphism.of(dict(pairs))
+    # each instantiation's fitting in the trace is made of the recorded pairs
+    # (plus the list heads it bound)
+    instantiations = {id(c[4]): c[4] for c in calls}.values()
+    assert len(instantiations) > 10
+    for fit_pairs in instantiations:
+        assert FittingMorphism.of(dict(fit_pairs)) in traced
+
+
+def test_expand_missing_arguments_fail_as_in_the_language(corpus_lib):
+    cases = [
+        ("TransitiveRelation", (LocalSymbolArg(name("r")),), "TransitiveRelation[r]", MissingArgument),
+        ("ValSet", (LocalSymbolArg(name("Val")),), "ValSet[Val]", ArityMismatch),
+    ]
+    src = "".join(p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.gdp")))
+    for pattern, args, written, error in cases:
+        with pytest.raises(error) as api:
+            expand(corpus_lib, Instantiation(pattern, args))
+        with pytest.raises(error) as language:
+            expand_named(lib_of(src + f"\nontology Use = {written}\n"), "Use")
+        assert api.value.message == language.value.message
+
+
+def test_argument_position_takes_no_part_in_equality():
+    from godp.diagnostics import SourcePos
+
+    at = SourcePos("f.gdp", 3, 7)
+    assert LocalSymbolArg(name("a"), pos=at) == LocalSymbolArg(name("a"))
+    assert hash(ListArg((name("a"),), at)) == hash(ListArg((name("a"),)))
+    assert EmptyOptArg(at) == EmptyOptArg()
 
 
 # -- check_compatibility ----------------------------------------------------------

@@ -4,13 +4,14 @@ The parser must be total (parse or raise a positioned library error, never
 anything else, even on input nested far past its bound); pretty-printed ASTs
 must reparse to themselves; CLI output must be byte-identical across processes
 regardless of hash randomization; expansion must be safe to run from several
-threads at once; a flat ontology's kind index must agree with a linear scan of
+threads at once and leave the library as it was; a flat ontology's kind index must agree with a linear scan of
 its signature.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import os
 import subprocess
 import sys
@@ -54,7 +55,7 @@ from godp.syntax import (
     ThenExpr,
 )
 
-from conftest import corpus_paths
+from conftest import corpus_paths, load_corpus_library
 
 RESERVED = KEYWORDS | set(KIND_KEYWORDS) | FIELD_KEYWORDS | {"DifferentIndividuals", "Transitive", "Reflexive"}
 
@@ -226,6 +227,43 @@ def test_cli_byte_identical_across_hash_seeds():
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)
     assert outs[0] == outs[1]
+
+
+def test_library_is_not_changed_by_concurrent_use():
+    lib = load_corpus_library()
+
+    def clauses(d):
+        yield from d.clauses
+        for loc in d.locals.values():
+            yield from clauses(loc)
+
+    every_clause = [c for d in lib.defs.values() for c in clauses(d)]
+    snapshot = [repr(c) for c in every_clause]
+    fields = [(c.params, c.envs) for c in every_clause]
+
+    def use(_):
+        for name in sorted(lib.zero_param_names()):
+            expand_named(lib, name)
+        for d in lib.defs.values():
+            godp.param_environments(d)
+            assert godp.resolve_local_subpatterns(lib, d) is d
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(use, i) for i in range(8)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    now = [c for d in lib.defs.values() for c in clauses(d)]
+    assert all(a is b for a, b in zip(now, every_clause)) and len(now) == len(every_clause)
+    assert [repr(c) for c in now] == snapshot
+    assert all(c.params is p and c.envs is e for c, (p, e) in zip(now, fields))
+    for field in ("params", "body", "pos", "envs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(every_clause[0], field, ())
 
 
 def test_concurrent_expansions_agree(corpus_lib):
