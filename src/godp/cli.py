@@ -92,6 +92,9 @@ def run_check(cfg: CliConfig) -> int:
 def run_expand(cfg: CliConfig) -> int:
     try:
         lib = _read_library(cfg)
+        if lib.lookup(cfg.target) is None:  # nothing in the input to point at
+            sys.stderr.write(f"godp: unknown ontology or pattern '{cfg.target}'\n")
+            return 1
         ont = expand_named(lib, cfg.target, depth=cfg.depth)
         if cfg.stratify:
             ont = stratify(ont)

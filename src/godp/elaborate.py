@@ -9,9 +9,11 @@ check and the call graph for the guard.
 
 Clauses are frozen. Each is made first without the deltas of its plain
 parameters, which the checks above do not need, then once more with them and
-its environments; imports are expanded by `instantiate.expand_named`, each
-with a fresh default depth budget. Once `build_library` returns, nothing in
-the Library changes.
+its environments. Environments are computed definition by definition in the
+order of the call graph's components, callees first, so each import is
+expanded (by `instantiate.expand_named`, with a fresh default depth budget)
+only after everything it reaches has its environments. Once `build_library`
+returns, nothing in the Library changes but its memo of expansions.
 """
 
 from __future__ import annotations
@@ -227,6 +229,10 @@ class PatternDef:
 @dataclass
 class Library:
     defs: dict[str, PatternDef]
+    # finished 0-parameter expansions by qual, filled as they are used
+    # (instantiate._Memo); entries are written child before parent and never
+    # replaced, so threads may share it
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def lookup(self, name: str) -> PatternDef | None:
         return self.defs.get(name)
@@ -349,8 +355,9 @@ def build_library(ast: LibraryAst) -> Library:
     for d in defs.values():
         _validate_imports(lib, d)
         _collect_edges(lib, d, edges)
-    _check_cycles(lib, edges)
-    for d in defs.values():
+    comp = _check_cycles(lib, edges)
+    # callees first, so an import expands only what already has environments
+    for d in sorted(defs.values(), key=lambda d: comp[d.qual]):
         _compute_environments(lib, d)
     return lib
 
@@ -439,7 +446,8 @@ def _all_defs(lib: Library):
         yield from walk(d)
 
 
-def _check_cycles(lib: Library, edges: list) -> None:
+def _check_cycles(lib: Library, edges: list) -> dict[str, int]:
+    """Raise on an illegal cycle; return each node's call-graph component."""
     for d in _all_defs(lib):
         for imp in d.imports:
             edges.append((d.qual, lib.defs[imp].qual, False, d.pos))
@@ -457,6 +465,7 @@ def _check_cycles(lib: Library, edges: list) -> None:
                 f"a list parameter",
                 pos,
             )
+    return comp
 
 
 def _tarjan_scc(nodes: set[str], adj: dict[str, set[str]]) -> dict[str, int]:
@@ -506,7 +515,8 @@ def _tarjan_scc(nodes: set[str], adj: dict[str, set[str]]) -> dict[str, int]:
     for v in sorted(nodes):
         if v not in index:
             strongconnect(v)
-    # self-loops form their own component but comp equality already covers them
+    # components are numbered callees first; self-loops form their own
+    # component but comp equality already covers them
     return comp
 
 

@@ -13,16 +13,19 @@ into it, and the engine itself works on the public argument forms
 (`NamedOntologyArg` ... `ListArg`), which carry the argument's source
 position when they come from `.gdp` text.
 
-Expansion is pure over an immutable Library; every top-level call gets its own
-context (depth budget, memo table for 0-parameter expansions, placeholder
-registry), so independent expansions can run concurrently.
+Expansion is pure over an immutable Library. Every top-level call gets its own
+context (depth budget, cache of the 0-parameter expansions it reached,
+placeholder registry); finished 0-parameter expansions also go to the
+library's memo, shared by all later calls. A memo hit charges exactly the
+ticks and placeholders expanding from the context's cache would spend, so
+budgets, `DepthExceeded` positions and placeholder names do not depend on
+what ran before, and independent expansions can run concurrently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field, replace
-from typing import AbstractSet, Callable, Iterable, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .core import (
     EMPTY_ONTOLOGY,
@@ -192,13 +195,27 @@ class Instantiation:
 # Engine context
 # ---------------------------------------------------------------------------
 
+class _Memo(NamedTuple):
+    """A finished 0-parameter expansion. `ticks` and `placeholders` are its
+    own: they leave out those of its nested closed lookups, listed in order."""
+
+    ontology: FlatOntology
+    ticks: int
+    lookups: tuple[str, ...]
+    placeholders: int
+
+
 @dataclass
 class _Ctx:
     lib: Library
     budget: int
     placeholders: set[str] = dc_field(default_factory=set)  # placeholder bases
     cache: dict[str, FlatOntology] = dc_field(default_factory=dict)
-    counter: "itertools.count" = dc_field(default_factory=itertools.count)
+    made: int = 0  # placeholders made so far
+    # the memo read and filled: the library's, or a private one
+    memo: dict[str, _Memo] = dc_field(default_factory=dict)
+    # the running closed expansion: [nested lookups, their ticks, their placeholders]
+    frame: list | None = None
     constraint_trace: list[tuple[Axiom, frozenset[Axiom]]] = dc_field(default_factory=list)
     fitting_trace: list[tuple[str, FittingMorphism]] = dc_field(default_factory=list)
 
@@ -208,7 +225,8 @@ class _Ctx:
         self.budget -= 1
 
     def fresh_placeholder(self, original: NameTerm) -> NameTerm:
-        base = f"{_PLACEHOLDER_PREFIX}{original.base}_{next(self.counter)}"
+        base = f"{_PLACEHOLDER_PREFIX}{original.base}_{self.made}"
+        self.made += 1
         self.placeholders.add(base)
         return NameTerm(base)
 
@@ -544,9 +562,12 @@ def _eval_arg_ontology(
     if isinstance(form, AnonymousArg):
         return union_flat(env, form.ontology)
     if isinstance(form, NamedOntologyArg):
-        d = ctx.lib.lookup(form.name)
-        if d is None:
+        hit = caller_scope.resolve(ctx.lib, form.name)
+        if hit is None:
             raise UnknownReference(f"unknown ontology '{form.name}'", form.pos)
+        d, found = hit
+        if found is not None:  # a local sub-pattern expands in context
+            return _instantiate(ctx, d, found, [], env, form.pos, caller_scope)
         return union_flat(env, _closed_expansion(ctx, d, form.pos))
     # local-environment injection: the argument is evaluated on top of env,
     # in the caller's scope (its bindings substitute enclosing parameters)
@@ -636,15 +657,55 @@ def _imports_ontology(
 
 
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
-    cached = ctx.cache.get(d.qual)
-    if cached is not None:
+    parent, budget, made = ctx.frame, ctx.budget, ctx.made
+    out = ctx.cache.get(d.qual)
+    if out is not None:
         ctx.tick(pos)
-        return cached
-    if d.arity != 0:
+    elif d.arity != 0:
         raise ArityMismatch(f"'{d.name}' is generic and needs arguments", pos)
-    out = _instantiate(ctx, d, None, [], EMPTY_ONTOLOGY, pos)
-    ctx.cache[d.qual] = out
+    elif _charge_memo(ctx, d.qual):
+        out = ctx.cache[d.qual]
+    else:
+        ctx.frame = frame = [[], 0, 0]
+        out = _instantiate(ctx, d, None, [], EMPTY_ONTOLOGY, pos)
+        ctx.frame = parent
+        ctx.memo.setdefault(d.qual, _Memo(
+            out, budget - ctx.budget - frame[1], tuple(frame[0]), ctx.made - made - frame[2]
+        ))
+        ctx.cache[d.qual] = out
+    if parent is not None:
+        parent[0].append(d.qual)
+        parent[1] += budget - ctx.budget
+        parent[2] += ctx.made - made
     return out
+
+
+def _charge_memo(ctx: _Ctx, qual: str) -> bool:
+    """Take `qual` from the memo, charging what expanding it from this
+    context's cache would spend, and cache what that expansion would cache.
+    False, with nothing charged, if there is no entry or the budget is short:
+    the real expansion then fails where it always did."""
+    if qual not in ctx.memo:
+        return False
+    ticks = made = 0
+    reached: dict[str, FlatOntology] = {}
+    todo = [qual]
+    while todo:
+        q = todo.pop()
+        if q in ctx.cache or q in reached:
+            ticks += 1  # a cache hit
+            continue
+        entry = ctx.memo[q]  # written before any entry that looks it up
+        reached[q] = entry.ontology
+        ticks += entry.ticks
+        made += entry.placeholders
+        todo.extend(entry.lookups)  # the sums do not depend on the order
+    if ctx.budget < ticks:
+        return False
+    ctx.budget -= ticks
+    ctx.made += made
+    ctx.cache.update(reached)
+    return True
 
 
 def _eval_expr(ctx: _Ctx, expr: ExprAst, env: FlatOntology, scope: _RuntimeScope) -> FlatOntology:
@@ -839,9 +900,7 @@ def expand(
 ) -> FlatOntology:
     """Expand one instantiation against its local environment; arguments left
     out at the end are handled as in `.gdp` text."""
-    ctx = _Ctx(lib, depth)
-    if _ctx_out is not None:
-        _ctx_out.append(ctx)
+    ctx = _context(lib, depth, _ctx_out)
     target = lib.require(inst.pattern)
     forms = list(inst.args)
     _check_arity(target, len(forms), None)
@@ -856,8 +915,15 @@ def expand_named(
     _ctx_out: list | None = None,
 ) -> FlatOntology:
     """Expand a 0-parameter definition to its flat ontology."""
-    ctx = _Ctx(lib, depth)
-    if _ctx_out is not None:
-        _ctx_out.append(ctx)
+    ctx = _context(lib, depth, _ctx_out)
     target = lib.require(name)
     return _closed_expansion(ctx, target, target.pos)
+
+
+def _context(lib: Library, depth: int, ctx_out: list | None) -> _Ctx:
+    # a context handed out for its traces reads nothing from the library's
+    # memo, so the traces cover the whole expansion
+    ctx = _Ctx(lib, depth, memo=lib.memo if ctx_out is None else {})
+    if ctx_out is not None:
+        ctx_out.append(ctx)
+    return ctx

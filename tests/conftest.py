@@ -17,11 +17,15 @@ def corpus_paths() -> list[pathlib.Path]:
     return sorted(CORPUS.glob("*.gdp"))
 
 
-def load_corpus_library():
+def load_library(paths):
     items = []
-    for f in corpus_paths():
+    for f in paths:
         items.extend(parse_library(f.read_text(encoding="utf-8"), str(f)).items)
     return build_library(LibraryAst(tuple(items)))
+
+
+def load_corpus_library():
+    return load_library(corpus_paths())
 
 
 def lib_of(source: str, file: str = "<test>"):

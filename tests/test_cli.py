@@ -157,6 +157,13 @@ def test_expand_unknown_target(capsys):
     assert "Nowhere" in err
 
 
+def test_expand_unknown_target_points_at_no_input_position(capsys):
+    code, out, err = run(capsys, "expand", "--target", "Nope", *corpus_args())
+    assert code == 1
+    assert "<input>" not in err
+    assert err == "godp: unknown ontology or pattern 'Nope'\n"
+
+
 def test_expand_generic_target_is_an_error(capsys):
     code, out, err = run(capsys, "expand", "--target", "ValSet", *corpus_args())
     assert code == 1

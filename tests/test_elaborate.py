@@ -1,9 +1,19 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from godp import build_library, param_environments, resolve_local_subpatterns
-from godp.core import Domain, Range, Symbol, SymbolKind, name
+from godp import (
+    build_library,
+    emit_struct_dump,
+    expand_named,
+    param_environments,
+    parse_library,
+    resolve_local_subpatterns,
+    stratify,
+)
+from godp.core import Domain, Range, Symbol, SymbolKind, Transitive, make_ontology, name
 from godp.diagnostics import (
     DuplicateDefinition,
     IllegalCycle,
@@ -13,7 +23,7 @@ from godp.diagnostics import (
 from godp.elaborate import ListTemplate, PlainShape
 from godp.syntax import LibraryAst
 
-from conftest import lib_of
+from conftest import corpus_paths, lib_of
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -178,3 +188,47 @@ def test_given_must_be_zero_parameter():
 def test_given_unknown_import():
     with pytest.raises(UnknownReference):
         lib_of("ontology A given Nowhere = { Class: D }")
+
+
+# -- environment order ------------------------------------------------------------
+
+_IMPORTS_LATER_PATTERN = (
+    "ontology A given B = { Class: Z }\n",
+    "ontology B = T[ARG]\n",
+    "ontology T [ObjectProperty: r] = { ObjectProperty: r Characteristics: Transitive }\n",
+)
+
+
+def _ordered(t_first: bool, arg: str) -> str:
+    a, b, t = (line.replace("ARG", arg) for line in _IMPORTS_LATER_PATTERN)
+    return t + a + b if t_first else a + b + t
+
+
+def test_import_of_an_instance_of_a_later_pattern_checks_clean():
+    lib = lib_of(_ordered(False, "x"))
+    for target in lib.zero_param_names():
+        expand_named(lib, target)
+    assert expand_named(lib, "B") == make_ontology([Symbol(name("x"), OP)], [Transitive(name("x"))])
+
+
+@pytest.mark.parametrize("t_first", [True, False])
+def test_import_expansion_does_not_depend_on_definition_order(t_first):
+    lib = lib_of(_ordered(t_first, "{ ObjectProperty: s }"))
+    assert expand_named(lib, "A") == make_ontology(
+        [Symbol(name("Z"), CLS), Symbol(name("s"), OP)], [Transitive(name("s"))]
+    )
+
+
+def test_corpus_dumps_do_not_depend_on_file_order():
+    texts = [(str(p), p.read_text(encoding="utf-8")) for p in corpus_paths()]
+
+    def dumps(order):
+        items = [i for f, text in order for i in parse_library(text, f).items]
+        lib = build_library(LibraryAst(tuple(items)))
+        return {t: emit_struct_dump(stratify(expand_named(lib, t))) for t in lib.zero_param_names()}
+
+    reference = dumps(texts)
+    shuffled = texts[:]
+    random.Random(5).shuffle(shuffled)
+    for order in (texts[::-1], texts[3:] + texts[:3], shuffled):
+        assert dumps(order) == reference

@@ -19,10 +19,12 @@ from godp import (
     substitute_name,
     union_flat,
 )
+from godp.cli import main
 from godp.core import (
     EMPTY_ONTOLOGY,
     Domain,
     FittingMorphism,
+    NameTerm,
     Range,
     Symbol,
     SymbolKind,
@@ -34,6 +36,7 @@ from godp.diagnostics import (
     AmbiguousFitting,
     ArityMismatch,
     DepthExceeded,
+    GodpError,
     IncompatibleFittings,
     KindMismatch,
     MissingArgument,
@@ -43,7 +46,9 @@ from godp.diagnostics import (
     UnsupportedArgument,
 )
 
-from conftest import CORPUS, lib_of
+from godp.instantiate import DEFAULT_DEPTH
+
+from conftest import CORPUS, ERRORS, corpus_paths, lib_of, load_library
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -590,3 +595,117 @@ def test_local_zero_param_helper_sees_enclosing_bindings():
     )
     out = expand_named(lib, "Use")
     assert sym(name("marked", "Thing"), CLS) in out.signature
+
+
+def test_local_zero_param_subpattern_as_argument_expands_in_context():
+    lib = lib_of(
+        "ontology T [ObjectProperty: r; Class: C] = { ObjectProperty: r Domain: C }\n"
+        "ontology G [Class: Val] =\n"
+        "  let ontology Helper = { ObjectProperty: rel[Val] } in T[Helper; Val]\n"
+        "ontology Go = G[Thing]\n"
+    )
+    out = expand_named(lib, "Go")
+    assert out == make_ontology(
+        [sym(name("rel", "Thing"), OP), sym(name("Thing"), CLS)],
+        [Domain(name("rel", "Thing"), name("Thing"))],
+    )
+    assert set(lib.memo) <= set(lib.defs)  # local sub-patterns never enter the memo
+
+
+# -- the library's memo of closed expansions ----------------------------------------
+
+def _engine_run(lib, target, depth, memo):
+    """Outcome of expanding `target` on a context reading `memo`, with the
+    budget, placeholder count and cache keys it ends with."""
+    import godp.instantiate as engine
+
+    ctx = engine._Ctx(lib, depth, memo=memo)
+    d = lib.defs[target]
+    try:
+        out = engine._closed_expansion(ctx, d, d.pos)
+    except GodpError as e:
+        return (type(e).__name__, e.message, e.pos)
+    return (out, ctx.budget, ctx.made, sorted(ctx.cache))
+
+
+# closed lookups that meet again (imports too), and placeholders made at
+# several levels
+_DIAMOND = (
+    "ontology H [Class: A; ? Class: B; Class: C] =\n"
+    "  { ObjectProperty: rel[B] Domain: A Range: C }\n"
+    "ontology Base = H[X; ; Z]\n"
+    "ontology Left given Base = Base then { Class: L }\n"
+    "ontology Right = Base then H[P; ; Q]\n"
+    "ontology Top given Left = Right then Left then Base then H[R; ; S] then Right\n"
+)
+
+
+def _warm_cold_cases():
+    """Libraries, each with the targets to compare: the corpus targets, then
+    each error file's targets next to the corpus, then the diamond."""
+    for extra in [None, *sorted(ERRORS.glob("*.gdp"))]:
+        lib = load_library(corpus_paths() + ([extra] if extra else []))
+        yield lib, [
+            t for t in sorted(lib.zero_param_names())
+            if extra is None or lib.defs[t].pos.file == str(extra)
+        ]
+    lib = lib_of(_DIAMOND)
+    yield lib, sorted(lib.zero_param_names())
+
+
+def test_warm_memo_gives_the_cold_outcome_at_every_depth():
+    for lib, targets in _warm_cold_cases():
+        fresh = dict(lib.memo)  # what a freshly built library holds
+        for t in lib.zero_param_names():
+            _engine_run(lib, t, DEFAULT_DEPTH, lib.memo)
+        warm = lib.memo
+        assert set(warm) > set(fresh)
+        for depth in range(1, 121):
+            for t in targets:
+                cold = _engine_run(lib, t, depth, dict(fresh))
+                assert _engine_run(lib, t, depth, warm) == cold, (t, depth)
+                assert _engine_run(lib, t, depth, {}) == cold  # no memo at all
+
+
+def test_depth_exceeded_position_holds_with_a_warm_memo(capsys):
+    bad = ERRORS / "depth_exceeded.gdp"
+    lib = load_library([bad])
+    expand_named(lib, "Broken")
+    assert "Broken" in lib.memo
+    with pytest.raises(DepthExceeded) as exc:
+        expand_named(lib, "Broken", depth=20)
+    assert (exc.value.pos.line, exc.value.pos.col) == (6, 8)
+    # `check` runs its targets in one library; a warm one reports the same
+    for files in ([bad], [*corpus_paths(), bad]):
+        assert main(["check", "--depth", "20", *map(str, files)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert f"{bad}:6:8: error: expansion depth budget exceeded" in lines
+
+
+def test_placeholder_after_a_memo_hit_keeps_its_name(monkeypatch):
+    import godp.instantiate as engine
+
+    made = []
+    fresh_placeholder = engine._Ctx.fresh_placeholder
+
+    def recording(ctx, original):
+        made.append(fresh_placeholder(ctx, original).base)
+        return NameTerm(made[-1])
+
+    monkeypatch.setattr(engine._Ctx, "fresh_placeholder", recording)
+    src = (
+        "ontology H [Class: A; ? Class: B; Class: C] =\n"
+        "  { ObjectProperty: rel[B] Domain: A Range: C }\n"
+        "ontology Inner = H[X; ; Z]\n"
+        "ontology Outer = Inner then H[P; ; Q]\n"
+        "ontology Top = Outer then H[R; ; S]\n"
+    )
+    reference = expand_named(lib_of(src), "Top")
+    assert made == ["__elided_B_0", "__elided_B_1", "__elided_B_2"]
+    # Inner, then also Outer, come from the memo and make no placeholder
+    for warmed, names in (("Inner", ["__elided_B_1", "__elided_B_2"]), ("Outer", ["__elided_B_2"])):
+        warm = lib_of(src)
+        expand_named(warm, warmed)
+        made.clear()
+        assert expand_named(warm, "Top") == reference
+        assert made == names

@@ -55,7 +55,7 @@ from godp.syntax import (
     ThenExpr,
 )
 
-from conftest import corpus_paths, load_corpus_library
+from conftest import ERRORS, corpus_paths, load_corpus_library, load_library
 
 RESERVED = KEYWORDS | set(KIND_KEYWORDS) | FIELD_KEYWORDS | {"DifferentIndividuals", "Transitive", "Reflexive"}
 
@@ -273,6 +273,36 @@ def test_concurrent_expansions_agree(corpus_lib):
     reference = {t: expand_named(corpus_lib, t) for t in set(targets)}
     for t, o in results:
         assert o == reference[t]
+
+
+def test_threads_sharing_a_fresh_memo_agree_with_a_sequential_run():
+    bad = ERRORS / "depth_exceeded.gdp"
+
+    def outcome(lib, target, depth):
+        try:
+            return expand_named(lib, target, depth=depth)
+        except GodpError as e:
+            return (type(e).__name__, e.message, e.pos)
+
+    def every_target(lib, shift):
+        names = sorted(lib.zero_param_names())
+        names = names[shift:] + names[:shift]  # threads start on different targets
+        return {(t, depth): outcome(lib, t, depth) for depth in (20, 10_000) for t in names}
+
+    sequential = load_library([*corpus_paths(), bad])
+    reference = every_target(sequential, 0)
+    assert isinstance(reference["Broken", 20], tuple)  # the failures are compared too
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):  # the threads race only while the memo is cold
+            shared = load_library([*corpus_paths(), bad])
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(every_target, shared, 3 * i) for i in range(4)]
+                assert all(f.result(timeout=120) == reference for f in futures)
+            assert shared.memo == sequential.memo
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- the kind index of flat ontologies ------------------------------------------
