@@ -92,13 +92,18 @@ def run_check(cfg: CliConfig) -> int:
 def run_expand(cfg: CliConfig) -> int:
     try:
         lib = _read_library(cfg)
-        if lib.lookup(cfg.target) is None:  # nothing in the input to point at
+        target = lib.lookup(cfg.target)
+        if target is None:  # nothing in the input to point at
             sys.stderr.write(f"godp: unknown ontology or pattern '{cfg.target}'\n")
             return 1
         ont = expand_named(lib, cfg.target, depth=cfg.depth)
-        if cfg.stratify:
-            ont = stratify(ont)
-        payload = emit_manchester(ont) if cfg.format == "manchester" else emit_struct_dump(ont)
+        try:
+            if cfg.stratify:
+                ont = stratify(ont)
+            payload = emit_manchester(ont) if cfg.format == "manchester" else emit_struct_dump(ont)
+        except GodpError as e:
+            e.ensure_pos(target.pos)  # the emitters know no position
+            raise
     except GodpError as e:
         _emit_error(e)
         return 1

@@ -19,6 +19,7 @@ returns, nothing in the Library changes but its memo of expansions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 from .core import (
@@ -77,6 +78,21 @@ def _no_splice(n: NameTerm) -> tuple[NameTerm, ...] | None:
     return None
 
 
+def resolve_items(
+    resolve: ResolveFn, splice: SpliceFn, names: Iterable[NameTerm]
+) -> tuple[NameTerm, ...]:
+    """`names` resolved, each one bound to a list (a template tail) spliced
+    into its items."""
+    out: list[NameTerm] = []
+    for n in names:
+        spliced = splice(n)
+        if spliced is not None:
+            out.extend(spliced)
+        else:
+            out.append(resolve(n))
+    return tuple(out)
+
+
 def build_block(
     frames: Iterable[Frame],
     resolve: ResolveFn = _identity,
@@ -89,17 +105,7 @@ def build_block(
     fewer than two distinct members and empty individual enumerations are
     vacuous and dropped.
     """
-
-    def items(names: Iterable[NameTerm]) -> tuple[NameTerm, ...]:
-        out: list[NameTerm] = []
-        for n in names:
-            spliced = splice(n)
-            if spliced is not None:
-                out.extend(spliced)
-            else:
-                out.append(resolve(n))
-        return tuple(out)
-
+    items = partial(resolve_items, resolve, splice)
     symbols: list[Symbol] = []
     axioms: list = []
     for f in frames:

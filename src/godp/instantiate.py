@@ -13,13 +13,19 @@ into it, and the engine itself works on the public argument forms
 (`NamedOntologyArg` ... `ListArg`), which carry the argument's source
 position when they come from `.gdp` text.
 
+An elided optional symbol becomes a placeholder, a name whose base starts with
+`?` as no identifier in `.gdp` text can, so `is_placeholder` reads the name
+alone. A placeholder lives until the instantiation that made it returns, so it
+is numbered by that instantiation's depth inside the innermost closed
+expansion and its own index there: unique among live ones, and unchanged by
+memo hits.
+
 Expansion is pure over an immutable Library. Every top-level call gets its own
-context (depth budget, cache of the 0-parameter expansions it reached,
-placeholder registry); finished 0-parameter expansions also go to the
-library's memo, shared by all later calls. A memo hit charges exactly the
-ticks and placeholders expanding from the context's cache would spend, so
-budgets, `DepthExceeded` positions and placeholder names do not depend on
-what ran before, and independent expansions can run concurrently.
+context (depth budget, cache of the 0-parameter expansions it reached);
+finished 0-parameter expansions also go to the library's memo, shared by all
+later calls. A memo hit charges exactly the ticks expanding from the
+context's cache would spend, so budgets and `DepthExceeded` positions do not
+depend on what ran before, and independent expansions can run concurrently.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .elaborate import (
     PatternDef,
     PlainShape,
     build_block,
+    resolve_items,
 )
 from .syntax import (
     ArgAst,
@@ -75,8 +82,6 @@ from .syntax import (
 from .parser import expr_to_name_term
 
 DEFAULT_DEPTH = 10_000
-
-_PLACEHOLDER_PREFIX = "__elided_"
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +132,11 @@ def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
 
 def _contains_base(n: NameTerm, bases: AbstractSet[str]) -> bool:
     return any(b in bases for b in n.bases())
+
+
+def is_placeholder(n: NameTerm) -> bool:
+    """True iff `n` mentions an elided optional symbol."""
+    return n.base.startswith("?") or any(map(is_placeholder, n.args))
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +206,24 @@ class Instantiation:
 # ---------------------------------------------------------------------------
 
 class _Memo(NamedTuple):
-    """A finished 0-parameter expansion. `ticks` and `placeholders` are its
-    own: they leave out those of its nested closed lookups, listed in order."""
+    """A finished 0-parameter expansion. `ticks` are its own: they leave out
+    those of its nested closed lookups, listed in order."""
 
     ontology: FlatOntology
     ticks: int
     lookups: tuple[str, ...]
-    placeholders: int
 
 
 @dataclass
 class _Ctx:
     lib: Library
     budget: int
-    placeholders: set[str] = dc_field(default_factory=set)  # placeholder bases
     cache: dict[str, FlatOntology] = dc_field(default_factory=dict)
-    made: int = 0  # placeholders made so far
     # the memo read and filled: the library's, or a private one
     memo: dict[str, _Memo] = dc_field(default_factory=dict)
-    # the running closed expansion: [nested lookups, their ticks, their placeholders]
+    # the running closed expansion: [nested lookups, their ticks]
     frame: list | None = None
+    running: int = 0  # instantiations running inside the innermost closed expansion
     constraint_trace: list[tuple[Axiom, frozenset[Axiom]]] = dc_field(default_factory=list)
     fitting_trace: list[tuple[str, FittingMorphism]] = dc_field(default_factory=list)
 
@@ -223,15 +231,6 @@ class _Ctx:
         if self.budget <= 0:
             raise DepthExceeded("expansion depth budget exceeded", pos)
         self.budget -= 1
-
-    def fresh_placeholder(self, original: NameTerm) -> NameTerm:
-        base = f"{_PLACEHOLDER_PREFIX}{original.base}_{self.made}"
-        self.made += 1
-        self.placeholders.add(base)
-        return NameTerm(base)
-
-    def is_placeholder(self, n: NameTerm) -> bool:
-        return bool(self.placeholders) and _contains_base(n, self.placeholders)
 
 
 @dataclass
@@ -261,17 +260,6 @@ _ROOT_SCOPE = _RuntimeScope(None, EMPTY_BINDINGS, None)
 # Argument normalization (against the callee's parameter shapes)
 # ---------------------------------------------------------------------------
 
-def _resolve_items(raw: Iterable[NameTerm], b: Bindings) -> tuple[NameTerm, ...]:
-    out: list[NameTerm] = []
-    for t in raw:
-        spliced = b.items_of(t)
-        if spliced is not None:
-            out.extend(spliced)
-        else:
-            out.append(b.apply(t))
-    return tuple(out)
-
-
 def _normalize_ast_arg(
     a: ArgAst,
     pspec: ParamSpec,
@@ -286,7 +274,7 @@ def _normalize_ast_arg(
         if isinstance(v, (MissingArg, EmptyArg)):
             return ListArg((), a.pos)
         if isinstance(v, ListArgAst):
-            items = list(_resolve_items(v.items, b))
+            items = list(resolve_items(b.apply, b.items_of, v.items))
             if v.tail is not None:
                 rest = b.items_of(v.tail)
                 if rest is None:
@@ -298,11 +286,11 @@ def _normalize_ast_arg(
                 items.extend(rest)
             return ListArg(tuple(items), a.pos)
         if isinstance(v, NameTerm):
-            return ListArg(_resolve_items([v], b), a.pos)
+            return ListArg(resolve_items(b.apply, b.items_of, [v]), a.pos)
         if isinstance(v, (RefExpr, InstExpr)):
             t = expr_to_name_term(v)
             if t is not None and (not isinstance(v, InstExpr) or scope.resolve(lib, v.name) is None):
-                return ListArg(_resolve_items([t], b), a.pos)
+                return ListArg(resolve_items(b.apply, b.items_of, [t]), a.pos)
         raise UnsupportedArgument(
             "a list argument must be a comma or '::' list of names", a.pos
         )
@@ -446,7 +434,7 @@ def _check_constraints(
 ) -> None:
     for ax in sorted(axioms, key=Axiom.sort_key):
         translated = ax.rename(rename).canonical()
-        if any(ctx.is_placeholder(n) for n, _ in translated.refs()):
+        if any(is_placeholder(n) for n, _ in translated.refs()):
             continue  # the elided branch contributes nothing to check
         if translated not in available.axioms:
             raise UnmetConstraint(
@@ -535,7 +523,7 @@ def _fit_local(
         else:
             _bind_checked(sigma, src, dst, form.pos)
     added = EMPTY_ONTOLOGY
-    if ctx.is_placeholder(term):
+    if is_placeholder(term):
         added = make_ontology([Symbol(term, n.kind)], [])
     else:
         found = avail.kind_of(term)
@@ -657,7 +645,7 @@ def _imports_ontology(
 
 
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
-    parent, budget, made = ctx.frame, ctx.budget, ctx.made
+    parent, budget, running = ctx.frame, ctx.budget, ctx.running
     out = ctx.cache.get(d.qual)
     if out is not None:
         ctx.tick(pos)
@@ -666,17 +654,15 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     elif _charge_memo(ctx, d.qual):
         out = ctx.cache[d.qual]
     else:
-        ctx.frame = frame = [[], 0, 0]
+        ctx.frame = frame = [[], 0]
+        ctx.running = 0  # it starts from an empty environment: no placeholder is visible
         out = _instantiate(ctx, d, None, [], EMPTY_ONTOLOGY, pos)
-        ctx.frame = parent
-        ctx.memo.setdefault(d.qual, _Memo(
-            out, budget - ctx.budget - frame[1], tuple(frame[0]), ctx.made - made - frame[2]
-        ))
+        ctx.frame, ctx.running = parent, running
+        ctx.memo.setdefault(d.qual, _Memo(out, budget - ctx.budget - frame[1], tuple(frame[0])))
         ctx.cache[d.qual] = out
     if parent is not None:
         parent[0].append(d.qual)
         parent[1] += budget - ctx.budget
-        parent[2] += ctx.made - made
     return out
 
 
@@ -687,7 +673,7 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     the real expansion then fails where it always did."""
     if qual not in ctx.memo:
         return False
-    ticks = made = 0
+    ticks = 0
     reached: dict[str, FlatOntology] = {}
     todo = [qual]
     while todo:
@@ -698,12 +684,10 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
         entry = ctx.memo[q]  # written before any entry that looks it up
         reached[q] = entry.ontology
         ticks += entry.ticks
-        made += entry.placeholders
-        todo.extend(entry.lookups)  # the sums do not depend on the order
+        todo.extend(entry.lookups)  # the sum does not depend on the order
     if ctx.budget < ticks:
         return False
     ctx.budget -= ticks
-    ctx.made += made
     ctx.cache.update(reached)
     return True
 
@@ -800,6 +784,8 @@ def _instantiate(
     caller_scope: _RuntimeScope = _ROOT_SCOPE,
 ) -> FlatOntology:
     ctx.tick(pos)
+    level = ctx.running
+    ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
     base = found_scope.bindings if found_scope is not None else EMPTY_BINDINGS
     sigma = base.child()
@@ -815,7 +801,7 @@ def _instantiate(
         try:
             if pspec.is_list:
                 items = form.items if isinstance(form, ListArg) else ()
-                declared = _declare_items(ctx, pspec.shape, items, avail, form.pos)
+                declared = _declare_items(pspec.shape, items, avail, form.pos)
                 avail = union_flat(avail, declared)
                 result = union_flat(result, declared)
                 _bind_template(pspec.shape, items, sigma)
@@ -830,7 +816,7 @@ def _instantiate(
                         form.pos,
                     )
                 for s in pspec.shape.new_symbols:
-                    ph = ctx.fresh_placeholder(s.name)
+                    ph = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
                     _bind_checked(sigma, s.name, ph, form.pos)
                     dead.add(ph.base)
                     declared = make_ontology([Symbol(ph, s.kind)], [])
@@ -860,11 +846,11 @@ def _instantiate(
     out = _eval_expr(ctx, clause.body, result, body_scope)
     if dead:
         out = _elide(out, lambda n: _contains_base(n, dead))
+    ctx.running -= 1
     return out
 
 
 def _declare_items(
-    ctx: _Ctx,
     tmpl: ListTemplate,
     items: tuple[NameTerm, ...],
     avail: FlatOntology,
@@ -874,12 +860,12 @@ def _declare_items(
         return EMPTY_ONTOLOGY
     symbols = []
     for item in items:
-        if ctx.is_placeholder(item):
-            continue
         found = avail.kind_of(item)
+        if found is tmpl.kind or is_placeholder(item):
+            continue
         if found is None:
             symbols.append(Symbol(item, tmpl.kind))
-        elif found is not tmpl.kind:
+        else:
             raise KindMismatch(
                 f"list item '{item.render()}' has kind {found.value}, expected "
                 f"{tmpl.kind.value}",

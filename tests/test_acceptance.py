@@ -36,6 +36,7 @@ from godp.core import (
 from godp.diagnostics import UnmetConstraint
 from godp.elaborate import build_block
 from godp.emit import IDENTIFIER_RE
+from godp.instantiate import is_placeholder
 
 from conftest import CORPUS, ERRORS, corpus_paths, lib_of
 
@@ -113,9 +114,11 @@ def test_criterion_3_valset_pair(corpus_lib):
     for a in crust.axioms:
         for n, _ in a.refs():
             assert "greater" not in list(n.bases())
-    # elision completeness: no placeholder remnants either
-    for s in crust.signature:
-        assert not any(b.startswith("__elided") for b in s.name.bases())
+    # elision completeness: no placeholder remnants in any corpus target
+    for target in corpus_lib.zero_param_names():
+        out = expand_named(corpus_lib, target)
+        assert not any(is_placeholder(s.name) for s in out.signature), target
+        assert not any(is_placeholder(n) for a in out.axioms for n, _ in a.refs()), target
     _passed(3, "value-set pair")
 
 

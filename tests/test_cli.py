@@ -189,6 +189,20 @@ def test_expand_no_stratify_manchester_rejects_parameterized(capsys):
     assert "stratify" in err
 
 
+def test_emitter_error_points_at_the_target_definition(capsys):
+    code, out, err = run(
+        capsys, "expand", "--target", "AgeOrder", "--format", "manchester", "--no-stratify",
+        *corpus_args(),
+    )
+    assert code == 1
+    assert out == ""
+    assert "<input>" not in err
+    assert err == (
+        f"{CORPUS / 'orders.gdp'}:16:1: error: 'greater[Age]' is parameterized; "
+        f"stratify before emitting Manchester output\n"
+    )
+
+
 def test_expand_no_stratify_dump_keeps_brackets(capsys):
     code, out, err = run(
         capsys, "expand", "--target", "GradedRels_Significance", "--no-stratify",
@@ -295,3 +309,23 @@ def test_nesting_past_the_bound_exits_one_with_a_position(tmp_path, capsys):
             file, at_line, at_col = where.rsplit(":", 2)
             assert (file, int(at_line)) == (str(f), line)
             assert 1 <= int(at_col) <= len(f.read_text(encoding="utf-8").splitlines()[line - 1])
+
+
+# -- elided symbols in diagnostics ---------------------------------------------
+
+def test_elided_symbol_in_a_diagnostic_is_the_same_at_every_depth(tmp_path, capsys):
+    f = tmp_path / "elided.gdp"
+    f.write_text(
+        "ontology K2 [ObjectProperty: P] = { }\n"
+        "ontology L [Class: A; ? Class: B] = { Class: A } then K2[B]\n"
+        "ontology V = L[X; ]\n"
+        "ontology W = V then { Class: Y }\n",
+        encoding="utf-8",
+    )
+    outcomes = [run(capsys, "check", *depth, str(f)) for depth in ([], ["--depth", "50"])]
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code == 1
+    first, second = err.splitlines()  # one line for V, one for W
+    assert first == second
+    assert first.startswith(f"{f}:2:58: error: kind clash for '?B_")

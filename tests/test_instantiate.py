@@ -38,6 +38,7 @@ from godp.diagnostics import (
     DepthExceeded,
     GodpError,
     IncompatibleFittings,
+    KindClash,
     KindMismatch,
     MissingArgument,
     NoCandidate,
@@ -616,7 +617,7 @@ def test_local_zero_param_subpattern_as_argument_expands_in_context():
 
 def _engine_run(lib, target, depth, memo):
     """Outcome of expanding `target` on a context reading `memo`, with the
-    budget, placeholder count and cache keys it ends with."""
+    budget and cache keys it ends with."""
     import godp.instantiate as engine
 
     ctx = engine._Ctx(lib, depth, memo=memo)
@@ -625,7 +626,7 @@ def _engine_run(lib, target, depth, memo):
         out = engine._closed_expansion(ctx, d, d.pos)
     except GodpError as e:
         return (type(e).__name__, e.message, e.pos)
-    return (out, ctx.budget, ctx.made, sorted(ctx.cache))
+    return (out, ctx.budget, sorted(ctx.cache))
 
 
 # closed lookups that meet again (imports too), and placeholders made at
@@ -685,27 +686,101 @@ def test_depth_exceeded_position_holds_with_a_warm_memo(capsys):
 def test_placeholder_after_a_memo_hit_keeps_its_name(monkeypatch):
     import godp.instantiate as engine
 
-    made = []
-    fresh_placeholder = engine._Ctx.fresh_placeholder
+    made = []  # the placeholders each instantiation elides, in the order they end
+    elide = engine._elide
 
-    def recording(ctx, original):
-        made.append(fresh_placeholder(ctx, original).base)
-        return NameTerm(made[-1])
+    def recording(body, dead):
+        made.extend(sorted(s.name.base for s in body.signature if not s.name.args and dead(s.name)))
+        return elide(body, dead)
 
-    monkeypatch.setattr(engine._Ctx, "fresh_placeholder", recording)
+    monkeypatch.setattr(engine, "_elide", recording)
     src = (
-        "ontology H [Class: A; ? Class: B; Class: C] =\n"
+        "ontology H [Class: A; ? Class: B; ? Class: C] =\n"
         "  { ObjectProperty: rel[B] Domain: A Range: C }\n"
+        "ontology W [Class: A] = H[A]\n"
         "ontology Inner = H[X; ; Z]\n"
-        "ontology Outer = Inner then H[P; ; Q]\n"
-        "ontology Top = Outer then H[R; ; S]\n"
+        "ontology Outer = Inner then W[P]\n"
+        "ontology Top = Outer then H[R] then Inner\n"
     )
     reference = expand_named(lib_of(src), "Top")
-    assert made == ["__elided_B_0", "__elided_B_1", "__elided_B_2"]
-    # Inner, then also Outer, come from the memo and make no placeholder
-    for warmed, names in (("Inner", ["__elided_B_1", "__elided_B_2"]), ("Outer", ["__elided_B_2"])):
+    cold = ["?B_1_0", "?B_2_0", "?C_2_1", "?B_1_0", "?C_1_1"]
+    assert made == cold
+    # Inner, then also Outer, come from the memo; the instantiations that
+    # still run make the names they made in the cold run
+    for warmed, rerun in (("Inner", cold[1:]), ("Outer", cold[3:])):
         warm = lib_of(src)
         expand_named(warm, warmed)
         made.clear()
         assert expand_named(warm, "Top") == reference
-        assert made == names
+        assert made == rerun
+
+
+# -- placeholders are names no user can write ------------------------------------
+
+# the user writes the name a placeholder had when placeholders were identifiers
+_WRITTEN_LIKE_A_PLACEHOLDER = (
+    "ontology H [Class: A; ? Class: B; Class: C] =\n"
+    "  { ObjectProperty: rel[B] Domain: A Range: C }\n"
+    "ontology SubProp [ObjectProperty: p; ObjectProperty: q SubPropertyOf: p] = { }\n"
+    "ontology Use = H[X; ; Z]\n"
+    "  then { ObjectProperty: __elided_B_0 ObjectProperty: r }\n"
+    "  then SubProp[__elided_B_0; r]\n"
+)
+
+
+def test_a_written_name_is_never_a_placeholder(tmp_path, capsys):
+    from godp.instantiate import is_placeholder
+
+    assert not is_placeholder(NameTerm("__elided_B_0"))
+    lib = lib_of(_WRITTEN_LIKE_A_PLACEHOLDER)
+    with pytest.raises(UnmetConstraint) as exc:
+        expand_named(lib, "Use")
+    message = "argument does not satisfy required axiom: SubPropertyOf r __elided_B_0"
+    assert exc.value.message == message
+    assert (exc.value.pos.line, exc.value.pos.col) == (6, 30)  # the `r` of SubProp[...]
+    f = tmp_path / "use.gdp"
+    f.write_text(_WRITTEN_LIKE_A_PLACEHOLDER, encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().err == f"{f}:6:30: error: {message}\n"
+
+
+_ELIDED_KIND_CLASH = (
+    "ontology K2 [ObjectProperty: P] = { }\n"
+    "ontology L [Class: A; ? Class: B] = { Class: A } then K2[B]\n"
+    "ontology V = L[X; ]\n"
+    "ontology W = V then { Class: Y }\n"
+)
+
+
+def test_a_placeholder_in_a_diagnostic_does_not_depend_on_depth_target_or_memo():
+    messages = set()
+    for depth in (50, DEFAULT_DEPTH):
+        for order in (["V", "W"], ["W", "V"]):
+            lib = lib_of(_ELIDED_KIND_CLASH)
+            for target in order:
+                with pytest.raises(KindClash) as exc:
+                    expand_named(lib, target, depth=depth)
+                assert (exc.value.pos.line, exc.value.pos.col) == (2, 58)
+                messages.add(exc.value.message)
+    (message,) = messages
+    assert message.startswith("kind clash for '?B_")
+
+
+def test_an_elided_symbol_as_a_list_item_is_neither_declared_nor_kind_checked():
+    lib = lib_of(
+        "ontology Each [Individual: x :: xs] = Each[xs]\n"
+        "ontology Each [empty] = { }\n"
+        "ontology Opt [Individual: a; ? ObjectProperty: p] = Each[a, p, rel[p]]\n"
+        "ontology Use = Opt[i]\n"
+    )
+    assert expand_named(lib, "Use") == make_ontology([sym("i", IND)], [])
+
+
+def test_a_constraint_on_a_name_built_from_an_elided_symbol_is_not_checked():
+    lib = lib_of(
+        "ontology SubProp [ObjectProperty: p; ObjectProperty: q SubPropertyOf: p] = { }\n"
+        "ontology L [Class: A; ? Class: B] =\n"
+        "  { Class: A ObjectProperty: rel[B] ObjectProperty: s } then SubProp[rel[B]; s]\n"
+        "ontology Use = L[X; ]\n"
+    )
+    assert expand_named(lib, "Use") == make_ontology([sym("X", CLS), sym("s", OP)], [])
