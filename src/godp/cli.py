@@ -83,7 +83,9 @@ def run_check(cfg: CliConfig) -> int:
         except GodpError as e:
             diags.append(e.to_diagnostic())
     if diags:
-        ordered = sorted(diags, key=lambda d: (d.pos.file, d.pos.line, d.pos.col))
+        # targets that reach one failing definition report it once
+        unique = dict.fromkeys(diags)
+        ordered = sorted(unique, key=lambda d: (d.pos.file, d.pos.line, d.pos.col))
         sys.stderr.write(render_diagnostics(ordered))
         return 1
     return 0

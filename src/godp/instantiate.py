@@ -219,13 +219,10 @@ class _Ctx:
     lib: Library
     budget: int
     cache: dict[str, FlatOntology] = dc_field(default_factory=dict)
-    # the memo read and filled: the library's, or a private one
     memo: dict[str, _Memo] = dc_field(default_factory=dict)
     # the running closed expansion: [nested lookups, their ticks]
     frame: list | None = None
     running: int = 0  # instantiations running inside the innermost closed expansion
-    constraint_trace: list[tuple[Axiom, frozenset[Axiom]]] = dc_field(default_factory=list)
-    fitting_trace: list[tuple[str, FittingMorphism]] = dc_field(default_factory=list)
 
     def tick(self, pos: SourcePos | None) -> None:
         if self.budget <= 0:
@@ -265,9 +262,8 @@ def _normalize_ast_arg(
     pspec: ParamSpec,
     lib: Library,
     scope: _RuntimeScope,
-    b: Bindings,
 ) -> ArgumentForm | _ExprArg:
-    v = a.value
+    v, b = a.value, scope.bindings
     if pspec.is_list:
         if a.fits:
             raise UnsupportedArgument("fit maps are not allowed on list arguments", a.pos)
@@ -420,13 +416,10 @@ def check_constraints(
     """Translated parameter axioms must already hold (syntactic membership
     after canonicalization) in the available environment."""
     table = {src.name: dst.name for src, dst in m.pairs}
-    _check_constraints(
-        _Ctx(None, DEFAULT_DEPTH), param_axioms, lambda n: table.get(n, n), available, None
-    )
+    _check_constraints(param_axioms, lambda n: table.get(n, n), available, None)
 
 
 def _check_constraints(
-    ctx: _Ctx,
     axioms: Iterable[Axiom],
     rename: Callable[[NameTerm], NameTerm],
     available: FlatOntology,
@@ -442,7 +435,6 @@ def _check_constraints(
                 f"{' '.join(translated.dump_fields())}",
                 pos,
             )
-        ctx.constraint_trace.append((translated, available.axioms))
 
 
 def derive_fitting(
@@ -471,15 +463,16 @@ def derive_fitting(
         raise UnsupportedArgument(f"unsupported argument form {type(arg).__name__}")
     if isinstance(arg, NamedOntologyArg) and lib is None:
         raise UnsupportedArgument("resolving a named ontology argument needs the library")
-    ctx = _Ctx(lib, DEFAULT_DEPTH)
     arg = replace(arg, fits=arg.fits + tuple(explicit))
-    fit_pairs: list[tuple[Symbol, Symbol]] = []
+    sigma = Bindings()
     if isinstance(arg, LocalSymbolArg):
-        _fit_local(ctx, None, param, arg, Bindings(), env, fit_pairs)
+        _fit_local(None, param, arg, sigma, env)
     else:
-        arg_ont = _eval_arg_ontology(ctx, arg, env, _ROOT_SCOPE)
-        _fit_ontology(param, arg, arg_ont, env, Bindings(), fit_pairs)
-    return FittingMorphism.of(dict(fit_pairs))
+        arg_ont = _eval_arg_ontology(_Ctx(lib, DEFAULT_DEPTH), arg, env, _ROOT_SCOPE)
+        _fit_ontology(param, arg, arg_ont, env, sigma)
+    return FittingMorphism.of(
+        {n: Symbol(sigma.name_map[n.name], n.kind) for n in param.shape.new_symbols}
+    )
 
 
 def _bind_checked(sigma: Bindings, src: NameTerm, dst: NameTerm, pos) -> None:
@@ -494,13 +487,11 @@ def _bind_checked(sigma: Bindings, src: NameTerm, dst: NameTerm, pos) -> None:
 
 
 def _fit_local(
-    ctx: _Ctx,
     owner: str | None,
     pspec: ParamSpec,
     form: LocalSymbolArg,
     sigma: Bindings,
     avail: FlatOntology,
-    fit_pairs: list,
 ) -> FlatOntology:
     shape: PlainShape = pspec.shape
     if len(shape.new_symbols) != 1:
@@ -523,21 +514,17 @@ def _fit_local(
         else:
             _bind_checked(sigma, src, dst, form.pos)
     added = EMPTY_ONTOLOGY
-    if is_placeholder(term):
+    found = avail.kind_of(term)
+    if found is None:
+        # not visible in the local environment: declared fresh
         added = make_ontology([Symbol(term, n.kind)], [])
-    else:
-        found = avail.kind_of(term)
-        if found is None:
-            # not visible in the local environment: declared fresh
-            added = make_ontology([Symbol(term, n.kind)], [])
-        elif found is not n.kind:
-            raise KindMismatch(
-                f"'{term.render()}' has kind {found.value}, parameter "
-                f"'{n.name.render()}' needs {n.kind.value}",
-                form.pos,
-            )
+    elif found is not n.kind and not is_placeholder(term):  # an elided symbol goes anyway
+        raise KindMismatch(
+            f"'{term.render()}' has kind {found.value}, parameter "
+            f"'{n.name.render()}' needs {n.kind.value}",
+            form.pos,
+        )
     _bind_checked(sigma, n.name, term, form.pos)
-    fit_pairs.append((n, Symbol(term, n.kind)))
     return added
 
 
@@ -568,7 +555,6 @@ def _fit_ontology(
     arg_ont: FlatOntology,
     env: FlatOntology,
     sigma: Bindings,
-    fit_pairs: list,
 ) -> None:
     shape: PlainShape = pspec.shape
     explicit = dict(form.fits)
@@ -608,7 +594,6 @@ def _fit_ontology(
                 )
             image = candidates[0].name
         _bind_checked(sigma, n.name, image, form.pos)
-        fit_pairs.append((n, Symbol(image, n.kind)))
     for src, dst in form.fits:
         if src in consumed:
             continue
@@ -742,9 +727,7 @@ def _normalize_call(
     if len(args) == 1 and not params and isinstance(args[0].value, MissingArg):
         args = []  # G[] on a 0-parameter pattern
     _check_arity(target, len(args), pos)
-    forms = [
-        _normalize_ast_arg(a, p, ctx.lib, scope, scope.bindings) for a, p in zip(args, params)
-    ]
+    forms = [_normalize_ast_arg(a, p, ctx.lib, scope) for a, p in zip(args, params)]
     _pad_args(target, forms, pos)
     return forms
 
@@ -795,7 +778,6 @@ def _instantiate(
     avail = union_flat(env, imports_ont)
     result = avail
     dead: set[str] = set()
-    fit_pairs: list[tuple[Symbol, Symbol]] = []
 
     for pspec, form in zip(clause.params, forms):
         try:
@@ -805,9 +787,6 @@ def _instantiate(
                 avail = union_flat(avail, declared)
                 result = union_flat(result, declared)
                 _bind_template(pspec.shape, items, sigma)
-                tmpl: ListTemplate = pspec.shape
-                for head, item in zip(tmpl.heads, items):
-                    fit_pairs.append((Symbol(NameTerm(head), tmpl.kind), Symbol(item, tmpl.kind)))
             elif isinstance(form, EmptyOptArg):
                 if not pspec.optional:
                     raise MissingArgument(
@@ -824,13 +803,13 @@ def _instantiate(
                     result = union_flat(result, declared)
             elif isinstance(form, (LocalSymbolArg, NamedOntologyArg, AnonymousArg, _ExprArg)):
                 if isinstance(form, LocalSymbolArg):
-                    added = _fit_local(ctx, target.name, pspec, form, sigma, avail, fit_pairs)
+                    added = _fit_local(target.name, pspec, form, sigma, avail)
                 else:
                     added = _eval_arg_ontology(ctx, form, env, caller_scope)
-                    _fit_ontology(pspec, form, added, env, sigma, fit_pairs)
+                    _fit_ontology(pspec, form, added, env, sigma)
                 avail = union_flat(avail, added)
                 result = union_flat(result, added)
-                _check_constraints(ctx, pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
+                _check_constraints(pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
             else:
                 raise UnsupportedArgument(
                     f"argument form {type(form).__name__} does not fit parameter "
@@ -841,7 +820,6 @@ def _instantiate(
             e.ensure_pos(getattr(form, "pos", None) or pos)
             raise
 
-    ctx.fitting_trace.append((target.qual, FittingMorphism.of(dict(fit_pairs))))
     body_scope = _RuntimeScope(target, sigma, found_scope)
     out = _eval_expr(ctx, clause.body, result, body_scope)
     if dead:
@@ -878,15 +856,10 @@ def _declare_items(
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def expand(
-    lib: Library,
-    inst: Instantiation,
-    depth: int = DEFAULT_DEPTH,
-    _ctx_out: list | None = None,
-) -> FlatOntology:
+def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> FlatOntology:
     """Expand one instantiation against its local environment; arguments left
     out at the end are handled as in `.gdp` text."""
-    ctx = _context(lib, depth, _ctx_out)
+    ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
     forms = list(inst.args)
     _check_arity(target, len(forms), None)
@@ -894,22 +867,8 @@ def expand(
     return _instantiate(ctx, target, None, forms, inst.local_env, None)
 
 
-def expand_named(
-    lib: Library,
-    name: str,
-    depth: int = DEFAULT_DEPTH,
-    _ctx_out: list | None = None,
-) -> FlatOntology:
+def expand_named(lib: Library, name: str, depth: int = DEFAULT_DEPTH) -> FlatOntology:
     """Expand a 0-parameter definition to its flat ontology."""
-    ctx = _context(lib, depth, _ctx_out)
+    ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(name)
     return _closed_expansion(ctx, target, target.pos)
-
-
-def _context(lib: Library, depth: int, ctx_out: list | None) -> _Ctx:
-    # a context handed out for its traces reads nothing from the library's
-    # memo, so the traces cover the whole expansion
-    ctx = _Ctx(lib, depth, memo=lib.memo if ctx_out is None else {})
-    if ctx_out is not None:
-        ctx_out.append(ctx)
-    return ctx

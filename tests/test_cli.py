@@ -316,8 +316,7 @@ def test_nesting_past_the_bound_exits_one_with_a_position(tmp_path, capsys):
 def test_elided_symbol_in_a_diagnostic_is_the_same_at_every_depth(tmp_path, capsys):
     f = tmp_path / "elided.gdp"
     f.write_text(
-        "ontology K2 [ObjectProperty: P] = { }\n"
-        "ontology L [Class: A; ? Class: B] = { Class: A } then K2[B]\n"
+        "ontology L [Class: A; ? Class: B] = { Class: A } then { ObjectProperty: B }\n"
         "ontology V = L[X; ]\n"
         "ontology W = V then { Class: Y }\n",
         encoding="utf-8",
@@ -326,6 +325,5 @@ def test_elided_symbol_in_a_diagnostic_is_the_same_at_every_depth(tmp_path, caps
     assert outcomes[0] == outcomes[1]
     code, out, err = outcomes[0]
     assert code == 1
-    first, second = err.splitlines()  # one line for V, one for W
-    assert first == second
-    assert first.startswith(f"{f}:2:58: error: kind clash for '?B_")
+    (line,) = err.splitlines()  # V and W reach the same failure: it is printed once
+    assert line.startswith(f"{f}:1:55: error: kind clash for '?B_")

@@ -49,7 +49,7 @@ from godp.diagnostics import (
 
 from godp.instantiate import DEFAULT_DEPTH
 
-from conftest import CORPUS, ERRORS, corpus_paths, lib_of, load_library
+from conftest import CORPUS, ERRORS, corpus_paths, lib_of, load_corpus_library, load_library
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -132,6 +132,17 @@ def test_fit_empty_against_non_optional(corpus_lib):
 
 # -- the public helpers are the engine's entry points ------------------------------
 
+def test_fit_of_a_symbol_the_parameter_does_not_introduce_is_not_in_the_result(corpus_lib):
+    fourth = corpus_lib.defs["SubProp"].clauses[0].params[3]
+    env = make_ontology([sym("Person", CLS)], [])
+    fits = ((name("D"), name("Person")),)
+    expected = {sym("p", OP): sym("isAncestorOf", OP)}
+    m = derive_fitting(fourth, LocalSymbolArg(name("isAncestorOf"), fits=fits), env)
+    assert m.as_dict() == expected
+    arg = AnonymousArg(make_ontology([sym("isAncestorOf", OP)], []), fits=fits)
+    assert derive_fitting(fourth, arg, env).as_dict() == expected
+
+
 def test_fit_anonymous_argument_applies_its_own_fit_map(corpus_lib):
     first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
     ont = make_ontology([sym("q1", OP), sym("q2", OP)], [])
@@ -173,49 +184,48 @@ ontology ByInstance given Agents =
 
 
 def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
-    """Record each parameter fitting the engine derives while expanding the
-    corpus, then derive it again through derive_fitting from the same
-    parameter, argument and environment."""
+    """Record each parameter fitting the engine derives while building and
+    expanding the corpus, then derive it again through derive_fitting from
+    the same parameter, argument and environment."""
     import godp.instantiate as engine
 
-    src = "".join(p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.gdp")))
-    lib = lib_of(src + ARGUMENT_FORMS)
-
-    calls = []  # (parameter, argument, environment, engine's pairs, its instantiation's pairs)
+    calls = []  # (parameter, argument, environment, engine's pairs, its instantiation's sigma)
     fit_local, fit_ontology = engine._fit_local, engine._fit_ontology
 
-    def record_local(ctx, owner, pspec, form, sigma, avail, fit_pairs):
-        start = len(fit_pairs)
-        added = fit_local(ctx, owner, pspec, form, sigma, avail, fit_pairs)
-        calls.append((pspec, form, avail, fit_pairs[start:], fit_pairs))
+    def fitted(pspec, sigma):
+        return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.shape.new_symbols}
+
+    def record_local(owner, pspec, form, sigma, avail):
+        added = fit_local(owner, pspec, form, sigma, avail)
+        calls.append((pspec, form, avail, fitted(pspec, sigma), sigma))
         return added
 
-    def record_ontology(pspec, form, arg_ont, env, sigma, fit_pairs):
-        start = len(fit_pairs)
-        fit_ontology(pspec, form, arg_ont, env, sigma, fit_pairs)
+    def record_ontology(pspec, form, arg_ont, env, sigma):
+        fit_ontology(pspec, form, arg_ont, env, sigma)
         if isinstance(form, engine._ExprArg):  # an expression argument, already evaluated
             form = AnonymousArg(arg_ont, form.fits)
-        calls.append((pspec, form, env, fit_pairs[start:], fit_pairs))
+        calls.append((pspec, form, env, fitted(pspec, sigma), sigma))
 
     monkeypatch.setattr(engine, "_fit_local", record_local)
     monkeypatch.setattr(engine, "_fit_ontology", record_ontology)
-    traced = []
+    # a fresh library, recorded from its build on: each closed expansion runs once
+    src = "".join(p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.gdp")))
+    lib = lib_of(src + ARGUMENT_FORMS)
     for target in sorted(lib.zero_param_names()):
-        holder = []
-        expand_named(lib, target, _ctx_out=holder)
-        traced.extend(m for _, m in holder[0].fitting_trace)
+        expand_named(lib, target)
     monkeypatch.undo()
 
     kinds = {type(arg).__name__ for _, arg, _, _, _ in calls}
     assert kinds == {"LocalSymbolArg", "NamedOntologyArg", "AnonymousArg"}
     for pspec, arg, env, pairs, _ in calls:
-        assert derive_fitting(pspec, arg, env, lib=lib) == FittingMorphism.of(dict(pairs))
-    # each instantiation's fitting in the trace is made of the recorded pairs
-    # (plus the list heads it bound)
-    instantiations = {id(c[4]): c[4] for c in calls}.values()
+        assert derive_fitting(pspec, arg, env, lib=lib) == FittingMorphism.of(pairs)
+    # the fittings of one instantiation agree on every symbol they share
+    instantiations = {}
+    for _, _, _, pairs, sigma in calls:
+        instantiations.setdefault(id(sigma), []).append(FittingMorphism.of(pairs))
     assert len(instantiations) > 10
-    for fit_pairs in instantiations:
-        assert FittingMorphism.of(dict(fit_pairs)) in traced
+    for fittings in instantiations.values():
+        check_compatibility(fittings)
 
 
 def test_expand_missing_arguments_fail_as_in_the_language(corpus_lib):
@@ -498,39 +508,47 @@ def test_fresh_local_symbol_with_constraints_fails():
         expand_named(lib, "Use")
 
 
-def test_constraint_trace_recorded(corpus_lib):
-    holder = []
-    out = expand_named(corpus_lib, "ValSetWithOrder_Significance", _ctx_out=holder)
-    ctx = holder[0]
-    assert ctx.constraint_trace, "constrained instantiations should be recorded"
-    for translated, env_axioms in ctx.constraint_trace:
+def test_checked_constraints_hold_in_their_environment(monkeypatch):
+    import godp.instantiate as engine
+    from godp.instantiate import is_placeholder
+
+    checked = []  # (translated axiom, the environment it was checked in)
+    check = engine._check_constraints
+
+    def recording(axioms, rename, available, pos):
+        check(axioms, rename, available, pos)
+        for ax in axioms:
+            translated = ax.rename(rename).canonical()
+            if not any(is_placeholder(n) for n, _ in translated.refs()):
+                checked.append((translated, available.axioms))
+
+    monkeypatch.setattr(engine, "_check_constraints", recording)
+    out = expand_named(load_corpus_library(), "ValSetWithOrder_Significance")
+    assert checked, "constrained instantiations should be recorded"
+    for translated, env_axioms in checked:
         assert translated in env_axioms
         assert env_axioms <= out.axioms
 
 
-def test_at_least_step_call_schedule(corpus_lib):
+def test_at_least_step_call_schedule(monkeypatch):
     # on the 4-grade list the recursive clause (binding two heads) fires three
     # times and the one-element final clause (binding one head) once
-    holder = []
-    expand_named(corpus_lib, "GradedRelsSub_Significance", _ctx_out=holder)
-    als_calls = [
-        len(m.pairs) for qual, m in holder[0].fitting_trace
-        if qual == "GradedRelsSub::AtLeastStep"
-    ]
+    import godp.instantiate as engine
+
+    calls = []  # (pattern, list heads its clause binds)
+    instantiate, select = engine._instantiate, engine._select_clause
+
+    def recording(ctx, target, found_scope, forms, *rest):
+        clause = select(target.clauses, forms, target.name, None)
+        calls.append((target.qual, sum(len(p.shape.heads) for p in clause.params if p.is_list)))
+        return instantiate(ctx, target, found_scope, forms, *rest)
+
+    monkeypatch.setattr(engine, "_instantiate", recording)
+    expand_named(load_corpus_library(), "GradedRelsSub_Significance")
+    als_calls = [heads for qual, heads in calls if qual == "GradedRelsSub::AtLeastStep"]
     assert als_calls == [2, 2, 2, 1]
-    link_calls = [
-        qual for qual, _ in holder[0].fitting_trace
-        if qual == "GradedRelsSub::AtLeastLink"
-    ]
+    link_calls = [qual for qual, _ in calls if qual == "GradedRelsSub::AtLeastLink"]
     assert len(link_calls) == 3
-
-
-def test_fitting_trace_compatible(corpus_lib):
-    for target in corpus_lib.zero_param_names():
-        holder = []
-        expand_named(corpus_lib, target, _ctx_out=holder)
-        for _, morphism in holder[0].fitting_trace:
-            check_compatibility([morphism])
 
 
 def test_list_argument_against_plain_parameter(corpus_lib):
@@ -745,8 +763,7 @@ def test_a_written_name_is_never_a_placeholder(tmp_path, capsys):
 
 
 _ELIDED_KIND_CLASH = (
-    "ontology K2 [ObjectProperty: P] = { }\n"
-    "ontology L [Class: A; ? Class: B] = { Class: A } then K2[B]\n"
+    "ontology L [Class: A; ? Class: B] = { Class: A } then { ObjectProperty: B }\n"
     "ontology V = L[X; ]\n"
     "ontology W = V then { Class: Y }\n"
 )
@@ -760,10 +777,30 @@ def test_a_placeholder_in_a_diagnostic_does_not_depend_on_depth_target_or_memo()
             for target in order:
                 with pytest.raises(KindClash) as exc:
                     expand_named(lib, target, depth=depth)
-                assert (exc.value.pos.line, exc.value.pos.col) == (2, 58)
+                assert (exc.value.pos.line, exc.value.pos.col) == (1, 55)
                 messages.add(exc.value.message)
     (message,) = messages
     assert message.startswith("kind clash for '?B_")
+
+
+_ELIDED_TO_A_SYMBOL_PARAMETER = (
+    "ontology K2 [ObjectProperty: P] = { }\n"
+    "ontology L [Class: A; ? Class: B] = { Class: A } then K2[B]\n"
+    "ontology V = L[X; ]\n"
+    "ontology W = V then { Class: Y }\n"
+    "ontology Given = L[X; Y]\n"
+)
+
+
+def test_an_elided_symbol_passed_to_a_symbol_parameter_is_neither_declared_nor_kind_checked():
+    lib = lib_of(_ELIDED_TO_A_SYMBOL_PARAMETER)
+    assert expand_named(lib, "V") == make_ontology([sym("X", CLS)], [])
+    assert expand_named(lib, "W") == make_ontology([sym("X", CLS), sym("Y", CLS)], [])
+    # a symbol that is given is still kind-checked
+    with pytest.raises(KindMismatch) as exc:
+        expand_named(lib, "Given")
+    assert exc.value.message == "'Y' has kind Class, parameter 'P' needs ObjectProperty"
+    assert (exc.value.pos.line, exc.value.pos.col) == (2, 58)
 
 
 def test_an_elided_symbol_as_a_list_item_is_neither_declared_nor_kind_checked():
