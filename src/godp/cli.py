@@ -66,16 +66,8 @@ def _read_library(cfg: CliConfig) -> Library:
     return build_library(LibraryAst(tuple(items)))
 
 
-def _emit_error(err: GodpError) -> None:
-    sys.stderr.write(render_diagnostics([err.to_diagnostic()]))
-
-
 def run_check(cfg: CliConfig) -> int:
-    try:
-        lib = _read_library(cfg)
-    except GodpError as e:
-        _emit_error(e)
-        return 1
+    lib = _read_library(cfg)
     diags = []
     for name in sorted(lib.zero_param_names()):
         try:
@@ -92,23 +84,19 @@ def run_check(cfg: CliConfig) -> int:
 
 
 def run_expand(cfg: CliConfig) -> int:
-    try:
-        lib = _read_library(cfg)
-        target = lib.lookup(cfg.target)
-        if target is None:  # nothing in the input to point at
-            sys.stderr.write(f"godp: unknown ontology or pattern '{cfg.target}'\n")
-            return 1
-        ont = expand_named(lib, cfg.target, depth=cfg.depth)
-        try:
-            if cfg.stratify:
-                ont = stratify(ont)
-            payload = emit_manchester(ont) if cfg.format == "manchester" else emit_struct_dump(ont)
-        except GodpError as e:
-            e.ensure_pos(target.pos)  # the emitters know no position
-            raise
-    except GodpError as e:
-        _emit_error(e)
+    lib = _read_library(cfg)
+    target = lib.lookup(cfg.target)
+    if target is None:  # nothing in the input to point at
+        sys.stderr.write(f"godp: unknown ontology or pattern '{cfg.target}'\n")
         return 1
+    ont = expand_named(lib, cfg.target, depth=cfg.depth)
+    try:
+        if cfg.stratify:
+            ont = stratify(ont)
+        payload = emit_manchester(ont) if cfg.format == "manchester" else emit_struct_dump(ont)
+    except GodpError as e:
+        e.ensure_pos(target.pos)  # the emitters know no position
+        raise
     if cfg.out is not None:
         cfg.out.write_text(payload, encoding="utf-8")
     else:
@@ -117,11 +105,7 @@ def run_expand(cfg: CliConfig) -> int:
 
 
 def run_list(cfg: CliConfig) -> int:
-    try:
-        lib = _read_library(cfg)
-    except GodpError as e:
-        _emit_error(e)
-        return 1
+    lib = _read_library(cfg)
     for name in sorted(lib.defs):
         d = lib.defs[name]
         shapes = ",".join(d.shape_words())
@@ -185,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         sys.stderr.write(f"godp: {e}\n")
         return 2
+    except GodpError as e:
+        sys.stderr.write(render_diagnostics([e.to_diagnostic()]))
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,16 +21,18 @@ expansion and its own index there: unique among live ones, and unchanged by
 memo hits.
 
 Expansion is pure over an immutable Library. Every top-level call gets its own
-context (depth budget, cache of the 0-parameter expansions it reached);
-finished 0-parameter expansions also go to the library's memo, shared by all
-later calls. A memo hit charges exactly the ticks expanding from the
-context's cache would spend, so budgets and `DepthExceeded` positions do not
-depend on what ran before, and independent expansions can run concurrently.
+context: a depth budget and the names of the 0-parameter expansions it has
+reached. Their ontologies live only in the library's memo, which every
+finished 0-parameter expansion joins and all later calls share. A memo hit
+charges exactly the ticks expanding it in this context would spend, so
+budgets and `DepthExceeded` positions do not depend on what ran before, and
+independent expansions can run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import repeat
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .core import (
@@ -40,6 +42,7 @@ from .core import (
     FlatOntology,
     NameTerm,
     Symbol,
+    SymbolKind,
     make_ontology,
     union_flat,
 )
@@ -218,7 +221,7 @@ class _Memo(NamedTuple):
 class _Ctx:
     lib: Library
     budget: int
-    cache: dict[str, FlatOntology] = dc_field(default_factory=dict)
+    reached: set[str] = dc_field(default_factory=set)  # closed expansions, read from memo
     memo: dict[str, _Memo] = dc_field(default_factory=dict)
     # the running closed expansion: [nested lookups, their ticks]
     frame: list | None = None
@@ -345,13 +348,8 @@ def _of(owner: str | None) -> str:
 
 def _clause_matches(clause: Clause, forms: Sequence[ArgumentForm | _ExprArg]) -> bool:
     for p, f in zip(clause.params, forms):
-        if p.is_list:
-            if not isinstance(f, ListArg):
-                if isinstance(f, EmptyOptArg):
-                    continue  # an empty argument for a list parameter: empty
-                return False
-            if not p.shape.matches(len(f.items)):
-                return False
+        if p.is_list and not (isinstance(f, ListArg) and p.shape.matches(len(f.items))):
+            return False
     return True
 
 
@@ -451,7 +449,8 @@ def derive_fitting(
     environment `env`; a local-symbol argument maps the parameter's single new
     symbol to its term, which must not clash with its kind in `env`. Fits of
     other symbols are checked against each other but are not part of the
-    result. Resolving a NamedOntologyArg needs `lib`.
+    result. Resolving a NamedOntologyArg needs `lib`, whose memo it reads
+    and fills.
     """
     if param.is_list:
         raise UnsupportedArgument("derive_fitting applies to plain parameters")
@@ -468,7 +467,8 @@ def derive_fitting(
     if isinstance(arg, LocalSymbolArg):
         _fit_local(None, param, arg, sigma, env)
     else:
-        arg_ont = _eval_arg_ontology(_Ctx(lib, DEFAULT_DEPTH), arg, env, _ROOT_SCOPE)
+        ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
+        arg_ont = _eval_arg_ontology(ctx, arg, env, _ROOT_SCOPE)
         _fit_ontology(param, arg, arg_ont, env, sigma)
     return FittingMorphism.of(
         {n: Symbol(sigma.name_map[n.name], n.kind) for n in param.shape.new_symbols}
@@ -513,19 +513,13 @@ def _fit_local(
                 )
         else:
             _bind_checked(sigma, src, dst, form.pos)
-    added = EMPTY_ONTOLOGY
-    found = avail.kind_of(term)
-    if found is None:
-        # not visible in the local environment: declared fresh
-        added = make_ontology([Symbol(term, n.kind)], [])
-    elif found is not n.kind and not is_placeholder(term):  # an elided symbol goes anyway
-        raise KindMismatch(
-            f"'{term.render()}' has kind {found.value}, parameter "
-            f"'{n.name.render()}' needs {n.kind.value}",
-            form.pos,
-        )
+    avail = _declare(
+        avail, ((term, n.kind),), form.pos,
+        lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
+        f"'{n.name.render()}' needs {n.kind.value}",
+    )
     _bind_checked(sigma, n.name, term, form.pos)
-    return added
+    return avail
 
 
 def _eval_arg_ontology(
@@ -537,13 +531,7 @@ def _eval_arg_ontology(
     if isinstance(form, AnonymousArg):
         return union_flat(env, form.ontology)
     if isinstance(form, NamedOntologyArg):
-        hit = caller_scope.resolve(ctx.lib, form.name)
-        if hit is None:
-            raise UnknownReference(f"unknown ontology '{form.name}'", form.pos)
-        d, found = hit
-        if found is not None:  # a local sub-pattern expands in context
-            return _instantiate(ctx, d, found, [], env, form.pos, caller_scope)
-        return union_flat(env, _closed_expansion(ctx, d, form.pos))
+        return _eval_expr(ctx, RefExpr(form.name, form.pos), env, caller_scope)
     # local-environment injection: the argument is evaluated on top of env,
     # in the caller's scope (its bindings substitute enclosing parameters)
     return _eval_expr(ctx, form.expr, env, caller_scope)
@@ -631,49 +619,48 @@ def _imports_ontology(
 
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     parent, budget, running = ctx.frame, ctx.budget, ctx.running
-    out = ctx.cache.get(d.qual)
-    if out is not None:
+    if d.qual in ctx.reached:
         ctx.tick(pos)
     elif d.arity != 0:
         raise ArityMismatch(f"'{d.name}' is generic and needs arguments", pos)
-    elif _charge_memo(ctx, d.qual):
-        out = ctx.cache[d.qual]
-    else:
+    elif not _charge_memo(ctx, d.qual):
         ctx.frame = frame = [[], 0]
         ctx.running = 0  # it starts from an empty environment: no placeholder is visible
         out = _instantiate(ctx, d, None, [], EMPTY_ONTOLOGY, pos)
         ctx.frame, ctx.running = parent, running
+        # an entry is never replaced: one already there equals `out`
         ctx.memo.setdefault(d.qual, _Memo(out, budget - ctx.budget - frame[1], tuple(frame[0])))
-        ctx.cache[d.qual] = out
+        ctx.reached.add(d.qual)
     if parent is not None:
         parent[0].append(d.qual)
         parent[1] += budget - ctx.budget
-    return out
+    return ctx.memo[d.qual].ontology
 
 
 def _charge_memo(ctx: _Ctx, qual: str) -> bool:
-    """Take `qual` from the memo, charging what expanding it from this
-    context's cache would spend, and cache what that expansion would cache.
-    False, with nothing charged, if there is no entry or the budget is short:
-    the real expansion then fails where it always did."""
+    """Take `qual` from the memo, charging what expanding it in this context
+    would spend, and mark as reached the closed expansions that expansion
+    would reach; their ontologies stay in the memo. False, with nothing
+    charged, if there is no entry or the budget is short: the real expansion
+    then fails where it always did."""
     if qual not in ctx.memo:
         return False
     ticks = 0
-    reached: dict[str, FlatOntology] = {}
+    reached: set[str] = set()
     todo = [qual]
     while todo:
         q = todo.pop()
-        if q in ctx.cache or q in reached:
-            ticks += 1  # a cache hit
+        if q in ctx.reached or q in reached:
+            ticks += 1  # reached before: a lookup
             continue
         entry = ctx.memo[q]  # written before any entry that looks it up
-        reached[q] = entry.ontology
+        reached.add(q)
         ticks += entry.ticks
         todo.extend(entry.lookups)  # the sum does not depend on the order
     if ctx.budget < ticks:
         return False
     ctx.budget -= ticks
-    ctx.cache.update(reached)
+    ctx.reached |= reached
     return True
 
 
@@ -776,17 +763,18 @@ def _instantiate(
         target, lambda imp: _closed_expansion(ctx, ctx.lib.defs[imp], pos)
     )
     avail = union_flat(env, imports_ont)
-    result = avail
     dead: set[str] = set()
 
     for pspec, form in zip(clause.params, forms):
         try:
             if pspec.is_list:
-                items = form.items if isinstance(form, ListArg) else ()
-                declared = _declare_items(pspec.shape, items, avail, form.pos)
-                avail = union_flat(avail, declared)
-                result = union_flat(result, declared)
-                _bind_template(pspec.shape, items, sigma)
+                tmpl: ListTemplate = pspec.shape
+                avail = _declare(
+                    avail, zip(form.items, repeat(tmpl.kind)), form.pos,
+                    lambda t, k: f"list item '{t.render()}' has kind {k.value}, "
+                    f"expected {tmpl.kind.value}",
+                )
+                _bind_template(tmpl, form.items, sigma)
             elif isinstance(form, EmptyOptArg):
                 if not pspec.optional:
                     raise MissingArgument(
@@ -794,21 +782,20 @@ def _instantiate(
                         f"of '{target.name}'",
                         form.pos,
                     )
+                elided = []
                 for s in pspec.shape.new_symbols:
                     ph = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
                     _bind_checked(sigma, s.name, ph, form.pos)
                     dead.add(ph.base)
-                    declared = make_ontology([Symbol(ph, s.kind)], [])
-                    avail = union_flat(avail, declared)
-                    result = union_flat(result, declared)
+                    elided.append((ph, s.kind))
+                avail = _declare(avail, elided, form.pos, None)
             elif isinstance(form, (LocalSymbolArg, NamedOntologyArg, AnonymousArg, _ExprArg)):
                 if isinstance(form, LocalSymbolArg):
-                    added = _fit_local(target.name, pspec, form, sigma, avail)
+                    avail = _fit_local(target.name, pspec, form, sigma, avail)
                 else:
                     added = _eval_arg_ontology(ctx, form, env, caller_scope)
                     _fit_ontology(pspec, form, added, env, sigma)
-                avail = union_flat(avail, added)
-                result = union_flat(result, added)
+                    avail = union_flat(avail, added)
                 _check_constraints(pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
             else:
                 raise UnsupportedArgument(
@@ -821,35 +808,32 @@ def _instantiate(
             raise
 
     body_scope = _RuntimeScope(target, sigma, found_scope)
-    out = _eval_expr(ctx, clause.body, result, body_scope)
+    out = _eval_expr(ctx, clause.body, avail, body_scope)
     if dead:
         out = _elide(out, lambda n: _contains_base(n, dead))
     ctx.running -= 1
     return out
 
 
-def _declare_items(
-    tmpl: ListTemplate,
-    items: tuple[NameTerm, ...],
+def _declare(
     avail: FlatOntology,
-    pos,
+    terms: Iterable[tuple[NameTerm, SymbolKind]],
+    pos: SourcePos | None,
+    clash: Callable[[NameTerm, SymbolKind], str] | None,
 ) -> FlatOntology:
-    if tmpl.kind is None and items:
-        return EMPTY_ONTOLOGY
+    """`avail` plus each term it does not have yet, declared with its kind.
+    A term it has with another kind is a KindMismatch with the text
+    `clash(term, kind found)`, unless the term is a placeholder: every
+    sentence that mentions one goes anyway. Without `clash` the terms are
+    fresh placeholders, declared without a lookup."""
     symbols = []
-    for item in items:
-        found = avail.kind_of(item)
-        if found is tmpl.kind or is_placeholder(item):
-            continue
+    for term, kind in terms:
+        found = avail.kind_of(term) if clash is not None else None
         if found is None:
-            symbols.append(Symbol(item, tmpl.kind))
-        else:
-            raise KindMismatch(
-                f"list item '{item.render()}' has kind {found.value}, expected "
-                f"{tmpl.kind.value}",
-                pos,
-            )
-    return make_ontology(symbols, [])
+            symbols.append(Symbol(term, kind))
+        elif found is not kind and not is_placeholder(term):
+            raise KindMismatch(clash(term, found), pos)
+    return union_flat(avail, make_ontology(symbols, [])) if symbols else avail
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +848,10 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     forms = list(inst.args)
     _check_arity(target, len(forms), None)
     _pad_args(target, forms, None)
+    forms = [  # an empty argument for a list parameter is the empty list
+        ListArg((), f.pos) if p.is_list and isinstance(f, EmptyOptArg) else f
+        for p, f in zip(target.clauses[0].params, forms)
+    ]
     return _instantiate(ctx, target, None, forms, inst.local_env, None)
 
 

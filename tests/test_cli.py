@@ -90,6 +90,14 @@ def test_check_parse_error_exits_one(tmp_path, capsys):
     assert f"{f}:" in err
 
 
+@pytest.mark.parametrize("command", [["check"], ["list"], ["expand", "--target", "A"]])
+def test_every_command_reports_a_library_error_alike(tmp_path, capsys, command):
+    f = tmp_path / "bad.gdp"
+    f.write_text("ontology A = { Class: C }\nontology A = { Class: D }\n", encoding="utf-8")
+    message = "duplicate definition of 'A' (only list-parameter patterns may have several template clauses)"
+    assert run(capsys, *command, str(f)) == (1, "", f"{f}:2:1: error: {message}\n")
+
+
 def test_check_duplicate_across_files(tmp_path, capsys):
     a = tmp_path / "a.gdp"
     b = tmp_path / "b.gdp"

@@ -43,6 +43,7 @@ from godp.diagnostics import (
     MissingArgument,
     NoCandidate,
     NoMatch,
+    UnknownReference,
     UnmetConstraint,
     UnsupportedArgument,
 )
@@ -141,6 +142,30 @@ def test_fit_of_a_symbol_the_parameter_does_not_introduce_is_not_in_the_result(c
     assert m.as_dict() == expected
     arg = AnonymousArg(make_ontology([sym("isAncestorOf", OP)], []), fits=fits)
     assert derive_fitting(fourth, arg, env).as_dict() == expected
+
+
+def test_derive_fitting_reads_and_fills_the_library_memo():
+    from godp import NamedOntologyArg
+
+    lib = load_corpus_library()
+    assert "ValSet_CrustStyle" not in lib.memo
+    second = lib.defs["TransitiveRelation"].clauses[0].params[1]
+    m = derive_fitting(second, NamedOntologyArg("ValSet_CrustStyle"), EMPTY_ONTOLOGY, lib=lib)
+    assert m.as_dict() == {sym("C", CLS): sym("CrustStyle", CLS)}
+    assert lib.memo["ValSet_CrustStyle"].ontology == expand_named(lib, "ValSet_CrustStyle")
+
+
+def test_a_named_ontology_argument_is_evaluated_as_a_reference(corpus_lib):
+    from godp import NamedOntologyArg
+
+    for ref, error, message in (
+        ("Nope", UnknownReference, "unknown ontology or pattern 'Nope'"),
+        ("ValSet", ArityMismatch, "'ValSet' is generic: 3 argument(s) required"),
+    ):
+        args = (NamedOntologyArg(ref), LocalSymbolArg(name("C")))
+        with pytest.raises(error) as exc:
+            expand(corpus_lib, Instantiation("TransitiveRelation", args))
+        assert exc.value.message == message
 
 
 def test_fit_anonymous_argument_applies_its_own_fit_map(corpus_lib):
@@ -435,6 +460,19 @@ def test_expand_empty_list_leaves_local_env_unchanged():
     assert out == env
 
 
+def test_an_empty_argument_for_a_list_parameter_is_the_empty_list(corpus_lib):
+    val = LocalSymbolArg(name("Sig"))
+    with pytest.raises(NoMatch) as empty_list:
+        expand(corpus_lib, Instantiation("ValSet", (val, ListArg(()), EmptyOptArg())))
+    with pytest.raises(NoMatch) as empty_arg:
+        expand(corpus_lib, Instantiation("ValSet", (val, EmptyOptArg(), EmptyOptArg())))
+    assert empty_arg.value.message == empty_list.value.message
+    plain = tuple(LocalSymbolArg(name(n)) for n in ("p", "S", "T", "Val"))
+    assert expand(corpus_lib, Instantiation("GradedRelsSub", (*plain, EmptyOptArg()))) == expand(
+        corpus_lib, Instantiation("GradedRelsSub", (*plain, ListArg(())))
+    )
+
+
 def test_expand_graded_rels_four_values(corpus_lib):
     out = expand_named(corpus_lib, "GradedRels_Significance")
     graded = sorted(
@@ -635,7 +673,7 @@ def test_local_zero_param_subpattern_as_argument_expands_in_context():
 
 def _engine_run(lib, target, depth, memo):
     """Outcome of expanding `target` on a context reading `memo`, with the
-    budget and cache keys it ends with."""
+    budget it ends with and the closed expansions it reached."""
     import godp.instantiate as engine
 
     ctx = engine._Ctx(lib, depth, memo=memo)
@@ -644,7 +682,7 @@ def _engine_run(lib, target, depth, memo):
         out = engine._closed_expansion(ctx, d, d.pos)
     except GodpError as e:
         return (type(e).__name__, e.message, e.pos)
-    return (out, ctx.budget, sorted(ctx.cache))
+    return (out, ctx.budget, sorted(ctx.reached))
 
 
 # closed lookups that meet again (imports too), and placeholders made at
@@ -731,6 +769,42 @@ def test_placeholder_after_a_memo_hit_keeps_its_name(monkeypatch):
         made.clear()
         assert expand_named(warm, "Top") == reference
         assert made == rerun
+
+
+# -- work that grows with list length ---------------------------------------------
+
+def test_instantiations_and_unions_grow_linearly_with_list_length(monkeypatch):
+    """Expanding ValSet, ValSetWithOrder and GradedRelsSub over n items, the
+    counts of instantiations and of unions grow at most 2.2x when n doubles.
+    Kind checks are left out: each level still checks the whole remaining
+    list again, n^2/2 in all, until list items are declared once."""
+    import godp.instantiate as engine
+
+    src = "".join(p.read_text(encoding="utf-8") for p in corpus_paths())
+    counts = {}
+    for n in (100, 200):
+        listed = ", ".join(f"v{i}" for i in range(n))
+        lib = lib_of(
+            src
+            + f"ontology A = ValSet[Val; {listed}; greater[Val]]\n"
+            + f"ontology B = ValSetWithOrder[Val; {listed}]\n"
+            + f"ontology C = GradedRelsSub[p; S; T; Val; {listed}]\n"
+        )
+        tally = counts[n] = {"instantiations": 0, "unions": 0}
+
+        def counting(key, fn):
+            def counted(*args):
+                tally[key] += 1
+                return fn(*args)
+            return counted
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_instantiate", counting("instantiations", engine._instantiate))
+            m.setattr(engine, "union_flat", counting("unions", engine.union_flat))
+            for target in "ABC":
+                expand_named(lib, target)
+    for key, small in counts[100].items():
+        assert counts[200][key] <= 2.2 * small, (key, small, counts[200][key])
 
 
 # -- placeholders are names no user can write ------------------------------------
