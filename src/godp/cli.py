@@ -15,9 +15,9 @@ default expansion depth; an explicit --depth wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import GodpError, render_diagnostics
@@ -26,17 +26,6 @@ from .emit import emit_manchester, emit_struct_dump, stratify
 from .instantiate import DEFAULT_DEPTH, expand_named
 from .parser import parse_library
 from .syntax import LibraryAst, PatternDefAst
-
-
-@dataclass
-class CliConfig:
-    command: str
-    inputs: list[Path]
-    target: str | None = None
-    stratify: bool = True
-    format: str = "manchester"
-    out: Path | None = None
-    depth: int = DEFAULT_DEPTH
 
 
 def _default_depth() -> int | None:
@@ -51,10 +40,10 @@ def _default_depth() -> int | None:
         return None
 
 
-def _read_library(cfg: CliConfig) -> Library:
+def _read_library(inputs: list[str]) -> Library:
     """Concatenate the input files into one library namespace, in order."""
     items: list[PatternDefAst] = []
-    for path in cfg.inputs:
+    for path in map(Path, inputs):
         try:
             # no newline translation, so positions match parse_library on the same text
             text = path.read_bytes().decode("utf-8")
@@ -66,12 +55,12 @@ def _read_library(cfg: CliConfig) -> Library:
     return build_library(LibraryAst(tuple(items)))
 
 
-def run_check(cfg: CliConfig) -> int:
-    lib = _read_library(cfg)
+def run_check(ns: argparse.Namespace) -> int:
+    lib = _read_library(ns.inputs)
     diags = []
     for name in sorted(lib.zero_param_names()):
         try:
-            expand_named(lib, name, depth=cfg.depth)
+            expand_named(lib, name, depth=ns.depth)
         except GodpError as e:
             diags.append(e.to_diagnostic())
     if diags:
@@ -83,29 +72,29 @@ def run_check(cfg: CliConfig) -> int:
     return 0
 
 
-def run_expand(cfg: CliConfig) -> int:
-    lib = _read_library(cfg)
-    target = lib.lookup(cfg.target)
+def run_expand(ns: argparse.Namespace) -> int:
+    lib = _read_library(ns.inputs)
+    target = lib.lookup(ns.target)
     if target is None:  # nothing in the input to point at
-        sys.stderr.write(f"godp: unknown ontology or pattern '{cfg.target}'\n")
+        sys.stderr.write(f"godp: unknown ontology or pattern '{ns.target}'\n")
         return 1
-    ont = expand_named(lib, cfg.target, depth=cfg.depth)
+    ont = expand_named(lib, ns.target, depth=ns.depth)
     try:
-        if cfg.stratify:
+        if not ns.no_stratify:
             ont = stratify(ont)
-        payload = emit_manchester(ont) if cfg.format == "manchester" else emit_struct_dump(ont)
+        payload = emit_manchester(ont) if ns.format == "manchester" else emit_struct_dump(ont)
     except GodpError as e:
         e.ensure_pos(target.pos)  # the emitters know no position
         raise
-    if cfg.out is not None:
-        cfg.out.write_text(payload, encoding="utf-8")
+    if ns.out:
+        Path(ns.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
     return 0
 
 
-def run_list(cfg: CliConfig) -> int:
-    lib = _read_library(cfg)
+def run_list(ns: argparse.Namespace) -> int:
+    lib = _read_library(ns.inputs)
     for name in sorted(lib.defs):
         d = lib.defs[name]
         shapes = ",".join(d.shape_words())
@@ -114,7 +103,8 @@ def run_list(cfg: CliConfig) -> int:
     return 0
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.cache  # one per process: building it costs ten times parsing with it
+def _argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="godp", description="Generic ontology design patterns")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -136,36 +126,24 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_argparser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _argparser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
-    depth = getattr(ns, "depth", None)
-    if depth is None:
-        depth = _default_depth()
-        if depth is None:
+    if getattr(ns, "depth", None) is None:
+        ns.depth = _default_depth()
+        if ns.depth is None:
             return 2
-    if depth < 1:
+    if ns.depth < 1:
         sys.stderr.write("godp: --depth must be at least 1\n")
         return 2
-
-    cfg = CliConfig(
-        command=ns.command,
-        inputs=[Path(p) for p in ns.inputs],
-        target=getattr(ns, "target", None),
-        stratify=not getattr(ns, "no_stratify", False),
-        format=getattr(ns, "format", "manchester"),
-        out=Path(ns.out) if getattr(ns, "out", None) else None,
-        depth=depth,
-    )
     try:
-        if cfg.command == "check":
-            return run_check(cfg)
-        if cfg.command == "expand":
-            return run_expand(cfg)
-        return run_list(cfg)
+        if ns.command == "check":
+            return run_check(ns)
+        if ns.command == "expand":
+            return run_expand(ns)
+        return run_list(ns)
     except OSError as e:
         sys.stderr.write(f"godp: {e}\n")
         return 2

@@ -109,45 +109,41 @@ def build_block(
     symbols: list[Symbol] = []
     axioms: list = []
     for f in frames:
-        try:
-            if isinstance(f, ClassFrame):
-                cls = resolve(f.name)
-                symbols.append(Symbol(cls, SymbolKind.CLASS))
-                if f.equivalent is not None:
-                    members = items(f.equivalent)
-                    if members:
-                        axioms.append(EquivalentToUnion(cls, members))
-            elif isinstance(f, ObjectPropertyFrame):
-                prop = resolve(f.name)
-                symbols.append(Symbol(prop, SymbolKind.OBJECT_PROPERTY))
-                for d in items(f.domains):
-                    axioms.append(Domain(prop, d))
-                for r in items(f.ranges):
-                    axioms.append(Range(prop, r))
-                for c in f.characteristics:
-                    axioms.append(Transitive(prop) if c == "Transitive" else Reflexive(prop))
-                for s in items(f.sub_property_of):
-                    axioms.append(SubPropertyOf(prop, s))
-                for inv in items(f.inverse_of):
-                    axioms.append(InverseOf(prop, inv))
-            elif isinstance(f, IndividualFrame):
-                ind = resolve(f.name)
-                symbols.append(Symbol(ind, SymbolKind.INDIVIDUAL))
-                for t in items(f.types):
-                    axioms.append(ClassAssertion(t, ind))
-                for other in items(f.different_from):
-                    pair = DifferentIndividuals((ind, other)).canonical()
-                    if len(pair.individuals) >= 2:
-                        axioms.append(pair)
-            elif isinstance(f, DifferentIndividualsFrame):
-                di = DifferentIndividuals(items(f.items)).canonical()
-                if len(di.individuals) >= 2:
-                    axioms.append(di)
-            else:
-                raise TypeError(f"not a frame: {f!r}")
-        except GodpError as e:
-            e.ensure_pos(f.pos)
-            raise
+        if isinstance(f, ClassFrame):
+            cls = resolve(f.name)
+            symbols.append(Symbol(cls, SymbolKind.CLASS))
+            if f.equivalent is not None:
+                members = items(f.equivalent)
+                if members:
+                    axioms.append(EquivalentToUnion(cls, members))
+        elif isinstance(f, ObjectPropertyFrame):
+            prop = resolve(f.name)
+            symbols.append(Symbol(prop, SymbolKind.OBJECT_PROPERTY))
+            for d in items(f.domains):
+                axioms.append(Domain(prop, d))
+            for r in items(f.ranges):
+                axioms.append(Range(prop, r))
+            for c in f.characteristics:
+                axioms.append(Transitive(prop) if c == "Transitive" else Reflexive(prop))
+            for s in items(f.sub_property_of):
+                axioms.append(SubPropertyOf(prop, s))
+            for inv in items(f.inverse_of):
+                axioms.append(InverseOf(prop, inv))
+        elif isinstance(f, IndividualFrame):
+            ind = resolve(f.name)
+            symbols.append(Symbol(ind, SymbolKind.INDIVIDUAL))
+            for t in items(f.types):
+                axioms.append(ClassAssertion(t, ind))
+            for other in items(f.different_from):
+                pair = DifferentIndividuals((ind, other)).canonical()
+                if len(pair.individuals) >= 2:
+                    axioms.append(pair)
+        elif isinstance(f, DifferentIndividualsFrame):
+            di = DifferentIndividuals(items(f.items)).canonical()
+            if len(di.individuals) >= 2:
+                axioms.append(di)
+        else:
+            raise TypeError(f"not a frame: {f!r}")
     try:
         return make_ontology(symbols, axioms)
     except GodpError as e:

@@ -11,7 +11,11 @@ the public helpers `derive_fitting`, `check_compatibility`,
 `check_constraints`, `match_template` and `elide_optional` are entry points
 into it, and the engine itself works on the public argument forms
 (`NamedOntologyArg` ... `ListArg`), which carry the argument's source
-position when they come from `.gdp` text.
+position when they come from `.gdp` text. One check, `_check_arg`, fits a
+form to its parameter for every entry point (a call in `.gdp` text, `expand`
+and `derive_fitting`), with the same messages: a list parameter gets a
+`ListArg`, and a plain one gets no `ListArg`, and an `EmptyOptArg` only if it
+is optional. The engine takes the checked forms as they are.
 
 An elided optional symbol becomes a placeholder, a name whose base starts with
 `?` as no identifier in `.gdp` text can, so `is_placeholder` reads the name
@@ -266,67 +270,47 @@ def _normalize_ast_arg(
     lib: Library,
     scope: _RuntimeScope,
 ) -> ArgumentForm | _ExprArg:
+    """`a` as an argument form, for `_check_arg` to fit to `pspec`. A list
+    parameter reads it in its own way: it takes no fits, a name there is a
+    symbol even if a pattern has it, its tail must be a list in scope, and
+    anything but a name is left for `_check_arg` to reject."""
     v, b = a.value, scope.bindings
-    if pspec.is_list:
-        if a.fits:
-            raise UnsupportedArgument("fit maps are not allowed on list arguments", a.pos)
-        if isinstance(v, (MissingArg, EmptyArg)):
-            return ListArg((), a.pos)
-        if isinstance(v, ListArgAst):
-            items = list(resolve_items(b.apply, b.items_of, v.items))
-            if v.tail is not None:
-                rest = b.items_of(v.tail)
-                if rest is None:
-                    raise UnknownReference(
-                        f"'{v.tail.render()}' is not a list in scope (expected a "
-                        f"list-parameter tail)",
-                        a.pos,
-                    )
-                items.extend(rest)
-            return ListArg(tuple(items), a.pos)
-        if isinstance(v, NameTerm):
-            return ListArg(resolve_items(b.apply, b.items_of, [v]), a.pos)
-        if isinstance(v, (RefExpr, InstExpr)):
-            t = expr_to_name_term(v)
-            if t is not None and (not isinstance(v, InstExpr) or scope.resolve(lib, v.name) is None):
-                return ListArg(resolve_items(b.apply, b.items_of, [t]), a.pos)
-        raise UnsupportedArgument(
-            "a list argument must be a comma or '::' list of names", a.pos
-        )
-
-    # plain parameter
+    if a.fits and pspec.is_list:
+        raise UnsupportedArgument(_LIST_FITS, a.pos)
     if isinstance(v, (MissingArg, EmptyArg)):
         if a.fits:
-            raise UnsupportedArgument(
-                "fit maps are meaningless on an empty argument", a.pos
-            )
+            raise UnsupportedArgument("fit maps are meaningless on an empty argument", a.pos)
         return EmptyOptArg(a.pos)
     if isinstance(v, ListArgAst):
-        raise UnsupportedArgument("list argument given for a non-list parameter", a.pos)
-    if isinstance(v, NameTerm):
-        return LocalSymbolArg(b.apply(v), _subst_fits(a.fits, b), a.pos)
+        rest = b.items_of(v.tail) if v.tail is not None else ()
+        if rest is None and pspec.is_list:  # at a plain position the list is the error
+            raise UnknownReference(
+                f"'{v.tail.render()}' is not a list in scope (expected a "
+                f"list-parameter tail)",
+                a.pos,
+            )
+        return ListArg(resolve_items(b.apply, b.items_of, v.items) + (rest or ()), a.pos)
+    fits = _subst_fits(a.fits, b)
     if isinstance(v, RefExpr):
-        hit = scope.resolve(lib, v.name)
-        if hit is not None:
-            target, _ = hit
-            if target.arity != 0:
-                raise ArityMismatch(
-                    f"'{v.name}' is generic and needs arguments to be used as an argument",
-                    a.pos,
-                )
-            return NamedOntologyArg(v.name, _subst_fits(a.fits, b), a.pos)
-        return LocalSymbolArg(b.apply(NameTerm(v.name)), _subst_fits(a.fits, b), a.pos)
-    if isinstance(v, InstExpr):
-        hit = scope.resolve(lib, v.name)
-        if hit is not None:
-            return _ExprArg(v, _subst_fits(a.fits, b), a.pos)
+        items = b.items_of(NameTerm(v.name))
+        if items is not None:  # a template tail, at every position
+            return ListArg(items, a.pos)
+        hit = None if pspec.is_list else scope.resolve(lib, v.name)
+        if hit is None:
+            return LocalSymbolArg(b.apply(NameTerm(v.name)), fits, a.pos)
+        if hit[0].arity != 0:
+            raise ArityMismatch(
+                f"'{v.name}' is generic and needs arguments to be used as an argument",
+                a.pos,
+            )
+        return NamedOntologyArg(v.name, fits, a.pos)
+    if isinstance(v, InstExpr) and scope.resolve(lib, v.name) is None:
         t = expr_to_name_term(v)
         if t is not None:
-            return LocalSymbolArg(b.apply(t), _subst_fits(a.fits, b), a.pos)
-        raise UnknownReference(f"unknown ontology or pattern '{v.name}'", a.pos)
-    if isinstance(v, (ThenExpr, BlockExpr)):
-        return _ExprArg(v, _subst_fits(a.fits, b), a.pos)
-    raise UnsupportedArgument(f"unsupported argument form {type(v).__name__}", a.pos)
+            return LocalSymbolArg(b.apply(t), fits, a.pos)
+        if not pspec.is_list:  # at a list position it is no name, as `_check_arg` says
+            raise UnknownReference(f"unknown ontology or pattern '{v.name}'", a.pos)
+    return _ExprArg(v, fits, a.pos)
 
 
 def _subst_fits(
@@ -335,6 +319,64 @@ def _subst_fits(
     # sources name the callee's parameter symbols and stay as written;
     # targets live in the caller's context and get substituted
     return tuple((src, b.apply(dst)) for src, dst in fits)
+
+
+_LIST_FITS = "fit maps are not allowed on list arguments"
+
+
+def _check_arg(
+    pspec: ParamSpec, form: ArgumentForm | _ExprArg, owner: str | None
+) -> ArgumentForm | _ExprArg:
+    """`form` fitted to `pspec` as `.gdp` text is: a list parameter takes a
+    list, an empty argument as the empty list and a bare name without fits as
+    a one-item list; a plain parameter takes any other form, and an empty one
+    only if it is optional."""
+    if pspec.is_list:
+        if isinstance(form, ListArg):
+            return form
+        if isinstance(form, EmptyOptArg):
+            return ListArg((), form.pos)
+        if form.fits:
+            raise UnsupportedArgument(_LIST_FITS, form.pos)
+        if isinstance(form, LocalSymbolArg):
+            return ListArg((form.term,), form.pos)
+        if isinstance(form, NamedOntologyArg):
+            return ListArg((NameTerm(form.name),), form.pos)
+        raise UnsupportedArgument(
+            "a list argument must be a comma or '::' list of names", form.pos
+        )
+    if isinstance(form, ListArg):
+        raise UnsupportedArgument("list argument given for a non-list parameter", form.pos)
+    if isinstance(form, EmptyOptArg) and not pspec.optional:
+        raise MissingArgument(
+            f"missing argument for non-optional parameter {pspec.index + 1}{_of(owner)}",
+            form.pos,
+        )
+    return form
+
+
+def _check_args(
+    target: PatternDef,
+    args: Sequence,
+    pos: SourcePos | None,
+    convert: Callable[[object, ParamSpec], ArgumentForm | _ExprArg] = lambda a, p: a,
+) -> list[ArgumentForm | _ExprArg]:
+    """The arguments of a call of `target`, each made a form by `convert`
+    and checked by `_check_arg` in turn; left-out trailing ones are empty,
+    which no list parameter takes."""
+    params = target.clauses[0].params
+    if len(args) > len(params):
+        raise ArityMismatch(
+            f"'{target.name}' takes {target.arity} argument(s), got {len(args)}", pos
+        )
+    forms = [_check_arg(p, convert(a, p), target.name) for p, a in zip(params, args)]
+    for p in params[len(args):]:
+        if p.is_list:
+            raise ArityMismatch(
+                f"missing argument for list parameter {p.index + 1} of '{target.name}'", pos
+            )
+        forms.append(_check_arg(p, EmptyOptArg(pos), target.name))
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +390,7 @@ def _of(owner: str | None) -> str:
 
 def _clause_matches(clause: Clause, forms: Sequence[ArgumentForm | _ExprArg]) -> bool:
     for p, f in zip(clause.params, forms):
-        if p.is_list and not (isinstance(f, ListArg) and p.shape.matches(len(f.items))):
+        if p.is_list and not p.shape.matches(len(f.items)):
             return False
     return True
 
@@ -374,7 +416,8 @@ def match_template(
     clauses: Sequence[Clause], arg: ListArg
 ) -> tuple[Clause, Bindings]:
     """First clause (source order) whose list template matches the argument's
-    length structure, with head/tail bindings; raises NoMatch otherwise."""
+    length structure, with head/tail bindings; raises NoMatch otherwise. The
+    argument is checked as `expand` checks it."""
     if any(sum(p.is_list for p in c.params) != 1 for c in clauses):
         raise UnsupportedArgument(
             "match_template expects clauses with exactly one list parameter"
@@ -382,10 +425,12 @@ def match_template(
     # the clauses of one pattern share their parameter shapes; the clause
     # test reads only the list position
     params = clauses[0].params if clauses else ()
-    forms = [arg if p.is_list else EmptyOptArg() for p in params]
+    forms = [_check_arg(p, arg, None) if p.is_list else EmptyOptArg() for p in params]
     clause = _select_clause(clauses, forms, None, None)
     b = Bindings()
-    _bind_template(next(p.shape for p in clause.params if p.is_list), arg.items, b)
+    for p, f in zip(clause.params, forms):
+        if p.is_list:
+            _bind_template(p.shape, f.items, b)
     return clause, b
 
 
@@ -450,16 +495,12 @@ def derive_fitting(
     symbol to its term, which must not clash with its kind in `env`. Fits of
     other symbols are checked against each other but are not part of the
     result. Resolving a NamedOntologyArg needs `lib`, whose memo it reads
-    and fills.
+    and fills. `arg` is checked against `param` as `expand` checks it.
     """
     if param.is_list:
         raise UnsupportedArgument("derive_fitting applies to plain parameters")
-    if isinstance(arg, EmptyOptArg):
-        if not param.optional:
-            raise MissingArgument("missing argument for a non-optional parameter")
+    if isinstance(_check_arg(param, arg, None), EmptyOptArg):
         return FittingMorphism.of({})
-    if not isinstance(arg, (LocalSymbolArg, NamedOntologyArg, AnonymousArg)):
-        raise UnsupportedArgument(f"unsupported argument form {type(arg).__name__}")
     if isinstance(arg, NamedOntologyArg) and lib is None:
         raise UnsupportedArgument("resolving a named ontology argument needs the library")
     arg = replace(arg, fits=arg.fits + tuple(explicit))
@@ -710,38 +751,11 @@ def _normalize_call(
     scope: _RuntimeScope,
     pos: SourcePos | None,
 ) -> list[ArgumentForm | _ExprArg]:
-    params = target.clauses[0].params
-    if len(args) == 1 and not params and isinstance(args[0].value, MissingArg):
-        args = []  # G[] on a 0-parameter pattern
-    _check_arity(target, len(args), pos)
-    forms = [_normalize_ast_arg(a, p, ctx.lib, scope) for a, p in zip(args, params)]
-    _pad_args(target, forms, pos)
-    return forms
-
-
-def _check_arity(target: PatternDef, given: int, pos: SourcePos | None) -> None:
-    if given > target.arity:
-        raise ArityMismatch(
-            f"'{target.name}' takes {target.arity} argument(s), got {given}", pos
-        )
-
-
-def _pad_args(target: PatternDef, forms: list, pos: SourcePos | None) -> None:
-    """Fill in left-out trailing arguments, which only optional plain
-    parameters allow, with empty ones."""
-    params = target.clauses[0].params
-    for i in range(len(forms), len(params)):
-        if params[i].is_list:
-            raise ArityMismatch(
-                f"missing argument for list parameter {i + 1} of '{target.name}'", pos
-            )
-        if not params[i].optional:
-            raise MissingArgument(
-                f"missing argument for non-optional parameter {i + 1} of "
-                f"'{target.name}'",
-                pos,
-            )
-        forms.append(EmptyOptArg(pos))
+    if len(args) == 1 and not target.arity and isinstance(args[0].value, MissingArg):
+        args = ()  # G[] on a 0-parameter pattern
+    return _check_args(
+        target, args, pos, lambda a, p: _normalize_ast_arg(a, p, ctx.lib, scope)
+    )
 
 
 def _instantiate(
@@ -776,12 +790,6 @@ def _instantiate(
                 )
                 _bind_template(tmpl, form.items, sigma)
             elif isinstance(form, EmptyOptArg):
-                if not pspec.optional:
-                    raise MissingArgument(
-                        f"missing argument for non-optional parameter {pspec.index + 1} "
-                        f"of '{target.name}'",
-                        form.pos,
-                    )
                 elided = []
                 for s in pspec.shape.new_symbols:
                     ph = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
@@ -789,7 +797,7 @@ def _instantiate(
                     dead.add(ph.base)
                     elided.append((ph, s.kind))
                 avail = _declare(avail, elided, form.pos, None)
-            elif isinstance(form, (LocalSymbolArg, NamedOntologyArg, AnonymousArg, _ExprArg)):
+            else:
                 if isinstance(form, LocalSymbolArg):
                     avail = _fit_local(target.name, pspec, form, sigma, avail)
                 else:
@@ -797,14 +805,8 @@ def _instantiate(
                     _fit_ontology(pspec, form, added, env, sigma)
                     avail = union_flat(avail, added)
                 _check_constraints(pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
-            else:
-                raise UnsupportedArgument(
-                    f"argument form {type(form).__name__} does not fit parameter "
-                    f"{pspec.index + 1} of '{target.name}'",
-                    getattr(form, "pos", pos),
-                )
         except GodpError as e:
-            e.ensure_pos(getattr(form, "pos", None) or pos)
+            e.ensure_pos(form.pos or pos)
             raise
 
     body_scope = _RuntimeScope(target, sigma, found_scope)
@@ -841,17 +843,11 @@ def _declare(
 # ---------------------------------------------------------------------------
 
 def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> FlatOntology:
-    """Expand one instantiation against its local environment; arguments left
-    out at the end are handled as in `.gdp` text."""
+    """Expand one instantiation against its local environment; its arguments,
+    and those left out at the end, are checked as in `.gdp` text."""
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
-    forms = list(inst.args)
-    _check_arity(target, len(forms), None)
-    _pad_args(target, forms, None)
-    forms = [  # an empty argument for a list parameter is the empty list
-        ListArg((), f.pos) if p.is_list and isinstance(f, EmptyOptArg) else f
-        for p, f in zip(target.clauses[0].params, forms)
-    ]
+    forms = _check_args(target, inst.args, None)
     return _instantiate(ctx, target, None, forms, inst.local_env, None)
 
 

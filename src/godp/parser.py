@@ -504,8 +504,6 @@ def expr_to_name_term(e: ExprAst) -> NameTerm | None:
                 if v.tail is not None:
                     return None
                 args.extend(v.items)
-            elif isinstance(v, NameTerm):
-                args.append(v)
             elif isinstance(v, (RefExpr, InstExpr)):
                 t = expr_to_name_term(v)
                 if t is None:

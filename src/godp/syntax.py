@@ -92,7 +92,7 @@ class ListArgAst:
     tail: NameTerm | None = None
 
 
-ArgValue = Union[MissingArg, EmptyArg, ListArgAst, NameTerm, "ExprAst"]
+ArgValue = Union[MissingArg, EmptyArg, ListArgAst, "ExprAst"]
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,6 @@ def pp_arg(a: ArgAst) -> str:
             body = " :: ".join([pp_name(i) for i in v.items] + [pp_name(v.tail)])
         else:
             body = ", ".join(pp_name(i) for i in v.items)
-    elif isinstance(v, NameTerm):
-        body = pp_name(v)
     else:
         body = pp_expr(v)
     if a.fits:

@@ -279,6 +279,23 @@ def test_usage_error_exits_two(capsys):
     assert main(["frobnicate", "x"]) == 2
 
 
+def test_repeated_main_calls_give_identical_bytes(capsys):
+    calls = [
+        ["expand", "--target", "ValSet_Significance", "--format", "dump", "--no-stratify",
+         *corpus_args()],
+        ["expand", "--target", "ValSet_Significance", *corpus_args()],
+        ["check", "--depth", "20", str(ERRORS / "depth_exceeded.gdp")],
+        ["list", *corpus_args()],
+        ["expand", "--format", "xml", *corpus_args()],  # a usage error
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 1, 0, 2]
+    assert "usage: godp expand" in first[-1][2]
+    # the usage error now runs first, and each call runs after different ones
+    again = [run(capsys, *argv) for argv in reversed(calls)]
+    assert again[::-1] == first
+
+
 # -- deep nesting -------------------------------------------------------------------
 
 def _deep_wrap(tmp_path, depth):

@@ -17,6 +17,7 @@ from godp.core import Domain, Range, Symbol, SymbolKind, Transitive, make_ontolo
 from godp.diagnostics import (
     DuplicateDefinition,
     IllegalCycle,
+    KindClash,
     UnknownReference,
     UnsupportedArgument,
 )
@@ -169,6 +170,61 @@ def test_clause_shape_disagreement():
     )
     with pytest.raises(DuplicateDefinition):
         lib_of(src)
+
+
+_PLAIN_G = "ontology G [Class: C] = { Class: C }\n"
+_LIST_G = "ontology G [Class: C; Individual: x :: xs] = { Class: C }\n"
+
+
+@pytest.mark.parametrize("clauses, message", [
+    (_PLAIN_G + "ontology G [Class: C] given B = { Class: C }\n", "disagree on given imports"),
+    (_PLAIN_G + "ontology G [? Class: C] = { Class: C }\n",
+     "disagree on optionality of parameter 1"),
+    (_PLAIN_G + "ontology G [Class: C :: Cs] = { Class: C }\n",
+     "disagree on the shape of parameter 1"),
+    (_PLAIN_G + "ontology G [Class: D] = { Class: D }\n", "disagree on plain parameter 1"),
+    (_LIST_G + "ontology G [Class: C; Class: y :: ys] = { Class: C }\n",
+     "disagree on the kind of list parameter 2"),
+])
+def test_clause_compatibility_messages(clauses, message):
+    # the second clause, on line 3, is the one reported
+    with pytest.raises(DuplicateDefinition) as exc:
+        lib_of("ontology B = { Class: Z }\n" + clauses)
+    assert exc.value.message == f"clauses of 'G' {message}"
+    assert (exc.value.pos.line, exc.value.pos.col) == (3, 1)
+
+
+@pytest.mark.parametrize("source, position", [
+    # a clash inside one block points at its first frame, not at the brace
+    ("ontology A =\n  { Class: X\n    ObjectProperty: X }\n", (2, 5)),
+    # a clash inside parameter frames points at the parameter's first frame
+    ("ontology P [Class: X  ObjectProperty: X] = { }\n", (1, 13)),
+])
+def test_kind_clash_in_frames_points_at_the_first_frame(source, position):
+    with pytest.raises(KindClash) as exc:
+        lib = lib_of(source)
+        expand_named(lib, "A")
+    assert exc.value.message == "kind clash for 'X': Class vs ObjectProperty"
+    assert (exc.value.pos.line, exc.value.pos.col) == position
+
+
+def test_individual_different_from_a_list_tail():
+    lib = lib_of(
+        "ontology Q [Individual: x :: xs] = { Individual: x DifferentFrom: xs }\n"
+        "ontology U = Q[a, b, c]\n"
+    )
+    assert emit_struct_dump(expand_named(lib, "U")) == (
+        "AX DifferentIndividuals a b\n"
+        "AX DifferentIndividuals a c\n"
+        "SYM Individual a\n"
+        "SYM Individual b\n"
+        "SYM Individual c\n"
+    )
+
+
+def test_an_empty_argument_list_on_a_zero_parameter_definition_is_a_reference():
+    lib = lib_of("ontology Agents = { Class: Person }\nontology U = Agents[]\n")
+    assert emit_struct_dump(expand_named(lib, "U")) == "SYM Class Person\n"
 
 
 def test_unknown_reference_in_body():

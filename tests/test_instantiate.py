@@ -267,6 +267,115 @@ def test_expand_missing_arguments_fail_as_in_the_language(corpus_lib):
         assert api.value.message == language.value.message
 
 
+# a call `Use = ...` on line 6: the call is at 6:16 and its first argument at 6:18
+ARGUMENT_CHECKS = """\
+ontology P [Class: C] = { Class: C }
+ontology G [Class: C; Class: D] = { Class: C }
+ontology L [Individual: x :: xs] = { Individual: x }
+ontology L [empty] = { }
+ontology M [Class: C; Individual: x :: xs] = { Class: C }
+"""
+
+
+@pytest.mark.parametrize("call, error, message, col", [
+    ("L[a, b fit x |-> y]", UnsupportedArgument, "fit maps are not allowed on list arguments", 18),
+    ("L[empty fit x |-> y]", UnsupportedArgument, "fit maps are not allowed on list arguments", 18),
+    ("L[a :: zs]", UnknownReference,
+     "'zs' is not a list in scope (expected a list-parameter tail)", 18),
+    ("L[{ Individual: a }]", UnsupportedArgument,
+     "a list argument must be a comma or '::' list of names", 18),
+    ("L[Foo[empty]]", UnsupportedArgument,
+     "a list argument must be a comma or '::' list of names", 18),
+    ("P[empty fit C |-> D]", UnsupportedArgument,
+     "fit maps are meaningless on an empty argument", 18),
+    ("P[a, b]", UnsupportedArgument, "list argument given for a non-list parameter", 18),
+    ("P[a :: zs]", UnsupportedArgument, "list argument given for a non-list parameter", 18),
+    ("P[G]", ArityMismatch, "'G' is generic and needs arguments to be used as an argument", 18),
+    ("P[a; b]", ArityMismatch, "'P' takes 1 argument(s), got 2", 16),
+    ("G[empty; b]", MissingArgument, "missing argument for non-optional parameter 1 of 'G'", 18),
+    ("M[a]", ArityMismatch, "missing argument for list parameter 2 of 'M'", 16),
+    ("P[Foo[empty]]", UnknownReference, "unknown ontology or pattern 'Foo'", 18),
+])
+def test_argument_diagnostics_of_gdp_text(call, error, message, col):
+    lib = lib_of(ARGUMENT_CHECKS + f"ontology Use = {call}\n")
+    with pytest.raises(error) as exc:
+        expand_named(lib, "Use")
+    assert exc.value.message == message
+    assert (exc.value.pos.line, exc.value.pos.col) == (6, col)
+
+
+def test_a_list_variable_passed_to_a_plain_parameter_is_an_error(tmp_path, capsys):
+    f = tmp_path / "w.gdp"
+    f.write_text(
+        "ontology W [Individual: x :: xs] = TransitiveRelation[xs; Sig]\n"
+        "ontology U = W[a, b]\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(CORPUS / "patterns.gdp"), str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"{f}:1:55: error: list argument given for a non-list parameter\n")
+
+
+@pytest.mark.parametrize("depth", [1, DEFAULT_DEPTH])
+def test_an_explicit_empty_argument_is_reported_before_the_call_runs(depth):
+    # before any tick is charged and before the first argument is fitted,
+    # as for a left-out argument
+    lib = lib_of(
+        "ontology G [Class: C; Class: D] = { Class: C }\n"
+        "ontology U = { ObjectProperty: a } then G[a; empty]\n"
+    )
+    with pytest.raises(MissingArgument) as exc:
+        expand_named(lib, "U", depth=depth)
+    assert exc.value.message == "missing argument for non-optional parameter 2 of 'G'"
+    assert (exc.value.pos.line, exc.value.pos.col) == (2, 46)
+
+
+def test_expand_checks_its_arguments_as_gdp_text_does(corpus_lib):
+    from godp import NamedOntologyArg
+
+    src = "".join(p.read_text(encoding="utf-8") for p in corpus_paths())
+    written = lib_of(src + "ontology ByName = ValSet[Sig; v]\nontology ByRef = ValSet[Sig; Agents]\n")
+    sig = LocalSymbolArg(name("Sig"))
+
+    def valset(*args):
+        return expand(corpus_lib, Instantiation("ValSet", args))
+
+    by_name = valset(sig, LocalSymbolArg(name("v")), EmptyOptArg())
+    assert by_name == expand_named(written, "ByName")
+    assert by_name.signature == {sym("Sig", CLS), sym("v", IND)}
+    by_ref = valset(sig, NamedOntologyArg("Agents"), EmptyOptArg())
+    assert by_ref == expand_named(written, "ByRef")
+    assert by_ref.signature == {sym("Sig", CLS), sym("Agents", IND)}
+
+    block = AnonymousArg(make_ontology([sym("v", IND)], []))
+    fitted = LocalSymbolArg(name("v"), fits=((name("x"), name("v")),))
+    items = ListArg((name("v"),))
+    for args, message in (
+        ((sig, block, EmptyOptArg()), "a list argument must be a comma or '::' list of names"),
+        ((sig, fitted, EmptyOptArg()), "fit maps are not allowed on list arguments"),
+        ((items, items, EmptyOptArg()), "list argument given for a non-list parameter"),
+    ):
+        with pytest.raises(UnsupportedArgument) as exc:
+            valset(*args)
+        assert exc.value.message == message
+
+
+def test_derive_fitting_checks_its_argument_as_expand_does(corpus_lib):
+    first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
+    for arg, error, message in (
+        (ListArg((name("r"),)), UnsupportedArgument, "list argument given for a non-list parameter"),
+        (EmptyOptArg(), MissingArgument, "missing argument for non-optional parameter 1"),
+    ):
+        with pytest.raises(error) as fitting:
+            derive_fitting(first, arg, EMPTY_ONTOLOGY)
+        with pytest.raises(error) as expansion:
+            expand(corpus_lib, Instantiation("TransitiveRelation", (arg, LocalSymbolArg(name("C")))))
+        assert fitting.value.message == message
+        assert expansion.value.message == message + (
+            " of 'TransitiveRelation'" if error is MissingArgument else ""
+        )
+
+
 def test_argument_position_takes_no_part_in_equality():
     from godp.diagnostics import SourcePos
 
@@ -409,6 +518,17 @@ def test_match_template_no_match(corpus_lib):
     clauses = corpus_lib.defs["ValSet"].clauses
     with pytest.raises(NoMatch):
         match_template(clauses, ListArg(()))
+
+
+def test_match_template_checks_its_argument_as_expand_does(corpus_lib):
+    clauses = corpus_lib.defs["GradedRels"].clauses
+    assert match_template(clauses, LocalSymbolArg(name("g0"))) == match_template(
+        clauses, ListArg((name("g0"),))
+    )
+    assert match_template(clauses, EmptyOptArg()) == match_template(clauses, ListArg(()))
+    with pytest.raises(UnsupportedArgument) as exc:
+        match_template(clauses, AnonymousArg(EMPTY_ONTOLOGY))
+    assert exc.value.message == "a list argument must be a comma or '::' list of names"
 
 
 # -- substitute_name ----------------------------------------------------------------

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godp import parse_frames, parse_library, pretty_print, render_diagnostics
+from godp import (
+    build_library,
+    emit_struct_dump,
+    expand_named,
+    parse_frames,
+    parse_library,
+    pretty_print,
+    render_diagnostics,
+)
 from godp.core import NameTerm, SymbolKind, name
 from godp.diagnostics import Diagnostic, LexError, ParseError, SourcePos
 from godp.elaborate import build_block
@@ -115,6 +123,25 @@ def test_parse_then_chain_and_instantiation():
     assert isinstance(inst.args[1].value, BlockExpr)
     assert inst.args[2].value == ListArgAst((name("a"), name("b")), None)
     assert inst.args[3].value == ListArgAst((name("x"),), name("xs"))
+
+
+def test_cons_list_arguments_ending_in_empty_or_a_comma_list():
+    src = (
+        "ontology All [Individual: x :: xs] = { DifferentIndividuals: x, xs }\n"
+        "ontology One = All[a :: empty]\n"
+        "ontology Three = All[a :: b, c]\n"
+    )
+    one, three = (d.body.args[0].value for d in parse_library(src).items[1:])
+    assert one == ListArgAst((name("a"),), None)
+    assert three == ListArgAst((name("a"), name("b"), name("c")), None)
+    lib = build_library(parse_library(src))
+    assert emit_struct_dump(expand_named(lib, "One")) == "SYM Individual a\n"
+    assert emit_struct_dump(expand_named(lib, "Three")) == (
+        "AX DifferentIndividuals a b c\n"
+        "SYM Individual a\n"
+        "SYM Individual b\n"
+        "SYM Individual c\n"
+    )
 
 
 def test_parse_fit_maps_and_missing_args():
