@@ -1,5 +1,9 @@
 """Semantic model: kinded symbols, the axiom fragment, flat ontologies, morphisms.
 
+Each axiom class states the kind of each of its fields once (`Axiom.KINDS`);
+`Axiom` derives from that the references, renaming, canonical form and dump
+fields of all of them.
+
 All values are immutable; operations are pure functions, so everything here is
 safe to share across threads. Flat ontologies keep their axiom sets canonical
 (see canonicalize_axiom) and signature-closed: every symbol occurring in an
@@ -12,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from itertools import repeat
+from operator import attrgetter
+from typing import Callable, ClassVar, Collection, Iterable, Iterator, Mapping
 
 from .diagnostics import KindClash, UnmappedSymbol
 
@@ -82,148 +88,109 @@ RenameFn = Callable[[NameTerm], NameTerm]
 # Axioms
 # ---------------------------------------------------------------------------
 
+def _sorted_set(ns: Iterable[NameTerm]) -> tuple[NameTerm, ...]:
+    return tuple(sorted(set(ns), key=NameTerm.key))
+
+
 @dataclass(frozen=True)
 class Axiom:
-    """Base class; subclasses define refs() positions with their kinds."""
+    """Base class. A subclass declares its fields, in dump order, and states
+    their symbol kinds once: `KINDS` holds one kind per field, and `NARY`
+    says that the last field is a set of names, kept sorted and distinct."""
+
+    KINDS: ClassVar[tuple[SymbolKind, ...]] = ()
+    NARY: ClassVar[bool] = False
+
+    def __init_subclass__(cls) -> None:
+        # `_values(a)`: the fields (a subclass's own annotations) in order, in
+        # one C-level call; reading `__dict__` would give every axiom a dict
+        get = attrgetter(*cls.__annotations__)
+        cls._values = staticmethod(get if len(cls.__annotations__) > 1 else lambda a: (get(a),))
 
     def refs(self) -> tuple[tuple[NameTerm, SymbolKind], ...]:
-        raise NotImplementedError
+        values = self._values(self)
+        if not self.NARY:
+            return tuple(zip(values, self.KINDS))
+        *fixed, rest = values
+        return tuple(zip(fixed, self.KINDS)) + tuple(zip(rest, repeat(self.KINDS[-1])))
 
     def rename(self, fn: RenameFn) -> "Axiom":
-        raise NotImplementedError
+        """The axiom with `fn` applied to every name; canonical."""
+        values = self._values(self)
+        if not self.NARY:  # a list: starring a map would build a tuple the gc counts
+            return type(self)(*[fn(v) for v in values])
+        *fixed, rest = values
+        return type(self)(*map(fn, fixed), _sorted_set(map(fn, rest)))
 
     def canonical(self) -> "Axiom":
-        return self
+        return self.rename(lambda n: n) if self.NARY else self
 
     def dump_fields(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def mentions(self, names: frozenset[NameTerm]) -> bool:
-        return any(n in names for n, _ in self.refs())
+        values = self._values(self)
+        if self.NARY:
+            *fixed, rest = values
+            values = (*fixed, *rest)
+        return (type(self).__name__, *map(NameTerm.render, values))
 
     def sort_key(self):
-        return tuple(self.dump_fields())
+        return self.dump_fields()
+
+
+_OP, _CLASS, _IND = SymbolKind.OBJECT_PROPERTY, SymbolKind.CLASS, SymbolKind.INDIVIDUAL
 
 
 @dataclass(frozen=True)
 class Reflexive(Axiom):
     prop: NameTerm
-
-    def refs(self):
-        return ((self.prop, SymbolKind.OBJECT_PROPERTY),)
-
-    def rename(self, fn):
-        return Reflexive(fn(self.prop))
-
-    def dump_fields(self):
-        return ("Reflexive", self.prop.render())
+    KINDS = (_OP,)
 
 
 @dataclass(frozen=True)
 class Transitive(Axiom):
     prop: NameTerm
-
-    def refs(self):
-        return ((self.prop, SymbolKind.OBJECT_PROPERTY),)
-
-    def rename(self, fn):
-        return Transitive(fn(self.prop))
-
-    def dump_fields(self):
-        return ("Transitive", self.prop.render())
+    KINDS = (_OP,)
 
 
 @dataclass(frozen=True)
 class InverseOf(Axiom):
     prop: NameTerm
     inverse: NameTerm
-
-    def refs(self):
-        return ((self.prop, SymbolKind.OBJECT_PROPERTY), (self.inverse, SymbolKind.OBJECT_PROPERTY))
-
-    def rename(self, fn):
-        return InverseOf(fn(self.prop), fn(self.inverse))
-
-    def dump_fields(self):
-        return ("InverseOf", self.prop.render(), self.inverse.render())
+    KINDS = (_OP, _OP)
 
 
 @dataclass(frozen=True)
 class Domain(Axiom):
     prop: NameTerm
     cls: NameTerm
-
-    def refs(self):
-        return ((self.prop, SymbolKind.OBJECT_PROPERTY), (self.cls, SymbolKind.CLASS))
-
-    def rename(self, fn):
-        return Domain(fn(self.prop), fn(self.cls))
-
-    def dump_fields(self):
-        return ("Domain", self.prop.render(), self.cls.render())
+    KINDS = (_OP, _CLASS)
 
 
 @dataclass(frozen=True)
 class Range(Axiom):
     prop: NameTerm
     cls: NameTerm
-
-    def refs(self):
-        return ((self.prop, SymbolKind.OBJECT_PROPERTY), (self.cls, SymbolKind.CLASS))
-
-    def rename(self, fn):
-        return Range(fn(self.prop), fn(self.cls))
-
-    def dump_fields(self):
-        return ("Range", self.prop.render(), self.cls.render())
+    KINDS = (_OP, _CLASS)
 
 
 @dataclass(frozen=True)
 class SubPropertyOf(Axiom):
     sub: NameTerm
     sup: NameTerm
-
-    def refs(self):
-        return ((self.sub, SymbolKind.OBJECT_PROPERTY), (self.sup, SymbolKind.OBJECT_PROPERTY))
-
-    def rename(self, fn):
-        return SubPropertyOf(fn(self.sub), fn(self.sup))
-
-    def dump_fields(self):
-        return ("SubPropertyOf", self.sub.render(), self.sup.render())
+    KINDS = (_OP, _OP)
 
 
 @dataclass(frozen=True)
 class ClassAssertion(Axiom):
     cls: NameTerm
     individual: NameTerm
-
-    def refs(self):
-        return ((self.cls, SymbolKind.CLASS), (self.individual, SymbolKind.INDIVIDUAL))
-
-    def rename(self, fn):
-        return ClassAssertion(fn(self.cls), fn(self.individual))
-
-    def dump_fields(self):
-        return ("ClassAssertion", self.cls.render(), self.individual.render())
+    KINDS = (_CLASS, _IND)
 
 
 @dataclass(frozen=True)
 class DifferentIndividuals(Axiom):
     individuals: tuple[NameTerm, ...]
-
-    def refs(self):
-        return tuple((i, SymbolKind.INDIVIDUAL) for i in self.individuals)
-
-    def rename(self, fn):
-        return DifferentIndividuals(tuple(fn(i) for i in self.individuals)).canonical()
-
-    def canonical(self):
-        ordered = tuple(sorted(set(self.individuals), key=NameTerm.key))
-        return DifferentIndividuals(ordered)
-
-    def dump_fields(self):
-        return ("DifferentIndividuals",) + tuple(i.render() for i in self.individuals)
+    KINDS = (_IND,)
+    NARY = True
 
 
 @dataclass(frozen=True)
@@ -232,19 +199,8 @@ class EquivalentToUnion(Axiom):
 
     cls: NameTerm
     members: tuple[NameTerm, ...]
-
-    def refs(self):
-        return ((self.cls, SymbolKind.CLASS),) + tuple((i, SymbolKind.INDIVIDUAL) for i in self.members)
-
-    def rename(self, fn):
-        return EquivalentToUnion(fn(self.cls), tuple(fn(i) for i in self.members)).canonical()
-
-    def canonical(self):
-        ordered = tuple(sorted(set(self.members), key=NameTerm.key))
-        return EquivalentToUnion(self.cls, ordered)
-
-    def dump_fields(self):
-        return ("EquivalentToUnion", self.cls.render()) + tuple(i.render() for i in self.members)
+    KINDS = (_CLASS, _IND)
+    NARY = True
 
 
 def canonicalize_axiom(a: Axiom) -> Axiom:
@@ -269,9 +225,6 @@ class FlatOntology:
 
     def sorted_signature(self) -> list[Symbol]:
         return sorted(self.signature, key=Symbol.key)
-
-    def sorted_axioms(self) -> list[Axiom]:
-        return sorted(self.axioms, key=Axiom.sort_key)
 
     def kind_of(self, n: NameTerm) -> SymbolKind | None:
         return self.kinds.get(n)
@@ -323,10 +276,16 @@ def union_flat(a: FlatOntology, b: FlatOntology) -> FlatOntology:
     return FlatOntology(large.signature | small.signature, large.axioms | small.axioms, kinds)
 
 
+def _elide(o: FlatOntology, dead: Callable[[NameTerm], bool]) -> FlatOntology:
+    """`o` without its dead symbols and every axiom that mentions one."""
+    sig = frozenset(s for s in o.signature if not dead(s.name))
+    axs = frozenset(a for a in o.axioms if not any(dead(n) for n, _ in a.refs()))
+    return FlatOntology(sig, axs)
+
+
 def axioms_mentioning(o: FlatOntology, dead: Iterable[Symbol]) -> frozenset[Axiom]:
     """Exactly the axioms referencing at least one symbol in `dead`."""
-    dead_names = frozenset(s.name for s in dead)
-    return frozenset(a for a in o.axioms if a.mentions(dead_names))
+    return o.axioms - _elide(o, frozenset(s.name for s in dead).__contains__).axioms
 
 
 def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:

@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 
 from .core import (
     EMPTY_ONTOLOGY,
+    Axiom,
     ClassAssertion,
     DifferentIndividuals,
     Domain,
@@ -150,6 +151,52 @@ def build_block(
         first = next(iter(frames), None)
         e.ensure_pos(first.pos if first is not None else None)
         raise
+
+
+# The inverse of build_block: axiom type -> the frame field it is read from,
+# the axiom field naming the frame's symbol and the one holding the value
+# (None: the type's name, a characteristic).
+_FRAME_FIELD = {
+    Domain: ("domains", "prop", "cls"),
+    Range: ("ranges", "prop", "cls"),
+    Transitive: ("characteristics", "prop", None),
+    Reflexive: ("characteristics", "prop", None),
+    SubPropertyOf: ("sub_property_of", "sub", "sup"),
+    InverseOf: ("inverse_of", "prop", "inverse"),
+    ClassAssertion: ("types", "individual", "cls"),
+}
+
+
+def frames_of(o: FlatOntology) -> list[Frame]:
+    """Frames that `build_block` reads back as `o`: one per symbol in
+    `Symbol.key` order, each field's names sorted and distinct, but one per
+    EquivalentTo union for a class; then one per DifferentIndividuals axiom."""
+    fields: dict[NameTerm, dict[str, set]] = {}
+    unions: dict[NameTerm, list[Axiom]] = {}
+    different: list[Axiom] = []
+    for a in o.axioms:
+        entry = _FRAME_FIELD.get(type(a))
+        if entry is not None:
+            attr, subject, value = entry
+            values = fields.setdefault(getattr(a, subject), {}).setdefault(attr, set())
+            values.add(type(a).__name__ if value is None else getattr(a, value))
+        elif isinstance(a, EquivalentToUnion):
+            unions.setdefault(a.cls, []).append(a)
+        else:
+            different.append(a)
+    frames: list[Frame] = []
+    for s in o.sorted_signature():
+        if s.kind is SymbolKind.CLASS:
+            equivalents = [u.members for u in sorted(unions.get(s.name, ()), key=Axiom.sort_key)]
+            frames.extend(ClassFrame(s.name, eq) for eq in equivalents or [None])
+            continue
+        frame = ObjectPropertyFrame if s.kind is SymbolKind.OBJECT_PROPERTY else IndividualFrame
+        frames.append(frame(s.name, **{
+            attr: tuple(sorted(values, key=None if attr == "characteristics" else NameTerm.key))
+            for attr, values in fields.get(s.name, {}).items()
+        }))
+    frames.extend(DifferentIndividualsFrame(a.individuals) for a in sorted(different, key=Axiom.sort_key))
+    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -5,33 +5,22 @@ identifiers (`greater[Significance]` -> `greater_Significance`), inner terms
 first, and prefixes digit-initial plain names with `_` so the result is a
 legal identifier. Collisions are hard errors, never silently renamed.
 
-Manchester emission is deterministic: frames sorted by (kind, name), property
-fields in a fixed order, so output is byte-stable and reparses to a
-structurally equal ontology. The structural dump is a line-oriented canonical
-form for golden tests.
+Manchester emission prints the frames of `elaborate.frames_of`, laid out by
+`syntax.frame_fields` with one field per line: frames sorted by (kind, name),
+fields in a fixed order, names sorted. Output is byte-stable, and
+`build_block` reads it back as the ontology it came from; a class with
+several EquivalentTo unions is written as one `Class:` frame per union. The
+structural dump is a line-oriented canonical form for golden tests.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import (
-    ClassAssertion,
-    DifferentIndividuals,
-    Domain,
-    EquivalentToUnion,
-    FlatOntology,
-    InverseOf,
-    NameTerm,
-    Range,
-    Reflexive,
-    SubPropertyOf,
-    Symbol,
-    SymbolKind,
-    Transitive,
-    rename_ontology,
-)
+from .core import FlatOntology, NameTerm, rename_ontology
 from .diagnostics import StratificationClash, UnstratifiedName
+from .elaborate import frames_of
+from .syntax import frame_fields
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -87,65 +76,10 @@ def _require_flat(o: FlatOntology) -> None:
 
 
 def emit_manchester(o: FlatOntology) -> str:
-    """Serialize to Manchester-style frames; requires stratified (flat) names."""
+    """Serialize to Manchester-style frames, those of `frames_of`, one field
+    per line; requires stratified (flat) names."""
     _require_flat(o)
-    by_symbol: dict[Symbol, dict] = {}
-    standalone: list[DifferentIndividuals] = []
-    for s in o.signature:
-        by_symbol[s] = {
-            "equivalent": [], "domains": [], "ranges": [], "characteristics": [],
-            "subs": [], "inverses": [], "types": [],
-        }
-    for a in o.sorted_axioms():
-        if isinstance(a, Domain):
-            by_symbol[Symbol(a.prop, SymbolKind.OBJECT_PROPERTY)]["domains"].append(a.cls)
-        elif isinstance(a, Range):
-            by_symbol[Symbol(a.prop, SymbolKind.OBJECT_PROPERTY)]["ranges"].append(a.cls)
-        elif isinstance(a, Transitive):
-            by_symbol[Symbol(a.prop, SymbolKind.OBJECT_PROPERTY)]["characteristics"].append("Transitive")
-        elif isinstance(a, Reflexive):
-            by_symbol[Symbol(a.prop, SymbolKind.OBJECT_PROPERTY)]["characteristics"].append("Reflexive")
-        elif isinstance(a, SubPropertyOf):
-            by_symbol[Symbol(a.sub, SymbolKind.OBJECT_PROPERTY)]["subs"].append(a.sup)
-        elif isinstance(a, InverseOf):
-            by_symbol[Symbol(a.prop, SymbolKind.OBJECT_PROPERTY)]["inverses"].append(a.inverse)
-        elif isinstance(a, ClassAssertion):
-            by_symbol[Symbol(a.individual, SymbolKind.INDIVIDUAL)]["types"].append(a.cls)
-        elif isinstance(a, EquivalentToUnion):
-            by_symbol[Symbol(a.cls, SymbolKind.CLASS)]["equivalent"].append(a)
-        elif isinstance(a, DifferentIndividuals):
-            standalone.append(a)
-
-    def names(ns) -> str:
-        return ", ".join(n.render() for n in sorted(set(ns), key=NameTerm.key))
-
-    blocks: list[str] = []
-    for s in sorted(o.signature, key=Symbol.key):
-        fields = by_symbol[s]
-        if s.kind is SymbolKind.CLASS:
-            lines = [f"Class: {s.name.render()}"]
-            for eq in fields["equivalent"]:
-                lines.append(f"    EquivalentTo: {{{names(eq.members)}}}")
-        elif s.kind is SymbolKind.OBJECT_PROPERTY:
-            lines = [f"ObjectProperty: {s.name.render()}"]
-            if fields["domains"]:
-                lines.append(f"    Domain: {names(fields['domains'])}")
-            if fields["ranges"]:
-                lines.append(f"    Range: {names(fields['ranges'])}")
-            if fields["characteristics"]:
-                chars = ", ".join(sorted(set(fields["characteristics"])))
-                lines.append(f"    Characteristics: {chars}")
-            if fields["subs"]:
-                lines.append(f"    SubPropertyOf: {names(fields['subs'])}")
-            if fields["inverses"]:
-                lines.append(f"    InverseOf: {names(fields['inverses'])}")
-        else:
-            lines = [f"Individual: {s.name.render()}"]
-            if fields["types"]:
-                lines.append(f"    Types: {names(fields['types'])}")
-        blocks.append("\n".join(lines))
-    for a in sorted(standalone, key=DifferentIndividuals.sort_key):
-        blocks.append("DifferentIndividuals: " + ", ".join(n.render() for n in a.individuals))
+    blocks = ["\n    ".join(frame_fields(f)) for f in frames_of(o)]
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 

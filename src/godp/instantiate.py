@@ -47,6 +47,7 @@ from .core import (
     NameTerm,
     Symbol,
     SymbolKind,
+    _elide,
     make_ontology,
     union_flat,
 )
@@ -469,7 +470,7 @@ def _check_constraints(
     pos: SourcePos | None,
 ) -> None:
     for ax in sorted(axioms, key=Axiom.sort_key):
-        translated = ax.rename(rename).canonical()
+        translated = ax.rename(rename)
         if any(is_placeholder(n) for n, _ in translated.refs()):
             continue  # the elided branch contributes nothing to check
         if translated not in available.axioms:
@@ -636,12 +637,6 @@ def _fit_ontology(
 def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
     """Remove the dead symbols and every axiom mentioning one of them."""
     return _elide(body, frozenset(s.name for s in dead).__contains__)
-
-
-def _elide(body: FlatOntology, dead: Callable[[NameTerm], bool]) -> FlatOntology:
-    sig = frozenset(s for s in body.signature if not dead(s.name))
-    axs = frozenset(a for a in body.axioms if not any(dead(n) for n, _ in a.refs()))
-    return FlatOntology(sig, axs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """AST for the pattern language, plus a pretty printer for round-trip tests.
 
 Positions are carried on every node but excluded from equality, so structural
-comparison of reparsed output works directly with `==`.
+comparison of reparsed output works directly with `==`. `frame_fields` lays
+out one frame for both printers: `pp_frame` joins its fields on one line,
+the Manchester emitter puts each on a line of its own.
 """
 
 from __future__ import annotations
@@ -178,35 +180,34 @@ def _pp_names(names: tuple[NameTerm, ...]) -> str:
     return ", ".join(pp_name(n) for n in names)
 
 
-def pp_frame(f: Frame) -> str:
+def frame_fields(f: Frame) -> list[str]:
+    """A frame's header, then each of its non-empty fields with one comma list."""
+    if isinstance(f, DifferentIndividualsFrame):
+        return ["DifferentIndividuals: " + _pp_names(f.items)]
     if isinstance(f, ClassFrame):
-        out = f"Class: {pp_name(f.name)}"
+        out = [f"Class: {pp_name(f.name)}"]
         if f.equivalent is not None:
-            out += f" EquivalentTo: {{{_pp_names(f.equivalent)}}}"
+            out.append(f"EquivalentTo: {{{_pp_names(f.equivalent)}}}")
         return out
     if isinstance(f, ObjectPropertyFrame):
-        parts = [f"ObjectProperty: {pp_name(f.name)}"]
-        for d in f.domains:
-            parts.append(f"Domain: {pp_name(d)}")
-        for r in f.ranges:
-            parts.append(f"Range: {pp_name(r)}")
-        if f.characteristics:
-            parts.append("Characteristics: " + ", ".join(f.characteristics))
-        for s in f.sub_property_of:
-            parts.append(f"SubPropertyOf: {pp_name(s)}")
-        for i in f.inverse_of:
-            parts.append(f"InverseOf: {pp_name(i)}")
-        return " ".join(parts)
-    if isinstance(f, IndividualFrame):
-        parts = [f"Individual: {pp_name(f.name)}"]
-        if f.types:
-            parts.append("Types: " + _pp_names(f.types))
-        if f.different_from:
-            parts.append("DifferentFrom: " + _pp_names(f.different_from))
-        return " ".join(parts)
-    if isinstance(f, DifferentIndividualsFrame):
-        return "DifferentIndividuals: " + _pp_names(f.items)
-    raise TypeError(f"not a frame: {f!r}")
+        head = "ObjectProperty"
+        fields = [
+            ("Domain", _pp_names(f.domains)),
+            ("Range", _pp_names(f.ranges)),
+            ("Characteristics", ", ".join(f.characteristics)),
+            ("SubPropertyOf", _pp_names(f.sub_property_of)),
+            ("InverseOf", _pp_names(f.inverse_of)),
+        ]
+    elif isinstance(f, IndividualFrame):
+        head = "Individual"
+        fields = [("Types", _pp_names(f.types)), ("DifferentFrom", _pp_names(f.different_from))]
+    else:
+        raise TypeError(f"not a frame: {f!r}")
+    return [f"{head}: {pp_name(f.name)}"] + [f"{word}: {names}" for word, names in fields if names]
+
+
+def pp_frame(f: Frame) -> str:
+    return " ".join(frame_fields(f))
 
 
 def pp_frames(frames: tuple[Frame, ...]) -> str:

@@ -190,10 +190,79 @@ def test_canonicalize_sorts_different_individuals():
 
 
 def test_canonicalize_is_identity_on_directional_axioms():
-    a = Transitive(name("p"))
-    assert canonicalize_axiom(a) == a
-    s = SubPropertyOf(name("a"), name("b"))
-    assert canonicalize_axiom(s) == s
+    for a in (
+        Reflexive(name("p")),
+        Transitive(name("p")),
+        InverseOf(name("q"), name("p")),
+        Domain(name("p"), name("C")),
+        Range(name("p"), name("C")),
+        SubPropertyOf(name("b"), name("a")),
+        ClassAssertion(name("C"), name("i")),
+    ):
+        assert canonicalize_axiom(a) is a
+
+
+# -- the axiom model: operand kinds, renaming and dump fields -------------------
+
+def _upper(n):
+    return name(n.base.upper(), *n.args)
+
+
+P, Q, C, I, J, K = (name(n) for n in ("p", "q", "C", "i", "j", "k"))
+
+# axiom, its refs(), its dump_fields(), and its rename with _upper
+_AXIOM_MODEL = [
+    (Reflexive(P), ((P, OP),), ("Reflexive", "p"), Reflexive(name("P"))),
+    (Transitive(P), ((P, OP),), ("Transitive", "p"), Transitive(name("P"))),
+    (InverseOf(P, Q), ((P, OP), (Q, OP)), ("InverseOf", "p", "q"), InverseOf(name("P"), name("Q"))),
+    (Domain(P, C), ((P, OP), (C, CLS)), ("Domain", "p", "C"), Domain(name("P"), C)),
+    (Range(P, C), ((P, OP), (C, CLS)), ("Range", "p", "C"), Range(name("P"), C)),
+    (SubPropertyOf(Q, P), ((Q, OP), (P, OP)), ("SubPropertyOf", "q", "p"), SubPropertyOf(name("Q"), name("P"))),
+    (ClassAssertion(C, I), ((C, CLS), (I, IND)), ("ClassAssertion", "C", "i"), ClassAssertion(C, name("I"))),
+    (DifferentIndividuals((I, J, K)), ((I, IND), (J, IND), (K, IND)), ("DifferentIndividuals", "i", "j", "k"),
+     DifferentIndividuals((name("I"), name("J"), name("K")))),
+    (EquivalentToUnion(C, (I, J)), ((C, CLS), (I, IND), (J, IND)), ("EquivalentToUnion", "C", "i", "j"),
+     EquivalentToUnion(C, (name("I"), name("J")))),
+]
+
+
+@pytest.mark.parametrize("axiom, refs, fields, renamed", _AXIOM_MODEL)
+def test_axiom_refs_dump_fields_and_rename(axiom, refs, fields, renamed):
+    assert axiom.refs() == refs
+    assert axiom.dump_fields() == fields
+    assert axiom.sort_key() == fields
+    out = axiom.rename(_upper)
+    assert type(out) is type(axiom)
+    assert out == renamed
+    assert repr(out) == repr(renamed)
+
+
+def test_nary_rename_that_merges_members_sorts_them_and_drops_the_repeat():
+    merge = {name("z"): name("a"), name("m"): name("a")}
+
+    def fn(n):
+        return merge.get(n, n)
+
+    di = DifferentIndividuals((name("b"), name("m"), name("z")))
+    assert di.rename(fn) == DifferentIndividuals((name("a"), name("b")))
+    eq = EquivalentToUnion(name("z"), (name("z"), name("c"), name("m")))
+    assert eq.rename(fn) == EquivalentToUnion(name("a"), (name("a"), name("c")))
+
+
+_SAME_FIELDS_OTHER_TYPE = [
+    (Domain(P, C), Range(P, C)),
+    (Transitive(P), Reflexive(P)),
+    (SubPropertyOf(P, Q), InverseOf(P, Q)),
+]
+
+
+@pytest.mark.parametrize("a, b", _SAME_FIELDS_OTHER_TYPE)
+def test_axiom_equality_and_hash_see_the_type(a, b):
+    assert a != b
+    assert len(frozenset({a, b})) == 2
+    assert a in frozenset({a}) and b not in frozenset({a})
+    twin = type(a)(*(n for n, _ in a.refs()))
+    assert twin == a and hash(twin) == hash(a)
 
 
 # -- hypothesis properties -------------------------------------------------------
@@ -210,8 +279,8 @@ _axioms = st.one_of(
     st.builds(SubPropertyOf, _props, _props),
     st.builds(InverseOf, _props, _props),
     st.builds(ClassAssertion, _classes, _inds),
-    st.builds(DifferentIndividuals, st.lists(_inds, min_size=2, max_size=3).map(tuple)),
-    st.builds(EquivalentToUnion, _classes, st.lists(_inds, min_size=1, max_size=3).map(tuple)),
+    st.builds(DifferentIndividuals, st.lists(_inds, min_size=2, max_size=4).map(tuple)),
+    st.builds(EquivalentToUnion, _classes, st.lists(_inds, min_size=1, max_size=4).map(tuple)),
 )
 
 _ontologies = st.lists(_axioms, max_size=6).map(lambda axs: make_ontology([], axs))
@@ -221,6 +290,8 @@ _ontologies = st.lists(_axioms, max_size=6).map(lambda axs: make_ontology([], ax
 @given(_axioms)
 def test_canonicalize_idempotent(a):
     assert canonicalize_axiom(canonicalize_axiom(a)) == canonicalize_axiom(a)
+    assert a.canonical().canonical() == a.canonical()
+    assert a.rename(lambda n: n) == a.canonical()
 
 
 @settings(max_examples=60)

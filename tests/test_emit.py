@@ -19,11 +19,12 @@ from godp.core import (
     make_ontology,
     name,
 )
+from godp.cli import main
 from godp.diagnostics import StratificationClash, UnstratifiedName
 from godp.elaborate import build_block
 from godp.emit import IDENTIFIER_RE, flatten_name
 
-from conftest import GOLDEN
+from conftest import GOLDEN, lib_of
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -128,6 +129,29 @@ def test_emit_parse_emit_fixpoint_on_corpus(corpus_lib):
         reparsed = build_block(parse_frames(text))
         assert emit_manchester(reparsed) == text
         assert (reparsed.signature, reparsed.axioms) == (o.signature, o.axioms)
+
+
+def test_several_equivalent_to_unions_are_one_class_frame_each(tmp_path, capsys):
+    f = tmp_path / "unions.gdp"
+    f.write_text(
+        "ontology A = { Class: C EquivalentTo: {a} } then { Class: C EquivalentTo: {b} }\n",
+        encoding="utf-8",
+    )
+    assert main(["expand", "--target", "A", str(f)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == (
+        "Class: C\n"
+        "    EquivalentTo: {a}\n"
+        "\n"
+        "Class: C\n"
+        "    EquivalentTo: {b}\n"
+        "\n"
+        "Individual: a\n"
+        "\n"
+        "Individual: b\n"
+    )
+    assert build_block(parse_frames(out.out)) == expand_named(lib_of(f.read_text(encoding="utf-8")), "A")
 
 
 # -- emit_struct_dump --------------------------------------------------------------

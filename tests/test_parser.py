@@ -205,6 +205,17 @@ def test_pretty_print_round_trip_corpus():
         assert again == ast, f"round trip failed for {f}"
 
 
+def test_pretty_print_writes_one_comma_list_per_field():
+    src = (
+        "ontology A = { ObjectProperty: p Domain: a Domain: b Range: c "
+        "SubPropertyOf: q SubPropertyOf: r InverseOf: s InverseOf: t }\n"
+    )
+    ast = parse_library(src)
+    text = pretty_print(ast)
+    assert "ObjectProperty: p Domain: a, b Range: c SubPropertyOf: q, r InverseOf: s, t" in text
+    assert parse_library(text) == ast
+
+
 # -- the lexer against a character-by-character reference -----------------------
 
 _REF_SINGLES = {

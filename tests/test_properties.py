@@ -2,7 +2,8 @@
 
 The parser must be total (parse or raise a positioned library error, never
 anything else, even on input nested far past its bound); pretty-printed ASTs
-must reparse to themselves; CLI output must be byte-identical across processes
+must reparse to themselves; emitted Manchester text must read back as the
+ontology it came from; CLI output must be byte-identical across processes
 regardless of hash randomization; expansion must be safe to run from several
 threads at once and leave the library as it was; a flat ontology's kind index must agree with a linear scan of
 its signature.
@@ -21,7 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import godp
-from godp import elide_optional, expand_named, parse_library, pretty_print
+from godp import (
+    elide_optional,
+    emit_manchester,
+    expand_named,
+    parse_frames,
+    parse_library,
+    pretty_print,
+    stratify,
+)
 from godp.core import (
     FlatOntology,
     NameTerm,
@@ -32,7 +41,8 @@ from godp.core import (
     rename_ontology,
     union_flat,
 )
-from godp.diagnostics import GodpError, KindClash
+from godp.diagnostics import GodpError, KindClash, StratificationClash
+from godp.elaborate import build_block
 from godp.parser import FIELD_KEYWORDS, KEYWORDS, KIND_KEYWORDS, MAX_NESTING
 from godp.syntax import (
     ArgAst,
@@ -158,6 +168,19 @@ _libraries = st.builds(lambda ds: LibraryAst(tuple(ds)), st.lists(_defs, max_siz
 @given(_libraries)
 def test_pretty_print_reparses_to_same_ast(ast):
     assert parse_library(pretty_print(ast), "<gen>") == ast
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_frames, max_size=5))
+def test_emitted_manchester_reads_back_as_the_same_ontology(frames):
+    try:
+        o = stratify(build_block(frames))
+    except (KindClash, StratificationClash):
+        return  # frames that build no flat ontology have nothing to emit
+    text = emit_manchester(o)
+    back = build_block(parse_frames(text, "<emitted>") if text else ())
+    assert back == o
+    assert emit_manchester(back) == text
 
 
 @settings(max_examples=80, deadline=None)
