@@ -19,13 +19,12 @@ from .core import (
     Transitive,
     apply_morphism,
     axioms_mentioning,
-    canonicalize_axiom,
     make_ontology,
     name,
     union_flat,
 )
 from .diagnostics import Diagnostic, GodpError, SourcePos, render_diagnostics
-from .elaborate import Library, PatternDef, build_library, param_environments, resolve_local_subpatterns
+from .elaborate import Library, PatternDef, build_library, param_environments
 from .emit import emit_manchester, emit_struct_dump, stratify
 from .instantiate import (
     AnonymousArg,
@@ -51,11 +50,9 @@ __all__ = [
     "Axiom", "ClassAssertion", "DifferentIndividuals", "Domain", "EquivalentToUnion",
     "FittingMorphism", "FlatOntology", "EMPTY_ONTOLOGY", "InverseOf", "NameTerm",
     "Range", "Reflexive", "SubPropertyOf", "Symbol", "SymbolKind", "Transitive",
-    "apply_morphism", "axioms_mentioning", "canonicalize_axiom", "make_ontology",
-    "name", "union_flat",
+    "apply_morphism", "axioms_mentioning", "make_ontology", "name", "union_flat",
     "Diagnostic", "GodpError", "SourcePos", "render_diagnostics",
     "Library", "PatternDef", "build_library", "param_environments",
-    "resolve_local_subpatterns",
     "emit_manchester", "emit_struct_dump", "stratify",
     "AnonymousArg", "Bindings", "EmptyOptArg", "Instantiation", "ListArg",
     "LocalSymbolArg", "NamedOntologyArg", "check_compatibility", "check_constraints",

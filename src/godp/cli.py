@@ -74,7 +74,7 @@ def run_check(ns: argparse.Namespace) -> int:
 
 def run_expand(ns: argparse.Namespace) -> int:
     lib = _read_library(ns.inputs)
-    target = lib.lookup(ns.target)
+    target = lib.defs.get(ns.target)
     if target is None:  # nothing in the input to point at
         sys.stderr.write(f"godp: unknown ontology or pattern '{ns.target}'\n")
         return 1

@@ -2,11 +2,12 @@
 
 Each axiom class states the kind of each of its fields once (`Axiom.KINDS`);
 `Axiom` derives from that the references, renaming, canonical form and dump
-fields of all of them.
+fields of all of them. `make_ontology` is the one place that drops vacuous
+axioms: an n-ary one with fewer members than its `NARY`.
 
 All values are immutable; operations are pure functions, so everything here is
 safe to share across threads. Flat ontologies keep their axiom sets canonical
-(see canonicalize_axiom) and signature-closed: every symbol occurring in an
+(see `Axiom.canonical`) and signature-closed: every symbol occurring in an
 axiom is also in the signature. Each flat ontology also carries a name -> kind
 index of its signature; it is built once, when the ontology is constructed,
 and never mutated afterwards, so it too is safe to share across threads.
@@ -95,11 +96,12 @@ def _sorted_set(ns: Iterable[NameTerm]) -> tuple[NameTerm, ...]:
 @dataclass(frozen=True)
 class Axiom:
     """Base class. A subclass declares its fields, in dump order, and states
-    their symbol kinds once: `KINDS` holds one kind per field, and `NARY`
-    says that the last field is a set of names, kept sorted and distinct."""
+    their symbol kinds once: `KINDS` holds one kind per field. A nonzero
+    `NARY` says that the last field is a set of names, kept sorted and
+    distinct, and is the fewest members that set needs to say anything."""
 
     KINDS: ClassVar[tuple[SymbolKind, ...]] = ()
-    NARY: ClassVar[bool] = False
+    NARY: ClassVar[int] = 0
 
     def __init_subclass__(cls) -> None:
         # `_values(a)`: the fields (a subclass's own annotations) in order, in
@@ -190,7 +192,7 @@ class ClassAssertion(Axiom):
 class DifferentIndividuals(Axiom):
     individuals: tuple[NameTerm, ...]
     KINDS = (_IND,)
-    NARY = True
+    NARY = 2
 
 
 @dataclass(frozen=True)
@@ -200,12 +202,7 @@ class EquivalentToUnion(Axiom):
     cls: NameTerm
     members: tuple[NameTerm, ...]
     KINDS = (_CLASS, _IND)
-    NARY = True
-
-
-def canonicalize_axiom(a: Axiom) -> Axiom:
-    """Sort order-insensitive operand sets; idempotent."""
-    return a.canonical()
+    NARY = 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +251,12 @@ EMPTY_ONTOLOGY = FlatOntology(frozenset(), frozenset())
 
 
 def make_ontology(symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> FlatOntology:
-    """Canonicalize axioms, close the signature over axiom references, check kinds."""
+    """Canonicalize axioms, drop the vacuous ones, close the signature over
+    axiom references, check kinds."""
     sig = set(symbols)
-    axs = frozenset(a.canonical() for a in axioms)
+    axs = frozenset(
+        a for a in map(Axiom.canonical, axioms) if not a.NARY or len(a._values(a)[-1]) >= a.NARY
+    )
     for a in axs:
         for n, k in a.refs():
             sig.add(Symbol(n, k))

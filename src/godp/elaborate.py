@@ -1,29 +1,32 @@
 """Build a resolved pattern library from the AST.
 
-Resolves references (locals shadow library names inside their defining
-pattern), merges same-name definitions into ordered template clauses, computes
-sequential parameter environments along the inclusion chain, and enforces the
-recursion guard: a self or mutual call is only legal when it strictly shrinks
-some list parameter. One walk over the clause bodies does both the reference
-check and the call graph for the guard.
+Merges same-name definitions into ordered template clauses, resolves the
+names in every clause body once, computes sequential parameter environments
+along the inclusion chain, and enforces the recursion guard: a self or mutual
+call is only legal when it strictly shrinks some list parameter.
 
-Clauses are frozen. Each is made first without the deltas of its plain
-parameters, which the checks above do not need, then once more with them and
-its environments. Environments are computed definition by definition in the
-order of the call graph's components, callees first, so each import is
-expanded (by `instantiate.expand_named`, with a fresh default depth budget)
-only after everything it reaches has its environments. Once `build_library`
-returns, nothing in the Library changes but its memo of expansions.
+A name in a body means the first of: a parameter symbol or list variable of
+the clause or of an enclosing definition (of any of its clauses, since locals
+merge across them); a local sub-pattern of the definition or of an enclosing
+one; a library definition. A resolved body is made of `Call`s, symbols
+(`NameTerm`s), `ListVar`s and `BlockExpr`s, a `then` chain being a tuple of
+them.
+
+Clauses are frozen: made with the AST body, then with the resolved one, then
+with the new symbols of the plain parameters and the environments. These are
+computed in the order of the call graph's components, callees first, so each
+import is expanded (by `instantiate.expand_named`, with a fresh default depth
+budget) only after everything it reaches has its environments. Once
+`build_library` returns, nothing in the Library changes but its memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .core import (
-    EMPTY_ONTOLOGY,
     Axiom,
     ClassAssertion,
     DifferentIndividuals,
@@ -45,11 +48,14 @@ from .diagnostics import (
     DuplicateDefinition,
     GodpError,
     IllegalCycle,
+    SourcePos,
     UnknownReference,
     UnsupportedArgument,
 )
+from .parser import expr_to_name_term
 from .syntax import (
     ArgAst,
+    BlockExpr,
     ClassFrame,
     DifferentIndividualsFrame,
     EmptyParam,
@@ -60,7 +66,6 @@ from .syntax import (
     InstExpr,
     LibraryAst,
     ListArgAst,
-    ListHeaderParam,
     ObjectPropertyFrame,
     PatternDefAst,
     RefExpr,
@@ -102,9 +107,7 @@ def build_block(
     """Build a flat ontology from frames, applying a name substitution.
 
     `splice` expands a name bound to a list (a template tail) into its items;
-    it applies in every comma-list position. DifferentIndividuals axioms with
-    fewer than two distinct members and empty individual enumerations are
-    vacuous and dropped.
+    it applies in every comma-list position.
     """
     items = partial(resolve_items, resolve, splice)
     symbols: list[Symbol] = []
@@ -114,9 +117,7 @@ def build_block(
             cls = resolve(f.name)
             symbols.append(Symbol(cls, SymbolKind.CLASS))
             if f.equivalent is not None:
-                members = items(f.equivalent)
-                if members:
-                    axioms.append(EquivalentToUnion(cls, members))
+                axioms.append(EquivalentToUnion(cls, items(f.equivalent)))
         elif isinstance(f, ObjectPropertyFrame):
             prop = resolve(f.name)
             symbols.append(Symbol(prop, SymbolKind.OBJECT_PROPERTY))
@@ -136,13 +137,9 @@ def build_block(
             for t in items(f.types):
                 axioms.append(ClassAssertion(t, ind))
             for other in items(f.different_from):
-                pair = DifferentIndividuals((ind, other)).canonical()
-                if len(pair.individuals) >= 2:
-                    axioms.append(pair)
+                axioms.append(DifferentIndividuals((ind, other)))
         elif isinstance(f, DifferentIndividualsFrame):
-            di = DifferentIndividuals(items(f.items)).canonical()
-            if len(di.individuals) >= 2:
-                axioms.append(di)
+            axioms.append(DifferentIndividuals(items(f.items)))
         else:
             raise TypeError(f"not a frame: {f!r}")
     try:
@@ -247,9 +244,34 @@ class ParamSpec:
 
 
 @dataclass(frozen=True)
+class Call:
+    """A call of `target`, a bare reference if `args` is None. `up` counts
+    the definitions from the caller out to the one that has `target` as a
+    local (None: a library one). Inside an argument, `target` is None for a
+    name that is no definition; running the call raises."""
+
+    name: str
+    target: PatternDef | None = field(compare=False, repr=False)
+    args: tuple[ArgAst, ...] | None  # with resolved values
+    up: int | None
+    pos: SourcePos
+
+
+@dataclass(frozen=True)
+class ListVar:
+    """A list parameter's tail at an argument position."""
+
+    name: str
+
+
+# a resolved expression; a tuple is a `then` chain
+Expr = Union[Call, BlockExpr, tuple]
+
+
+@dataclass(frozen=True)
 class Clause:
     params: tuple[ParamSpec, ...]
-    body: ExprAst
+    body: Expr  # the AST body until build_library resolves it
     pos: object
     # envs[i]: what parameter i sees (imports plus the deltas of parameters
     # 0..i-1); envs[-1] is the full parameter environment. A by-product of
@@ -261,7 +283,7 @@ class Clause:
 class PatternDef:
     name: str
     qual: str
-    imports: tuple[str, ...]
+    imports: tuple  # the `given` names, then the definitions they name
     locals: dict[str, "PatternDef"]
     clauses: tuple[Clause, ...]
     pos: object
@@ -283,9 +305,6 @@ class Library:
     # replaced, so threads may share it
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def lookup(self, name: str) -> PatternDef | None:
-        return self.defs.get(name)
-
     def require(self, name: str, pos=None) -> PatternDef:
         d = self.defs.get(name)
         if d is None:
@@ -299,12 +318,6 @@ class Library:
 # ---------------------------------------------------------------------------
 # Building
 # ---------------------------------------------------------------------------
-
-def _param_category(ast_param) -> str:
-    if isinstance(ast_param.payload, FramesParam):
-        return "plain"
-    return "list"
-
 
 def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternDefAst) -> None:
     if len(first.params) != len(other.params):
@@ -320,12 +333,12 @@ def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternD
             raise DuplicateDefinition(
                 f"clauses of '{name}' disagree on optionality of parameter {i + 1}", other.pos
             )
-        ca, cb = _param_category(a), _param_category(b)
-        if ca != cb:
+        plain = isinstance(a.payload, FramesParam)
+        if plain != isinstance(b.payload, FramesParam):
             raise DuplicateDefinition(
                 f"clauses of '{name}' disagree on the shape of parameter {i + 1}", other.pos
             )
-        if ca == "plain":
+        if plain:
             if a.payload != b.payload:
                 raise DuplicateDefinition(
                     f"clauses of '{name}' disagree on plain parameter {i + 1}", other.pos
@@ -340,14 +353,6 @@ def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternD
                 )
 
 
-def _template_of(param) -> ListTemplate:
-    pl = param.payload
-    if isinstance(pl, EmptyParam):
-        return ListTemplate(None, None, None, None)
-    assert isinstance(pl, ListHeaderParam)
-    return ListTemplate(pl.kind, pl.head, pl.head2, pl.tail)
-
-
 def _build_def(
     name: str,
     clause_asts: list[PatternDefAst],
@@ -357,8 +362,7 @@ def _build_def(
     first = clause_asts[0]
     for other in clause_asts[1:]:
         _check_clause_compatibility(name, first, other)
-    has_list = any(_param_category(p) == "list" for p in first.params)
-    if len(clause_asts) > 1 and not has_list:
+    if len(clause_asts) > 1 and all(isinstance(p.payload, FramesParam) for p in first.params):
         raise DuplicateDefinition(
             f"duplicate definition of '{name}' (only list-parameter patterns may "
             f"have several template clauses)",
@@ -378,10 +382,15 @@ def _build_def(
     for ca in clause_asts:
         params: list[ParamSpec] = []
         for i, p in enumerate(ca.params):
-            if _param_category(p) == "plain":
-                shape = PlainShape(p.payload.frames, EMPTY_ONTOLOGY, ())  # delta with the envs
+            pl = p.payload
+            if clauses and isinstance(pl, FramesParam):  # clauses share plain parameters
+                shape = clauses[0].params[i].shape
+            elif isinstance(pl, FramesParam):  # new symbols with the environments
+                shape = PlainShape(pl.frames, build_block(pl.frames), ())
+            elif isinstance(pl, EmptyParam):
+                shape = ListTemplate(None, None, None, None)
             else:
-                shape = _template_of(p)
+                shape = ListTemplate(pl.kind, pl.head, pl.head2, pl.tail)
             params.append(ParamSpec(i, p.optional, shape))
         clauses.append(Clause(tuple(params), ca.body, ca.pos))
     d.clauses = tuple(clauses)
@@ -402,8 +411,9 @@ def build_library(ast: LibraryAst) -> Library:
 
     edges: list = []
     for d in defs.values():
-        _validate_imports(lib, d)
-        _collect_edges(lib, d, edges)
+        _resolve_imports(lib, d)
+        _resolve(lib, d, {})
+        _collect_edges(d, edges)
     comp = _check_cycles(lib, edges)
     # callees first, so an import expands only what already has environments
     for d in sorted(defs.values(), key=lambda d: comp[d.qual]):
@@ -411,9 +421,10 @@ def build_library(ast: LibraryAst) -> Library:
     return lib
 
 
-def _validate_imports(lib: Library, d: PatternDef) -> None:
+def _resolve_imports(lib: Library, d: PatternDef) -> None:
+    imports = []
     for imp in d.imports:
-        target = lib.lookup(imp)
+        target = lib.defs.get(imp)
         if target is None:
             raise UnknownReference(f"unknown import '{imp}' in '{d.qual}'", d.pos)
         if target.arity != 0:
@@ -422,35 +433,115 @@ def _validate_imports(lib: Library, d: PatternDef) -> None:
                 f"ontologies can be imported",
                 d.pos,
             )
+        imports.append(target)
+    d.imports = tuple(imports)
     for loc in d.locals.values():
-        _validate_imports(lib, loc)
+        _resolve_imports(lib, loc)
 
 
-# -- reference resolution ----------------------------------------------------
+# -- name resolution -------------------------------------------------------------
 
-def resolve_name(lib: Library, d: PatternDef, name: str) -> PatternDef | None:
-    """Resolve a pattern/ontology name as seen from inside `d`."""
-    cur: PatternDef | None = d
-    while cur is not None:
-        if name in cur.locals:
-            return cur.locals[name]
-        cur = cur.parent
-    return lib.lookup(name)
+def _param_names(d: PatternDef, clause: Clause, outer: dict) -> dict[str, tuple[str, bool]]:
+    """`outer` and each name a clause's parameters bind, with the qual of `d`
+    and whether it is a list tail; a plain parameter binds the bases of its
+    names."""
+    names, plain, tail = dict(outer), (d.qual, False), (d.qual, True)
+    for p in clause.params:
+        if not p.is_list:
+            for s in p.shape.delta.signature:
+                names.update(dict.fromkeys(s.name.bases(), plain))
+            continue
+        names.update(dict.fromkeys(p.shape.heads, plain))
+        if p.shape.tail is not None:
+            names[p.shape.tail] = tail
+    return names
+
+
+def _resolve(lib: Library, d: PatternDef, outer: dict) -> None:
+    """Resolve the clause bodies of `d` and of its locals; `outer` holds the
+    parameters of the definitions around `d`."""
+    seen = [_param_names(d, c, outer) for c in d.clauses]
+    merged = seen[0]
+    for names in seen[1:]:
+        merged = {**merged, **names}
+    for name, loc in d.locals.items():
+        if name in merged:
+            raise DuplicateDefinition(
+                f"local '{name}' of '{d.qual}' has the name of a parameter of "
+                f"'{merged[name][0]}'",
+                loc.pos,
+            )
+    d.clauses = tuple(
+        Clause(c.params, _Scope(lib, params, d).expr(c.body, strict=True), c.pos)
+        for c, params in zip(d.clauses, seen)
+    )
+    for loc in d.locals.values():
+        _resolve(lib, loc, merged)
+
+
+class _Scope(NamedTuple):
+    """What the names of one clause body of `d` mean; `params` maps each
+    parameter it sees as `_param_names` does."""
+
+    lib: Library
+    params: dict[str, tuple[str, bool]]
+    d: PatternDef
+
+    def definition(self, name: str) -> tuple[PatternDef | None, int | None]:
+        up, cur = 0, self.d
+        while cur is not None and name not in cur.locals:
+            cur, up = cur.parent, up + 1
+        return (cur.locals[name], up) if cur is not None else (self.lib.defs.get(name), None)
+
+    def expr(self, e: ExprAst, strict: bool = False) -> Expr:
+        """`e` where an ontology is expected; an unknown name there fails now
+        if `strict`, else when the call runs."""
+        if isinstance(e, ThenExpr):
+            return tuple([self.expr(t, strict) for t in e.terms])
+        if isinstance(e, BlockExpr):
+            return e
+        if e.name in self.params:
+            raise UnknownReference(
+                f"'{e.name}' is a parameter of '{self.params[e.name][0]}', not an "
+                f"ontology or pattern",
+                e.pos,
+            )
+        target, up = self.definition(e.name)
+        if target is None and strict:
+            raise UnknownReference(f"unknown ontology or pattern '{e.name}'", e.pos)
+        if isinstance(e, RefExpr):
+            return Call(e.name, target, None, up, e.pos)
+        shapes = target.clauses[0].params if target is not None else ()
+        args = [self.arg(a, shapes[i] if i < len(shapes) else None) for i, a in enumerate(e.args)]
+        return Call(e.name, target, tuple(args), up, e.pos)
+
+    def arg(self, a: ArgAst, param: ParamSpec | None) -> ArgAst:
+        """`a`, given to `param`, with its value resolved: a name of a
+        parameter or of no definition is a symbol (a `NameTerm`) or a list
+        variable, and so is a bare name that a list parameter gets."""
+        v = a.value
+        if isinstance(v, (RefExpr, InstExpr)):
+            owner, tail = self.params.get(v.name, (None, False))
+            bare = isinstance(v, RefExpr)
+            if tail and bare:
+                return ArgAst(ListVar(v.name), a.fits, a.pos)
+            at_list = bare and param is not None and param.is_list
+            if owner or at_list or self.definition(v.name)[0] is None:
+                v = expr_to_name_term(v) or v
+        if isinstance(v, (RefExpr, InstExpr, ThenExpr, BlockExpr)):
+            v = self.expr(v)
+        return a if v is a.value else ArgAst(v, a.fits, a.pos)
 
 
 # -- recursion guard -----------------------------------------------------------
 
 def _clause_tail_depths(clause: Clause) -> dict[str, int]:
-    depths: dict[str, int] = {}
-    for p in clause.params:
-        if p.is_list and p.shape.tail is not None:
-            depths[p.shape.tail] = p.shape.min_len
-    return depths
+    return {p.shape.tail: p.shape.min_len for p in clause.params if p.is_list and p.shape.tail}
 
 
 def _arg_shrinks(a: ArgAst, tails: dict[str, int]) -> bool:
     v = a.value
-    if isinstance(v, RefExpr):
+    if isinstance(v, ListVar):
         return v.name in tails  # bare tail: one constructor stripped
     if isinstance(v, ListArgAst) and v.tail is not None and v.tail.is_plain():
         d = tails.get(v.tail.base)
@@ -458,31 +549,30 @@ def _arg_shrinks(a: ArgAst, tails: dict[str, int]) -> bool:
     return False
 
 
-def _collect_edges(lib: Library, d: PatternDef, edges: list) -> None:
-    """The calls of `d` and its locals; an unknown reference in a body raises."""
+def _calls(e: Expr, out: list[Call]) -> list[Call]:
+    """`out` and the calls of definitions in `e`, each before those in its
+    arguments."""
+    if isinstance(e, tuple):
+        for t in e:
+            _calls(t, out)
+    elif isinstance(e, Call):
+        if e.target is not None:
+            out.append(e)
+        for a in e.args or ():
+            if isinstance(a.value, (Call, tuple)):
+                _calls(a.value, out)
+    return out
+
+
+def _collect_edges(d: PatternDef, edges: list) -> None:
+    """The calls of `d` and its locals."""
     for clause in d.clauses:
         tails = _clause_tail_depths(clause)
-        _walk_calls(lib, d, clause.body, tails, edges, strict=True)
+        for c in _calls(clause.body, []):
+            shrinks = c.args is not None and any(_arg_shrinks(a, tails) for a in c.args)
+            edges.append((d.qual, c.target.qual, shrinks, c.pos))
     for loc in d.locals.values():
-        _collect_edges(lib, loc, edges)
-
-
-def _walk_calls(lib: Library, d: PatternDef, expr: ExprAst, tails, edges, strict: bool) -> None:
-    if isinstance(expr, ThenExpr):
-        for t in expr.terms:
-            _walk_calls(lib, d, t, tails, edges, strict)
-        return
-    if isinstance(expr, (RefExpr, InstExpr)):
-        target = resolve_name(lib, d, expr.name)
-        if target is not None:
-            shrinks = isinstance(expr, InstExpr) and any(_arg_shrinks(a, tails) for a in expr.args)
-            edges.append((d.qual, target.qual, shrinks, expr.pos))
-        elif strict:  # in argument position a name may be a local symbol
-            raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
-    if isinstance(expr, InstExpr):
-        for a in expr.args:
-            if isinstance(a.value, (RefExpr, InstExpr, ThenExpr)):
-                _walk_calls(lib, d, a.value, tails, edges, strict=False)
+        _collect_edges(loc, edges)
 
 
 def _all_defs(lib: Library):
@@ -499,7 +589,7 @@ def _check_cycles(lib: Library, edges: list) -> dict[str, int]:
     """Raise on an illegal cycle; return each node's call-graph component."""
     for d in _all_defs(lib):
         for imp in d.imports:
-            edges.append((d.qual, lib.defs[imp].qual, False, d.pos))
+            edges.append((d.qual, imp.qual, False, d.pos))
 
     nodes = {d.qual for d in _all_defs(lib)}
     adj: dict[str, set[str]] = {n: set() for n in nodes}
@@ -507,8 +597,7 @@ def _check_cycles(lib: Library, edges: list) -> dict[str, int]:
         adj[src].add(dst)
     comp = _tarjan_scc(nodes, adj)
     for src, dst, shrinks, pos in edges:
-        same = comp[src] == comp[dst]
-        if same and not shrinks:
+        if comp[src] == comp[dst] and not shrinks:
             raise IllegalCycle(
                 f"recursive call from '{src}' to '{dst}' does not strictly shrink "
                 f"a list parameter",
@@ -518,54 +607,37 @@ def _check_cycles(lib: Library, edges: list) -> dict[str, int]:
 
 
 def _tarjan_scc(nodes: set[str], adj: dict[str, set[str]]) -> dict[str, int]:
+    """Each node's strongly connected component, numbered callees first:
+    Tarjan's algorithm without recursion, taking roots and successors in
+    sorted order."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     comp: dict[str, int] = {}
-    counter = [0]
-    comps = [0]
-
-    def strongconnect(v: str) -> None:
-        work = [(v, iter(sorted(adj[v])))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
+    count = 0
+    for root in sorted(nodes):
+        work = [] if root in index else [(root, None)]
         while work:
             node, it = work[-1]
-            advanced = False
+            if it is None:  # first visit
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                work[-1] = (node, it := iter(sorted(adj[node])))
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
+                    work.append((w, None))
                     break
-                if w in on_stack:
+                if w not in comp:  # still on the stack
                     low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = comps[0]
-                    if w == node:
-                        break
-                comps[0] += 1
-
-    for v in sorted(nodes):
-        if v not in index:
-            strongconnect(v)
-    # components are numbered callees first; self-loops form their own
-    # component but comp equality already covers them
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while node not in comp:
+                        comp[stack.pop()] = count
+                    count += 1
     return comp
 
 
@@ -575,36 +647,30 @@ def _compute_environments(lib: Library, d: PatternDef, prefix: FlatOntology | No
     if prefix is None:
         from .instantiate import _imports_ontology, expand_named  # circular at module level by design
 
-        prefix = _imports_ontology(d, lambda imp: expand_named(lib, imp))
-    d.clauses = tuple(_with_environments(d, clause, prefix) for clause in d.clauses)
+        prefix = _imports_ontology(d, lambda imp: expand_named(lib, imp.name))
+    d.clauses = tuple(_with_environments(clause, prefix) for clause in d.clauses)
     for loc in d.locals.values():
         _compute_environments(lib, loc, prefix=d.clauses[0].envs[-1])
 
 
-def _with_environments(d: PatternDef, clause: Clause, base: FlatOntology) -> Clause:
+def _with_environments(clause: Clause, base: FlatOntology) -> Clause:
     envs = [base]
     params: list[ParamSpec] = []
     for p in clause.params:
         env = envs[-1]
         if p.is_list:
-            tmpl: ListTemplate = p.shape
-            delta = make_ontology([Symbol(NameTerm(h), tmpl.kind) for h in tmpl.heads], [])
+            delta = make_ontology([Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads], [])
+            envs.append(union_flat(env, delta))
         else:
+            delta = p.shape.delta
             try:
-                delta = build_block(p.shape.frames)
-                union_flat(env, delta)  # well-formedness in this environment
+                envs.append(union_flat(env, delta))  # well-formedness in this environment
             except GodpError as e:
-                e.ensure_pos(p.shape.frames[0].pos if p.shape.frames else d.pos)
+                e.ensure_pos(p.shape.frames[0].pos)
                 raise
-            new_syms = tuple(
-                sorted(
-                    (s for s in delta.signature if s not in env.signature),
-                    key=Symbol.key,
-                )
-            )
+            new_syms = tuple(sorted(delta.signature - env.signature, key=Symbol.key))
             p = ParamSpec(p.index, p.optional, PlainShape(p.shape.frames, delta, new_syms))
         params.append(p)
-        envs.append(union_flat(env, delta))
     return Clause(tuple(params), clause.body, clause.pos, tuple(envs))
 
 
@@ -615,9 +681,3 @@ def param_environments(d: PatternDef) -> list[FlatOntology]:
     the first clause (clauses share plain parameters).
     """
     return list(d.clauses[0].envs)
-
-
-def resolve_local_subpatterns(lib: Library, d: PatternDef) -> PatternDef:
-    """The definition itself: `build_library` already gave its local
-    sub-patterns environments prefixed by its full parameter environment."""
-    return d

@@ -24,6 +24,10 @@ is numbered by that instantiation's depth inside the innermost closed
 expansion and its own index there: unique among live ones, and unchanged by
 memo hits.
 
+Calls arrive resolved by `build_library`; the engine looks up by name only
+the library definition a `NamedOntologyArg` names. A runtime scope holds only
+bindings: a local pattern's `parent` bindings are those of its definer's run.
+
 Expansion is pure over an immutable Library. Every top-level call gets its own
 context: a depth budget and the names of the 0-parameter expansions it has
 reached. Their ontologies live only in the library's memo, which every
@@ -67,27 +71,19 @@ from .diagnostics import (
     UnsupportedArgument,
 )
 from .elaborate import (
+    Call,
     Clause,
+    Expr,
     Library,
     ListTemplate,
+    ListVar,
     ParamSpec,
     PatternDef,
     PlainShape,
     build_block,
     resolve_items,
 )
-from .syntax import (
-    ArgAst,
-    BlockExpr,
-    EmptyArg,
-    ExprAst,
-    InstExpr,
-    ListArgAst,
-    MissingArg,
-    RefExpr,
-    ThenExpr,
-)
-from .parser import expr_to_name_term
+from .syntax import ArgAst, BlockExpr, EmptyArg, ListArgAst, MissingArg
 
 DEFAULT_DEPTH = 10_000
 
@@ -102,9 +98,10 @@ class Bindings:
 
     name_map: dict[NameTerm, NameTerm] = dc_field(default_factory=dict)
     list_map: dict[str, tuple[NameTerm, ...]] = dc_field(default_factory=dict)
+    parent: "Bindings | None" = dc_field(default=None, compare=False, repr=False)
 
     def child(self) -> "Bindings":
-        return Bindings(dict(self.name_map), dict(self.list_map))
+        return Bindings(dict(self.name_map), dict(self.list_map), self)
 
     def apply(self, n: NameTerm) -> NameTerm:
         return substitute_name(n, self)
@@ -191,10 +188,10 @@ class ListArg:
 
 @dataclass(frozen=True)
 class _ExprArg:
-    """An argument expression (an instantiation, a `then` chain or inline
+    """A resolved argument expression (a call, a `then` chain or inline
     frames), evaluated on top of the local environment in the caller's scope."""
 
-    expr: ExprAst
+    expr: Expr
     fits: tuple[tuple[NameTerm, NameTerm], ...]
     pos: SourcePos | None = _pos_field()
 
@@ -238,44 +235,16 @@ class _Ctx:
         self.budget -= 1
 
 
-@dataclass
-class _RuntimeScope:
-    """One live pattern expansion: its definition and active bindings."""
-
-    pattern: PatternDef | None
-    bindings: Bindings
-    parent: "_RuntimeScope | None" = None
-
-    def resolve(self, lib: Library, name: str) -> "tuple[PatternDef, _RuntimeScope | None] | None":
-        scope: _RuntimeScope | None = self
-        while scope is not None:
-            if scope.pattern is not None and name in scope.pattern.locals:
-                return scope.pattern.locals[name], scope
-            scope = scope.parent
-        d = lib.lookup(name)
-        if d is not None:
-            return d, None
-        return None
-
-
-_ROOT_SCOPE = _RuntimeScope(None, EMPTY_BINDINGS, None)
-
-
 # ---------------------------------------------------------------------------
 # Argument normalization (against the callee's parameter shapes)
 # ---------------------------------------------------------------------------
 
-def _normalize_ast_arg(
-    a: ArgAst,
-    pspec: ParamSpec,
-    lib: Library,
-    scope: _RuntimeScope,
-) -> ArgumentForm | _ExprArg:
-    """`a` as an argument form, for `_check_arg` to fit to `pspec`. A list
-    parameter reads it in its own way: it takes no fits, a name there is a
-    symbol even if a pattern has it, its tail must be a list in scope, and
-    anything but a name is left for `_check_arg` to reject."""
-    v, b = a.value, scope.bindings
+def _normalize_ast_arg(a: ArgAst, pspec: ParamSpec, b: Bindings) -> ArgumentForm | _ExprArg:
+    """The resolved argument `a` as an argument form under the caller's
+    bindings, for `_check_arg` to fit to `pspec`. A list parameter takes no
+    fits, its tail must be a list in scope, and anything but a name is left
+    for `_check_arg` to reject."""
+    v = a.value
     if a.fits and pspec.is_list:
         raise UnsupportedArgument(_LIST_FITS, a.pos)
     if isinstance(v, (MissingArg, EmptyArg)):
@@ -291,35 +260,24 @@ def _normalize_ast_arg(
                 a.pos,
             )
         return ListArg(resolve_items(b.apply, b.items_of, v.items) + (rest or ()), a.pos)
-    fits = _subst_fits(a.fits, b)
-    if isinstance(v, RefExpr):
+    if isinstance(v, ListVar):
         items = b.items_of(NameTerm(v.name))
         if items is not None:  # a template tail, at every position
             return ListArg(items, a.pos)
-        hit = None if pspec.is_list else scope.resolve(lib, v.name)
-        if hit is None:
-            return LocalSymbolArg(b.apply(NameTerm(v.name)), fits, a.pos)
-        if hit[0].arity != 0:
-            raise ArityMismatch(
-                f"'{v.name}' is generic and needs arguments to be used as an argument",
-                a.pos,
-            )
-        return NamedOntologyArg(v.name, fits, a.pos)
-    if isinstance(v, InstExpr) and scope.resolve(lib, v.name) is None:
-        t = expr_to_name_term(v)
-        if t is not None:
-            return LocalSymbolArg(b.apply(t), fits, a.pos)
+        v = NameTerm(v.name)  # the enclosing instance ran a clause without it
+    # fit sources name the callee's parameter symbols and stay as written;
+    # targets live in the caller's context and get substituted
+    fits = tuple((src, b.apply(dst)) for src, dst in a.fits)
+    if isinstance(v, NameTerm):  # a symbol: a parameter, or a name of the caller's environment
+        return LocalSymbolArg(b.apply(v), fits, a.pos)
+    if isinstance(v, Call) and v.target is None:
         if not pspec.is_list:  # at a list position it is no name, as `_check_arg` says
             raise UnknownReference(f"unknown ontology or pattern '{v.name}'", a.pos)
+    elif isinstance(v, Call) and v.args is None and v.target.arity != 0:
+        raise ArityMismatch(
+            f"'{v.name}' is generic and needs arguments to be used as an argument", a.pos
+        )
     return _ExprArg(v, fits, a.pos)
-
-
-def _subst_fits(
-    fits: tuple[tuple[NameTerm, NameTerm], ...], b: Bindings
-) -> tuple[tuple[NameTerm, NameTerm], ...]:
-    # sources name the callee's parameter symbols and stay as written;
-    # targets live in the caller's context and get substituted
-    return tuple((src, b.apply(dst)) for src, dst in fits)
 
 
 _LIST_FITS = "fit maps are not allowed on list arguments"
@@ -510,7 +468,7 @@ def derive_fitting(
         _fit_local(None, param, arg, sigma, env)
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
-        arg_ont = _eval_arg_ontology(ctx, arg, env, _ROOT_SCOPE)
+        arg_ont = _eval_arg_ontology(ctx, arg, env, EMPTY_BINDINGS)
         _fit_ontology(param, arg, arg_ont, env, sigma)
     return FittingMorphism.of(
         {n: Symbol(sigma.name_map[n.name], n.kind) for n in param.shape.new_symbols}
@@ -568,15 +526,16 @@ def _eval_arg_ontology(
     ctx: _Ctx,
     form: NamedOntologyArg | AnonymousArg | _ExprArg,
     env: FlatOntology,
-    caller_scope: _RuntimeScope,
+    caller: Bindings,
 ) -> FlatOntology:
     if isinstance(form, AnonymousArg):
         return union_flat(env, form.ontology)
-    if isinstance(form, NamedOntologyArg):
-        return _eval_expr(ctx, RefExpr(form.name, form.pos), env, caller_scope)
+    if isinstance(form, NamedOntologyArg):  # from the Python API: a library name
+        target = ctx.lib.defs.get(form.name)
+        return _eval_expr(ctx, Call(form.name, target, None, None, form.pos), env, caller)
     # local-environment injection: the argument is evaluated on top of env,
     # in the caller's scope (its bindings substitute enclosing parameters)
-    return _eval_expr(ctx, form.expr, env, caller_scope)
+    return _eval_expr(ctx, form.expr, env, caller)
 
 
 def _fit_ontology(
@@ -644,7 +603,7 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
 # ---------------------------------------------------------------------------
 
 def _imports_ontology(
-    d: PatternDef, expand_import: Callable[[str], FlatOntology]
+    d: PatternDef, expand_import: Callable[[PatternDef], FlatOntology]
 ) -> FlatOntology:
     """The union of `d`'s imports, each expanded by `expand_import`."""
     out = EMPTY_ONTOLOGY
@@ -662,7 +621,7 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     elif not _charge_memo(ctx, d.qual):
         ctx.frame = frame = [[], 0]
         ctx.running = 0  # it starts from an empty environment: no placeholder is visible
-        out = _instantiate(ctx, d, None, [], EMPTY_ONTOLOGY, pos)
+        out = _instantiate(ctx, d, EMPTY_BINDINGS, [], EMPTY_ONTOLOGY, pos)
         ctx.frame, ctx.running = parent, running
         # an entry is never replaced: one already there equals `out`
         ctx.memo.setdefault(d.qual, _Memo(out, budget - ctx.budget - frame[1], tuple(frame[0])))
@@ -700,77 +659,60 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     return True
 
 
-def _eval_expr(ctx: _Ctx, expr: ExprAst, env: FlatOntology, scope: _RuntimeScope) -> FlatOntology:
+def _eval_expr(ctx: _Ctx, expr: Expr, env: FlatOntology, scope: Bindings) -> FlatOntology:
+    if isinstance(expr, tuple):  # a `then` chain
+        for term in expr:
+            env = _eval_expr(ctx, term, env, scope)
+        return env
     try:
-        if isinstance(expr, ThenExpr):
-            out = env
-            for t in expr.terms:
-                out = _eval_expr(ctx, t, out, scope)
-            return out
         if isinstance(expr, BlockExpr):
-            delta = build_block(
-                expr.frames, resolve=scope.bindings.apply, splice=scope.bindings.items_of
+            return union_flat(env, build_block(expr.frames, scope.apply, scope.items_of))
+        target = expr.target
+        if target is None:
+            raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
+        base = EMPTY_BINDINGS  # a local shares the parameters around it
+        if expr.up is not None:
+            base = scope
+            for _ in range(expr.up):
+                base = base.parent
+        if expr.args is not None:
+            forms = _normalize_call(target, expr.args, scope, expr.pos)
+            return _instantiate(ctx, target, base, forms, env, expr.pos, scope)
+        if target.arity != 0:
+            raise ArityMismatch(
+                f"'{expr.name}' is generic: {target.arity} argument(s) required", expr.pos
             )
-            return union_flat(env, delta)
-        if isinstance(expr, RefExpr):
-            hit = scope.resolve(ctx.lib, expr.name)
-            if hit is None:
-                raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
-            target, found = hit
-            if target.arity != 0:
-                raise ArityMismatch(
-                    f"'{expr.name}' is generic: {target.arity} argument(s) required",
-                    expr.pos,
-                )
-            if found is None:
-                return union_flat(env, _closed_expansion(ctx, target, expr.pos))
-            # locals share the enclosing parameters, so they expand in context
-            return _instantiate(ctx, target, found, [], env, expr.pos, scope)
-        if isinstance(expr, InstExpr):
-            hit = scope.resolve(ctx.lib, expr.name)
-            if hit is None:
-                raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
-            target, found = hit
-            forms = _normalize_call(ctx, target, expr.args, scope, expr.pos)
-            return _instantiate(ctx, target, found, forms, env, expr.pos, scope)
-        raise TypeError(f"not an expression: {expr!r}")
+        if expr.up is None:
+            return union_flat(env, _closed_expansion(ctx, target, expr.pos))
+        return _instantiate(ctx, target, base, [], env, expr.pos, scope)
     except GodpError as e:
-        e.ensure_pos(getattr(expr, "pos", None))
+        e.ensure_pos(expr.pos)
         raise
 
 
 def _normalize_call(
-    ctx: _Ctx,
-    target: PatternDef,
-    args: Sequence[ArgAst],
-    scope: _RuntimeScope,
-    pos: SourcePos | None,
+    target: PatternDef, args: Sequence[ArgAst], b: Bindings, pos: SourcePos | None
 ) -> list[ArgumentForm | _ExprArg]:
     if len(args) == 1 and not target.arity and isinstance(args[0].value, MissingArg):
         args = ()  # G[] on a 0-parameter pattern
-    return _check_args(
-        target, args, pos, lambda a, p: _normalize_ast_arg(a, p, ctx.lib, scope)
-    )
+    return _check_args(target, args, pos, lambda a, p: _normalize_ast_arg(a, p, b))
 
 
 def _instantiate(
     ctx: _Ctx,
     target: PatternDef,
-    found_scope: _RuntimeScope | None,
+    base: Bindings,
     forms: Sequence[ArgumentForm | _ExprArg],
     env: FlatOntology,
     pos: SourcePos | None,
-    caller_scope: _RuntimeScope = _ROOT_SCOPE,
+    caller: Bindings = EMPTY_BINDINGS,
 ) -> FlatOntology:
     ctx.tick(pos)
     level = ctx.running
     ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
-    base = found_scope.bindings if found_scope is not None else EMPTY_BINDINGS
     sigma = base.child()
-    imports_ont = _imports_ontology(
-        target, lambda imp: _closed_expansion(ctx, ctx.lib.defs[imp], pos)
-    )
+    imports_ont = _imports_ontology(target, lambda imp: _closed_expansion(ctx, imp, pos))
     avail = union_flat(env, imports_ont)
     dead: set[str] = set()
 
@@ -796,7 +738,7 @@ def _instantiate(
                 if isinstance(form, LocalSymbolArg):
                     avail = _fit_local(target.name, pspec, form, sigma, avail)
                 else:
-                    added = _eval_arg_ontology(ctx, form, env, caller_scope)
+                    added = _eval_arg_ontology(ctx, form, env, caller)
                     _fit_ontology(pspec, form, added, env, sigma)
                     avail = union_flat(avail, added)
                 _check_constraints(pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
@@ -804,8 +746,7 @@ def _instantiate(
             e.ensure_pos(form.pos or pos)
             raise
 
-    body_scope = _RuntimeScope(target, sigma, found_scope)
-    out = _eval_expr(ctx, clause.body, avail, body_scope)
+    out = _eval_expr(ctx, clause.body, avail, sigma)
     if dead:
         out = _elide(out, lambda n: _contains_base(n, dead))
     ctx.running -= 1
@@ -843,7 +784,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
     forms = _check_args(target, inst.args, None)
-    return _instantiate(ctx, target, None, forms, inst.local_env, None)
+    return _instantiate(ctx, target, EMPTY_BINDINGS, forms, inst.local_env, None)
 
 
 def expand_named(lib: Library, name: str, depth: int = DEFAULT_DEPTH) -> FlatOntology:

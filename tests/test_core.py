@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from godp.core import (
     EMPTY_ONTOLOGY,
+    Axiom,
     ClassAssertion,
     DifferentIndividuals,
     Domain,
@@ -22,7 +23,6 @@ from godp.core import (
     Transitive,
     apply_morphism,
     axioms_mentioning,
-    canonicalize_axiom,
     make_ontology,
     name,
     union_flat,
@@ -186,7 +186,7 @@ def test_axioms_mentioning_whole_signature():
 
 def test_canonicalize_sorts_different_individuals():
     a = DifferentIndividuals((name("b"), name("a")))
-    assert canonicalize_axiom(a) == DifferentIndividuals((name("a"), name("b")))
+    assert a.canonical() == DifferentIndividuals((name("a"), name("b")))
 
 
 def test_canonicalize_is_identity_on_directional_axioms():
@@ -199,7 +199,7 @@ def test_canonicalize_is_identity_on_directional_axioms():
         SubPropertyOf(name("b"), name("a")),
         ClassAssertion(name("C"), name("i")),
     ):
-        assert canonicalize_axiom(a) is a
+        assert a.canonical() is a
 
 
 # -- the axiom model: operand kinds, renaming and dump fields -------------------
@@ -289,7 +289,7 @@ _ontologies = st.lists(_axioms, max_size=6).map(lambda axs: make_ontology([], ax
 @settings(max_examples=60)
 @given(_axioms)
 def test_canonicalize_idempotent(a):
-    assert canonicalize_axiom(canonicalize_axiom(a)) == canonicalize_axiom(a)
+    assert Axiom.canonical(Axiom.canonical(a)) == Axiom.canonical(a)
     assert a.canonical().canonical() == a.canonical()
     assert a.rename(lambda n: n) == a.canonical()
 

@@ -10,9 +10,9 @@ from godp import (
     expand_named,
     param_environments,
     parse_library,
-    resolve_local_subpatterns,
     stratify,
 )
+from godp.cli import main
 from godp.core import Domain, Range, Symbol, SymbolKind, Transitive, make_ontology, name
 from godp.diagnostics import (
     DuplicateDefinition,
@@ -22,7 +22,7 @@ from godp.diagnostics import (
     UnsupportedArgument,
 )
 from godp.elaborate import ListTemplate, PlainShape
-from godp.syntax import LibraryAst
+from godp.syntax import BlockExpr, LibraryAst
 
 from conftest import corpus_paths, lib_of
 
@@ -130,7 +130,7 @@ def test_imports_are_expanded_by_expand_named_with_a_fresh_budget(monkeypatch):
 
 
 def test_locals_share_enclosing_parameters(corpus_lib):
-    valset = resolve_local_subpatterns(corpus_lib, corpus_lib.defs["ValSet"])
+    valset = corpus_lib.defs["ValSet"]
     step = valset.locals["OrderStep"]
     prefix = step.clauses[0].envs[0].signature
     assert Symbol(name("Val"), CLS) in prefix
@@ -139,7 +139,10 @@ def test_locals_share_enclosing_parameters(corpus_lib):
 
 def test_no_locals_is_unchanged(corpus_lib):
     sub = corpus_lib.defs["SubProp"]
-    assert resolve_local_subpatterns(corpus_lib, sub) is sub
+    # the built definition is the resolved one: its body resolved, its
+    # environments there, nothing left for a later step to fill in
+    assert isinstance(sub.clauses[0].body, BlockExpr)
+    assert len(sub.clauses[0].envs) == sub.arity + 1
     assert sub.locals == {}
 
 
@@ -288,3 +291,73 @@ def test_corpus_dumps_do_not_depend_on_file_order():
     random.Random(5).shuffle(shuffled)
     for order in (texts[::-1], texts[3:] + texts[:3], shuffled):
         assert dumps(order) == reference
+
+
+# -- lexical scope: parameters shadow definitions ---------------------------------
+
+def _corpus_text() -> str:
+    return "".join(p.read_text(encoding="utf-8") for p in corpus_paths())
+
+
+def _dumps(lib, targets) -> dict[str, str]:
+    return {t: emit_struct_dump(stratify(expand_named(lib, t))) for t in targets}
+
+
+@pytest.mark.parametrize("extra, target", [
+    ("ontology T = { Class: Zz }\n", "GradedRelsSub_Significance"),
+    ("ontology Val = { Class: Zz }\n", "ValSet_CrustStyle"),
+    # inside ValSet, `greater[Val]` is its parameter, not a call of `greater`
+    ("ontology greater [Class: X] = { Class: X }\n", "ValSet_CrustStyle"),
+])
+def test_a_definition_named_like_a_parameter_does_not_capture_it(corpus_lib, extra, target):
+    lib = lib_of(_corpus_text() + extra)
+    assert _dumps(lib, [target]) == _dumps(corpus_lib, [target])
+    dump = _dumps(lib, [target])[target]
+    assert "Zz" not in dump
+    if target == "GradedRelsSub_Significance":
+        for grade in ("0Insignificant", "1Subordinate", "2Essential", "3Dominant"):
+            assert f"AX Range hasIngredient_{grade} FoodStuff\n" in dump
+
+
+def test_a_call_of_a_pattern_from_a_definition_named_like_its_parameter_is_no_cycle(corpus_lib):
+    # T is a parameter of GradedRelsSub, which passes it on to GradedRels
+    lib = lib_of(_corpus_text() + "ontology T = GradedRelsSub[p; S; U; V; a, b]\n")
+    targets = corpus_lib.zero_param_names()
+    assert _dumps(lib, targets) == _dumps(corpus_lib, targets)
+    assert Range(name("p", "a"), name("U")) in expand_named(lib, "T").axioms
+
+
+def test_an_argument_that_is_a_parameter_stays_a_symbol_in_the_callee():
+    lib = lib_of(
+        "ontology P [Class: A] = { Class: A }\n"
+        "ontology Q [Class: B] = P[B]\n"
+        "ontology B = { Class: Zed Individual: z }\n"
+        "ontology R = Q[Foo]\n"
+    )
+    assert expand_named(lib, "R") == make_ontology([Symbol(name("Foo"), CLS)], [])
+
+
+@pytest.mark.parametrize("source, position, message", [
+    # a local named like a parameter of its own definition, of any clause
+    ("ontology D [Class: x] =\n  let ontology x = { Class: Y } in { Class: x }\n", (2, 7),
+     "local 'x' of 'D' has the name of a parameter of 'D'"),
+    ("ontology L [Class: C; Individual: h :: hs] = { Class: C }\n"
+     "ontology L [Class: C; empty] =\n  let ontology hs = { Class: Y } in hs\n", (3, 7),
+     "local 'hs' of 'L' has the name of a parameter of 'L'"),
+    # or like a parameter around its definition, which would hide it everywhere
+    ("ontology D [Class: x] =\n  let ontology E = let ontology x = { } in x in E\n", (2, 24),
+     "local 'x' of 'D::E' has the name of a parameter of 'D'"),
+    # a parameter symbol or list variable where an ontology is expected
+    ("ontology P [Class: T] = T\n", (1, 25),
+     "'T' is a parameter of 'P', not an ontology or pattern"),
+    ("ontology P [Class: T] = { Class: A } then T[A]\n", (1, 43),
+     "'T' is a parameter of 'P', not an ontology or pattern"),
+    ("ontology P [Individual: x :: xs] =\n  let ontology Q [Class: C] = xs in Q[A]\n", (2, 31),
+     "'xs' is a parameter of 'P', not an ontology or pattern"),
+])
+def test_a_parameter_name_used_as_a_definition_is_a_build_error(tmp_path, capsys, source, position, message):
+    f = tmp_path / "scope.gdp"
+    f.write_text(source, encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    line, col = position
+    assert capsys.readouterr() == ("", f"{f}:{line}:{col}: error: {message}\n")

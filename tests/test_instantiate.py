@@ -9,6 +9,7 @@ from godp import (
     Instantiation,
     ListArg,
     LocalSymbolArg,
+    NamedOntologyArg,
     check_compatibility,
     check_constraints,
     derive_fitting,
@@ -48,6 +49,7 @@ from godp.diagnostics import (
     UnsupportedArgument,
 )
 
+from godp.elaborate import Call
 from godp.instantiate import DEFAULT_DEPTH
 
 from conftest import CORPUS, ERRORS, corpus_paths, lib_of, load_corpus_library, load_library
@@ -227,7 +229,11 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
 
     def record_ontology(pspec, form, arg_ont, env, sigma):
         fit_ontology(pspec, form, arg_ont, env, sigma)
-        if isinstance(form, engine._ExprArg):  # an expression argument, already evaluated
+        expr = getattr(form, "expr", None)
+        if isinstance(expr, Call) and expr.args is None and expr.up is None:
+            # a bare library name is replayed as the form the Python API gives it
+            form = NamedOntologyArg(expr.name, form.fits)
+        elif isinstance(form, engine._ExprArg):  # an expression argument, already evaluated
             form = AnonymousArg(arg_ont, form.fits)
         calls.append((pspec, form, env, fitted(pspec, sigma), sigma))
 

@@ -3,7 +3,8 @@
 The parser must be total (parse or raise a positioned library error, never
 anything else, even on input nested far past its bound); pretty-printed ASTs
 must reparse to themselves; emitted Manchester text must read back as the
-ontology it came from; CLI output must be byte-identical across processes
+ontology it came from; a definition named like a parameter must change no
+corpus expansion; CLI output must be byte-identical across processes
 regardless of hash randomization; expansion must be safe to run from several
 threads at once and leave the library as it was; a flat ontology's kind index must agree with a linear scan of
 its signature.
@@ -18,13 +19,14 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import godp
 from godp import (
     elide_optional,
     emit_manchester,
+    emit_struct_dump,
     expand_named,
     parse_frames,
     parse_library,
@@ -32,6 +34,8 @@ from godp import (
     stratify,
 )
 from godp.core import (
+    DifferentIndividuals,
+    EquivalentToUnion,
     FlatOntology,
     NameTerm,
     Symbol,
@@ -65,7 +69,8 @@ from godp.syntax import (
     ThenExpr,
 )
 
-from conftest import ERRORS, corpus_paths, load_corpus_library, load_library
+from conftest import ERRORS, corpus_paths, lib_of, load_corpus_library, load_library
+from test_core import _axioms
 
 RESERVED = KEYWORDS | set(KIND_KEYWORDS) | FIELD_KEYWORDS | {"DifferentIndividuals", "Transitive", "Reflexive"}
 
@@ -171,10 +176,12 @@ def test_pretty_print_reparses_to_same_ast(ast):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_frames, max_size=5))
-def test_emitted_manchester_reads_back_as_the_same_ontology(frames):
+@given(st.lists(_frames, max_size=5), st.lists(_axioms, max_size=4))
+@example([], [EquivalentToUnion(name("C"), ())])
+@example([], [DifferentIndividuals((name("a"),))])
+def test_emitted_manchester_reads_back_as_the_same_ontology(frames, axioms):
     try:
-        o = stratify(build_block(frames))
+        o = stratify(union_flat(build_block(frames), make_ontology([], axioms)))
     except (KindClash, StratificationClash):
         return  # frames that build no flat ontology have nothing to emit
     text = emit_manchester(o)
@@ -269,7 +276,7 @@ def test_library_is_not_changed_by_concurrent_use():
             expand_named(lib, name)
         for d in lib.defs.values():
             godp.param_environments(d)
-            assert godp.resolve_local_subpatterns(lib, d) is d
+            assert all(loc.parent is d for loc in d.locals.values())
         return True
 
     interval = sys.getswitchinterval()
@@ -394,3 +401,73 @@ def test_equality_and_hash_ignore_the_kind_index(sig, i):
     for other in (stale, unioned):
         assert other == o
         assert hash(other) == hash(o)
+
+
+# -- hygiene: a parameter's meaning does not depend on the library around it ----
+
+def _corpus_parameter_names() -> tuple[set[str], set[str]]:
+    """Every parameter base and list head or tail of the corpus definitions
+    and their locals that is not itself the name of a definition; and those
+    of them also written where no parameter binds them."""
+    names, defined, free = set(), set(), set()
+
+    def binds(p: ParamClauseAst) -> set[str]:
+        if isinstance(p.payload, ListHeaderParam):
+            return {n for n in (p.payload.head, p.payload.head2, p.payload.tail) if n}
+        if isinstance(p.payload, FramesParam):
+            return {b for s in build_block(p.payload.frames).signature for b in s.name.bases()}
+        return set()
+
+    def written(e):  # the names of references and calls, at every position
+        if isinstance(e, ThenExpr):
+            for t in e.terms:
+                yield from written(t)
+        elif isinstance(e, (RefExpr, InstExpr)):
+            yield e.name
+            for a in getattr(e, "args", ()):
+                yield from written(a.value)
+
+    def visit(d: PatternDefAst, outer: set[str]) -> None:
+        bound = outer.union(*map(binds, d.params))
+        defined.add(d.name)
+        names.update(bound)
+        free.update(n for n in written(d.body) if n not in bound)
+        for loc in d.locals:
+            visit(loc, bound)
+
+    for path in corpus_paths():
+        for d in parse_library(path.read_text(encoding="utf-8"), str(path)).items:
+            visit(d, set())
+    return names - defined, free
+
+
+@pytest.mark.parametrize("definition", [
+    "ontology {} = {{ Class: Zz }}\n",
+    "ontology {} [Class: Zc] = {{ Class: Zc }}\n",
+])
+def test_a_definition_named_like_a_parameter_changes_no_corpus_expansion(definition):
+    names, free = _corpus_parameter_names()
+    assert len(names) == 24
+    # `greater[Significance]` and `greater[Val]` are also written outside
+    # ValSet, the one pattern whose parameter `greater[Val]` binds `greater`;
+    # there a definition named `greater` is what the text calls
+    assert names & free == {"greater"}
+    text = "".join(p.read_text(encoding="utf-8") for p in corpus_paths())
+    lib = lib_of(text)
+    targets = sorted(lib.zero_param_names())
+    reference = {t: emit_struct_dump(expand_named(lib, t)) for t in targets}
+    changed = {}
+    for n in sorted(names - free):
+        try:
+            extended = lib_of(text + definition.format(n))
+        except GodpError as e:
+            changed[n] = e.message
+            continue
+        for t in targets:
+            try:
+                dump = emit_struct_dump(expand_named(extended, t))
+            except GodpError as e:
+                dump = e.message
+            if dump != reference[t]:
+                changed.setdefault(n, []).append(t)
+    assert changed == {}
