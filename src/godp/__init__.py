@@ -24,7 +24,7 @@ from .core import (
     union_flat,
 )
 from .diagnostics import Diagnostic, GodpError, SourcePos, render_diagnostics
-from .elaborate import Library, PatternDef, build_library, param_environments
+from .elaborate import Library, PatternDef, build_library
 from .emit import emit_manchester, emit_struct_dump, stratify
 from .instantiate import (
     AnonymousArg,
@@ -52,7 +52,7 @@ __all__ = [
     "Range", "Reflexive", "SubPropertyOf", "Symbol", "SymbolKind", "Transitive",
     "apply_morphism", "axioms_mentioning", "make_ontology", "name", "union_flat",
     "Diagnostic", "GodpError", "SourcePos", "render_diagnostics",
-    "Library", "PatternDef", "build_library", "param_environments",
+    "Library", "PatternDef", "build_library",
     "emit_manchester", "emit_struct_dump", "stratify",
     "AnonymousArg", "Bindings", "EmptyOptArg", "Instantiation", "ListArg",
     "LocalSymbolArg", "NamedOntologyArg", "check_compatibility", "check_constraints",

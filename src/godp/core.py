@@ -2,8 +2,14 @@
 
 Each axiom class states the kind of each of its fields once (`Axiom.KINDS`);
 `Axiom` derives from that the references, renaming, canonical form and dump
-fields of all of them. `make_ontology` is the one place that drops vacuous
-axioms: an n-ary one with fewer members than its `NARY`.
+fields of all of them. `Axiom.is_vacuous` says which axioms say nothing (an
+n-ary one with fewer members than its `NARY`); `make_ontology` and
+`rename_ontology` drop them.
+
+Names (`NameTerm`) and symbols (`Symbol`) are interned: one object per value,
+however it is built, so `==` on them is identity and hashing costs no Python
+call. Their tables live for the process and hold each distinct name and
+symbol once.
 
 All values are immutable; operations are pure functions, so everything here is
 safe to share across threads. Flat ontologies keep their axiom sets canonical
@@ -29,6 +35,8 @@ class SymbolKind(Enum):
     OBJECT_PROPERTY = "ObjectProperty"
     INDIVIDUAL = "Individual"
 
+    __hash__ = object.__hash__  # Enum's own hash is a Python call
+
 
 _KIND_ORDER = {SymbolKind.CLASS: 0, SymbolKind.OBJECT_PROPERTY: 1, SymbolKind.INDIVIDUAL: 2}
 
@@ -37,12 +45,50 @@ def kind_order(kind: SymbolKind) -> int:
     return _KIND_ORDER[kind]
 
 
-@dataclass(frozen=True)
-class NameTerm:
+class _Interned:
+    """Base of the hash-consed value classes. Each class keeps one table, for
+    the life of the process, of one object per value (the `__slots__` fields
+    in order), so `==` and `hash` are the inherited identity ones. Instances
+    are immutable, and a copy or an unpickled one is the instance itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), attrgetter(*self.__slots__)(self)
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
+
+
+def _intern(cls, table: dict, fields: tuple):
+    """A new `cls` object for `fields`, unless a thread making the same value
+    stored one first."""
+    obj = object.__new__(cls)
+    for attr, value in zip(cls.__slots__, fields):
+        object.__setattr__(obj, attr, value)
+    return table.setdefault(fields, obj)
+
+
+_NAMES: dict[tuple, NameTerm] = {}
+_SYMBOLS: dict[tuple, Symbol] = {}
+
+
+class NameTerm(_Interned):
     """A possibly parameterized name: a base identifier plus argument terms."""
 
+    __slots__ = ("base", "args")
     base: str
-    args: tuple["NameTerm", ...] = ()
+    args: tuple[NameTerm, ...]
+
+    def __new__(cls, base: str, args: tuple[NameTerm, ...] = ()):
+        return _NAMES.get((base, args)) or _intern(cls, _NAMES, (base, args))
 
     def is_plain(self) -> bool:
         return not self.args
@@ -70,10 +116,15 @@ def name(base: str, *args: NameTerm | str) -> NameTerm:
     return NameTerm(base, tuple(a if isinstance(a, NameTerm) else NameTerm(a) for a in args))
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(_Interned):
+    """A name with its kind; interned like `NameTerm`."""
+
+    __slots__ = ("name", "kind")
     name: NameTerm
     kind: SymbolKind
+
+    def __new__(cls, name: NameTerm, kind: SymbolKind):
+        return _SYMBOLS.get((name, kind)) or _intern(cls, _SYMBOLS, (name, kind))
 
     def key(self):
         return (kind_order(self.kind), self.name.key())
@@ -136,6 +187,10 @@ class Axiom:
 
     def sort_key(self):
         return self.dump_fields()
+
+    def is_vacuous(self) -> bool:
+        """An n-ary axiom whose set has fewer than `NARY` members says nothing."""
+        return self.NARY != 0 and len(self._values(self)[-1]) < self.NARY
 
 
 _OP, _CLASS, _IND = SymbolKind.OBJECT_PROPERTY, SymbolKind.CLASS, SymbolKind.INDIVIDUAL
@@ -254,9 +309,7 @@ def make_ontology(symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> FlatOnt
     """Canonicalize axioms, drop the vacuous ones, close the signature over
     axiom references, check kinds."""
     sig = set(symbols)
-    axs = frozenset(
-        a for a in map(Axiom.canonical, axioms) if not a.NARY or len(a._values(a)[-1]) >= a.NARY
-    )
+    axs = frozenset(a for a in map(Axiom.canonical, axioms) if not a.is_vacuous())
     for a in axs:
         for n, k in a.refs():
             sig.add(Symbol(n, k))
@@ -289,16 +342,11 @@ def axioms_mentioning(o: FlatOntology, dead: Iterable[Symbol]) -> frozenset[Axio
 
 
 def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:
-    """Rename every symbol and axiom occurrence; kind-clash checked on merge."""
+    """Rename every symbol and axiom occurrence, dropping the axioms that
+    renaming left vacuous; kind-clash checked on merge."""
     sig = frozenset(Symbol(fn(s.name), s.kind) for s in o.signature)
-    axs = frozenset(a.rename(fn) for a in o.axioms)
+    axs = frozenset(a for a in (a.rename(fn) for a in o.axioms) if not a.is_vacuous())
     return FlatOntology(sig, axs, _index_kinds(sig, {}))
-
-
-def validate_closure(o: FlatOntology) -> bool:
-    """True iff every axiom's symbols are in the signature with matching kinds."""
-    have = {(s.name, s.kind) for s in o.signature}
-    return all((n, k) in have for a in o.axioms for n, k in a.refs())
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +371,8 @@ class FittingMorphism:
     def of(mapping: Mapping[Symbol, Symbol]) -> "FittingMorphism":
         return FittingMorphism(tuple(sorted(mapping.items(), key=lambda p: p[0].key())))
 
-    @staticmethod
-    def identity(signature: Iterable[Symbol]) -> "FittingMorphism":
-        return FittingMorphism.of({s: s for s in signature})
-
-    def as_dict(self) -> dict[Symbol, Symbol]:
-        return dict(self.pairs)
-
     def domain(self) -> frozenset[Symbol]:
         return frozenset(src for src, _ in self.pairs)
-
-    def compose(self, after: "FittingMorphism") -> "FittingMorphism":
-        """self then after: (after . self)(s) = after(self(s)); after must cover the image."""
-        table = after.as_dict()
-        return FittingMorphism.of({src: table.get(dst, dst) for src, dst in self.pairs})
 
 
 def apply_morphism(m: FittingMorphism, o: FlatOntology) -> FlatOntology:

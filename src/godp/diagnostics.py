@@ -48,10 +48,6 @@ class GodpError(Exception):
         self.message = message
         self.pos = pos
 
-    @property
-    def code(self) -> str:
-        return type(self).__name__
-
     def ensure_pos(self, pos: SourcePos | None) -> None:
         """Attach a position if none was recorded yet."""
         if self.pos is None and pos is not None:

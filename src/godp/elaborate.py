@@ -672,12 +672,3 @@ def _with_environments(clause: Clause, base: FlatOntology) -> Clause:
             p = ParamSpec(p.index, p.optional, PlainShape(p.shape.frames, delta, new_syms))
         params.append(p)
     return Clause(tuple(params), clause.body, clause.pos, tuple(envs))
-
-
-def param_environments(d: PatternDef) -> list[FlatOntology]:
-    """env[i] = what parameter i sees: imports plus deltas of parameters 0..i-1.
-
-    The final entry env[arity] is the full parameter environment. Read from
-    the first clause (clauses share plain parameters).
-    """
-    return list(d.clauses[0].envs)

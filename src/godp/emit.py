@@ -61,7 +61,8 @@ def stratify(o: FlatOntology) -> FlatOntology:
         table[s.name] = flat
 
     def fn(n: NameTerm) -> NameTerm:
-        return table.get(n, flatten_name(n))
+        flat = table.get(n)
+        return flatten_name(n) if flat is None else flat
 
     return rename_ontology(o, fn)
 

@@ -396,6 +396,7 @@ def match_template(
 def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings) -> None:
     for head, item in zip(tmpl.heads, items):
         b.name_map[NameTerm(head)] = item
+        b.list_map.pop(head, None)
     if tmpl.tail is not None:
         b.list_map[tmpl.tail] = items[tmpl.min_len:]
 
@@ -484,6 +485,8 @@ def _bind_checked(sigma: Bindings, src: NameTerm, dst: NameTerm, pos) -> None:
             pos,
         )
     sigma.name_map[src] = dst
+    if src.is_plain():  # a bound name hides an enclosing list tail
+        sigma.list_map.pop(src.base, None)
 
 
 def _fit_local(
@@ -503,23 +506,13 @@ def _fit_local(
         )
     n = shape.new_symbols[0]
     term = form.term
-    for src, dst in form.fits:
-        if src == n.name:
-            if dst != term:
-                raise IncompatibleFittings(
-                    f"'{src.render()}' is mapped both to '{term.render()}' and to "
-                    f"'{dst.render()}'",
-                    form.pos,
-                )
-        else:
-            _bind_checked(sigma, src, dst, form.pos)
-    avail = _declare(
+    for src, dst in ((n.name, term), *form.fits):  # a fit of the parameter must agree
+        _bind_checked(sigma, src, dst, form.pos)
+    return _declare(
         avail, ((term, n.kind),), form.pos,
         lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
         f"'{n.name.render()}' needs {n.kind.value}",
     )
-    _bind_checked(sigma, n.name, term, form.pos)
-    return avail
 
 
 def _eval_arg_ontology(

@@ -35,7 +35,7 @@ that opens the level past the bound.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import NameTerm, SymbolKind
 from .diagnostics import LexError, ParseError, SourcePos
@@ -80,6 +80,8 @@ CHARACTERISTICS = {"Transitive", "Reflexive"}
 # Deepest nesting of `[` (names and instantiations) and `let` the parser
 # accepts; deeper input is a ParseError, never an interpreter recursion error.
 MAX_NESTING = 100
+
+_T = TypeVar("_T")
 
 
 class Token(NamedTuple):
@@ -207,21 +209,20 @@ class _Parser:
 
     def parse_name_term(self) -> NameTerm:
         base = self.parse_plain_name()
-        args: list[NameTerm] = []
-        if self.at("LBRACKET"):
-            self.nest(self.advance())
-            args.append(self.parse_name_term())
-            while self.accept("COMMA"):
-                args.append(self.parse_name_term())
-            self.expect("RBRACKET", what="']'")
-            self.depth -= 1
-        return NameTerm(base, tuple(args))
+        if not self.at("LBRACKET"):
+            return NameTerm(base)
+        self.nest(self.advance())
+        args = self._sep_list(self.parse_name_term)
+        self.expect("RBRACKET", what="']'")
+        self.depth -= 1
+        return NameTerm(base, args)
 
-    def _name_list(self) -> tuple[NameTerm, ...]:
-        names = [self.parse_name_term()]
-        while self.accept("COMMA"):
-            names.append(self.parse_name_term())
-        return tuple(names)
+    def _sep_list(self, parse: Callable[[], _T], sep: str = "COMMA") -> tuple[_T, ...]:
+        """One or more of what `parse` reads, separated by `sep` tokens."""
+        items = [parse()]
+        while self.accept(sep):
+            items.append(parse())
+        return tuple(items)
 
     # -- frames --------------------------------------------------------------
 
@@ -246,7 +247,7 @@ class _Parser:
         tok = self.expect("IDENT")
         self.expect("COLON", what="':'")
         if tok.value == "DifferentIndividuals":
-            return DifferentIndividualsFrame(self._name_list(), pos=tok.pos)
+            return DifferentIndividualsFrame(self._sep_list(self.parse_name_term), pos=tok.pos)
         if tok.value == "Class":
             name = self.parse_name_term()
             equivalent = None
@@ -254,7 +255,7 @@ class _Parser:
                 self.advance()
                 self.expect("COLON", what="':'")
                 self.expect("LBRACE", what="'{'")
-                equivalent = self._name_list()
+                equivalent = self._sep_list(self.parse_name_term)
                 self.expect("RBRACE", what="'}'")
             return ClassFrame(name, equivalent, pos=tok.pos)
         if tok.value == "ObjectProperty":
@@ -281,7 +282,7 @@ class _Parser:
                   "SubPropertyOf": subs, "InverseOf": inverses}
         while (word := self._take_field(fields)) is not None:
             if word != "Characteristics":
-                fields[word].extend(self._name_list())
+                fields[word].extend(self._sep_list(self.parse_name_term))
                 continue
             while True:
                 ctok = self.expect("IDENT", what="a characteristic")
@@ -307,7 +308,7 @@ class _Parser:
         different: list[NameTerm] = []
         fields = {"Types": types, "DifferentFrom": different}
         while (word := self._take_field(fields)) is not None:
-            fields[word].extend(self._name_list())
+            fields[word].extend(self._sep_list(self.parse_name_term))
         return IndividualFrame(name, tuple(types), tuple(different), pos=pos)
 
     # -- expressions ---------------------------------------------------------
@@ -337,7 +338,7 @@ class _Parser:
             name = self.advance().value
             if self.at("LBRACKET"):
                 self.nest(self.advance())
-                args = self.parse_args()
+                args = self._sep_list(self.parse_arg, "SEMI")
                 self.expect("RBRACKET", what="']'")
                 self.depth -= 1
                 return InstExpr(name, args, pos=tok.pos)
@@ -345,12 +346,6 @@ class _Parser:
         raise ParseError(f"expected an ontology expression, got {tok.value or tok.kind!r}", tok.pos)
 
     # -- instantiation arguments ----------------------------------------------
-
-    def parse_args(self) -> tuple[ArgAst, ...]:
-        args = [self.parse_arg()]
-        while self.accept("SEMI"):
-            args.append(self.parse_arg())
-        return tuple(args)
 
     def parse_arg(self) -> ArgAst:
         tok = self.tokens[self.i]
@@ -368,7 +363,7 @@ class _Parser:
         fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
         if self.at_keyword("fit"):
             self.advance()
-            fits = self._parse_fit_maps()
+            fits = self._sep_list(self._parse_fit_map)
         return ArgAst(value, fits, pos=tok.pos)
 
     def _expr_as_item(self, e: ExprAst) -> NameTerm:
@@ -403,12 +398,6 @@ class _Parser:
             break
         return ListArgAst(tuple(items), tail)
 
-    def _parse_fit_maps(self) -> tuple[tuple[NameTerm, NameTerm], ...]:
-        maps = [self._parse_fit_map()]
-        while self.accept("COMMA"):
-            maps.append(self._parse_fit_map())
-        return tuple(maps)
-
     def _parse_fit_map(self) -> tuple[NameTerm, NameTerm]:
         src = self.parse_name_term()
         self.expect("MAPSTO", what="'|->'")
@@ -416,12 +405,6 @@ class _Parser:
         return (src, dst)
 
     # -- parameters ------------------------------------------------------------
-
-    def parse_params(self) -> tuple[ParamClauseAst, ...]:
-        params = [self.parse_param()]
-        while self.accept("SEMI"):
-            params.append(self.parse_param())
-        return tuple(params)
 
     def parse_param(self) -> ParamClauseAst:
         tok = self.peek()
@@ -451,15 +434,12 @@ class _Parser:
         name = self.parse_plain_name()
         params: tuple[ParamClauseAst, ...] = ()
         if self.accept("LBRACKET"):
-            params = self.parse_params()
+            params = self._sep_list(self.parse_param, "SEMI")
             self.expect("RBRACKET", what="']'")
         given: tuple[str, ...] = ()
         if self.at_keyword("given"):
             self.advance()
-            names = [self.parse_plain_name()]
-            while self.accept("COMMA"):
-                names.append(self.parse_plain_name())
-            given = tuple(names)
+            given = self._sep_list(self.parse_plain_name)
         self.expect("EQUALS", what="'='")
         locals_: tuple[PatternDefAst, ...] = ()
         if self.at_keyword("let"):

@@ -172,12 +172,8 @@ class LibraryAst:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-def pp_name(n: NameTerm) -> str:
-    return n.render()
-
-
 def _pp_names(names: tuple[NameTerm, ...]) -> str:
-    return ", ".join(pp_name(n) for n in names)
+    return ", ".join(n.render() for n in names)
 
 
 def frame_fields(f: Frame) -> list[str]:
@@ -185,7 +181,7 @@ def frame_fields(f: Frame) -> list[str]:
     if isinstance(f, DifferentIndividualsFrame):
         return ["DifferentIndividuals: " + _pp_names(f.items)]
     if isinstance(f, ClassFrame):
-        out = [f"Class: {pp_name(f.name)}"]
+        out = [f"Class: {f.name.render()}"]
         if f.equivalent is not None:
             out.append(f"EquivalentTo: {{{_pp_names(f.equivalent)}}}")
         return out
@@ -203,7 +199,7 @@ def frame_fields(f: Frame) -> list[str]:
         fields = [("Types", _pp_names(f.types)), ("DifferentFrom", _pp_names(f.different_from))]
     else:
         raise TypeError(f"not a frame: {f!r}")
-    return [f"{head}: {pp_name(f.name)}"] + [f"{word}: {names}" for word, names in fields if names]
+    return [f"{head}: {f.name.render()}"] + [f"{word}: {names}" for word, names in fields if names]
 
 
 def pp_frame(f: Frame) -> str:
@@ -222,13 +218,13 @@ def pp_arg(a: ArgAst) -> str:
         body = "empty"
     elif isinstance(v, ListArgAst):
         if v.tail is not None:
-            body = " :: ".join([pp_name(i) for i in v.items] + [pp_name(v.tail)])
+            body = " :: ".join([i.render() for i in v.items] + [v.tail.render()])
         else:
-            body = ", ".join(pp_name(i) for i in v.items)
+            body = _pp_names(v.items)
     else:
         body = pp_expr(v)
     if a.fits:
-        maps = ", ".join(f"{pp_name(s)} |-> {pp_name(t)}" for s, t in a.fits)
+        maps = ", ".join(f"{s.render()} |-> {t.render()}" for s, t in a.fits)
         body += f" fit {maps}"
     return body
 

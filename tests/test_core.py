@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
+import copy
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from godp.core import (
     EquivalentToUnion,
     FittingMorphism,
     InverseOf,
+    NameTerm,
     Range,
     Reflexive,
     SubPropertyOf,
@@ -26,9 +32,10 @@ from godp.core import (
     make_ontology,
     name,
     union_flat,
-    validate_closure,
 )
 from godp.diagnostics import KindClash, UnmappedSymbol
+from godp.instantiate import Bindings, substitute_name
+from godp.parser import parse_frames
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -41,6 +48,79 @@ def transitive_relation_body(prop="r", cls="C"):
         [Symbol(p, OP), Symbol(c, CLS)],
         [Transitive(p), Domain(p, c), Range(p, c)],
     )
+
+
+def validate_closure(o) -> bool:
+    """Test oracle: every axiom's symbols are in the signature with matching kinds."""
+    have = {(s.name, s.kind) for s in o.signature}
+    return all((n, k) in have for a in o.axioms for n, k in a.refs())
+
+
+# -- interned names and symbols ------------------------------------------------
+
+def test_a_name_is_one_object_however_it_is_built():
+    n = name("p", "x", name("q", "y"))
+    frame = parse_frames("ObjectProperty: p[x, q[y]]")[0]
+    assert frame.name is n
+    assert NameTerm("p", (NameTerm("x"), NameTerm("q", (NameTerm("y"),)))) is n
+    assert substitute_name(name("p", "z", name("q", "y")), Bindings({name("z"): name("x")})) is n
+    assert substitute_name(name("r", "x", name("q", "y")), Bindings({name("r"): name("p")})) is n
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(n, protocol)) is n
+    assert copy.copy(n) is n and copy.deepcopy(n) is n
+    assert copy.deepcopy([n, (n, n)])[1][0] is n
+    assert n != name("p", "x", name("q", "z")) and n != "p[x,q[y]]"
+    # equality and hash are the C-level identity ones
+    for cls in (NameTerm, Symbol):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert SymbolKind.__hash__ is object.__hash__
+
+
+def test_a_symbol_is_one_object_however_it_is_built():
+    s = Symbol(name("p", "x"), OP)
+    assert Symbol(NameTerm("p", (NameTerm("x"),)), SymbolKind("ObjectProperty")) is s
+    assert Symbol(name("p", "x"), CLS) is not s
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(s, protocol)) is s
+    assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert make_ontology([], [Transitive(name("p", "x"))]).signature == {s}
+    assert next(iter(make_ontology([], [Transitive(name("p", "x"))]).signature)) is s
+
+
+@pytest.mark.parametrize("value, attr", [(name("p", "x"), "base"), (name("p"), "args"),
+                                         (Symbol(name("p"), OP), "name"), (Symbol(name("p"), OP), "kind")])
+def test_names_and_symbols_are_immutable(value, attr):
+    before = getattr(value, attr)
+    with pytest.raises(AttributeError):
+        setattr(value, attr, before)
+    with pytest.raises(AttributeError):
+        delattr(value, attr)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, attr) is before
+
+
+def test_threads_building_the_same_names_get_the_same_objects():
+    tag = "race"  # bases no other test builds, so each thread races to intern them first
+    start = threading.Barrier(8, timeout=60)
+
+    def build(_):
+        start.wait()
+        terms = [name(f"{tag}{i % 50}", name(f"{tag}x{i}", "y")) for i in range(1000)]
+        return terms, [Symbol(t, IND) for t in terms]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(build, i) for i in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    terms, symbols = results[0]
+    assert len(set(terms)) == 1000 and len(set(symbols)) == 1000
+    for other_terms, other_symbols in results[1:]:
+        assert all(a is b and a.args[0] is b.args[0] for a, b in zip(terms, other_terms))
+        assert all(a is b for a, b in zip(symbols, other_symbols))
 
 
 # -- union -------------------------------------------------------------------
@@ -100,7 +180,7 @@ def test_apply_morphism_renames_body():
 
 def test_identity_morphism_is_noop():
     o = transitive_relation_body()
-    assert apply_morphism(FittingMorphism.identity(o.signature), o) == o
+    assert apply_morphism(FittingMorphism.of({s: s for s in o.signature}), o) == o
 
 
 def test_merging_morphism_shrinks_by_dedup():
@@ -116,6 +196,16 @@ def test_merging_morphism_shrinks_by_dedup():
     out = apply_morphism(m, o)
     assert len(out.signature) == 1
     assert out.axioms == frozenset({Transitive(name("r"))})
+
+
+def test_a_morphism_that_merges_the_members_of_an_nary_axiom_drops_it():
+    a, b, c = name("a"), name("b"), name("c")
+    o = make_ontology([], [DifferentIndividuals((a, b)), ClassAssertion(name("C"), a)])
+    m = FittingMorphism.of({Symbol(a, IND): Symbol(c, IND), Symbol(b, IND): Symbol(c, IND),
+                            Symbol(name("C"), CLS): Symbol(name("C"), CLS)})
+    out = apply_morphism(m, o)
+    assert out.axioms == frozenset({ClassAssertion(name("C"), c)})
+    assert out == make_ontology(out.signature, [DifferentIndividuals((c, c)), ClassAssertion(name("C"), c)])
 
 
 def test_morphism_must_be_total():
@@ -141,7 +231,8 @@ def test_morphism_composition():
         Symbol(name("D"), CLS): Symbol(name("D"), CLS),
     })
     lhs = apply_morphism(m2, apply_morphism(m1, o))
-    rhs = apply_morphism(m1.compose(m2), o)
+    after = dict(m2.pairs)
+    rhs = apply_morphism(FittingMorphism.of({src: after[dst] for src, dst in m1.pairs}), o)
     assert lhs == rhs
 
 
@@ -307,7 +398,7 @@ def test_union_properties(a, b, c):
 def test_signature_closure_after_union_and_rename(o):
     assert validate_closure(o)
     assert validate_closure(union_flat(o, transitive_relation_body("p1", "C1")))
-    m = FittingMorphism.identity(o.signature)
+    m = FittingMorphism.of({s: s for s in o.signature})
     assert validate_closure(apply_morphism(m, o))
 
 

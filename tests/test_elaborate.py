@@ -8,7 +8,6 @@ from godp import (
     build_library,
     emit_struct_dump,
     expand_named,
-    param_environments,
     parse_library,
     stratify,
 )
@@ -76,7 +75,7 @@ def test_mutual_cycle_without_shrink_is_illegal():
 
 
 def test_param_environments_subprop(corpus_lib):
-    envs = param_environments(corpus_lib.defs["SubProp"])
+    envs = corpus_lib.defs["SubProp"].clauses[0].envs
     assert len(envs) == 5
     visible_to_fourth = {s.name.base for s in envs[3].signature}
     assert visible_to_fourth == {"q", "D", "R"}
@@ -85,14 +84,14 @@ def test_param_environments_subprop(corpus_lib):
 
 
 def test_param_environments_zero_param_def(corpus_lib):
-    envs = param_environments(corpus_lib.defs["Agents"])
+    envs = corpus_lib.defs["Agents"].clauses[0].envs
     assert len(envs) == 1 and envs[0].is_empty()
-    with_import = param_environments(corpus_lib.defs["PersonRels"])
+    with_import = corpus_lib.defs["PersonRels"].clauses[0].envs
     assert {s.name.base for s in with_import[0].signature} == {"Person"}
 
 
 def test_param_environments_valset_optional_sees_val_and_head(corpus_lib):
-    envs = param_environments(corpus_lib.defs["ValSet"])
+    envs = corpus_lib.defs["ValSet"].clauses[0].envs
     env_for_optional = envs[2]
     assert Symbol(name("Val"), CLS) in env_for_optional.signature
     assert Symbol(name("v"), IND) in env_for_optional.signature
@@ -126,7 +125,7 @@ def test_imports_are_expanded_by_expand_named_with_a_fresh_budget(monkeypatch):
     )
     # one call per import of each definition, each with the default depth
     assert seen == [("Base", (), {}), ("Other", (), {}), ("Base", (), {})]
-    assert {s.name.base for s in param_environments(lib.defs["A"])[0].signature} == {"Person", "Place"}
+    assert {s.name.base for s in lib.defs["A"].clauses[0].envs[0].signature} == {"Person", "Place"}
 
 
 def test_locals_share_enclosing_parameters(corpus_lib):

@@ -4,18 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import godp.emit
 from godp import (
+    Instantiation,
+    ListArg,
+    LocalSymbolArg,
     emit_manchester,
     emit_struct_dump,
+    expand,
     expand_named,
     parse_frames,
     stratify,
 )
 from godp.core import (
     EMPTY_ONTOLOGY,
+    DifferentIndividuals,
+    FittingMorphism,
     Symbol,
     SymbolKind,
     Transitive,
+    apply_morphism,
     make_ontology,
     name,
 )
@@ -37,6 +45,30 @@ def test_stratify_parameterized_name():
     o = make_ontology([Symbol(name("greater", "Significance"), OP)], [])
     out = stratify(o)
     assert {s.name for s in out.signature} == {name("greater_Significance")}
+
+
+def test_stratify_flattens_each_name_once(corpus_lib, monkeypatch):
+    items = tuple(name(f"g{i}") for i in range(48))
+    plain = tuple(LocalSymbolArg(name(n)) for n in ("p", "S", "T", "Val"))
+    o = expand(corpus_lib, Instantiation("GradedRelsSub", (*plain, ListArg(items))))
+    calls = []
+    flatten = godp.emit.flatten_name
+    monkeypatch.setattr(godp.emit, "flatten_name", lambda n: calls.append(n) or flatten(n))
+    out = stratify(o)
+    assert len(calls) == len(o.signature) == 194
+    assert set(calls) == {s.name for s in o.signature}
+    monkeypatch.undo()
+    assert out == stratify(o)
+
+
+def test_a_rename_that_leaves_an_nary_axiom_vacuous_drops_it():
+    a, b, c = name("a"), name("b"), name("c")
+    m = FittingMorphism.of({Symbol(a, IND): Symbol(c, IND), Symbol(b, IND): Symbol(c, IND)})
+    o = stratify(apply_morphism(m, make_ontology([], [DifferentIndividuals((a, b))])))
+    assert o == make_ontology([Symbol(c, IND)], [])
+    text = emit_manchester(o)
+    assert text == "Individual: c\n"
+    assert build_block(parse_frames(text, "<emitted>")) == o
 
 
 def test_stratify_plain_name_unchanged():

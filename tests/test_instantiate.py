@@ -23,6 +23,7 @@ from godp import (
 from godp.cli import main
 from godp.core import (
     EMPTY_ONTOLOGY,
+    DifferentIndividuals,
     Domain,
     FittingMorphism,
     NameTerm,
@@ -72,14 +73,14 @@ def test_fit_local_symbol_single_new_symbol(corpus_lib):
         [Domain(name("isAncestorOf"), name("Person"))],
     )
     m = derive_fitting(fourth, LocalSymbolArg(name("isAncestorOf")), env)
-    assert m.as_dict() == {sym("p", OP): sym("isAncestorOf", OP)}
+    assert dict(m.pairs) == {sym("p", OP): sym("isAncestorOf", OP)}
 
 
 def test_fit_anonymous_single_class(corpus_lib):
     second = corpus_lib.defs["TransitiveRelation"].clauses[0].params[1]
     arg = AnonymousArg(make_ontology([sym("Person", CLS)], []))
     m = derive_fitting(second, arg, EMPTY_ONTOLOGY)
-    assert m.as_dict() == {sym("C", CLS): sym("Person", CLS)}
+    assert dict(m.pairs) == {sym("C", CLS): sym("Person", CLS)}
 
 
 def test_fit_ambiguous_two_candidates(corpus_lib):
@@ -103,14 +104,14 @@ def test_fit_named_ontology_ambiguous():
         first, NamedOntologyArg("TwoProps"), EMPTY_ONTOLOGY,
         explicit=[(name("r"), name("q1"))], lib=lib,
     )
-    assert m.as_dict() == {sym("r", OP): sym("q1", OP)}
+    assert dict(m.pairs) == {sym("r", OP): sym("q1", OP)}
 
 
 def test_fit_explicit_map_resolves_ambiguity(corpus_lib):
     first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
     arg = AnonymousArg(make_ontology([sym("q1", OP), sym("q2", OP)], []))
     m = derive_fitting(first, arg, EMPTY_ONTOLOGY, explicit=[(name("r"), name("q2"))])
-    assert m.as_dict() == {sym("r", OP): sym("q2", OP)}
+    assert dict(m.pairs) == {sym("r", OP): sym("q2", OP)}
 
 
 def test_fit_no_candidate(corpus_lib):
@@ -141,9 +142,9 @@ def test_fit_of_a_symbol_the_parameter_does_not_introduce_is_not_in_the_result(c
     fits = ((name("D"), name("Person")),)
     expected = {sym("p", OP): sym("isAncestorOf", OP)}
     m = derive_fitting(fourth, LocalSymbolArg(name("isAncestorOf"), fits=fits), env)
-    assert m.as_dict() == expected
+    assert dict(m.pairs) == expected
     arg = AnonymousArg(make_ontology([sym("isAncestorOf", OP)], []), fits=fits)
-    assert derive_fitting(fourth, arg, env).as_dict() == expected
+    assert dict(derive_fitting(fourth, arg, env).pairs) == expected
 
 
 def test_derive_fitting_reads_and_fills_the_library_memo():
@@ -153,7 +154,7 @@ def test_derive_fitting_reads_and_fills_the_library_memo():
     assert "ValSet_CrustStyle" not in lib.memo
     second = lib.defs["TransitiveRelation"].clauses[0].params[1]
     m = derive_fitting(second, NamedOntologyArg("ValSet_CrustStyle"), EMPTY_ONTOLOGY, lib=lib)
-    assert m.as_dict() == {sym("C", CLS): sym("CrustStyle", CLS)}
+    assert dict(m.pairs) == {sym("C", CLS): sym("CrustStyle", CLS)}
     assert lib.memo["ValSet_CrustStyle"].ontology == expand_named(lib, "ValSet_CrustStyle")
 
 
@@ -174,7 +175,7 @@ def test_fit_anonymous_argument_applies_its_own_fit_map(corpus_lib):
     first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
     ont = make_ontology([sym("q1", OP), sym("q2", OP)], [])
     m = derive_fitting(first, AnonymousArg(ont, fits=((name("r"), name("q2")),)), EMPTY_ONTOLOGY)
-    assert m.as_dict() == {sym("r", OP): sym("q2", OP)}
+    assert dict(m.pairs) == {sym("r", OP): sym("q2", OP)}
 
 
 def test_fit_local_symbol_with_a_conflicting_fit_is_incompatible_as_in_the_language(corpus_lib):
@@ -186,7 +187,7 @@ def test_fit_local_symbol_with_a_conflicting_fit_is_incompatible_as_in_the_langu
         derive_fitting(first, LocalSymbolArg(name("a")), EMPTY_ONTOLOGY, explicit=conflict)
     # an agreeing fit is no conflict
     m = derive_fitting(first, LocalSymbolArg(name("a")), EMPTY_ONTOLOGY, explicit=[(name("r"), name("a"))])
-    assert m.as_dict() == {sym("r", OP): sym("a", OP)}
+    assert dict(m.pairs) == {sym("r", OP): sym("a", OP)}
     lib = lib_of(
         (CORPUS / "patterns.gdp").read_text(encoding="utf-8")
         + "ontology Use = { Class: Person } then TransitiveRelation[a fit r |-> b; Person]\n"
@@ -1021,3 +1022,40 @@ def test_a_constraint_on_a_name_built_from_an_elided_symbol_is_not_checked():
         "ontology Use = L[X; ]\n"
     )
     assert expand_named(lib, "Use") == make_ontology([sym("X", CLS), sym("s", OP)], [])
+
+
+# -- a name a clause binds hides an enclosing list tail --------------------------
+
+_M = "ontology M [Individual: y :: ys] = { Individual: r DifferentFrom: y, ys }\n"
+
+
+def _different_from(body: str, extra: str = "") -> list[str]:
+    lib = lib_of(extra + f"ontology D [Individual: x :: xs] = let {body}\nontology U = D[a, b, c]\n")
+    return sorted(
+        " ".join(n.render() for n in a.individuals)
+        for a in expand_named(lib, "U").axioms
+        if isinstance(a, DifferentIndividuals)
+    )
+
+
+@pytest.mark.parametrize("body, extra, expected", [
+    # a local's parameter named like D's tail: in a block's comma list it is the parameter
+    ("ontology L [Individual: xs] = { Individual: r DifferentFrom: xs } in L[q]", "", ["q r"]),
+    # so is a local's list head
+    ("ontology L [Individual: xs :: ys] = { Individual: r DifferentFrom: xs } in L[q, t]", "", ["q r"]),
+    # and the parameter in an argument's comma list
+    ("ontology L [Individual: xs] = M[s, xs] in L[q]", _M, ["q r", "r s"]),
+])
+def test_a_name_the_clause_binds_hides_an_enclosing_list_tail(body, extra, expected):
+    assert _different_from(body, extra) == expected
+
+
+@pytest.mark.parametrize("body, expected", [
+    # a bare argument naming the local's parameter is that parameter
+    ("ontology L [Individual: xs] = M[xs] in L[q]", ["q r"]),
+    # and naming the enclosing tail, which nothing hides, is the tail
+    ("ontology L [Individual: z] = M[xs] in L[q]", ["b r", "c r"]),
+    ("ontology L [Individual: z] = { Individual: z DifferentFrom: xs } in L[q]", ["b q", "c q"]),
+])
+def test_argument_positions_and_unhidden_tails_resolve_as_before(body, expected):
+    assert _different_from(body, _M) == expected

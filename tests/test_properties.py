@@ -243,6 +243,30 @@ def test_parser_is_total_on_deep_nesting(nest):
         assert depth <= MAX_NESTING
 
 
+# runs `godp` in process for each argv of RUNS and prints exit code and output
+_CLI_RUNS = """
+import contextlib, io, sys
+from godp.cli import main
+for argv in RUNS:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    sys.stdout.write(f"{argv} -> {code}\\n{out.getvalue()}{err.getvalue()}\\n")
+"""
+
+# interns every word of the corpus, plain and as an argument, as a symbol of
+# each kind, in shuffled order, so that the names the runs build sit at other
+# addresses than in a plain run
+_INTERN_SHUFFLED = """
+import pathlib, random, re
+from godp.core import NameTerm, Symbol, SymbolKind
+words = sorted({w for f in CORPUS for w in re.findall(r"[A-Za-z0-9_]+", pathlib.Path(f).read_text())})
+random.Random(7).shuffle(words)
+KEEP = [[NameTerm(w), NameTerm(w, (NameTerm(v),))] + [Symbol(NameTerm(v), k) for k in SymbolKind]
+        for w, v in zip(words, reversed(words))]
+"""
+
+
 def test_cli_byte_identical_across_hash_seeds():
     corpus = [str(p) for p in corpus_paths()]
     src = os.path.dirname(os.path.dirname(godp.__file__))
@@ -257,6 +281,22 @@ def test_cli_byte_identical_across_hash_seeds():
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)
     assert outs[0] == outs[1]
+    # names are interned and hash by identity, so set order follows object
+    # addresses: interning the corpus names first, in shuffled order, must
+    # not change a byte either
+    runs = [["expand", "--target", "GradedRelsSub_Significance", "--format", "dump", *corpus]]
+    runs += [["check", *corpus, str(e)] for e in sorted(ERRORS.glob("*.gdp"))]
+    setup = f"RUNS = {runs!r}\nCORPUS = {corpus!r}\n"
+    results = []
+    for seed, prelude in (("1", ""), ("3", _INTERN_SHUFFLED)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        r = subprocess.run(
+            [sys.executable, "-c", setup + prelude + _CLI_RUNS], capture_output=True, env=env
+        )
+        assert r.returncode == 0, r.stderr
+        results.append(r.stdout)
+    assert results[0] == results[1]
+    assert results[0].startswith(f"{runs[0]!r} -> 0\n".encode() + outs[0].encode())
 
 
 def test_library_is_not_changed_by_concurrent_use():
@@ -275,7 +315,7 @@ def test_library_is_not_changed_by_concurrent_use():
         for name in sorted(lib.zero_param_names()):
             expand_named(lib, name)
         for d in lib.defs.values():
-            godp.param_environments(d)
+            assert d.clauses[0].envs[-1].signature >= d.clauses[0].envs[0].signature
             assert all(loc.parent is d for loc in d.locals.values())
         return True
 
