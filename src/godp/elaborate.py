@@ -1,9 +1,9 @@
 """Build a resolved pattern library from the AST.
 
 Merges same-name definitions into ordered template clauses, resolves the
-names in every clause body once, computes sequential parameter environments
-along the inclusion chain, and enforces the recursion guard: a self or mutual
-call is only legal when it strictly shrinks some list parameter.
+names in every clause body once, gives each definition its parameter
+environment, and enforces the recursion guard: a self or mutual call is only
+legal when it strictly shrinks some list parameter.
 
 A name in a body means the first of: a parameter symbol or list variable of
 the clause or of an enclosing definition (of any of its clauses, since locals
@@ -12,12 +12,13 @@ one; a library definition. A resolved body is made of `Call`s, symbols
 (`NameTerm`s), `ListVar`s and `BlockExpr`s, a `then` chain being a tuple of
 them.
 
-Clauses are frozen: made with the AST body, then with the resolved one, then
-with the new symbols of the plain parameters and the environments. These are
-computed in the order of the call graph's components, callees first, so each
-import is expanded (by `instantiate.expand_named`, with a fresh default depth
-budget) only after everything it reaches has its environments. Once
-`build_library` returns, nothing in the Library changes but its memo.
+A definition's parameters see its imports and, for a local, all that its
+definer's first-clause parameters see; each one also sees those before it.
+A plain parameter's new symbols are what it adds, computed once per
+definition. Each frozen `Clause` is made once, with its resolved body, in an
+order where each import is expanded (by `instantiate.expand_named`, with a
+fresh default depth budget) only after everything it reaches has its clauses.
+Once `build_library` returns, nothing in the Library changes but its memo.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .core import (
+    EMPTY_ONTOLOGY,
     Axiom,
     ClassAssertion,
     DifferentIndividuals,
@@ -271,27 +273,21 @@ Expr = Union[Call, BlockExpr, tuple]
 @dataclass(frozen=True)
 class Clause:
     params: tuple[ParamSpec, ...]
-    body: Expr  # the AST body until build_library resolves it
-    pos: object
-    # envs[i]: what parameter i sees (imports plus the deltas of parameters
-    # 0..i-1); envs[-1] is the full parameter environment. A by-product of
-    # computing PlainShape.new_symbols.
-    envs: tuple[FlatOntology, ...] = ()
+    body: Expr
 
 
 @dataclass
 class PatternDef:
     name: str
     qual: str
-    imports: tuple  # the `given` names, then the definitions they name
+    arity: int
     locals: dict[str, "PatternDef"]
-    clauses: tuple[Clause, ...]
     pos: object
     parent: "PatternDef | None" = None
-
-    @property
-    def arity(self) -> int:
-        return len(self.clauses[0].params)
+    # each set once by build_library, after every definition exists: a call
+    # or an import may name a definition made later, or its own
+    imports: tuple["PatternDef", ...] = ()
+    clauses: tuple[Clause, ...] = ()
 
     def shape_words(self) -> list[str]:
         return [p.shape_word for p in self.clauses[0].params]
@@ -353,12 +349,33 @@ def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternD
                 )
 
 
+class _Plain(NamedTuple):
+    """A plain parameter until its environment gives its new symbols."""
+
+    index: int
+    optional: bool
+    frames: tuple[Frame, ...]
+    delta: FlatOntology
+    is_list = False
+
+
+class _Draft(NamedTuple):
+    """A definition until build_library makes its clauses: each clause's AST
+    and parameters, the plain ones shared by all clauses."""
+
+    d: PatternDef
+    clauses: list[tuple[PatternDefAst, tuple[Union[ParamSpec, _Plain], ...]]]
+
+
 def _build_def(
     name: str,
     clause_asts: list[PatternDefAst],
     qual: str,
     parent: PatternDef | None,
+    drafts: dict[str, _Draft],
 ) -> PatternDef:
+    """The definition `name` with its locals; `drafts` gets the draft of
+    each, a definition before its locals."""
     first = clause_asts[0]
     for other in clause_asts[1:]:
         _check_clause_compatibility(name, first, other)
@@ -369,86 +386,126 @@ def _build_def(
             clause_asts[1].pos,
         )
 
-    d = PatternDef(name, qual, first.given, {}, (), first.pos, parent)
+    d = PatternDef(name, qual, len(first.params), {}, first.pos, parent)
+    drafts[qual] = _Draft(d, [])
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
     for ca in clause_asts:
         for loc in ca.locals:
             local_asts.setdefault(loc.name, []).append(loc)
     for lname, lasts in local_asts.items():
-        d.locals[lname] = _build_def(lname, lasts, f"{qual}::{lname}", d)
+        d.locals[lname] = _build_def(lname, lasts, f"{qual}::{lname}", d, drafts)
 
-    clauses: list[Clause] = []
+    plain: dict[int, _Plain] = {}
     for ca in clause_asts:
-        params: list[ParamSpec] = []
+        params: list[ParamSpec | _Plain] = []
         for i, p in enumerate(ca.params):
             pl = p.payload
-            if clauses and isinstance(pl, FramesParam):  # clauses share plain parameters
-                shape = clauses[0].params[i].shape
-            elif isinstance(pl, FramesParam):  # new symbols with the environments
-                shape = PlainShape(pl.frames, build_block(pl.frames), ())
-            elif isinstance(pl, EmptyParam):
-                shape = ListTemplate(None, None, None, None)
+            if isinstance(pl, FramesParam):  # clauses share plain parameters
+                if i not in plain:
+                    plain[i] = _Plain(i, p.optional, pl.frames, build_block(pl.frames))
+                params.append(plain[i])
             else:
-                shape = ListTemplate(pl.kind, pl.head, pl.head2, pl.tail)
-            params.append(ParamSpec(i, p.optional, shape))
-        clauses.append(Clause(tuple(params), ca.body, ca.pos))
-    d.clauses = tuple(clauses)
+                t = (None,) * 4 if isinstance(pl, EmptyParam) else (pl.kind, pl.head, pl.head2, pl.tail)
+                params.append(ParamSpec(i, p.optional, ListTemplate(*t)))
+        drafts[qual].clauses.append((ca, tuple(params)))
     return d
 
 
 def build_library(ast: LibraryAst) -> Library:
     """Resolve an AST into an immutable Library; validates names, clause
     consistency, sequential environments, imports, and recursion legality."""
+    from .instantiate import expand_named  # circular at module level by design
+
     grouped: dict[str, list[PatternDefAst]] = {}
     for item in ast.items:
         grouped.setdefault(item.name, []).append(item)
+    drafts: dict[str, _Draft] = {}
+    lib = Library({name: _build_def(name, asts, name, None, drafts) for name, asts in grouped.items()})
 
-    defs: dict[str, PatternDef] = {}
-    for name, clause_asts in grouped.items():
-        defs[name] = _build_def(name, clause_asts, name, None)
-    lib = Library(defs)
+    bodies: dict[str, list[Expr]] = {}
+    scopes: dict[str, dict[str, tuple[str, bool]]] = {}
+    calls: list = []
+    imports: list = []
+    for d, clauses in drafts.values():
+        d.imports = tuple(_import(lib, d, name) for name in clauses[0][0].given)
+        imports.extend((d.qual, imp.qual, False, d.pos) for imp in d.imports)
+        bodies[d.qual] = _resolve(lib, d, drafts, scopes)
+        for (_, params), body in zip(clauses, bodies[d.qual]):
+            tails = {p.shape.tail: p.shape.min_len for p in params if p.is_list and p.shape.tail}
+            for c in _calls(body, []):
+                shrinks = c.args is not None and any(_arg_shrinks(a, tails) for a in c.args)
+                calls.append((d.qual, c.target.qual, shrinks, c.pos))
+    comp = _check_cycles(set(drafts), calls + imports)
 
-    edges: list = []
-    for d in defs.values():
-        _resolve_imports(lib, d)
-        _resolve(lib, d, {})
-        _collect_edges(d, edges)
-    comp = _check_cycles(lib, edges)
-    # callees first, so an import expands only what already has environments
-    for d in sorted(defs.values(), key=lambda d: comp[d.qual]):
-        _compute_environments(lib, d)
+    # An import is expanded only after every definition it reaches has its
+    # clauses. Those lie in the import's component or lower ones, and so do
+    # their definers. So a definition comes after its definers and after the
+    # components of its imports, as a library definition's own component is.
+    order: dict[str, int] = {}
+    for d, _ in drafts.values():
+        outer = order[d.parent.qual] if d.parent is not None else comp[d.qual]
+        order[d.qual] = max([outer] + [comp[imp.qual] + 1 for imp in d.imports])
+    envs: dict[str, FlatOntology] = {}
+    for d, clauses in sorted(drafts.values(), key=lambda dr: order[dr.d.qual]):  # stable: definers first
+        env = envs[d.parent.qual] if d.parent is not None else EMPTY_ONTOLOGY
+        for imp in d.imports:
+            env = union_flat(env, expand_named(lib, imp.name))
+        d.clauses, envs[d.qual] = _clauses(clauses, bodies[d.qual], env)
     return lib
 
 
-def _resolve_imports(lib: Library, d: PatternDef) -> None:
-    imports = []
-    for imp in d.imports:
-        target = lib.defs.get(imp)
-        if target is None:
-            raise UnknownReference(f"unknown import '{imp}' in '{d.qual}'", d.pos)
-        if target.arity != 0:
-            raise UnsupportedArgument(
-                f"import '{imp}' in '{d.qual}' is generic; only 0-parameter "
-                f"ontologies can be imported",
-                d.pos,
-            )
-        imports.append(target)
-    d.imports = tuple(imports)
-    for loc in d.locals.values():
-        _resolve_imports(lib, loc)
+def _import(lib: Library, d: PatternDef, name: str) -> PatternDef:
+    target = lib.defs.get(name)
+    if target is None:
+        raise UnknownReference(f"unknown import '{name}' in '{d.qual}'", d.pos)
+    if target.arity != 0:
+        raise UnsupportedArgument(
+            f"import '{name}' in '{d.qual}' is generic; only 0-parameter "
+            f"ontologies can be imported",
+            d.pos,
+        )
+    return target
+
+
+def _clauses(
+    drafts: list[tuple[PatternDefAst, tuple]], bodies: list[Expr], env: FlatOntology
+) -> tuple[tuple[Clause, ...], FlatOntology]:
+    """The clauses of a definition whose parameters see `env`, and what its
+    locals see: `env` and the first clause's parameters, list heads included.
+    Each parameter sees `env` and the parameters before it in the first
+    clause; a plain one's new symbols are those it adds."""
+    plain: dict[int, ParamSpec] = {}
+    for p in drafts[0][1]:
+        if p.is_list:
+            heads = [Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads]
+            env = union_flat(env, make_ontology(heads, []))
+            continue
+        try:
+            after = union_flat(env, p.delta)  # well-formedness in this environment
+        except GodpError as e:
+            e.ensure_pos(p.frames[0].pos)
+            raise
+        new_symbols = tuple(sorted(p.delta.signature - env.signature, key=Symbol.key))
+        plain[p.index] = ParamSpec(p.index, p.optional, PlainShape(p.frames, p.delta, new_symbols))
+        env = after
+    clauses = tuple(
+        Clause(tuple(p if p.is_list else plain[p.index] for p in params), body)
+        for (_, params), body in zip(drafts, bodies)
+    )
+    return clauses, env
 
 
 # -- name resolution -------------------------------------------------------------
 
-def _param_names(d: PatternDef, clause: Clause, outer: dict) -> dict[str, tuple[str, bool]]:
+def _param_names(d: PatternDef, params: tuple, outer: dict) -> dict[str, tuple[str, bool]]:
     """`outer` and each name a clause's parameters bind, with the qual of `d`
     and whether it is a list tail; a plain parameter binds the bases of its
     names."""
     names, plain, tail = dict(outer), (d.qual, False), (d.qual, True)
-    for p in clause.params:
+    for p in params:
         if not p.is_list:
-            for s in p.shape.delta.signature:
+            for s in p.delta.signature:
                 names.update(dict.fromkeys(s.name.bases(), plain))
             continue
         names.update(dict.fromkeys(p.shape.heads, plain))
@@ -457,10 +514,12 @@ def _param_names(d: PatternDef, clause: Clause, outer: dict) -> dict[str, tuple[
     return names
 
 
-def _resolve(lib: Library, d: PatternDef, outer: dict) -> None:
-    """Resolve the clause bodies of `d` and of its locals; `outer` holds the
-    parameters of the definitions around `d`."""
-    seen = [_param_names(d, c, outer) for c in d.clauses]
+def _resolve(lib: Library, d: PatternDef, drafts: dict[str, _Draft], scopes: dict) -> list[Expr]:
+    """The resolved clause bodies of `d`. `scopes` maps each definition
+    resolved before, its definers among them, to the parameters seen inside
+    it; `d` joins it."""
+    outer = scopes[d.parent.qual] if d.parent is not None else {}
+    seen = [_param_names(d, params, outer) for _, params in drafts[d.qual].clauses]
     merged = seen[0]
     for names in seen[1:]:
         merged = {**merged, **names}
@@ -471,12 +530,11 @@ def _resolve(lib: Library, d: PatternDef, outer: dict) -> None:
                 f"'{merged[name][0]}'",
                 loc.pos,
             )
-    d.clauses = tuple(
-        Clause(c.params, _Scope(lib, params, d).expr(c.body, strict=True), c.pos)
-        for c, params in zip(d.clauses, seen)
-    )
-    for loc in d.locals.values():
-        _resolve(lib, loc, merged)
+    scopes[d.qual] = merged
+    return [
+        _Scope(lib, params, d, drafts).expr(ca.body, strict=True)
+        for (ca, _), params in zip(drafts[d.qual].clauses, seen)
+    ]
 
 
 class _Scope(NamedTuple):
@@ -486,6 +544,7 @@ class _Scope(NamedTuple):
     lib: Library
     params: dict[str, tuple[str, bool]]
     d: PatternDef
+    drafts: dict[str, _Draft]
 
     def definition(self, name: str) -> tuple[PatternDef | None, int | None]:
         up, cur = 0, self.d
@@ -511,11 +570,11 @@ class _Scope(NamedTuple):
             raise UnknownReference(f"unknown ontology or pattern '{e.name}'", e.pos)
         if isinstance(e, RefExpr):
             return Call(e.name, target, None, up, e.pos)
-        shapes = target.clauses[0].params if target is not None else ()
+        shapes = self.drafts[target.qual].clauses[0][1] if target is not None else ()
         args = [self.arg(a, shapes[i] if i < len(shapes) else None) for i, a in enumerate(e.args)]
         return Call(e.name, target, tuple(args), up, e.pos)
 
-    def arg(self, a: ArgAst, param: ParamSpec | None) -> ArgAst:
+    def arg(self, a: ArgAst, param: ParamSpec | _Plain | None) -> ArgAst:
         """`a`, given to `param`, with its value resolved: a name of a
         parameter or of no definition is a symbol (a `NameTerm`) or a list
         variable, and so is a bare name that a list parameter gets."""
@@ -534,10 +593,6 @@ class _Scope(NamedTuple):
 
 
 # -- recursion guard -----------------------------------------------------------
-
-def _clause_tail_depths(clause: Clause) -> dict[str, int]:
-    return {p.shape.tail: p.shape.min_len for p in clause.params if p.is_list and p.shape.tail}
-
 
 def _arg_shrinks(a: ArgAst, tails: dict[str, int]) -> bool:
     v = a.value
@@ -564,34 +619,8 @@ def _calls(e: Expr, out: list[Call]) -> list[Call]:
     return out
 
 
-def _collect_edges(d: PatternDef, edges: list) -> None:
-    """The calls of `d` and its locals."""
-    for clause in d.clauses:
-        tails = _clause_tail_depths(clause)
-        for c in _calls(clause.body, []):
-            shrinks = c.args is not None and any(_arg_shrinks(a, tails) for a in c.args)
-            edges.append((d.qual, c.target.qual, shrinks, c.pos))
-    for loc in d.locals.values():
-        _collect_edges(loc, edges)
-
-
-def _all_defs(lib: Library):
-    def walk(d: PatternDef):
-        yield d
-        for loc in d.locals.values():
-            yield from walk(loc)
-
-    for d in lib.defs.values():
-        yield from walk(d)
-
-
-def _check_cycles(lib: Library, edges: list) -> dict[str, int]:
+def _check_cycles(nodes: set[str], edges: list) -> dict[str, int]:
     """Raise on an illegal cycle; return each node's call-graph component."""
-    for d in _all_defs(lib):
-        for imp in d.imports:
-            edges.append((d.qual, imp.qual, False, d.pos))
-
-    nodes = {d.qual for d in _all_defs(lib)}
     adj: dict[str, set[str]] = {n: set() for n in nodes}
     for src, dst, _, _ in edges:
         adj[src].add(dst)
@@ -639,36 +668,3 @@ def _tarjan_scc(nodes: set[str], adj: dict[str, set[str]]) -> dict[str, int]:
                         comp[stack.pop()] = count
                     count += 1
     return comp
-
-
-# -- environments --------------------------------------------------------------
-
-def _compute_environments(lib: Library, d: PatternDef, prefix: FlatOntology | None = None) -> None:
-    if prefix is None:
-        from .instantiate import _imports_ontology, expand_named  # circular at module level by design
-
-        prefix = _imports_ontology(d, lambda imp: expand_named(lib, imp.name))
-    d.clauses = tuple(_with_environments(clause, prefix) for clause in d.clauses)
-    for loc in d.locals.values():
-        _compute_environments(lib, loc, prefix=d.clauses[0].envs[-1])
-
-
-def _with_environments(clause: Clause, base: FlatOntology) -> Clause:
-    envs = [base]
-    params: list[ParamSpec] = []
-    for p in clause.params:
-        env = envs[-1]
-        if p.is_list:
-            delta = make_ontology([Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads], [])
-            envs.append(union_flat(env, delta))
-        else:
-            delta = p.shape.delta
-            try:
-                envs.append(union_flat(env, delta))  # well-formedness in this environment
-            except GodpError as e:
-                e.ensure_pos(p.shape.frames[0].pos)
-                raise
-            new_syms = tuple(sorted(delta.signature - env.signature, key=Symbol.key))
-            p = ParamSpec(p.index, p.optional, PlainShape(p.shape.frames, delta, new_syms))
-        params.append(p)
-    return Clause(tuple(params), clause.body, clause.pos, tuple(envs))

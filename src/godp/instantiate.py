@@ -254,17 +254,13 @@ def _normalize_ast_arg(a: ArgAst, pspec: ParamSpec, b: Bindings) -> ArgumentForm
     if isinstance(v, ListArgAst):
         rest = b.items_of(v.tail) if v.tail is not None else ()
         if rest is None and pspec.is_list:  # at a plain position the list is the error
-            raise UnknownReference(
-                f"'{v.tail.render()}' is not a list in scope (expected a "
-                f"list-parameter tail)",
-                a.pos,
-            )
+            raise _not_a_list(v.tail, a.pos)
         return ListArg(resolve_items(b.apply, b.items_of, v.items) + (rest or ()), a.pos)
-    if isinstance(v, ListVar):
+    if isinstance(v, ListVar):  # a template tail, at every position
         items = b.items_of(NameTerm(v.name))
-        if items is not None:  # a template tail, at every position
-            return ListArg(items, a.pos)
-        v = NameTerm(v.name)  # the enclosing instance ran a clause without it
+        if items is None:  # the enclosing instance ran a clause without it
+            raise _not_a_list(NameTerm(v.name), a.pos)
+        return ListArg(items, a.pos)
     # fit sources name the callee's parameter symbols and stay as written;
     # targets live in the caller's context and get substituted
     fits = tuple((src, b.apply(dst)) for src, dst in a.fits)
@@ -281,6 +277,12 @@ def _normalize_ast_arg(a: ArgAst, pspec: ParamSpec, b: Bindings) -> ArgumentForm
 
 
 _LIST_FITS = "fit maps are not allowed on list arguments"
+
+
+def _not_a_list(tail: NameTerm, pos: SourcePos | None) -> UnknownReference:
+    return UnknownReference(
+        f"'{tail.render()}' is not a list in scope (expected a list-parameter tail)", pos
+    )
 
 
 def _check_arg(
@@ -539,13 +541,11 @@ def _fit_ontology(
     sigma: Bindings,
 ) -> None:
     shape: PlainShape = pspec.shape
-    explicit = dict(form.fits)
-    consumed: set[NameTerm] = set()
+    explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
     pool = [s for s in arg_ont.sorted_signature() if s not in env.signature]
     for n in shape.new_symbols:
-        if n.name in explicit:
-            image = explicit[n.name]
-            consumed.add(n.name)
+        image = explicit.get(n.name)
+        if image is not None:
             k = arg_ont.kind_of(image)
             if k is None:
                 raise NoCandidate(
@@ -577,8 +577,6 @@ def _fit_ontology(
             image = candidates[0].name
         _bind_checked(sigma, n.name, image, form.pos)
     for src, dst in form.fits:
-        if src in consumed:
-            continue
         _bind_checked(sigma, src, dst, form.pos)
 
 
@@ -594,16 +592,6 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
 # ---------------------------------------------------------------------------
 # The expansion proper
 # ---------------------------------------------------------------------------
-
-def _imports_ontology(
-    d: PatternDef, expand_import: Callable[[PatternDef], FlatOntology]
-) -> FlatOntology:
-    """The union of `d`'s imports, each expanded by `expand_import`."""
-    out = EMPTY_ONTOLOGY
-    for imp in d.imports:
-        out = union_flat(out, expand_import(imp))
-    return out
-
 
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     parent, budget, running = ctx.frame, ctx.budget, ctx.running
@@ -705,7 +693,9 @@ def _instantiate(
     ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
     sigma = base.child()
-    imports_ont = _imports_ontology(target, lambda imp: _closed_expansion(ctx, imp, pos))
+    imports_ont = EMPTY_ONTOLOGY
+    for imp in target.imports:
+        imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
     avail = union_flat(env, imports_ont)
     dead: set[str] = set()
 

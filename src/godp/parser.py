@@ -260,9 +260,8 @@ class _Parser:
             return ClassFrame(name, equivalent, pos=tok.pos)
         if tok.value == "ObjectProperty":
             return self._parse_property_fields(self.parse_name_term(), tok.pos)
-        if tok.value == "Individual":
-            return self._parse_individual_fields(self.parse_name_term(), tok.pos)
-        raise ParseError(f"unknown frame keyword {tok.value!r}", tok.pos)
+        # "Individual": parse_frames calls this only at a frame start
+        return self._parse_individual_fields(self.parse_name_term(), tok.pos)
 
     def _take_field(self, words: dict[str, list]) -> str | None:
         """Consume a `Word:` field header and return Word, if Word is in `words`."""

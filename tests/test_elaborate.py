@@ -74,35 +74,65 @@ def test_mutual_cycle_without_shrink_is_illegal():
         lib_of(src)
 
 
+def _seen(lib, d, upto=None):
+    """What parameter `upto` of the first clause of `d` sees (all of them
+    with None), built from new symbols: the imports of `d` and of its
+    definers, its definers' parameters, and its own parameters before
+    `upto`, a plain one declaring its new symbols and a list one its heads."""
+    out = set(_seen(lib, d.parent)) if d.parent is not None else set()
+    for imp in d.imports:
+        out |= expand_named(lib, imp.name).signature
+    for p in d.clauses[0].params[:upto]:
+        if p.is_list:
+            out |= {Symbol(name(h), p.shape.kind) for h in p.shape.heads}
+        else:
+            out |= set(p.shape.new_symbols)
+    return out
+
+
 def test_param_environments_subprop(corpus_lib):
-    envs = corpus_lib.defs["SubProp"].clauses[0].envs
-    assert len(envs) == 5
-    visible_to_fourth = {s.name.base for s in envs[3].signature}
+    sub = corpus_lib.defs["SubProp"]
+    params = sub.clauses[0].params
+    assert len(params) == 4
+    visible_to_fourth = {s.name.base for s in _seen(corpus_lib, sub, 3)}
     assert visible_to_fourth == {"q", "D", "R"}
-    for earlier, later in zip(envs, envs[1:]):
-        assert earlier.signature <= later.signature
+    # the fourth parameter's new symbols exclude what it sees
+    assert {s.name.base for s in params[3].shape.new_symbols} == {"p"}
+    for p in params:  # each parameter adds to what the ones before it declare
+        assert not set(p.shape.new_symbols) & _seen(corpus_lib, sub, p.index)
 
 
 def test_param_environments_zero_param_def(corpus_lib):
-    envs = corpus_lib.defs["Agents"].clauses[0].envs
-    assert len(envs) == 1 and envs[0].is_empty()
-    with_import = corpus_lib.defs["PersonRels"].clauses[0].envs
-    assert {s.name.base for s in with_import[0].signature} == {"Person"}
+    agents = corpus_lib.defs["Agents"]
+    assert agents.arity == 0 and _seen(corpus_lib, agents) == set()
+    with_import = corpus_lib.defs["PersonRels"]
+    assert with_import.imports == (agents,)  # the definitions, not their names
+    assert {s.name.base for s in _seen(corpus_lib, with_import, 0)} == {"Person"}
 
 
 def test_param_environments_valset_optional_sees_val_and_head(corpus_lib):
-    envs = corpus_lib.defs["ValSet"].clauses[0].envs
-    env_for_optional = envs[2]
-    assert Symbol(name("Val"), CLS) in env_for_optional.signature
-    assert Symbol(name("v"), IND) in env_for_optional.signature
+    valset = corpus_lib.defs["ValSet"]
+    env_for_optional = _seen(corpus_lib, valset, 2)
+    assert Symbol(name("Val"), CLS) in env_for_optional
+    assert Symbol(name("v"), IND) in env_for_optional
+    assert valset.clauses[0].params[2].shape.new_symbols == (Symbol(name("greater", "Val"), OP),)
+
+
+def _every_def(defs):
+    for d in defs:
+        yield d
+        yield from _every_def(d.locals.values())
 
 
 def test_new_symbols_equal_env_difference(corpus_lib):
-    for d in corpus_lib.defs.values():
+    for d in _every_def(corpus_lib.defs.values()):
+        first = d.clauses[0].params
         for clause in d.clauses:
             for p in clause.params:
                 if isinstance(p.shape, PlainShape):
-                    diff = clause.envs[p.index + 1].signature - clause.envs[p.index].signature
+                    # one parameter for all clauses, its new symbols computed once
+                    assert p is first[p.index]
+                    diff = p.shape.delta.signature - _seen(corpus_lib, d, p.index)
                     assert frozenset(p.shape.new_symbols) == diff
 
 
@@ -125,13 +155,13 @@ def test_imports_are_expanded_by_expand_named_with_a_fresh_budget(monkeypatch):
     )
     # one call per import of each definition, each with the default depth
     assert seen == [("Base", (), {}), ("Other", (), {}), ("Base", (), {})]
-    assert {s.name.base for s in lib.defs["A"].clauses[0].envs[0].signature} == {"Person", "Place"}
+    assert {s.name.base for s in _seen(lib, lib.defs["A"], 0)} == {"Person", "Place"}
 
 
 def test_locals_share_enclosing_parameters(corpus_lib):
     valset = corpus_lib.defs["ValSet"]
     step = valset.locals["OrderStep"]
-    prefix = step.clauses[0].envs[0].signature
+    prefix = _seen(corpus_lib, step, 0)
     assert Symbol(name("Val"), CLS) in prefix
     assert Symbol(name("greater", "Val"), OP) in prefix
 
@@ -139,9 +169,9 @@ def test_locals_share_enclosing_parameters(corpus_lib):
 def test_no_locals_is_unchanged(corpus_lib):
     sub = corpus_lib.defs["SubProp"]
     # the built definition is the resolved one: its body resolved, its
-    # environments there, nothing left for a later step to fill in
+    # parameters' new symbols there, nothing left for a later step to fill in
     assert isinstance(sub.clauses[0].body, BlockExpr)
-    assert len(sub.clauses[0].envs) == sub.arity + 1
+    assert [len(p.shape.new_symbols) for p in sub.clauses[0].params] == [1] * sub.arity
     assert sub.locals == {}
 
 
@@ -151,7 +181,7 @@ def test_graded_rels_sub_locals_registered(corpus_lib):
     assert "AtMostInitial" in d.locals
     als = d.locals["AtLeastStep"]
     assert len(als.clauses) == 2
-    assert Symbol(name("p"), OP) in als.clauses[0].envs[0].signature
+    assert Symbol(name("p"), OP) in _seen(corpus_lib, als, 0)
 
 
 def test_locals_of_distinct_patterns_do_not_collide(corpus_lib):
@@ -179,6 +209,8 @@ _LIST_G = "ontology G [Class: C; Individual: x :: xs] = { Class: C }\n"
 
 
 @pytest.mark.parametrize("clauses, message", [
+    (_PLAIN_G + "ontology G [Class: C; Class: D] = { Class: C }\n",
+     "disagree on parameter count (1 vs 2)"),
     (_PLAIN_G + "ontology G [Class: C] given B = { Class: C }\n", "disagree on given imports"),
     (_PLAIN_G + "ontology G [? Class: C] = { Class: C }\n",
      "disagree on optionality of parameter 1"),
@@ -275,6 +307,53 @@ def test_import_expansion_does_not_depend_on_definition_order(t_first):
     assert expand_named(lib, "A") == make_ontology(
         [Symbol(name("Z"), CLS), Symbol(name("s"), OP)], [Transitive(name("s"))]
     )
+
+
+_LOCAL_GIVEN = (
+    "ontology Agents = { Class: Person }\n"
+    "ontology L0 [ObjectProperty: p Domain: Person] given Agents = { ObjectProperty: p }\n"
+    "ontology Top = { ObjectProperty: q Domain: Person } then L0[q]\n"
+    "ontology D [Class: C] =\n"
+    "  let ontology L [ObjectProperty: p Domain: Person] given Agents = { ObjectProperty: p }\n"
+    "  in { Class: C ObjectProperty: q Domain: Person } then L[q]\n"
+    "ontology Loc = D[K]\n"
+)
+
+
+def test_a_local_sees_its_own_imports_as_a_library_definition_does():
+    lib = lib_of(_LOCAL_GIVEN)
+    # Person comes from the import, so p is the parameter's one new symbol
+    local = lib.defs["D"].locals["L"]
+    assert local.imports == (lib.defs["Agents"],)
+    assert local.clauses[0].params[0].shape.new_symbols == (Symbol(name("p"), OP),)
+    assert emit_struct_dump(expand_named(lib, "Loc")) == (
+        "AX Domain q Person\n"
+        "SYM Class K\n"
+        "SYM Class Person\n"
+        "SYM ObjectProperty q\n"
+    )
+    assert emit_struct_dump(expand_named(lib, "Top")) == (
+        "AX Domain q Person\n"
+        "SYM Class Person\n"
+        "SYM ObjectProperty q\n"
+    )
+
+
+_UNUSED_LOCAL = "ontology A_D = let ontology L [Class: C] given Z_Y = { Class: C } in { Class: K }\n"
+_Z = (
+    "ontology Z_P [ObjectProperty: p] = { ObjectProperty: p Domain: Thing }\n"
+    "ontology Z_Y = { ObjectProperty: r } then Z_P[r]\n"
+    "ontology Z_T = Z_Y\n"
+)
+
+
+def test_a_local_import_expands_after_every_definition_it_reaches():
+    # A_D sorts before Z_P and does not call L, whose import Z_Y calls Z_P:
+    # Z_Y must not be expanded before Z_P has its parameters' new symbols
+    lib = lib_of(_UNUSED_LOCAL + _Z)
+    assert emit_struct_dump(expand_named(lib, "Z_T")) == emit_struct_dump(
+        expand_named(lib_of(_Z), "Z_T")
+    ) == "AX Domain r Thing\nSYM Class Thing\nSYM ObjectProperty r\n"
 
 
 def test_corpus_dumps_do_not_depend_on_file_order():

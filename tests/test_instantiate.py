@@ -274,13 +274,14 @@ def test_expand_missing_arguments_fail_as_in_the_language(corpus_lib):
         assert api.value.message == language.value.message
 
 
-# a call `Use = ...` on line 6: the call is at 6:16 and its first argument at 6:18
+# a call `Use = ...` on line 7: the call is at 7:16 and its first argument at 7:18
 ARGUMENT_CHECKS = """\
 ontology P [Class: C] = { Class: C }
 ontology G [Class: C; Class: D] = { Class: C }
 ontology L [Individual: x :: xs] = { Individual: x }
 ontology L [empty] = { }
 ontology M [Class: C; Individual: x :: xs] = { Class: C }
+ontology Y [Class: C  Class: D] = { Class: C }
 """
 
 
@@ -302,13 +303,22 @@ ontology M [Class: C; Individual: x :: xs] = { Class: C }
     ("G[empty; b]", MissingArgument, "missing argument for non-optional parameter 1 of 'G'", 18),
     ("M[a]", ArityMismatch, "missing argument for list parameter 2 of 'M'", 16),
     ("P[Foo[empty]]", UnknownReference, "unknown ontology or pattern 'Foo'", 18),
+    # every fit of a symbol is bound, as for a bare symbol argument
+    ("P[{ Class: A Class: B } fit C |-> A, C |-> B]", IncompatibleFittings,
+     "'C' is mapped both to 'A' and to 'B'", 18),
+    ("P[{ Class: A } fit C |-> Zz]", NoCandidate,
+     "fit target 'Zz' is not a symbol of the argument", 18),
+    ("P[{ ObjectProperty: A } fit C |-> A]", KindMismatch,
+     "fit target 'A' has kind ObjectProperty, parameter 'C' needs Class", 18),
+    ("Y[a]", UnsupportedArgument, "parameter 1 of 'Y' defines 2 new symbols; a bare symbol "
+     "argument fits only single-symbol parameters", 18),
 ])
 def test_argument_diagnostics_of_gdp_text(call, error, message, col):
     lib = lib_of(ARGUMENT_CHECKS + f"ontology Use = {call}\n")
     with pytest.raises(error) as exc:
         expand_named(lib, "Use")
     assert exc.value.message == message
-    assert (exc.value.pos.line, exc.value.pos.col) == (6, col)
+    assert (exc.value.pos.line, exc.value.pos.col) == (7, col)
 
 
 def test_a_list_variable_passed_to_a_plain_parameter_is_an_error(tmp_path, capsys):
@@ -321,6 +331,30 @@ def test_a_list_variable_passed_to_a_plain_parameter_is_an_error(tmp_path, capsy
     assert main(["check", str(CORPUS / "patterns.gdp"), str(f)]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"{f}:1:55: error: list argument given for a non-list parameter\n")
+
+
+def test_a_list_variable_the_running_clause_does_not_bind_is_an_error(tmp_path, capsys):
+    # D[empty] runs the clause without `xs`, and its local L passes `xs` on
+    f = tmp_path / "u.gdp"
+    f.write_text(
+        "ontology Q [Individual: y :: ys] = { Individual: y }\n"
+        "ontology Q [empty] = { }\n"
+        "ontology D [Individual: x :: xs] =\n"
+        "  let ontology L [Class: C] = { Class: C } then Q[xs] in L[K1]\n"
+        "ontology D [empty] = L[K2]\n"
+        "ontology U = D[empty]\n",
+        encoding="utf-8",
+    )
+    assert main(["expand", "--target", "U", str(f)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{f}:4:51: error: 'xs' is not a list in scope (expected a list-parameter tail)\n"
+    )
+
+
+def test_expand_named_of_an_unknown_name_is_an_unknown_reference():
+    with pytest.raises(UnknownReference) as exc:
+        expand_named(lib_of("ontology A = { Class: C }\n"), "Nope")
+    assert exc.value.message == "unknown ontology or pattern 'Nope'"
 
 
 @pytest.mark.parametrize("depth", [1, DEFAULT_DEPTH])

@@ -95,6 +95,13 @@ def test_parse_frames_unknown_keyword():
         parse_frames("Relation: r")
 
 
+def test_an_unsupported_characteristic_is_a_positioned_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_library("ontology A = { ObjectProperty: p Characteristics: Symmetric }", "c.gdp")
+    assert exc.value.message == "unsupported characteristic 'Symmetric' (supported: Reflexive, Transitive)"
+    assert exc.value.pos == SourcePos("c.gdp", 1, 51)
+
+
 def test_parse_parameterized_names():
     frames = parse_frames("ObjectProperty: greater[Val] Domain: Val")
     assert frames[0].name == name("greater", "Val")

@@ -309,13 +309,14 @@ def test_library_is_not_changed_by_concurrent_use():
 
     every_clause = [c for d in lib.defs.values() for c in clauses(d)]
     snapshot = [repr(c) for c in every_clause]
-    fields = [(c.params, c.envs) for c in every_clause]
+    fields = [(c.params, c.body) for c in every_clause]
 
     def use(_):
         for name in sorted(lib.zero_param_names()):
             expand_named(lib, name)
         for d in lib.defs.values():
-            assert d.clauses[0].envs[-1].signature >= d.clauses[0].envs[0].signature
+            for p in d.clauses[0].params:
+                assert p.is_list or set(p.shape.new_symbols) <= p.shape.delta.signature
             assert all(loc.parent is d for loc in d.locals.values())
         return True
 
@@ -330,8 +331,8 @@ def test_library_is_not_changed_by_concurrent_use():
     now = [c for d in lib.defs.values() for c in clauses(d)]
     assert all(a is b for a, b in zip(now, every_clause)) and len(now) == len(every_clause)
     assert [repr(c) for c in now] == snapshot
-    assert all(c.params is p and c.envs is e for c, (p, e) in zip(now, fields))
-    for field in ("params", "body", "pos", "envs"):
+    assert all(c.params is p and c.body is b for c, (p, b) in zip(now, fields))
+    for field in ("params", "body"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(every_clause[0], field, ())
 
