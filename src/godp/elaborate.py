@@ -13,17 +13,18 @@ one; a library definition. A resolved body is made of `Call`s, symbols
 them.
 
 A definition's parameters see its imports and, for a local, all that its
-definer's first-clause parameters see; each one also sees those before it.
-A plain parameter's new symbols are what it adds, computed once per
-definition. Each frozen `Clause` is made once, with its resolved body, in an
-order where each import is expanded (by `instantiate.expand_named`, with a
-fresh default depth budget) only after everything it reaches has its clauses.
-Once `build_library` returns, nothing in the Library changes but its memo.
+definer's first-clause parameters see; each one also sees those before it in
+its clause. A plain parameter's new symbols are what it adds, computed once
+for the clauses that bind the same list heads before it. Each frozen `Clause`
+is made once, with its resolved body, in an order where each import is
+expanded (by `instantiate.expand_named`, with a fresh default depth budget)
+only after everything it reaches has its clauses. Once `build_library`
+returns, nothing in the Library changes but its memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -349,33 +350,26 @@ def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternD
                 )
 
 
-class _Plain(NamedTuple):
-    """A plain parameter until its environment gives its new symbols."""
-
-    index: int
-    optional: bool
-    frames: tuple[Frame, ...]
-    delta: FlatOntology
-    is_list = False
-
-
-class _Draft(NamedTuple):
+@dataclass
+class _Draft:
     """A definition until build_library makes its clauses: each clause's AST
-    and parameters, the plain ones shared by all clauses."""
+    and parameters, a plain one shared by all clauses with its new symbols
+    not yet known, then each clause's resolved body."""
 
     d: PatternDef
-    clauses: list[tuple[PatternDefAst, tuple[Union[ParamSpec, _Plain], ...]]]
+    asts: list[PatternDefAst]
+    params: list[tuple[ParamSpec, ...]]
+    bodies: list[Expr] = field(default_factory=list)
+    names: dict[str, tuple[str, bool]] = field(default_factory=dict)  # the parameters seen inside it
+    rank: int = 0  # its place in the order that makes the clauses
+    sees: FlatOntology = EMPTY_ONTOLOGY  # what its locals' parameters see
 
 
 def _build_def(
-    name: str,
-    clause_asts: list[PatternDefAst],
-    qual: str,
-    parent: PatternDef | None,
-    drafts: dict[str, _Draft],
-) -> PatternDef:
-    """The definition `name` with its locals; `drafts` gets the draft of
-    each, a definition before its locals."""
+    name: str, clause_asts: list[PatternDefAst], qual: str, parent: PatternDef | None
+) -> list[_Draft]:
+    """The drafts of the definition `name` and of its locals, a definition
+    before its locals."""
     first = clause_asts[0]
     for other in clause_asts[1:]:
         _check_clause_compatibility(name, first, other)
@@ -387,29 +381,31 @@ def _build_def(
         )
 
     d = PatternDef(name, qual, len(first.params), {}, first.pos, parent)
-    drafts[qual] = _Draft(d, [])
+    tree = [_Draft(d, clause_asts, [])]
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
     for ca in clause_asts:
         for loc in ca.locals:
             local_asts.setdefault(loc.name, []).append(loc)
     for lname, lasts in local_asts.items():
-        d.locals[lname] = _build_def(lname, lasts, f"{qual}::{lname}", d, drafts)
+        sub = _build_def(lname, lasts, f"{qual}::{lname}", d)
+        d.locals[lname] = sub[0].d
+        tree += sub
 
-    plain: dict[int, _Plain] = {}
+    plain: dict[int, ParamSpec] = {}
     for ca in clause_asts:
-        params: list[ParamSpec | _Plain] = []
+        params: list[ParamSpec] = []
         for i, p in enumerate(ca.params):
             pl = p.payload
             if isinstance(pl, FramesParam):  # clauses share plain parameters
                 if i not in plain:
-                    plain[i] = _Plain(i, p.optional, pl.frames, build_block(pl.frames))
+                    plain[i] = ParamSpec(i, p.optional, PlainShape(pl.frames, build_block(pl.frames), ()))
                 params.append(plain[i])
             else:
                 t = (None,) * 4 if isinstance(pl, EmptyParam) else (pl.kind, pl.head, pl.head2, pl.tail)
                 params.append(ParamSpec(i, p.optional, ListTemplate(*t)))
-        drafts[qual].clauses.append((ca, tuple(params)))
-    return d
+        tree[0].params.append(tuple(params))
+    return tree
 
 
 def build_library(ast: LibraryAst) -> Library:
@@ -420,38 +416,38 @@ def build_library(ast: LibraryAst) -> Library:
     grouped: dict[str, list[PatternDefAst]] = {}
     for item in ast.items:
         grouped.setdefault(item.name, []).append(item)
-    drafts: dict[str, _Draft] = {}
-    lib = Library({name: _build_def(name, asts, name, None, drafts) for name, asts in grouped.items()})
+    trees = [_build_def(name, asts, name, None) for name, asts in grouped.items()]
+    lib = Library({tree[0].d.name: tree[0].d for tree in trees})
+    drafts = {dr.d.qual: dr for tree in trees for dr in tree}
+    lists = {q: {p.index for p in dr.params[0] if p.is_list} for q, dr in drafts.items()}
 
-    bodies: dict[str, list[Expr]] = {}
-    scopes: dict[str, dict[str, tuple[str, bool]]] = {}
+    for tree in trees:  # a definition's imports and its locals', then their bodies
+        for dr in tree:
+            dr.d.imports = tuple(_import(lib, dr.d, name) for name in dr.asts[0].given)
+        for dr in tree:
+            _resolve(lib, dr, drafts[dr.d.parent.qual].names if dr.d.parent else {}, lists)
     calls: list = []
-    imports: list = []
-    for d, clauses in drafts.values():
-        d.imports = tuple(_import(lib, d, name) for name in clauses[0][0].given)
-        imports.extend((d.qual, imp.qual, False, d.pos) for imp in d.imports)
-        bodies[d.qual] = _resolve(lib, d, drafts, scopes)
-        for (_, params), body in zip(clauses, bodies[d.qual]):
+    for dr in drafts.values():
+        for params, body in zip(dr.params, dr.bodies):
             tails = {p.shape.tail: p.shape.min_len for p in params if p.is_list and p.shape.tail}
             for c in _calls(body, []):
                 shrinks = c.args is not None and any(_arg_shrinks(a, tails) for a in c.args)
-                calls.append((d.qual, c.target.qual, shrinks, c.pos))
+                calls.append((dr.d.qual, c.target.qual, shrinks, c.pos))
+    imports = [(q, imp.qual, False, dr.d.pos) for q, dr in drafts.items() for imp in dr.d.imports]
     comp = _check_cycles(set(drafts), calls + imports)
 
     # An import is expanded only after every definition it reaches has its
     # clauses. Those lie in the import's component or lower ones, and so do
     # their definers. So a definition comes after its definers and after the
     # components of its imports, as a library definition's own component is.
-    order: dict[str, int] = {}
-    for d, _ in drafts.values():
-        outer = order[d.parent.qual] if d.parent is not None else comp[d.qual]
-        order[d.qual] = max([outer] + [comp[imp.qual] + 1 for imp in d.imports])
-    envs: dict[str, FlatOntology] = {}
-    for d, clauses in sorted(drafts.values(), key=lambda dr: order[dr.d.qual]):  # stable: definers first
-        env = envs[d.parent.qual] if d.parent is not None else EMPTY_ONTOLOGY
-        for imp in d.imports:
+    for dr in drafts.values():
+        outer = drafts[dr.d.parent.qual].rank if dr.d.parent else comp[dr.d.qual]
+        dr.rank = max([outer] + [comp[imp.qual] + 1 for imp in dr.d.imports])
+    for dr in sorted(drafts.values(), key=lambda dr: dr.rank):  # stable: definers first
+        env = drafts[dr.d.parent.qual].sees if dr.d.parent else EMPTY_ONTOLOGY
+        for imp in dr.d.imports:
             env = union_flat(env, expand_named(lib, imp.name))
-        d.clauses, envs[d.qual] = _clauses(clauses, bodies[d.qual], env)
+        dr.d.clauses, dr.sees = _clauses(dr, env)
     return lib
 
 
@@ -468,32 +464,34 @@ def _import(lib: Library, d: PatternDef, name: str) -> PatternDef:
     return target
 
 
-def _clauses(
-    drafts: list[tuple[PatternDefAst, tuple]], bodies: list[Expr], env: FlatOntology
-) -> tuple[tuple[Clause, ...], FlatOntology]:
+def _clauses(dr: _Draft, env: FlatOntology) -> tuple[tuple[Clause, ...], FlatOntology]:
     """The clauses of a definition whose parameters see `env`, and what its
     locals see: `env` and the first clause's parameters, list heads included.
-    Each parameter sees `env` and the parameters before it in the first
-    clause; a plain one's new symbols are those it adds."""
-    plain: dict[int, ParamSpec] = {}
-    for p in drafts[0][1]:
-        if p.is_list:
-            heads = [Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads]
-            env = union_flat(env, make_ontology(heads, []))
-            continue
-        try:
-            after = union_flat(env, p.delta)  # well-formedness in this environment
-        except GodpError as e:
-            e.ensure_pos(p.frames[0].pos)
-            raise
-        new_symbols = tuple(sorted(p.delta.signature - env.signature, key=Symbol.key))
-        plain[p.index] = ParamSpec(p.index, p.optional, PlainShape(p.frames, p.delta, new_symbols))
-        env = after
-    clauses = tuple(
-        Clause(tuple(p if p.is_list else plain[p.index] for p in params), body)
-        for (_, params), body in zip(drafts, bodies)
-    )
-    return clauses, env
+    Each parameter sees `env` and the parameters before it in its clause; a
+    plain one's new symbols are those it adds. Clauses that bind the same list
+    heads before a plain parameter share it, its new symbols computed once."""
+    plain: dict = {}  # (index, heads bound before it) -> (parameter, what the next one sees)
+    clauses, sees = [], []
+    for params, body in zip(dr.params, dr.bodies):
+        cur, heads, final = env, (), []
+        for p in params:
+            if p.is_list:
+                bound = tuple(Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads)
+                cur, heads = union_flat(cur, make_ontology(bound, [])), heads + bound
+            else:
+                if (p.index, heads) not in plain:
+                    try:
+                        after = union_flat(cur, p.shape.delta)  # well-formedness in this environment
+                    except GodpError as e:
+                        e.ensure_pos(p.shape.frames[0].pos)
+                        raise
+                    new_symbols = tuple(sorted(p.shape.delta.signature - cur.signature, key=Symbol.key))
+                    plain[p.index, heads] = replace(p, shape=replace(p.shape, new_symbols=new_symbols)), after
+                p, cur = plain[p.index, heads]
+            final.append(p)
+        clauses.append(Clause(tuple(final), body))
+        sees.append(cur)
+    return tuple(clauses), sees[0]
 
 
 # -- name resolution -------------------------------------------------------------
@@ -505,7 +503,7 @@ def _param_names(d: PatternDef, params: tuple, outer: dict) -> dict[str, tuple[s
     names, plain, tail = dict(outer), (d.qual, False), (d.qual, True)
     for p in params:
         if not p.is_list:
-            for s in p.delta.signature:
+            for s in p.shape.delta.signature:
                 names.update(dict.fromkeys(s.name.bases(), plain))
             continue
         names.update(dict.fromkeys(p.shape.heads, plain))
@@ -514,12 +512,11 @@ def _param_names(d: PatternDef, params: tuple, outer: dict) -> dict[str, tuple[s
     return names
 
 
-def _resolve(lib: Library, d: PatternDef, drafts: dict[str, _Draft], scopes: dict) -> list[Expr]:
-    """The resolved clause bodies of `d`. `scopes` maps each definition
-    resolved before, its definers among them, to the parameters seen inside
-    it; `d` joins it."""
-    outer = scopes[d.parent.qual] if d.parent is not None else {}
-    seen = [_param_names(d, params, outer) for _, params in drafts[d.qual].clauses]
+def _resolve(lib: Library, dr: _Draft, outer: dict, lists: dict[str, set[int]]) -> None:
+    """Resolve the clause bodies of `dr`; `outer` holds the parameters of
+    the definitions around it, `lists` the list positions of every one."""
+    d = dr.d
+    seen = [_param_names(d, params, outer) for params in dr.params]
     merged = seen[0]
     for names in seen[1:]:
         merged = {**merged, **names}
@@ -530,21 +527,21 @@ def _resolve(lib: Library, d: PatternDef, drafts: dict[str, _Draft], scopes: dic
                 f"'{merged[name][0]}'",
                 loc.pos,
             )
-    scopes[d.qual] = merged
-    return [
-        _Scope(lib, params, d, drafts).expr(ca.body, strict=True)
-        for (ca, _), params in zip(drafts[d.qual].clauses, seen)
+    dr.names = merged
+    dr.bodies = [
+        _Scope(lib, params, d, lists).expr(ca.body, strict=True) for ca, params in zip(dr.asts, seen)
     ]
 
 
 class _Scope(NamedTuple):
     """What the names of one clause body of `d` mean; `params` maps each
-    parameter it sees as `_param_names` does."""
+    parameter it sees as `_param_names` does, `lists` each definition's list
+    positions."""
 
     lib: Library
     params: dict[str, tuple[str, bool]]
     d: PatternDef
-    drafts: dict[str, _Draft]
+    lists: dict[str, set[int]]
 
     def definition(self, name: str) -> tuple[PatternDef | None, int | None]:
         up, cur = 0, self.d
@@ -570,22 +567,22 @@ class _Scope(NamedTuple):
             raise UnknownReference(f"unknown ontology or pattern '{e.name}'", e.pos)
         if isinstance(e, RefExpr):
             return Call(e.name, target, None, up, e.pos)
-        shapes = self.drafts[target.qual].clauses[0][1] if target is not None else ()
-        args = [self.arg(a, shapes[i] if i < len(shapes) else None) for i, a in enumerate(e.args)]
+        lists = self.lists[target.qual] if target is not None else ()
+        args = [self.arg(a, i in lists) for i, a in enumerate(e.args)]
         return Call(e.name, target, tuple(args), up, e.pos)
 
-    def arg(self, a: ArgAst, param: ParamSpec | _Plain | None) -> ArgAst:
-        """`a`, given to `param`, with its value resolved: a name of a
-        parameter or of no definition is a symbol (a `NameTerm`) or a list
-        variable, and so is a bare name that a list parameter gets."""
+    def arg(self, a: ArgAst, to_list: bool) -> ArgAst:
+        """`a`, given to a list parameter if `to_list`, with its value
+        resolved: a name of a parameter or of no definition is a symbol (a
+        `NameTerm`) or a list variable, and so is a bare name that a list
+        parameter gets."""
         v = a.value
         if isinstance(v, (RefExpr, InstExpr)):
             owner, tail = self.params.get(v.name, (None, False))
             bare = isinstance(v, RefExpr)
             if tail and bare:
                 return ArgAst(ListVar(v.name), a.fits, a.pos)
-            at_list = bare and param is not None and param.is_list
-            if owner or at_list or self.definition(v.name)[0] is None:
+            if owner or (bare and to_list) or self.definition(v.name)[0] is None:
                 v = expr_to_name_term(v) or v
         if isinstance(v, (RefExpr, InstExpr, ThenExpr, BlockExpr)):
             v = self.expr(v)

@@ -74,15 +74,16 @@ def test_mutual_cycle_without_shrink_is_illegal():
         lib_of(src)
 
 
-def _seen(lib, d, upto=None):
-    """What parameter `upto` of the first clause of `d` sees (all of them
+def _seen(lib, d, upto=None, clause=0):
+    """What parameter `upto` of clause `clause` of `d` sees (all of them
     with None), built from new symbols: the imports of `d` and of its
-    definers, its definers' parameters, and its own parameters before
-    `upto`, a plain one declaring its new symbols and a list one its heads."""
+    definers, its definers' first-clause parameters, and its own parameters
+    before `upto`, a plain one declaring its new symbols and a list one its
+    heads."""
     out = set(_seen(lib, d.parent)) if d.parent is not None else set()
     for imp in d.imports:
         out |= expand_named(lib, imp.name).signature
-    for p in d.clauses[0].params[:upto]:
+    for p in d.clauses[clause].params[:upto]:
         if p.is_list:
             out |= {Symbol(name(h), p.shape.kind) for h in p.shape.heads}
         else:
@@ -124,16 +125,51 @@ def _every_def(defs):
         yield from _every_def(d.locals.values())
 
 
+def _heads(params):
+    return [(h, p.shape.kind) for p in params if p.is_list for h in p.shape.heads]
+
+
 def test_new_symbols_equal_env_difference(corpus_lib):
     for d in _every_def(corpus_lib.defs.values()):
         first = d.clauses[0].params
-        for clause in d.clauses:
+        for k, clause in enumerate(d.clauses):
             for p in clause.params:
                 if isinstance(p.shape, PlainShape):
-                    # one parameter for all clauses, its new symbols computed once
-                    assert p is first[p.index]
-                    diff = p.shape.delta.signature - _seen(corpus_lib, d, p.index)
+                    # clauses that bind the same heads before a parameter share
+                    # it, its new symbols computed once
+                    if _heads(clause.params[: p.index]) == _heads(first[: p.index]):
+                        assert p is first[p.index]
+                    diff = p.shape.delta.signature - _seen(corpus_lib, d, p.index, k)
                     assert frozenset(p.shape.new_symbols) == diff
+
+
+_H = (
+    "ontology H [empty; ObjectProperty: p Domain: x] = { ObjectProperty: p }\n"
+    "ontology H [Class: x :: xs; ObjectProperty: p Domain: x] = { ObjectProperty: p }\n"
+)
+
+
+def test_a_plain_parameter_sees_the_list_heads_of_its_own_clause():
+    lib = lib_of(
+        _H + "ontology U = { Class: a ObjectProperty: q Domain: a } then H[a; q]\n"
+        "ontology V = { ObjectProperty: q Domain: x } then H[empty; q]\n"
+    )
+    empty, cons = (c.params[1] for c in lib.defs["H"].clauses)
+    # x is new where the clause binds no head x, and a head where it does
+    assert {s.name.base for s in empty.shape.new_symbols} == {"p", "x"}
+    assert cons.shape.new_symbols == (Symbol(name("p"), OP),)
+    assert emit_struct_dump(expand_named(lib, "U")) == (
+        "AX Domain q a\n"
+        "SYM Class a\n"
+        "SYM ObjectProperty q\n"
+    )
+    with pytest.raises(UnsupportedArgument, match="parameter 2 of 'H' defines 2 new symbols"):
+        expand_named(lib, "V")
+    # a clash with a later clause's own head is a build error too
+    with pytest.raises(KindClash) as exc:
+        lib_of(_H.replace("p Domain: x", "x"))
+    assert exc.value.message == "kind clash for 'x': Class vs ObjectProperty"
+    assert (exc.value.pos.line, exc.value.pos.col) == (1, 20)
 
 
 def test_imports_are_expanded_by_expand_named_with_a_fresh_budget(monkeypatch):
@@ -275,9 +311,15 @@ def test_given_must_be_zero_parameter():
         lib_of(src)
 
 
-def test_given_unknown_import():
-    with pytest.raises(UnknownReference):
-        lib_of("ontology A given Nowhere = { Class: D }")
+@pytest.mark.parametrize("source, message", [
+    ("ontology A given Nowhere = { Class: D }", "unknown import 'Nowhere' in 'A'"),
+    # the imports of a definition and of its locals resolve before their bodies
+    ("ontology D = let ontology L given Nope = { } in Foo", "unknown import 'Nope' in 'D::L'"),
+])
+def test_given_unknown_import(source, message):
+    with pytest.raises(UnknownReference) as exc:
+        lib_of(source)
+    assert exc.value.message == message
 
 
 # -- environment order ------------------------------------------------------------
