@@ -7,10 +7,12 @@ legal when it strictly shrinks some list parameter.
 
 A name in a body means the first of: a parameter symbol or list variable of
 the clause or of an enclosing definition (of any of its clauses, since locals
-merge across them); a local sub-pattern of the definition or of an enclosing
-one; a library definition. A resolved body is made of `Call`s, symbols
-(`NameTerm`s), `ListVar`s and `BlockExpr`s, a `then` chain being a tuple of
-them.
+merge across them: a list tail if some clause binds it as one); a local
+sub-pattern of the definition or of an enclosing one; a library definition.
+A resolved body is made of `Call`s and `BlockExpr`s, a `then` chain being a
+tuple of them. A call's arguments hold symbols (`NameTerm`s), and a list
+tail, in an argument or in a block's comma list, is a `ListVar`: the one
+rule for both places.
 
 A definition's parameters see its imports and, for a local, all that its
 definer's first-clause parameters see; each one also sees those before it in
@@ -25,8 +27,7 @@ returns, nothing in the Library changes but its memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .core import (
     EMPTY_ONTOLOGY,
@@ -57,6 +58,7 @@ from .diagnostics import (
 )
 from .parser import expr_to_name_term
 from .syntax import (
+    FRAME_FIELDS,
     ArgAst,
     BlockExpr,
     ClassFrame,
@@ -75,44 +77,17 @@ from .syntax import (
     ThenExpr,
 )
 
-ResolveFn = Callable[[NameTerm], NameTerm]
-SpliceFn = Callable[[NameTerm], "tuple[NameTerm, ...] | None"]
-
 
 def _identity(n: NameTerm) -> NameTerm:
     return n
 
 
-def _no_splice(n: NameTerm) -> tuple[NameTerm, ...] | None:
-    return None
-
-
-def resolve_items(
-    resolve: ResolveFn, splice: SpliceFn, names: Iterable[NameTerm]
-) -> tuple[NameTerm, ...]:
-    """`names` resolved, each one bound to a list (a template tail) spliced
-    into its items."""
-    out: list[NameTerm] = []
-    for n in names:
-        spliced = splice(n)
-        if spliced is not None:
-            out.extend(spliced)
-        else:
-            out.append(resolve(n))
-    return tuple(out)
-
-
-def build_block(
-    frames: Iterable[Frame],
-    resolve: ResolveFn = _identity,
-    splice: SpliceFn = _no_splice,
-) -> FlatOntology:
-    """Build a flat ontology from frames, applying a name substitution.
-
-    `splice` expands a name bound to a list (a template tail) into its items;
-    it applies in every comma-list position.
-    """
-    items = partial(resolve_items, resolve, splice)
+def build_block(frames: Iterable[Frame], scope=None) -> FlatOntology:
+    """Build a flat ontology from frames under `scope`, if any: the bindings
+    of a running clause (`instantiate.Bindings`), which substitute parameter
+    names and splice each list tail (a `ListVar`) into its items."""
+    resolve = scope.apply if scope is not None else _identity
+    items = scope.apply_list if scope is not None else tuple
     symbols: list[Symbol] = []
     axioms: list = []
     for f in frames:
@@ -260,11 +235,13 @@ class Call:
     pos: SourcePos
 
 
-@dataclass(frozen=True)
-class ListVar:
-    """A list parameter's tail at an argument position."""
+class ListVar(NamedTuple):
+    """A list parameter's tail in a comma list of a clause body: a block's
+    field or a list argument's item or `::` tail. `up` counts the definitions
+    out to the one whose parameter it is, as `Call.up` does."""
 
     name: str
+    up: int
 
 
 # a resolved expression; a tuple is a `then` chain
@@ -446,7 +423,11 @@ def build_library(ast: LibraryAst) -> Library:
     for dr in sorted(drafts.values(), key=lambda dr: dr.rank):  # stable: definers first
         env = drafts[dr.d.parent.qual].sees if dr.d.parent else EMPTY_ONTOLOGY
         for imp in dr.d.imports:
-            env = union_flat(env, expand_named(lib, imp.name))
+            try:  # a clash between imports, or with the definers' parameters
+                env = union_flat(env, expand_named(lib, imp.name))
+            except GodpError as e:
+                e.ensure_pos(dr.d.pos)
+                raise
         dr.d.clauses, dr.sees = _clauses(dr, env)
     return lib
 
@@ -472,22 +453,22 @@ def _clauses(dr: _Draft, env: FlatOntology) -> tuple[tuple[Clause, ...], FlatOnt
     heads before a plain parameter share it, its new symbols computed once."""
     plain: dict = {}  # (index, heads bound before it) -> (parameter, what the next one sees)
     clauses, sees = [], []
-    for params, body in zip(dr.params, dr.bodies):
+    for ast, params, body in zip(dr.asts, dr.params, dr.bodies):
         cur, heads, final = env, (), []
         for p in params:
-            if p.is_list:
-                bound = tuple(Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads)
-                cur, heads = union_flat(cur, make_ontology(bound, [])), heads + bound
-            else:
-                if (p.index, heads) not in plain:
-                    try:
+            try:  # a clash is at a list parameter, or at a plain one's first frame
+                if p.is_list:
+                    bound = tuple(Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads)
+                    cur, heads = union_flat(cur, make_ontology(bound, [])), heads + bound
+                else:
+                    if (p.index, heads) not in plain:
                         after = union_flat(cur, p.shape.delta)  # well-formedness in this environment
-                    except GodpError as e:
-                        e.ensure_pos(p.shape.frames[0].pos)
-                        raise
-                    new_symbols = tuple(sorted(p.shape.delta.signature - cur.signature, key=Symbol.key))
-                    plain[p.index, heads] = replace(p, shape=replace(p.shape, new_symbols=new_symbols)), after
-                p, cur = plain[p.index, heads]
+                        new = tuple(sorted(p.shape.delta.signature - cur.signature, key=Symbol.key))
+                        plain[p.index, heads] = replace(p, shape=replace(p.shape, new_symbols=new)), after
+                    p, cur = plain[p.index, heads]
+            except GodpError as e:
+                e.ensure_pos(ast.params[p.index].pos if p.is_list else p.shape.frames[0].pos)
+                raise
             final.append(p)
         clauses.append(Clause(tuple(final), body))
         sees.append(cur)
@@ -496,30 +477,45 @@ def _clauses(dr: _Draft, env: FlatOntology) -> tuple[tuple[Clause, ...], FlatOnt
 
 # -- name resolution -------------------------------------------------------------
 
-def _param_names(d: PatternDef, params: tuple, outer: dict) -> dict[str, tuple[str, bool]]:
-    """`outer` and each name a clause's parameters bind, with the qual of `d`
-    and whether it is a list tail; a plain parameter binds the bases of its
+def _param_names(d: PatternDef, params: tuple) -> tuple[dict[str, tuple[str, bool]], set[str]]:
+    """Each name a clause's parameters bind, with the qual of `d` and whether
+    it is a list tail, the last binding of a name counting; and the tails that
+    a later parameter binds again. A plain parameter binds the bases of its
     names."""
-    names, plain, tail = dict(outer), (d.qual, False), (d.qual, True)
-    for p in params:
+    names, hidden, plain, tail = {}, set(), (d.qual, False), (d.qual, True)
+    for p in reversed(params):
         if not p.is_list:
             for s in p.shape.delta.signature:
-                names.update(dict.fromkeys(s.name.bases(), plain))
+                for b in s.name.bases():
+                    names.setdefault(b, plain)
             continue
-        names.update(dict.fromkeys(p.shape.heads, plain))
-        if p.shape.tail is not None:
-            names[p.shape.tail] = tail
-    return names
+        if p.shape.tail is not None and names.setdefault(p.shape.tail, tail) is plain:
+            hidden.add(p.shape.tail)
+        for h in p.shape.heads:
+            names.setdefault(h, plain)
+    return names, hidden
 
 
 def _resolve(lib: Library, dr: _Draft, outer: dict, lists: dict[str, set[int]]) -> None:
-    """Resolve the clause bodies of `dr`; `outer` holds the parameters of
-    the definitions around it, `lists` the list positions of every one."""
-    d = dr.d
-    seen = [_param_names(d, params, outer) for params in dr.params]
-    merged = seen[0]
-    for names in seen[1:]:
-        merged = {**merged, **names}
+    """Resolve the clause bodies of `dr`; `outer` maps each parameter name of
+    the definitions around it as `_param_names` does, `lists` holds the list
+    positions of every definition."""
+    d, own = dr.d, []
+    for i, params in enumerate(dr.params):
+        names, hidden = _param_names(d, params)
+        if hidden:  # so a run never holds a list its clause last bound as a symbol
+            dr.params[i] = tuple(
+                replace(p, shape=replace(p.shape, tail=None)) if p.is_list and p.shape.tail in hidden else p
+                for p in params
+            )
+        own.append(names)
+    # what the locals see: a name some clause binds is the definition's, and
+    # a list tail if some clause binds it as one
+    merged = dict(outer)
+    for names in own:
+        merged.update(names)
+    if len(own) > 1:
+        merged.update({n: v for names in own for n, v in names.items() if v[1]})
     for name, loc in d.locals.items():
         if name in merged:
             raise DuplicateDefinition(
@@ -528,18 +524,22 @@ def _resolve(lib: Library, dr: _Draft, outer: dict, lists: dict[str, set[int]]) 
                 loc.pos,
             )
     dr.names = merged
-    dr.bodies = [
-        _Scope(lib, params, d, lists).expr(ca.body, strict=True) for ca, params in zip(dr.asts, seen)
-    ]
+    level = d.qual.count("::")  # a definer's qual is a prefix of d's, one level shorter each
+    dr.bodies = []
+    for ca, names in zip(dr.asts, own):
+        params = {**outer, **names}
+        tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in params.items() if t}
+        dr.bodies.append(_Scope(lib, params, tails, d, lists).expr(ca.body, strict=True))
 
 
 class _Scope(NamedTuple):
     """What the names of one clause body of `d` mean; `params` maps each
-    parameter it sees as `_param_names` does, `lists` each definition's list
-    positions."""
+    parameter name it sees as `_resolve`'s `outer` does, `tails` each list
+    tail among them to its `ListVar`, `lists` each definition's list positions."""
 
     lib: Library
     params: dict[str, tuple[str, bool]]
+    tails: dict[NameTerm, ListVar]
     d: PatternDef
     lists: dict[str, set[int]]
 
@@ -555,7 +555,7 @@ class _Scope(NamedTuple):
         if isinstance(e, ThenExpr):
             return tuple([self.expr(t, strict) for t in e.terms])
         if isinstance(e, BlockExpr):
-            return e
+            return self.block(e) if self.tails else e
         if e.name in self.params:
             raise UnknownReference(
                 f"'{e.name}' is a parameter of '{self.params[e.name][0]}', not an "
@@ -571,19 +571,35 @@ class _Scope(NamedTuple):
         args = [self.arg(a, i in lists) for i, a in enumerate(e.args)]
         return Call(e.name, target, tuple(args), up, e.pos)
 
+    def block(self, e: BlockExpr) -> BlockExpr:
+        """`e` with its frames' comma lists resolved."""
+        frames = tuple(map(self.frame, e.frames))
+        return e if frames == e.frames else BlockExpr(frames, e.pos)
+
+    def frame(self, f: Frame) -> Frame:
+        """`f`, rebuilt only if a comma list names a tail (no Characteristics word does)."""
+        lists = {
+            attr: tuple([self.tails.get(n, n) for n in v]) for attr in FRAME_FIELDS[type(f)].values()
+            if (v := getattr(f, attr)) and not self.tails.keys().isdisjoint(v)
+        }
+        return type(f)(**{**vars(f), **lists}) if lists else f
+
     def arg(self, a: ArgAst, to_list: bool) -> ArgAst:
         """`a`, given to a list parameter if `to_list`, with its value
-        resolved: a name of a parameter or of no definition is a symbol (a
-        `NameTerm`) or a list variable, and so is a bare name that a list
-        parameter gets."""
+        resolved: a list tail is the list `[] :: tail`, and in a list a
+        `ListVar`; any other name of a parameter or of no definition is a
+        symbol (a `NameTerm`), and so is a bare name that a list parameter
+        gets."""
         v = a.value
         if isinstance(v, (RefExpr, InstExpr)):
             owner, tail = self.params.get(v.name, (None, False))
             bare = isinstance(v, RefExpr)
             if tail and bare:
-                return ArgAst(ListVar(v.name), a.fits, a.pos)
+                return ArgAst(ListArgAst((), self.tails[NameTerm(v.name)]), a.fits, a.pos)
             if owner or (bare and to_list) or self.definition(v.name)[0] is None:
                 v = expr_to_name_term(v) or v
+        elif isinstance(v, ListArgAst) and not self.tails.keys().isdisjoint((*v.items, v.tail)):
+            v = ListArgAst(tuple([self.tails.get(n, n) for n in v.items]), self.tails.get(v.tail, v.tail))
         if isinstance(v, (RefExpr, InstExpr, ThenExpr, BlockExpr)):
             v = self.expr(v)
         return a if v is a.value else ArgAst(v, a.fits, a.pos)
@@ -592,12 +608,9 @@ class _Scope(NamedTuple):
 # -- recursion guard -----------------------------------------------------------
 
 def _arg_shrinks(a: ArgAst, tails: dict[str, int]) -> bool:
-    v = a.value
-    if isinstance(v, ListVar):
-        return v.name in tails  # bare tail: one constructor stripped
-    if isinstance(v, ListArgAst) and v.tail is not None and v.tail.is_plain():
-        d = tails.get(v.tail.base)
-        return d is not None and len(v.items) < d
+    v = a.value  # a bare tail is `[] :: tail`: one constructor stripped
+    if isinstance(v, ListArgAst) and isinstance(v.tail, ListVar) and v.tail.up == 0:
+        return len(v.items) < tails[v.tail.name]
     return False
 
 

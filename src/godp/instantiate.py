@@ -24,9 +24,11 @@ is numbered by that instantiation's depth inside the innermost closed
 expansion and its own index there: unique among live ones, and unchanged by
 memo hits.
 
-Calls arrive resolved by `build_library`; the engine looks up by name only
-the library definition a `NamedOntologyArg` names. A runtime scope holds only
-bindings: a local pattern's `parent` bindings are those of its definer's run.
+Calls and list tails arrive resolved by `build_library`; the engine looks up
+by name only the library definition a `NamedOntologyArg` names. A runtime
+scope holds only bindings: a local pattern's `parent` bindings are those of
+its definer's run, and each run's `list_map` holds only its own clause's
+tails, which a `ListVar` reads from the run it counts up to.
 
 Expansion is pure over an immutable Library. Every top-level call gets its own
 context: a depth budget and the names of the 0-parameter expansions it has
@@ -81,7 +83,6 @@ from .elaborate import (
     PatternDef,
     PlainShape,
     build_block,
-    resolve_items,
 )
 from .syntax import ArgAst, BlockExpr, EmptyArg, ListArgAst, MissingArg
 
@@ -94,22 +95,41 @@ DEFAULT_DEPTH = 10_000
 
 @dataclass
 class Bindings:
-    """Parameter-name substitution plus list bindings for template tails."""
+    """One run of a clause: its parameter-name substitution, which starts as
+    a copy of its definer's run's, and the list bindings of its own template
+    tails. `parent` is the definer's run, for a local pattern; a `ListVar`
+    reads the list of the run it counts `up` to."""
 
     name_map: dict[NameTerm, NameTerm] = dc_field(default_factory=dict)
     list_map: dict[str, tuple[NameTerm, ...]] = dc_field(default_factory=dict)
     parent: "Bindings | None" = dc_field(default=None, compare=False, repr=False)
 
     def child(self) -> "Bindings":
-        return Bindings(dict(self.name_map), dict(self.list_map), self)
+        return Bindings(dict(self.name_map), {}, self)
 
     def apply(self, n: NameTerm) -> NameTerm:
         return substitute_name(n, self)
 
-    def items_of(self, n: NameTerm) -> tuple[NameTerm, ...] | None:
-        if n.is_plain() and n.base in self.list_map:
-            return self.list_map[n.base]
-        return None
+    def outer(self, up: int) -> "Bindings":
+        """The run `up` definers out."""
+        b = self
+        for _ in range(up):
+            b = b.parent
+        return b
+
+    def apply_list(self, names: Iterable, pos: SourcePos | None = None) -> tuple[NameTerm, ...]:
+        """`names` substituted, each list tail (a `ListVar`) spliced into the
+        items its run bound; a tail that run's clause lacks is an error."""
+        out: list[NameTerm] = []
+        for n in names:
+            if not isinstance(n, ListVar):
+                out.append(substitute_name(n, self))
+                continue
+            items = self.outer(n.up).list_map.get(n.name)
+            if items is None:
+                raise _not_a_list(n.name, pos)
+            out.extend(items)
+        return tuple(out)
 
 
 EMPTY_BINDINGS = Bindings()
@@ -252,15 +272,10 @@ def _normalize_ast_arg(a: ArgAst, pspec: ParamSpec, b: Bindings) -> ArgumentForm
             raise UnsupportedArgument("fit maps are meaningless on an empty argument", a.pos)
         return EmptyOptArg(a.pos)
     if isinstance(v, ListArgAst):
-        rest = b.items_of(v.tail) if v.tail is not None else ()
-        if rest is None and pspec.is_list:  # at a plain position the list is the error
-            raise _not_a_list(v.tail, a.pos)
-        return ListArg(resolve_items(b.apply, b.items_of, v.items) + (rest or ()), a.pos)
-    if isinstance(v, ListVar):  # a template tail, at every position
-        items = b.items_of(NameTerm(v.name))
-        if items is None:  # the enclosing instance ran a clause without it
-            raise _not_a_list(NameTerm(v.name), a.pos)
-        return ListArg(items, a.pos)
+        if isinstance(v.tail, NameTerm) and pspec.is_list:  # no list tail in scope
+            raise _not_a_list(v.tail.render(), a.pos)
+        names = v.items + (v.tail,) if isinstance(v.tail, ListVar) else v.items
+        return ListArg(b.apply_list(names, a.pos), a.pos)
     # fit sources name the callee's parameter symbols and stay as written;
     # targets live in the caller's context and get substituted
     fits = tuple((src, b.apply(dst)) for src, dst in a.fits)
@@ -279,10 +294,8 @@ def _normalize_ast_arg(a: ArgAst, pspec: ParamSpec, b: Bindings) -> ArgumentForm
 _LIST_FITS = "fit maps are not allowed on list arguments"
 
 
-def _not_a_list(tail: NameTerm, pos: SourcePos | None) -> UnknownReference:
-    return UnknownReference(
-        f"'{tail.render()}' is not a list in scope (expected a list-parameter tail)", pos
-    )
+def _not_a_list(tail: str, pos: SourcePos | None) -> UnknownReference:
+    return UnknownReference(f"'{tail}' is not a list in scope (expected a list-parameter tail)", pos)
 
 
 def _check_arg(
@@ -398,7 +411,6 @@ def match_template(
 def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings) -> None:
     for head, item in zip(tmpl.heads, items):
         b.name_map[NameTerm(head)] = item
-        b.list_map.pop(head, None)
     if tmpl.tail is not None:
         b.list_map[tmpl.tail] = items[tmpl.min_len:]
 
@@ -487,8 +499,6 @@ def _bind_checked(sigma: Bindings, src: NameTerm, dst: NameTerm, pos) -> None:
             pos,
         )
     sigma.name_map[src] = dst
-    if src.is_plain():  # a bound name hides an enclosing list tail
-        sigma.list_map.pop(src.base, None)
 
 
 def _fit_local(
@@ -647,15 +657,12 @@ def _eval_expr(ctx: _Ctx, expr: Expr, env: FlatOntology, scope: Bindings) -> Fla
         return env
     try:
         if isinstance(expr, BlockExpr):
-            return union_flat(env, build_block(expr.frames, scope.apply, scope.items_of))
+            return union_flat(env, build_block(expr.frames, scope))
         target = expr.target
         if target is None:
             raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
-        base = EMPTY_BINDINGS  # a local shares the parameters around it
-        if expr.up is not None:
-            base = scope
-            for _ in range(expr.up):
-                base = base.parent
+        # a local shares the parameters around it
+        base = EMPTY_BINDINGS if expr.up is None else scope.outer(expr.up)
         if expr.args is not None:
             forms = _normalize_call(target, expr.args, scope, expr.pos)
             return _instantiate(ctx, target, base, forms, env, expr.pos, scope)

@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple, TypeVar
 from .core import NameTerm, SymbolKind
 from .diagnostics import LexError, ParseError, SourcePos
 from .syntax import (
+    FRAME_FIELDS,
     ArgAst,
     BlockExpr,
     ClassFrame,
@@ -70,10 +71,7 @@ KIND_KEYWORDS = {
     "Individual": SymbolKind.INDIVIDUAL,
 }
 
-FIELD_KEYWORDS = {
-    "Domain", "Range", "Characteristics", "SubPropertyOf", "InverseOf",
-    "Types", "DifferentFrom", "EquivalentTo",
-}
+FIELD_KEYWORDS = {w for fields in FRAME_FIELDS.values() for w in fields} - {"DifferentIndividuals"}
 
 CHARACTERISTICS = {"Transitive", "Reflexive"}
 
@@ -258,30 +256,20 @@ class _Parser:
                 equivalent = self._sep_list(self.parse_name_term)
                 self.expect("RBRACE", what="'}'")
             return ClassFrame(name, equivalent, pos=tok.pos)
-        if tok.value == "ObjectProperty":
-            return self._parse_property_fields(self.parse_name_term(), tok.pos)
         # "Individual": parse_frames calls this only at a frame start
-        return self._parse_individual_fields(self.parse_name_term(), tok.pos)
+        frame = ObjectPropertyFrame if tok.value == "ObjectProperty" else IndividualFrame
+        return self._parse_fields(frame, self.parse_name_term(), tok.pos)
 
-    def _take_field(self, words: dict[str, list]) -> str | None:
-        """Consume a `Word:` field header and return Word, if Word is in `words`."""
-        tok = self.tokens[self.i]
-        if tok.kind == "IDENT" and tok.value in words and self.tokens[self.i + 1].kind == "COLON":
-            self.i += 2
-            return tok.value
-        return None
-
-    def _parse_property_fields(self, name: NameTerm, pos: SourcePos) -> ObjectPropertyFrame:
-        domains: list[NameTerm] = []
-        ranges: list[NameTerm] = []
-        characteristics: list[str] = []
-        subs: list[NameTerm] = []
-        inverses: list[NameTerm] = []
-        fields = {"Domain": domains, "Range": ranges, "Characteristics": characteristics,
-                  "SubPropertyOf": subs, "InverseOf": inverses}
-        while (word := self._take_field(fields)) is not None:
-            if word != "Characteristics":
-                fields[word].extend(self._sep_list(self.parse_name_term))
+    def _parse_fields(self, frame: type, name: NameTerm, pos: SourcePos) -> Frame:
+        """The `Word:` fields of an ObjectProperty or Individual frame, in any
+        order and each any number of times."""
+        fields = FRAME_FIELDS[frame]
+        values: dict[str, tuple] = dict.fromkeys(fields.values(), ())
+        while ((tok := self.tokens[self.i]).kind == "IDENT" and tok.value in fields
+               and self.tokens[self.i + 1].kind == "COLON"):
+            self.i, attr = self.i + 2, fields[tok.value]
+            if attr != "characteristics":
+                values[attr] += self._sep_list(self.parse_name_term)
                 continue
             while True:
                 ctok = self.expect("IDENT", what="a characteristic")
@@ -291,24 +279,13 @@ class _Parser:
                         f"(supported: {', '.join(sorted(CHARACTERISTICS))})",
                         ctok.pos,
                     )
-                characteristics.append(ctok.value)
+                values[attr] += (ctok.value,)
                 if not (self.at("COMMA") and self.peek(1).kind == "IDENT"
                         and self.peek(1).value in CHARACTERISTICS
                         and self.peek(2).kind != "COLON"):
                     break
                 self.advance()
-        return ObjectPropertyFrame(
-            name, tuple(domains), tuple(ranges), tuple(characteristics),
-            tuple(subs), tuple(inverses), pos=pos,
-        )
-
-    def _parse_individual_fields(self, name: NameTerm, pos: SourcePos) -> IndividualFrame:
-        types: list[NameTerm] = []
-        different: list[NameTerm] = []
-        fields = {"Types": types, "DifferentFrom": different}
-        while (word := self._take_field(fields)) is not None:
-            fields[word].extend(self._sep_list(self.parse_name_term))
-        return IndividualFrame(name, tuple(types), tuple(different), pos=pos)
+        return frame(name, *values.values(), pos=pos)  # the fields in layout order
 
     # -- expressions ---------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """AST for the pattern language, plus a pretty printer for round-trip tests.
 
 Positions are carried on every node but excluded from equality, so structural
-comparison of reparsed output works directly with `==`. `frame_fields` lays
-out one frame for both printers: `pp_frame` joins its fields on one line,
-the Manchester emitter puts each on a line of its own.
+comparison of reparsed output works directly with `==`. `FRAME_FIELDS` states
+each frame's fields once, for the parser, the printers and the resolver.
+`frame_fields` lays out one frame for both printers: `pp_frame` joins its
+fields on one line, the Manchester emitter puts each on a line of its own.
 """
 
 from __future__ import annotations
@@ -58,6 +59,19 @@ class DifferentIndividualsFrame:
 
 
 Frame = Union[ClassFrame, ObjectPropertyFrame, IndividualFrame, DifferentIndividualsFrame]
+
+# Each frame's `Word:` fields, keyword -> attribute, in layout order; a
+# DifferentIndividuals frame is its header's list. Every field but
+# Characteristics holds a comma list of names, EquivalentTo's in braces.
+FRAME_FIELDS: dict[type, dict[str, str]] = {
+    ClassFrame: {"EquivalentTo": "equivalent"},
+    ObjectPropertyFrame: {
+        "Domain": "domains", "Range": "ranges", "Characteristics": "characteristics",
+        "SubPropertyOf": "sub_property_of", "InverseOf": "inverse_of",
+    },
+    IndividualFrame: {"Types": "types", "DifferentFrom": "different_from"},
+    DifferentIndividualsFrame: {"DifferentIndividuals": "items"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +190,18 @@ def _pp_names(names: tuple[NameTerm, ...]) -> str:
     return ", ".join(n.render() for n in names)
 
 
+_HEADERS = {ClassFrame: "Class", ObjectPropertyFrame: "ObjectProperty", IndividualFrame: "Individual"}
+
+
 def frame_fields(f: Frame) -> list[str]:
     """A frame's header, then each of its non-empty fields with one comma list."""
-    if isinstance(f, DifferentIndividualsFrame):
-        return ["DifferentIndividuals: " + _pp_names(f.items)]
-    if isinstance(f, ClassFrame):
-        out = [f"Class: {f.name.render()}"]
-        if f.equivalent is not None:
-            out.append(f"EquivalentTo: {{{_pp_names(f.equivalent)}}}")
-        return out
-    if isinstance(f, ObjectPropertyFrame):
-        head = "ObjectProperty"
-        fields = [
-            ("Domain", _pp_names(f.domains)),
-            ("Range", _pp_names(f.ranges)),
-            ("Characteristics", ", ".join(f.characteristics)),
-            ("SubPropertyOf", _pp_names(f.sub_property_of)),
-            ("InverseOf", _pp_names(f.inverse_of)),
-        ]
-    elif isinstance(f, IndividualFrame):
-        head = "Individual"
-        fields = [("Types", _pp_names(f.types)), ("DifferentFrom", _pp_names(f.different_from))]
-    else:
-        raise TypeError(f"not a frame: {f!r}")
-    return [f"{head}: {f.name.render()}"] + [f"{word}: {names}" for word, names in fields if names]
+    out = [f"{_HEADERS[type(f)]}: {f.name.render()}"] if type(f) in _HEADERS else []
+    for word, attr in FRAME_FIELDS[type(f)].items():
+        values = getattr(f, attr)
+        if values:
+            names = ", ".join(v if isinstance(v, str) else v.render() for v in values)
+            out.append(f"{word}: {{{names}}}" if word == "EquivalentTo" else f"{word}: {names}")
+    return out
 
 
 def pp_frame(f: Frame) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from godp import build_library, parse_library
 from godp.syntax import LibraryAst
@@ -11,6 +12,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 ERRORS = CORPUS / "errors"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+# Every run draws the same examples, so a shared or slow machine neither
+# changes what is tested nor fails a test on time; `--hypothesis-profile`
+# selects another profile.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def corpus_paths() -> list[pathlib.Path]:

@@ -278,6 +278,22 @@ def test_kind_clash_in_frames_points_at_the_first_frame(source, position):
     assert (exc.value.pos.line, exc.value.pos.col) == position
 
 
+@pytest.mark.parametrize("source, position", [
+    # a list parameter's head clashes with an earlier parameter: at the list parameter
+    ("ontology P [ObjectProperty: x; Class: x :: xs] = { }\n", "1:32"),
+    # two imports clash: at the definition that imports them
+    ("ontology A = { Class: x }\nontology B = { ObjectProperty: x }\n"
+     "ontology P [Class: C] given A, B = { }\n", "3:1"),
+])
+def test_kind_clash_between_parameters_or_imports_has_a_position(tmp_path, capsys, source, position):
+    f = tmp_path / "f.gdp"
+    f.write_text(source, encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{f}:{position}: error: kind clash for 'x': Class vs ObjectProperty\n"
+    )
+
+
 def test_individual_different_from_a_list_tail():
     lib = lib_of(
         "ontology Q [Individual: x :: xs] = { Individual: x DifferentFrom: xs }\n"

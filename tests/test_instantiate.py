@@ -14,6 +14,7 @@ from godp import (
     check_constraints,
     derive_fitting,
     elide_optional,
+    emit_struct_dump,
     expand,
     expand_named,
     match_template,
@@ -52,6 +53,7 @@ from godp.diagnostics import (
 
 from godp.elaborate import Call
 from godp.instantiate import DEFAULT_DEPTH
+from godp.parser import FIELD_KEYWORDS
 
 from conftest import CORPUS, ERRORS, corpus_paths, lib_of, load_corpus_library, load_library
 
@@ -1093,3 +1095,104 @@ def test_a_name_the_clause_binds_hides_an_enclosing_list_tail(body, extra, expec
 ])
 def test_argument_positions_and_unhidden_tails_resolve_as_before(body, expected):
     assert _different_from(body, _M) == expected
+
+
+# -- list tails are resolved when the library is built ----------------------------
+
+_FIELD_CASES = [
+    ("Individual", "Class: C EquivalentTo: {xs}", ["EquivalentToUnion C b c"]),
+    ("Class", "ObjectProperty: p Domain: xs", ["Domain p b", "Domain p c"]),
+    ("Class", "ObjectProperty: p Range: xs", ["Range p b", "Range p c"]),
+    ("ObjectProperty", "ObjectProperty: p SubPropertyOf: xs", ["SubPropertyOf p b", "SubPropertyOf p c"]),
+    ("ObjectProperty", "ObjectProperty: p InverseOf: xs", ["InverseOf p b", "InverseOf p c"]),
+    ("Class", "Individual: i Types: xs", ["ClassAssertion b i", "ClassAssertion c i"]),
+    ("Individual", "Individual: r DifferentFrom: xs", ["DifferentIndividuals b r", "DifferentIndividuals c r"]),
+    ("Individual", "DifferentIndividuals: xs", ["DifferentIndividuals b c"]),
+]
+
+
+@pytest.mark.parametrize("kind, frame, expected", _FIELD_CASES)
+def test_a_list_tail_splices_into_every_comma_list_field(kind, frame, expected):
+    lib = lib_of(f"ontology P [{kind}: x :: xs] = {{ {frame} }}\nontology U = P[a, b, c]\n")
+    dump = emit_struct_dump(expand_named(lib, "U"))
+    assert [line[3:] for line in dump.splitlines() if line.startswith("AX ")] == expected
+
+
+def test_the_field_cases_cover_every_comma_list_field():
+    words = {frame.split(":")[-2].split()[-1] for _, frame, _ in _FIELD_CASES}
+    assert words == FIELD_KEYWORDS - {"Characteristics"} | {"DifferentIndividuals"}
+
+
+_NOT_A_LIST = "'xs' is not a list in scope (expected a list-parameter tail)"
+
+
+def test_a_block_tail_the_running_clause_does_not_bind_is_an_error(tmp_path, capsys):
+    # D[empty] runs the clause without `xs`, and its local L names `xs` in a block
+    f = tmp_path / "d.gdp"
+    f.write_text(
+        "ontology D [Individual: x :: xs] = let ontology L [Individual: r] = "
+        "{ Individual: r DifferentFrom: xs } in L[k1]\n"
+        "ontology D [empty] = L[k2]\n"
+        "ontology U = D[empty]\n",
+        encoding="utf-8",
+    )
+    assert main(["expand", "--target", "U", "--format", "dump", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"{f}:1:69: error: {_NOT_A_LIST}\n")
+
+
+_NESTED = (
+    "ontology D [Individual: x :: xs] =\n"
+    "  let ontology L [Individual: r] =\n"
+    "        let ontology L2 [Individual: s] = { Individual: s DifferentFrom: xs } in L2[r]\n"
+    "      in L[k1]\n"
+    "ontology D [empty] = L[k2]\n"
+    "ontology U = D[a, b, c]\n"
+    "ontology V = D[empty]\n"
+)
+
+
+def test_a_local_of_a_local_reads_the_tail_of_the_run_two_definers_out():
+    lib = lib_of(_NESTED)
+    assert {a for a in expand_named(lib, "U").axioms if isinstance(a, DifferentIndividuals)} == {
+        DifferentIndividuals((name("b"), name("k1"))), DifferentIndividuals((name("c"), name("k1")))
+    }
+    # D[empty] runs the clause without `xs`, two definitions out from L2's block
+    with pytest.raises(UnknownReference) as exc:
+        expand_named(lib, "V")
+    assert exc.value.message == _NOT_A_LIST
+    assert (exc.value.pos.line, exc.value.pos.col) == (3, 43)
+
+
+_L_NAMES_XS = "ontology L [Individual: z] = { Individual: z DifferentFrom: xs } then M[xs] in L[q]"
+_HEAD_CLAUSE = "ontology D [Individual: xs :: ys] = L[q]"
+
+
+def test_a_name_a_clause_binds_as_a_tail_is_that_tail_in_a_block_and_as_an_argument():
+    # D's clauses bind `xs` as a tail and as a head; to its local L it is the
+    # tail, in a block's comma list and as an argument alike
+    assert _different_from(f"{_L_NAMES_XS}\n{_HEAD_CLAUSE}", _M) == ["b q", "b r", "c q", "c r"]
+    # a run of the clause that binds `xs` as a head has no such list
+    with pytest.raises(UnknownReference) as exc:
+        _different_from(_L_NAMES_XS, f"{_M}{_HEAD_CLAUSE}\n")
+    assert exc.value.message == _NOT_A_LIST
+    assert (exc.value.pos.line, exc.value.pos.col) == (3, 69)
+
+
+def test_a_tail_that_a_later_parameter_binds_again_holds_no_list():
+    # the first clause binds `xs` as a tail, then as a head: in its own body
+    # `xs` is the head, and to the local L, for which the second clause makes
+    # `xs` a tail, this run has no list `xs`
+    source = (
+        "ontology D [Individual: x :: xs; Individual: xs :: ys] =\n"
+        "  let ontology L [Individual: z] = { Individual: z DifferentFrom: xs } in {BODY}\n"
+        "ontology D [empty; Individual: y :: xs] = L[q]\n"
+        "ontology U = D[a, b, c; d, e]\n"
+    )
+    lib = lib_of(source.replace("{BODY}", "{ Individual: w DifferentFrom: xs }"))
+    assert [a for a in expand_named(lib, "U").axioms if isinstance(a, DifferentIndividuals)] == [
+        DifferentIndividuals((name("d"), name("w")))
+    ]
+    with pytest.raises(UnknownReference) as exc:
+        expand_named(lib_of(source.replace("{BODY}", "L[q]")), "U")
+    assert exc.value.message == _NOT_A_LIST
+    assert (exc.value.pos.line, exc.value.pos.col) == (2, 36)
