@@ -10,7 +10,9 @@ the clause or of an enclosing definition (of any of its clauses, since locals
 merge across them: a list tail if some clause binds it as one); a local
 sub-pattern of the definition or of an enclosing one; a library definition.
 A resolved body is made of `Call`s and `BlockExpr`s, a `then` chain being a
-tuple of them. A call's arguments hold symbols (`NameTerm`s), and a list
+tuple of them. A call holds one argument form per parameter of its callee,
+checked against it here (`_check_args`), so an ill-formed call is a build
+error even where nothing runs it. Its symbols are `NameTerm`s, and a list
 tail, in an argument or in a block's comma list, is a `ListVar`: the one
 rule for both places.
 
@@ -27,7 +29,7 @@ returns, nothing in the Library changes but its memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .core import (
     EMPTY_ONTOLOGY,
@@ -49,9 +51,11 @@ from .core import (
     union_flat,
 )
 from .diagnostics import (
+    ArityMismatch,
     DuplicateDefinition,
     GodpError,
     IllegalCycle,
+    MissingArgument,
     SourcePos,
     UnknownReference,
     UnsupportedArgument,
@@ -63,6 +67,7 @@ from .syntax import (
     BlockExpr,
     ClassFrame,
     DifferentIndividualsFrame,
+    EmptyArg,
     EmptyParam,
     ExprAst,
     Frame,
@@ -71,6 +76,7 @@ from .syntax import (
     InstExpr,
     LibraryAst,
     ListArgAst,
+    MissingArg,
     ObjectPropertyFrame,
     PatternDefAst,
     RefExpr,
@@ -225,12 +231,14 @@ class ParamSpec:
 class Call:
     """A call of `target`, a bare reference if `args` is None. `up` counts
     the definitions from the caller out to the one that has `target` as a
-    local (None: a library one). Inside an argument, `target` is None for a
-    name that is no definition; running the call raises."""
+    local (None: a library one). `args` are the argument forms, one per
+    parameter, already checked against them (`_check_args`): a list
+    parameter's is a `ListArg`, and a left-out trailing one an `EmptyOptArg`.
+    Running the call only substitutes the caller's names in them."""
 
     name: str
-    target: PatternDef | None = field(compare=False, repr=False)
-    args: tuple[ArgAst, ...] | None  # with resolved values
+    target: PatternDef = field(compare=False, repr=False)
+    args: tuple[ArgumentForm | _ExprArg, ...] | None
     up: int | None
     pos: SourcePos
 
@@ -246,6 +254,120 @@ class ListVar(NamedTuple):
 
 # a resolved expression; a tuple is a `then` chain
 Expr = Union[Call, BlockExpr, tuple]
+
+
+# -- argument forms ----------------------------------------------------------------
+# The forms `expand` takes, and those a resolved `Call` holds. `pos` is where
+# the argument was written (None when built in Python); it takes no part in
+# equality.
+
+def _pos_field():
+    return field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class NamedOntologyArg:
+    name: str
+    fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
+    pos: SourcePos | None = _pos_field()
+
+
+@dataclass(frozen=True)
+class AnonymousArg:
+    ontology: FlatOntology
+    fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
+    pos: SourcePos | None = _pos_field()
+
+
+@dataclass(frozen=True)
+class LocalSymbolArg:
+    term: NameTerm
+    fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
+    pos: SourcePos | None = _pos_field()
+
+
+@dataclass(frozen=True)
+class EmptyOptArg:
+    pos: SourcePos | None = _pos_field()
+
+
+@dataclass(frozen=True)
+class ListArg:
+    items: tuple[NameTerm, ...]  # in a clause body, a list tail is a `ListVar`
+    pos: SourcePos | None = _pos_field()
+
+
+@dataclass(frozen=True)
+class _ExprArg:
+    """A resolved argument expression (a call, a `then` chain or inline
+    frames), evaluated on top of the local environment in the caller's scope."""
+
+    expr: Expr
+    fits: tuple[tuple[NameTerm, NameTerm], ...]
+    pos: SourcePos | None = _pos_field()
+
+
+ArgumentForm = Union[NamedOntologyArg, AnonymousArg, LocalSymbolArg, EmptyOptArg, ListArg]
+
+_LIST_FITS = "fit maps are not allowed on list arguments"
+
+
+def _of(owner: str | None) -> str:
+    """The pattern part of a message; helpers called without one leave it out."""
+    return f" of '{owner}'" if owner is not None else ""
+
+
+def _not_a_list(tail: str, pos: SourcePos | None) -> UnknownReference:
+    return UnknownReference(f"'{tail}' is not a list in scope (expected a list-parameter tail)", pos)
+
+
+def _check_arg(
+    pspec: ParamSpec, form: ArgumentForm | _ExprArg, owner: str | None
+) -> ArgumentForm | _ExprArg:
+    """`form` fitted to `pspec` as `.gdp` text is: a list parameter takes a
+    list, an empty argument as the empty list and a bare name without fits as
+    a one-item list; a plain parameter takes any other form, and an empty one
+    only if it is optional."""
+    if pspec.is_list:
+        if isinstance(form, ListArg):
+            return form
+        if isinstance(form, EmptyOptArg):
+            return ListArg((), form.pos)
+        if form.fits:
+            raise UnsupportedArgument(_LIST_FITS, form.pos)
+        if isinstance(form, LocalSymbolArg):
+            return ListArg((form.term,), form.pos)
+        if isinstance(form, NamedOntologyArg):
+            return ListArg((NameTerm(form.name),), form.pos)
+        raise UnsupportedArgument("a list argument must be a comma or '::' list of names", form.pos)
+    if isinstance(form, ListArg):
+        raise UnsupportedArgument("list argument given for a non-list parameter", form.pos)
+    if isinstance(form, EmptyOptArg) and not pspec.optional:
+        raise MissingArgument(
+            f"missing argument for non-optional parameter {pspec.index + 1}{_of(owner)}",
+            form.pos,
+        )
+    return form
+
+
+def _check_args(
+    name: str,
+    params: Sequence[ParamSpec],
+    args: Sequence,
+    pos: SourcePos | None,
+    convert: Callable[[object, ParamSpec], ArgumentForm | _ExprArg] = lambda a, p: a,
+) -> list[ArgumentForm | _ExprArg]:
+    """The arguments of a call of `name`, which has `params` (its first
+    clause's), each made a form by `convert` and checked by `_check_arg` in
+    turn; left-out trailing ones are empty, which no list parameter takes."""
+    if len(args) > len(params):
+        raise ArityMismatch(f"'{name}' takes {len(params)} argument(s), got {len(args)}", pos)
+    forms = [_check_arg(p, convert(a, p), name) for p, a in zip(params, args)]
+    for p in params[len(args):]:
+        if p.is_list:
+            raise ArityMismatch(f"missing argument for list parameter {p.index + 1} of '{name}'", pos)
+        forms.append(_check_arg(p, EmptyOptArg(pos), name))
+    return forms
 
 
 @dataclass(frozen=True)
@@ -396,13 +518,15 @@ def build_library(ast: LibraryAst) -> Library:
     trees = [_build_def(name, asts, name, None) for name, asts in grouped.items()]
     lib = Library({tree[0].d.name: tree[0].d for tree in trees})
     drafts = {dr.d.qual: dr for tree in trees for dr in tree}
-    lists = {q: {p.index for p in dr.params[0] if p.is_list} for q, dr in drafts.items()}
+    # a call's arguments are checked against these: only whether each is a
+    # list, optional and its index are read, all final here
+    shapes = {q: dr.params[0] for q, dr in drafts.items()}
 
     for tree in trees:  # a definition's imports and its locals', then their bodies
         for dr in tree:
             dr.d.imports = tuple(_import(lib, dr.d, name) for name in dr.asts[0].given)
         for dr in tree:
-            _resolve(lib, dr, drafts[dr.d.parent.qual].names if dr.d.parent else {}, lists)
+            _resolve(lib, dr, drafts[dr.d.parent.qual].names if dr.d.parent else {}, shapes)
     calls: list = []
     for dr in drafts.values():
         for params, body in zip(dr.params, dr.bodies):
@@ -496,10 +620,10 @@ def _param_names(d: PatternDef, params: tuple) -> tuple[dict[str, tuple[str, boo
     return names, hidden
 
 
-def _resolve(lib: Library, dr: _Draft, outer: dict, lists: dict[str, set[int]]) -> None:
+def _resolve(lib: Library, dr: _Draft, outer: dict, shapes: dict[str, tuple[ParamSpec, ...]]) -> None:
     """Resolve the clause bodies of `dr`; `outer` maps each parameter name of
-    the definitions around it as `_param_names` does, `lists` holds the list
-    positions of every definition."""
+    the definitions around it as `_param_names` does, `shapes` holds the
+    first-clause parameters of every definition."""
     d, own = dr.d, []
     for i, params in enumerate(dr.params):
         names, hidden = _param_names(d, params)
@@ -529,19 +653,20 @@ def _resolve(lib: Library, dr: _Draft, outer: dict, lists: dict[str, set[int]]) 
     for ca, names in zip(dr.asts, own):
         params = {**outer, **names}
         tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in params.items() if t}
-        dr.bodies.append(_Scope(lib, params, tails, d, lists).expr(ca.body, strict=True))
+        dr.bodies.append(_Scope(lib, params, tails, d, shapes).expr(ca.body))
 
 
 class _Scope(NamedTuple):
     """What the names of one clause body of `d` mean; `params` maps each
     parameter name it sees as `_resolve`'s `outer` does, `tails` each list
-    tail among them to its `ListVar`, `lists` each definition's list positions."""
+    tail among them to its `ListVar`, `shapes` each definition's
+    first-clause parameters."""
 
     lib: Library
     params: dict[str, tuple[str, bool]]
     tails: dict[NameTerm, ListVar]
     d: PatternDef
-    lists: dict[str, set[int]]
+    shapes: dict[str, tuple[ParamSpec, ...]]
 
     def definition(self, name: str) -> tuple[PatternDef | None, int | None]:
         up, cur = 0, self.d
@@ -549,11 +674,10 @@ class _Scope(NamedTuple):
             cur, up = cur.parent, up + 1
         return (cur.locals[name], up) if cur is not None else (self.lib.defs.get(name), None)
 
-    def expr(self, e: ExprAst, strict: bool = False) -> Expr:
-        """`e` where an ontology is expected; an unknown name there fails now
-        if `strict`, else when the call runs."""
+    def expr(self, e: ExprAst) -> Expr:
+        """`e` where an ontology is expected, each call's arguments checked."""
         if isinstance(e, ThenExpr):
-            return tuple([self.expr(t, strict) for t in e.terms])
+            return tuple([self.expr(t) for t in e.terms])
         if isinstance(e, BlockExpr):
             return self.block(e) if self.tails else e
         if e.name in self.params:
@@ -563,13 +687,15 @@ class _Scope(NamedTuple):
                 e.pos,
             )
         target, up = self.definition(e.name)
-        if target is None and strict:
+        if target is None:
             raise UnknownReference(f"unknown ontology or pattern '{e.name}'", e.pos)
         if isinstance(e, RefExpr):
             return Call(e.name, target, None, up, e.pos)
-        lists = self.lists[target.qual] if target is not None else ()
-        args = [self.arg(a, i in lists) for i, a in enumerate(e.args)]
-        return Call(e.name, target, tuple(args), up, e.pos)
+        params, args = self.shapes[target.qual], e.args
+        if not params and len(args) == 1 and isinstance(args[0].value, MissingArg):
+            args = ()  # G[] on a 0-parameter pattern
+        forms = _check_args(target.name, params, args, e.pos, self.arg)
+        return Call(e.name, target, tuple(forms), up, e.pos)
 
     def block(self, e: BlockExpr) -> BlockExpr:
         """`e` with its frames' comma lists resolved."""
@@ -584,48 +710,64 @@ class _Scope(NamedTuple):
         }
         return type(f)(**{**vars(f), **lists}) if lists else f
 
-    def arg(self, a: ArgAst, to_list: bool) -> ArgAst:
-        """`a`, given to a list parameter if `to_list`, with its value
-        resolved: a list tail is the list `[] :: tail`, and in a list a
-        `ListVar`; any other name of a parameter or of no definition is a
-        symbol (a `NameTerm`), and so is a bare name that a list parameter
-        gets."""
+    def arg(self, a: ArgAst, p: ParamSpec) -> ArgumentForm | _ExprArg:
+        """`a` as a form for `_check_arg` to fit to `p`: a list tail is a
+        `ListVar` item, a bare one the list `[] :: tail`; any other name of a
+        parameter or of no definition is a symbol, and so is a bare name that
+        a list parameter gets, which takes no fits and no unbound `::` tail."""
         v = a.value
+        if a.fits and p.is_list:
+            raise UnsupportedArgument(_LIST_FITS, a.pos)
+        if isinstance(v, (MissingArg, EmptyArg)):
+            if a.fits:
+                raise UnsupportedArgument("fit maps are meaningless on an empty argument", a.pos)
+            return EmptyOptArg(a.pos)
+        if isinstance(v, ListArgAst):
+            if v.tail is not None and v.tail not in self.tails and p.is_list:
+                raise _not_a_list(v.tail.render(), a.pos)
+            items = v.items if v.tail is None else (*v.items, v.tail)
+            return ListArg(tuple([self.tails.get(n, n) for n in items]), a.pos)
         if isinstance(v, (RefExpr, InstExpr)):
             owner, tail = self.params.get(v.name, (None, False))
             bare = isinstance(v, RefExpr)
             if tail and bare:
-                return ArgAst(ListArgAst((), self.tails[NameTerm(v.name)]), a.fits, a.pos)
-            if owner or (bare and to_list) or self.definition(v.name)[0] is None:
+                return ListArg((self.tails[NameTerm(v.name)],), a.pos)
+            if owner or (bare and p.is_list) or self.definition(v.name)[0] is None:
                 v = expr_to_name_term(v) or v
-        elif isinstance(v, ListArgAst) and not self.tails.keys().isdisjoint((*v.items, v.tail)):
-            v = ListArgAst(tuple([self.tails.get(n, n) for n in v.items]), self.tails.get(v.tail, v.tail))
-        if isinstance(v, (RefExpr, InstExpr, ThenExpr, BlockExpr)):
+        if isinstance(v, NameTerm):
+            return LocalSymbolArg(v, a.fits, a.pos)
+        if not p.is_list:  # at a list parameter it is no name, as `_check_arg` says
             v = self.expr(v)
-        return a if v is a.value else ArgAst(v, a.fits, a.pos)
+            if isinstance(v, Call) and v.args is None and v.target.arity != 0:
+                raise ArityMismatch(
+                    f"'{v.name}' is generic and needs arguments to be used as an argument", a.pos
+                )
+        return _ExprArg(v, a.fits, a.pos)
 
 
 # -- recursion guard -----------------------------------------------------------
 
-def _arg_shrinks(a: ArgAst, tails: dict[str, int]) -> bool:
-    v = a.value  # a bare tail is `[] :: tail`: one constructor stripped
-    if isinstance(v, ListArgAst) and isinstance(v.tail, ListVar) and v.tail.up == 0:
-        return len(v.items) < tails[v.tail.name]
-    return False
+def _arg_shrinks(a: ArgumentForm | _ExprArg, tails: dict[str, int]) -> bool:
+    """Whether `a` is a list that ends in the caller's own tail, with fewer
+    items before it than that tail's template strips and none of them a
+    spliced tail, whose length is unknown; a bare tail is `[] :: tail`."""
+    items = a.items if isinstance(a, ListArg) else ()
+    last = items[-1] if items else None
+    return isinstance(last, ListVar) and last.up == 0 and len(items) - 1 < tails[last.name] and (
+        sum(isinstance(n, ListVar) for n in items) == 1
+    )
 
 
 def _calls(e: Expr, out: list[Call]) -> list[Call]:
-    """`out` and the calls of definitions in `e`, each before those in its
-    arguments."""
+    """`out` and the calls in `e`, each before those in its arguments."""
     if isinstance(e, tuple):
         for t in e:
             _calls(t, out)
     elif isinstance(e, Call):
-        if e.target is not None:
-            out.append(e)
+        out.append(e)
         for a in e.args or ():
-            if isinstance(a.value, (Call, tuple)):
-                _calls(a.value, out)
+            if isinstance(a, _ExprArg):
+                _calls(a.expr, out)
     return out
 
 

@@ -10,12 +10,11 @@ Each of these has one implementation, the one `expand`/`expand_named` run:
 the public helpers `derive_fitting`, `check_compatibility`,
 `check_constraints`, `match_template` and `elide_optional` are entry points
 into it, and the engine itself works on the public argument forms
-(`NamedOntologyArg` ... `ListArg`), which carry the argument's source
-position when they come from `.gdp` text. One check, `_check_arg`, fits a
-form to its parameter for every entry point (a call in `.gdp` text, `expand`
-and `derive_fitting`), with the same messages: a list parameter gets a
-`ListArg`, and a plain one gets no `ListArg`, and an `EmptyOptArg` only if it
-is optional. The engine takes the checked forms as they are.
+(`NamedOntologyArg` ... `ListArg`, defined beside `Call` in `elaborate`). One
+check, `_check_arg`, fits a form to its parameter, with the same messages for
+every entry point: `build_library` runs it once on each call in `.gdp` text,
+`expand` and `derive_fitting` when they are called. The engine takes the
+checked forms as they are, and only substitutes the caller's names in them.
 
 An elided optional symbol becomes a placeholder, a name whose base starts with
 `?` as no identifier in `.gdp` text can, so `is_placeholder` reads the name
@@ -24,11 +23,12 @@ is numbered by that instantiation's depth inside the innermost closed
 expansion and its own index there: unique among live ones, and unchanged by
 memo hits.
 
-Calls and list tails arrive resolved by `build_library`; the engine looks up
-by name only the library definition a `NamedOntologyArg` names. A runtime
-scope holds only bindings: a local pattern's `parent` bindings are those of
-its definer's run, and each run's `list_map` holds only its own clause's
-tails, which a `ListVar` reads from the run it counts up to.
+Calls, their argument forms and list tails arrive resolved by
+`build_library`; the engine looks up by name only the library definition a
+`NamedOntologyArg` names. A runtime scope holds only bindings: a local
+pattern's `parent` bindings are those of its definer's run, and each run's
+`list_map` holds only its own clause's tails, which a `ListVar` reads from
+the run it counts up to; one that the run lacks is an error when the call runs.
 
 Expansion is pure over an immutable Library. Every top-level call gets its own
 context: a depth budget and the names of the 0-parameter expansions it has
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import repeat
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     EMPTY_ONTOLOGY,
@@ -64,27 +64,36 @@ from .diagnostics import (
     GodpError,
     IncompatibleFittings,
     KindMismatch,
-    MissingArgument,
     NoCandidate,
     NoMatch,
     SourcePos,
-    UnknownReference,
     UnmetConstraint,
     UnsupportedArgument,
 )
-from .elaborate import (
+from .elaborate import (  # the argument forms and their check live beside `Call`
+    AnonymousArg,
+    ArgumentForm,
     Call,
     Clause,
+    EmptyOptArg,
     Expr,
     Library,
+    ListArg,
     ListTemplate,
     ListVar,
+    LocalSymbolArg,
+    NamedOntologyArg,
     ParamSpec,
     PatternDef,
     PlainShape,
+    _check_arg,
+    _check_args,
+    _ExprArg,
+    _not_a_list,
+    _of,
     build_block,
 )
-from .syntax import ArgAst, BlockExpr, EmptyArg, ListArgAst, MissingArg
+from .syntax import BlockExpr
 
 DEFAULT_DEPTH = 10_000
 
@@ -165,68 +174,6 @@ def is_placeholder(n: NameTerm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Argument forms
-# ---------------------------------------------------------------------------
-# `pos` is where the argument was written (None when built in Python); it
-# takes no part in equality.
-
-def _pos_field():
-    return dc_field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class NamedOntologyArg:
-    name: str
-    fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-    pos: SourcePos | None = _pos_field()
-
-
-@dataclass(frozen=True)
-class AnonymousArg:
-    ontology: FlatOntology
-    fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-    pos: SourcePos | None = _pos_field()
-
-
-@dataclass(frozen=True)
-class LocalSymbolArg:
-    term: NameTerm
-    fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-    pos: SourcePos | None = _pos_field()
-
-
-@dataclass(frozen=True)
-class EmptyOptArg:
-    pos: SourcePos | None = _pos_field()
-
-
-@dataclass(frozen=True)
-class ListArg:
-    items: tuple[NameTerm, ...]
-    pos: SourcePos | None = _pos_field()
-
-
-@dataclass(frozen=True)
-class _ExprArg:
-    """A resolved argument expression (a call, a `then` chain or inline
-    frames), evaluated on top of the local environment in the caller's scope."""
-
-    expr: Expr
-    fits: tuple[tuple[NameTerm, NameTerm], ...]
-    pos: SourcePos | None = _pos_field()
-
-
-ArgumentForm = Union[NamedOntologyArg, AnonymousArg, LocalSymbolArg, EmptyOptArg, ListArg]
-
-
-@dataclass(frozen=True)
-class Instantiation:
-    pattern: str
-    args: tuple[ArgumentForm, ...]
-    local_env: FlatOntology = EMPTY_ONTOLOGY
-
-
-# ---------------------------------------------------------------------------
 # Engine context
 # ---------------------------------------------------------------------------
 
@@ -256,111 +203,8 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# Argument normalization (against the callee's parameter shapes)
-# ---------------------------------------------------------------------------
-
-def _normalize_ast_arg(a: ArgAst, pspec: ParamSpec, b: Bindings) -> ArgumentForm | _ExprArg:
-    """The resolved argument `a` as an argument form under the caller's
-    bindings, for `_check_arg` to fit to `pspec`. A list parameter takes no
-    fits, its tail must be a list in scope, and anything but a name is left
-    for `_check_arg` to reject."""
-    v = a.value
-    if a.fits and pspec.is_list:
-        raise UnsupportedArgument(_LIST_FITS, a.pos)
-    if isinstance(v, (MissingArg, EmptyArg)):
-        if a.fits:
-            raise UnsupportedArgument("fit maps are meaningless on an empty argument", a.pos)
-        return EmptyOptArg(a.pos)
-    if isinstance(v, ListArgAst):
-        if isinstance(v.tail, NameTerm) and pspec.is_list:  # no list tail in scope
-            raise _not_a_list(v.tail.render(), a.pos)
-        names = v.items + (v.tail,) if isinstance(v.tail, ListVar) else v.items
-        return ListArg(b.apply_list(names, a.pos), a.pos)
-    # fit sources name the callee's parameter symbols and stay as written;
-    # targets live in the caller's context and get substituted
-    fits = tuple((src, b.apply(dst)) for src, dst in a.fits)
-    if isinstance(v, NameTerm):  # a symbol: a parameter, or a name of the caller's environment
-        return LocalSymbolArg(b.apply(v), fits, a.pos)
-    if isinstance(v, Call) and v.target is None:
-        if not pspec.is_list:  # at a list position it is no name, as `_check_arg` says
-            raise UnknownReference(f"unknown ontology or pattern '{v.name}'", a.pos)
-    elif isinstance(v, Call) and v.args is None and v.target.arity != 0:
-        raise ArityMismatch(
-            f"'{v.name}' is generic and needs arguments to be used as an argument", a.pos
-        )
-    return _ExprArg(v, fits, a.pos)
-
-
-_LIST_FITS = "fit maps are not allowed on list arguments"
-
-
-def _not_a_list(tail: str, pos: SourcePos | None) -> UnknownReference:
-    return UnknownReference(f"'{tail}' is not a list in scope (expected a list-parameter tail)", pos)
-
-
-def _check_arg(
-    pspec: ParamSpec, form: ArgumentForm | _ExprArg, owner: str | None
-) -> ArgumentForm | _ExprArg:
-    """`form` fitted to `pspec` as `.gdp` text is: a list parameter takes a
-    list, an empty argument as the empty list and a bare name without fits as
-    a one-item list; a plain parameter takes any other form, and an empty one
-    only if it is optional."""
-    if pspec.is_list:
-        if isinstance(form, ListArg):
-            return form
-        if isinstance(form, EmptyOptArg):
-            return ListArg((), form.pos)
-        if form.fits:
-            raise UnsupportedArgument(_LIST_FITS, form.pos)
-        if isinstance(form, LocalSymbolArg):
-            return ListArg((form.term,), form.pos)
-        if isinstance(form, NamedOntologyArg):
-            return ListArg((NameTerm(form.name),), form.pos)
-        raise UnsupportedArgument(
-            "a list argument must be a comma or '::' list of names", form.pos
-        )
-    if isinstance(form, ListArg):
-        raise UnsupportedArgument("list argument given for a non-list parameter", form.pos)
-    if isinstance(form, EmptyOptArg) and not pspec.optional:
-        raise MissingArgument(
-            f"missing argument for non-optional parameter {pspec.index + 1}{_of(owner)}",
-            form.pos,
-        )
-    return form
-
-
-def _check_args(
-    target: PatternDef,
-    args: Sequence,
-    pos: SourcePos | None,
-    convert: Callable[[object, ParamSpec], ArgumentForm | _ExprArg] = lambda a, p: a,
-) -> list[ArgumentForm | _ExprArg]:
-    """The arguments of a call of `target`, each made a form by `convert`
-    and checked by `_check_arg` in turn; left-out trailing ones are empty,
-    which no list parameter takes."""
-    params = target.clauses[0].params
-    if len(args) > len(params):
-        raise ArityMismatch(
-            f"'{target.name}' takes {target.arity} argument(s), got {len(args)}", pos
-        )
-    forms = [_check_arg(p, convert(a, p), target.name) for p, a in zip(params, args)]
-    for p in params[len(args):]:
-        if p.is_list:
-            raise ArityMismatch(
-                f"missing argument for list parameter {p.index + 1} of '{target.name}'", pos
-            )
-        forms.append(_check_arg(p, EmptyOptArg(pos), target.name))
-    return forms
-
-
-# ---------------------------------------------------------------------------
 # Template matching
 # ---------------------------------------------------------------------------
-
-def _of(owner: str | None) -> str:
-    """The pattern part of a message; helpers called without one leave it out."""
-    return f" of '{owner}'" if owner is not None else ""
-
 
 def _clause_matches(clause: Clause, forms: Sequence[ArgumentForm | _ExprArg]) -> bool:
     for p, f in zip(clause.params, forms):
@@ -536,8 +380,8 @@ def _eval_arg_ontology(
     if isinstance(form, AnonymousArg):
         return union_flat(env, form.ontology)
     if isinstance(form, NamedOntologyArg):  # from the Python API: a library name
-        target = ctx.lib.defs.get(form.name)
-        return _eval_expr(ctx, Call(form.name, target, None, None, form.pos), env, caller)
+        call = Call(form.name, ctx.lib.require(form.name, form.pos), None, None, form.pos)
+        return _eval_expr(ctx, call, env, caller)
     # local-environment injection: the argument is evaluated on top of env,
     # in the caller's scope (its bindings substitute enclosing parameters)
     return _eval_expr(ctx, form.expr, env, caller)
@@ -659,12 +503,10 @@ def _eval_expr(ctx: _Ctx, expr: Expr, env: FlatOntology, scope: Bindings) -> Fla
         if isinstance(expr, BlockExpr):
             return union_flat(env, build_block(expr.frames, scope))
         target = expr.target
-        if target is None:
-            raise UnknownReference(f"unknown ontology or pattern '{expr.name}'", expr.pos)
         # a local shares the parameters around it
         base = EMPTY_BINDINGS if expr.up is None else scope.outer(expr.up)
         if expr.args is not None:
-            forms = _normalize_call(target, expr.args, scope, expr.pos)
+            forms = [_apply_form(f, scope) for f in expr.args]
             return _instantiate(ctx, target, base, forms, env, expr.pos, scope)
         if target.arity != 0:
             raise ArityMismatch(
@@ -678,12 +520,19 @@ def _eval_expr(ctx: _Ctx, expr: Expr, env: FlatOntology, scope: Bindings) -> Fla
         raise
 
 
-def _normalize_call(
-    target: PatternDef, args: Sequence[ArgAst], b: Bindings, pos: SourcePos | None
-) -> list[ArgumentForm | _ExprArg]:
-    if len(args) == 1 and not target.arity and isinstance(args[0].value, MissingArg):
-        args = ()  # G[] on a 0-parameter pattern
-    return _check_args(target, args, pos, lambda a, p: _normalize_ast_arg(a, p, b))
+def _apply_form(form: ArgumentForm | _ExprArg, b: Bindings) -> ArgumentForm | _ExprArg:
+    """A call's checked argument form under the caller's bindings `b`: its
+    symbol and fit targets substituted, its list tails spliced."""
+    if isinstance(form, ListArg):
+        return ListArg(b.apply_list(form.items, form.pos), form.pos)
+    if isinstance(form, EmptyOptArg):
+        return form
+    # fit sources name the callee's parameter symbols and stay as written;
+    # targets live in the caller's context and get substituted
+    fits = tuple([(src, b.apply(dst)) for src, dst in form.fits])
+    if isinstance(form, LocalSymbolArg):
+        return LocalSymbolArg(b.apply(form.term), fits, form.pos)
+    return _ExprArg(form.expr, fits, form.pos)
 
 
 def _instantiate(
@@ -768,12 +617,19 @@ def _declare(
 # Public entry points
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Instantiation:
+    pattern: str
+    args: tuple[ArgumentForm, ...]
+    local_env: FlatOntology = EMPTY_ONTOLOGY
+
+
 def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> FlatOntology:
     """Expand one instantiation against its local environment; its arguments,
     and those left out at the end, are checked as in `.gdp` text."""
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
-    forms = _check_args(target, inst.args, None)
+    forms = _check_args(target.name, target.clauses[0].params, inst.args, None)
     return _instantiate(ctx, target, EMPTY_BINDINGS, forms, inst.local_env, None)
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import settings
 
 from godp import build_library, parse_library
-from godp.syntax import LibraryAst
+from godp.elaborate import Call
+from godp.instantiate import EmptyOptArg, ListArg, LocalSymbolArg, _ExprArg
+from godp.syntax import BlockExpr, LibraryAst
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -37,6 +39,46 @@ def load_corpus_library():
 
 def lib_of(source: str, file: str = "<test>"):
     return build_library(parse_library(source, file))
+
+
+def unresolved(lib) -> list:
+    """What a built library must not hold in a clause body, locals included:
+    anything but calls and blocks, a call without a target, or one whose
+    arguments are not one checked form per parameter of the callee (a
+    `ListArg` for each list parameter)."""
+    bad = []
+
+    def expr(e) -> None:
+        if isinstance(e, tuple):
+            for t in e:
+                expr(t)
+        elif not isinstance(e, Call):
+            if not isinstance(e, BlockExpr):
+                bad.append(e)
+        elif e.target is None:
+            bad.append(e)
+        elif e.args is not None:
+            params = e.target.clauses[0].params
+            if len(e.args) != len(params):
+                bad.append(e)
+            for p, a in zip(params, e.args):
+                if p.is_list and not isinstance(a, ListArg) or type(a) not in _FORMS:
+                    bad.append(a)
+                elif isinstance(a, _ExprArg):
+                    expr(a.expr)
+
+    def visit(d) -> None:
+        for c in d.clauses:
+            expr(c.body)
+        for loc in d.locals.values():
+            visit(loc)
+
+    for d in lib.defs.values():
+        visit(d)
+    return bad
+
+
+_FORMS = (LocalSymbolArg, EmptyOptArg, ListArg, _ExprArg)
 
 
 @pytest.fixture(scope="session")

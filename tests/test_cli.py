@@ -111,8 +111,8 @@ def test_check_duplicate_across_files(tmp_path, capsys):
 def test_check_reports_all_diagnostics_in_order(tmp_path, capsys):
     f = tmp_path / "two_bad.gdp"
     f.write_text(
-        "ontology P [Class: C] = { Class: C }\n"
-        "ontology BadOne = P[a, b]\n"
+        "ontology L [Class: C :: Cs] = { Class: C }\n"
+        "ontology BadOne = L[empty]\n"
         "ontology BadTwo = { Class: T } then { ObjectProperty: T }\n",
         encoding="utf-8",
     )
@@ -122,6 +122,16 @@ def test_check_reports_all_diagnostics_in_order(tmp_path, capsys):
     assert len(lines) == 2
     positions = [int(line.split(":")[1]) for line in lines]
     assert positions == sorted(positions)
+    # an ill-formed call fails the build: nothing is expanded after it
+    f.write_text(
+        "ontology P [Class: C] = { Class: C }\n"
+        "ontology BadOne = P[a, b]\n"
+        "ontology BadTwo = { Class: T } then { ObjectProperty: T }\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out) == (1, "")
+    assert err == f"{f}:2:21: error: list argument given for a non-list parameter\n"
 
 
 # -- expand --------------------------------------------------------------------
@@ -352,3 +362,25 @@ def test_elided_symbol_in_a_diagnostic_is_the_same_at_every_depth(tmp_path, caps
     assert code == 1
     (line,) = err.splitlines()  # V and W reach the same failure: it is printed once
     assert line.startswith(f"{f}:1:55: error: kind clash for '?B_")
+
+
+# -- the traced benchmark's wrap points ------------------------------------------
+
+def test_the_benchmark_tracer_wraps_every_layer_it_reads(monkeypatch, capsys):
+    # bench/spans.py looks up functions by module attribute, so a moved import
+    # would break only traced runs
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "bench"))
+    import spans
+
+    rec = spans.Recorder()
+    restore = spans.install(rec)
+    try:
+        code = main(["check", *(str(p) for p in corpus_paths())])
+    finally:
+        restore()
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
+    names = {s[spans.NAME] for s in rec.take()}
+    assert {
+        "elaborate.build_library", "instantiate.expand_named", "core.union_flat", "core.make_ontology",
+    } <= names

@@ -23,7 +23,7 @@ from godp.diagnostics import (
 from godp.elaborate import ListTemplate, PlainShape
 from godp.syntax import BlockExpr, LibraryAst
 
-from conftest import corpus_paths, lib_of
+from conftest import corpus_paths, lib_of, unresolved
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -72,6 +72,65 @@ def test_mutual_cycle_without_shrink_is_illegal():
     )
     with pytest.raises(IllegalCycle):
         lib_of(src)
+
+
+_SPLICED_TAIL = (
+    "ontology D [Individual: x :: y :: xs] = { Individual: x } then D[{ARG}]\n"
+    "ontology D [Individual: x :: xs] = { Individual: x }\n"
+    "ontology D [empty] = { }\n"
+    "ontology U = D[a, b, c, d]\n"
+)
+
+
+def test_a_list_with_a_spliced_tail_before_the_callers_tail_does_not_shrink(tmp_path, capsys):
+    # `xs` spliced before `:: xs` has unknown length: D[a, b, c, d] would
+    # recurse on D[c, d, c, d] for ever
+    f = tmp_path / "d.gdp"
+    f.write_text(_SPLICED_TAIL.replace("{ARG}", "xs :: xs"), encoding="utf-8")
+    assert main(["expand", "--target", "U", str(f)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{f}:1:64: error: recursive call from 'D' to 'D' does not strictly shrink a list parameter\n"
+    )
+
+
+@pytest.mark.parametrize("arg", ["y :: xs", "y, xs"])
+def test_a_comma_list_ending_in_the_callers_tail_shrinks_as_a_cons_does(arg):
+    lib = lib_of(_SPLICED_TAIL.replace("{ARG}", arg))
+    assert [s.name.base for s in expand_named(lib, "U").sorted_signature()] == ["a", "b", "c", "d"]
+
+
+def test_corpus_clause_bodies_hold_only_checked_calls(corpus_lib):
+    assert unresolved(corpus_lib) == []
+    assert any(d.locals for d in corpus_lib.defs.values())  # locals are walked too
+
+
+_P = "ontology P [Class: C] = { Class: C }\n"
+
+
+@pytest.mark.parametrize("source, position", [
+    # no 0-parameter definition instantiates G
+    (_P + "ontology G [Class: D] = P[a, b] then P[D; E]\nontology Ok = P[X]\n", "2:27"),
+    # a template clause that never matches
+    (_P + "ontology L [Individual: x :: xs] = { Individual: x } then P[a, b]\n"
+     "ontology L [empty] = { }\nontology U = L[empty]\n", "2:61"),
+    # a local that is never called
+    (_P + "ontology G [Class: D] =\n  let ontology Unused [Class: E] = P[a, b] in { Class: D }\n"
+     "ontology Ok = G[X]\n", "3:38"),
+], ids=["uninstantiated pattern", "unmatched clause", "uncalled local"])
+def test_check_checks_every_calls_arguments_where_nothing_runs_it(tmp_path, capsys, source, position):
+    f = tmp_path / "f.gdp"
+    f.write_text(source, encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{f}:{position}: error: list argument given for a non-list parameter\n"
+    )
+
+
+def test_an_unknown_name_in_an_argument_expression_is_a_build_error():
+    with pytest.raises(UnknownReference) as exc:
+        lib_of(_P + "ontology G [Class: D] = P[{ Class: A } then Foo]\n")
+    assert exc.value.message == "unknown ontology or pattern 'Foo'"
+    assert (exc.value.pos.line, exc.value.pos.col) == (2, 45)
 
 
 def _seen(lib, d, upto=None, clause=0):

@@ -287,7 +287,8 @@ ontology Y [Class: C  Class: D] = { Class: C }
 """
 
 
-@pytest.mark.parametrize("call, error, message, col", [
+# a call's arguments are checked when the library is built
+_STATIC_ARGUMENT_ROWS = [
     ("L[a, b fit x |-> y]", UnsupportedArgument, "fit maps are not allowed on list arguments", 18),
     ("L[empty fit x |-> y]", UnsupportedArgument, "fit maps are not allowed on list arguments", 18),
     ("L[a :: zs]", UnknownReference,
@@ -305,6 +306,10 @@ ontology Y [Class: C  Class: D] = { Class: C }
     ("G[empty; b]", MissingArgument, "missing argument for non-optional parameter 1 of 'G'", 18),
     ("M[a]", ArityMismatch, "missing argument for list parameter 2 of 'M'", 16),
     ("P[Foo[empty]]", UnknownReference, "unknown ontology or pattern 'Foo'", 18),
+]
+
+# a fitting is derived when the call runs
+_FITTING_ROWS = [
     # every fit of a symbol is bound, as for a bare symbol argument
     ("P[{ Class: A Class: B } fit C |-> A, C |-> B]", IncompatibleFittings,
      "'C' is mapped both to 'A' and to 'B'", 18),
@@ -314,11 +319,19 @@ ontology Y [Class: C  Class: D] = { Class: C }
      "fit target 'A' has kind ObjectProperty, parameter 'C' needs Class", 18),
     ("Y[a]", UnsupportedArgument, "parameter 1 of 'Y' defines 2 new symbols; a bare symbol "
      "argument fits only single-symbol parameters", 18),
-])
+]
+
+
+@pytest.mark.parametrize("call, error, message, col", _STATIC_ARGUMENT_ROWS + _FITTING_ROWS)
 def test_argument_diagnostics_of_gdp_text(call, error, message, col):
-    lib = lib_of(ARGUMENT_CHECKS + f"ontology Use = {call}\n")
-    with pytest.raises(error) as exc:
-        expand_named(lib, "Use")
+    source = ARGUMENT_CHECKS + f"ontology Use = {call}\n"
+    if (call, error, message, col) in _FITTING_ROWS:
+        lib = lib_of(source)
+        with pytest.raises(error) as exc:
+            expand_named(lib, "Use")
+    else:
+        with pytest.raises(error) as exc:
+            lib_of(source)
     assert exc.value.message == message
     assert (exc.value.pos.line, exc.value.pos.col) == (7, col)
 
@@ -360,17 +373,21 @@ def test_expand_named_of_an_unknown_name_is_an_unknown_reference():
 
 
 @pytest.mark.parametrize("depth", [1, DEFAULT_DEPTH])
-def test_an_explicit_empty_argument_is_reported_before_the_call_runs(depth):
-    # before any tick is charged and before the first argument is fitted,
-    # as for a left-out argument
-    lib = lib_of(
+def test_an_explicit_empty_argument_is_reported_before_the_call_runs(depth, tmp_path, capsys):
+    # when the library is built, before any tick is charged and before the
+    # first argument is fitted, as for a left-out argument
+    source = (
         "ontology G [Class: C; Class: D] = { Class: C }\n"
         "ontology U = { ObjectProperty: a } then G[a; empty]\n"
     )
     with pytest.raises(MissingArgument) as exc:
-        expand_named(lib, "U", depth=depth)
+        lib_of(source)
     assert exc.value.message == "missing argument for non-optional parameter 2 of 'G'"
     assert (exc.value.pos.line, exc.value.pos.col) == (2, 46)
+    f = tmp_path / "u.gdp"
+    f.write_text(source, encoding="utf-8")
+    assert main(["check", "--depth", str(depth), str(f)]) == 1
+    assert capsys.readouterr() == ("", f"{f}:2:46: error: {exc.value.message}\n")
 
 
 def test_expand_checks_its_arguments_as_gdp_text_does(corpus_lib):
@@ -753,12 +770,11 @@ def test_at_least_step_call_schedule(monkeypatch):
 
 
 def test_list_argument_against_plain_parameter(corpus_lib):
-    lib = lib_of(
-        "ontology P [Class: C] = { Class: C }\n"
-        "ontology Use = P[a, b]\n"
-    )
     with pytest.raises(UnsupportedArgument):
-        expand_named(lib, "Use")
+        lib_of(
+            "ontology P [Class: C] = { Class: C }\n"
+            "ontology Use = P[a, b]\n"
+        )
 
 
 def test_instantiation_as_argument_matches_local_symbol_form(corpus_lib):

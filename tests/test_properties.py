@@ -13,10 +13,15 @@ its signature.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import os
+import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -69,7 +74,9 @@ from godp.syntax import (
     ThenExpr,
 )
 
-from conftest import ERRORS, corpus_paths, lib_of, load_corpus_library, load_library
+from godp.cli import main
+
+from conftest import ERRORS, corpus_paths, lib_of, load_corpus_library, load_library, unresolved
 from test_core import _axioms
 
 RESERVED = KEYWORDS | set(KIND_KEYWORDS) | FIELD_KEYWORDS | {"DifferentIndividuals", "Transitive", "Reflexive"}
@@ -173,6 +180,30 @@ _libraries = st.builds(lambda ds: LibraryAst(tuple(ds)), st.lists(_defs, max_siz
 @given(_libraries)
 def test_pretty_print_reparses_to_same_ast(ast):
     assert parse_library(pretty_print(ast), "<gen>") == ast
+
+
+@settings(max_examples=100, deadline=None)
+@given(_libraries)
+def test_check_is_total_on_generated_libraries(ast):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "gen.gdp")
+        with open(f, "w", encoding="utf-8") as out:
+            out.write(pretty_print(ast))
+        diagnostic = re.compile(re.escape(f) + r":\d+:\d+: error: ")
+        for depth in ([], ["--depth", "50"]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["check", *depth, f])
+            assert code in (0, 1, 2)
+            assert stdout.getvalue() == ""
+            lines = stderr.getvalue().splitlines()
+            assert (code == 0) == (lines == [])
+            assert all(diagnostic.match(line) for line in lines), lines
+        try:
+            lib = load_library([pathlib.Path(f)])
+        except GodpError:
+            return
+    assert unresolved(lib) == []
 
 
 @settings(max_examples=150, deadline=None)
