@@ -1,7 +1,8 @@
 """Generative and environmental robustness checks.
 
 The parser must be total (parse or raise a positioned library error, never
-anything else, even on input nested far past its bound); pretty-printed ASTs
+anything else, even on input nested far past its bound), and so must
+`godp check` on generated libraries; pretty-printed ASTs
 must reparse to themselves; emitted Manchester text must read back as the
 ontology it came from; a definition named like a parameter must change no
 corpus expansion; CLI output must be byte-identical across processes
