@@ -21,13 +21,15 @@ and never mutated afterwards, so it too is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, ClassVar, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .diagnostics import KindClash, UnmappedSymbol
+from .record import Record, field
+
+_set = object.__setattr__
 
 
 class SymbolKind(Enum):
@@ -144,21 +146,14 @@ def _sorted_set(ns: Iterable[NameTerm]) -> tuple[NameTerm, ...]:
     return tuple(sorted(set(ns), key=NameTerm.key))
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
     """Base class. A subclass declares its fields, in dump order, and states
     their symbol kinds once: `KINDS` holds one kind per field. A nonzero
     `NARY` says that the last field is a set of names, kept sorted and
     distinct, and is the fewest members that set needs to say anything."""
 
-    KINDS: ClassVar[tuple[SymbolKind, ...]] = ()
-    NARY: ClassVar[int] = 0
-
-    def __init_subclass__(cls) -> None:
-        # `_values(a)`: the fields (a subclass's own annotations) in order, in
-        # one C-level call; reading `__dict__` would give every axiom a dict
-        get = attrgetter(*cls.__annotations__)
-        cls._values = staticmethod(get if len(cls.__annotations__) > 1 else lambda a: (get(a),))
+    KINDS = ()  # tuple[SymbolKind, ...]; class attributes, not fields
+    NARY = 0
 
     def refs(self) -> tuple[tuple[NameTerm, SymbolKind], ...]:
         values = self._values(self)
@@ -196,61 +191,52 @@ class Axiom:
 _OP, _CLASS, _IND = SymbolKind.OBJECT_PROPERTY, SymbolKind.CLASS, SymbolKind.INDIVIDUAL
 
 
-@dataclass(frozen=True)
 class Reflexive(Axiom):
     prop: NameTerm
     KINDS = (_OP,)
 
 
-@dataclass(frozen=True)
 class Transitive(Axiom):
     prop: NameTerm
     KINDS = (_OP,)
 
 
-@dataclass(frozen=True)
 class InverseOf(Axiom):
     prop: NameTerm
     inverse: NameTerm
     KINDS = (_OP, _OP)
 
 
-@dataclass(frozen=True)
 class Domain(Axiom):
     prop: NameTerm
     cls: NameTerm
     KINDS = (_OP, _CLASS)
 
 
-@dataclass(frozen=True)
 class Range(Axiom):
     prop: NameTerm
     cls: NameTerm
     KINDS = (_OP, _CLASS)
 
 
-@dataclass(frozen=True)
 class SubPropertyOf(Axiom):
     sub: NameTerm
     sup: NameTerm
     KINDS = (_OP, _OP)
 
 
-@dataclass(frozen=True)
 class ClassAssertion(Axiom):
     cls: NameTerm
     individual: NameTerm
     KINDS = (_CLASS, _IND)
 
 
-@dataclass(frozen=True)
 class DifferentIndividuals(Axiom):
     individuals: tuple[NameTerm, ...]
     KINDS = (_IND,)
     NARY = 2
 
 
-@dataclass(frozen=True)
 class EquivalentToUnion(Axiom):
     """C EquivalentTo {i1, ..., in}: the class is exactly this set of individuals."""
 
@@ -264,16 +250,16 @@ class EquivalentToUnion(Axiom):
 # Flat ontologies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlatOntology:
+class FlatOntology(Record):
     signature: frozenset[Symbol]
     axioms: frozenset[Axiom]
     # name -> kind index of the signature; built from it when not given
-    kinds: Mapping[NameTerm, SymbolKind] = field(default=None, compare=False, hash=False, repr=False)
+    kinds: Mapping[NameTerm, SymbolKind] = field(None, compare=False)
 
-    def __post_init__(self):
-        if self.kinds is None:
-            object.__setattr__(self, "kinds", _index_kinds(self.signature, {}))
+    def __init__(self, signature, axioms, kinds=None):
+        _set(self, "signature", signature)
+        _set(self, "axioms", axioms)
+        _set(self, "kinds", _index_kinds(signature, {}) if kinds is None else kinds)
 
     def sorted_signature(self) -> list[Symbol]:
         return sorted(self.signature, key=Symbol.key)
@@ -353,19 +339,19 @@ def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:
 # Fitting morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FittingMorphism:
+class FittingMorphism(Record):
     """A kind-preserving symbol map, total on its declared domain."""
 
     pairs: tuple[tuple[Symbol, Symbol], ...]
 
-    def __post_init__(self):
-        for src, dst in self.pairs:
+    def __init__(self, pairs):
+        for src, dst in pairs:
             if src.kind is not dst.kind:
                 raise KindClash(
                     f"fitting maps {src.kind.value} '{src.name.render()}' to "
                     f"{dst.kind.value} '{dst.name.render()}'"
                 )
+        _set(self, "pairs", pairs)
 
     @staticmethod
     def of(mapping: Mapping[Symbol, Symbol]) -> "FittingMorphism":

@@ -8,8 +8,9 @@ inside the offending input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+from .record import Record
 
 
 class SourcePos(NamedTuple):
@@ -23,8 +24,7 @@ class SourcePos(NamedTuple):
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     severity: str
     message: str
     pos: SourcePos

@@ -11,10 +11,10 @@ merge across them: a list tail if some clause binds it as one); a local
 sub-pattern of the definition or of an enclosing one; a library definition.
 A resolved body is made of `Call`s and `BlockExpr`s, a `then` chain being a
 tuple of them. A call holds one argument form per parameter of its callee,
-checked against it here (`_check_args`), so an ill-formed call is a build
-error even where nothing runs it. Its symbols are `NameTerm`s, and a list
-tail, in an argument or in a block's comma list, is a `ListVar`: the one
-rule for both places.
+checked against it here (`_check_args`), so an ill-formed call, or a bare
+reference to a generic definition, is a build error even where nothing runs
+it. Its symbols are `NameTerm`s, and a list tail, in an argument or in a
+block's comma list, is a `ListVar`: the one rule for both places.
 
 A definition's parameters see its imports and, for a local, all that its
 definer's first-clause parameters see; each one also sees those before it in
@@ -28,7 +28,6 @@ returns, nothing in the Library changes but its memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .core import (
@@ -61,6 +60,7 @@ from .diagnostics import (
     UnsupportedArgument,
 )
 from .parser import expr_to_name_term
+from .record import Record, field, replace
 from .syntax import (
     FRAME_FIELDS,
     ArgAst,
@@ -184,23 +184,23 @@ def frames_of(o: FlatOntology) -> list[Frame]:
 # Resolved model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlainShape:
+class PlainShape(Record):
     frames: tuple[Frame, ...]
     delta: FlatOntology
     new_symbols: tuple[Symbol, ...]
 
 
-@dataclass(frozen=True)
-class ListTemplate:
+class ListTemplate(Record):
     kind: SymbolKind | None  # None for the `empty` template
     head: str | None
     head2: str | None
     tail: str | None
-    heads: tuple[str, ...] = field(init=False, compare=False, repr=False)  # the bound heads
+    __slots__ = ("heads",)  # the bound heads, not a field
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "heads", tuple(h for h in (self.head, self.head2) if h is not None))
+    def __init__(self, kind, head, head2, tail) -> None:
+        for attr, value in zip(self._fields, (kind, head, head2, tail)):
+            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "heads", tuple(h for h in (head, head2) if h is not None))
 
     @property
     def min_len(self) -> int:
@@ -210,8 +210,7 @@ class ListTemplate:
         return n == 0 if self.head is None else n >= self.min_len
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(Record):
     index: int
     optional: bool
     shape: PlainShape | ListTemplate
@@ -227,8 +226,7 @@ class ParamSpec:
         return "optional" if self.optional else "plain"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     """A call of `target`, a bare reference if `args` is None. `up` counts
     the definitions from the caller out to the one that has `target` as a
     local (None: a library one). `args` are the argument forms, one per
@@ -237,7 +235,7 @@ class Call:
     Running the call only substitutes the caller's names in them."""
 
     name: str
-    target: PatternDef = field(compare=False, repr=False)
+    target: PatternDef = field(compare=False)
     args: tuple[ArgumentForm | _ExprArg, ...] | None
     up: int | None
     pos: SourcePos
@@ -261,50 +259,43 @@ Expr = Union[Call, BlockExpr, tuple]
 # the argument was written (None when built in Python); it takes no part in
 # equality.
 
-def _pos_field():
-    return field(default=None, compare=False)
+_POS = field(None, compare=False)
 
 
-@dataclass(frozen=True)
-class NamedOntologyArg:
+class NamedOntologyArg(Record):
     name: str
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-    pos: SourcePos | None = _pos_field()
+    pos: SourcePos | None = _POS
 
 
-@dataclass(frozen=True)
-class AnonymousArg:
+class AnonymousArg(Record):
     ontology: FlatOntology
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-    pos: SourcePos | None = _pos_field()
+    pos: SourcePos | None = _POS
 
 
-@dataclass(frozen=True)
-class LocalSymbolArg:
+class LocalSymbolArg(Record):
     term: NameTerm
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-    pos: SourcePos | None = _pos_field()
+    pos: SourcePos | None = _POS
 
 
-@dataclass(frozen=True)
-class EmptyOptArg:
-    pos: SourcePos | None = _pos_field()
+class EmptyOptArg(Record):
+    pos: SourcePos | None = _POS
 
 
-@dataclass(frozen=True)
-class ListArg:
+class ListArg(Record):
     items: tuple[NameTerm, ...]  # in a clause body, a list tail is a `ListVar`
-    pos: SourcePos | None = _pos_field()
+    pos: SourcePos | None = _POS
 
 
-@dataclass(frozen=True)
-class _ExprArg:
+class _ExprArg(Record):
     """A resolved argument expression (a call, a `then` chain or inline
     frames), evaluated on top of the local environment in the caller's scope."""
 
     expr: Expr
     fits: tuple[tuple[NameTerm, NameTerm], ...]
-    pos: SourcePos | None = _pos_field()
+    pos: SourcePos | None = _POS
 
 
 ArgumentForm = Union[NamedOntologyArg, AnonymousArg, LocalSymbolArg, EmptyOptArg, ListArg]
@@ -370,20 +361,18 @@ def _check_args(
     return forms
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     params: tuple[ParamSpec, ...]
     body: Expr
 
 
-@dataclass
-class PatternDef:
+class PatternDef(Record, frozen=False):
     name: str
     qual: str
     arity: int
     locals: dict[str, "PatternDef"]
     pos: object
-    parent: "PatternDef | None" = None
+    parent: "PatternDef | None" = field(None, compare=False)
     # each set once by build_library, after every definition exists: a call
     # or an import may name a definition made later, or its own
     imports: tuple["PatternDef", ...] = ()
@@ -393,13 +382,12 @@ class PatternDef:
         return [p.shape_word for p in self.clauses[0].params]
 
 
-@dataclass
-class Library:
+class Library(Record, frozen=False):
     defs: dict[str, PatternDef]
     # finished 0-parameter expansions by qual, filled as they are used
     # (instantiate._Memo); entries are written child before parent and never
     # replaced, so threads may share it
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    memo: dict = field(factory=dict, compare=False)
 
     def require(self, name: str, pos=None) -> PatternDef:
         d = self.defs.get(name)
@@ -449,8 +437,7 @@ def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternD
                 )
 
 
-@dataclass
-class _Draft:
+class _Draft(Record, frozen=False):
     """A definition until build_library makes its clauses: each clause's AST
     and parameters, a plain one shared by all clauses with its new symbols
     not yet known, then each clause's resolved body."""
@@ -458,8 +445,8 @@ class _Draft:
     d: PatternDef
     asts: list[PatternDefAst]
     params: list[tuple[ParamSpec, ...]]
-    bodies: list[Expr] = field(default_factory=list)
-    names: dict[str, tuple[str, bool]] = field(default_factory=dict)  # the parameters seen inside it
+    bodies: list[Expr] = field(factory=list)
+    names: dict[str, tuple[str, bool]] = field(factory=dict)  # the parameters seen inside it
     rank: int = 0  # its place in the order that makes the clauses
     sees: FlatOntology = EMPTY_ONTOLOGY  # what its locals' parameters see
 
@@ -690,6 +677,8 @@ class _Scope(NamedTuple):
         if target is None:
             raise UnknownReference(f"unknown ontology or pattern '{e.name}'", e.pos)
         if isinstance(e, RefExpr):
+            if target.arity != 0:
+                raise ArityMismatch(f"'{e.name}' is generic: {target.arity} argument(s) required", e.pos)
             return Call(e.name, target, None, up, e.pos)
         params, args = self.shapes[target.qual], e.args
         if not params and len(args) == 1 and isinstance(args[0].value, MissingArg):
@@ -708,7 +697,7 @@ class _Scope(NamedTuple):
             attr: tuple([self.tails.get(n, n) for n in v]) for attr in FRAME_FIELDS[type(f)].values()
             if (v := getattr(f, attr)) and not self.tails.keys().isdisjoint(v)
         }
-        return type(f)(**{**vars(f), **lists}) if lists else f
+        return replace(f, **lists) if lists else f
 
     def arg(self, a: ArgAst, p: ParamSpec) -> ArgumentForm | _ExprArg:
         """`a` as a form for `_check_arg` to fit to `p`: a list tail is a
@@ -732,16 +721,17 @@ class _Scope(NamedTuple):
             bare = isinstance(v, RefExpr)
             if tail and bare:
                 return ListArg((self.tails[NameTerm(v.name)],), a.pos)
-            if owner or (bare and p.is_list) or self.definition(v.name)[0] is None:
+            target = self.definition(v.name)[0]
+            if owner or (bare and p.is_list) or target is None:
                 v = expr_to_name_term(v) or v
+            elif bare and target.arity != 0:
+                raise ArityMismatch(
+                    f"'{v.name}' is generic and needs arguments to be used as an argument", a.pos
+                )
         if isinstance(v, NameTerm):
             return LocalSymbolArg(v, a.fits, a.pos)
         if not p.is_list:  # at a list parameter it is no name, as `_check_arg` says
             v = self.expr(v)
-            if isinstance(v, Call) and v.args is None and v.target.arity != 0:
-                raise ArityMismatch(
-                    f"'{v.name}' is generic and needs arguments to be used as an argument", a.pos
-                )
         return _ExprArg(v, a.fits, a.pos)
 
 

@@ -41,7 +41,6 @@ independent expansions can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
 from itertools import repeat
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
@@ -93,6 +92,7 @@ from .elaborate import (  # the argument forms and their check live beside `Call
     _of,
     build_block,
 )
+from .record import Record, field, replace
 from .syntax import BlockExpr
 
 DEFAULT_DEPTH = 10_000
@@ -102,16 +102,15 @@ DEFAULT_DEPTH = 10_000
 # Bindings and name substitution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Bindings:
+class Bindings(Record, frozen=False):
     """One run of a clause: its parameter-name substitution, which starts as
     a copy of its definer's run's, and the list bindings of its own template
     tails. `parent` is the definer's run, for a local pattern; a `ListVar`
     reads the list of the run it counts `up` to."""
 
-    name_map: dict[NameTerm, NameTerm] = dc_field(default_factory=dict)
-    list_map: dict[str, tuple[NameTerm, ...]] = dc_field(default_factory=dict)
-    parent: "Bindings | None" = dc_field(default=None, compare=False, repr=False)
+    name_map: dict[NameTerm, NameTerm] = field(factory=dict)
+    list_map: dict[str, tuple[NameTerm, ...]] = field(factory=dict)
+    parent: "Bindings | None" = field(None, compare=False)
 
     def child(self) -> "Bindings":
         return Bindings(dict(self.name_map), {}, self)
@@ -186,12 +185,11 @@ class _Memo(NamedTuple):
     lookups: tuple[str, ...]
 
 
-@dataclass
-class _Ctx:
+class _Ctx(Record, frozen=False):
     lib: Library
     budget: int
-    reached: set[str] = dc_field(default_factory=set)  # closed expansions, read from memo
-    memo: dict[str, _Memo] = dc_field(default_factory=dict)
+    reached: set[str] = field(factory=set)  # closed expansions, read from memo
+    memo: dict[str, _Memo] = field(factory=dict)
     # the running closed expansion: [nested lookups, their ticks]
     frame: list | None = None
     running: int = 0  # instantiations running inside the innermost closed expansion
@@ -380,8 +378,10 @@ def _eval_arg_ontology(
     if isinstance(form, AnonymousArg):
         return union_flat(env, form.ontology)
     if isinstance(form, NamedOntologyArg):  # from the Python API: a library name
-        call = Call(form.name, ctx.lib.require(form.name, form.pos), None, None, form.pos)
-        return _eval_expr(ctx, call, env, caller)
+        target = ctx.lib.require(form.name, form.pos)
+        if target.arity != 0:  # `build_library` checks the references in `.gdp` text
+            raise ArityMismatch(f"'{form.name}' is generic: {target.arity} argument(s) required", form.pos)
+        return _eval_expr(ctx, Call(form.name, target, None, None, form.pos), env, caller)
     # local-environment injection: the argument is evaluated on top of env,
     # in the caller's scope (its bindings substitute enclosing parameters)
     return _eval_expr(ctx, form.expr, env, caller)
@@ -508,10 +508,6 @@ def _eval_expr(ctx: _Ctx, expr: Expr, env: FlatOntology, scope: Bindings) -> Fla
         if expr.args is not None:
             forms = [_apply_form(f, scope) for f in expr.args]
             return _instantiate(ctx, target, base, forms, env, expr.pos, scope)
-        if target.arity != 0:
-            raise ArityMismatch(
-                f"'{expr.name}' is generic: {target.arity} argument(s) required", expr.pos
-            )
         if expr.up is None:
             return union_flat(env, _closed_expansion(ctx, target, expr.pos))
         return _instantiate(ctx, target, base, [], env, expr.pos, scope)
@@ -617,8 +613,7 @@ def _declare(
 # Public entry points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(Record):
     pattern: str
     args: tuple[ArgumentForm, ...]
     local_env: FlatOntology = EMPTY_ONTOLOGY

@@ -245,7 +245,7 @@ class _Parser:
         tok = self.expect("IDENT")
         self.expect("COLON", what="':'")
         if tok.value == "DifferentIndividuals":
-            return DifferentIndividualsFrame(self._sep_list(self.parse_name_term), pos=tok.pos)
+            return DifferentIndividualsFrame(self._sep_list(self.parse_name_term), tok.pos)
         if tok.value == "Class":
             name = self.parse_name_term()
             equivalent = None
@@ -255,7 +255,7 @@ class _Parser:
                 self.expect("LBRACE", what="'{'")
                 equivalent = self._sep_list(self.parse_name_term)
                 self.expect("RBRACE", what="'}'")
-            return ClassFrame(name, equivalent, pos=tok.pos)
+            return ClassFrame(name, equivalent, tok.pos)
         # "Individual": parse_frames calls this only at a frame start
         frame = ObjectPropertyFrame if tok.value == "ObjectProperty" else IndividualFrame
         return self._parse_fields(frame, self.parse_name_term(), tok.pos)
@@ -285,7 +285,7 @@ class _Parser:
                         and self.peek(2).kind != "COLON"):
                     break
                 self.advance()
-        return frame(name, *values.values(), pos=pos)  # the fields in layout order
+        return frame(name, *values.values(), pos)  # the fields in layout order
 
     # -- expressions ---------------------------------------------------------
 
@@ -297,7 +297,7 @@ class _Parser:
             terms.append(self.parse_term())
         if len(terms) == 1:
             return first
-        return ThenExpr(tuple(terms), pos=first.pos)
+        return ThenExpr(tuple(terms), first.pos)
 
     def parse_term(self) -> ExprAst:
         tok = self.tokens[self.i]
@@ -307,9 +307,9 @@ class _Parser:
             if not self.at("RBRACE"):
                 frames = self.parse_frames(("RBRACE",))
             self.expect("RBRACE", what="'}'")
-            return BlockExpr(frames, pos=tok.pos)
+            return BlockExpr(frames, tok.pos)
         if self.at_frame_start():
-            return BlockExpr(self.parse_frames(()), pos=tok.pos)
+            return BlockExpr(self.parse_frames(()), tok.pos)
         if tok.kind == "IDENT":
             name = self.advance().value
             if self.at("LBRACKET"):
@@ -317,8 +317,8 @@ class _Parser:
                 args = self._sep_list(self.parse_arg, "SEMI")
                 self.expect("RBRACKET", what="']'")
                 self.depth -= 1
-                return InstExpr(name, args, pos=tok.pos)
-            return RefExpr(name, pos=tok.pos)
+                return InstExpr(name, args, tok.pos)
+            return RefExpr(name, tok.pos)
         raise ParseError(f"expected an ontology expression, got {tok.value or tok.kind!r}", tok.pos)
 
     # -- instantiation arguments ----------------------------------------------
@@ -326,7 +326,7 @@ class _Parser:
     def parse_arg(self) -> ArgAst:
         tok = self.tokens[self.i]
         if tok.kind in ("SEMI", "RBRACKET"):
-            return ArgAst(MissingArg(), pos=tok.pos)
+            return ArgAst(MissingArg(), (), tok.pos)
         if tok.kind == "KEYWORD" and tok.value == "empty":
             self.advance()
             value = EmptyArg()
@@ -340,7 +340,7 @@ class _Parser:
         if self.at_keyword("fit"):
             self.advance()
             fits = self._sep_list(self._parse_fit_map)
-        return ArgAst(value, fits, pos=tok.pos)
+        return ArgAst(value, fits, tok.pos)
 
     def _expr_as_item(self, e: ExprAst) -> NameTerm:
         t = expr_to_name_term(e)
@@ -387,7 +387,7 @@ class _Parser:
         optional = bool(self.accept("QUESTION"))
         if self.at_keyword("empty"):
             self.advance()
-            return ParamClauseAst(optional, EmptyParam(), pos=tok.pos)
+            return ParamClauseAst(optional, EmptyParam(), tok.pos)
         if (self.at("IDENT") and self.peek().value in KIND_KEYWORDS
                 and self.peek(1).kind == "COLON" and self.peek(2).kind == "IDENT"
                 and self.peek(3).kind == "CONS"):
@@ -398,10 +398,10 @@ class _Parser:
             second = self.parse_plain_name()
             if self.accept("CONS"):
                 tail = self.parse_plain_name()
-                return ParamClauseAst(optional, ListHeaderParam(kind, head, second, tail), pos=tok.pos)
-            return ParamClauseAst(optional, ListHeaderParam(kind, head, None, second), pos=tok.pos)
+                return ParamClauseAst(optional, ListHeaderParam(kind, head, second, tail), tok.pos)
+            return ParamClauseAst(optional, ListHeaderParam(kind, head, None, second), tok.pos)
         frames = self.parse_frames(("SEMI", "RBRACKET"))
-        return ParamClauseAst(optional, FramesParam(frames), pos=tok.pos)
+        return ParamClauseAst(optional, FramesParam(frames), tok.pos)
 
     # -- definitions -------------------------------------------------------------
 
@@ -430,7 +430,7 @@ class _Parser:
         end = self.peek().pos
         if self.at_keyword("end"):
             end = self.advance().pos
-        return PatternDefAst(name, params, given, locals_, body, pos=start.pos, end=end)
+        return PatternDefAst(name, params, given, locals_, body, start.pos, end)
 
     def parse_library(self) -> LibraryAst:
         items = []

@@ -9,53 +9,45 @@ fields on one line, the Manchester emitter puts each on a line of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from .core import NameTerm, SymbolKind
 from .diagnostics import SourcePos
+from .record import Record, field
 
-_NOPOS = SourcePos("<none>", 1, 1)
-
-
-def _pos_field():
-    return field(default=_NOPOS, compare=False)
+_POS = field(SourcePos("<none>", 1, 1), compare=False)
 
 
 # ---------------------------------------------------------------------------
 # Frames (the Manchester-like basic fragment)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassFrame:
+class ClassFrame(Record):
     name: NameTerm
     equivalent: tuple[NameTerm, ...] | None = None
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class ObjectPropertyFrame:
+class ObjectPropertyFrame(Record):
     name: NameTerm
     domains: tuple[NameTerm, ...] = ()
     ranges: tuple[NameTerm, ...] = ()
     characteristics: tuple[str, ...] = ()
     sub_property_of: tuple[NameTerm, ...] = ()
     inverse_of: tuple[NameTerm, ...] = ()
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class IndividualFrame:
+class IndividualFrame(Record):
     name: NameTerm
     types: tuple[NameTerm, ...] = ()
     different_from: tuple[NameTerm, ...] = ()
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class DifferentIndividualsFrame:
+class DifferentIndividualsFrame(Record):
     items: tuple[NameTerm, ...]
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
 Frame = Union[ClassFrame, ObjectPropertyFrame, IndividualFrame, DifferentIndividualsFrame]
@@ -78,30 +70,25 @@ FRAME_FIELDS: dict[type, dict[str, str]] = {
 # Expressions and arguments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockExpr:
+class BlockExpr(Record):
     frames: tuple[Frame, ...]
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class RefExpr:
+class RefExpr(Record):
     name: str
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class MissingArg:
+class MissingArg(Record):
     """Whitespace between semicolons: an elided optional argument."""
 
 
-@dataclass(frozen=True)
-class EmptyArg:
+class EmptyArg(Record):
     """The literal `empty` argument."""
 
 
-@dataclass(frozen=True)
-class ListArgAst:
+class ListArgAst(Record):
     """Comma or cons list of name terms; `tail` names the remaining list, if any."""
 
     items: tuple[NameTerm, ...]
@@ -111,24 +98,21 @@ class ListArgAst:
 ArgValue = Union[MissingArg, EmptyArg, ListArgAst, "ExprAst"]
 
 
-@dataclass(frozen=True)
-class ArgAst:
+class ArgAst(Record):
     value: ArgValue
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class InstExpr:
+class InstExpr(Record):
     name: str
     args: tuple[ArgAst, ...]
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class ThenExpr:
+class ThenExpr(Record):
     terms: tuple["ExprAst", ...]
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
 ExprAst = Union[BlockExpr, RefExpr, InstExpr, ThenExpr]
@@ -138,47 +122,41 @@ ExprAst = Union[BlockExpr, RefExpr, InstExpr, ThenExpr]
 # Parameters and definitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FramesParam:
+class FramesParam(Record):
     frames: tuple[Frame, ...]
 
 
-@dataclass(frozen=True)
-class ListHeaderParam:
+class ListHeaderParam(Record):
     kind: SymbolKind
     head: str
     head2: str | None
     tail: str
 
 
-@dataclass(frozen=True)
-class EmptyParam:
+class EmptyParam(Record):
     """The `empty` list template."""
 
 
 ParamPayload = Union[FramesParam, ListHeaderParam, EmptyParam]
 
 
-@dataclass(frozen=True)
-class ParamClauseAst:
+class ParamClauseAst(Record):
     optional: bool
     payload: ParamPayload
-    pos: SourcePos = _pos_field()
+    pos: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class PatternDefAst:
+class PatternDefAst(Record):
     name: str
     params: tuple[ParamClauseAst, ...]
     given: tuple[str, ...]
     locals: tuple["PatternDefAst", ...]
     body: ExprAst
-    pos: SourcePos = _pos_field()
-    end: SourcePos = _pos_field()
+    pos: SourcePos = _POS
+    end: SourcePos = _POS
 
 
-@dataclass(frozen=True)
-class LibraryAst:
+class LibraryAst(Record):
     items: tuple[PatternDefAst, ...]
 
 

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from godp import parse_library, render_diagnostics
@@ -7,7 +11,7 @@ from godp.cli import main
 from godp.diagnostics import ParseError
 from godp.parser import MAX_NESTING
 
-from conftest import CORPUS, ERRORS, corpus_paths
+from conftest import CORPUS, ERRORS, ROOT, corpus_paths
 
 
 def corpus_args():
@@ -186,6 +190,38 @@ def test_expand_generic_target_is_an_error(capsys):
     code, out, err = run(capsys, "expand", "--target", "ValSet", *corpus_args())
     assert code == 1
     assert "generic" in err
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A start-up gate that counts modules, not milliseconds, so it gives the
+    same answer on any machine: `dataclasses`, which imports `inspect`, cost
+    as much start-up as all of godp's own modules."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, godp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+_GENERIC_P = "ontology P [Class: C] = { Class: C }\n"
+
+
+@pytest.mark.parametrize("source, where, message", [
+    # no target reaches G, so only the build can report it
+    (_GENERIC_P + "ontology G [Class: D] = P then { Class: D }\nontology Ok = P[X]\n", "2:25",
+     "'P' is generic: 1 argument(s) required"),
+    (_GENERIC_P + "ontology Ok = P[X]\nontology G [Class: D] =\n  let ontology L = { Class: D } then P in L\n",
+     "4:38", "'P' is generic: 1 argument(s) required"),
+    (_GENERIC_P + "ontology T [Class: X] = { Class: X }\nontology G = T[P]\n", "3:16",
+     "'P' is generic and needs arguments to be used as an argument"),
+])
+def test_a_bare_reference_to_a_generic_pattern_fails_the_build(tmp_path, capsys, source, where, message):
+    f = tmp_path / "generic.gdp"
+    f.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out, err) == (1, "", f"{f}:{where}: error: {message}\n")
 
 
 def test_expand_output_file(tmp_path, capsys):

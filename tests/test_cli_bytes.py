@@ -16,6 +16,12 @@ with
     PYTHONPATH=src python tests/test_cli_bytes.py
 
 and says in CHANGES.md which outputs changed and why.
+
+    PYTHONPATH=src python tests/test_cli_bytes.py --check
+
+compares every run with the table instead, and exits 1 if one differs. This
+script mode imports neither pytest nor hypothesis, so it runs on any
+supported Python with nothing installed.
 """
 
 from __future__ import annotations
@@ -25,26 +31,26 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import sys
 
-import pytest
+from godp.cli import _read_library, main
 
-from godp.cli import main
-
-from conftest import ERRORS, GOLDEN, ROOT, corpus_paths, load_corpus_library
-
-TABLE = GOLDEN / "cli_bytes.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TABLE = ROOT / "tests" / "golden" / "cli_bytes.json"
 
 
 def _invocations() -> list[list[str]]:
-    corpus = [p.relative_to(ROOT).as_posix() for p in corpus_paths()]
-    errors = [p.relative_to(ROOT).as_posix() for p in sorted(ERRORS.glob("*.gdp"))]
+    corpus = sorted((ROOT / "corpus").glob("*.gdp"))
+    errors = [p.relative_to(ROOT).as_posix() for p in sorted((ROOT / "corpus" / "errors").glob("*.gdp"))]
+    targets = sorted(_read_library([str(p) for p in corpus]).defs)
+    corpus = [p.relative_to(ROOT).as_posix() for p in corpus]
     runs = []
     for files in [corpus] + [corpus + [e] for e in errors]:
         for command in (["list"], ["check"], ["check", "--depth", "20"]):
             runs.append(command + files)
     runs.extend(["check", e] for e in errors)
-    for target in sorted(load_corpus_library().defs):
+    for target in targets:
         for fmt in ("manchester", "dump"):
             for stratify in ([], ["--no-stratify"]):
                 runs.append(["expand", "--target", target, "--format", fmt, *stratify, *corpus])
@@ -68,6 +74,29 @@ def _digest(result: tuple[int, str, str]) -> str:
     return hashlib.sha256(json.dumps(result).encode("utf-8")).hexdigest()
 
 
+def _script(args: list[str]) -> int:
+    """Regenerate the table, or with `--check` compare every run with it."""
+    if args not in ([], ["--check"]):
+        sys.stderr.write("usage: test_cli_bytes.py [--check]\n")
+        return 2
+    table = {" ".join(argv): _digest(_run(argv)) for argv in _invocations()}
+    if not args:
+        TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        sys.stdout.write(f"wrote {len(table)} digests to {TABLE.relative_to(ROOT)}\n")
+        return 0
+    recorded = json.loads(TABLE.read_text(encoding="utf-8"))
+    differ = sorted(k for k in table.keys() | recorded.keys() if table.get(k) != recorded.get(k))
+    for invocation in differ:
+        sys.stdout.write(f"differs: godp {invocation}\n")
+    sys.stdout.write(f"{len(table) - len(differ)} of {len(table)} runs match {TABLE.relative_to(ROOT)}\n")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_script(sys.argv[1:]))
+
+import pytest  # noqa: E402 (only pytest needs it: the script above runs without it)
+
 # empty while the table is first written; the coverage test then fails
 _TABLE = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
 
@@ -84,8 +113,3 @@ def test_cli_bytes_are_unchanged(invocation):
         f"exit code {result[0]}\n--- stdout ---\n{result[1]}--- stderr ---\n{result[2]}"
     )
 
-
-if __name__ == "__main__":
-    table = {" ".join(argv): _digest(_run(argv)) for argv in _invocations()}
-    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {len(table)} digests to {TABLE.relative_to(ROOT)}\n")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import copy
+import dataclasses
 import itertools
 import pickle
 import sys
@@ -36,6 +37,7 @@ from godp.core import (
 from godp.diagnostics import KindClash, UnmappedSymbol
 from godp.instantiate import Bindings, substitute_name
 from godp.parser import parse_frames
+from godp.record import Record, replace
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -354,6 +356,58 @@ def test_axiom_equality_and_hash_see_the_type(a, b):
     assert a in frozenset({a}) and b not in frozenset({a})
     twin = type(a)(*(n for n, _ in a.refs()))
     assert twin == a and hash(twin) == hash(a)
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+_RECORDS = sorted(set(_subclasses(Record)), key=lambda c: (c.__module__, c.__qualname__))
+# the fields left out of == and hash: source positions, derived indexes and
+# links; but the positions of a diagnostic and of a resolved call or
+# definition are part of it, as is the memo of a running expansion
+_NOT_THE_VALUE = {"pos", "end", "kinds", "memo", "target", "parent"}
+_PART_OF_THE_VALUE = {("Diagnostic", "pos"), ("Call", "pos"), ("PatternDef", "pos"), ("_Ctx", "memo")}
+
+
+def _fields_of(cls: type, tag: str = "") -> tuple:
+    """Values to build a `cls` from: a distinct string per field, except what
+    a constructor checks."""
+    if cls is FittingMorphism:
+        return ((((Symbol(C, CLS), Symbol(name("D"), CLS)),) if not tag else ()),)
+    return tuple(f"{cls.__name__}.{f}{tag}" for f in cls._fields)
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__qualname__)
+def test_every_record_class_is_a_value_of_its_type(cls):
+    values = _fields_of(cls)
+    a, frozen = cls(*values), cls.__hash__ is not None
+    assert a == cls(*values) and not a != cls(*values)
+    if frozen:
+        assert hash(a) == hash(cls(*values))
+    else:  # as a mutable dataclass
+        with pytest.raises(TypeError):
+            hash(a)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    twin = type("Twin", (cls,), {})(*values)  # the same fields, another type
+    assert a != twin and twin != a
+    assert not frozen or len({a, twin}) == 2
+    for f, value in zip(cls._fields, _fields_of(cls, "'")):
+        changed = replace(a, **{f: value})
+        assert getattr(changed, f) == value
+        assert all(getattr(changed, g) is getattr(a, g) for g in cls._fields if g != f)
+        left_out = f in _NOT_THE_VALUE and (cls.__name__, f) not in _PART_OF_THE_VALUE
+        assert (changed == a) is left_out
+        assert not (frozen and left_out) or hash(changed) == hash(a)
+    for f, value in zip(cls._fields, _fields_of(cls, "'")):
+        if frozen:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, f, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, f)
+        else:
+            setattr(a, f, value)
+            assert getattr(a, f) == value
 
 
 # -- hypothesis properties -------------------------------------------------------
