@@ -131,12 +131,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
+    option = "--depth"
     if getattr(ns, "depth", None) is None:
-        ns.depth = _default_depth()
+        ns.depth, option = _default_depth(), "GODP_DEPTH"
         if ns.depth is None:
             return 2
     if ns.depth < 1:
-        sys.stderr.write("godp: --depth must be at least 1\n")
+        sys.stderr.write(f"godp: {option} must be at least 1\n")
         return 2
     try:
         if ns.command == "check":

@@ -177,12 +177,14 @@ def is_placeholder(n: NameTerm) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Memo(NamedTuple):
-    """A finished 0-parameter expansion. `ticks` are its own: they leave out
-    those of its nested closed lookups, listed in order."""
+    """A finished 0-parameter expansion, or one that failed with `error`, not
+    a DepthExceeded. `ticks` are its own, up to a failure: they leave out
+    those of its nested closed lookups, listed in order (a failed one last)."""
 
-    ontology: FlatOntology
+    ontology: FlatOntology | None
     ticks: int
     lookups: tuple[str, ...]
+    error: tuple[type, str, SourcePos | None] | None = None
 
 
 class _Ctx(Record, frozen=False):
@@ -449,28 +451,37 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
 
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     parent, budget, running = ctx.frame, ctx.budget, ctx.running
-    if d.qual in ctx.reached:
-        ctx.tick(pos)
-    elif d.arity != 0:
-        raise ArityMismatch(f"'{d.name}' is generic and needs arguments", pos)
-    elif not _charge_memo(ctx, d.qual):
-        ctx.frame = frame = [[], 0]
-        ctx.running = 0  # it starts from an empty environment: no placeholder is visible
-        out = _instantiate(ctx, d, EMPTY_BINDINGS, [], EMPTY_ONTOLOGY, pos)
-        ctx.frame, ctx.running = parent, running
-        # an entry is never replaced: one already there equals `out`
-        ctx.memo.setdefault(d.qual, _Memo(out, budget - ctx.budget - frame[1], tuple(frame[0])))
-        ctx.reached.add(d.qual)
-    if parent is not None:
-        parent[0].append(d.qual)
-        parent[1] += budget - ctx.budget
+    try:
+        if d.qual in ctx.reached:
+            ctx.tick(pos)
+        elif d.arity != 0:
+            raise ArityMismatch(f"'{d.name}' is generic and needs arguments", pos)
+        elif not _charge_memo(ctx, d.qual):
+            ctx.frame = frame = [[], 0]
+            ctx.running = 0  # it starts from an empty environment: no placeholder is visible
+            try:
+                out = _instantiate(ctx, d, EMPTY_BINDINGS, [], EMPTY_ONTOLOGY, pos)
+            except GodpError as e:
+                if not isinstance(e, DepthExceeded):  # that one depends on the budget
+                    ticks, error = budget - ctx.budget - frame[1], (type(e), e.message, e.pos)
+                    ctx.memo.setdefault(d.qual, _Memo(None, ticks, tuple(frame[0]), error))
+                raise
+            ctx.frame, ctx.running = parent, running
+            # an entry is never replaced: one already there equals `out`
+            ctx.memo.setdefault(d.qual, _Memo(out, budget - ctx.budget - frame[1], tuple(frame[0])))
+            ctx.reached.add(d.qual)
+    finally:  # a failed lookup is charged to its caller too
+        if parent is not None:
+            parent[0].append(d.qual)
+            parent[1] += budget - ctx.budget
     return ctx.memo[d.qual].ontology
 
 
 def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     """Take `qual` from the memo, charging what expanding it in this context
     would spend, and mark as reached the closed expansions that expansion
-    would reach; their ontologies stay in the memo. False, with nothing
+    would reach; their ontologies stay in the memo. An expansion that failed
+    raises its error again once its ticks are charged. False, with nothing
     charged, if there is no entry or the budget is short: the real expansion
     then fails where it always did."""
     if qual not in ctx.memo:
@@ -490,6 +501,9 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     if ctx.budget < ticks:
         return False
     ctx.budget -= ticks
+    error = ctx.memo[qual].error
+    if error is not None:
+        raise error[0](error[1], error[2])
     ctx.reached |= reached
     return True
 

@@ -24,18 +24,25 @@ are made of letters, digits and underscores with at least one non-digit, so
 grade names like `0Insignificant` lex as names. Comments run from `%%` to end
 of line.
 
-The lexer is one loop over a compiled master regex (`_LEXEME`) whose named
-groups are the token kinds; columns are counted from the start of the current
-line. The parser reads a token list padded with copies of EOF, so lookahead is
-a plain index. Nesting of `[` (in names and instantiations) and of `let` is
-bounded by MAX_NESTING; deeper input is a positioned ParseError at the token
-that opens the level past the bound.
+The lexer is one loop over a compiled master regex (`_LEXEME`) that appends
+each token's value and start offset to the lists of a `Tokens`; the kinds
+follow from the values (`_KINDS`). It builds no object per token. A position
+(`SourcePos`) is made from an offset and the line starts only where one is
+kept: by an AST node that carries one, by an error, or when `Tokens` is
+iterated as `(kind, value, pos)` triples. The parser reads the kind and value
+lists, padded with copies of EOF, so lookahead is a plain index; a value
+names its kind except for names, so it reads kinds only to tell a name from a
+keyword. Nesting of `[` (in names and instantiations) and of `let` is bounded
+by MAX_NESTING; deeper input is a positioned ParseError at the token that
+opens the level past the bound.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, TypeVar
+from bisect import bisect_right
+from itertools import repeat
+from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .core import NameTerm, SymbolKind
 from .diagnostics import LexError, ParseError, SourcePos
@@ -81,363 +88,342 @@ MAX_NESTING = 100
 
 _T = TypeVar("_T")
 
+FRAME_WORDS = {*KIND_KEYWORDS, "DifferentIndividuals"}  # each starts a frame before a colon
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    pos: SourcePos
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r}, {self.pos.line}:{self.pos.col})"
-
-
-# One alternative per lexeme, named after its token kind, and each match also
-# takes the blanks after it, so most matches are exactly one token. SPACE
-# matches only blanks that follow no lexeme (at the start of the input or of a
-# line); BAD takes any other character, so `finditer` never skips one.
-_LEXEME = re.compile(r"""
-    (?:
-      (?P<IDENT>[A-Za-z0-9_]+)
-    | (?P<NEWLINE>\n)
-    | (?P<COMMENT>%%[^\n]*)
-    | (?P<CONS>::)
-    | (?P<COLON>:)
-    | (?P<MAPSTO>\|->)
-    | (?P<LBRACKET>\[) | (?P<RBRACKET>\])
-    | (?P<LBRACE>\{) | (?P<RBRACE>\})
-    | (?P<SEMI>;) | (?P<COMMA>,)
-    | (?P<EQUALS>=) | (?P<QUESTION>\?)
-    | (?P<SPACE>(?=[ \t\r]))
-    | (?P<BAD>[\s\S])
-    )[ \t\r]*
-""", re.VERBOSE)
-
-_PUNCTUATION = {
-    "CONS": "::", "COLON": ":", "MAPSTO": "|->",
-    "LBRACKET": "[", "RBRACKET": "]", "LBRACE": "{", "RBRACE": "}",
-    "SEMI": ";", "COMMA": ",", "EQUALS": "=", "QUESTION": "?",
-}
-
-# builds a Token or SourcePos from a tuple of its fields without the Python
-# frame of the NamedTuple constructor, which is most of the cost per token
+# builds a SourcePos from a tuple of its fields without the Python frame of
+# the NamedTuple constructor
 _new = tuple.__new__
 
 
-def tokenize(text: str, file: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
+class Tokens:
+    """One input's tokens: parallel lists of each token's kind, value and
+    start offset, the last token an EOF, and the offsets where lines start.
+    Its length is the number of tokens; iterating it gives each token as a
+    `(kind, value, pos)` triple."""
+
+    __slots__ = ("kinds", "values", "starts", "line_starts", "file")
+
+    def __init__(self, line_starts: list[int], file: str):
+        self.kinds, self.values, self.starts = [], [], []  # `tokenize` fills them
+        self.line_starts, self.file = line_starts, file
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[tuple[str, str, SourcePos]]:
+        return zip(self.kinds, self.values, map(self.pos, range(len(self.kinds))))
+
+    def pos(self, i: int) -> SourcePos:
+        """Token i's position."""
+        start = self.starts[i]
+        line = bisect_right(self.line_starts, start)
+        return _new(SourcePos, (self.file, line, start - self.line_starts[line - 1] + 1))
+
+
+# Each match is one lexeme (group 1: a name, a keyword or punctuation), a
+# comment, or BAD, any other character, and takes the blanks and line ends
+# after it; SPACE matches only at the start of the input, before blanks. So
+# `finditer` never skips a character.
+_LEXEME = re.compile(r"""
+    (?:
+      ([A-Za-z0-9_]+|::|\|->|[:\[\]{};,=?])
+    | (?P<COMMENT>%%[^\n]*)
+    | (?P<SPACE>(?=[ \t\r\n]))
+    | (?P<BAD>[\s\S])
+    )[ \t\r\n]*
+""", re.VERBOSE)
+
+# the kind of each value that is not a name
+_KINDS = {
+    "::": "CONS", ":": "COLON", "|->": "MAPSTO",
+    "[": "LBRACKET", "]": "RBRACKET", "{": "LBRACE", "}": "RBRACE",
+    ";": "SEMI", ",": "COMMA", "=": "EQUALS", "?": "QUESTION",
+    **dict.fromkeys(KEYWORDS, "KEYWORD"),
+}
+
+def tokenize(text: str, file: str) -> Tokens:
+    tokens = Tokens([0, *(m.end() for m in re.finditer("\n", text))], file)
+    values, starts = tokens.values, tokens.starts
+    add_value, add_start = values.append, starts.append
     end = len(text)  # where the EOF token sits; a trailing comment moves it back
+    bad = None
     for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind == "IDENT":
-            word = m[1]  # IDENT is group 1
-            pos = _new(SourcePos, (file, line, m.start() - line_start + 1))
-            if word in KEYWORDS:
-                kind = "KEYWORD"
-            elif word.isdigit():
-                raise LexError(f"bad token {word!r}: names need at least one letter or '_'", pos)
-            append(_new(Token, (kind, word, pos)))
-        elif kind == "NEWLINE":
-            line += 1
-            line_start = m.start() + 1
-        elif kind in _PUNCTUATION:
-            pos = _new(SourcePos, (file, line, m.start() - line_start + 1))
-            append(_new(Token, (kind, _PUNCTUATION[kind], pos)))
-        elif kind == "COMMENT":
-            if m.end() == len(text):
-                end = m.start()
-        elif kind == "BAD":
-            raise LexError(f"bad character {m[kind]!r}", SourcePos(file, line, m.start() - line_start + 1))
-    append(Token("EOF", "", SourcePos(file, line, end - line_start + 1)))
+        value = m[1]
+        if value is not None:
+            add_value(value)
+            add_start(m.start())
+        elif m.lastgroup == "BAD":
+            bad = m
+            break
+        elif m.lastgroup == "COMMENT" and m.end("COMMENT") == len(text):
+            end = m.start()
+    tokens.kinds += map(_KINDS.get, values, repeat("IDENT"))
+    word = next(filter(str.isdigit, values), None)  # before `bad`: the first error in the text wins
+    if word is not None:
+        pos = tokens.pos(values.index(word))
+        raise LexError(f"bad token {word!r}: names need at least one letter or '_'", pos)
+    if bad is not None:
+        add_start(bad.start())
+        raise LexError(f"bad character {bad['BAD']!r}", tokens.pos(-1))
+    tokens.kinds.append("EOF")
+    add_value("")
+    add_start(end)
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        # copies of EOF past the end let `peek` (at most 3 ahead) index
-        # without a bounds check; `advance` never moves past the first EOF
-        self.tokens = tokens + tokens[-1:] * 3
+    def __init__(self, tokens: Tokens):
+        # copies of EOF past the end let lookahead (at most 3 ahead) index
+        # without a bounds check; the parser never moves past the first EOF
+        self.kinds = tokens.kinds + ["EOF"] * 3
+        self.values = tokens.values + [""] * 3
+        self.pos = tokens.pos
         self.i = 0
         self.depth = 0
 
     # -- token access ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.i + ahead]
+    def fail(self, what: str) -> NoReturn:
+        """Raise `expected <what>, got <the current token>` at that token."""
+        i = self.i
+        raise ParseError(f"expected {what}, got {self.values[i] or self.kinds[i]!r}", self.pos(i))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
+    def expect(self, value: str) -> None:
+        """Step over the current token if it is `value`, else fail."""
+        if self.values[self.i] != value:
+            self.fail(repr(value))
+        self.i += 1
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind == kind and (value is None or tok.value == value)
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind == "KEYWORD" and tok.value == word
-
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        tok = self.tokens[self.i]
-        if tok.kind == kind and (value is None or tok.value == value):
-            return self.advance()
-        return None
-
-    def nest(self, tok: Token) -> None:
-        """Enter one level of `[` or `let` nesting opened by `tok`."""
+    def nest(self) -> None:
+        """Step over the current `[` or `let`, entering one level of nesting."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
-
-    def expect(self, kind: str, value: str | None = None, what: str | None = None) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind == kind and (value is None or tok.value == value):
-            return self.advance()
-        expected = what or (repr(value) if value is not None else kind)
-        got = tok.value or tok.kind
-        raise ParseError(f"expected {expected}, got {got!r}", tok.pos)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos(self.i))
+        self.i += 1
 
     # -- names -------------------------------------------------------------
 
     def parse_plain_name(self) -> str:
-        return self.expect("IDENT", what="a name").value
+        i = self.i
+        if self.kinds[i] != "IDENT":
+            self.fail("a name")
+        self.i = i + 1
+        return self.values[i]
 
     def parse_name_term(self) -> NameTerm:
         base = self.parse_plain_name()
-        if not self.at("LBRACKET"):
+        if self.values[self.i] != "[":
             return NameTerm(base)
-        self.nest(self.advance())
+        self.nest()
         args = self._sep_list(self.parse_name_term)
-        self.expect("RBRACKET", what="']'")
+        self.expect("]")
         self.depth -= 1
         return NameTerm(base, args)
 
-    def _sep_list(self, parse: Callable[[], _T], sep: str = "COMMA") -> tuple[_T, ...]:
-        """One or more of what `parse` reads, separated by `sep` tokens."""
+    def _sep_list(self, parse: Callable[[], _T], sep: str = ",") -> tuple[_T, ...]:
+        """One or more of what `parse` reads, separated by `sep` tokens: a
+        comma list by default."""
         items = [parse()]
-        while self.accept(sep):
+        while self.values[self.i] == sep:
+            self.i += 1
             items.append(parse())
         return tuple(items)
 
     # -- frames --------------------------------------------------------------
 
-    def at_frame_start(self) -> bool:
-        tok = self.tokens[self.i]
-        if tok.kind != "IDENT" or self.tokens[self.i + 1].kind != "COLON":
-            return False
-        return tok.value in KIND_KEYWORDS or tok.value == "DifferentIndividuals"
-
-    def parse_frames(self, stop_kinds: tuple[str, ...]) -> tuple[Frame, ...]:
+    def parse_frames(self, stop: tuple[str, ...]) -> tuple[Frame, ...]:
+        values = self.values
         frames: list[Frame] = []
-        while self.at_frame_start():
+        while values[self.i] in FRAME_WORDS and values[self.i + 1] == ":":
             frames.append(self.parse_frame())
-            if self.tokens[self.i].kind in stop_kinds:
+            if values[self.i] in stop:
                 break
         if not frames:
-            tok = self.peek()
-            raise ParseError(f"expected a frame, got {tok.value or tok.kind!r}", tok.pos)
+            self.fail("a frame")
         return tuple(frames)
 
     def parse_frame(self) -> Frame:
-        tok = self.expect("IDENT")
-        self.expect("COLON", what="':'")
-        if tok.value == "DifferentIndividuals":
-            return DifferentIndividualsFrame(self._sep_list(self.parse_name_term), tok.pos)
-        if tok.value == "Class":
+        i = self.i
+        word = self.values[i]
+        self.i = i + 2  # the header and its colon
+        if word == "DifferentIndividuals":
+            return DifferentIndividualsFrame(self._sep_list(self.parse_name_term), self.pos(i))
+        if word == "Class":
             name = self.parse_name_term()
             equivalent = None
-            if self.at("IDENT", "EquivalentTo"):
-                self.advance()
-                self.expect("COLON", what="':'")
-                self.expect("LBRACE", what="'{'")
+            if self.values[self.i] == "EquivalentTo":
+                self.i += 1
+                self.expect(":")
+                self.expect("{")
                 equivalent = self._sep_list(self.parse_name_term)
-                self.expect("RBRACE", what="'}'")
-            return ClassFrame(name, equivalent, tok.pos)
+                self.expect("}")
+            return ClassFrame(name, equivalent, self.pos(i))
         # "Individual": parse_frames calls this only at a frame start
-        frame = ObjectPropertyFrame if tok.value == "ObjectProperty" else IndividualFrame
-        return self._parse_fields(frame, self.parse_name_term(), tok.pos)
+        frame = ObjectPropertyFrame if word == "ObjectProperty" else IndividualFrame
+        return self._parse_fields(frame, self.parse_name_term(), self.pos(i))
 
     def _parse_fields(self, frame: type, name: NameTerm, pos: SourcePos) -> Frame:
         """The `Word:` fields of an ObjectProperty or Individual frame, in any
         order and each any number of times."""
         fields = FRAME_FIELDS[frame]
+        words = self.values
         values: dict[str, tuple] = dict.fromkeys(fields.values(), ())
-        while ((tok := self.tokens[self.i]).kind == "IDENT" and tok.value in fields
-               and self.tokens[self.i + 1].kind == "COLON"):
-            self.i, attr = self.i + 2, fields[tok.value]
+        while words[self.i] in fields and words[self.i + 1] == ":":
+            self.i, attr = self.i + 2, fields[words[self.i]]
             if attr != "characteristics":
                 values[attr] += self._sep_list(self.parse_name_term)
                 continue
             while True:
-                ctok = self.expect("IDENT", what="a characteristic")
-                if ctok.value not in CHARACTERISTICS:
+                i = self.i
+                if self.kinds[i] != "IDENT":
+                    self.fail("a characteristic")
+                if words[i] not in CHARACTERISTICS:
                     raise ParseError(
-                        f"unsupported characteristic {ctok.value!r} "
+                        f"unsupported characteristic {words[i]!r} "
                         f"(supported: {', '.join(sorted(CHARACTERISTICS))})",
-                        ctok.pos,
+                        self.pos(i),
                     )
-                values[attr] += (ctok.value,)
-                if not (self.at("COMMA") and self.peek(1).kind == "IDENT"
-                        and self.peek(1).value in CHARACTERISTICS
-                        and self.peek(2).kind != "COLON"):
+                values[attr] += (words[i],)
+                self.i = i + 1
+                if not (words[i + 1] == "," and words[i + 2] in CHARACTERISTICS and words[i + 3] != ":"):
                     break
-                self.advance()
+                self.i = i + 2
         return frame(name, *values.values(), pos)  # the fields in layout order
 
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> ExprAst:
-        first = self.parse_term()
-        terms = [first]
-        while self.at_keyword("then"):
-            self.advance()
+        terms = [self.parse_term()]
+        while self.values[self.i] == "then":
+            self.i += 1
             terms.append(self.parse_term())
-        if len(terms) == 1:
-            return first
-        return ThenExpr(tuple(terms), first.pos)
+        return terms[0] if len(terms) == 1 else ThenExpr(tuple(terms), terms[0].pos)
 
     def parse_term(self) -> ExprAst:
-        tok = self.tokens[self.i]
-        if tok.kind == "LBRACE":
-            self.advance()
-            frames: tuple[Frame, ...] = ()
-            if not self.at("RBRACE"):
-                frames = self.parse_frames(("RBRACE",))
-            self.expect("RBRACE", what="'}'")
-            return BlockExpr(frames, tok.pos)
-        if self.at_frame_start():
-            return BlockExpr(self.parse_frames(()), tok.pos)
-        if tok.kind == "IDENT":
-            name = self.advance().value
-            if self.at("LBRACKET"):
-                self.nest(self.advance())
-                args = self._sep_list(self.parse_arg, "SEMI")
-                self.expect("RBRACKET", what="']'")
-                self.depth -= 1
-                return InstExpr(name, args, tok.pos)
-            return RefExpr(name, tok.pos)
-        raise ParseError(f"expected an ontology expression, got {tok.value or tok.kind!r}", tok.pos)
+        i = self.i
+        values = self.values
+        if values[i] == "{":
+            self.i = i + 1
+            frames = () if values[i + 1] == "}" else self.parse_frames(("}",))
+            self.expect("}")
+            return BlockExpr(frames, self.pos(i))
+        if values[i] in FRAME_WORDS and values[i + 1] == ":":
+            frames = self.parse_frames(())
+            return BlockExpr(frames, frames[0].pos)
+        if self.kinds[i] != "IDENT":
+            self.fail("an ontology expression")
+        if values[i + 1] != "[":
+            self.i = i + 1
+            return RefExpr(values[i], self.pos(i))
+        self.i = i + 1
+        self.nest()
+        args = self._sep_list(self.parse_arg, ";")
+        self.expect("]")
+        self.depth -= 1
+        return InstExpr(values[i], args, self.pos(i))
 
     # -- instantiation arguments ----------------------------------------------
 
     def parse_arg(self) -> ArgAst:
-        tok = self.tokens[self.i]
-        if tok.kind in ("SEMI", "RBRACKET"):
-            return ArgAst(MissingArg(), (), tok.pos)
-        if tok.kind == "KEYWORD" and tok.value == "empty":
-            self.advance()
-            value = EmptyArg()
+        i = self.i
+        values = self.values
+        if values[i] in (";", "]"):
+            return ArgAst(MissingArg(), (), self.pos(i))
+        if values[i] == "empty":
+            self.i = i + 1
+            value, pos = EmptyArg(), self.pos(i)
         else:
-            expr = self.parse_expr()
-            if self.at("COMMA") or self.at("CONS"):
-                value = self._parse_list_rest(expr)
-            else:
-                value = expr
+            value = self.parse_expr()
+            pos = value.pos  # an expression's position is its first token's
+            if values[self.i] in (",", "::"):
+                value = self._parse_list_rest(value)
         fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
-        if self.at_keyword("fit"):
-            self.advance()
+        if values[self.i] == "fit":
+            self.i += 1
             fits = self._sep_list(self._parse_fit_map)
-        return ArgAst(value, fits, tok.pos)
-
-    def _expr_as_item(self, e: ExprAst) -> NameTerm:
-        t = expr_to_name_term(e)
-        if t is None:
-            raise ParseError("expected a name in a list argument", e.pos)
-        return t
+        return ArgAst(value, fits, pos)
 
     def _parse_list_rest(self, first: ExprAst) -> ListArgAst:
-        items = [self._expr_as_item(first)]
-        if self.at("COMMA"):
-            while self.accept("COMMA"):
-                items.append(self.parse_name_term())
-            return ListArgAst(tuple(items), None)
-        tail: NameTerm | None = None
-        while self.accept("CONS"):
-            if self.at_keyword("empty"):
-                self.advance()
-                tail = None
-                break
-            term = self.parse_name_term()
-            if self.at("CONS"):
-                items.append(term)
-                continue
-            if self.at("COMMA"):
-                items.append(term)
-                while self.accept("COMMA"):
-                    items.append(self.parse_name_term())
-                tail = None
-                break
-            tail = term
-            break
-        return ListArgAst(tuple(items), tail)
+        items = [expr_to_name_term(first)]
+        if items[0] is None:
+            raise ParseError("expected a name in a list argument", first.pos)
+        values = self.values
+        while values[self.i] == "::":
+            self.i += 1
+            if values[self.i] == "empty":
+                self.i += 1
+                return ListArgAst(tuple(items), None)
+            items.append(self.parse_name_term())
+        if values[self.i] == ",":
+            self.i += 1
+            return ListArgAst((*items, *self._sep_list(self.parse_name_term)), None)
+        return ListArgAst(tuple(items[:-1]), items[-1])  # a cons list that ends in its tail
 
     def _parse_fit_map(self) -> tuple[NameTerm, NameTerm]:
         src = self.parse_name_term()
-        self.expect("MAPSTO", what="'|->'")
-        dst = self.parse_name_term()
-        return (src, dst)
+        self.expect("|->")
+        return (src, self.parse_name_term())
 
     # -- parameters ------------------------------------------------------------
 
     def parse_param(self) -> ParamClauseAst:
-        tok = self.peek()
-        optional = bool(self.accept("QUESTION"))
-        if self.at_keyword("empty"):
-            self.advance()
-            return ParamClauseAst(optional, EmptyParam(), tok.pos)
-        if (self.at("IDENT") and self.peek().value in KIND_KEYWORDS
-                and self.peek(1).kind == "COLON" and self.peek(2).kind == "IDENT"
-                and self.peek(3).kind == "CONS"):
-            kind = KIND_KEYWORDS[self.advance().value]
-            self.advance()  # colon
-            head = self.parse_plain_name()
-            self.expect("CONS", what="'::'")
-            second = self.parse_plain_name()
-            if self.accept("CONS"):
-                tail = self.parse_plain_name()
-                return ParamClauseAst(optional, ListHeaderParam(kind, head, second, tail), tok.pos)
-            return ParamClauseAst(optional, ListHeaderParam(kind, head, None, second), tok.pos)
-        frames = self.parse_frames(("SEMI", "RBRACKET"))
-        return ParamClauseAst(optional, FramesParam(frames), tok.pos)
+        i = self.i
+        values = self.values
+        optional = values[i] == "?"
+        j = self.i = i + optional  # past the `?`
+        if values[j] == "empty":
+            self.i = j + 1
+            payload = EmptyParam()
+        elif (values[j] in KIND_KEYWORDS and values[j + 1] == ":" and self.kinds[j + 2] == "IDENT"
+                and values[j + 3] == "::"):
+            self.i = j + 4  # the kind, its colon, the head and `::`
+            head, second, tail = values[j + 2], None, self.parse_plain_name()
+            if values[self.i] == "::":
+                self.i += 1
+                second, tail = tail, self.parse_plain_name()
+            payload = ListHeaderParam(KIND_KEYWORDS[values[j]], head, second, tail)
+        else:
+            payload = FramesParam(self.parse_frames((";", "]")))
+        return ParamClauseAst(optional, payload, self.pos(i))
 
     # -- definitions -------------------------------------------------------------
 
     def parse_def(self) -> PatternDefAst:
-        start = self.expect("KEYWORD", "ontology", what="'ontology'")
+        """A definition; the current token is its `ontology`."""
+        start = self.i
+        self.i += 1
         name = self.parse_plain_name()
+        values = self.values
         params: tuple[ParamClauseAst, ...] = ()
-        if self.accept("LBRACKET"):
-            params = self._sep_list(self.parse_param, "SEMI")
-            self.expect("RBRACKET", what="']'")
+        if values[self.i] == "[":
+            self.i += 1
+            params = self._sep_list(self.parse_param, ";")
+            self.expect("]")
         given: tuple[str, ...] = ()
-        if self.at_keyword("given"):
-            self.advance()
+        if values[self.i] == "given":
+            self.i += 1
             given = self._sep_list(self.parse_plain_name)
-        self.expect("EQUALS", what="'='")
+        self.expect("=")
         locals_: tuple[PatternDefAst, ...] = ()
-        if self.at_keyword("let"):
-            self.nest(self.advance())
+        if values[self.i] == "let":
+            self.nest()
             defs = []
-            while self.at_keyword("ontology"):
+            while values[self.i] == "ontology":
                 defs.append(self.parse_def())
-            self.expect("KEYWORD", "in", what="'in'")
+            self.expect("in")
             self.depth -= 1
             locals_ = tuple(defs)
         body = self.parse_expr()
-        end = self.peek().pos
-        if self.at_keyword("end"):
-            end = self.advance().pos
-        return PatternDefAst(name, params, given, locals_, body, start.pos, end)
+        end = self.i
+        if values[end] == "end":
+            self.i += 1
+        return PatternDefAst(name, params, given, locals_, body, self.pos(start), self.pos(end))
 
     def parse_library(self) -> LibraryAst:
         items = []
-        while not self.at("EOF"):
-            if not self.at_keyword("ontology"):
-                tok = self.peek()
-                raise ParseError(f"expected 'ontology', got {tok.value or tok.kind!r}", tok.pos)
+        while self.kinds[self.i] != "EOF":
+            if self.values[self.i] != "ontology":
+                self.fail("'ontology'")
             items.append(self.parse_def())
         return LibraryAst(tuple(items))
 
@@ -481,8 +467,7 @@ def parse_library(text: str, file: str = "<input>") -> LibraryAst:
 def parse_frames(text: str, file: str = "<frames>") -> tuple[Frame, ...]:
     """Parse a bare sequence of frames (the Manchester-like fragment)."""
     p = _Parser(tokenize(text, file))
-    if p.at("EOF"):
-        return ()
-    frames = p.parse_frames(())
-    p.expect("EOF", what="end of input")
+    frames = () if p.kinds[0] == "EOF" else p.parse_frames(())
+    if p.kinds[p.i] != "EOF":
+        p.fail("end of input")
     return frames

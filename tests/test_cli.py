@@ -314,10 +314,15 @@ def test_depth_env_var(monkeypatch, capsys):
 
 def test_invalid_depth_values(monkeypatch, capsys):
     bad = str(ERRORS / "depth_exceeded.gdp")
-    code, _, _ = run(capsys, "check", "--depth", "0", bad)
-    assert code == 2
+    assert run(capsys, "check", "--depth", "0", bad) == (2, "", "godp: --depth must be at least 1\n")
     code2, _, err = run(capsys, "check", bad, env={"GODP_DEPTH": "soup"}, monkeypatch=monkeypatch)
     assert code2 == 2
+    # a value from the environment is reported under its own name
+    for raw in ("0", "-3"):
+        assert run(capsys, "check", bad, env={"GODP_DEPTH": raw}, monkeypatch=monkeypatch) == (
+            2, "", "godp: GODP_DEPTH must be at least 1\n")
+    assert run(capsys, "expand", "--target", "Broken", "--depth", "0", bad) == (
+        2, "", "godp: --depth must be at least 1\n")
 
 
 def test_usage_error_exits_two(capsys):

@@ -876,17 +876,32 @@ _DIAMOND = (
 )
 
 
+# failures that closed lookups reach after other lookups, and through a
+# chain of closed expansions that each fail because the one they reach does
+_FAILING = (
+    "ontology L [Class: A; ? Class: B] = { Class: A } then { ObjectProperty: B }\n"
+    "ontology P = { Class: P1 }\n"
+    "ontology Q given P = P then { Class: Q1 }\n"
+    "ontology V = Q then P then L[X; ]\n"
+    "ontology W = P then V then { Class: Y }\n"
+    "ontology U = Q then W then V\n"
+    "ontology Ok = Q then P\n"
+)
+
+
 def _warm_cold_cases():
     """Libraries, each with the targets to compare: the corpus targets, then
-    each error file's targets next to the corpus, then the diamond."""
+    each error file's targets next to the corpus, then the diamond, then the
+    failing chain."""
     for extra in [None, *sorted(ERRORS.glob("*.gdp"))]:
         lib = load_library(corpus_paths() + ([extra] if extra else []))
         yield lib, [
             t for t in sorted(lib.zero_param_names())
             if extra is None or lib.defs[t].pos.file == str(extra)
         ]
-    lib = lib_of(_DIAMOND)
-    yield lib, sorted(lib.zero_param_names())
+    for src in (_DIAMOND, _FAILING):
+        lib = lib_of(src)
+        yield lib, sorted(lib.zero_param_names())
 
 
 def test_warm_memo_gives_the_cold_outcome_at_every_depth():
@@ -901,6 +916,37 @@ def test_warm_memo_gives_the_cold_outcome_at_every_depth():
                 cold = _engine_run(lib, t, depth, dict(fresh))
                 assert _engine_run(lib, t, depth, warm) == cold, (t, depth)
                 assert _engine_run(lib, t, depth, {}) == cold  # no memo at all
+
+
+def test_a_failed_closed_expansion_is_taken_from_the_memo(tmp_path, monkeypatch, capsys):
+    import godp.instantiate as engine
+
+    ran = []
+    instantiate = engine._instantiate
+
+    def recording(ctx, target, *args):
+        ran.append(target.name)
+        return instantiate(ctx, target, *args)
+
+    monkeypatch.setattr(engine, "_instantiate", recording)
+    f = tmp_path / "f.gdp"
+    f.write_text(
+        "ontology L [Class: A; ? Class: B] = { Class: A } then { ObjectProperty: B }\n"
+        "ontology V = L[X; ]\n"
+        "ontology W = V then { Class: Y }\n"
+    )
+    assert main(["check", str(f)]) == 1
+    assert ran == ["V", "L", "W"]  # W meets V's failure in the memo
+    assert capsys.readouterr().err == f"{f}:1:55: error: kind clash for '?B_1_0': Class vs ObjectProperty\n"
+    # a budget that does not reach the failure runs the expansion again
+    lib = load_library([f])
+    with pytest.raises(GodpError):
+        expand_named(lib, "V")
+    assert lib.memo["V"].error is not None
+    ran.clear()
+    with pytest.raises(DepthExceeded):
+        expand_named(lib, "W", depth=2)
+    assert ran == ["W", "V", "L"]  # L's tick is the third
 
 
 def test_depth_exceeded_position_holds_with_a_warm_memo(capsys):

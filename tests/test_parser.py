@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -344,6 +346,29 @@ def test_lexer_matches_reference_on_characters(text):
 )).map("".join))
 def test_lexer_matches_reference_on_lexeme_soup(text):
     assert_lexes_like_reference(text)
+
+
+# -- the front end's cost --------------------------------------------------------
+
+def test_parsing_the_corpus_makes_at_most_three_python_calls_per_token():
+    """A gate on the parser's work that holds on any machine: the Python
+    function calls `parse_library` makes over the corpus, counted by a
+    profile hook, per token of its input (EOF included)."""
+    texts = [(p.read_text(encoding="utf-8"), str(p)) for p in corpus_paths()]
+    tokens = sum(len(tokenize(text, file)) for text, file in texts)
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for text, file in texts:
+            parse_library(text, file)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 3.0 * tokens, f"{calls} calls for {tokens} tokens"
 
 
 # -- the nesting bound ---------------------------------------------------------
