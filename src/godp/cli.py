@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 semantic/parse error, 2 I/O or usage error (an input
 file that is not valid UTF-8 is an I/O error).
 Diagnostics go to stderr in `file:line:col: severity: message` form; payload
 goes to stdout or `-o`. The GODP_DEPTH environment variable overrides the
-default expansion depth; an explicit --depth wins over both.
+default expansion depth of `check` and `expand`; an explicit --depth wins
+over both.
 """
 
 from __future__ import annotations
@@ -131,14 +132,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
-    option = "--depth"
-    if getattr(ns, "depth", None) is None:
-        ns.depth, option = _default_depth(), "GODP_DEPTH"
+    if ns.command != "list":  # the commands that expand
+        option = "--depth"
         if ns.depth is None:
+            ns.depth, option = _default_depth(), "GODP_DEPTH"
+            if ns.depth is None:
+                return 2
+        if ns.depth < 1:
+            sys.stderr.write(f"godp: {option} must be at least 1\n")
             return 2
-    if ns.depth < 1:
-        sys.stderr.write(f"godp: {option} must be at least 1\n")
-        return 2
     try:
         if ns.command == "check":
             return run_check(ns)

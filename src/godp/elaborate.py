@@ -68,7 +68,6 @@ from .syntax import (
     ClassFrame,
     DifferentIndividualsFrame,
     EmptyArg,
-    EmptyParam,
     ExprAst,
     Frame,
     FramesParam,
@@ -76,6 +75,7 @@ from .syntax import (
     InstExpr,
     LibraryAst,
     ListArgAst,
+    ListTemplate,
     MissingArg,
     ObjectPropertyFrame,
     PatternDefAst,
@@ -190,26 +190,6 @@ class PlainShape(Record):
     new_symbols: tuple[Symbol, ...]
 
 
-class ListTemplate(Record):
-    kind: SymbolKind | None  # None for the `empty` template
-    head: str | None
-    head2: str | None
-    tail: str | None
-    __slots__ = ("heads",)  # the bound heads, not a field
-
-    def __init__(self, kind, head, head2, tail) -> None:
-        for attr, value in zip(self._fields, (kind, head, head2, tail)):
-            object.__setattr__(self, attr, value)
-        object.__setattr__(self, "heads", tuple(h for h in (head, head2) if h is not None))
-
-    @property
-    def min_len(self) -> int:
-        return len(self.heads)
-
-    def matches(self, n: int) -> bool:
-        return n == 0 if self.head is None else n >= self.min_len
-
-
 class ParamSpec(Record):
     index: int
     optional: bool
@@ -290,10 +270,11 @@ class ListArg(Record):
 
 
 class _ExprArg(Record):
-    """A resolved argument expression (a call, a `then` chain or inline
-    frames), evaluated on top of the local environment in the caller's scope."""
+    """A resolved argument expression (a call, a `then` chain, inline frames
+    or an `AnonymousArg`'s ontology), evaluated on top of the local
+    environment in the caller's scope."""
 
-    expr: Expr
+    expr: Expr | FlatOntology
     fits: tuple[tuple[NameTerm, NameTerm], ...]
     pos: SourcePos | None = _POS
 
@@ -317,8 +298,8 @@ def _check_arg(
 ) -> ArgumentForm | _ExprArg:
     """`form` fitted to `pspec` as `.gdp` text is: a list parameter takes a
     list, an empty argument as the empty list and a bare name without fits as
-    a one-item list; a plain parameter takes any other form, and an empty one
-    only if it is optional."""
+    a one-item list; a plain parameter takes any other form, an empty one
+    only if it is optional, and fits only of its own symbols."""
     if pspec.is_list:
         if isinstance(form, ListArg):
             return form
@@ -333,11 +314,19 @@ def _check_arg(
         raise UnsupportedArgument("a list argument must be a comma or '::' list of names", form.pos)
     if isinstance(form, ListArg):
         raise UnsupportedArgument("list argument given for a non-list parameter", form.pos)
-    if isinstance(form, EmptyOptArg) and not pspec.optional:
-        raise MissingArgument(
-            f"missing argument for non-optional parameter {pspec.index + 1}{_of(owner)}",
-            form.pos,
-        )
+    if isinstance(form, EmptyOptArg):
+        if not pspec.optional:
+            raise MissingArgument(
+                f"missing argument for non-optional parameter {pspec.index + 1}{_of(owner)}",
+                form.pos,
+            )
+        return form
+    for src, _ in form.fits:
+        if src not in pspec.shape.delta.kinds:
+            raise UnsupportedArgument(
+                f"fit source '{src.render()}' is not a symbol of parameter {pspec.index + 1}{_of(owner)}",
+                form.pos,
+            )
     return form
 
 
@@ -372,7 +361,6 @@ class PatternDef(Record, frozen=False):
     arity: int
     locals: dict[str, "PatternDef"]
     pos: object
-    parent: "PatternDef | None" = field(None, compare=False)
     # each set once by build_library, after every definition exists: a call
     # or an import may name a definition made later, or its own
     imports: tuple["PatternDef", ...] = ()
@@ -389,10 +377,10 @@ class Library(Record, frozen=False):
     # replaced, so threads may share it
     memo: dict = field(factory=dict, compare=False)
 
-    def require(self, name: str, pos=None) -> PatternDef:
+    def require(self, name: str) -> PatternDef:
         d = self.defs.get(name)
         if d is None:
-            raise UnknownReference(f"unknown ontology or pattern '{name}'", pos)
+            raise UnknownReference(f"unknown ontology or pattern '{name}'")
         return d
 
     def zero_param_names(self) -> list[str]:
@@ -428,8 +416,7 @@ def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternD
                     f"clauses of '{name}' disagree on plain parameter {i + 1}", other.pos
                 )
         else:
-            ka = None if isinstance(a.payload, EmptyParam) else a.payload.kind
-            kb = None if isinstance(b.payload, EmptyParam) else b.payload.kind
+            ka, kb = a.payload.kind, b.payload.kind
             if ka is not None and kb is not None and ka is not kb:
                 raise DuplicateDefinition(
                     f"clauses of '{name}' disagree on the kind of list parameter {i + 1}",
@@ -440,7 +427,8 @@ def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternD
 class _Draft(Record, frozen=False):
     """A definition until build_library makes its clauses: each clause's AST
     and parameters, a plain one shared by all clauses with its new symbols
-    not yet known, then each clause's resolved body."""
+    not yet known, then each clause's resolved body. `parent` is the draft
+    of a local's definer."""
 
     d: PatternDef
     asts: list[PatternDefAst]
@@ -449,10 +437,11 @@ class _Draft(Record, frozen=False):
     names: dict[str, tuple[str, bool]] = field(factory=dict)  # the parameters seen inside it
     rank: int = 0  # its place in the order that makes the clauses
     sees: FlatOntology = EMPTY_ONTOLOGY  # what its locals' parameters see
+    parent: "_Draft | None" = field(None, compare=False)
 
 
 def _build_def(
-    name: str, clause_asts: list[PatternDefAst], qual: str, parent: PatternDef | None
+    name: str, clause_asts: list[PatternDefAst], qual: str, parent: _Draft | None
 ) -> list[_Draft]:
     """The drafts of the definition `name` and of its locals, a definition
     before its locals."""
@@ -466,15 +455,15 @@ def _build_def(
             clause_asts[1].pos,
         )
 
-    d = PatternDef(name, qual, len(first.params), {}, first.pos, parent)
-    tree = [_Draft(d, clause_asts, [])]
+    d = PatternDef(name, qual, len(first.params), {}, first.pos)
+    tree = [_Draft(d, clause_asts, [], parent=parent)]
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
     for ca in clause_asts:
         for loc in ca.locals:
             local_asts.setdefault(loc.name, []).append(loc)
     for lname, lasts in local_asts.items():
-        sub = _build_def(lname, lasts, f"{qual}::{lname}", d)
+        sub = _build_def(lname, lasts, f"{qual}::{lname}", tree[0])
         d.locals[lname] = sub[0].d
         tree += sub
 
@@ -483,13 +472,12 @@ def _build_def(
         params: list[ParamSpec] = []
         for i, p in enumerate(ca.params):
             pl = p.payload
-            if isinstance(pl, FramesParam):  # clauses share plain parameters
-                if i not in plain:
-                    plain[i] = ParamSpec(i, p.optional, PlainShape(pl.frames, build_block(pl.frames), ()))
-                params.append(plain[i])
-            else:
-                t = (None,) * 4 if isinstance(pl, EmptyParam) else (pl.kind, pl.head, pl.head2, pl.tail)
-                params.append(ParamSpec(i, p.optional, ListTemplate(*t)))
+            if isinstance(pl, ListTemplate):
+                params.append(ParamSpec(i, p.optional, pl))
+                continue
+            if i not in plain:  # clauses share plain parameters
+                plain[i] = ParamSpec(i, p.optional, PlainShape(pl.frames, build_block(pl.frames), ()))
+            params.append(plain[i])
         tree[0].params.append(tuple(params))
     return tree
 
@@ -504,35 +492,29 @@ def build_library(ast: LibraryAst) -> Library:
         grouped.setdefault(item.name, []).append(item)
     trees = [_build_def(name, asts, name, None) for name, asts in grouped.items()]
     lib = Library({tree[0].d.name: tree[0].d for tree in trees})
-    drafts = {dr.d.qual: dr for tree in trees for dr in tree}
-    # a call's arguments are checked against these: only whether each is a
-    # list, optional and its index are read, all final here
-    shapes = {q: dr.params[0] for q, dr in drafts.items()}
+    drafts = [dr for tree in trees for dr in tree]
+    # a call's arguments are checked against these: whether each is a list,
+    # optional, its index and a plain one's symbols are read, all final here
+    shapes = {dr.d.qual: dr.params[0] for dr in drafts}
 
+    calls: list = []  # the recursion guard's edges, one per call as it is resolved
     for tree in trees:  # a definition's imports and its locals', then their bodies
         for dr in tree:
             dr.d.imports = tuple(_import(lib, dr.d, name) for name in dr.asts[0].given)
         for dr in tree:
-            _resolve(lib, dr, drafts[dr.d.parent.qual].names if dr.d.parent else {}, shapes)
-    calls: list = []
-    for dr in drafts.values():
-        for params, body in zip(dr.params, dr.bodies):
-            tails = {p.shape.tail: p.shape.min_len for p in params if p.is_list and p.shape.tail}
-            for c in _calls(body, []):
-                shrinks = c.args is not None and any(_arg_shrinks(a, tails) for a in c.args)
-                calls.append((dr.d.qual, c.target.qual, shrinks, c.pos))
-    imports = [(q, imp.qual, False, dr.d.pos) for q, dr in drafts.items() for imp in dr.d.imports]
-    comp = _check_cycles(set(drafts), calls + imports)
+            _resolve(lib, dr, shapes, calls)
+    imports = [(dr.d.qual, imp.qual, False, dr.d.pos) for dr in drafts for imp in dr.d.imports]
+    comp = _check_cycles(set(shapes), calls + imports)
 
     # An import is expanded only after every definition it reaches has its
     # clauses. Those lie in the import's component or lower ones, and so do
     # their definers. So a definition comes after its definers and after the
     # components of its imports, as a library definition's own component is.
-    for dr in drafts.values():
-        outer = drafts[dr.d.parent.qual].rank if dr.d.parent else comp[dr.d.qual]
+    for dr in drafts:
+        outer = dr.parent.rank if dr.parent else comp[dr.d.qual]
         dr.rank = max([outer] + [comp[imp.qual] + 1 for imp in dr.d.imports])
-    for dr in sorted(drafts.values(), key=lambda dr: dr.rank):  # stable: definers first
-        env = drafts[dr.d.parent.qual].sees if dr.d.parent else EMPTY_ONTOLOGY
+    for dr in sorted(drafts, key=lambda dr: dr.rank):  # stable: definers first
+        env = dr.parent.sees if dr.parent else EMPTY_ONTOLOGY
         for imp in dr.d.imports:
             try:  # a clash between imports, or with the definers' parameters
                 env = union_flat(env, expand_named(lib, imp.name))
@@ -607,11 +589,12 @@ def _param_names(d: PatternDef, params: tuple) -> tuple[dict[str, tuple[str, boo
     return names, hidden
 
 
-def _resolve(lib: Library, dr: _Draft, outer: dict, shapes: dict[str, tuple[ParamSpec, ...]]) -> None:
-    """Resolve the clause bodies of `dr`; `outer` maps each parameter name of
-    the definitions around it as `_param_names` does, `shapes` holds the
-    first-clause parameters of every definition."""
+def _resolve(lib: Library, dr: _Draft, shapes: dict[str, tuple[ParamSpec, ...]], calls: list) -> None:
+    """Resolve the clause bodies of `dr`, its definers' done; `shapes` holds
+    the first-clause parameters of every definition, `calls` gets the
+    recursion guard's edge for each call resolved."""
     d, own = dr.d, []
+    outer = dr.parent.names if dr.parent is not None else {}
     for i, params in enumerate(dr.params):
         names, hidden = _param_names(d, params)
         if hidden:  # so a run never holds a list its clause last bound as a symbol
@@ -637,32 +620,49 @@ def _resolve(lib: Library, dr: _Draft, outer: dict, shapes: dict[str, tuple[Para
     dr.names = merged
     level = d.qual.count("::")  # a definer's qual is a prefix of d's, one level shorter each
     dr.bodies = []
-    for ca, names in zip(dr.asts, own):
-        params = {**outer, **names}
-        tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in params.items() if t}
-        dr.bodies.append(_Scope(lib, params, tails, d, shapes).expr(ca.body))
+    for ca, params, names in zip(dr.asts, dr.params, own):
+        seen = {**outer, **names}
+        tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t}
+        strips = {p.shape.tail: p.shape.min_len for p in params if p.is_list and p.shape.tail}
+        dr.bodies.append(_Scope(lib, seen, tails, dr, shapes, strips, calls).expr(ca.body))
+
+
+def _reference(name: str, target: PatternDef | None, up: int | None, pos: SourcePos | None) -> Call:
+    """The call that a bare reference to `name` is, `target` being the
+    definition it names (None: none) and `up` as in `Call`; only a
+    0-parameter definition can be named without arguments."""
+    if target is None:
+        raise UnknownReference(f"unknown ontology or pattern '{name}'", pos)
+    if target.arity != 0:
+        raise ArityMismatch(f"'{name}' is generic: {target.arity} argument(s) required", pos)
+    return Call(name, target, None, up, pos)
 
 
 class _Scope(NamedTuple):
-    """What the names of one clause body of `d` mean; `params` maps each
-    parameter name it sees as `_resolve`'s `outer` does, `tails` each list
-    tail among them to its `ListVar`, `shapes` each definition's
-    first-clause parameters."""
+    """What the names of one clause body of `dr` mean; `params` maps each
+    parameter name it sees as `_param_names` does, `tails` each list tail
+    among them to its `ListVar`, `shapes` each definition's first-clause
+    parameters, and `strips` each of the clause's own tails to the items its
+    template strips. Each call resolved adds its edge to `calls`."""
 
     lib: Library
     params: dict[str, tuple[str, bool]]
     tails: dict[NameTerm, ListVar]
-    d: PatternDef
+    dr: _Draft
     shapes: dict[str, tuple[ParamSpec, ...]]
+    strips: dict[str, int]
+    calls: list
 
     def definition(self, name: str) -> tuple[PatternDef | None, int | None]:
-        up, cur = 0, self.d
-        while cur is not None and name not in cur.locals:
+        up, cur = 0, self.dr
+        while cur is not None and name not in cur.d.locals:
             cur, up = cur.parent, up + 1
-        return (cur.locals[name], up) if cur is not None else (self.lib.defs.get(name), None)
+        return (cur.d.locals[name], up) if cur is not None else (self.lib.defs.get(name), None)
 
     def expr(self, e: ExprAst) -> Expr:
-        """`e` where an ontology is expected, each call's arguments checked."""
+        """`e` where an ontology is expected, each call's arguments checked
+        and its edge recorded before those of the calls in them: caller,
+        callee, whether an argument shrinks a list of the caller, position."""
         if isinstance(e, ThenExpr):
             return tuple([self.expr(t) for t in e.terms])
         if isinstance(e, BlockExpr):
@@ -674,16 +674,18 @@ class _Scope(NamedTuple):
                 e.pos,
             )
         target, up = self.definition(e.name)
-        if target is None:
-            raise UnknownReference(f"unknown ontology or pattern '{e.name}'", e.pos)
-        if isinstance(e, RefExpr):
-            if target.arity != 0:
-                raise ArityMismatch(f"'{e.name}' is generic: {target.arity} argument(s) required", e.pos)
-            return Call(e.name, target, None, up, e.pos)
+        if target is None or isinstance(e, RefExpr):
+            call = _reference(e.name, target, up, e.pos)
+            self.calls.append((self.dr.d.qual, target.qual, False, e.pos))
+            return call
         params, args = self.shapes[target.qual], e.args
         if not params and len(args) == 1 and isinstance(args[0].value, MissingArg):
             args = ()  # G[] on a 0-parameter pattern
+        edge = len(self.calls)
+        self.calls.append(None)
         forms = _check_args(target.name, params, args, e.pos, self.arg)
+        shrinks = any(_arg_shrinks(a, self.strips) for a in forms)
+        self.calls[edge] = (self.dr.d.qual, target.qual, shrinks, e.pos)
         return Call(e.name, target, tuple(forms), up, e.pos)
 
     def block(self, e: BlockExpr) -> BlockExpr:
@@ -737,28 +739,15 @@ class _Scope(NamedTuple):
 
 # -- recursion guard -----------------------------------------------------------
 
-def _arg_shrinks(a: ArgumentForm | _ExprArg, tails: dict[str, int]) -> bool:
+def _arg_shrinks(a: ArgumentForm | _ExprArg, strips: dict[str, int]) -> bool:
     """Whether `a` is a list that ends in the caller's own tail, with fewer
     items before it than that tail's template strips and none of them a
     spliced tail, whose length is unknown; a bare tail is `[] :: tail`."""
     items = a.items if isinstance(a, ListArg) else ()
     last = items[-1] if items else None
-    return isinstance(last, ListVar) and last.up == 0 and len(items) - 1 < tails[last.name] and (
+    return isinstance(last, ListVar) and last.up == 0 and len(items) - 1 < strips[last.name] and (
         sum(isinstance(n, ListVar) for n in items) == 1
     )
-
-
-def _calls(e: Expr, out: list[Call]) -> list[Call]:
-    """`out` and the calls in `e`, each before those in its arguments."""
-    if isinstance(e, tuple):
-        for t in e:
-            _calls(t, out)
-    elif isinstance(e, Call):
-        out.append(e)
-        for a in e.args or ():
-            if isinstance(a, _ExprArg):
-                _calls(a.expr, out)
-    return out
 
 
 def _check_cycles(nodes: set[str], edges: list) -> dict[str, int]:

@@ -9,12 +9,14 @@ under the Same Name - Same Thing union.
 Each of these has one implementation, the one `expand`/`expand_named` run:
 the public helpers `derive_fitting`, `check_compatibility`,
 `check_constraints`, `match_template` and `elide_optional` are entry points
-into it, and the engine itself works on the public argument forms
-(`NamedOntologyArg` ... `ListArg`, defined beside `Call` in `elaborate`). One
-check, `_check_arg`, fits a form to its parameter, with the same messages for
-every entry point: `build_library` runs it once on each call in `.gdp` text,
-`expand` and `derive_fitting` when they are called. The engine takes the
-checked forms as they are, and only substitutes the caller's names in them.
+into it. One check, `_check_arg`, fits an argument form (defined beside
+`Call` in `elaborate`) to its parameter, with the same messages for every
+entry point: `build_library` runs it once on each call in `.gdp` text,
+`expand` and `derive_fitting` when they are called. Those two then resolve
+what the Python API alone gives (`_entry_form`): a `NamedOntologyArg` is the
+`Call` that its name written bare in `.gdp` text is, and an `AnonymousArg` an
+expression whose value is its ontology. The engine takes the checked forms
+as they are, and only substitutes the caller's names in them.
 
 An elided optional symbol becomes a placeholder, a name whose base starts with
 `?` as no identifier in `.gdp` text can, so `is_placeholder` reads the name
@@ -24,9 +26,8 @@ expansion and its own index there: unique among live ones, and unchanged by
 memo hits.
 
 Calls, their argument forms and list tails arrive resolved by
-`build_library`; the engine looks up by name only the library definition a
-`NamedOntologyArg` names. A runtime scope holds only bindings: a local
-pattern's `parent` bindings are those of its definer's run, and each run's
+`build_library`, so the engine looks no name up. A runtime scope holds only
+bindings: a local pattern's `parent` bindings are those of its definer's run, and each run's
 `list_map` holds only its own clause's tails, which a `ListVar` reads from
 the run it counts up to; one that the run lacks is an error when the call runs.
 
@@ -72,13 +73,11 @@ from .diagnostics import (
 from .elaborate import (  # the argument forms and their check live beside `Call`
     AnonymousArg,
     ArgumentForm,
-    Call,
     Clause,
     EmptyOptArg,
     Expr,
     Library,
     ListArg,
-    ListTemplate,
     ListVar,
     LocalSymbolArg,
     NamedOntologyArg,
@@ -90,10 +89,11 @@ from .elaborate import (  # the argument forms and their check live beside `Call
     _ExprArg,
     _not_a_list,
     _of,
+    _reference,
     build_block,
 )
 from .record import Record, field, replace
-from .syntax import BlockExpr
+from .syntax import BlockExpr, ListTemplate
 
 DEFAULT_DEPTH = 10_000
 
@@ -313,22 +313,23 @@ def derive_fitting(
     symbol to its term, which must not clash with its kind in `env`. Fits of
     other symbols are checked against each other but are not part of the
     result. Resolving a NamedOntologyArg needs `lib`, whose memo it reads
-    and fills. `arg` is checked against `param` as `expand` checks it.
+    and fills. `arg`, with `explicit`, is checked against `param` and
+    resolved as `expand` does it.
     """
     if param.is_list:
         raise UnsupportedArgument("derive_fitting applies to plain parameters")
-    if isinstance(_check_arg(param, arg, None), EmptyOptArg):
+    if not isinstance(arg, (EmptyOptArg, ListArg)):  # every other form has a fit map
+        arg = replace(arg, fits=arg.fits + tuple(explicit))
+    form = _entry_form(lib, _check_arg(param, arg, None))
+    if isinstance(form, EmptyOptArg):
         return FittingMorphism.of({})
-    if isinstance(arg, NamedOntologyArg) and lib is None:
-        raise UnsupportedArgument("resolving a named ontology argument needs the library")
-    arg = replace(arg, fits=arg.fits + tuple(explicit))
     sigma = Bindings()
-    if isinstance(arg, LocalSymbolArg):
-        _fit_local(None, param, arg, sigma, env)
+    if isinstance(form, LocalSymbolArg):
+        _fit_local(None, param, form, sigma, env)
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
-        arg_ont = _eval_arg_ontology(ctx, arg, env, EMPTY_BINDINGS)
-        _fit_ontology(param, arg, arg_ont, env, sigma)
+        arg_ont = _eval_expr(ctx, form.expr, env, EMPTY_BINDINGS)
+        _fit_ontology(param, form, arg_ont, env, sigma)
     return FittingMorphism.of(
         {n: Symbol(sigma.name_map[n.name], n.kind) for n in param.shape.new_symbols}
     )
@@ -371,27 +372,9 @@ def _fit_local(
     )
 
 
-def _eval_arg_ontology(
-    ctx: _Ctx,
-    form: NamedOntologyArg | AnonymousArg | _ExprArg,
-    env: FlatOntology,
-    caller: Bindings,
-) -> FlatOntology:
-    if isinstance(form, AnonymousArg):
-        return union_flat(env, form.ontology)
-    if isinstance(form, NamedOntologyArg):  # from the Python API: a library name
-        target = ctx.lib.require(form.name, form.pos)
-        if target.arity != 0:  # `build_library` checks the references in `.gdp` text
-            raise ArityMismatch(f"'{form.name}' is generic: {target.arity} argument(s) required", form.pos)
-        return _eval_expr(ctx, Call(form.name, target, None, None, form.pos), env, caller)
-    # local-environment injection: the argument is evaluated on top of env,
-    # in the caller's scope (its bindings substitute enclosing parameters)
-    return _eval_expr(ctx, form.expr, env, caller)
-
-
 def _fit_ontology(
     pspec: ParamSpec,
-    form: NamedOntologyArg | AnonymousArg | _ExprArg,
+    form: _ExprArg,
     arg_ont: FlatOntology,
     env: FlatOntology,
     sigma: Bindings,
@@ -454,8 +437,6 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     try:
         if d.qual in ctx.reached:
             ctx.tick(pos)
-        elif d.arity != 0:
-            raise ArityMismatch(f"'{d.name}' is generic and needs arguments", pos)
         elif not _charge_memo(ctx, d.qual):
             ctx.frame = frame = [[], 0]
             ctx.running = 0  # it starts from an empty environment: no placeholder is visible
@@ -508,11 +489,13 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     return True
 
 
-def _eval_expr(ctx: _Ctx, expr: Expr, env: FlatOntology, scope: Bindings) -> FlatOntology:
+def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, scope: Bindings) -> FlatOntology:
     if isinstance(expr, tuple):  # a `then` chain
         for term in expr:
             env = _eval_expr(ctx, term, env, scope)
         return env
+    if isinstance(expr, FlatOntology):  # an `AnonymousArg`'s
+        return union_flat(env, expr)
     try:
         if isinstance(expr, BlockExpr):
             return union_flat(env, build_block(expr.frames, scope))
@@ -586,8 +569,8 @@ def _instantiate(
             else:
                 if isinstance(form, LocalSymbolArg):
                     avail = _fit_local(target.name, pspec, form, sigma, avail)
-                else:
-                    added = _eval_arg_ontology(ctx, form, env, caller)
+                else:  # evaluated on top of env, in the caller's scope
+                    added = _eval_expr(ctx, form.expr, env, caller)
                     _fit_ontology(pspec, form, added, env, sigma)
                     avail = union_flat(avail, added)
                 _check_constraints(pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
@@ -633,12 +616,25 @@ class Instantiation(Record):
     local_env: FlatOntology = EMPTY_ONTOLOGY
 
 
+def _entry_form(lib: Library | None, form: ArgumentForm) -> ArgumentForm | _ExprArg:
+    """A checked argument form as the engine runs it: a `NamedOntologyArg` as
+    the bare reference to its name, an `AnonymousArg` as its ontology."""
+    if isinstance(form, NamedOntologyArg):
+        if lib is None:
+            raise UnsupportedArgument("resolving a named ontology argument needs the library")
+        return _ExprArg(_reference(form.name, lib.defs.get(form.name), None, form.pos), form.fits, form.pos)
+    if isinstance(form, AnonymousArg):
+        return _ExprArg(form.ontology, form.fits, form.pos)
+    return form
+
+
 def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> FlatOntology:
     """Expand one instantiation against its local environment; its arguments,
-    and those left out at the end, are checked as in `.gdp` text."""
+    and those left out at the end, are checked as in `.gdp` text, then
+    resolved."""
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
-    forms = _check_args(target.name, target.clauses[0].params, inst.args, None)
+    forms = [_entry_form(lib, f) for f in _check_args(target.name, target.clauses[0].params, inst.args, None)]
     return _instantiate(ctx, target, EMPTY_BINDINGS, forms, inst.local_env, None)
 
 
@@ -646,4 +642,6 @@ def expand_named(lib: Library, name: str, depth: int = DEFAULT_DEPTH) -> FlatOnt
     """Expand a 0-parameter definition to its flat ontology."""
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(name)
+    if target.arity != 0:
+        raise ArityMismatch(f"'{name}' is generic and needs arguments", target.pos)
     return _closed_expansion(ctx, target, target.pos)

@@ -53,7 +53,6 @@ from .syntax import (
     ClassFrame,
     DifferentIndividualsFrame,
     EmptyArg,
-    EmptyParam,
     ExprAst,
     Frame,
     FramesParam,
@@ -61,7 +60,7 @@ from .syntax import (
     InstExpr,
     LibraryAst,
     ListArgAst,
-    ListHeaderParam,
+    ListTemplate,
     MissingArg,
     ObjectPropertyFrame,
     ParamClauseAst,
@@ -373,7 +372,7 @@ class _Parser:
         j = self.i = i + optional  # past the `?`
         if values[j] == "empty":
             self.i = j + 1
-            payload = EmptyParam()
+            payload = ListTemplate(None, None, None, None)
         elif (values[j] in KIND_KEYWORDS and values[j + 1] == ":" and self.kinds[j + 2] == "IDENT"
                 and values[j + 3] == "::"):
             self.i = j + 4  # the kind, its colon, the head and `::`
@@ -381,7 +380,7 @@ class _Parser:
             if values[self.i] == "::":
                 self.i += 1
                 second, tail = tail, self.parse_plain_name()
-            payload = ListHeaderParam(KIND_KEYWORDS[values[j]], head, second, tail)
+            payload = ListTemplate(KIND_KEYWORDS[values[j]], head, second, tail)
         else:
             payload = FramesParam(self.parse_frames((";", "]")))
         return ParamClauseAst(optional, payload, self.pos(i))

@@ -126,18 +126,30 @@ class FramesParam(Record):
     frames: tuple[Frame, ...]
 
 
-class ListHeaderParam(Record):
-    kind: SymbolKind
-    head: str
+class ListTemplate(Record):
+    """A list parameter `Kind: head :: tail` or `Kind: head :: head2 ::
+    tail`; all four fields are None for the `empty` template."""
+
+    kind: SymbolKind | None
+    head: str | None
     head2: str | None
-    tail: str
+    tail: str | None
+    __slots__ = ("heads",)  # the bound heads, not a field
+
+    def __init__(self, kind, head, head2, tail) -> None:
+        for attr, value in zip(self._fields, (kind, head, head2, tail)):
+            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "heads", tuple(h for h in (head, head2) if h is not None))
+
+    @property
+    def min_len(self) -> int:
+        return len(self.heads)
+
+    def matches(self, n: int) -> bool:
+        return n == 0 if self.head is None else n >= self.min_len
 
 
-class EmptyParam(Record):
-    """The `empty` list template."""
-
-
-ParamPayload = Union[FramesParam, ListHeaderParam, EmptyParam]
+ParamPayload = Union[FramesParam, ListTemplate]
 
 
 class ParamClauseAst(Record):
@@ -227,12 +239,9 @@ def pp_param(p: ParamClauseAst) -> str:
     pl = p.payload
     if isinstance(pl, FramesParam):
         return prefix + pp_frames(pl.frames)
-    if isinstance(pl, ListHeaderParam):
-        names = [pl.head] + ([pl.head2] if pl.head2 else []) + [pl.tail]
-        return prefix + f"{pl.kind.value}: " + " :: ".join(names)
-    if isinstance(pl, EmptyParam):
+    if pl.head is None:  # the other payload, a list template
         return prefix + "empty"
-    raise TypeError(f"not a parameter payload: {pl!r}")
+    return prefix + f"{pl.kind.value}: " + " :: ".join([*pl.heads, pl.tail])
 
 
 def pp_def(d: PatternDefAst, indent: str = "") -> str:

@@ -323,6 +323,12 @@ def test_invalid_depth_values(monkeypatch, capsys):
             2, "", "godp: GODP_DEPTH must be at least 1\n")
     assert run(capsys, "expand", "--target", "Broken", "--depth", "0", bad) == (
         2, "", "godp: --depth must be at least 1\n")
+    # `list` expands nothing and reads no depth
+    monkeypatch.delenv("GODP_DEPTH")
+    listing = run(capsys, "list", *corpus_args())
+    assert listing[0] == 0 and listing[1]
+    for raw in ("0", "soup"):
+        assert run(capsys, "list", *corpus_args(), env={"GODP_DEPTH": raw}, monkeypatch=monkeypatch) == listing
 
 
 def test_usage_error_exits_two(capsys):

@@ -410,6 +410,20 @@ def test_every_record_class_is_a_value_of_its_type(cls):
             assert getattr(a, f) == value
 
 
+def test_a_record_is_built_from_its_fields_only():
+    from godp.syntax import ClassFrame, RefExpr
+
+    for build, message in (
+        (lambda: RefExpr("a", None, 3), "RefExpr() takes 2 arguments, got 3"),
+        (lambda: ClassFrame(), "ClassFrame() missing argument 'name'"),
+        (lambda: RefExpr("a", bogus=1), "RefExpr() got an unexpected or repeated argument 'bogus'"),
+        (lambda: replace(RefExpr("a"), bogus=1), "RefExpr has no field 'bogus'"),
+    ):
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 # -- hypothesis properties -------------------------------------------------------
 
 _classes = st.sampled_from([name("C1"), name("C2")])

@@ -20,7 +20,7 @@ from godp.diagnostics import (
     UnknownReference,
     UnsupportedArgument,
 )
-from godp.elaborate import ListTemplate, PlainShape
+from godp.elaborate import ListTemplate, PlainShape, build_block
 from godp.syntax import BlockExpr, LibraryAst
 
 from conftest import corpus_paths, lib_of, unresolved
@@ -133,13 +133,31 @@ def test_an_unknown_name_in_an_argument_expression_is_a_build_error():
     assert (exc.value.pos.line, exc.value.pos.col) == (2, 45)
 
 
+def test_build_block_takes_frames_only():
+    with pytest.raises(TypeError) as exc:
+        build_block([BlockExpr(())])
+    assert str(exc.value) == "not a frame: BlockExpr(frames=())"
+
+
+def _definer(lib, d):
+    """The definition that has `d` as a local, found by its qualified name."""
+    *path, _ = d.qual.split("::")
+    if not path:
+        return None
+    found = lib.defs[path[0]]
+    for n in path[1:]:
+        found = found.locals[n]
+    return found
+
+
 def _seen(lib, d, upto=None, clause=0):
     """What parameter `upto` of clause `clause` of `d` sees (all of them
     with None), built from new symbols: the imports of `d` and of its
     definers, its definers' first-clause parameters, and its own parameters
     before `upto`, a plain one declaring its new symbols and a list one its
     heads."""
-    out = set(_seen(lib, d.parent)) if d.parent is not None else set()
+    definer = _definer(lib, d)
+    out = set(_seen(lib, definer)) if definer is not None else set()
     for imp in d.imports:
         out |= expand_named(lib, imp.name).signature
     for p in d.clauses[clause].params[:upto]:

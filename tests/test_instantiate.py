@@ -54,6 +54,7 @@ from godp.diagnostics import (
 from godp.elaborate import Call
 from godp.instantiate import DEFAULT_DEPTH
 from godp.parser import FIELD_KEYWORDS
+from godp.record import replace
 
 from conftest import CORPUS, ERRORS, corpus_paths, lib_of, load_corpus_library, load_library
 
@@ -434,6 +435,70 @@ def test_derive_fitting_checks_its_argument_as_expand_does(corpus_lib):
         assert expansion.value.message == message + (
             " of 'TransitiveRelation'" if error is MissingArgument else ""
         )
+
+
+def test_derive_fitting_entry_checks(corpus_lib):
+    valset = corpus_lib.defs["ValSet"].clauses[0].params
+    with pytest.raises(UnsupportedArgument) as exc:
+        derive_fitting(valset[1], ListArg((name("v"),)), EMPTY_ONTOLOGY)
+    assert exc.value.message == "derive_fitting applies to plain parameters"
+    # an elided optional parameter fits nothing
+    assert derive_fitting(valset[2], EmptyOptArg(), EMPTY_ONTOLOGY) == FittingMorphism(pairs=())
+    first = corpus_lib.defs["TransitiveRelation"].clauses[0].params[0]
+    with pytest.raises(UnsupportedArgument) as exc:
+        derive_fitting(first, NamedOntologyArg("Agents"), EMPTY_ONTOLOGY)
+    assert exc.value.message == "resolving a named ontology argument needs the library"
+
+
+def test_expand_resolves_its_arguments_before_it_fits_any(corpus_lib):
+    # the first argument does not fit: Person is a class in the local environment
+    env = make_ontology([sym("Person", CLS)], [])
+    args = (LocalSymbolArg(name("Person")), NamedOntologyArg("Nope"))
+    with pytest.raises(UnknownReference) as exc:
+        expand(corpus_lib, Instantiation("TransitiveRelation", args, env))
+    assert exc.value.message == "unknown ontology or pattern 'Nope'"
+    with pytest.raises(KindMismatch):
+        expand(corpus_lib, Instantiation("TransitiveRelation", args[:1] + (NamedOntologyArg("Agents"),), env))
+
+
+def test_match_template_takes_clauses_with_one_list_parameter():
+    lib = lib_of(
+        "ontology A [Class: a :: xs; Class: b :: ys] = { Class: a }\n"
+        "ontology A [empty; empty] = { }\n"
+    )
+    with pytest.raises(UnsupportedArgument) as exc:
+        match_template(lib.defs["A"].clauses, ListArg(()))
+    assert exc.value.message == "match_template expects clauses with exactly one list parameter"
+
+
+_FIT = "ontology P [Class: C] = { Class: C  Class: Foo }\nontology B = { Class: X }\n"
+
+
+@pytest.mark.parametrize("command", [["check"], ["list"], ["expand", "--target", "U", "--format", "dump"]])
+def test_a_fit_may_name_only_a_symbol_of_its_parameter(tmp_path, capsys, command):
+    f = tmp_path / "fit.gdp"
+    f.write_text(_FIT + "ontology U = P[B fit C |-> X, Foo |-> Bar]\n", encoding="utf-8")
+    assert main([*command, str(f)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{f}:3:16: error: fit source 'Foo' is not a symbol of parameter 1 of 'P'\n"
+    )
+
+
+def test_the_python_api_checks_fit_sources_as_gdp_text_does():
+    lib = lib_of(_FIT)
+    param = lib.defs["P"].clauses[0].params[0]
+    bad = ((name("Foo"), name("Bar")),)
+    for arg, explicit in (
+        (NamedOntologyArg("B", fits=bad), ()),
+        (AnonymousArg(make_ontology([sym("X", CLS)], []), fits=bad), ()),
+        (LocalSymbolArg(name("X")), bad),
+    ):
+        with pytest.raises(UnsupportedArgument) as fitting:
+            derive_fitting(param, arg, EMPTY_ONTOLOGY, explicit, lib=lib)
+        assert fitting.value.message == "fit source 'Foo' is not a symbol of parameter 1"
+        with pytest.raises(UnsupportedArgument) as expansion:
+            expand(lib, Instantiation("P", (replace(arg, fits=arg.fits + explicit),)))
+        assert expansion.value.message == "fit source 'Foo' is not a symbol of parameter 1 of 'P'"
 
 
 def test_argument_position_takes_no_part_in_equality():

@@ -26,7 +26,7 @@ from godp.syntax import (
     IndividualFrame,
     InstExpr,
     ListArgAst,
-    ListHeaderParam,
+    ListTemplate,
     RefExpr,
     ThenExpr,
 )
@@ -55,7 +55,7 @@ def test_parse_empty_input():
 def test_parse_list_parameter_header():
     ast = parse_library("ontology G [Class: C :: Cs] = { Class: C }")
     p = ast.items[0].params[0].payload
-    assert p == ListHeaderParam(SymbolKind.CLASS, "C", None, "Cs")
+    assert p == ListTemplate(SymbolKind.CLASS, "C", None, "Cs")
 
 
 def test_parse_double_cons_header_and_empty_template():
@@ -63,10 +63,8 @@ def test_parse_double_cons_header_and_empty_template():
         "ontology G [Individual: x :: y :: ys] = { Individual: x }\n"
         "ontology G [empty] = { }\n"
     )
-    assert ast.items[0].params[0].payload == ListHeaderParam(SymbolKind.INDIVIDUAL, "x", "y", "ys")
-    from godp.syntax import EmptyParam
-
-    assert ast.items[1].params[0].payload == EmptyParam()
+    assert ast.items[0].params[0].payload == ListTemplate(SymbolKind.INDIVIDUAL, "x", "y", "ys")
+    assert ast.items[1].params[0].payload == ListTemplate(None, None, None, None)
 
 
 def test_parse_frames_property_fields():
@@ -102,6 +100,30 @@ def test_an_unsupported_characteristic_is_a_positioned_parse_error():
         parse_library("ontology A = { ObjectProperty: p Characteristics: Symmetric }", "c.gdp")
     assert exc.value.message == "unsupported characteristic 'Symmetric' (supported: Reflexive, Transitive)"
     assert exc.value.pos == SourcePos("c.gdp", 1, 51)
+
+
+def test_a_characteristics_field_without_a_word_is_a_positioned_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_library("ontology A = ObjectProperty: r Characteristics: ,", "c.gdp")
+    assert exc.value.message == "expected a characteristic, got ','"
+    assert exc.value.pos == SourcePos("c.gdp", 1, 49)
+
+
+@pytest.mark.parametrize("arg", [
+    "{ Class: C }, b", "g[x fit a |-> b] :: t", "g[x :: xs], b", "g[{ Class: C }], b", "g[ ], b", "g[empty], b",
+])
+def test_a_list_argument_item_that_is_no_name_is_a_positioned_parse_error(arg):
+    with pytest.raises(ParseError) as exc:
+        parse_library(f"ontology A = G[{arg}]", "l.gdp")
+    assert exc.value.message == "expected a name in a list argument"
+    assert exc.value.pos == SourcePos("l.gdp", 1, 16)
+
+
+def test_parse_frames_rejects_what_follows_the_frames():
+    with pytest.raises(ParseError) as exc:
+        parse_frames("Class: C }", "f")
+    assert exc.value.message == "expected end of input, got '}'"
+    assert exc.value.pos == SourcePos("f", 1, 10)
 
 
 def test_parse_parameterized_names():

@@ -60,13 +60,12 @@ from godp.syntax import (
     ClassFrame,
     DifferentIndividualsFrame,
     EmptyArg,
-    EmptyParam,
     FramesParam,
     IndividualFrame,
     InstExpr,
     LibraryAst,
     ListArgAst,
-    ListHeaderParam,
+    ListTemplate,
     MissingArg,
     ObjectPropertyFrame,
     ParamClauseAst,
@@ -156,14 +155,14 @@ _params = st.one_of(
         st.lists(_frames, min_size=1, max_size=2),
     ),
     st.builds(
-        lambda opt, kind, h, h2, t: ParamClauseAst(opt, ListHeaderParam(kind, h, h2, t)),
+        lambda opt, kind, h, h2, t: ParamClauseAst(opt, ListTemplate(kind, h, h2, t)),
         st.booleans(),
         st.sampled_from(list(SymbolKind)),
         _idents,
         st.none() | _idents,
         _idents,
     ),
-    st.builds(lambda opt: ParamClauseAst(opt, EmptyParam()), st.booleans()),
+    st.builds(lambda opt: ParamClauseAst(opt, ListTemplate(None, None, None, None)), st.booleans()),
 )
 
 _defs = st.builds(
@@ -349,7 +348,7 @@ def test_library_is_not_changed_by_concurrent_use():
         for d in lib.defs.values():
             for p in d.clauses[0].params:
                 assert p.is_list or set(p.shape.new_symbols) <= p.shape.delta.signature
-            assert all(loc.parent is d for loc in d.locals.values())
+            assert all(loc.qual == f"{d.qual}::{n}" for n, loc in d.locals.items())
         return True
 
     interval = sys.getswitchinterval()
@@ -485,7 +484,7 @@ def _corpus_parameter_names() -> tuple[set[str], set[str]]:
     names, defined, free = set(), set(), set()
 
     def binds(p: ParamClauseAst) -> set[str]:
-        if isinstance(p.payload, ListHeaderParam):
+        if isinstance(p.payload, ListTemplate):
             return {n for n in (p.payload.head, p.payload.head2, p.payload.tail) if n}
         if isinstance(p.payload, FramesParam):
             return {b for s in build_block(p.payload.frames).signature for b in s.name.bases()}
