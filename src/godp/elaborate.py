@@ -9,9 +9,9 @@ A name in a body means the first of: a parameter symbol or list variable of
 the clause or of an enclosing definition (of any of its clauses, since locals
 merge across them: a list tail if some clause binds it as one); a local
 sub-pattern of the definition or of an enclosing one; a library definition.
-A resolved body is made of `Call`s and `BlockExpr`s, a `then` chain being a
-tuple of them. A call holds one argument form per parameter of its callee,
-checked against it here (`_check_args`), so an ill-formed call, or a bare
+A resolved body is made of `Call`s and `BlockTemplate`s, a `then` chain
+being a tuple of them. A call holds one argument form per parameter of its
+callee, checked against it here (`_check_args`), so an ill-formed call, or a bare
 reference to a generic definition, is a build error even where nothing runs
 it. Its symbols are `NameTerm`s, and a list tail, in an argument or in a
 block's comma list, is a `ListVar`: the one rule for both places.
@@ -23,32 +23,16 @@ for the clauses that bind the same list heads before it. Each frozen `Clause`
 is made once, with its resolved body, in an order where each import is
 expanded (by `instantiate.expand_named`, with a fresh default depth budget)
 only after everything it reaches has its clauses. Once `build_library`
-returns, nothing in the Library changes but its memo.
+returns, nothing in the Library changes but its memo and the plans its
+blocks are compiled into when they first run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
-from .core import (
-    EMPTY_ONTOLOGY,
-    Axiom,
-    ClassAssertion,
-    DifferentIndividuals,
-    Domain,
-    EquivalentToUnion,
-    FlatOntology,
-    InverseOf,
-    NameTerm,
-    Range,
-    Reflexive,
-    SubPropertyOf,
-    Symbol,
-    SymbolKind,
-    Transitive,
-    make_ontology,
-    union_flat,
-)
+from .blocks import BlockTemplate, ListVar, _head_reads, _not_a_list, build_block
+from .core import EMPTY_ONTOLOGY, FlatOntology, NameTerm, Symbol, make_ontology, union_flat
 from .diagnostics import (
     ArityMismatch,
     DuplicateDefinition,
@@ -62,122 +46,21 @@ from .diagnostics import (
 from .parser import expr_to_name_term
 from .record import Record, field, replace
 from .syntax import (
-    FRAME_FIELDS,
     ArgAst,
     BlockExpr,
-    ClassFrame,
-    DifferentIndividualsFrame,
     EmptyArg,
     ExprAst,
     Frame,
     FramesParam,
-    IndividualFrame,
     InstExpr,
     LibraryAst,
     ListArgAst,
     ListTemplate,
     MissingArg,
-    ObjectPropertyFrame,
     PatternDefAst,
     RefExpr,
     ThenExpr,
 )
-
-
-def _identity(n: NameTerm) -> NameTerm:
-    return n
-
-
-def build_block(frames: Iterable[Frame], scope=None) -> FlatOntology:
-    """Build a flat ontology from frames under `scope`, if any: the bindings
-    of a running clause (`instantiate.Bindings`), which substitute parameter
-    names and splice each list tail (a `ListVar`) into its items."""
-    resolve = scope.apply if scope is not None else _identity
-    items = scope.apply_list if scope is not None else tuple
-    symbols: list[Symbol] = []
-    axioms: list = []
-    for f in frames:
-        if isinstance(f, ClassFrame):
-            cls = resolve(f.name)
-            symbols.append(Symbol(cls, SymbolKind.CLASS))
-            if f.equivalent is not None:
-                axioms.append(EquivalentToUnion(cls, items(f.equivalent)))
-        elif isinstance(f, ObjectPropertyFrame):
-            prop = resolve(f.name)
-            symbols.append(Symbol(prop, SymbolKind.OBJECT_PROPERTY))
-            for d in items(f.domains):
-                axioms.append(Domain(prop, d))
-            for r in items(f.ranges):
-                axioms.append(Range(prop, r))
-            for c in f.characteristics:
-                axioms.append(Transitive(prop) if c == "Transitive" else Reflexive(prop))
-            for s in items(f.sub_property_of):
-                axioms.append(SubPropertyOf(prop, s))
-            for inv in items(f.inverse_of):
-                axioms.append(InverseOf(prop, inv))
-        elif isinstance(f, IndividualFrame):
-            ind = resolve(f.name)
-            symbols.append(Symbol(ind, SymbolKind.INDIVIDUAL))
-            for t in items(f.types):
-                axioms.append(ClassAssertion(t, ind))
-            for other in items(f.different_from):
-                axioms.append(DifferentIndividuals((ind, other)))
-        elif isinstance(f, DifferentIndividualsFrame):
-            axioms.append(DifferentIndividuals(items(f.items)))
-        else:
-            raise TypeError(f"not a frame: {f!r}")
-    try:
-        return make_ontology(symbols, axioms)
-    except GodpError as e:
-        first = next(iter(frames), None)
-        e.ensure_pos(first.pos if first is not None else None)
-        raise
-
-
-# The inverse of build_block: axiom type -> the frame field it is read from,
-# the axiom field naming the frame's symbol and the one holding the value
-# (None: the type's name, a characteristic).
-_FRAME_FIELD = {
-    Domain: ("domains", "prop", "cls"),
-    Range: ("ranges", "prop", "cls"),
-    Transitive: ("characteristics", "prop", None),
-    Reflexive: ("characteristics", "prop", None),
-    SubPropertyOf: ("sub_property_of", "sub", "sup"),
-    InverseOf: ("inverse_of", "prop", "inverse"),
-    ClassAssertion: ("types", "individual", "cls"),
-}
-
-
-def frames_of(o: FlatOntology) -> list[Frame]:
-    """Frames that `build_block` reads back as `o`: one per symbol in
-    `Symbol.key` order, each field's names sorted and distinct, but one per
-    EquivalentTo union for a class; then one per DifferentIndividuals axiom."""
-    fields: dict[NameTerm, dict[str, set]] = {}
-    unions: dict[NameTerm, list[Axiom]] = {}
-    different: list[Axiom] = []
-    for a in o.axioms:
-        entry = _FRAME_FIELD.get(type(a))
-        if entry is not None:
-            attr, subject, value = entry
-            values = fields.setdefault(getattr(a, subject), {}).setdefault(attr, set())
-            values.add(type(a).__name__ if value is None else getattr(a, value))
-        elif isinstance(a, EquivalentToUnion):
-            unions.setdefault(a.cls, []).append(a)
-        else:
-            different.append(a)
-    frames: list[Frame] = []
-    for s in o.sorted_signature():
-        if s.kind is SymbolKind.CLASS:
-            equivalents = [u.members for u in sorted(unions.get(s.name, ()), key=Axiom.sort_key)]
-            frames.extend(ClassFrame(s.name, eq) for eq in equivalents or [None])
-            continue
-        frame = ObjectPropertyFrame if s.kind is SymbolKind.OBJECT_PROPERTY else IndividualFrame
-        frames.append(frame(s.name, **{
-            attr: tuple(sorted(values, key=None if attr == "characteristics" else NameTerm.key))
-            for attr, values in fields.get(s.name, {}).items()
-        }))
-    frames.extend(DifferentIndividualsFrame(a.individuals) for a in sorted(different, key=Axiom.sort_key))
-    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +95,19 @@ class Call(Record):
     local (None: a library one). `args` are the argument forms, one per
     parameter, already checked against them (`_check_args`): a list
     parameter's is a `ListArg`, and a left-out trailing one an `EmptyOptArg`.
-    Running the call only substitutes the caller's names in them."""
+    Running the call only substitutes the caller's names in them, once the
+    definers' list heads they read (`heads`) are found bound."""
 
     name: str
     target: PatternDef = field(compare=False)
     args: tuple[ArgumentForm | _ExprArg, ...] | None
     up: int | None
     pos: SourcePos
-
-
-class ListVar(NamedTuple):
-    """A list parameter's tail in a comma list of a clause body: a block's
-    field or a list argument's item or `::` tail. `up` counts the definitions
-    out to the one whose parameter it is, as `Call.up` does."""
-
-    name: str
-    up: int
+    heads: tuple[tuple[str, int, SourcePos | None], ...] = ()
 
 
 # a resolved expression; a tuple is a `then` chain
-Expr = Union[Call, BlockExpr, tuple]
+Expr = Union[Call, BlockTemplate, tuple]
 
 
 # -- argument forms ----------------------------------------------------------------
@@ -282,15 +158,12 @@ class _ExprArg(Record):
 ArgumentForm = Union[NamedOntologyArg, AnonymousArg, LocalSymbolArg, EmptyOptArg, ListArg]
 
 _LIST_FITS = "fit maps are not allowed on list arguments"
+_EMPTY_FITS = "fit maps are meaningless on an empty argument"
 
 
 def _of(owner: str | None) -> str:
     """The pattern part of a message; helpers called without one leave it out."""
     return f" of '{owner}'" if owner is not None else ""
-
-
-def _not_a_list(tail: str, pos: SourcePos | None) -> UnknownReference:
-    return UnknownReference(f"'{tail}' is not a list in scope (expected a list-parameter tail)", pos)
 
 
 def _check_arg(
@@ -328,6 +201,13 @@ def _check_arg(
                 form.pos,
             )
     return form
+
+
+def _reads(form: ArgumentForm | _ExprArg) -> tuple:
+    """The names a checked argument form reads in its caller's run: its list
+    items, its symbol and its fits' targets (a fit's source is the callee's)."""
+    targets = [t for _, t in getattr(form, "fits", ())]
+    return (*getattr(form, "items", ()), getattr(form, "term", None), *targets)
 
 
 def _check_args(
@@ -434,17 +314,17 @@ class _Draft(Record, frozen=False):
     asts: list[PatternDefAst]
     params: list[tuple[ParamSpec, ...]]
     bodies: list[Expr] = field(factory=list)
-    names: dict[str, tuple[str, bool]] = field(factory=dict)  # the parameters seen inside it
+    names: dict[str, tuple[str, bool | None]] = field(factory=dict)  # the parameters seen inside it
     rank: int = 0  # its place in the order that makes the clauses
     sees: FlatOntology = EMPTY_ONTOLOGY  # what its locals' parameters see
     parent: "_Draft | None" = field(None, compare=False)
 
 
 def _build_def(
-    name: str, clause_asts: list[PatternDefAst], qual: str, parent: _Draft | None
+    name: str, clause_asts: list[PatternDefAst], qual: str, parent: _Draft | None, deltas: dict
 ) -> list[_Draft]:
     """The drafts of the definition `name` and of its locals, a definition
-    before its locals."""
+    before its locals; `deltas` holds each plain parameter's frames built."""
     first = clause_asts[0]
     for other in clause_asts[1:]:
         _check_clause_compatibility(name, first, other)
@@ -455,15 +335,16 @@ def _build_def(
             clause_asts[1].pos,
         )
 
-    d = PatternDef(name, qual, len(first.params), {}, first.pos)
-    tree = [_Draft(d, clause_asts, [], parent=parent)]
+    # every field in order: a record binds a shorter or keyword call in Python
+    d = PatternDef(name, qual, len(first.params), {}, first.pos, (), ())
+    tree = [_Draft(d, clause_asts, [], [], {}, 0, EMPTY_ONTOLOGY, parent)]
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
     for ca in clause_asts:
         for loc in ca.locals:
             local_asts.setdefault(loc.name, []).append(loc)
     for lname, lasts in local_asts.items():
-        sub = _build_def(lname, lasts, f"{qual}::{lname}", tree[0])
+        sub = _build_def(lname, lasts, f"{qual}::{lname}", tree[0], deltas)
         d.locals[lname] = sub[0].d
         tree += sub
 
@@ -476,7 +357,8 @@ def _build_def(
                 params.append(ParamSpec(i, p.optional, pl))
                 continue
             if i not in plain:  # clauses share plain parameters
-                plain[i] = ParamSpec(i, p.optional, PlainShape(pl.frames, build_block(pl.frames), ()))
+                delta = deltas.get(pl.frames) or deltas.setdefault(pl.frames, build_block(pl.frames))
+                plain[i] = ParamSpec(i, p.optional, PlainShape(pl.frames, delta, ()))
             params.append(plain[i])
         tree[0].params.append(tuple(params))
     return tree
@@ -490,7 +372,8 @@ def build_library(ast: LibraryAst) -> Library:
     grouped: dict[str, list[PatternDefAst]] = {}
     for item in ast.items:
         grouped.setdefault(item.name, []).append(item)
-    trees = [_build_def(name, asts, name, None) for name, asts in grouped.items()]
+    deltas: dict[tuple[Frame, ...], FlatOntology] = {}
+    trees = [_build_def(name, asts, name, None, deltas) for name, asts in grouped.items()]
     lib = Library({tree[0].d.name: tree[0].d for tree in trees})
     drafts = [dr for tree in trees for dr in tree]
     # a call's arguments are checked against these: whether each is a list,
@@ -570,22 +453,23 @@ def _clauses(dr: _Draft, env: FlatOntology) -> tuple[tuple[Clause, ...], FlatOnt
 
 # -- name resolution -------------------------------------------------------------
 
-def _param_names(d: PatternDef, params: tuple) -> tuple[dict[str, tuple[str, bool]], set[str]]:
+def _param_names(d: PatternDef, params: tuple) -> tuple[dict[str, tuple[str, bool | None]], set[str]]:
     """Each name a clause's parameters bind, with the qual of `d` and whether
-    it is a list tail, the last binding of a name counting; and the tails that
-    a later parameter binds again. A plain parameter binds the bases of its
-    names."""
-    names, hidden, plain, tail = {}, set(), (d.qual, False), (d.qual, True)
+    it is a list tail (None: a list head), the last binding of a name
+    counting; and the tails that a later parameter binds again. A plain
+    parameter binds the bases of its names."""
+    names, hidden = {}, set()
+    plain, head, tail = (d.qual, False), (d.qual, None), (d.qual, True)
     for p in reversed(params):
         if not p.is_list:
             for s in p.shape.delta.signature:
                 for b in s.name.bases():
                     names.setdefault(b, plain)
             continue
-        if p.shape.tail is not None and names.setdefault(p.shape.tail, tail) is plain:
+        if p.shape.tail is not None and names.setdefault(p.shape.tail, tail) is not tail:
             hidden.add(p.shape.tail)
         for h in p.shape.heads:
-            names.setdefault(h, plain)
+            names.setdefault(h, head)
     return names, hidden
 
 
@@ -603,13 +487,14 @@ def _resolve(lib: Library, dr: _Draft, shapes: dict[str, tuple[ParamSpec, ...]],
                 for p in params
             )
         own.append(names)
-    # what the locals see: a name some clause binds is the definition's, and
-    # a list tail if some clause binds it as one
+    # what the locals see: a name some clause binds is the definition's, a
+    # list tail if some clause binds it as one, else a head only if no clause
+    # binds it plain (plain parameters are every clause's, so bound each run)
     merged = dict(outer)
     for names in own:
         merged.update(names)
-    if len(own) > 1:
-        merged.update({n: v for names in own for n, v in names.items() if v[1]})
+    for role in (False, True) if len(own) > 1 else ():
+        merged.update({n: v for names in own for n, v in names.items() if v[1] is role})
     for name, loc in d.locals.items():
         if name in merged:
             raise DuplicateDefinition(
@@ -624,7 +509,7 @@ def _resolve(lib: Library, dr: _Draft, shapes: dict[str, tuple[ParamSpec, ...]],
         seen = {**outer, **names}
         tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t}
         strips = {p.shape.tail: p.shape.min_len for p in params if p.is_list and p.shape.tail}
-        dr.bodies.append(_Scope(lib, seen, tails, dr, shapes, strips, calls).expr(ca.body))
+        dr.bodies.append(_Scope(lib, seen, tails, level, dr, shapes, strips, calls).expr(ca.body))
 
 
 def _reference(name: str, target: PatternDef | None, up: int | None, pos: SourcePos | None) -> Call:
@@ -641,13 +526,15 @@ def _reference(name: str, target: PatternDef | None, up: int | None, pos: Source
 class _Scope(NamedTuple):
     """What the names of one clause body of `dr` mean; `params` maps each
     parameter name it sees as `_param_names` does, `tails` each list tail
-    among them to its `ListVar`, `shapes` each definition's first-clause
-    parameters, and `strips` each of the clause's own tails to the items its
-    template strips. Each call resolved adds its edge to `calls`."""
+    among them to its `ListVar`, `level` the definers around `dr`, `shapes`
+    each definition's first-clause parameters, and `strips` each of the
+    clause's own tails to the items its template strips. Each call resolved
+    adds its edge to `calls`."""
 
     lib: Library
-    params: dict[str, tuple[str, bool]]
+    params: dict[str, tuple[str, bool | None]]
     tails: dict[NameTerm, ListVar]
+    level: int
     dr: _Draft
     shapes: dict[str, tuple[ParamSpec, ...]]
     strips: dict[str, int]
@@ -666,7 +553,7 @@ class _Scope(NamedTuple):
         if isinstance(e, ThenExpr):
             return tuple([self.expr(t) for t in e.terms])
         if isinstance(e, BlockExpr):
-            return self.block(e) if self.tails else e
+            return BlockTemplate(e.frames, (self.params, self.tails, self.level), e.pos)
         if e.name in self.params:
             raise UnknownReference(
                 f"'{e.name}' is a parameter of '{self.params[e.name][0]}', not an "
@@ -686,20 +573,10 @@ class _Scope(NamedTuple):
         forms = _check_args(target.name, params, args, e.pos, self.arg)
         shrinks = any(_arg_shrinks(a, self.strips) for a in forms)
         self.calls[edge] = (self.dr.d.qual, target.qual, shrinks, e.pos)
-        return Call(e.name, target, tuple(forms), up, e.pos)
-
-    def block(self, e: BlockExpr) -> BlockExpr:
-        """`e` with its frames' comma lists resolved."""
-        frames = tuple(map(self.frame, e.frames))
-        return e if frames == e.frames else BlockExpr(frames, e.pos)
-
-    def frame(self, f: Frame) -> Frame:
-        """`f`, rebuilt only if a comma list names a tail (no Characteristics word does)."""
-        lists = {
-            attr: tuple([self.tails.get(n, n) for n in v]) for attr in FRAME_FIELDS[type(f)].values()
-            if (v := getattr(f, attr)) and not self.tails.keys().isdisjoint(v)
-        }
-        return replace(f, **lists) if lists else f
+        heads = () if not self.level else [  # a clause body of a library definition has no definer
+            r for f in forms for r in _head_reads(_reads(f), self.params, self.level, f.pos)
+        ]
+        return Call(e.name, target, tuple(forms), up, e.pos, tuple(heads))
 
     def arg(self, a: ArgAst, p: ParamSpec) -> ArgumentForm | _ExprArg:
         """`a` as a form for `_check_arg` to fit to `p`: a list tail is a
@@ -711,7 +588,7 @@ class _Scope(NamedTuple):
             raise UnsupportedArgument(_LIST_FITS, a.pos)
         if isinstance(v, (MissingArg, EmptyArg)):
             if a.fits:
-                raise UnsupportedArgument("fit maps are meaningless on an empty argument", a.pos)
+                raise UnsupportedArgument(_EMPTY_FITS, a.pos)
             return EmptyOptArg(a.pos)
         if isinstance(v, ListArgAst):
             if v.tail is not None and v.tail not in self.tails and p.is_list:

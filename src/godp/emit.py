@@ -5,7 +5,7 @@ identifiers (`greater[Significance]` -> `greater_Significance`), inner terms
 first, and prefixes digit-initial plain names with `_` so the result is a
 legal identifier. Collisions are hard errors, never silently renamed.
 
-Manchester emission prints the frames of `elaborate.frames_of`, laid out by
+Manchester emission prints the frames of `blocks.frames_of`, laid out by
 `syntax.frame_fields` with one field per line: frames sorted by (kind, name),
 fields in a fixed order, names sorted. Output is byte-stable, and
 `build_block` reads it back as the ontology it came from; a class with
@@ -19,7 +19,7 @@ import re
 
 from .core import FlatOntology, NameTerm, rename_ontology
 from .diagnostics import StratificationClash, UnstratifiedName
-from .elaborate import frames_of
+from .blocks import frames_of
 from .syntax import frame_fields
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

@@ -45,6 +45,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
+from .blocks import BlockTemplate, _check_heads, _splice, fill_block
 from .core import (
     EMPTY_ONTOLOGY,
     Axiom,
@@ -78,7 +79,6 @@ from .elaborate import (  # the argument forms and their check live beside `Call
     Expr,
     Library,
     ListArg,
-    ListVar,
     LocalSymbolArg,
     NamedOntologyArg,
     ParamSpec,
@@ -86,14 +86,13 @@ from .elaborate import (  # the argument forms and their check live beside `Call
     PlainShape,
     _check_arg,
     _check_args,
+    _EMPTY_FITS,
     _ExprArg,
-    _not_a_list,
     _of,
     _reference,
-    build_block,
 )
 from .record import Record, field, replace
-from .syntax import BlockExpr, ListTemplate
+from .syntax import ListTemplate
 
 DEFAULT_DEPTH = 10_000
 
@@ -104,16 +103,18 @@ DEFAULT_DEPTH = 10_000
 
 class Bindings(Record, frozen=False):
     """One run of a clause: its parameter-name substitution, which starts as
-    a copy of its definer's run's, and the list bindings of its own template
-    tails. `parent` is the definer's run, for a local pattern; a `ListVar`
-    reads the list of the run it counts `up` to."""
+    a copy of its definer's run's, the list bindings of its own template
+    tails and the list `heads` its own templates bind. `parent` is the
+    definer's run, for a local pattern; a `ListVar` reads the list of the
+    run it counts `up` to, and a definer's head is read from its run too."""
 
     name_map: dict[NameTerm, NameTerm] = field(factory=dict)
     list_map: dict[str, tuple[NameTerm, ...]] = field(factory=dict)
     parent: "Bindings | None" = field(None, compare=False)
+    heads: set[str] = field(factory=set)
 
     def child(self) -> "Bindings":
-        return Bindings(dict(self.name_map), {}, self)
+        return Bindings(dict(self.name_map), {}, self, set())
 
     def apply(self, n: NameTerm) -> NameTerm:
         return substitute_name(n, self)
@@ -124,20 +125,6 @@ class Bindings(Record, frozen=False):
         for _ in range(up):
             b = b.parent
         return b
-
-    def apply_list(self, names: Iterable, pos: SourcePos | None = None) -> tuple[NameTerm, ...]:
-        """`names` substituted, each list tail (a `ListVar`) spliced into the
-        items its run bound; a tail that run's clause lacks is an error."""
-        out: list[NameTerm] = []
-        for n in names:
-            if not isinstance(n, ListVar):
-                out.append(substitute_name(n, self))
-                continue
-            items = self.outer(n.up).list_map.get(n.name)
-            if items is None:
-                raise _not_a_list(n.name, pos)
-            out.extend(items)
-        return tuple(out)
 
 
 EMPTY_BINDINGS = Bindings()
@@ -255,6 +242,7 @@ def match_template(
 def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings) -> None:
     for head, item in zip(tmpl.heads, items):
         b.name_map[NameTerm(head)] = item
+        b.heads.add(head)
     if tmpl.tail is not None:
         b.list_map[tmpl.tail] = items[tmpl.min_len:]
 
@@ -318,6 +306,8 @@ def derive_fitting(
     """
     if param.is_list:
         raise UnsupportedArgument("derive_fitting applies to plain parameters")
+    if isinstance(arg, EmptyOptArg) and explicit:
+        raise UnsupportedArgument(_EMPTY_FITS, arg.pos)
     if not isinstance(arg, (EmptyOptArg, ListArg)):  # every other form has a fit map
         arg = replace(arg, fits=arg.fits + tuple(explicit))
     form = _entry_form(lib, _check_arg(param, arg, None))
@@ -497,12 +487,13 @@ def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, scope: B
     if isinstance(expr, FlatOntology):  # an `AnonymousArg`'s
         return union_flat(env, expr)
     try:
-        if isinstance(expr, BlockExpr):
-            return union_flat(env, build_block(expr.frames, scope))
+        if isinstance(expr, BlockTemplate):
+            return union_flat(env, fill_block(expr.plan, scope))
         target = expr.target
         # a local shares the parameters around it
         base = EMPTY_BINDINGS if expr.up is None else scope.outer(expr.up)
         if expr.args is not None:
+            _check_heads(expr.heads, scope)
             forms = [_apply_form(f, scope) for f in expr.args]
             return _instantiate(ctx, target, base, forms, env, expr.pos, scope)
         if expr.up is None:
@@ -517,7 +508,7 @@ def _apply_form(form: ArgumentForm | _ExprArg, b: Bindings) -> ArgumentForm | _E
     """A call's checked argument form under the caller's bindings `b`: its
     symbol and fit targets substituted, its list tails spliced."""
     if isinstance(form, ListArg):
-        return ListArg(b.apply_list(form.items, form.pos), form.pos)
+        return ListArg(tuple(_splice(form.items, b.apply, b, form.pos)), form.pos)
     if isinstance(form, EmptyOptArg):
         return form
     # fit sources name the callee's parameter symbols and stay as written;

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import settings
 
 from godp import build_library, parse_library
+from godp.blocks import BlockTemplate
 from godp.elaborate import Call
 from godp.instantiate import EmptyOptArg, ListArg, LocalSymbolArg, _ExprArg
-from godp.syntax import BlockExpr, LibraryAst
+from godp.syntax import LibraryAst
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -43,7 +44,7 @@ def lib_of(source: str, file: str = "<test>"):
 
 def unresolved(lib) -> list:
     """What a built library must not hold in a clause body, locals included:
-    anything but calls and blocks, a call without a target, or one whose
+    anything but calls and compiled blocks, a call without a target, or one whose
     arguments are not one checked form per parameter of the callee (a
     `ListArg` for each list parameter)."""
     bad = []
@@ -53,7 +54,7 @@ def unresolved(lib) -> list:
             for t in e:
                 expr(t)
         elif not isinstance(e, Call):
-            if not isinstance(e, BlockExpr):
+            if not isinstance(e, BlockTemplate):
                 bad.append(e)
         elif e.target is None:
             bad.append(e)

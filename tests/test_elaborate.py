@@ -11,6 +11,7 @@ from godp import (
     parse_library,
     stratify,
 )
+from godp.blocks import BlockTemplate
 from godp.cli import main
 from godp.core import Domain, Range, Symbol, SymbolKind, Transitive, make_ontology, name
 from godp.diagnostics import (
@@ -20,7 +21,7 @@ from godp.diagnostics import (
     UnknownReference,
     UnsupportedArgument,
 )
-from godp.elaborate import ListTemplate, PlainShape, build_block
+from godp.elaborate import ListTemplate, PatternDef, PlainShape, _build_def, _Draft, build_block
 from godp.syntax import BlockExpr, LibraryAst
 
 from conftest import corpus_paths, lib_of, unresolved
@@ -137,6 +138,15 @@ def test_build_block_takes_frames_only():
     with pytest.raises(TypeError) as exc:
         build_block([BlockExpr(())])
     assert str(exc.value) == "not a frame: BlockExpr(frames=())"
+
+
+def test_a_draft_is_built_with_every_field_in_order():
+    # `_build_def` passes every field of its records by position; so does
+    # their keyword form with the defaults, as long as the fields keep that order
+    [item] = parse_library("ontology A [Class: C] = { }\n", "<t>").items
+    [dr] = _build_def("A", [item], "A", None, {})
+    assert dr.d == PatternDef("A", "A", 1, {}, item.pos)
+    assert dr == _Draft(dr.d, [item], dr.params) and dr.parent is None
 
 
 def _definer(lib, d):
@@ -283,7 +293,7 @@ def test_no_locals_is_unchanged(corpus_lib):
     sub = corpus_lib.defs["SubProp"]
     # the built definition is the resolved one: its body resolved, its
     # parameters' new symbols there, nothing left for a later step to fill in
-    assert isinstance(sub.clauses[0].body, BlockExpr)
+    assert isinstance(sub.clauses[0].body, BlockTemplate)
     assert [len(p.shape.new_symbols) for p in sub.clauses[0].params] == [1] * sub.arity
     assert sub.locals == {}
 

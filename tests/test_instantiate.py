@@ -450,6 +450,14 @@ def test_derive_fitting_entry_checks(corpus_lib):
     assert exc.value.message == "resolving a named ontology argument needs the library"
 
 
+def test_derive_fitting_takes_no_fits_on_an_empty_argument(corpus_lib):
+    # as `.gdp` text takes none: `ValSet[Val; v; empty fit Nope |-> x]` fails alike
+    optional = corpus_lib.defs["ValSet"].clauses[0].params[2]
+    with pytest.raises(UnsupportedArgument) as exc:
+        derive_fitting(optional, EmptyOptArg(), EMPTY_ONTOLOGY, explicit=[(name("Nope"), name("x"))])
+    assert exc.value.message == "fit maps are meaningless on an empty argument"
+
+
 def test_expand_resolves_its_arguments_before_it_fits_any(corpus_lib):
     # the first argument does not fit: Person is a class in the local environment
     env = make_ontology([sym("Person", CLS)], [])
@@ -1097,6 +1105,51 @@ def test_instantiations_and_unions_grow_linearly_with_list_length(monkeypatch):
         assert counts[200][key] <= 2.2 * small, (key, small, counts[200][key])
 
 
+def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch):
+    """Expanding ValSet and GradedRelsSub over 100 items fills each block
+    from its plan: no call of make_ontology or substitute_name comes from a
+    block fill. A block with nothing to bind gives one ontology object on
+    every run."""
+    import sys
+
+    import godp.blocks as blocks
+    import godp.instantiate as engine
+
+    listed = ", ".join(f"v{i}" for i in range(100))
+    lib = lib_of(
+        "".join(p.read_text(encoding="utf-8") for p in corpus_paths())
+        + f"ontology A = ValSet[Val; {listed}; greater[Val]]\n"
+        + f"ontology C = GradedRelsSub[p; S; T; Val; {listed}]\n"
+        + "ontology P [Class: C] = { Class: Src  Class: Dst } then { Class: C }\n"
+        + "ontology E = P[A] then P[B]\n"
+    )
+    from_fills, filled = [], []
+
+    def in_a_fill(fn):
+        def watched(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not blocks.fill_block.__code__:
+                frame = frame.f_back
+            from_fills.append(frame is not None)
+            return fn(*args)
+        return watched
+
+    def fill(plan, scope):
+        out = blocks.fill_block(plan, scope)
+        filled.append((plan, out))
+        return out
+
+    monkeypatch.setattr(blocks, "make_ontology", in_a_fill(blocks.make_ontology))
+    monkeypatch.setattr(engine, "make_ontology", in_a_fill(engine.make_ontology))
+    monkeypatch.setattr(engine, "substitute_name", in_a_fill(engine.substitute_name))
+    monkeypatch.setattr(engine, "fill_block", fill)
+    for target in "ACE":
+        expand_named(lib, target)
+    assert len(filled) > 500 and from_fills and not any(from_fills)
+    constant = [out for plan, out in filled if "Src" in {n.base for n in plan[0] if n is not None}]
+    assert len(constant) == 2 and constant[0] is constant[1]
+
+
 # -- placeholders are names no user can write ------------------------------------
 
 # the user writes the name a placeholder had when placeholders were identifiers
@@ -1265,6 +1318,83 @@ def test_a_block_tail_the_running_clause_does_not_bind_is_an_error(tmp_path, cap
     )
     assert main(["expand", "--target", "U", "--format", "dump", str(f)]) == 1
     assert capsys.readouterr() == ("", f"{f}:1:69: error: {_NOT_A_LIST}\n")
+
+
+_NOT_BOUND = "'x' is not bound in scope (a list head that the running clause does not bind)"
+
+
+@pytest.mark.parametrize("body, position", [
+    ("{ Individual: r DifferentFrom: x }", "1:69"),  # in a block: at the block
+    ("{ Individual: r } then M[x]", "1:94"),  # as an argument: at the argument
+])
+def test_a_list_head_the_running_clause_does_not_bind_is_an_error(tmp_path, capsys, body, position):
+    # D[empty] runs the clause without the head `x`, which its local L reads;
+    # a run of the clause that binds `x` reads its item
+    f = tmp_path / "d.gdp"
+    f.write_text(
+        f"ontology D [Individual: x :: xs] = let ontology L [Individual: r] = {body} in L[k1]\n"
+        "ontology D [empty] = L[k2]\n"
+        "ontology M [Individual: r] = { Individual: r }\n"
+        "ontology U = D[empty]\n"
+        "ontology V = D[a, b]\n",
+        encoding="utf-8",
+    )
+    assert main(["expand", "--target", "U", "--format", "dump", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"{f}:{position}: error: {_NOT_BOUND}\n")
+    assert main(["expand", "--target", "V", "--format", "dump", str(f)]) == 0
+    assert "SYM Individual x" not in capsys.readouterr().out
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().err == f"{f}:{position}: error: {_NOT_BOUND}\n"
+
+
+_PLAIN_AND_HEAD = (
+    "ontology D [Individual: x; empty] = "
+    "let ontology L [Individual: r] = { Individual: r DifferentFrom: x } in L[k]\n",
+    "ontology D [Individual: x; Individual: x :: xs] = { Individual: x }\n",
+)
+
+
+@pytest.mark.parametrize("clauses", [_PLAIN_AND_HEAD, _PLAIN_AND_HEAD[::-1]])
+def test_a_name_every_clause_binds_plain_is_no_unbound_head(tmp_path, capsys, clauses):
+    # the plain `x` is bound in every run, whichever clause rebinds it as a head
+    f = tmp_path / "d.gdp"
+    f.write_text("".join(clauses) + "ontology U = D[a; empty]\n", encoding="utf-8")
+    assert main(["expand", "--target", "U", "--format", "dump", str(f)]) == 0
+    assert capsys.readouterr().out == (
+        "AX DifferentIndividuals a k\nSYM Individual a\nSYM Individual k\n"
+    )
+
+
+def test_a_local_of_a_local_reads_the_head_of_the_run_two_definers_out():
+    lib = lib_of(_NESTED.replace("DifferentFrom: xs", "DifferentFrom: x"))
+    assert {a for a in expand_named(lib, "U").axioms if isinstance(a, DifferentIndividuals)} == {
+        DifferentIndividuals((name("a"), name("k1")))
+    }
+    with pytest.raises(UnknownReference) as exc:
+        expand_named(lib, "V")
+    assert exc.value.message == _NOT_BOUND
+    assert (exc.value.pos.line, exc.value.pos.col) == (3, 43)
+
+
+def test_a_head_is_read_from_the_run_of_its_own_definition():
+    # L reads D's `x`; the clause of D that ran binds none, though the
+    # bindings it copied from A's run hold A's `x`
+    source = (
+        "ontology A [Individual: x :: xs] =\n"
+        "  let\n"
+        "    ontology D [Individual: x :: ys] =\n"
+        "      let ontology L [Individual: r] = { Individual: r DifferentFrom: x } in L[k1]\n"
+        "    ontology D [empty] = L[k2]\n"
+        "  in D[ARG]\n"
+        "ontology U = A[a, b]\n"
+    )
+    with pytest.raises(UnknownReference) as exc:
+        expand_named(lib_of(source.replace("ARG", "empty")), "U")
+    assert exc.value.message == _NOT_BOUND
+    assert (exc.value.pos.line, exc.value.pos.col) == (4, 40)
+    assert {a for a in expand_named(lib_of(source.replace("ARG", "c")), "U").axioms} == {
+        DifferentIndividuals((name("c"), name("k1")))
+    }
 
 
 _NESTED = (

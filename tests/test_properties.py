@@ -39,20 +39,29 @@ from godp import (
     pretty_print,
     stratify,
 )
+from godp.blocks import ListVar, compile_block, fill_block
 from godp.core import (
+    ClassAssertion,
     DifferentIndividuals,
+    Domain,
     EquivalentToUnion,
     FlatOntology,
+    InverseOf,
     NameTerm,
+    Range,
+    Reflexive,
+    SubPropertyOf,
     Symbol,
     SymbolKind,
+    Transitive,
     make_ontology,
     name,
     rename_ontology,
     union_flat,
 )
-from godp.diagnostics import GodpError, KindClash, StratificationClash
+from godp.diagnostics import GodpError, KindClash, SourcePos, StratificationClash
 from godp.elaborate import build_block
+from godp.instantiate import Bindings, substitute_name
 from godp.parser import FIELD_KEYWORDS, KEYWORDS, KIND_KEYWORDS, MAX_NESTING
 from godp.syntax import (
     ArgAst,
@@ -75,6 +84,7 @@ from godp.syntax import (
 )
 
 from godp.cli import main
+from godp.record import replace
 
 from conftest import ERRORS, corpus_paths, lib_of, load_corpus_library, load_library, unresolved
 from test_core import _axioms
@@ -219,6 +229,81 @@ def test_emitted_manchester_reads_back_as_the_same_ontology(frames, axioms):
     back = build_block(parse_frames(text, "<emitted>") if text else ())
     assert back == o
     assert emit_manchester(back) == text
+
+
+def _frames_built_by_substitution(frames, run: Bindings, tails: set[str]):
+    """The oracle for block fills: each name substituted by `substitute_name`,
+    each tail in a comma list spliced, then `make_ontology`, a kind clash at
+    the first frame: a direct builder that walks the frames once per run."""
+    one = lambda n: substitute_name(n, run)
+    many = lambda ns: [
+        m for n in ns for m in (run.list_map[n.base] if n.base in tails and not n.args else [one(n)])
+    ]
+    symbols, axioms = [], []
+    for f in frames:
+        if isinstance(f, DifferentIndividualsFrame):
+            axioms.append(DifferentIndividuals(tuple(many(f.items))))
+            continue
+        s = one(f.name)
+        kinds = {ClassFrame: SymbolKind.CLASS, IndividualFrame: SymbolKind.INDIVIDUAL}
+        kind = kinds.get(type(f), SymbolKind.OBJECT_PROPERTY)
+        symbols.append(Symbol(s, kind))
+        if isinstance(f, ClassFrame):
+            axioms += [EquivalentToUnion(s, tuple(many(f.equivalent)))] if f.equivalent is not None else []
+        elif isinstance(f, IndividualFrame):
+            axioms += [ClassAssertion(t, s) for t in many(f.types)]
+            axioms += [DifferentIndividuals((s, o)) for o in many(f.different_from)]
+        else:
+            axioms += [Domain(s, d) for d in many(f.domains)] + [Range(s, r) for r in many(f.ranges)]
+            axioms += [Transitive(s) if c == "Transitive" else Reflexive(s) for c in f.characteristics]
+            axioms += [SubPropertyOf(s, p) for p in many(f.sub_property_of)]
+            axioms += [InverseOf(s, i) for i in many(f.inverse_of)]
+    try:
+        return make_ontology(symbols, axioms)
+    except GodpError as e:
+        e.ensure_pos(frames[0].pos if frames else None)
+        raise
+
+
+_placeholders = st.builds(lambda b, i: NameTerm(f"?{b}_0_{i}"), _idents, st.integers(0, 2))
+
+# A block's frames and a run: its exact bindings (of compound names too) to
+# names or placeholders, the items of each list tail the block names, and
+# bases the block may bind that the run leaves unbound.
+_block_runs = st.tuples(
+    st.lists(_frames, max_size=4),
+    st.dictionaries(_name_terms, _name_terms | _placeholders, max_size=4),
+    st.dictionaries(_idents, st.lists(_name_terms, max_size=3).map(tuple), max_size=2),
+    st.sets(_idents, max_size=2),
+)
+
+
+def _outcome(build):
+    try:
+        o = build()
+    except GodpError as e:
+        return type(e), e.message, e.pos
+    return o, o.kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_runs)
+# a DifferentFrom self-pair, a one-item DifferentIndividuals, an EquivalentTo
+# that splices an empty tail, an exact binding of a compound name
+@example(([IndividualFrame(name("a"), (), (name("a"), name("b")))], {}, {}, set()))
+@example(([DifferentIndividualsFrame((name("a"),))], {}, {}, set()))
+@example(([ClassFrame(name("A"), (name("b"), name("xs")))], {}, {"xs": ()}, set()))
+@example((
+    [ObjectPropertyFrame(name("greater", "Val"), (name("Val"),))], {name("greater", "Val"): name("gt")}, {}, set()
+))
+def test_a_block_fill_is_make_ontology_over_the_substituted_frames(block_run):
+    frames, name_map, lists, unbound = block_run
+    frames = [replace(f, pos=SourcePos("<block>", i + 1, 1)) for i, f in enumerate(frames)]
+    run = Bindings(name_map, lists)
+    bound = {b for n in name_map for b in n.bases()} | set(lists) | unbound
+    plan = compile_block(frames, bound, {NameTerm(t): ListVar(t, 0) for t in lists})
+    expected = _outcome(lambda: _frames_built_by_substitution(frames, run, set(lists)))
+    assert _outcome(lambda: fill_block(plan, run)) == expected
 
 
 @settings(max_examples=80, deadline=None)
