@@ -1,11 +1,11 @@
-"""Blocks: frames compiled once into a plan (`compile_block`), filled per
-run (`fill_block`); `build_block` is both for frames on their own, and
-`frames_of` its inverse.
+"""Names and blocks compiled once into plans (`compile_names`, `compile_block`),
+filled per run (`fill_names`, `fill_block`); `build_block` is both for frames
+on their own, and `frames_of` its inverse.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Axiom,
@@ -57,23 +57,77 @@ def build_block(frames: Iterable[Frame]) -> FlatOntology:
     return plan[-1] or fill_block(plan, None)
 
 
+def _compiled(compile: Callable) -> Callable:
+    """A record's `__getattr__` that sets its `plan` slot to what `compile`
+    makes of it when it is first read (a race makes it twice, alike)."""
+
+    def __getattr__(self, attr: str) -> object:
+        if attr != "plan":
+            raise AttributeError(attr)
+        object.__setattr__(self, "plan", plan := compile(self))
+        return plan
+
+    return __getattr__
+
+
 class BlockTemplate(Record):
     """A block of a resolved clause body and the `scope` its names have
-    there, as `compile_block` takes it; compiled into its `plan` when it
-    first runs (a race compiles it twice, alike)."""
+    there, as `compile_block` takes it."""
 
     frames: tuple[Frame, ...]
     scope: tuple = field(compare=False)
     pos: SourcePos | None = field(compare=False)
-    __slots__ = ("_plan",)
+    __slots__ = ("plan",)
+    __getattr__ = _compiled(lambda t: compile_block(t.frames, *t.scope))
 
-    @property
-    def plan(self) -> tuple:
-        try:
-            return self._plan
-        except AttributeError:
-            object.__setattr__(self, "_plan", compile_block(self.frames, *self.scope))
-            return self._plan
+
+def compile_names(names: Iterable[NameTerm], chain: Sequence = (), pos: SourcePos | None = None) -> dict:
+    """The plan of `names`, read at `pos`, in the runs whose names `chain`
+    holds (`elaborate._Draft.chain`): a slot per name, its parts first, name
+    -> (name, walk, base, args, pos, parts); its walk is each `up` whose names
+    hold its every base, and whether it is a definer's list head there. A
+    compound name that a run may bind whole has its parts in a plan of their
+    own, read only when none does."""
+    ops = {}
+
+    def slot(n: NameTerm) -> None:
+        if n not in ops:
+            base = n.args and NameTerm(n.base)
+            walk = [(up, not base and up and level[n.base][1] is None) for up, level in enumerate(chain)
+                    if n.base in level and (not base or all(b in level for b in n.bases()))]
+            parts = [base, *n.args] if base else []
+            for part in () if walk else parts:
+                slot(part)
+            ops[n] = (n, walk, base, n.args, pos, walk and parts and compile_names(parts, chain, pos))
+
+    for n in names:
+        slot(n)
+    return ops
+
+
+def fill_names(ops: dict, run) -> dict:
+    """Each name of a plan to its value in `run` (`instantiate.Bindings`): the
+    first binding its walk finds, else the name built from its parts'. A list
+    head that its run does not bind stops the walk, as an unbound tail does."""
+    vals = {}
+    for n, walk, base, args, pos, parts in ops.values():
+        v = None
+        for up, head in walk:
+            r = run
+            while up:
+                r, up = r.parent, up - 1
+            if (v := r.name_map.get(n)) is not None:
+                break
+            if head:
+                raise UnknownReference(
+                    f"'{n.base}' is not bound in scope (a list head that the running clause does not bind)", pos
+                )
+        if v is None and args:
+            parts = fill_names(parts, run) if parts else vals
+            b = parts[base]
+            v = NameTerm(b.base, b.args + tuple([parts[a] for a in args]))
+        vals[n] = v or n
+    return vals
 
 
 # Each comma-list field's axiom class, and whether the frame's symbol is the
@@ -88,42 +142,21 @@ _FIELD_AXIOMS = {
 _HEADER_KINDS = {frame: SymbolKind(word) for frame, word in _HEADERS.items()}
 
 
-def compile_block(
-    frames: Iterable[Frame], bound: Collection[str] = (), tails: Mapping = {}, level: int = 0
-) -> tuple:
-    """The plan of a block whose names can be bound where a base is in
-    `bound` (at `level` > 0, a local's `_Scope.params`), `tails` mapping each
-    list tail it sees to its `ListVar`. Each distinct name is a slot: its
-    name if constant, else computed by an op (slot, name, exact lookup?,
-    base slot, arg slots) as `substitute_name` does. The plan also holds the
-    (slot, kind) pairs, the fixed-arity axioms over slots, the comma lists
-    to splice, the definers' heads read, where a clash is reported, and the
-    block's value if nothing can be bound."""
-    slots, values, ops = {}, [], []
-
-    def slot(n: NameTerm) -> int:
-        i = slots.get(n)
-        if i is None:
-            op = None
-            if not n.args:
-                op = (n, True, None, ()) if n.base in bound else None
-            elif any(b in bound for b in n.bases()):
-                exact = all(b in bound for b in n.bases())
-                op = (n, exact, slot(NameTerm(n.base)), tuple([slot(a) for a in n.args]))
-            i = slots[n] = len(values)
-            values.append(n if op is None else None)
-            if op is not None:
-                ops.append((i, *op))
-        return i
-
-    symbols, fixed, lists, frame_pos = {}, [], [], None  # symbols: (slot, kind) -> None
+def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping = {}) -> tuple:
+    """The plan of a block whose names have the runs of `chain`, `tails`
+    mapping each list tail it sees to its `ListVar`: the plan of its names
+    (`compile_names`), then the (name, kind) pairs, the fixed-arity axioms,
+    the comma lists to splice, where a clash is reported, and the block's
+    value if nothing can be bound."""
+    names, symbols, fixed, lists, frame_pos = [], {}, [], [], None  # symbols: (name, kind) -> None
     for f in frames:
         if type(f) not in FRAME_FIELDS:
             raise TypeError(f"not a frame: {f!r}")
         frame_pos = frame_pos or f.pos
-        subj = slot(f.name) if type(f) in _HEADER_KINDS else None
+        subj = f.name if type(f) in _HEADER_KINDS else None
         if subj is not None:
             symbols[subj, _HEADER_KINDS[type(f)]] = None
+            names.append(subj)
         for attr in FRAME_FIELDS[type(f)].values():
             if not (v := getattr(f, attr)):
                 continue
@@ -132,16 +165,17 @@ def compile_block(
                 continue
             cls, first = _FIELD_AXIOMS[attr]
             kind = cls.KINDS[0 if first is False else -1]
-            items = tuple([tails.get(n) or slot(n) for n in v])
+            items = tuple([tails.get(n) or n for n in v])
+            names += [n for n in items if type(n) is not ListVar]
             if first is None or cls.NARY or not tails.keys().isdisjoint(v):
                 lists.append((cls, subj, items, kind, first))
                 continue
             for s in items:
                 symbols[s, kind] = None
                 fixed.append((cls, subj, s) if first else (cls, s, subj))
-    heads = tuple(_head_reads(slots, bound, level, None)) if level else ()
-    plan = (tuple(values), tuple(ops), tuple(symbols), tuple(fixed), tuple(lists), heads, frame_pos, None)
-    if ops or any(ListVar in map(type, items) for _, _, items, _, _ in lists):
+    ops = compile_names(names, chain)
+    plan = (ops, tuple(symbols), tuple(fixed), tuple(lists), frame_pos, None)
+    if any(op[1] for op in ops.values()) or any(ListVar in map(type, items) for _, _, items, _, _ in lists):
         return plan
     try:  # a kind clash in it is reported by each run
         return (*plan[:-1], fill_block(plan, None))
@@ -151,27 +185,19 @@ def compile_block(
 
 def fill_block(plan: tuple, scope) -> FlatOntology:
     """The flat ontology of a block's `plan` in the run `scope`
-    (`instantiate.Bindings`): each slot resolved once, the axioms built
-    from the slots, the signature and its kind index taken from the slots'
-    static kinds. Only a kind clash goes through `make_ontology`."""
-    vals, ops, symbols, fixed, lists, heads, frame_pos, ontology = plan
+    (`instantiate.Bindings`): each name filled once, the axioms built from
+    them, the signature and its kind index taken from their static kinds.
+    Only a kind clash goes through `make_ontology`."""
+    ops, symbols, fixed, lists, frame_pos, ontology = plan
     if ontology is not None:
         return ontology
-    if heads:
-        _check_heads(heads, scope)
-    if ops:
-        vals, name_map = list(vals), scope.name_map
-        for i, n, exact, base, args in ops:  # an exact binding of the whole name first,
-            v = name_map.get(n) if exact else None  # then the base's image, args appended
-            if v is None and base is not None:
-                v = NameTerm(vals[base].base, vals[base].args + tuple([vals[a] for a in args]))
-            vals[i] = n if v is None else v
+    vals = fill_names(ops, scope)
     axioms = [cls(vals[a]) if b is None else cls(vals[a], vals[b]) for cls, a, b in fixed]
     kinds, clash = {}, False
     for s, k in symbols:
         clash |= kinds.setdefault(vals[s], k) is not k
     for cls, subj, items, kind, first in lists:
-        names = _splice(items, vals.__getitem__, scope, None)
+        names = _splice(items, vals, scope, None)
         s = vals[subj] if subj is not None else None
         if first is None:  # one n-ary axiom, unless it says nothing
             if len(names := _sorted_set(names)) < cls.NARY:
@@ -192,33 +218,18 @@ def fill_block(plan: tuple, scope) -> FlatOntology:
         raise
 
 
-def _splice(names: Iterable, resolve: Callable, scope, pos: SourcePos | None) -> list:
-    """`names` resolved, each list tail (a `ListVar`) spliced into the items
-    its run bound; a tail that run's clause lacks is an error."""
+def _splice(names: Iterable, vals: Mapping, scope, pos: SourcePos | None) -> list:
+    """`names` read from `vals`, each list tail (a `ListVar`) spliced into
+    the items its run bound; a tail that run's clause lacks is an error."""
     out = []
     for n in names:
         if type(n) is not ListVar:
-            out.append(resolve(n))
+            out.append(vals[n])
         elif (items := scope.outer(n.up).list_map.get(n.name)) is None:
             raise _not_a_list(n.name, pos)
         else:
             out += items
     return out
-
-
-def _head_reads(names: Iterable, params: Mapping, level: int, pos: SourcePos | None) -> list:
-    """The definers' list heads that `names` read: (head, its run's `up`, where it is checked)."""
-    return [(b, up, pos) for n in names if type(n) is NameTerm for b in n.bases()
-            if (p := params.get(b)) and p[1] is None and (up := level - p[0].count("::"))]
-
-
-def _check_heads(heads: Iterable[tuple[str, int, SourcePos | None]], scope) -> None:
-    """A list head read from a run whose clause binds none is an error, as a list tail is."""
-    for h, up, pos in heads:
-        if h not in scope.outer(up).heads:
-            raise UnknownReference(
-                f"'{h}' is not bound in scope (a list head that the running clause does not bind)", pos
-            )
 
 
 # The inverse of build_block: axiom type -> the frame field it is read from,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .blocks import BlockTemplate, ListVar, _head_reads, _not_a_list, build_block
+from .blocks import BlockTemplate, ListVar, _compiled, _not_a_list, build_block, compile_names
 from .core import EMPTY_ONTOLOGY, FlatOntology, NameTerm, Symbol, make_ontology, union_flat
 from .diagnostics import (
     ArityMismatch,
@@ -95,15 +95,20 @@ class Call(Record):
     local (None: a library one). `args` are the argument forms, one per
     parameter, already checked against them (`_check_args`): a list
     parameter's is a `ListArg`, and a left-out trailing one an `EmptyOptArg`.
-    Running the call only substitutes the caller's names in them, once the
-    definers' list heads they read (`heads`) are found bound."""
+    Running it reads the caller's names in them (list items, symbols and fit
+    targets), compiled in `scope`, the caller's `_Draft.chain`, into `plan`;
+    where the caller binds no name, there is nothing to read."""
 
     name: str
     target: PatternDef = field(compare=False)
     args: tuple[ArgumentForm | _ExprArg, ...] | None
     up: int | None
     pos: SourcePos
-    heads: tuple[tuple[str, int, SourcePos | None], ...] = ()
+    scope: tuple = field((), compare=False)
+    __slots__ = ("plan",)
+    __getattr__ = _compiled(lambda c: any(c.scope) and [compile_names([n for n in (
+        *getattr(f, "items", ()), getattr(f, "term", None), *[t for _, t in getattr(f, "fits", ())]
+    ) if type(n) is NameTerm], c.scope, f.pos) for f in c.args])
 
 
 # a resolved expression; a tuple is a `then` chain
@@ -203,13 +208,6 @@ def _check_arg(
     return form
 
 
-def _reads(form: ArgumentForm | _ExprArg) -> tuple:
-    """The names a checked argument form reads in its caller's run: its list
-    items, its symbol and its fits' targets (a fit's source is the callee's)."""
-    targets = [t for _, t in getattr(form, "fits", ())]
-    return (*getattr(form, "items", ()), getattr(form, "term", None), *targets)
-
-
 def _check_args(
     name: str,
     params: Sequence[ParamSpec],
@@ -233,6 +231,7 @@ def _check_args(
 class Clause(Record):
     params: tuple[ParamSpec, ...]
     body: Expr
+    scope: tuple = field((), compare=False)  # its definition's `_Draft.chain`
 
 
 class PatternDef(Record, frozen=False):
@@ -314,7 +313,7 @@ class _Draft(Record, frozen=False):
     asts: list[PatternDefAst]
     params: list[tuple[ParamSpec, ...]]
     bodies: list[Expr] = field(factory=list)
-    names: dict[str, tuple[str, bool | None]] = field(factory=dict)  # the parameters seen inside it
+    chain: tuple = ()  # what its parameters bind (`_param_names`) over its clauses, then each definer's
     rank: int = 0  # its place in the order that makes the clauses
     sees: FlatOntology = EMPTY_ONTOLOGY  # what its locals' parameters see
     parent: "_Draft | None" = field(None, compare=False)
@@ -337,7 +336,7 @@ def _build_def(
 
     # every field in order: a record binds a shorter or keyword call in Python
     d = PatternDef(name, qual, len(first.params), {}, first.pos, (), ())
-    tree = [_Draft(d, clause_asts, [], [], {}, 0, EMPTY_ONTOLOGY, parent)]
+    tree = [_Draft(d, clause_asts, [], [], (), 0, EMPTY_ONTOLOGY, parent)]
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
     for ca in clause_asts:
@@ -446,7 +445,7 @@ def _clauses(dr: _Draft, env: FlatOntology) -> tuple[tuple[Clause, ...], FlatOnt
                 e.ensure_pos(ast.params[p.index].pos if p.is_list else p.shape.frames[0].pos)
                 raise
             final.append(p)
-        clauses.append(Clause(tuple(final), body))
+        clauses.append(Clause(tuple(final), body, dr.chain))
         sees.append(cur)
     return tuple(clauses), sees[0]
 
@@ -478,7 +477,8 @@ def _resolve(lib: Library, dr: _Draft, shapes: dict[str, tuple[ParamSpec, ...]],
     the first-clause parameters of every definition, `calls` gets the
     recursion guard's edge for each call resolved."""
     d, own = dr.d, []
-    outer = dr.parent.names if dr.parent is not None else {}
+    outer = dr.parent.chain if dr.parent is not None else ()
+    above = {n: v for names in reversed(outer) for n, v in names.items()}  # the innermost counts
     for i, params in enumerate(dr.params):
         names, hidden = _param_names(d, params)
         if hidden:  # so a run never holds a list its clause last bound as a symbol
@@ -490,26 +490,24 @@ def _resolve(lib: Library, dr: _Draft, shapes: dict[str, tuple[ParamSpec, ...]],
     # what the locals see: a name some clause binds is the definition's, a
     # list tail if some clause binds it as one, else a head only if no clause
     # binds it plain (plain parameters are every clause's, so bound each run)
-    merged = dict(outer)
+    merged = {}
     for names in own:
         merged.update(names)
     for role in (False, True) if len(own) > 1 else ():
         merged.update({n: v for names in own for n, v in names.items() if v[1] is role})
+    dr.chain = (merged, *outer)
     for name, loc in d.locals.items():
-        if name in merged:
+        if owner := merged.get(name) or above.get(name):
             raise DuplicateDefinition(
-                f"local '{name}' of '{d.qual}' has the name of a parameter of "
-                f"'{merged[name][0]}'",
-                loc.pos,
+                f"local '{name}' of '{d.qual}' has the name of a parameter of '{owner[0]}'", loc.pos
             )
-    dr.names = merged
     level = d.qual.count("::")  # a definer's qual is a prefix of d's, one level shorter each
     dr.bodies = []
     for ca, params, names in zip(dr.asts, dr.params, own):
-        seen = {**outer, **names}
+        seen = {**above, **names}
         tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t}
         strips = {p.shape.tail: p.shape.min_len for p in params if p.is_list and p.shape.tail}
-        dr.bodies.append(_Scope(lib, seen, tails, level, dr, shapes, strips, calls).expr(ca.body))
+        dr.bodies.append(_Scope(lib, seen, tails, dr, shapes, strips, calls).expr(ca.body))
 
 
 def _reference(name: str, target: PatternDef | None, up: int | None, pos: SourcePos | None) -> Call:
@@ -525,8 +523,8 @@ def _reference(name: str, target: PatternDef | None, up: int | None, pos: Source
 
 class _Scope(NamedTuple):
     """What the names of one clause body of `dr` mean; `params` maps each
-    parameter name it sees as `_param_names` does, `tails` each list tail
-    among them to its `ListVar`, `level` the definers around `dr`, `shapes`
+    parameter name it sees as `_param_names` does, the innermost binding
+    counting, `tails` each list tail among them to its `ListVar`, `shapes`
     each definition's first-clause parameters, and `strips` each of the
     clause's own tails to the items its template strips. Each call resolved
     adds its edge to `calls`."""
@@ -534,7 +532,6 @@ class _Scope(NamedTuple):
     lib: Library
     params: dict[str, tuple[str, bool | None]]
     tails: dict[NameTerm, ListVar]
-    level: int
     dr: _Draft
     shapes: dict[str, tuple[ParamSpec, ...]]
     strips: dict[str, int]
@@ -553,7 +550,7 @@ class _Scope(NamedTuple):
         if isinstance(e, ThenExpr):
             return tuple([self.expr(t) for t in e.terms])
         if isinstance(e, BlockExpr):
-            return BlockTemplate(e.frames, (self.params, self.tails, self.level), e.pos)
+            return BlockTemplate(e.frames, (self.dr.chain, self.tails), e.pos)
         if e.name in self.params:
             raise UnknownReference(
                 f"'{e.name}' is a parameter of '{self.params[e.name][0]}', not an "
@@ -573,10 +570,7 @@ class _Scope(NamedTuple):
         forms = _check_args(target.name, params, args, e.pos, self.arg)
         shrinks = any(_arg_shrinks(a, self.strips) for a in forms)
         self.calls[edge] = (self.dr.d.qual, target.qual, shrinks, e.pos)
-        heads = () if not self.level else [  # a clause body of a library definition has no definer
-            r for f in forms for r in _head_reads(_reads(f), self.params, self.level, f.pos)
-        ]
-        return Call(e.name, target, tuple(forms), up, e.pos, tuple(heads))
+        return Call(e.name, target, tuple(forms), up, e.pos, self.dr.chain)
 
     def arg(self, a: ArgAst, p: ParamSpec) -> ArgumentForm | _ExprArg:
         """`a` as a form for `_check_arg` to fit to `p`: a list tail is a

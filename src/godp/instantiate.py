@@ -26,10 +26,10 @@ expansion and its own index there: unique among live ones, and unchanged by
 memo hits.
 
 Calls, their argument forms and list tails arrive resolved by
-`build_library`, so the engine looks no name up. A runtime scope holds only
-bindings: a local pattern's `parent` bindings are those of its definer's run, and each run's
-`list_map` holds only its own clause's tails, which a `ListVar` reads from
-the run it counts up to; one that the run lacks is an error when the call runs.
+`build_library`, so the engine looks no name up. A run holds only what its
+own clause and parameters bind, and each name is read from the run that binds
+it (`blocks.compile_names`), as a `ListVar` is; a list head or tail that its
+run's clause does not bind is an error when it is read.
 
 Expansion is pure over an immutable Library. Every top-level call gets its own
 context: a depth budget and the names of the 0-parameter expansions it has
@@ -45,7 +45,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
-from .blocks import BlockTemplate, _check_heads, _splice, fill_block
+from .blocks import BlockTemplate, _splice, compile_names, fill_block, fill_names
 from .core import (
     EMPTY_ONTOLOGY,
     Axiom,
@@ -102,22 +102,15 @@ DEFAULT_DEPTH = 10_000
 # ---------------------------------------------------------------------------
 
 class Bindings(Record, frozen=False):
-    """One run of a clause: its parameter-name substitution, which starts as
-    a copy of its definer's run's, the list bindings of its own template
-    tails and the list `heads` its own templates bind. `parent` is the
-    definer's run, for a local pattern; a `ListVar` reads the list of the
-    run it counts `up` to, and a definer's head is read from its run too."""
+    """One run of a clause: the names it binds itself (its list heads, its
+    parameters' new symbols and fit sources that no run around it binds)
+    and the lists its own template tails bind. `parent` is the definer's
+    run, for a local pattern; a slot's walk and a `ListVar` count `up` to
+    the run they read."""
 
     name_map: dict[NameTerm, NameTerm] = field(factory=dict)
     list_map: dict[str, tuple[NameTerm, ...]] = field(factory=dict)
     parent: "Bindings | None" = field(None, compare=False)
-    heads: set[str] = field(factory=set)
-
-    def child(self) -> "Bindings":
-        return Bindings(dict(self.name_map), {}, self, set())
-
-    def apply(self, n: NameTerm) -> NameTerm:
-        return substitute_name(n, self)
 
     def outer(self, up: int) -> "Bindings":
         """The run `up` definers out."""
@@ -131,23 +124,12 @@ EMPTY_BINDINGS = Bindings()
 
 
 def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
-    """Capture-free structural substitution of bound parameter names.
-
-    An exact binding for the whole term wins; otherwise a bound base is
-    replaced (its image's arguments are prefixed when the image is itself
-    parameterized) and arguments are substituted recursively. Unbound plain
-    names pass through unchanged.
-    """
-    exact = b.name_map.get(n)
-    if exact is not None:
-        return exact
-    new_args = tuple(substitute_name(a, b) for a in n.args)
-    base_image = b.name_map.get(NameTerm(n.base))
-    if base_image is not None:
-        return NameTerm(base_image.base, base_image.args + new_args)
-    if new_args != n.args:
-        return NameTerm(n.base, new_args)
-    return n
+    """Capture-free structural substitution of the names `b` binds, `n`
+    compiled as a name of `b`'s own run, then filled: an exact binding for the
+    whole term wins; otherwise a bound base is replaced (its image's arguments
+    are prefixed when the image is itself parameterized) and arguments are
+    substituted recursively. Unbound plain names pass through unchanged."""
+    return fill_names(compile_names([n], (set(n.bases()),)), b)[n]
 
 
 def _contains_base(n: NameTerm, bases: AbstractSet[str]) -> bool:
@@ -242,7 +224,6 @@ def match_template(
 def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings) -> None:
     for head, item in zip(tmpl.heads, items):
         b.name_map[NameTerm(head)] = item
-        b.heads.add(head)
     if tmpl.tail is not None:
         b.list_map[tmpl.tail] = items[tmpl.min_len:]
 
@@ -256,7 +237,7 @@ def check_compatibility(fittings: Sequence[FittingMorphism]) -> None:
     seen = Bindings()
     for m in fittings:
         for src, dst in m.pairs:
-            _bind_checked(seen, src.name, dst.name, None)
+            _bind_fit(seen, src.name, dst.name, (), None)
 
 
 def check_constraints(
@@ -313,20 +294,24 @@ def derive_fitting(
     form = _entry_form(lib, _check_arg(param, arg, None))
     if isinstance(form, EmptyOptArg):
         return FittingMorphism.of({})
-    sigma = Bindings()
+    sigma = Bindings()  # no run around it
     if isinstance(form, LocalSymbolArg):
-        _fit_local(None, param, form, sigma, env)
+        _fit_local(None, param, form, sigma, env, ())
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
         arg_ont = _eval_expr(ctx, form.expr, env, EMPTY_BINDINGS)
-        _fit_ontology(param, form, arg_ont, env, sigma)
+        _fit_ontology(param, form, arg_ont, env, sigma, ())
     return FittingMorphism.of(
         {n: Symbol(sigma.name_map[n.name], n.kind) for n in param.shape.new_symbols}
     )
 
 
-def _bind_checked(sigma: Bindings, src: NameTerm, dst: NameTerm, pos) -> None:
-    prior = sigma.name_map.get(src)
+def _bind_fit(sigma: Bindings, src: NameTerm, dst: NameTerm, chain: tuple, pos) -> None:
+    """Bind the fit source `src` to `dst` in the run `sigma`, whose names
+    `chain` holds; the first binding its walk finds there or further out must
+    agree. A list head unbound on the way is no binding: a fit reads none."""
+    walk = compile_names([src], ({*src.bases()}, *chain[1:]))[src][1]
+    prior = next((v for up, _ in walk if (v := sigma.outer(up).name_map.get(src)) is not None), None)
     if prior is not None and prior != dst:
         raise IncompatibleFittings(
             f"'{src.render()}' is mapped both to '{prior.render()}' and to "
@@ -342,6 +327,7 @@ def _fit_local(
     form: LocalSymbolArg,
     sigma: Bindings,
     avail: FlatOntology,
+    chain: tuple,
 ) -> FlatOntology:
     shape: PlainShape = pspec.shape
     if len(shape.new_symbols) != 1:
@@ -352,9 +338,9 @@ def _fit_local(
             form.pos,
         )
     n = shape.new_symbols[0]
-    term = form.term
-    for src, dst in ((n.name, term), *form.fits):  # a fit of the parameter must agree
-        _bind_checked(sigma, src, dst, form.pos)
+    term = sigma.name_map[n.name] = form.term  # a new symbol shadows what a definer binds
+    for src, dst in form.fits:  # a fit of the parameter must agree
+        _bind_fit(sigma, src, dst, chain, form.pos)
     return _declare(
         avail, ((term, n.kind),), form.pos,
         lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
@@ -368,6 +354,7 @@ def _fit_ontology(
     arg_ont: FlatOntology,
     env: FlatOntology,
     sigma: Bindings,
+    chain: tuple,
 ) -> None:
     shape: PlainShape = pspec.shape
     explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
@@ -404,9 +391,9 @@ def _fit_ontology(
                     form.pos,
                 )
             image = candidates[0].name
-        _bind_checked(sigma, n.name, image, form.pos)
+        sigma.name_map[n.name] = image
     for src, dst in form.fits:
-        _bind_checked(sigma, src, dst, form.pos)
+        _bind_fit(sigma, src, dst, chain, form.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +480,8 @@ def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, scope: B
         # a local shares the parameters around it
         base = EMPTY_BINDINGS if expr.up is None else scope.outer(expr.up)
         if expr.args is not None:
-            _check_heads(expr.heads, scope)
-            forms = [_apply_form(f, scope) for f in expr.args]
+            names = [fill_names(p, scope) for p in expr.plan or ()]  # every head read before any tail
+            forms = [_apply_form(f, n, scope) for f, n in zip(expr.args, names)] if names else expr.args
             return _instantiate(ctx, target, base, forms, env, expr.pos, scope)
         if expr.up is None:
             return union_flat(env, _closed_expansion(ctx, target, expr.pos))
@@ -504,18 +491,18 @@ def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, scope: B
         raise
 
 
-def _apply_form(form: ArgumentForm | _ExprArg, b: Bindings) -> ArgumentForm | _ExprArg:
-    """A call's checked argument form under the caller's bindings `b`: its
-    symbol and fit targets substituted, its list tails spliced."""
+def _apply_form(form: ArgumentForm | _ExprArg, names: dict, b: Bindings) -> ArgumentForm | _ExprArg:
+    """A call's checked argument form in the caller's run `b`: its names read
+    from `names`, its plan filled in `b`, its list tails spliced."""
     if isinstance(form, ListArg):
-        return ListArg(tuple(_splice(form.items, b.apply, b, form.pos)), form.pos)
+        return ListArg(tuple(_splice(form.items, names, b, form.pos)), form.pos)
     if isinstance(form, EmptyOptArg):
         return form
     # fit sources name the callee's parameter symbols and stay as written;
     # targets live in the caller's context and get substituted
-    fits = tuple([(src, b.apply(dst)) for src, dst in form.fits])
+    fits = tuple([(src, names[dst]) for src, dst in form.fits])
     if isinstance(form, LocalSymbolArg):
-        return LocalSymbolArg(b.apply(form.term), fits, form.pos)
+        return LocalSymbolArg(names[form.term], fits, form.pos)
     return _ExprArg(form.expr, fits, form.pos)
 
 
@@ -532,7 +519,7 @@ def _instantiate(
     level = ctx.running
     ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
-    sigma = base.child()
+    sigma = Bindings({}, {}, base)
     imports_ont = EMPTY_ONTOLOGY
     for imp in target.imports:
         imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
@@ -552,19 +539,20 @@ def _instantiate(
             elif isinstance(form, EmptyOptArg):
                 elided = []
                 for s in pspec.shape.new_symbols:
-                    ph = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
-                    _bind_checked(sigma, s.name, ph, form.pos)
+                    ph = sigma.name_map[s.name] = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
                     dead.add(ph.base)
                     elided.append((ph, s.kind))
                 avail = _declare(avail, elided, form.pos, None)
             else:
                 if isinstance(form, LocalSymbolArg):
-                    avail = _fit_local(target.name, pspec, form, sigma, avail)
+                    avail = _fit_local(target.name, pspec, form, sigma, avail, clause.scope)
                 else:  # evaluated on top of env, in the caller's scope
                     added = _eval_expr(ctx, form.expr, env, caller)
-                    _fit_ontology(pspec, form, added, env, sigma)
+                    _fit_ontology(pspec, form, added, env, sigma, clause.scope)
                     avail = union_flat(avail, added)
-                _check_constraints(pspec.shape.delta.axioms, sigma.apply, avail, form.pos)
+                if axioms := pspec.shape.delta.axioms:  # compiled here: few parameters have any
+                    names = compile_names([n for a in axioms for n, _ in a.refs()], clause.scope)
+                    _check_constraints(axioms, fill_names(names, sigma).__getitem__, avail, form.pos)
         except GodpError as e:
             e.ensure_pos(form.pos or pos)
             raise

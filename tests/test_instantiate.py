@@ -226,13 +226,13 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
     def fitted(pspec, sigma):
         return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.shape.new_symbols}
 
-    def record_local(owner, pspec, form, sigma, avail):
-        added = fit_local(owner, pspec, form, sigma, avail)
+    def record_local(owner, pspec, form, sigma, avail, chain):
+        added = fit_local(owner, pspec, form, sigma, avail, chain)
         calls.append((pspec, form, avail, fitted(pspec, sigma), sigma))
         return added
 
-    def record_ontology(pspec, form, arg_ont, env, sigma):
-        fit_ontology(pspec, form, arg_ont, env, sigma)
+    def record_ontology(pspec, form, arg_ont, env, sigma, chain):
+        fit_ontology(pspec, form, arg_ont, env, sigma, chain)
         expr = getattr(form, "expr", None)
         if isinstance(expr, Call) and expr.args is None and expr.up is None:
             # a bare library name is replayed as the form the Python API gives it
@@ -1109,7 +1109,8 @@ def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch)
     """Expanding ValSet and GradedRelsSub over 100 items fills each block
     from its plan: no call of make_ontology or substitute_name comes from a
     block fill. A block with nothing to bind gives one ontology object on
-    every run."""
+    every run. No substitute_name call comes from an instantiation at all,
+    its arguments, fits and parameter constraints included."""
     import sys
 
     import godp.blocks as blocks
@@ -1122,17 +1123,23 @@ def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch)
         + f"ontology C = GradedRelsSub[p; S; T; Val; {listed}]\n"
         + "ontology P [Class: C] = { Class: Src  Class: Dst } then { Class: C }\n"
         + "ontology E = P[A] then P[B]\n"
+        + "ontology F given Agents = { ObjectProperty: anc Domain: Person Range: Person }\n"
+        + "  then SubProp[isParentOf; Person; Person; anc]\n"
+        + "  then SubProp[isChildOf; Person; Person; { ObjectProperty: a2 Domain: Person Range: Person } fit p |-> a2]\n"
     )
-    from_fills, filled = [], []
+    from_fills, filled, from_instantiations = [], [], []
 
-    def in_a_fill(fn):
+    def called_in(code, calls, fn):
         def watched(*args):
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not blocks.fill_block.__code__:
+            while frame is not None and frame.f_code is not code:
                 frame = frame.f_back
-            from_fills.append(frame is not None)
+            calls.append(frame is not None)
             return fn(*args)
         return watched
+
+    def in_a_fill(fn):
+        return called_in(blocks.fill_block.__code__, from_fills, fn)
 
     def fill(plan, scope):
         out = blocks.fill_block(plan, scope)
@@ -1142,10 +1149,14 @@ def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch)
     monkeypatch.setattr(blocks, "make_ontology", in_a_fill(blocks.make_ontology))
     monkeypatch.setattr(engine, "make_ontology", in_a_fill(engine.make_ontology))
     monkeypatch.setattr(engine, "substitute_name", in_a_fill(engine.substitute_name))
+    monkeypatch.setattr(
+        engine, "substitute_name", called_in(engine._instantiate.__code__, from_instantiations, engine.substitute_name)
+    )
     monkeypatch.setattr(engine, "fill_block", fill)
-    for target in "ACE":
+    for target in "ACEF":
         expand_named(lib, target)
     assert len(filled) > 500 and from_fills and not any(from_fills)
+    assert not any(from_instantiations)
     constant = [out for plan, out in filled if "Src" in {n.base for n in plan[0] if n is not None}]
     assert len(constant) == 2 and constant[0] is constant[1]
 
@@ -1326,6 +1337,7 @@ _NOT_BOUND = "'x' is not bound in scope (a list head that the running clause doe
 @pytest.mark.parametrize("body, position", [
     ("{ Individual: r DifferentFrom: x }", "1:69"),  # in a block: at the block
     ("{ Individual: r } then M[x]", "1:94"),  # as an argument: at the argument
+    ("N[r :: xs; x]", "1:80"),  # read before an earlier argument splices the tail `xs`
 ])
 def test_a_list_head_the_running_clause_does_not_bind_is_an_error(tmp_path, capsys, body, position):
     # D[empty] runs the clause without the head `x`, which its local L reads;
@@ -1335,6 +1347,7 @@ def test_a_list_head_the_running_clause_does_not_bind_is_an_error(tmp_path, caps
         f"ontology D [Individual: x :: xs] = let ontology L [Individual: r] = {body} in L[k1]\n"
         "ontology D [empty] = L[k2]\n"
         "ontology M [Individual: r] = { Individual: r }\n"
+        "ontology N [Individual: r :: rs; Individual: s] = { Individual: s }\n"
         "ontology U = D[empty]\n"
         "ontology V = D[a, b]\n",
         encoding="utf-8",
@@ -1453,3 +1466,152 @@ def test_a_tail_that_a_later_parameter_binds_again_holds_no_list():
         expand_named(lib_of(source.replace("{BODY}", "L[q]")), "U")
     assert exc.value.message == _NOT_A_LIST
     assert (exc.value.pos.line, exc.value.pos.col) == (2, 36)
+
+
+# -- a name is read from the run that binds it ---------------------------------------
+
+def _cli(tmp_path, capsys, source, *args):
+    """`godp expand --format dump` on `source`, written to a file, for each
+    target in `args`, then `godp check`: each one's exit code, stdout and
+    stderr, the file's path written as `F`."""
+    f = tmp_path / "lib.gdp"
+    f.write_text(source, encoding="utf-8")
+    out = []
+    for argv in [["expand", "--target", t, "--format", "dump"] for t in args] + [["check"]]:
+        code = main([*argv, str(f)])
+        stdout, stderr = capsys.readouterr()
+        out.append((code, stdout, stderr.replace(str(f), "F")))
+    return out
+
+
+def test_a_local_parameter_frame_reads_a_definer_head_from_its_run(tmp_path, capsys):
+    # L[k2]'s constraint `DifferentIndividuals k2 x` reads D's head `x`, which
+    # the clause D[empty] runs does not bind: an error at the argument, where
+    # the clause's own constant `x` met it
+    source = (
+        "ontology D [Individual: x :: xs] = let ontology L [Individual: r DifferentFrom: x] = "
+        "{ Individual: r } in { Individual: k1 DifferentFrom: x } then L[k1]\n"
+        "ontology D [empty] = { Individual: k2 DifferentFrom: x } then L[k2]\n"
+        "ontology U = D[empty]\n"
+    )
+    error = (1, "", f"F:2:65: error: {_NOT_BOUND}\n")
+    assert _cli(tmp_path, capsys, source, "U") == [error, error]
+
+
+def test_a_local_parameter_named_like_a_definer_head_is_its_own(tmp_path, capsys):
+    # L's new symbol `x` is bound in L's run, whatever D's run binds `x` to
+    source = (
+        "ontology D [empty] = let ontology L [Individual: x] = { Individual: x Types: C } in L[k0]\n"
+        "ontology D [Individual: x :: xs] = L[k1]\n"
+        "ontology U = D[a]\n"
+        "ontology V = D[empty]\n"
+    )
+    assert _cli(tmp_path, capsys, source, "U", "V") == [
+        (0, "AX ClassAssertion C k1\nSYM Class C\nSYM Individual a\nSYM Individual k1\n", ""),
+        (0, "AX ClassAssertion C k0\nSYM Class C\nSYM Individual k0\n", ""),
+        (0, "", ""),
+    ]
+
+
+_READS_S = "AX Domain rel Thing\nAX Range rel Thing\nSYM Class Thing\nSYM ObjectProperty rel\n"
+_MAPPED_BOTH = "F:1:108: error: 'S' is mapped both to 'Thing' and to 'Y'\n"
+
+
+@pytest.mark.parametrize("body, outcome", [
+    # `S` in L, a name of L's parameter frame that L does not bind, is D's
+    ("{ ObjectProperty: rel Domain: S } then L[rel]", (0, _READS_S, "")),
+    # a fit of a symbol that a definer binds must agree with it
+    ("L[{ ObjectProperty: rel Domain: Y Class: Y } fit S |-> Y]", (1, "", _MAPPED_BOTH)),
+    ("L[{ ObjectProperty: rel Domain: S } fit S |-> S]", (0, _READS_S, "")),
+])
+def test_a_local_reads_a_definer_parameter_it_does_not_bind(tmp_path, capsys, body, outcome):
+    source = (
+        "ontology D [Class: S] = let ontology L [ObjectProperty: q Domain: S] = "
+        f"{{ ObjectProperty: q Range: S }} in {body}\n"
+        "ontology U = D[Thing]\n"
+    )
+    assert _cli(tmp_path, capsys, source, "U") == [outcome, outcome[:1] + ("", outcome[2])]
+
+
+def test_a_fit_may_rename_a_constant_of_a_parameter_frame(tmp_path, capsys):
+    source = (
+        "ontology P [ObjectProperty: q Domain: Thing] = { Class: Thing }\n"
+        "ontology U = P[{ ObjectProperty: r Domain: Z Class: Z } fit Thing |-> Z]\n"
+    )
+    assert _cli(tmp_path, capsys, source, "U") == [
+        (0, "AX Domain r Z\nSYM Class Z\nSYM ObjectProperty r\n", ""), (0, "", "")
+    ]
+
+
+def test_a_definer_head_hides_an_outer_plain_parameter_its_run_leaves_unbound(tmp_path, capsys):
+    # L reads D's head `x`, not A's plain `x`, though D[empty] binds no `x`
+    source = (
+        "ontology A [Individual: x] =\n"
+        "  let\n"
+        "    ontology D [empty] =\n"
+        "      let ontology L [Individual: r] = { Individual: r DifferentFrom: x } in L[k2]\n"
+        "    ontology D [Individual: x :: xs] = { Individual: x }\n"
+        "  in D[empty]\n"
+        "ontology U = A[a]\n"
+    )
+    error = (1, "", f"F:4:40: error: {_NOT_BOUND}\n")
+    assert _cli(tmp_path, capsys, source, "U") == [error, error]
+
+
+def test_a_run_holds_only_what_its_own_definition_binds(monkeypatch):
+    """Expanding the corpus, and ValSet and GradedRelsSub over 100 items:
+    each run binds only names whose bases its own definition's parameters
+    name; a local reads what its definer binds from the definer's run."""
+    import godp.instantiate as engine
+
+    listed = ", ".join(f"v{i}" for i in range(100))
+    lib = lib_of(
+        "".join(p.read_text(encoding="utf-8") for p in corpus_paths())
+        + f"ontology A = ValSet[Val; {listed}; greater[Val]]\n"
+        + f"ontology C = GradedRelsSub[p; S; T; Val; {listed}]\n"
+    )
+    running, runs = [], []
+    instantiate, bindings = engine._instantiate, engine.Bindings
+
+    def tracked(ctx, target, *rest):
+        running.append(target)
+        try:
+            return instantiate(ctx, target, *rest)
+        finally:
+            running.pop()
+
+    def made(*fields):
+        run = bindings(*fields)
+        runs.append((running[-1], run))
+        return run
+
+    monkeypatch.setattr(engine, "_instantiate", tracked)
+    monkeypatch.setattr(engine, "Bindings", made)
+    for target in sorted(lib.zero_param_names()):
+        expand_named(lib, target)
+    monkeypatch.undo()
+    locals_ = [run for d, run in runs if "::" in d.qual and run.name_map]
+    assert len(runs) > 500 and len(locals_) > 200
+    for d, run in runs:
+        named = {
+            b for c in d.clauses for p in c.params
+            for b in (p.shape.heads if p.is_list else [b for s in p.shape.delta.signature for b in s.name.bases()])
+        }
+        assert all(set(n.bases()) <= named for n in run.name_map), (d.qual, run.name_map)
+
+
+@pytest.mark.parametrize("local, calls, out", [
+    # `rel[x]` is L's own symbol, bound whole: its part `x`, D's head, is not read
+    ("L [ObjectProperty: rel[x]] = { ObjectProperty: rel[x] Domain: C }", ("L[k0]", "L[k1]"),
+     "AX Domain k1 C\nSYM Class C\nSYM ObjectProperty k1\n"),
+    # a fit binds D's head `x` in L's run, where D's run binds none: it reads no head
+    ("L [Individual: x] = { Individual: x Types: C }", ("L[{ Individual: k0 }]", "L[{ Individual: k1 } fit x |-> k2]"),
+     "AX ClassAssertion C k2\nSYM Class C\nSYM Individual k1\nSYM Individual k2\n"),
+])
+def test_a_head_the_running_clause_does_not_bind_is_an_error_only_where_it_is_read(tmp_path, capsys, local, calls, out):
+    source = (
+        f"ontology D [Individual: x :: xs] = let ontology {local} in {calls[0]}\n"
+        f"ontology D [empty] = {calls[1]}\n"
+        "ontology U = D[empty]\n"
+    )
+    assert _cli(tmp_path, capsys, source, "U") == [(0, out, ""), (0, "", "")]

@@ -61,7 +61,7 @@ from godp.core import (
 )
 from godp.diagnostics import GodpError, KindClash, SourcePos, StratificationClash
 from godp.elaborate import build_block
-from godp.instantiate import Bindings, substitute_name
+from godp.instantiate import Bindings
 from godp.parser import FIELD_KEYWORDS, KEYWORDS, KIND_KEYWORDS, MAX_NESTING
 from godp.syntax import (
     ArgAst,
@@ -231,11 +231,21 @@ def test_emitted_manchester_reads_back_as_the_same_ontology(frames, axioms):
     assert emit_manchester(back) == text
 
 
+def _substituted(n: NameTerm, name_map: dict) -> NameTerm:
+    """`n` with the names `name_map` binds substituted: an exact binding of
+    the whole term first, else its base's image with its arguments, each
+    substituted, appended."""
+    if (exact := name_map.get(n)) is not None:
+        return exact
+    base = name_map.get(NameTerm(n.base), NameTerm(n.base))
+    return NameTerm(base.base, base.args + tuple(_substituted(a, name_map) for a in n.args))
+
+
 def _frames_built_by_substitution(frames, run: Bindings, tails: set[str]):
-    """The oracle for block fills: each name substituted by `substitute_name`,
+    """The oracle for block fills: each name substituted by `_substituted`,
     each tail in a comma list spliced, then `make_ontology`, a kind clash at
     the first frame: a direct builder that walks the frames once per run."""
-    one = lambda n: substitute_name(n, run)
+    one = lambda n: _substituted(n, run.name_map)
     many = lambda ns: [
         m for n in ns for m in (run.list_map[n.base] if n.base in tails and not n.args else [one(n)])
     ]
@@ -301,7 +311,7 @@ def test_a_block_fill_is_make_ontology_over_the_substituted_frames(block_run):
     frames = [replace(f, pos=SourcePos("<block>", i + 1, 1)) for i, f in enumerate(frames)]
     run = Bindings(name_map, lists)
     bound = {b for n in name_map for b in n.bases()} | set(lists) | unbound
-    plan = compile_block(frames, bound, {NameTerm(t): ListVar(t, 0) for t in lists})
+    plan = compile_block(frames, (bound,), {NameTerm(t): ListVar(t, 0) for t in lists})
     expected = _outcome(lambda: _frames_built_by_substitution(frames, run, set(lists)))
     assert _outcome(lambda: fill_block(plan, run)) == expected
 
