@@ -1,6 +1,8 @@
 """Names and blocks compiled once into plans (`compile_names`, `compile_block`),
-filled per run (`fill_names`, `fill_block`); `build_block` is both for frames
-on their own, and `frames_of` its inverse.
+filled per run (`fill_names`, `fill_block`) in its display: its own bindings,
+then its definers' runs, innermost first, so a name bound `up` definitions out
+is read from `runs[up]`. `build_block` is both for frames on their own, and
+`frames_of` its inverse.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _not_a_list(tail: str, pos: SourcePos | None) -> UnknownReference:
 def build_block(frames: Iterable[Frame]) -> FlatOntology:
     """The flat ontology of frames on their own: compiled, then filled."""
     plan = compile_block(frames)
-    return plan[-1] or fill_block(plan, None)
+    return plan[-1] or fill_block(plan, ())
 
 
 def _compiled(compile: Callable) -> Callable:
@@ -89,41 +91,36 @@ def compile_names(names: Iterable[NameTerm], chain: Sequence = (), pos: SourcePo
     compound name that a run may bind whole has its parts in a plan of their
     own, read only when none does."""
     ops = {}
-
-    def slot(n: NameTerm) -> None:
+    for n in names:
         if n not in ops:
             base = n.args and NameTerm(n.base)
             walk = [(up, not base and up and level[n.base][1] is None) for up, level in enumerate(chain)
                     if n.base in level and (not base or all(b in level for b in n.bases()))]
-            parts = [base, *n.args] if base else []
-            for part in () if walk else parts:
-                slot(part)
-            ops[n] = (n, walk, base, n.args, pos, walk and parts and compile_names(parts, chain, pos))
-
-    for n in names:
-        slot(n)
+            parts = base and compile_names([base, *n.args], chain, pos)
+            if not walk:
+                ops.update(parts)
+            ops[n] = (n, walk, base, n.args, pos, walk and parts)
     return ops
 
 
-def fill_names(ops: dict, run) -> dict:
-    """Each name of a plan to its value in `run` (`instantiate.Bindings`): the
-    first binding its walk finds, else the name built from its parts'. A list
-    head that its run does not bind stops the walk, as an unbound tail does."""
+def fill_names(ops: dict, runs: Sequence) -> dict:
+    """Each name of a plan to its value in the display `runs` (a run's
+    `instantiate.Bindings`, then its definers'): the first binding its walk
+    finds, each `up` read as `runs[up]`, else the name built from its parts'.
+    A list head that its run does not bind stops the walk, as an unbound tail
+    does."""
     vals = {}
     for n, walk, base, args, pos, parts in ops.values():
         v = None
         for up, head in walk:
-            r = run
-            while up:
-                r, up = r.parent, up - 1
-            if (v := r.name_map.get(n)) is not None:
+            if (v := runs[up].name_map.get(n)) is not None:
                 break
             if head:
                 raise UnknownReference(
                     f"'{n.base}' is not bound in scope (a list head that the running clause does not bind)", pos
                 )
         if v is None and args:
-            parts = fill_names(parts, run) if parts else vals
+            parts = fill_names(parts, runs) if parts else vals
             b = parts[base]
             v = NameTerm(b.base, b.args + tuple([parts[a] for a in args]))
         vals[n] = v or n
@@ -178,26 +175,26 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
     if any(op[1] for op in ops.values()) or any(ListVar in map(type, items) for _, _, items, _, _ in lists):
         return plan
     try:  # a kind clash in it is reported by each run
-        return (*plan[:-1], fill_block(plan, None))
+        return (*plan[:-1], fill_block(plan, ()))
     except GodpError:
         return plan
 
 
-def fill_block(plan: tuple, scope) -> FlatOntology:
-    """The flat ontology of a block's `plan` in the run `scope`
-    (`instantiate.Bindings`): each name filled once, the axioms built from
-    them, the signature and its kind index taken from their static kinds.
-    Only a kind clash goes through `make_ontology`."""
+def fill_block(plan: tuple, runs: Sequence) -> FlatOntology:
+    """The flat ontology of a block's `plan` in the display `runs`, as
+    `fill_names` reads it: each name filled once, the axioms built from them,
+    the signature and its kind index taken from their static kinds. Only a
+    kind clash goes through `make_ontology`."""
     ops, symbols, fixed, lists, frame_pos, ontology = plan
     if ontology is not None:
         return ontology
-    vals = fill_names(ops, scope)
+    vals = fill_names(ops, runs)
     axioms = [cls(vals[a]) if b is None else cls(vals[a], vals[b]) for cls, a, b in fixed]
     kinds, clash = {}, False
     for s, k in symbols:
         clash |= kinds.setdefault(vals[s], k) is not k
     for cls, subj, items, kind, first in lists:
-        names = _splice(items, vals, scope, None)
+        names = _splice(items, vals, runs, None)
         s = vals[subj] if subj is not None else None
         if first is None:  # one n-ary axiom, unless it says nothing
             if len(names := _sorted_set(names)) < cls.NARY:
@@ -218,14 +215,15 @@ def fill_block(plan: tuple, scope) -> FlatOntology:
         raise
 
 
-def _splice(names: Iterable, vals: Mapping, scope, pos: SourcePos | None) -> list:
+def _splice(names: Iterable, vals: Mapping, runs: Sequence, pos: SourcePos | None) -> list:
     """`names` read from `vals`, each list tail (a `ListVar`) spliced into
-    the items its run bound; a tail that run's clause lacks is an error."""
+    the items its run, `runs[up]` in the display `runs`, bound; a tail that
+    run's clause lacks is an error."""
     out = []
     for n in names:
         if type(n) is not ListVar:
             out.append(vals[n])
-        elif (items := scope.outer(n.up).list_map.get(n.name)) is None:
+        elif (items := runs[n.up].list_map.get(n.name)) is None:
             raise _not_a_list(n.name, pos)
         else:
             out += items

@@ -10,11 +10,13 @@ the clause or of an enclosing definition (of any of its clauses, since locals
 merge across them: a list tail if some clause binds it as one); a local
 sub-pattern of the definition or of an enclosing one; a library definition.
 A resolved body is made of `Call`s and `BlockTemplate`s, a `then` chain
-being a tuple of them. A call holds one argument form per parameter of its
-callee, checked against it here (`_check_args`), so an ill-formed call, or a bare
-reference to a generic definition, is a build error even where nothing runs
-it. Its symbols are `NameTerm`s, and a list tail, in an argument or in a
-block's comma list, is a `ListVar`: the one rule for both places.
+being a tuple of them. A call names its callee by qual (`Library.quals`), so
+a built library holds no reference cycle. It holds one argument form per
+parameter of its callee, checked against it here (`_check_args`), so an
+ill-formed call, or a bare reference to a generic definition, is a build
+error even where nothing runs it. Its symbols are `NameTerm`s, and a list
+tail, in an argument or in a block's comma list, is a `ListVar`: the one
+rule for both places.
 
 A definition's parameters see its imports and, for a local, all that its
 definer's first-clause parameters see; each one also sees those before it in
@@ -90,17 +92,18 @@ class ParamSpec(Record):
 
 
 class Call(Record):
-    """A call of `target`, a bare reference if `args` is None. `up` counts
-    the definitions from the caller out to the one that has `target` as a
-    local (None: a library one). `args` are the argument forms, one per
-    parameter, already checked against them (`_check_args`): a list
-    parameter's is a `ListArg`, and a left-out trailing one an `EmptyOptArg`.
-    Running it reads the caller's names in them (list items, symbols and fit
-    targets), compiled in `scope`, the caller's `_Draft.chain`, into `plan`;
-    where the caller binds no name, there is nothing to read."""
+    """A call of the definition `Library.quals[qual]`, a bare reference if
+    `args` is None. `up` counts the definitions from the caller out to the
+    one that has the callee as a local (None: a library one): the callee's
+    definers' runs are `runs[up:]` of the caller's display. `args` are the
+    argument forms, one per parameter, already checked against them
+    (`_check_args`): a list parameter's is a `ListArg`, and a left-out
+    trailing one an `EmptyOptArg`. Running it reads the caller's names in
+    them (list items, symbols and fit targets), compiled in `scope`, the
+    caller's `_Draft.chain`, into `plan`; where the caller binds no name,
+    there is nothing to read."""
 
-    name: str
-    target: PatternDef = field(compare=False)
+    qual: str
     args: tuple[ArgumentForm | _ExprArg, ...] | None
     up: int | None
     pos: SourcePos
@@ -251,6 +254,7 @@ class PatternDef(Record, frozen=False):
 
 class Library(Record, frozen=False):
     defs: dict[str, PatternDef]
+    quals: dict[str, PatternDef] = field(compare=False)  # every definition by qual, locals too
     # finished 0-parameter expansions by qual, filled as they are used
     # (instantiate._Memo); entries are written child before parent and never
     # replaced, so threads may share it
@@ -373,8 +377,8 @@ def build_library(ast: LibraryAst) -> Library:
         grouped.setdefault(item.name, []).append(item)
     deltas: dict[tuple[Frame, ...], FlatOntology] = {}
     trees = [_build_def(name, asts, name, None, deltas) for name, asts in grouped.items()]
-    lib = Library({tree[0].d.name: tree[0].d for tree in trees})
     drafts = [dr for tree in trees for dr in tree]
+    lib = Library({tree[0].d.name: tree[0].d for tree in trees}, {dr.d.qual: dr.d for dr in drafts})
     # a call's arguments are checked against these: whether each is a list,
     # optional, its index and a plain one's symbols are read, all final here
     shapes = {dr.d.qual: dr.params[0] for dr in drafts}
@@ -518,7 +522,7 @@ def _reference(name: str, target: PatternDef | None, up: int | None, pos: Source
         raise UnknownReference(f"unknown ontology or pattern '{name}'", pos)
     if target.arity != 0:
         raise ArityMismatch(f"'{name}' is generic: {target.arity} argument(s) required", pos)
-    return Call(name, target, None, up, pos)
+    return Call(target.qual, None, up, pos)
 
 
 class _Scope(NamedTuple):
@@ -570,7 +574,7 @@ class _Scope(NamedTuple):
         forms = _check_args(target.name, params, args, e.pos, self.arg)
         shrinks = any(_arg_shrinks(a, self.strips) for a in forms)
         self.calls[edge] = (self.dr.d.qual, target.qual, shrinks, e.pos)
-        return Call(e.name, target, tuple(forms), up, e.pos, self.dr.chain)
+        return Call(target.qual, tuple(forms), up, e.pos, self.dr.chain)
 
     def arg(self, a: ArgAst, p: ParamSpec) -> ArgumentForm | _ExprArg:
         """`a` as a form for `_check_arg` to fit to `p`: a list tail is a

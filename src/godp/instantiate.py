@@ -26,10 +26,15 @@ expansion and its own index there: unique among live ones, and unchanged by
 memo hits.
 
 Calls, their argument forms and list tails arrive resolved by
-`build_library`, so the engine looks no name up. A run holds only what its
-own clause and parameters bind, and each name is read from the run that binds
-it (`blocks.compile_names`), as a `ListVar` is; a list head or tail that its
-run's clause does not bind is an error when it is read.
+`build_library`, so the engine looks no name up: a call names its callee by
+qual, read from the library's table of every definition. A run holds only
+what its own clause and parameters bind. It is read through its display, the
+tuple of its own `Bindings` and its definers' runs, innermost first: a name
+or `ListVar` bound `up` definitions out is read from `runs[up]`
+(`blocks.compile_names`), and a local callee's definers are `runs[up:]`. A
+list head or tail that its run's clause does not bind is an error when it is
+read. Nothing a run makes points back at its caller or at a definition, so a
+finished expansion is freed by reference counting alone.
 
 Expansion is pure over an immutable Library. Every top-level call gets its own
 context: a depth budget and the names of the 0-parameter expansions it has
@@ -104,23 +109,12 @@ DEFAULT_DEPTH = 10_000
 class Bindings(Record, frozen=False):
     """One run of a clause: the names it binds itself (its list heads, its
     parameters' new symbols and fit sources that no run around it binds)
-    and the lists its own template tails bind. `parent` is the definer's
-    run, for a local pattern; a slot's walk and a `ListVar` count `up` to
-    the run they read."""
+    and the lists its own template tails bind. It heads the run's display,
+    followed by its definers' runs, where a slot's walk and a `ListVar`
+    read the run `up` definitions out."""
 
     name_map: dict[NameTerm, NameTerm] = field(factory=dict)
     list_map: dict[str, tuple[NameTerm, ...]] = field(factory=dict)
-    parent: "Bindings | None" = field(None, compare=False)
-
-    def outer(self, up: int) -> "Bindings":
-        """The run `up` definers out."""
-        b = self
-        for _ in range(up):
-            b = b.parent
-        return b
-
-
-EMPTY_BINDINGS = Bindings()
 
 
 def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
@@ -129,7 +123,7 @@ def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
     whole term wins; otherwise a bound base is replaced (its image's arguments
     are prefixed when the image is itself parameterized) and arguments are
     substituted recursively. Unbound plain names pass through unchanged."""
-    return fill_names(compile_names([n], (set(n.bases()),)), b)[n]
+    return fill_names(compile_names([n], (set(n.bases()),)), (b,))[n]
 
 
 def _contains_base(n: NameTerm, bases: AbstractSet[str]) -> bool:
@@ -234,7 +228,7 @@ def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings)
 
 def check_compatibility(fittings: Sequence[FittingMorphism]) -> None:
     """A symbol shared between parameters must map identically everywhere."""
-    seen = Bindings()
+    seen = (Bindings(),)
     for m in fittings:
         for src, dst in m.pairs:
             _bind_fit(seen, src.name, dst.name, (), None)
@@ -294,38 +288,39 @@ def derive_fitting(
     form = _entry_form(lib, _check_arg(param, arg, None))
     if isinstance(form, EmptyOptArg):
         return FittingMorphism.of({})
-    sigma = Bindings()  # no run around it
+    runs = (Bindings(),)  # no run around it
     if isinstance(form, LocalSymbolArg):
-        _fit_local(None, param, form, sigma, env, ())
+        _fit_local(None, param, form, runs, env, ())
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
-        arg_ont = _eval_expr(ctx, form.expr, env, EMPTY_BINDINGS)
-        _fit_ontology(param, form, arg_ont, env, sigma, ())
+        arg_ont = _eval_expr(ctx, form.expr, env, ())
+        _fit_ontology(param, form, arg_ont, env, runs, ())
     return FittingMorphism.of(
-        {n: Symbol(sigma.name_map[n.name], n.kind) for n in param.shape.new_symbols}
+        {n: Symbol(runs[0].name_map[n.name], n.kind) for n in param.shape.new_symbols}
     )
 
 
-def _bind_fit(sigma: Bindings, src: NameTerm, dst: NameTerm, chain: tuple, pos) -> None:
-    """Bind the fit source `src` to `dst` in the run `sigma`, whose names
-    `chain` holds; the first binding its walk finds there or further out must
-    agree. A list head unbound on the way is no binding: a fit reads none."""
+def _bind_fit(runs: tuple, src: NameTerm, dst: NameTerm, chain: tuple, pos) -> None:
+    """Bind the fit source `src` to `dst` in the run that heads the display
+    `runs`, whose names `chain` holds; the first binding its walk finds there
+    or further out must agree. A list head unbound on the way is no binding:
+    a fit reads none."""
     walk = compile_names([src], ({*src.bases()}, *chain[1:]))[src][1]
-    prior = next((v for up, _ in walk if (v := sigma.outer(up).name_map.get(src)) is not None), None)
+    prior = next((v for up, _ in walk if (v := runs[up].name_map.get(src)) is not None), None)
     if prior is not None and prior != dst:
         raise IncompatibleFittings(
             f"'{src.render()}' is mapped both to '{prior.render()}' and to "
             f"'{dst.render()}'",
             pos,
         )
-    sigma.name_map[src] = dst
+    runs[0].name_map[src] = dst
 
 
 def _fit_local(
     owner: str | None,
     pspec: ParamSpec,
     form: LocalSymbolArg,
-    sigma: Bindings,
+    runs: tuple,
     avail: FlatOntology,
     chain: tuple,
 ) -> FlatOntology:
@@ -338,9 +333,9 @@ def _fit_local(
             form.pos,
         )
     n = shape.new_symbols[0]
-    term = sigma.name_map[n.name] = form.term  # a new symbol shadows what a definer binds
+    term = runs[0].name_map[n.name] = form.term  # a new symbol shadows what a definer binds
     for src, dst in form.fits:  # a fit of the parameter must agree
-        _bind_fit(sigma, src, dst, chain, form.pos)
+        _bind_fit(runs, src, dst, chain, form.pos)
     return _declare(
         avail, ((term, n.kind),), form.pos,
         lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
@@ -353,7 +348,7 @@ def _fit_ontology(
     form: _ExprArg,
     arg_ont: FlatOntology,
     env: FlatOntology,
-    sigma: Bindings,
+    runs: tuple,
     chain: tuple,
 ) -> None:
     shape: PlainShape = pspec.shape
@@ -391,9 +386,9 @@ def _fit_ontology(
                     form.pos,
                 )
             image = candidates[0].name
-        sigma.name_map[n.name] = image
+        runs[0].name_map[n.name] = image
     for src, dst in form.fits:
-        _bind_fit(sigma, src, dst, chain, form.pos)
+        _bind_fit(runs, src, dst, chain, form.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +413,7 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
             ctx.frame = frame = [[], 0]
             ctx.running = 0  # it starts from an empty environment: no placeholder is visible
             try:
-                out = _instantiate(ctx, d, EMPTY_BINDINGS, [], EMPTY_ONTOLOGY, pos)
+                out = _instantiate(ctx, d, (), [], EMPTY_ONTOLOGY, pos)
             except GodpError as e:
                 if not isinstance(e, DepthExceeded):  # that one depends on the budget
                     ticks, error = budget - ctx.budget - frame[1], (type(e), e.message, e.pos)
@@ -466,36 +461,35 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     return True
 
 
-def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, scope: Bindings) -> FlatOntology:
+def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, runs: tuple) -> FlatOntology:
     if isinstance(expr, tuple):  # a `then` chain
         for term in expr:
-            env = _eval_expr(ctx, term, env, scope)
+            env = _eval_expr(ctx, term, env, runs)
         return env
     if isinstance(expr, FlatOntology):  # an `AnonymousArg`'s
         return union_flat(env, expr)
     try:
         if isinstance(expr, BlockTemplate):
-            return union_flat(env, fill_block(expr.plan, scope))
-        target = expr.target
-        # a local shares the parameters around it
-        base = EMPTY_BINDINGS if expr.up is None else scope.outer(expr.up)
-        if expr.args is not None:
-            names = [fill_names(p, scope) for p in expr.plan or ()]  # every head read before any tail
-            forms = [_apply_form(f, n, scope) for f, n in zip(expr.args, names)] if names else expr.args
-            return _instantiate(ctx, target, base, forms, env, expr.pos, scope)
-        if expr.up is None:
+            return union_flat(env, fill_block(expr.plan, runs))
+        target = ctx.lib.quals[expr.qual]
+        if expr.args is None and expr.up is None:
             return union_flat(env, _closed_expansion(ctx, target, expr.pos))
-        return _instantiate(ctx, target, base, [], env, expr.pos, scope)
+        names = [fill_names(p, runs) for p in expr.plan or ()]  # every head read before any tail
+        forms = [_apply_form(f, n, runs) for f, n in zip(expr.args, names)] if names else expr.args or ()
+        # a local shares the parameters around it: its definers' runs
+        base = () if expr.up is None else runs[expr.up:]
+        return _instantiate(ctx, target, base, forms, env, expr.pos, runs)
     except GodpError as e:
         e.ensure_pos(expr.pos)
         raise
 
 
-def _apply_form(form: ArgumentForm | _ExprArg, names: dict, b: Bindings) -> ArgumentForm | _ExprArg:
-    """A call's checked argument form in the caller's run `b`: its names read
-    from `names`, its plan filled in `b`, its list tails spliced."""
+def _apply_form(form: ArgumentForm | _ExprArg, names: dict, runs: tuple) -> ArgumentForm | _ExprArg:
+    """A call's checked argument form in the caller's display `runs`: its
+    names read from `names`, its plan filled in `runs`, its list tails
+    spliced."""
     if isinstance(form, ListArg):
-        return ListArg(tuple(_splice(form.items, names, b, form.pos)), form.pos)
+        return ListArg(tuple(_splice(form.items, names, runs, form.pos)), form.pos)
     if isinstance(form, EmptyOptArg):
         return form
     # fit sources name the callee's parameter symbols and stay as written;
@@ -509,17 +503,20 @@ def _apply_form(form: ArgumentForm | _ExprArg, names: dict, b: Bindings) -> Argu
 def _instantiate(
     ctx: _Ctx,
     target: PatternDef,
-    base: Bindings,
+    base: tuple,
     forms: Sequence[ArgumentForm | _ExprArg],
     env: FlatOntology,
     pos: SourcePos | None,
-    caller: Bindings = EMPTY_BINDINGS,
+    caller: tuple = (),
 ) -> FlatOntology:
+    """`target` run on the checked `forms`: its display is its own new run,
+    then `base`, its definers' runs; expression arguments are evaluated in
+    the `caller`'s display."""
     ctx.tick(pos)
     level = ctx.running
     ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
-    sigma = Bindings({}, {}, base)
+    runs = (Bindings({}, {}), *base)
     imports_ont = EMPTY_ONTOLOGY
     for imp in target.imports:
         imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
@@ -535,29 +532,29 @@ def _instantiate(
                     lambda t, k: f"list item '{t.render()}' has kind {k.value}, "
                     f"expected {tmpl.kind.value}",
                 )
-                _bind_template(tmpl, form.items, sigma)
+                _bind_template(tmpl, form.items, runs[0])
             elif isinstance(form, EmptyOptArg):
                 elided = []
                 for s in pspec.shape.new_symbols:
-                    ph = sigma.name_map[s.name] = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
+                    ph = runs[0].name_map[s.name] = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
                     dead.add(ph.base)
                     elided.append((ph, s.kind))
                 avail = _declare(avail, elided, form.pos, None)
             else:
                 if isinstance(form, LocalSymbolArg):
-                    avail = _fit_local(target.name, pspec, form, sigma, avail, clause.scope)
-                else:  # evaluated on top of env, in the caller's scope
+                    avail = _fit_local(target.name, pspec, form, runs, avail, clause.scope)
+                else:  # evaluated on top of env, in the caller's display
                     added = _eval_expr(ctx, form.expr, env, caller)
-                    _fit_ontology(pspec, form, added, env, sigma, clause.scope)
+                    _fit_ontology(pspec, form, added, env, runs, clause.scope)
                     avail = union_flat(avail, added)
                 if axioms := pspec.shape.delta.axioms:  # compiled here: few parameters have any
                     names = compile_names([n for a in axioms for n, _ in a.refs()], clause.scope)
-                    _check_constraints(axioms, fill_names(names, sigma).__getitem__, avail, form.pos)
+                    _check_constraints(axioms, fill_names(names, runs).__getitem__, avail, form.pos)
         except GodpError as e:
             e.ensure_pos(form.pos or pos)
             raise
 
-    out = _eval_expr(ctx, clause.body, avail, sigma)
+    out = _eval_expr(ctx, clause.body, avail, runs)
     if dead:
         out = _elide(out, lambda n: _contains_base(n, dead))
     ctx.running -= 1
@@ -614,7 +611,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
     forms = [_entry_form(lib, f) for f in _check_args(target.name, target.clauses[0].params, inst.args, None)]
-    return _instantiate(ctx, target, EMPTY_BINDINGS, forms, inst.local_env, None)
+    return _instantiate(ctx, target, (), forms, inst.local_env, None)
 
 
 def expand_named(lib: Library, name: str, depth: int = DEFAULT_DEPTH) -> FlatOntology:

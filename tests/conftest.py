@@ -44,9 +44,10 @@ def lib_of(source: str, file: str = "<test>"):
 
 def unresolved(lib) -> list:
     """What a built library must not hold in a clause body, locals included:
-    anything but calls and compiled blocks, a call without a target, or one whose
-    arguments are not one checked form per parameter of the callee (a
-    `ListArg` for each list parameter)."""
+    anything but calls and compiled blocks, a call whose qual names no
+    definition in the library's table, or one whose arguments are not one
+    checked form per parameter of the callee (a `ListArg` for each list
+    parameter)."""
     bad = []
 
     def expr(e) -> None:
@@ -56,10 +57,10 @@ def unresolved(lib) -> list:
         elif not isinstance(e, Call):
             if not isinstance(e, BlockTemplate):
                 bad.append(e)
-        elif e.target is None:
+        elif e.qual not in lib.quals:
             bad.append(e)
         elif e.args is not None:
-            params = e.target.clauses[0].params
+            params = lib.quals[e.qual].clauses[0].params
             if len(e.args) != len(params):
                 bad.append(e)
             for p, a in zip(params, e.args):

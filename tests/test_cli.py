@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from godp import parse_library, render_diagnostics
-from godp.cli import main
+from godp.cli import _argparser, main
 from godp.diagnostics import ParseError
 from godp.parser import MAX_NESTING
 
@@ -409,6 +410,32 @@ def test_elided_symbol_in_a_diagnostic_is_the_same_at_every_depth(tmp_path, caps
     assert code == 1
     (line,) = err.splitlines()  # V and W reach the same failure: it is printed once
     assert line.startswith(f"{f}:1:55: error: kind clash for '?B_")
+
+
+# -- memory ----------------------------------------------------------------------
+
+def test_a_check_and_an_expansion_leave_nothing_for_the_cyclic_collector(capsys):
+    # a built library and a finished expansion hold no reference cycle, so
+    # reference counting alone frees them; the argument parser, built once
+    # per process, is built before
+    _argparser()
+    errors = [str(p) for p in sorted(ERRORS.glob("*.gdp"))]
+    for argv in (
+        ["check", *corpus_args(), *errors],
+        ["check", *corpus_args()],
+        ["expand", "--target", "GradedRelsSub_Significance", "--format", "dump", *corpus_args()],
+    ):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert garbage == [], argv[:3]
 
 
 # -- the traced benchmark's wrap points ------------------------------------------

@@ -364,10 +364,11 @@ def _subclasses(cls: type) -> list[type]:
 
 _RECORDS = sorted(set(_subclasses(Record)), key=lambda c: (c.__module__, c.__qualname__))
 # the fields left out of == and hash: source positions, derived indexes and
-# links, such as a compiled block's link to the names its body sees; but the
-# positions of a diagnostic and of a resolved call or definition are part of
-# it, as is the memo of a running expansion
-_NOT_THE_VALUE = {"pos", "end", "kinds", "memo", "target", "parent", "scope"}
+# links, such as a library's table of every definition by qual and a compiled
+# block's link to the names its body sees; but the positions of a diagnostic
+# and of a resolved call or definition are part of it, as is the memo of a
+# running expansion
+_NOT_THE_VALUE = {"pos", "end", "kinds", "memo", "quals", "parent", "scope"}
 _PART_OF_THE_VALUE = {("Diagnostic", "pos"), ("Call", "pos"), ("PatternDef", "pos"), ("_Ctx", "memo")}
 
 

@@ -220,26 +220,26 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
     the same parameter, argument and environment."""
     import godp.instantiate as engine
 
-    calls = []  # (parameter, argument, environment, engine's pairs, its instantiation's sigma)
+    calls = []  # (parameter, argument, environment, engine's pairs, its instantiation's run)
     fit_local, fit_ontology = engine._fit_local, engine._fit_ontology
 
     def fitted(pspec, sigma):
         return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.shape.new_symbols}
 
-    def record_local(owner, pspec, form, sigma, avail, chain):
-        added = fit_local(owner, pspec, form, sigma, avail, chain)
-        calls.append((pspec, form, avail, fitted(pspec, sigma), sigma))
+    def record_local(owner, pspec, form, runs, avail, chain):  # `runs[0]`: the run it binds in
+        added = fit_local(owner, pspec, form, runs, avail, chain)
+        calls.append((pspec, form, avail, fitted(pspec, runs[0]), runs[0]))
         return added
 
-    def record_ontology(pspec, form, arg_ont, env, sigma, chain):
-        fit_ontology(pspec, form, arg_ont, env, sigma, chain)
+    def record_ontology(pspec, form, arg_ont, env, runs, chain):
+        fit_ontology(pspec, form, arg_ont, env, runs, chain)
         expr = getattr(form, "expr", None)
         if isinstance(expr, Call) and expr.args is None and expr.up is None:
             # a bare library name is replayed as the form the Python API gives it
-            form = NamedOntologyArg(expr.name, form.fits)
+            form = NamedOntologyArg(expr.qual, form.fits)  # a library definition's qual is its name
         elif isinstance(form, engine._ExprArg):  # an expression argument, already evaluated
             form = AnonymousArg(arg_ont, form.fits)
-        calls.append((pspec, form, env, fitted(pspec, sigma), sigma))
+        calls.append((pspec, form, env, fitted(pspec, runs[0]), runs[0]))
 
     monkeypatch.setattr(engine, "_fit_local", record_local)
     monkeypatch.setattr(engine, "_fit_ontology", record_ontology)
@@ -1431,6 +1431,26 @@ def test_a_local_of_a_local_reads_the_tail_of_the_run_two_definers_out():
         expand_named(lib, "V")
     assert exc.value.message == _NOT_A_LIST
     assert (exc.value.pos.line, exc.value.pos.col) == (3, 43)
+
+
+def test_a_local_of_a_local_calls_a_local_of_the_definition_two_out(tmp_path, capsys):
+    # C calls A's local M, two definitions out (`Call.up == 2`); M's block
+    # reads A's head `a` and tail `as` from A's run
+    source = (
+        "ontology A [Individual: a :: as] =\n"
+        "  let\n"
+        "    ontology M [Individual: m] = { Individual: m DifferentFrom: a, as }\n"
+        "    ontology B [Individual: b] =\n"
+        "      let ontology C [Individual: c] = { Individual: c } then M[c] then M[b] in C[k]\n"
+        "  in B[j]\n"
+        "ontology A [empty] = { }\n"
+        "ontology U = A[p, q, r]\n"
+    )
+    calls = lib_of(source).quals["A::B::C"].clauses[0].body[1:]
+    assert [(c.qual, c.up) for c in calls] == [("A::M", 2)] * 2
+    pairs = "".join(f"AX DifferentIndividuals {i} {o}\n" for i in "jk" for o in "pqr")
+    symbols = "".join(f"SYM Individual {s}\n" for s in "jkpqr")
+    assert _cli(tmp_path, capsys, source, "U") == [(0, pairs + symbols, ""), (0, "", "")]
 
 
 _L_NAMES_XS = "ontology L [Individual: z] = { Individual: z DifferentFrom: xs } then M[xs] in L[q]"

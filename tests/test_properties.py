@@ -313,7 +313,7 @@ def test_a_block_fill_is_make_ontology_over_the_substituted_frames(block_run):
     bound = {b for n in name_map for b in n.bases()} | set(lists) | unbound
     plan = compile_block(frames, (bound,), {NameTerm(t): ListVar(t, 0) for t in lists})
     expected = _outcome(lambda: _frames_built_by_substitution(frames, run, set(lists)))
-    assert _outcome(lambda: fill_block(plan, run)) == expected
+    assert _outcome(lambda: fill_block(plan, (run,))) == expected  # the display of a run with no definer
 
 
 @settings(max_examples=80, deadline=None)
