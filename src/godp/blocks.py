@@ -7,6 +7,7 @@ is read from `runs[up]`. `build_block` is both for frames on their own, and
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -172,7 +173,7 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
                 fixed.append((cls, subj, s) if first else (cls, s, subj))
     ops = compile_names(names, chain)
     plan = (ops, tuple(symbols), tuple(fixed), tuple(lists), frame_pos, None)
-    if any(op[1] for op in ops.values()) or any(ListVar in map(type, items) for _, _, items, _, _ in lists):
+    if any(map(itemgetter(1), ops.values())) or any(ListVar in map(type, items) for _, _, items, _, _ in lists):
         return plan
     try:  # a kind clash in it is reported by each run
         return (*plan[:-1], fill_block(plan, ()))

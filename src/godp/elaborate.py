@@ -18,23 +18,29 @@ error even where nothing runs it. Its symbols are `NameTerm`s, and a list
 tail, in an argument or in a block's comma list, is a `ListVar`: the one
 rule for both places.
 
-A definition's parameters see its imports and, for a local, all that its
-definer's first-clause parameters see; each one also sees those before it in
-its clause. A plain parameter's new symbols are what it adds, computed once
-for the clauses that bind the same list heads before it. Each frozen `Clause`
-is made once, with its resolved body, in an order where each import is
-expanded (by `instantiate.expand_named`, with a fresh default depth budget)
-only after everything it reaches has its clauses. Once `build_library`
-returns, nothing in the Library changes but its memo and the plans its
-blocks are compiled into when they first run.
+A build makes each record once, in four steps, and reports the first error
+of the first step that meets one: (1) each definition, before its locals,
+checks its clauses against each other and walks each clause's parameters once
+(`_walk_params`), building equal plain frames once; (2) each library
+definition, with its locals, takes its imports, then resolves each clause body
+in one walk, checking each call against its callee's first clause; (3) the
+recursion guard sees every call and import; (4) in an order where each import
+is expanded (by `instantiate.expand_named`, with a fresh default depth budget)
+only after everything it reaches has its clauses, each `ParamSpec`,
+`PlainShape` and `Clause` is made, final. A definition's parameters see its
+imports and, for a local, all that its definer's first-clause parameters see,
+and each one those before it in its clause; a plain one's new symbols are
+what it adds. Once `build_library` returns, nothing in the Library changes
+but its memo and the plans its blocks are compiled into when they first run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence, Union
+from operator import attrgetter
+from typing import Mapping, Sequence, Union
 
 from .blocks import BlockTemplate, ListVar, _compiled, _not_a_list, build_block, compile_names
-from .core import EMPTY_ONTOLOGY, FlatOntology, NameTerm, Symbol, make_ontology, union_flat
+from .core import FlatOntology, NameTerm, Symbol, make_ontology, union_flat
 from .diagnostics import (
     ArityMismatch,
     DuplicateDefinition,
@@ -46,7 +52,7 @@ from .diagnostics import (
     UnsupportedArgument,
 )
 from .parser import expr_to_name_term
-from .record import Record, field, replace
+from .record import Record, field
 from .syntax import (
     ArgAst,
     BlockExpr,
@@ -174,60 +180,54 @@ def _of(owner: str | None) -> str:
     return f" of '{owner}'" if owner is not None else ""
 
 
-def _check_arg(
-    pspec: ParamSpec, form: ArgumentForm | _ExprArg, owner: str | None
-) -> ArgumentForm | _ExprArg:
-    """`form` fitted to `pspec` as `.gdp` text is: a list parameter takes a
-    list, an empty argument as the empty list and a bare name without fits as
-    a one-item list; a plain parameter takes any other form, an empty one
-    only if it is optional, and fits only of its own symbols."""
-    if pspec.is_list:
-        if isinstance(form, ListArg):
+def _check_arg(index: int, optional: bool, shape: ListTemplate | FlatOntology, form: ArgumentForm | _ExprArg,
+               owner: str | None) -> ArgumentForm | _ExprArg:
+    """`form` fitted to parameter `index` (from 0) as `.gdp` text is, by type: a
+    list parameter (`shape` its template) takes a list, an empty argument as
+    the empty list and a bare name without fits as a one-item list; a plain
+    one (`shape` the ontology of its frames) takes any other form, an empty
+    one only if it is `optional`, and fits only of its own symbols."""
+    t = type(form)
+    if type(shape) is ListTemplate:
+        if t is ListArg:
             return form
-        if isinstance(form, EmptyOptArg):
+        if t is EmptyOptArg:
             return ListArg((), form.pos)
         if form.fits:
             raise UnsupportedArgument(_LIST_FITS, form.pos)
-        if isinstance(form, LocalSymbolArg):
-            return ListArg((form.term,), form.pos)
-        if isinstance(form, NamedOntologyArg):
-            return ListArg((NameTerm(form.name),), form.pos)
+        if t in (LocalSymbolArg, NamedOntologyArg):
+            return ListArg((form.term if t is LocalSymbolArg else NameTerm(form.name),), form.pos)
         raise UnsupportedArgument("a list argument must be a comma or '::' list of names", form.pos)
-    if isinstance(form, ListArg):
+    if t is ListArg:
         raise UnsupportedArgument("list argument given for a non-list parameter", form.pos)
-    if isinstance(form, EmptyOptArg):
-        if not pspec.optional:
-            raise MissingArgument(
-                f"missing argument for non-optional parameter {pspec.index + 1}{_of(owner)}",
-                form.pos,
-            )
+    if t is EmptyOptArg:
+        if not optional:
+            raise MissingArgument(f"missing argument for non-optional parameter {index + 1}{_of(owner)}", form.pos)
         return form
     for src, _ in form.fits:
-        if src not in pspec.shape.delta.kinds:
+        if src not in shape.kinds:
             raise UnsupportedArgument(
-                f"fit source '{src.render()}' is not a symbol of parameter {pspec.index + 1}{_of(owner)}",
-                form.pos,
+                f"fit source '{src.render()}' is not a symbol of parameter {index + 1}{_of(owner)}", form.pos
             )
     return form
 
 
-def _check_args(
-    name: str,
-    params: Sequence[ParamSpec],
-    args: Sequence,
-    pos: SourcePos | None,
-    convert: Callable[[object, ParamSpec], ArgumentForm | _ExprArg] = lambda a, p: a,
-) -> list[ArgumentForm | _ExprArg]:
-    """The arguments of a call of `name`, which has `params` (its first
-    clause's), each made a form by `convert` and checked by `_check_arg` in
-    turn; left-out trailing ones are empty, which no list parameter takes."""
-    if len(args) > len(params):
-        raise ArityMismatch(f"'{name}' takes {len(params)} argument(s), got {len(args)}", pos)
-    forms = [_check_arg(p, convert(a, p), name) for p, a in zip(params, args)]
-    for p in params[len(args):]:
-        if p.is_list:
-            raise ArityMismatch(f"missing argument for list parameter {p.index + 1} of '{name}'", pos)
-        forms.append(_check_arg(p, EmptyOptArg(pos), name))
+def _check_args(name: str, decls: Sequence[tuple], args: Sequence, pos: SourcePos | None, convert=lambda a, shape: a):
+    """The arguments of a call of `name`, whose first clause's parameters are
+    `decls`, each an (optional, shape) pair as `_check_arg` takes them: each
+    argument made a form by `convert` and checked in turn; left-out trailing
+    ones are empty, which no list parameter takes."""
+    if len(args) > len(decls):
+        raise ArityMismatch(f"'{name}' takes {len(decls)} argument(s), got {len(args)}", pos)
+    forms = []
+    for i, (optional, shape) in enumerate(decls):
+        if i < len(args):
+            form = convert(args[i], shape)
+        elif type(shape) is ListTemplate:
+            raise ArityMismatch(f"missing argument for list parameter {i + 1} of '{name}'", pos)
+        else:
+            form = EmptyOptArg(pos)
+        forms.append(_check_arg(i, optional, shape, form, name))
     return forms
 
 
@@ -275,51 +275,43 @@ class Library(Record, frozen=False):
 # ---------------------------------------------------------------------------
 
 def _check_clause_compatibility(name: str, first: PatternDefAst, other: PatternDefAst) -> None:
+    def disagree(on: str) -> DuplicateDefinition:
+        return DuplicateDefinition(f"clauses of '{name}' disagree on {on}", other.pos)
+
     if len(first.params) != len(other.params):
-        raise DuplicateDefinition(
-            f"clauses of '{name}' disagree on parameter count "
-            f"({len(first.params)} vs {len(other.params)})",
-            other.pos,
-        )
+        raise disagree(f"parameter count ({len(first.params)} vs {len(other.params)})")
     if first.given != other.given:
-        raise DuplicateDefinition(f"clauses of '{name}' disagree on given imports", other.pos)
-    for i, (a, b) in enumerate(zip(first.params, other.params)):
+        raise disagree("given imports")
+    for i, (a, b) in enumerate(zip(first.params, other.params), 1):
         if a.optional != b.optional:
-            raise DuplicateDefinition(
-                f"clauses of '{name}' disagree on optionality of parameter {i + 1}", other.pos
-            )
+            raise disagree(f"optionality of parameter {i}")
         plain = isinstance(a.payload, FramesParam)
         if plain != isinstance(b.payload, FramesParam):
-            raise DuplicateDefinition(
-                f"clauses of '{name}' disagree on the shape of parameter {i + 1}", other.pos
-            )
-        if plain:
-            if a.payload != b.payload:
-                raise DuplicateDefinition(
-                    f"clauses of '{name}' disagree on plain parameter {i + 1}", other.pos
-                )
-        else:
-            ka, kb = a.payload.kind, b.payload.kind
-            if ka is not None and kb is not None and ka is not kb:
-                raise DuplicateDefinition(
-                    f"clauses of '{name}' disagree on the kind of list parameter {i + 1}",
-                    other.pos,
-                )
+            raise disagree(f"the shape of parameter {i}")
+        if plain and a.payload != b.payload:
+            raise disagree(f"plain parameter {i}")
+        if not plain and None is not a.payload.kind is not b.payload.kind is not None:
+            raise disagree(f"the kind of list parameter {i}")
+
+
+_NO_NAMES: Mapping = {}  # shared, never written: an empty map per clause would feed the cyclic collector
 
 
 class _Draft(Record, frozen=False):
-    """A definition until build_library makes its clauses: each clause's AST
-    and parameters, a plain one shared by all clauses with its new symbols
-    not yet known, then each clause's resolved body. `parent` is the draft
-    of a local's definer."""
+    """A definition until build_library makes its clauses: what `_walk_params`
+    makes of each clause; what its parameters bind over its clauses, as its
+    locals see them (`merged`), and `chain`, that and then each definer's.
+    `parent` is the draft of a local's definer."""
 
     d: PatternDef
     asts: list[PatternDefAst]
-    params: list[tuple[ParamSpec, ...]]
+    clauses: list[tuple]
+    merged: dict
+    chain: tuple = ()
+    visible: Mapping = _NO_NAMES  # its locals and its definers', the innermost counting
     bodies: list[Expr] = field(factory=list)
-    chain: tuple = ()  # what its parameters bind (`_param_names`) over its clauses, then each definer's
     rank: int = 0  # its place in the order that makes the clauses
-    sees: FlatOntology = EMPTY_ONTOLOGY  # what its locals' parameters see
+    sees: Mapping = _NO_NAMES  # the name -> kind index its locals' parameters see
     parent: "_Draft | None" = field(None, compare=False)
 
 
@@ -327,7 +319,9 @@ def _build_def(
     name: str, clause_asts: list[PatternDefAst], qual: str, parent: _Draft | None, deltas: dict
 ) -> list[_Draft]:
     """The drafts of the definition `name` and of its locals, a definition
-    before its locals; `deltas` holds each plain parameter's frames built."""
+    before its locals; `deltas` holds the ontology of each plain parameter's
+    frames built, with the bases of its names, for clauses and definitions
+    that repeat them."""
     first = clause_asts[0]
     for other in clause_asts[1:]:
         _check_clause_compatibility(name, first, other)
@@ -340,31 +334,62 @@ def _build_def(
 
     # every field in order: a record binds a shorter or keyword call in Python
     d = PatternDef(name, qual, len(first.params), {}, first.pos, (), ())
-    tree = [_Draft(d, clause_asts, [], [], (), 0, EMPTY_ONTOLOGY, parent)]
+    dr = _Draft(d, clause_asts, [], _NO_NAMES, (), _NO_NAMES, [], 0, _NO_NAMES, parent)
+    tree = [dr]
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
     for ca in clause_asts:
         for loc in ca.locals:
             local_asts.setdefault(loc.name, []).append(loc)
     for lname, lasts in local_asts.items():
-        sub = _build_def(lname, lasts, f"{qual}::{lname}", tree[0], deltas)
+        sub = _build_def(lname, lasts, f"{qual}::{lname}", dr, deltas)
         d.locals[lname] = sub[0].d
         tree += sub
 
-    plain: dict[int, ParamSpec] = {}
     for ca in clause_asts:
-        params: list[ParamSpec] = []
-        for i, p in enumerate(ca.params):
-            pl = p.payload
-            if isinstance(pl, ListTemplate):
-                params.append(ParamSpec(i, p.optional, pl))
-                continue
-            if i not in plain:  # clauses share plain parameters
-                delta = deltas.get(pl.frames) or deltas.setdefault(pl.frames, build_block(pl.frames))
-                plain[i] = ParamSpec(i, p.optional, PlainShape(pl.frames, delta, ()))
-            params.append(plain[i])
-        tree[0].params.append(tuple(params))
+        dr.clauses.append(_walk_params(ca.params, (qual, False), (qual, None), (qual, True), deltas))
+    # a name some clause binds is the definition's, a list tail if some clause
+    # binds it as one, else a head only if no clause binds it plain (plain
+    # parameters are every clause's, so bound each run)
+    dr.merged = dr.clauses[0][1] if len(dr.clauses) == 1 else {
+        n: v for role in (None, False, True) for c in dr.clauses for n, v in c[1].items() if v[1] is role
+    }
     return tree
+
+
+def _walk_params(params: tuple, plain: tuple, head: tuple, tail: tuple, deltas: dict) -> tuple:
+    """One clause's parameters walked once: their (optional, shape) pairs as
+    `_check_arg` takes them; each name they bind to its role, the last binding
+    counting (a plain parameter binds the bases of its names); the `ListVar`
+    of each list tail and the items its template strips. A tail that a later
+    parameter binds again is no list in a run: its template drops it."""
+    names, decls = {} if params else _NO_NAMES, []
+    for p in params:
+        pl = p.payload
+        if type(pl) is ListTemplate:
+            names.update(dict.fromkeys(pl.heads, head))
+            if pl.tail is not None:
+                names[pl.tail] = tail
+        else:
+            built = deltas.get(pl.frames)
+            if built is None:
+                delta = build_block(pl.frames)
+                built = deltas[pl.frames] = delta, {b for s in delta.signature for b in s.name.bases()}
+            names.update(dict.fromkeys(built[1], plain))
+            pl = built[0]
+        decls.append((p.optional, pl))
+    tails = strips = _NO_NAMES
+    for i, (optional, shape) in enumerate(decls):
+        if type(shape) is not ListTemplate or shape.tail is None:
+            continue
+        if names[shape.tail] is not tail:
+            decls[i] = (optional, ListTemplate(shape.kind, shape.head, shape.head2, None))
+            continue
+        if not strips:
+            tails, strips = {}, {}
+        tails[NameTerm(shape.tail)] = ListVar(shape.tail, 0)
+        strips[shape.tail] = shape.min_len
+    return tuple(decls), names, tails, strips
 
 
 def build_library(ast: LibraryAst) -> Library:
@@ -372,41 +397,41 @@ def build_library(ast: LibraryAst) -> Library:
     consistency, sequential environments, imports, and recursion legality."""
     from .instantiate import expand_named  # circular at module level by design
 
-    grouped: dict[str, list[PatternDefAst]] = {}
+    grouped = {}  # name -> its clauses' ASTs
     for item in ast.items:
         grouped.setdefault(item.name, []).append(item)
-    deltas: dict[tuple[Frame, ...], FlatOntology] = {}
+    deltas: dict = {}  # frames -> (their ontology, the bases of its names)
     trees = [_build_def(name, asts, name, None, deltas) for name, asts in grouped.items()]
     drafts = [dr for tree in trees for dr in tree]
     lib = Library({tree[0].d.name: tree[0].d for tree in trees}, {dr.d.qual: dr.d for dr in drafts})
-    # a call's arguments are checked against these: whether each is a list,
-    # optional, its index and a plain one's symbols are read, all final here
-    shapes = {dr.d.qual: dr.params[0] for dr in drafts}
+    # a call's arguments are checked against its callee's first clause
+    rs = _Resolver(lib, [], {dr.d.qual: dr.clauses[0][0] for dr in drafts}, None, {}, {}, {})
 
-    calls: list = []  # the recursion guard's edges, one per call as it is resolved
     for tree in trees:  # a definition's imports and its locals', then their bodies
         for dr in tree:
-            dr.d.imports = tuple(_import(lib, dr.d, name) for name in dr.asts[0].given)
+            if given := dr.asts[0].given:
+                dr.d.imports = tuple([_import(lib, dr.d, name) for name in given])
         for dr in tree:
-            _resolve(lib, dr, shapes, calls)
-    imports = [(dr.d.qual, imp.qual, False, dr.d.pos) for dr in drafts for imp in dr.d.imports]
-    comp = _check_cycles(set(shapes), calls + imports)
+            _resolve(rs, dr)
+    imports = [(dr.d.qual, imp.qual, None, dr.d.pos) for dr in drafts for imp in dr.d.imports]
+    comp = _check_cycles(set(lib.quals), rs.calls + imports)
 
     # An import is expanded only after every definition it reaches has its
     # clauses. Those lie in the import's component or lower ones, and so do
     # their definers. So a definition comes after its definers and after the
     # components of its imports, as a library definition's own component is.
     for dr in drafts:
-        outer = dr.parent.rank if dr.parent else comp[dr.d.qual]
-        dr.rank = max([outer] + [comp[imp.qual] + 1 for imp in dr.d.imports])
-    for dr in sorted(drafts, key=lambda dr: dr.rank):  # stable: definers first
-        env = dr.parent.sees if dr.parent else EMPTY_ONTOLOGY
+        dr.rank = dr.parent.rank if dr.parent else comp[dr.d.qual]
         for imp in dr.d.imports:
-            try:  # a clash between imports, or with the definers' parameters
-                env = union_flat(env, expand_named(lib, imp.name))
-            except GodpError as e:
-                e.ensure_pos(dr.d.pos)
-                raise
+            dr.rank = max(dr.rank, comp[imp.qual] + 1)
+    for dr in sorted(drafts, key=attrgetter("rank")):  # stable: definers first
+        env = dict(dr.parent.sees) if dr.parent else {}
+        try:  # a clash between imports, or with the definers' parameters
+            for imp in dr.d.imports:
+                _extend(env, expand_named(lib, imp.name).kinds)
+        except GodpError as e:
+            e.ensure_pos(dr.d.pos)
+            raise
         dr.d.clauses, dr.sees = _clauses(dr, env)
     return lib
 
@@ -424,94 +449,65 @@ def _import(lib: Library, d: PatternDef, name: str) -> PatternDef:
     return target
 
 
-def _clauses(dr: _Draft, env: FlatOntology) -> tuple[tuple[Clause, ...], FlatOntology]:
-    """The clauses of a definition whose parameters see `env`, and what its
-    locals see: `env` and the first clause's parameters, list heads included.
-    Each parameter sees `env` and the parameters before it in its clause; a
-    plain one's new symbols are those it adds. Clauses that bind the same list
-    heads before a plain parameter share it, its new symbols computed once."""
-    plain: dict = {}  # (index, heads bound before it) -> (parameter, what the next one sees)
-    clauses, sees = [], []
-    for ast, params, body in zip(dr.asts, dr.params, dr.bodies):
-        cur, heads, final = env, (), []
-        for p in params:
+def _extend(kinds: dict, add: dict) -> None:
+    """Add the name -> kind index `add` to `kinds`; a name with two kinds is
+    the KindClash that `union_flat` reports for their ontologies."""
+    for n in kinds.keys() & add.keys():
+        if kinds[n] is not add[n]:
+            union_flat(*[make_ontology(map(Symbol, k, k.values()), ()) for k in (kinds, add)])
+    kinds.update(add)
+
+
+def _clauses(dr: _Draft, env: dict) -> tuple[tuple[Clause, ...], dict]:
+    """The clauses of a definition whose parameters see `env`, a name -> kind
+    index, and what its locals see: `env` and its first clause's parameters.
+    Each parameter sees `env` and those before it; clauses that bind the same
+    list heads before a plain parameter share it, with the symbols it adds."""
+    plain: dict = {}  # (index, heads bound before it) -> parameter
+    clauses, sees = [], None
+    first = dr.asts[0].params  # a plain parameter's frames are its first clause's
+    for ast, walked, body in zip(dr.asts, dr.clauses, dr.bodies):
+        kinds, heads, params = dict(env), (), []
+        for i, (optional, shape) in enumerate(walked[0]):
+            listed = type(shape) is ListTemplate
+            if not listed and (p := plain.get((i, heads))) is None:
+                new = [s for s in shape.signature if s.name not in kinds]
+                new = tuple(sorted(new, key=Symbol.key) if len(new) > 1 else new)
+                p = plain[i, heads] = ParamSpec(i, optional, PlainShape(first[i].payload.frames, shape, new))
             try:  # a clash is at a list parameter, or at a plain one's first frame
-                if p.is_list:
-                    bound = tuple(Symbol(NameTerm(h), p.shape.kind) for h in p.shape.heads)
-                    cur, heads = union_flat(cur, make_ontology(bound, [])), heads + bound
-                else:
-                    if (p.index, heads) not in plain:
-                        after = union_flat(cur, p.shape.delta)  # well-formedness in this environment
-                        new = tuple(sorted(p.shape.delta.signature - cur.signature, key=Symbol.key))
-                        plain[p.index, heads] = replace(p, shape=replace(p.shape, new_symbols=new)), after
-                    p, cur = plain[p.index, heads]
+                _extend(kinds, dict.fromkeys(map(NameTerm, shape.heads), shape.kind) if listed else shape.kinds)
             except GodpError as e:
-                e.ensure_pos(ast.params[p.index].pos if p.is_list else p.shape.frames[0].pos)
+                e.ensure_pos(ast.params[i].pos if listed else first[i].payload.frames[0].pos)
                 raise
-            final.append(p)
-        clauses.append(Clause(tuple(final), body, dr.chain))
-        sees.append(cur)
-    return tuple(clauses), sees[0]
+            if listed:
+                heads += shape.heads
+                p = ParamSpec(i, optional, shape)
+            params.append(p)
+        clauses.append(Clause(tuple(params), body, dr.chain))
+        sees = kinds if sees is None else sees
+    return tuple(clauses), sees
 
 
 # -- name resolution -------------------------------------------------------------
 
-def _param_names(d: PatternDef, params: tuple) -> tuple[dict[str, tuple[str, bool | None]], set[str]]:
-    """Each name a clause's parameters bind, with the qual of `d` and whether
-    it is a list tail (None: a list head), the last binding of a name
-    counting; and the tails that a later parameter binds again. A plain
-    parameter binds the bases of its names."""
-    names, hidden = {}, set()
-    plain, head, tail = (d.qual, False), (d.qual, None), (d.qual, True)
-    for p in reversed(params):
-        if not p.is_list:
-            for s in p.shape.delta.signature:
-                for b in s.name.bases():
-                    names.setdefault(b, plain)
-            continue
-        if p.shape.tail is not None and names.setdefault(p.shape.tail, tail) is not tail:
-            hidden.add(p.shape.tail)
-        for h in p.shape.heads:
-            names.setdefault(h, head)
-    return names, hidden
-
-
-def _resolve(lib: Library, dr: _Draft, shapes: dict[str, tuple[ParamSpec, ...]], calls: list) -> None:
-    """Resolve the clause bodies of `dr`, its definers' done; `shapes` holds
-    the first-clause parameters of every definition, `calls` gets the
-    recursion guard's edge for each call resolved."""
-    d, own = dr.d, []
-    outer = dr.parent.chain if dr.parent is not None else ()
-    above = {n: v for names in reversed(outer) for n, v in names.items()}  # the innermost counts
-    for i, params in enumerate(dr.params):
-        names, hidden = _param_names(d, params)
-        if hidden:  # so a run never holds a list its clause last bound as a symbol
-            dr.params[i] = tuple(
-                replace(p, shape=replace(p.shape, tail=None)) if p.is_list and p.shape.tail in hidden else p
-                for p in params
-            )
-        own.append(names)
-    # what the locals see: a name some clause binds is the definition's, a
-    # list tail if some clause binds it as one, else a head only if no clause
-    # binds it plain (plain parameters are every clause's, so bound each run)
-    merged = {}
-    for names in own:
-        merged.update(names)
-    for role in (False, True) if len(own) > 1 else ():
-        merged.update({n: v for names in own for n, v in names.items() if v[1] is role})
-    dr.chain = (merged, *outer)
+def _resolve(rs: _Resolver, dr: _Draft) -> None:
+    """Resolve the clause bodies of `dr`, its definers' done, with `rs`."""
+    d, outer = dr.d, dr.parent.chain if dr.parent else ()
+    dr.chain, dr.visible = (dr.merged, *outer), {**dr.parent.visible, **d.locals} if dr.parent else d.locals
+    above = {n: v for names in reversed(outer) for n, v in names.items()} if outer else _NO_NAMES
     for name, loc in d.locals.items():
-        if owner := merged.get(name) or above.get(name):
+        if owner := dr.merged.get(name) or above.get(name):
             raise DuplicateDefinition(
                 f"local '{name}' of '{d.qual}' has the name of a parameter of '{owner[0]}'", loc.pos
             )
-    level = d.qual.count("::")  # a definer's qual is a prefix of d's, one level shorter each
-    dr.bodies = []
-    for ca, params, names in zip(dr.asts, dr.params, own):
-        seen = {**above, **names}
-        tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t}
-        strips = {p.shape.tail: p.shape.min_len for p in params if p.is_list and p.shape.tail}
-        dr.bodies.append(_Scope(lib, seen, tails, dr, shapes, strips, calls).expr(ca.body))
+    rs.dr, level = dr, d.qual.count("::")  # a definer's qual is a prefix of d's, one level shorter each
+    for ca, (_, names, tails, strips) in zip(dr.asts, dr.clauses):
+        seen = names
+        if above:  # the innermost binding counts
+            seen = {**above, **names}
+            tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t}
+        rs.seen, rs.tails, rs.strips = seen, tails, strips
+        dr.bodies.append(rs.expr(ca.body))
 
 
 def _reference(name: str, target: PatternDef | None, up: int | None, pos: SourcePos | None) -> Call:
@@ -522,111 +518,113 @@ def _reference(name: str, target: PatternDef | None, up: int | None, pos: Source
         raise UnknownReference(f"unknown ontology or pattern '{name}'", pos)
     if target.arity != 0:
         raise ArityMismatch(f"'{name}' is generic: {target.arity} argument(s) required", pos)
-    return Call(target.qual, None, up, pos)
+    return Call(target.qual, None, up, pos, ())
 
 
-class _Scope(NamedTuple):
-    """What the names of one clause body of `dr` mean; `params` maps each
-    parameter name it sees as `_param_names` does, the innermost binding
-    counting, `tails` each list tail among them to its `ListVar`, `shapes`
-    each definition's first-clause parameters, and `strips` each of the
-    clause's own tails to the items its template strips. Each call resolved
-    adds its edge to `calls`."""
+class _Resolver(Record, frozen=False):
+    """Resolves the clause bodies of a library, one at a time. `calls` gets
+    the recursion guard's edges, `decls` holds each definition's first-clause
+    parameters by qual; the rest is the clause in hand, of `dr`: the role of
+    each parameter name it sees, the innermost binding counting, the
+    `ListVar` of each list tail among them and what its own tails strip."""
 
     lib: Library
-    params: dict[str, tuple[str, bool | None]]
-    tails: dict[NameTerm, ListVar]
-    dr: _Draft
-    shapes: dict[str, tuple[ParamSpec, ...]]
-    strips: dict[str, int]
     calls: list
-
-    def definition(self, name: str) -> tuple[PatternDef | None, int | None]:
-        up, cur = 0, self.dr
-        while cur is not None and name not in cur.d.locals:
-            cur, up = cur.parent, up + 1
-        return (cur.d.locals[name], up) if cur is not None else (self.lib.defs.get(name), None)
+    decls: dict
+    dr: _Draft
+    seen: Mapping
+    tails: Mapping
+    strips: Mapping
 
     def expr(self, e: ExprAst) -> Expr:
         """`e` where an ontology is expected, each call's arguments checked
         and its edge recorded before those of the calls in them: caller,
         callee, whether an argument shrinks a list of the caller, position."""
-        if isinstance(e, ThenExpr):
-            return tuple([self.expr(t) for t in e.terms])
-        if isinstance(e, BlockExpr):
+        t = type(e)
+        if t is BlockExpr:
             return BlockTemplate(e.frames, (self.dr.chain, self.tails), e.pos)
-        if e.name in self.params:
+        if t is ThenExpr:
+            return tuple([self.expr(term) for term in e.terms])
+        if e.name in self.seen:
             raise UnknownReference(
-                f"'{e.name}' is a parameter of '{self.params[e.name][0]}', not an "
-                f"ontology or pattern",
-                e.pos,
+                f"'{e.name}' is a parameter of '{self.seen[e.name][0]}', not an ontology or pattern", e.pos
             )
-        target, up = self.definition(e.name)
-        if target is None or isinstance(e, RefExpr):
+        # a local is a call `up` definitions out from its definer's
+        target, up = self.dr.visible.get(e.name), None
+        if target is not None:
+            up = self.dr.d.qual.count("::") + 1 - target.qual.count("::")
+        else:
+            target = self.lib.defs.get(e.name)
+        caller = self.dr.d.qual
+        if target is None or t is RefExpr:
             call = _reference(e.name, target, up, e.pos)
-            self.calls.append((self.dr.d.qual, target.qual, False, e.pos))
+            self.calls.append((caller, target.qual, False, e.pos))
             return call
-        params, args = self.shapes[target.qual], e.args
-        if not params and len(args) == 1 and isinstance(args[0].value, MissingArg):
+        decls, args = self.decls[target.qual], e.args
+        if not decls and len(args) == 1 and type(args[0].value) is MissingArg:
             args = ()  # G[] on a 0-parameter pattern
         edge = len(self.calls)
         self.calls.append(None)
-        forms = _check_args(target.name, params, args, e.pos, self.arg)
-        shrinks = any(_arg_shrinks(a, self.strips) for a in forms)
-        self.calls[edge] = (self.dr.d.qual, target.qual, shrinks, e.pos)
+        forms = _check_args(target.name, decls, args, e.pos, self.arg)
+        # only a list that ends in an own tail can shrink
+        shrinks = bool(self.strips) and any(_arg_shrinks(f, self.strips) for f in forms if type(f) is ListArg)
+        self.calls[edge] = (caller, target.qual, shrinks, e.pos)
         return Call(target.qual, tuple(forms), up, e.pos, self.dr.chain)
 
-    def arg(self, a: ArgAst, p: ParamSpec) -> ArgumentForm | _ExprArg:
-        """`a` as a form for `_check_arg` to fit to `p`: a list tail is a
-        `ListVar` item, a bare one the list `[] :: tail`; any other name of a
-        parameter or of no definition is a symbol, and so is a bare name that
-        a list parameter gets, which takes no fits and no unbound `::` tail."""
-        v = a.value
-        if a.fits and p.is_list:
+    def arg(self, a: ArgAst, shape: ListTemplate | FlatOntology) -> ArgumentForm | _ExprArg:
+        """`a` as a form for `_check_arg` to fit to a parameter of `shape`: a
+        list tail is a `ListVar` item, a bare one the list `[] :: tail`; any
+        other name of a parameter or of no definition is a symbol, and so is a
+        bare name that a list parameter gets, which takes no fits and no
+        unbound `::` tail."""
+        v, t = a.value, type(a.value)
+        listed = type(shape) is ListTemplate
+        if a.fits and listed:
             raise UnsupportedArgument(_LIST_FITS, a.pos)
-        if isinstance(v, (MissingArg, EmptyArg)):
+        if t in (MissingArg, EmptyArg):
             if a.fits:
                 raise UnsupportedArgument(_EMPTY_FITS, a.pos)
             return EmptyOptArg(a.pos)
-        if isinstance(v, ListArgAst):
-            if v.tail is not None and v.tail not in self.tails and p.is_list:
+        if t is ListArgAst:
+            if v.tail is not None and v.tail not in self.tails and listed:
                 raise _not_a_list(v.tail.render(), a.pos)
             items = v.items if v.tail is None else (*v.items, v.tail)
             return ListArg(tuple([self.tails.get(n, n) for n in items]), a.pos)
-        if isinstance(v, (RefExpr, InstExpr)):
-            owner, tail = self.params.get(v.name, (None, False))
-            bare = isinstance(v, RefExpr)
+        if t in (RefExpr, InstExpr):
+            owner, tail = self.seen.get(v.name, (None, False))
+            bare = t is RefExpr
             if tail and bare:
                 return ListArg((self.tails[NameTerm(v.name)],), a.pos)
-            target = self.definition(v.name)[0]
-            if owner or (bare and p.is_list) or target is None:
-                v = expr_to_name_term(v) or v
+            target = self.dr.visible.get(v.name) or self.lib.defs.get(v.name)
+            if owner or (bare and listed) or target is None:
+                v = NameTerm(v.name) if bare else expr_to_name_term(v) or v
             elif bare and target.arity != 0:
                 raise ArityMismatch(
                     f"'{v.name}' is generic and needs arguments to be used as an argument", a.pos
                 )
-        if isinstance(v, NameTerm):
+        if type(v) is NameTerm:
             return LocalSymbolArg(v, a.fits, a.pos)
-        if not p.is_list:  # at a list parameter it is no name, as `_check_arg` says
+        if not listed:  # at a list parameter it is no name, as `_check_arg` says
             v = self.expr(v)
         return _ExprArg(v, a.fits, a.pos)
 
 
 # -- recursion guard -----------------------------------------------------------
 
-def _arg_shrinks(a: ArgumentForm | _ExprArg, strips: dict[str, int]) -> bool:
-    """Whether `a` is a list that ends in the caller's own tail, with fewer
-    items before it than that tail's template strips and none of them a
-    spliced tail, whose length is unknown; a bare tail is `[] :: tail`."""
-    items = a.items if isinstance(a, ListArg) else ()
-    last = items[-1] if items else None
-    return isinstance(last, ListVar) and last.up == 0 and len(items) - 1 < strips[last.name] and (
-        sum(isinstance(n, ListVar) for n in items) == 1
+def _arg_shrinks(a: ListArg, strips: dict[str, int]) -> bool:
+    """Whether the list `a` ends in the caller's own tail, with fewer items
+    before it than that tail's template strips and none of them a spliced
+    tail, whose length is unknown; a bare tail is `[] :: tail`."""
+    last = a.items[-1] if a.items else None
+    return type(last) is ListVar and last.up == 0 and len(a.items) - 1 < strips[last.name] and (
+        list(map(type, a.items)).count(ListVar) == 1
     )
 
 
 def _check_cycles(nodes: set[str], edges: list) -> dict[str, int]:
-    """Raise on an illegal cycle; return each node's call-graph component."""
+    """Raise on an illegal cycle; return each node's call-graph component.
+    `edges` are (caller, callee, whether it shrinks a list, position), and
+    (importer, import, None, position)."""
     adj: dict[str, set[str]] = {n: set() for n in nodes}
     for src, dst, _, _ in edges:
         adj[src].add(dst)
@@ -634,8 +632,8 @@ def _check_cycles(nodes: set[str], edges: list) -> dict[str, int]:
     for src, dst, shrinks, pos in edges:
         if comp[src] == comp[dst] and not shrinks:
             raise IllegalCycle(
-                f"recursive call from '{src}' to '{dst}' does not strictly shrink "
-                f"a list parameter",
+                f"'{src}' imports '{dst}', and this import closes a cycle" if shrinks is None else
+                f"recursive call from '{src}' to '{dst}' does not strictly shrink a list parameter",
                 pos,
             )
     return comp

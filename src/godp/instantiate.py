@@ -206,7 +206,7 @@ def match_template(
     # the clauses of one pattern share their parameter shapes; the clause
     # test reads only the list position
     params = clauses[0].params if clauses else ()
-    forms = [_check_arg(p, arg, None) if p.is_list else EmptyOptArg() for p in params]
+    forms = [_check_arg(p.index, p.optional, p.shape, arg, None) if p.is_list else EmptyOptArg() for p in params]
     clause = _select_clause(clauses, forms, None, None)
     b = Bindings()
     for p, f in zip(clause.params, forms):
@@ -285,7 +285,7 @@ def derive_fitting(
         raise UnsupportedArgument(_EMPTY_FITS, arg.pos)
     if not isinstance(arg, (EmptyOptArg, ListArg)):  # every other form has a fit map
         arg = replace(arg, fits=arg.fits + tuple(explicit))
-    form = _entry_form(lib, _check_arg(param, arg, None))
+    form = _entry_form(lib, _check_arg(param.index, param.optional, param.shape.delta, arg, None))
     if isinstance(form, EmptyOptArg):
         return FittingMorphism.of({})
     runs = (Bindings(),)  # no run around it
@@ -610,7 +610,8 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     resolved."""
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
-    forms = [_entry_form(lib, f) for f in _check_args(target.name, target.clauses[0].params, inst.args, None)]
+    decls = [(p.optional, p.shape if p.is_list else p.shape.delta) for p in target.clauses[0].params]
+    forms = [_entry_form(lib, f) for f in _check_args(target.name, decls, inst.args, None)]
     return _instantiate(ctx, target, (), forms, inst.local_env, None)
 
 

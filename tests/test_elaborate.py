@@ -15,6 +15,7 @@ from godp.blocks import BlockTemplate
 from godp.cli import main
 from godp.core import Domain, Range, Symbol, SymbolKind, Transitive, make_ontology, name
 from godp.diagnostics import (
+    ArityMismatch,
     DuplicateDefinition,
     IllegalCycle,
     KindClash,
@@ -146,7 +147,7 @@ def test_a_draft_is_built_with_every_field_in_order():
     [item] = parse_library("ontology A [Class: C] = { }\n", "<t>").items
     [dr] = _build_def("A", [item], "A", None, {})
     assert dr.d == PatternDef("A", "A", 1, {}, item.pos)
-    assert dr == _Draft(dr.d, [item], dr.params) and dr.parent is None
+    assert dr == _Draft(dr.d, [item], dr.clauses, dr.merged) and dr.parent is None
 
 
 def _definer(lib, d):
@@ -584,3 +585,76 @@ def test_a_parameter_name_used_as_a_definition_is_a_build_error(tmp_path, capsys
     assert main(["check", str(f)]) == 1
     line, col = position
     assert capsys.readouterr() == ("", f"{f}:{line}:{col}: error: {message}\n")
+
+
+# -- which of two build errors is reported -----------------------------------------
+
+_G = "ontology G [Individual: v :: vs] = { Individual: v }\n"
+_CLASHING_IMPORTS = "ontology I1 = { Class: x }\nontology I2 = { Individual: x }\nontology A given I1, I2 = { }\n"
+
+
+@pytest.mark.parametrize("source, error, position, message", [
+    # an unknown reference in a body, and an illegal cycle
+    ("ontology A = Foo\nontology B = C\nontology C = B\n",
+     UnknownReference, (1, 14), "unknown ontology or pattern 'Foo'"),
+    ("ontology B = C\nontology C = B\nontology A = Foo\n",
+     UnknownReference, (3, 14), "unknown ontology or pattern 'Foo'"),
+    # an arity mismatch, and an unknown import: the one of the earlier definition
+    ("ontology P [Class: K] = { Class: K }\nontology A = P[X; Y]\nontology B given Nope = { }\n",
+     ArityMismatch, (2, 14), "'P' takes 1 argument(s), got 2"),
+    ("ontology B given Nope = { }\nontology P [Class: K] = { Class: K }\nontology A = P[X; Y]\n",
+     UnknownReference, (1, 1), "unknown import 'Nope' in 'B'"),
+    # a kind clash between two imports, and an unsupported argument in a body
+    (_CLASHING_IMPORTS + _G + "ontology B = G[{ Class: Q }]\n",
+     UnsupportedArgument, (5, 16), "a list argument must be a comma or '::' list of names"),
+    (_G + "ontology B = G[{ Class: Q }]\n" + _CLASHING_IMPORTS,
+     UnsupportedArgument, (2, 16), "a list argument must be a comma or '::' list of names"),
+    # clauses that disagree, and a local named like a parameter
+    ("ontology L [Class: C; Individual: x :: xs] = { }\nontology L [Individual: x :: xs] = { }\n"
+     "ontology M [Class: K] = let ontology K = { } in { Class: K }\n",
+     DuplicateDefinition, (2, 1), "clauses of 'L' disagree on parameter count (2 vs 1)"),
+    ("ontology M [Class: K] = let ontology K = { } in { Class: K }\n"
+     "ontology L [Class: C; Individual: x :: xs] = { }\nontology L [Individual: x :: xs] = { }\n",
+     DuplicateDefinition, (3, 1), "clauses of 'L' disagree on parameter count (2 vs 1)"),
+    # a plain parameter whose frames clash, and an unknown reference in a later definition
+    ("ontology P [Class: z  Individual: z] = { }\nontology Q = Nope\n",
+     KindClash, (1, 13), "kind clash for 'z': Class vs Individual"),
+    # two illegal cycles; an import cycle and a call cycle: the first call's
+    ("ontology X = Y\nontology Y = X\nontology U = V\nontology V = U\n",
+     IllegalCycle, (1, 14), "recursive call from 'X' to 'Y' does not strictly shrink a list parameter"),
+    ("ontology A given B = { }\nontology B given A = { }\nontology X = Y\nontology Y = X\n",
+     IllegalCycle, (3, 14), "recursive call from 'X' to 'Y' does not strictly shrink a list parameter"),
+    # kind clashes found once the imports are expanded: the first in that order
+    ("ontology J1 = { Class: y }\nontology J2 = { Individual: y }\nontology B given J1, J2 = { }\n"
+     + _CLASHING_IMPORTS,
+     KindClash, (6, 1), "kind clash for 'x': Class vs Individual"),
+    ("ontology H [Class: a; Individual: a] = { }\n" + _CLASHING_IMPORTS,
+     KindClash, (4, 1), "kind clash for 'x': Class vs Individual"),
+    ("ontology H [Class: a; Individual: a :: as] = { }\nontology K [Class: b; ObjectProperty: b] = { }\n",
+     KindClash, (1, 23), "kind clash for 'a': Class vs Individual"),
+    ("ontology I1 = { Class: x }\nontology O [Individual: x] = let ontology L given I1 = { } in L\n",
+     KindClash, (2, 34), "kind clash for 'x': Class vs Individual"),
+])
+def test_of_two_build_errors_the_first_in_build_order_is_reported(tmp_path, capsys, source, error, position, message):
+    f = tmp_path / "two.gdp"
+    f.write_text(source, encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    line, col = position
+    assert capsys.readouterr() == ("", f"{f}:{line}:{col}: error: {message}\n")
+    with pytest.raises(error):
+        lib_of(source)
+
+
+@pytest.mark.parametrize("source, importer, imported", [
+    ("ontology A given A = { Class: C }\n", "A", "A"),
+    ("ontology A given B = { Class: C }\nontology B given A = { Class: D }\n", "A", "B"),
+])
+def test_an_import_cycle_is_named_as_one(tmp_path, capsys, source, importer, imported):
+    f = tmp_path / "cycle.gdp"
+    f.write_text(source, encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{f}:1:1: error: '{importer}' imports '{imported}', and this import closes a cycle\n"
+    )
+    with pytest.raises(IllegalCycle):
+        lib_of(source)

@@ -25,6 +25,7 @@ from godp.syntax import (
     FramesParam,
     IndividualFrame,
     InstExpr,
+    LibraryAst,
     ListArgAst,
     ListTemplate,
     RefExpr,
@@ -32,6 +33,7 @@ from godp.syntax import (
 )
 
 from conftest import corpus_paths
+from front_end_cost import count_calls
 
 
 def test_parse_two_param_clauses():
@@ -391,6 +393,50 @@ def test_parsing_the_corpus_makes_at_most_three_python_calls_per_token():
     finally:
         sys.setprofile(None)
     assert calls <= 3.0 * tokens, f"{calls} calls for {tokens} tokens"
+
+
+def _wide_library(groups: int = 4, per_group: int = 8) -> str:
+    """Small definitions over the corpus patterns, in groups that share a
+    `given` base: every argument form (a bare name, an instance name, inline
+    frames, a named ontology with a fit map, a list) and, in every other one,
+    ValSet's optional order left out."""
+    out = []
+    for g in range(groups):
+        out.append(f"ontology B{g} = {{ Class: K{g}  ObjectProperty: o{g} Domain: K{g} Range: K{g} }}\n")
+        for i in range(per_group):
+            s, order = f"{g}x{i}", f"; greater[V{g}x{i}]" if i % 2 else ""
+            out.append(
+                f"ontology P{s} = {{ ObjectProperty: h{s}  ObjectProperty: k{s} }}\n"
+                f"ontology W{s} given B{g} =\n"
+                f"  {{ Class: A{s} }}\n"
+                f"  then TransitiveRelation[r{s}; A{s}]\n"
+                f"  then SubProp[u{s}; A{s}; A{s}; r{s}]\n"
+                f"  then ReflexiveRelation[{{ ObjectProperty: q{s} }}; K{g}]\n"
+                f"  then InverseRelation[P{s} fit r |-> h{s}; k{s}; A{s}; K{g}]\n"
+                f"  then ValSet[V{s}; {', '.join(f'v{s}y{j}' for j in range(2 + i % 4))}{order}]\n"
+            )
+    return "".join(out)
+
+
+_PATTERNS = ["patterns.gdp", "orders.gdp", "value_sets.gdp"]
+
+
+@pytest.mark.parametrize("case", ["corpus", "wide"])
+def test_building_a_library_makes_at_most_one_and_three_quarters_python_calls_per_token(case):
+    """A gate on `build_library`'s work, import expansions included, counted
+    as the parser's is, over the corpus and over a library shaped like the
+    `wide_library` benchmark's; the bound is about 20% above both counts."""
+    texts = [(p.read_text(encoding="utf-8"), str(p)) for p in corpus_paths()
+             if case == "corpus" or p.name in _PATTERNS]
+    if case == "wide":
+        texts.append((_wide_library(), "<wide>"))
+    tokens = sum(len(tokenize(text, file)) for text, file in texts)
+    ast = LibraryAst(tuple(item for text, file in texts for item in parse_library(text, file).items))
+    calls, lib = count_calls(build_library, ast)
+    assert calls <= 1.75 * tokens, f"{calls} calls for {tokens} tokens"
+    if case == "wide":  # the generated definitions are well-formed and expand
+        for target in ("W0x0", "W3x7"):
+            assert expand_named(lib, target).signature
 
 
 # -- the nesting bound ---------------------------------------------------------
