@@ -54,6 +54,17 @@ def _not_a_list(tail: str, pos: SourcePos | None) -> UnknownReference:
     return UnknownReference(f"'{tail}' is not a list in scope (expected a list-parameter tail)", pos)
 
 
+def _no_tails(names: Iterable, tails: Mapping, pos: SourcePos | None) -> None:
+    """Raise at `pos` if a name of `names` is a list tail of `tails` or has one
+    among its parts: a tail stands alone in a comma list, as a `ListVar`,
+    which is no name."""
+    for n in names:
+        if type(n) is NameTerm and (n in tails or n.args):
+            if n in tails:
+                raise UnknownReference(f"'{n.base}' is a list-parameter tail, not a name", pos)
+            _no_tails((NameTerm(n.base), *n.args), tails, pos)
+
+
 def build_block(frames: Iterable[Frame]) -> FlatOntology:
     """The flat ontology of frames on their own: compiled, then filled."""
     plan = compile_block(frames)
@@ -171,6 +182,8 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
             for s in items:
                 symbols[s, kind] = None
                 fixed.append((cls, subj, s) if first else (cls, s, subj))
+    if tails:
+        _no_tails(names, tails, None)
     ops = compile_names(names, chain)
     plan = (ops, tuple(symbols), tuple(fixed), tuple(lists), frame_pos, None)
     if any(map(itemgetter(1), ops.values())) or any(ListVar in map(type, items) for _, _, items, _, _ in lists):

@@ -96,11 +96,9 @@ def run_expand(ns: argparse.Namespace) -> int:
 
 def run_list(ns: argparse.Namespace) -> int:
     lib = _read_library(ns.inputs)
-    for name in sorted(lib.defs):
-        d = lib.defs[name]
-        shapes = ",".join(d.shape_words())
-        line = f"{name} {d.arity} {shapes}".rstrip()
-        sys.stdout.write(line + "\n")
+    for name, d in sorted(lib.defs.items()):
+        shapes = ",".join([p.shape_word for p in d.clauses[0].params])
+        sys.stdout.write(f"{name} {d.arity} {shapes}".rstrip() + "\n")
     return 0
 
 

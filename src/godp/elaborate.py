@@ -26,20 +26,21 @@ definition, with its locals, takes its imports, then resolves each clause body
 in one walk, checking each call against its callee's first clause; (3) the
 recursion guard sees every call and import; (4) in an order where each import
 is expanded (by `instantiate.expand_named`, with a fresh default depth budget)
-only after everything it reaches has its clauses, each `ParamSpec`,
-`PlainShape` and `Clause` is made, final. A definition's parameters see its
+only after everything it reaches has its clauses, each `ParamSpec` and
+`Clause` is made, final. A definition's parameters see its
 imports and, for a local, all that its definer's first-clause parameters see,
 and each one those before it in its clause; a plain one's new symbols are
 what it adds. Once `build_library` returns, nothing in the Library changes
-but its memo and the plans its blocks are compiled into when they first run.
+but its memo and the plans that its blocks, calls and parameters are
+compiled into when they are first read.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence, Union
 
-from .blocks import BlockTemplate, ListVar, _compiled, _not_a_list, build_block, compile_names
+from .blocks import BlockTemplate, ListVar, _compiled, _no_tails, _not_a_list, build_block, compile_names
 from .core import FlatOntology, NameTerm, Symbol, make_ontology, union_flat
 from .diagnostics import (
     ArityMismatch,
@@ -58,7 +59,6 @@ from .syntax import (
     BlockExpr,
     EmptyArg,
     ExprAst,
-    Frame,
     FramesParam,
     InstExpr,
     LibraryAst,
@@ -75,16 +75,20 @@ from .syntax import (
 # Resolved model
 # ---------------------------------------------------------------------------
 
-class PlainShape(Record):
-    frames: tuple[Frame, ...]
-    delta: FlatOntology
-    new_symbols: tuple[Symbol, ...]
-
-
 class ParamSpec(Record):
+    """A clause's parameter: a list one's `shape` is its template, a plain
+    one's the ontology of its frames, with the `new_symbols` it adds and the
+    `plan` of its fit sources and its axioms' names, compiled in `scope` (its
+    definition's `_Draft.chain`) when first read, for every fit and check."""
+
     index: int
     optional: bool
-    shape: PlainShape | ListTemplate
+    shape: FlatOntology | ListTemplate
+    new_symbols: tuple[Symbol, ...]
+    scope: tuple = field(compare=False)
+    __slots__ = ("plan",)
+    __getattr__ = _compiled(lambda p: (compile_names(p.shape.kinds, p.scope), compile_names(
+        [n for a in p.shape.axioms for n, _ in a.refs()], p.scope)))
 
     @property
     def is_list(self) -> bool:
@@ -234,7 +238,6 @@ def _check_args(name: str, decls: Sequence[tuple], args: Sequence, pos: SourcePo
 class Clause(Record):
     params: tuple[ParamSpec, ...]
     body: Expr
-    scope: tuple = field((), compare=False)  # its definition's `_Draft.chain`
 
 
 class PatternDef(Record, frozen=False):
@@ -247,9 +250,6 @@ class PatternDef(Record, frozen=False):
     # or an import may name a definition made later, or its own
     imports: tuple["PatternDef", ...] = ()
     clauses: tuple[Clause, ...] = ()
-
-    def shape_words(self) -> list[str]:
-        return [p.shape_word for p in self.clauses[0].params]
 
 
 class Library(Record, frozen=False):
@@ -473,7 +473,7 @@ def _clauses(dr: _Draft, env: dict) -> tuple[tuple[Clause, ...], dict]:
             if not listed and (p := plain.get((i, heads))) is None:
                 new = [s for s in shape.signature if s.name not in kinds]
                 new = tuple(sorted(new, key=Symbol.key) if len(new) > 1 else new)
-                p = plain[i, heads] = ParamSpec(i, optional, PlainShape(first[i].payload.frames, shape, new))
+                p = plain[i, heads] = ParamSpec(i, optional, shape, new, dr.chain)
             try:  # a clash is at a list parameter, or at a plain one's first frame
                 _extend(kinds, dict.fromkeys(map(NameTerm, shape.heads), shape.kind) if listed else shape.kinds)
             except GodpError as e:
@@ -481,9 +481,9 @@ def _clauses(dr: _Draft, env: dict) -> tuple[tuple[Clause, ...], dict]:
                 raise
             if listed:
                 heads += shape.heads
-                p = ParamSpec(i, optional, shape)
+                p = ParamSpec(i, optional, shape, (), dr.chain)
             params.append(p)
-        clauses.append(Clause(tuple(params), body, dr.chain))
+        clauses.append(Clause(tuple(params), body))
         sees = kinds if sees is None else sees
     return tuple(clauses), sees
 
@@ -576,7 +576,8 @@ class _Resolver(Record, frozen=False):
         list tail is a `ListVar` item, a bare one the list `[] :: tail`; any
         other name of a parameter or of no definition is a symbol, and so is a
         bare name that a list parameter gets, which takes no fits and no
-        unbound `::` tail."""
+        unbound `::` tail. No symbol, list item or fit target is a list tail
+        or has one among its parts."""
         v, t = a.value, type(a.value)
         listed = type(shape) is ListTemplate
         if a.fits and listed:
@@ -588,8 +589,10 @@ class _Resolver(Record, frozen=False):
         if t is ListArgAst:
             if v.tail is not None and v.tail not in self.tails and listed:
                 raise _not_a_list(v.tail.render(), a.pos)
-            items = v.items if v.tail is None else (*v.items, v.tail)
-            return ListArg(tuple([self.tails.get(n, n) for n in items]), a.pos)
+            items = tuple([self.tails.get(n, n) for n in (v.items if v.tail is None else (*v.items, v.tail))])
+            if self.tails:
+                _no_tails(items, self.tails, a.pos)
+            return ListArg(items, a.pos)
         if t in (RefExpr, InstExpr):
             owner, tail = self.seen.get(v.name, (None, False))
             bare = t is RefExpr
@@ -602,6 +605,8 @@ class _Resolver(Record, frozen=False):
                 raise ArityMismatch(
                     f"'{v.name}' is generic and needs arguments to be used as an argument", a.pos
                 )
+        if self.tails and (a.fits or type(v) is NameTerm and (v in self.tails or v.args)):
+            _no_tails((v, *map(itemgetter(1), a.fits)), self.tails, a.pos)  # nor a symbol or a fit target
         if type(v) is NameTerm:
             return LocalSymbolArg(v, a.fits, a.pos)
         if not listed:  # at a list parameter it is no name, as `_check_arg` says

@@ -26,10 +26,7 @@ IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _flatten_raw(n: NameTerm) -> str:
-    parts = [n.base]
-    for a in n.args:
-        parts.append(_flatten_raw(a))
-    return "_".join(parts)
+    return "_".join([n.base, *map(_flatten_raw, n.args)])
 
 
 def flatten_name(n: NameTerm) -> NameTerm:
@@ -60,26 +57,17 @@ def stratify(o: FlatOntology) -> FlatOntology:
         seen[flat] = s.name
         table[s.name] = flat
 
-    def fn(n: NameTerm) -> NameTerm:
-        flat = table.get(n)
-        return flatten_name(n) if flat is None else flat
-
-    return rename_ontology(o, fn)
-
-
-def _require_flat(o: FlatOntology) -> None:
-    for s in o.sorted_signature():
-        if not s.name.is_plain():
-            raise UnstratifiedName(
-                f"'{s.name.render()}' is parameterized; stratify before emitting "
-                f"Manchester output"
-            )
+    return rename_ontology(o, lambda n: table.get(n) or flatten_name(n))
 
 
 def emit_manchester(o: FlatOntology) -> str:
     """Serialize to Manchester-style frames, those of `frames_of`, one field
     per line; requires stratified (flat) names."""
-    _require_flat(o)
+    for s in o.sorted_signature():
+        if not s.name.is_plain():
+            raise UnstratifiedName(
+                f"'{s.name.render()}' is parameterized; stratify before emitting Manchester output"
+            )
     blocks = ["\n    ".join(frame_fields(f)) for f in frames_of(o)]
     return "\n\n".join(blocks) + "\n" if blocks else ""
 

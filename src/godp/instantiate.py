@@ -31,8 +31,11 @@ qual, read from the library's table of every definition. A run holds only
 what its own clause and parameters bind. It is read through its display, the
 tuple of its own `Bindings` and its definers' runs, innermost first: a name
 or `ListVar` bound `up` definitions out is read from `runs[up]`
-(`blocks.compile_names`), and a local callee's definers are `runs[up:]`. A
-list head or tail that its run's clause does not bind is an error when it is
+(`blocks.compile_names`), and a local callee's definers are `runs[up:]`.
+Every name a run reads, in a block, in a call's arguments, in a fit or in a
+parameter's constraints, comes from a plan compiled once per library when it
+is first read (`BlockTemplate.plan`, `Call.plan`, `ParamSpec.plan`). A list
+head or tail that its run's clause does not bind is an error when it is
 read. Nothing a run makes points back at its caller or at a definition, so a
 finished expansion is freed by reference counting alone.
 
@@ -48,7 +51,7 @@ independent expansions can run concurrently.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .blocks import BlockTemplate, _splice, compile_names, fill_block, fill_names
 from .core import (
@@ -88,7 +91,6 @@ from .elaborate import (  # the argument forms and their check live beside `Call
     NamedOntologyArg,
     ParamSpec,
     PatternDef,
-    PlainShape,
     _check_arg,
     _check_args,
     _EMPTY_FITS,
@@ -124,10 +126,6 @@ def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
     are prefixed when the image is itself parameterized) and arguments are
     substituted recursively. Unbound plain names pass through unchanged."""
     return fill_names(compile_names([n], (set(n.bases()),)), (b,))[n]
-
-
-def _contains_base(n: NameTerm, bases: AbstractSet[str]) -> bool:
-    return any(b in bases for b in n.bases())
 
 
 def is_placeholder(n: NameTerm) -> bool:
@@ -169,13 +167,6 @@ class _Ctx(Record, frozen=False):
 # Template matching
 # ---------------------------------------------------------------------------
 
-def _clause_matches(clause: Clause, forms: Sequence[ArgumentForm | _ExprArg]) -> bool:
-    for p, f in zip(clause.params, forms):
-        if p.is_list and not p.shape.matches(len(f.items)):
-            return False
-    return True
-
-
 def _select_clause(
     clauses: Sequence[Clause],
     forms: Sequence[ArgumentForm | _ExprArg],
@@ -183,7 +174,10 @@ def _select_clause(
     pos: SourcePos | None,
 ) -> Clause:
     for clause in clauses:
-        if _clause_matches(clause, forms):
+        for p, f in zip(clause.params, forms):
+            if p.is_list and not p.shape.matches(len(f.items)):
+                break
+        else:
             return clause
     lengths = [len(f.items) for f in forms if isinstance(f, ListArg)]
     raise NoMatch(
@@ -231,7 +225,7 @@ def check_compatibility(fittings: Sequence[FittingMorphism]) -> None:
     seen = (Bindings(),)
     for m in fittings:
         for src, dst in m.pairs:
-            _bind_fit(seen, src.name, dst.name, (), None)
+            _bind_fit(seen, src.name, dst.name, ((0, False),), None)
 
 
 def check_constraints(
@@ -277,7 +271,8 @@ def derive_fitting(
     other symbols are checked against each other but are not part of the
     result. Resolving a NamedOntologyArg needs `lib`, whose memo it reads
     and fills. `arg`, with `explicit`, is checked against `param` and
-    resolved as `expand` does it.
+    resolved as `expand` does it, and its fits are bound as the engine binds
+    them, through `param.plan`, in a display of runs that bind nothing.
     """
     if param.is_list:
         raise UnsupportedArgument("derive_fitting applies to plain parameters")
@@ -285,27 +280,26 @@ def derive_fitting(
         raise UnsupportedArgument(_EMPTY_FITS, arg.pos)
     if not isinstance(arg, (EmptyOptArg, ListArg)):  # every other form has a fit map
         arg = replace(arg, fits=arg.fits + tuple(explicit))
-    form = _entry_form(lib, _check_arg(param.index, param.optional, param.shape.delta, arg, None))
+    form = _entry_form(lib, _check_arg(param.index, param.optional, param.shape, arg, None))
     if isinstance(form, EmptyOptArg):
         return FittingMorphism.of({})
-    runs = (Bindings(),)  # no run around it
+    runs = tuple([Bindings() for _ in param.scope])
     if isinstance(form, LocalSymbolArg):
-        _fit_local(None, param, form, runs, env, ())
+        _fit_local(None, param, form, runs, env)
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
         arg_ont = _eval_expr(ctx, form.expr, env, ())
-        _fit_ontology(param, form, arg_ont, env, runs, ())
+        _fit_ontology(param, form, arg_ont, env, runs)
     return FittingMorphism.of(
-        {n: Symbol(runs[0].name_map[n.name], n.kind) for n in param.shape.new_symbols}
+        {n: Symbol(runs[0].name_map[n.name], n.kind) for n in param.new_symbols}
     )
 
 
-def _bind_fit(runs: tuple, src: NameTerm, dst: NameTerm, chain: tuple, pos) -> None:
+def _bind_fit(runs: tuple, src: NameTerm, dst: NameTerm, walk: Sequence, pos) -> None:
     """Bind the fit source `src` to `dst` in the run that heads the display
-    `runs`, whose names `chain` holds; the first binding its walk finds there
-    or further out must agree. A list head unbound on the way is no binding:
-    a fit reads none."""
-    walk = compile_names([src], ({*src.bases()}, *chain[1:]))[src][1]
+    `runs`; the first binding that its `walk`, from its parameter's plan,
+    finds there or further out must agree. A list head unbound on the way is
+    no binding: a fit reads none."""
     prior = next((v for up, _ in walk if (v := runs[up].name_map.get(src)) is not None), None)
     if prior is not None and prior != dst:
         raise IncompatibleFittings(
@@ -322,20 +316,18 @@ def _fit_local(
     form: LocalSymbolArg,
     runs: tuple,
     avail: FlatOntology,
-    chain: tuple,
 ) -> FlatOntology:
-    shape: PlainShape = pspec.shape
-    if len(shape.new_symbols) != 1:
+    if len(pspec.new_symbols) != 1:
         raise UnsupportedArgument(
             f"parameter {pspec.index + 1}{_of(owner)} defines "
-            f"{len(shape.new_symbols)} new symbols; a bare symbol argument fits "
+            f"{len(pspec.new_symbols)} new symbols; a bare symbol argument fits "
             f"only single-symbol parameters",
             form.pos,
         )
-    n = shape.new_symbols[0]
+    n = pspec.new_symbols[0]
     term = runs[0].name_map[n.name] = form.term  # a new symbol shadows what a definer binds
     for src, dst in form.fits:  # a fit of the parameter must agree
-        _bind_fit(runs, src, dst, chain, form.pos)
+        _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
     return _declare(
         avail, ((term, n.kind),), form.pos,
         lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
@@ -349,12 +341,10 @@ def _fit_ontology(
     arg_ont: FlatOntology,
     env: FlatOntology,
     runs: tuple,
-    chain: tuple,
 ) -> None:
-    shape: PlainShape = pspec.shape
     explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
     pool = [s for s in arg_ont.sorted_signature() if s not in env.signature]
-    for n in shape.new_symbols:
+    for n in pspec.new_symbols:
         image = explicit.get(n.name)
         if image is not None:
             k = arg_ont.kind_of(image)
@@ -388,7 +378,7 @@ def _fit_ontology(
             image = candidates[0].name
         runs[0].name_map[n.name] = image
     for src, dst in form.fits:
-        _bind_fit(runs, src, dst, chain, form.pos)
+        _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -535,28 +525,27 @@ def _instantiate(
                 _bind_template(tmpl, form.items, runs[0])
             elif isinstance(form, EmptyOptArg):
                 elided = []
-                for s in pspec.shape.new_symbols:
+                for s in pspec.new_symbols:
                     ph = runs[0].name_map[s.name] = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
                     dead.add(ph.base)
                     elided.append((ph, s.kind))
                 avail = _declare(avail, elided, form.pos, None)
             else:
                 if isinstance(form, LocalSymbolArg):
-                    avail = _fit_local(target.name, pspec, form, runs, avail, clause.scope)
+                    avail = _fit_local(target.name, pspec, form, runs, avail)
                 else:  # evaluated on top of env, in the caller's display
                     added = _eval_expr(ctx, form.expr, env, caller)
-                    _fit_ontology(pspec, form, added, env, runs, clause.scope)
+                    _fit_ontology(pspec, form, added, env, runs)
                     avail = union_flat(avail, added)
-                if axioms := pspec.shape.delta.axioms:  # compiled here: few parameters have any
-                    names = compile_names([n for a in axioms for n, _ in a.refs()], clause.scope)
-                    _check_constraints(axioms, fill_names(names, runs).__getitem__, avail, form.pos)
+                if axioms := pspec.shape.axioms:
+                    _check_constraints(axioms, fill_names(pspec.plan[1], runs).__getitem__, avail, form.pos)
         except GodpError as e:
             e.ensure_pos(form.pos or pos)
             raise
 
     out = _eval_expr(ctx, clause.body, avail, runs)
     if dead:
-        out = _elide(out, lambda n: _contains_base(n, dead))
+        out = _elide(out, lambda n: not dead.isdisjoint(n.bases()))
     ctx.running -= 1
     return out
 
@@ -610,7 +599,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     resolved."""
     ctx = _Ctx(lib, depth, memo=lib.memo)
     target = lib.require(inst.pattern)
-    decls = [(p.optional, p.shape if p.is_list else p.shape.delta) for p in target.clauses[0].params]
+    decls = [(p.optional, p.shape) for p in target.clauses[0].params]
     forms = [_entry_form(lib, f) for f in _check_args(target.name, decls, inst.args, None)]
     return _instantiate(ctx, target, (), forms, inst.local_env, None)
 

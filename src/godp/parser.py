@@ -435,27 +435,20 @@ def expr_to_name_term(e: ExprAst) -> NameTerm | None:
     """
     if isinstance(e, RefExpr):
         return NameTerm(e.name)
-    if isinstance(e, InstExpr):
-        args: list[NameTerm] = []
-        for a in e.args:
-            if a.fits:
-                return None
-            v = a.value
-            if isinstance(v, ListArgAst):
-                if v.tail is not None:
-                    return None
-                args.extend(v.items)
-            elif isinstance(v, (RefExpr, InstExpr)):
-                t = expr_to_name_term(v)
-                if t is None:
-                    return None
-                args.append(t)
-            else:
-                return None
-        if not args:
+    if not isinstance(e, InstExpr):
+        return None
+    args: list[NameTerm] = []
+    for a in e.args:
+        v = a.value
+        if a.fits or isinstance(v, ListArgAst) and v.tail is not None:
             return None
-        return NameTerm(e.name, tuple(args))
-    return None
+        if isinstance(v, ListArgAst):
+            args.extend(v.items)
+        elif (t := expr_to_name_term(v)) is None:  # no name: a block, `then` or empty argument
+            return None
+        else:
+            args.append(t)
+    return NameTerm(e.name, tuple(args)) if args else None
 
 
 def parse_library(text: str, file: str = "<input>") -> LibraryAst:

@@ -176,10 +176,6 @@ class LibraryAst(Record):
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-def _pp_names(names: tuple[NameTerm, ...]) -> str:
-    return ", ".join(n.render() for n in names)
-
-
 _HEADERS = {ClassFrame: "Class", ObjectPropertyFrame: "ObjectProperty", IndividualFrame: "Individual"}
 
 
@@ -209,10 +205,8 @@ def pp_arg(a: ArgAst) -> str:
     elif isinstance(v, EmptyArg):
         body = "empty"
     elif isinstance(v, ListArgAst):
-        if v.tail is not None:
-            body = " :: ".join([i.render() for i in v.items] + [v.tail.render()])
-        else:
-            body = _pp_names(v.items)
+        names = [n.render() for n in (*v.items, v.tail) if n is not None]
+        body = (", " if v.tail is None else " :: ").join(names)
     else:
         body = pp_expr(v)
     if a.fits:
@@ -253,10 +247,7 @@ def pp_def(d: PatternDefAst, indent: str = "") -> str:
     head += " ="
     lines = [head]
     if d.locals:
-        lines.append(f"{indent}  let")
-        for loc in d.locals:
-            lines.append(pp_def(loc, indent + "    "))
-        lines.append(f"{indent}  in")
+        lines += [f"{indent}  let", *[pp_def(loc, indent + "    ") for loc in d.locals], f"{indent}  in"]
     lines.append(f"{indent}  {pp_expr(d.body)}")
     return "\n".join(lines)
 

@@ -22,7 +22,7 @@ from godp.diagnostics import (
     UnknownReference,
     UnsupportedArgument,
 )
-from godp.elaborate import ListTemplate, PatternDef, PlainShape, _build_def, _Draft, build_block
+from godp.elaborate import ListTemplate, PatternDef, _build_def, _Draft, build_block
 from godp.syntax import BlockExpr, LibraryAst
 
 from conftest import corpus_paths, lib_of, unresolved
@@ -38,10 +38,10 @@ def test_build_library_fig1_patterns(corpus_lib):
     sub = corpus_lib.defs["SubProp"]
     assert sub.arity == 4
     fourth = sub.clauses[0].params[3]
-    assert isinstance(fourth.shape, PlainShape)
-    assert fourth.shape.new_symbols == (Symbol(name("p"), OP),)
-    assert Domain(name("p"), name("D")) in fourth.shape.delta.axioms
-    assert Range(name("p"), name("R")) in fourth.shape.delta.axioms
+    assert not fourth.is_list
+    assert fourth.new_symbols == (Symbol(name("p"), OP),)
+    assert Domain(name("p"), name("D")) in fourth.shape.axioms
+    assert Range(name("p"), name("R")) in fourth.shape.axioms
 
 
 def test_build_library_empty():
@@ -175,7 +175,7 @@ def _seen(lib, d, upto=None, clause=0):
         if p.is_list:
             out |= {Symbol(name(h), p.shape.kind) for h in p.shape.heads}
         else:
-            out |= set(p.shape.new_symbols)
+            out |= set(p.new_symbols)
     return out
 
 
@@ -186,9 +186,9 @@ def test_param_environments_subprop(corpus_lib):
     visible_to_fourth = {s.name.base for s in _seen(corpus_lib, sub, 3)}
     assert visible_to_fourth == {"q", "D", "R"}
     # the fourth parameter's new symbols exclude what it sees
-    assert {s.name.base for s in params[3].shape.new_symbols} == {"p"}
+    assert {s.name.base for s in params[3].new_symbols} == {"p"}
     for p in params:  # each parameter adds to what the ones before it declare
-        assert not set(p.shape.new_symbols) & _seen(corpus_lib, sub, p.index)
+        assert not set(p.new_symbols) & _seen(corpus_lib, sub, p.index)
 
 
 def test_param_environments_zero_param_def(corpus_lib):
@@ -204,7 +204,7 @@ def test_param_environments_valset_optional_sees_val_and_head(corpus_lib):
     env_for_optional = _seen(corpus_lib, valset, 2)
     assert Symbol(name("Val"), CLS) in env_for_optional
     assert Symbol(name("v"), IND) in env_for_optional
-    assert valset.clauses[0].params[2].shape.new_symbols == (Symbol(name("greater", "Val"), OP),)
+    assert valset.clauses[0].params[2].new_symbols == (Symbol(name("greater", "Val"), OP),)
 
 
 def _every_def(defs):
@@ -222,13 +222,13 @@ def test_new_symbols_equal_env_difference(corpus_lib):
         first = d.clauses[0].params
         for k, clause in enumerate(d.clauses):
             for p in clause.params:
-                if isinstance(p.shape, PlainShape):
+                if not p.is_list:
                     # clauses that bind the same heads before a parameter share
                     # it, its new symbols computed once
                     if _heads(clause.params[: p.index]) == _heads(first[: p.index]):
                         assert p is first[p.index]
-                    diff = p.shape.delta.signature - _seen(corpus_lib, d, p.index, k)
-                    assert frozenset(p.shape.new_symbols) == diff
+                    diff = p.shape.signature - _seen(corpus_lib, d, p.index, k)
+                    assert frozenset(p.new_symbols) == diff
 
 
 _H = (
@@ -244,8 +244,8 @@ def test_a_plain_parameter_sees_the_list_heads_of_its_own_clause():
     )
     empty, cons = (c.params[1] for c in lib.defs["H"].clauses)
     # x is new where the clause binds no head x, and a head where it does
-    assert {s.name.base for s in empty.shape.new_symbols} == {"p", "x"}
-    assert cons.shape.new_symbols == (Symbol(name("p"), OP),)
+    assert {s.name.base for s in empty.new_symbols} == {"p", "x"}
+    assert cons.new_symbols == (Symbol(name("p"), OP),)
     assert emit_struct_dump(expand_named(lib, "U")) == (
         "AX Domain q a\n"
         "SYM Class a\n"
@@ -295,7 +295,7 @@ def test_no_locals_is_unchanged(corpus_lib):
     # the built definition is the resolved one: its body resolved, its
     # parameters' new symbols there, nothing left for a later step to fill in
     assert isinstance(sub.clauses[0].body, BlockTemplate)
-    assert [len(p.shape.new_symbols) for p in sub.clauses[0].params] == [1] * sub.arity
+    assert [len(p.new_symbols) for p in sub.clauses[0].params] == [1] * sub.arity
     assert sub.locals == {}
 
 
@@ -471,7 +471,7 @@ def test_a_local_sees_its_own_imports_as_a_library_definition_does():
     # Person comes from the import, so p is the parameter's one new symbol
     local = lib.defs["D"].locals["L"]
     assert local.imports == (lib.defs["Agents"],)
-    assert local.clauses[0].params[0].shape.new_symbols == (Symbol(name("p"), OP),)
+    assert local.clauses[0].params[0].new_symbols == (Symbol(name("p"), OP),)
     assert emit_struct_dump(expand_named(lib, "Loc")) == (
         "AX Domain q Person\n"
         "SYM Class K\n"

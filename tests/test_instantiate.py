@@ -224,15 +224,15 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
     fit_local, fit_ontology = engine._fit_local, engine._fit_ontology
 
     def fitted(pspec, sigma):
-        return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.shape.new_symbols}
+        return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.new_symbols}
 
-    def record_local(owner, pspec, form, runs, avail, chain):  # `runs[0]`: the run it binds in
-        added = fit_local(owner, pspec, form, runs, avail, chain)
+    def record_local(owner, pspec, form, runs, avail):  # `runs[0]`: the run it binds in
+        added = fit_local(owner, pspec, form, runs, avail)
         calls.append((pspec, form, avail, fitted(pspec, runs[0]), runs[0]))
         return added
 
-    def record_ontology(pspec, form, arg_ont, env, runs, chain):
-        fit_ontology(pspec, form, arg_ont, env, runs, chain)
+    def record_ontology(pspec, form, arg_ont, env, runs):
+        fit_ontology(pspec, form, arg_ont, env, runs)
         expr = getattr(form, "expr", None)
         if isinstance(expr, Call) and expr.args is None and expr.up is None:
             # a bare library name is replayed as the form the Python API gives it
@@ -261,6 +261,47 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
     assert len(instantiations) > 10
     for fittings in instantiations.values():
         check_compatibility(fittings)
+
+
+# a local whose parameter's constraint names a symbol of its definer, and fits
+# on a bare symbol argument, on an inline ontology and on a named one
+_PLANS = """
+ontology Agents = { Class: Person }
+ontology Owned = { ObjectProperty: has }
+ontology Rel [Class: C; ObjectProperty: p] given Agents =
+  let ontology L [ObjectProperty: q Domain: C] = { ObjectProperty: q Range: C } in
+  { ObjectProperty: p Domain: C } then L[p]
+ontology Sym [ObjectProperty: r; Class: S] = { ObjectProperty: r Domain: S }
+ontology Use = Rel[Person; knows] then Sym[likes fit r |-> likes; Person]
+  then Sym[{ ObjectProperty: owns } fit r |-> owns; Person] then Sym[Owned fit r |-> has; Person]
+"""
+
+
+@pytest.mark.parametrize("source", ["corpus", _PLANS])
+def test_no_plan_is_compiled_twice(monkeypatch, source):
+    """Once every 0-parameter definition of a library has run, running each
+    again, its memo cleared, compiles no name: every plan a run reads is
+    compiled once per library."""
+    import godp.blocks
+    import godp.elaborate
+    import godp.instantiate
+
+    compiled = []
+    for module in (godp.blocks, godp.elaborate, godp.instantiate):
+        def counted(*args, compile_names=module.compile_names):
+            compiled.append(args[0])
+            return compile_names(*args)
+
+        monkeypatch.setattr(module, "compile_names", counted)
+    lib = load_corpus_library() if source == "corpus" else lib_of(source)
+    passes = []
+    for _ in range(2):
+        lib.memo.clear()  # so that every instantiation runs again
+        before = len(compiled)
+        for target in sorted(lib.zero_param_names()):
+            expand_named(lib, target)
+        passes.append(len(compiled) - before)
+    assert compiled and passes[1] == 0, passes
 
 
 def test_expand_missing_arguments_fail_as_in_the_language(corpus_lib):
@@ -873,7 +914,7 @@ def test_given_symbols_visible_in_parameters():
         "ontology Use = { ObjectProperty: owns Domain: Person } then G[owns]\n"
     )
     g = lib.defs["G"]
-    assert [s.name.base for s in g.clauses[0].params[0].shape.new_symbols] == ["r"]
+    assert [s.name.base for s in g.clauses[0].params[0].new_symbols] == ["r"]
     out = expand_named(lib, "Use")
     assert Transitive(name("owns")) in out.axioms
     assert sym("Person", CLS) in out.signature
@@ -1331,6 +1372,30 @@ def test_a_block_tail_the_running_clause_does_not_bind_is_an_error(tmp_path, cap
     assert capsys.readouterr() == ("", f"{f}:1:69: error: {_NOT_A_LIST}\n")
 
 
+_A_TAIL = "'xs' is a list-parameter tail, not a name"
+_P = "ontology P [Individual: r] = { Individual: r }\n"
+
+
+@pytest.mark.parametrize("body, extra, position", [
+    ("{ Individual: xs Types: C }", "", "1:36"),  # a frame's subject: at the block, when it runs
+    ("{ Individual: x DifferentFrom: g[xs] }", "", "1:36"),  # a part of a name in a comma list
+    ("P[g[xs]]", _P, "1:38"),  # a part of an argument symbol: at the argument, when built
+    ("E[g[xs], x]", "ontology E [Individual: y :: ys] = { }\n", "1:38"),  # of a list argument's item
+    ("P[O fit r |-> xs]", _P + "ontology O = { Individual: xs }\n", "1:38"),  # a fit target
+    # an enclosing pattern's tail, in a local's block
+    ("let ontology L [Individual: r] = { Individual: xs DifferentFrom: r } in L[k]", "", "1:69"),
+])
+def test_a_list_tail_used_as_one_name_is_an_error(tmp_path, capsys, body, extra, position):
+    # each once gave a symbol named after the tail
+    f = tmp_path / "d.gdp"
+    f.write_text(
+        f"ontology D [Individual: x :: xs] = {body}\nontology D [empty] = {{ }}\nontology U = D[a, b, c]\n{extra}",
+        encoding="utf-8",
+    )
+    assert main(["expand", "--target", "U", "--format", "dump", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"{f}:{position}: error: {_A_TAIL}\n")
+
+
 _NOT_BOUND = "'x' is not bound in scope (a list head that the running clause does not bind)"
 
 
@@ -1615,7 +1680,7 @@ def test_a_run_holds_only_what_its_own_definition_binds(monkeypatch):
     for d, run in runs:
         named = {
             b for c in d.clauses for p in c.params
-            for b in (p.shape.heads if p.is_list else [b for s in p.shape.delta.signature for b in s.name.bases()])
+            for b in (p.shape.heads if p.is_list else [b for s in p.shape.signature for b in s.name.bases()])
         }
         assert all(set(n.bases()) <= named for n in run.name_map), (d.qual, run.name_map)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast as pyast
+import shutil
 import sys
 
 import pytest
@@ -34,6 +36,7 @@ from godp.syntax import (
 
 from conftest import corpus_paths
 from front_end_cost import count_calls
+import source_size
 
 
 def test_parse_two_param_clauses():
@@ -437,6 +440,26 @@ def test_building_a_library_makes_at_most_one_and_three_quarters_python_calls_pe
     if case == "wide":  # the generated definitions are well-formed and expand
         for target in ("W0x0", "W3x7"):
             assert expand_named(lib, target).signature
+
+
+def test_source_size_prints_the_measures_of_src_and_their_difference_from_a_revision(capsys):
+    # what CI's summary showed before the script: `wc -l src/godp/*.py` and
+    # the AST nodes of the same files
+    paths = sorted((source_size.ROOT / source_size.SRC).glob("*.py"))
+    lines = sum(p.read_bytes().count(b"\n") for p in paths)
+    nodes = sum(1 for p in paths for _ in pyast.walk(pyast.parse(p.read_text(encoding="utf-8"))))
+    assert source_size.main([]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1].split() == ["total", str(lines), str(nodes)] and len(rows) == len(paths) + 2
+    if shutil.which("git") is None or not (source_size.ROOT / ".git").exists():
+        pytest.skip("no git checkout to read a revision from")
+    assert source_size.main(["--base", "HEAD"]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[0] == "total" and total[1:2] + total[4:5] == [str(lines), str(nodes)]
+    assert int(total[3]) == lines - int(total[2]) and int(total[6]) == nodes - int(total[5])
+    assert source_size.main(["--base", "no-such-revision"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("source_size: cannot read revision 'no-such-revision'")
 
 
 # -- the nesting bound ---------------------------------------------------------

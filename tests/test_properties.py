@@ -59,7 +59,7 @@ from godp.core import (
     rename_ontology,
     union_flat,
 )
-from godp.diagnostics import GodpError, KindClash, SourcePos, StratificationClash
+from godp.diagnostics import GodpError, KindClash, SourcePos, StratificationClash, UnknownReference
 from godp.elaborate import build_block
 from godp.instantiate import Bindings
 from godp.parser import FIELD_KEYWORDS, KEYWORDS, KIND_KEYWORDS, MAX_NESTING
@@ -176,24 +176,32 @@ _params = st.one_of(
 )
 
 _defs = st.builds(
-    lambda n, ps, given, body: PatternDefAst(n, tuple(ps), tuple(given), (), body),
-    _upper_idents,
-    st.lists(_params, max_size=3),
-    st.lists(_upper_idents, max_size=2, unique=True),
-    _exprs,
+    lambda n, ps, body: PatternDefAst(n, tuple(ps), (), (), body), _upper_idents, st.lists(_params, max_size=3), _exprs
 )
 
-_libraries = st.builds(lambda ds: LibraryAst(tuple(ds)), st.lists(_defs, max_size=3))
+
+@st.composite
+def _libraries(draw):
+    """Up to three definitions, each importing some of the library's own
+    0-parameter definitions, never itself."""
+    defs = draw(st.lists(_defs, max_size=3))
+    closed = sorted({d.name for d in defs if not d.params})
+    out = []
+    for d in defs:
+        others = [n for n in closed if n != d.name]
+        given = draw(st.lists(st.sampled_from(others), max_size=2, unique=True)) if others else []
+        out.append(replace(d, given=tuple(given)))
+    return LibraryAst(tuple(out))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_libraries)
+@given(_libraries())
 def test_pretty_print_reparses_to_same_ast(ast):
     assert parse_library(pretty_print(ast), "<gen>") == ast
 
 
 @settings(max_examples=100, deadline=None)
-@given(_libraries)
+@given(_libraries())
 def test_check_is_total_on_generated_libraries(ast):
     with tempfile.TemporaryDirectory() as tmp:
         f = os.path.join(tmp, "gen.gdp")
@@ -244,8 +252,15 @@ def _substituted(n: NameTerm, name_map: dict) -> NameTerm:
 def _frames_built_by_substitution(frames, run: Bindings, tails: set[str]):
     """The oracle for block fills: each name substituted by `_substituted`,
     each tail in a comma list spliced, then `make_ontology`, a kind clash at
-    the first frame: a direct builder that walks the frames once per run."""
-    one = lambda n: _substituted(n, run.name_map)
+    the first frame: a direct builder that walks the frames once per run. A
+    name that is or has a tail among its parts is an error of the block."""
+
+    def one(n):
+        for b in n.bases():
+            if b in tails:
+                raise UnknownReference(f"'{b}' is a list-parameter tail, not a name")
+        return _substituted(n, run.name_map)
+
     many = lambda ns: [
         m for n in ns for m in (run.list_map[n.base] if n.base in tails and not n.args else [one(n)])
     ]
@@ -303,6 +318,9 @@ def _outcome(build):
 @example(([IndividualFrame(name("a"), (), (name("a"), name("b")))], {}, {}, set()))
 @example(([DifferentIndividualsFrame((name("a"),))], {}, {}, set()))
 @example(([ClassFrame(name("A"), (name("b"), name("xs")))], {}, {"xs": ()}, set()))
+# a tail as a frame's subject, and as a part of a name in a comma list
+@example(([IndividualFrame(name("xs"), (name("C"),))], {}, {"xs": ()}, set()))
+@example(([IndividualFrame(name("a"), (), (name("b"), name("g", "xs")))], {}, {"xs": ()}, set()))
 @example((
     [ObjectPropertyFrame(name("greater", "Val"), (name("Val"),))], {name("greater", "Val"): name("gt")}, {}, set()
 ))
@@ -311,9 +329,10 @@ def test_a_block_fill_is_make_ontology_over_the_substituted_frames(block_run):
     frames = [replace(f, pos=SourcePos("<block>", i + 1, 1)) for i, f in enumerate(frames)]
     run = Bindings(name_map, lists)
     bound = {b for n in name_map for b in n.bases()} | set(lists) | unbound
-    plan = compile_block(frames, (bound,), {NameTerm(t): ListVar(t, 0) for t in lists})
+    tails = {NameTerm(t): ListVar(t, 0) for t in lists}
     expected = _outcome(lambda: _frames_built_by_substitution(frames, run, set(lists)))
-    assert _outcome(lambda: fill_block(plan, (run,))) == expected  # the display of a run with no definer
+    # the display of a run with no definer
+    assert _outcome(lambda: fill_block(compile_block(frames, (bound,), tails), (run,))) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -442,7 +461,7 @@ def test_library_is_not_changed_by_concurrent_use():
             expand_named(lib, name)
         for d in lib.defs.values():
             for p in d.clauses[0].params:
-                assert p.is_list or set(p.shape.new_symbols) <= p.shape.delta.signature
+                assert p.is_list or set(p.new_symbols) <= p.shape.signature
             assert all(loc.qual == f"{d.qual}::{n}" for n, loc in d.locals.items())
         return True
 
