@@ -1,7 +1,8 @@
 """Names and blocks compiled once into plans (`compile_names`, `compile_block`),
 filled per run (`fill_names`, `fill_block`) in its display: its own bindings,
 then its definers' runs, innermost first, so a name bound `up` definitions out
-is read from `runs[up]`. `build_block` is both for frames on their own, and
+is read from `runs[up]`. A block is filled into the accumulator of the
+expansion that runs it. `build_block` is both for frames on their own, and
 `frames_of` its inverse.
 """
 
@@ -11,6 +12,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
+    Accumulator,
     Axiom,
     ClassAssertion,
     DifferentIndividuals,
@@ -67,8 +69,7 @@ def _no_tails(names: Iterable, tails: Mapping, pos: SourcePos | None) -> None:
 
 def build_block(frames: Iterable[Frame]) -> FlatOntology:
     """The flat ontology of frames on their own: compiled, then filled."""
-    plan = compile_block(frames)
-    return plan[-1] or fill_block(plan, ())
+    return compile_block(frames)[-1]
 
 
 def _compiled(compile: Callable) -> Callable:
@@ -156,7 +157,7 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
     mapping each list tail it sees to its `ListVar`: the plan of its names
     (`compile_names`), then the (name, kind) pairs, the fixed-arity axioms,
     the comma lists to splice, where a clash is reported, and the block's
-    value if nothing can be bound."""
+    value if nothing can be bound, or its kind clash raised."""
     names, symbols, fixed, lists, frame_pos = [], {}, [], [], None  # symbols: (name, kind) -> None
     for f in frames:
         if type(f) not in FRAME_FIELDS:
@@ -188,20 +189,19 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
     plan = (ops, tuple(symbols), tuple(fixed), tuple(lists), frame_pos, None)
     if any(map(itemgetter(1), ops.values())) or any(ListVar in map(type, items) for _, _, items, _, _ in lists):
         return plan
-    try:  # a kind clash in it is reported by each run
-        return (*plan[:-1], fill_block(plan, ()))
-    except GodpError:
-        return plan
+    acc = Accumulator()
+    fill_block(plan, (), acc)  # a kind clash in it is raised here: no plan is kept, and each run raises it
+    return (*plan[:-1], acc.freeze())
 
 
-def fill_block(plan: tuple, runs: Sequence) -> FlatOntology:
-    """The flat ontology of a block's `plan` in the display `runs`, as
-    `fill_names` reads it: each name filled once, the axioms built from them,
-    the signature and its kind index taken from their static kinds. Only a
-    kind clash goes through `make_ontology`."""
+def fill_block(plan: tuple, runs: Sequence, acc: Accumulator) -> None:
+    """Merge into `acc` the flat ontology of a block's `plan` in the display
+    `runs`, as `fill_names` reads it: each name filled once, the axioms built
+    from them, their kind index taken from their static kinds. Only a kind
+    clash inside the block goes through `make_ontology`."""
     ops, symbols, fixed, lists, frame_pos, ontology = plan
     if ontology is not None:
-        return ontology
+        return acc.add(ontology)
     vals = fill_names(ops, runs)
     axioms = [cls(vals[a]) if b is None else cls(vals[a], vals[b]) for cls, a, b in fixed]
     kinds, clash = {}, False
@@ -221,9 +221,9 @@ def fill_block(plan: tuple, runs: Sequence) -> FlatOntology:
         for n in names:
             clash |= kinds.setdefault(n, kind) is not kind
     if not clash:
-        return FlatOntology(frozenset(map(Symbol, kinds, kinds.values())), frozenset(axioms), kinds)
-    try:  # make_ontology names the clash as it always has
-        return make_ontology([Symbol(vals[s], k) for s, k in symbols], axioms)
+        return acc.merge(set(map(Symbol, kinds, kinds.values())), axioms)
+    try:  # make_ontology raises the clash, named as it always has been
+        make_ontology([Symbol(vals[s], k) for s, k in symbols], axioms)
     except GodpError as e:
         e.ensure_pos(frame_pos)
         raise
@@ -257,9 +257,7 @@ def frames_of(o: FlatOntology) -> list[Frame]:
     """Frames that `build_block` reads back as `o`: one per symbol in
     `Symbol.key` order, each field's names sorted and distinct, but one per
     EquivalentTo union for a class; then one per DifferentIndividuals axiom."""
-    fields: dict[NameTerm, dict[str, set]] = {}
-    unions: dict[NameTerm, list[Axiom]] = {}
-    different: list[Axiom] = []
+    fields, unions, different = {}, {}, []  # subject -> field -> names; class -> its unions; the rest
     for a in o.axioms:
         entry = _FRAME_FIELD.get(type(a))
         if entry is not None:
@@ -270,7 +268,7 @@ def frames_of(o: FlatOntology) -> list[Frame]:
             unions.setdefault(a.cls, []).append(a)
         else:
             different.append(a)
-    frames: list[Frame] = []
+    frames = []
     for s in o.sorted_signature():
         if s.kind is SymbolKind.CLASS:
             equivalents = [u.members for u in sorted(unions.get(s.name, ()), key=Axiom.sort_key)]

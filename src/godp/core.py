@@ -17,6 +17,10 @@ safe to share across threads. Flat ontologies keep their axiom sets canonical
 axiom is also in the signature. Each flat ontology also carries a name -> kind
 index of its signature; it is built once, when the ontology is constructed,
 and never mutated afterwards, so it too is safe to share across threads.
+
+The one mutable thing, an `Accumulator`, is a flat ontology under
+construction, private to the expansion that writes it; its `merge` is the
+one merge point, `union_flat` included, and `freeze` hands out a value.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping
 
 from .diagnostics import KindClash, UnmappedSymbol
 from .record import Record, field
@@ -267,9 +271,6 @@ class FlatOntology(Record):
     def kind_of(self, n: NameTerm) -> SymbolKind | None:
         return self.kinds.get(n)
 
-    def is_empty(self) -> bool:
-        return not self.signature and not self.axioms
-
 
 def _index_kinds(
     symbols: Collection[Symbol], index: dict[NameTerm, SymbolKind]
@@ -299,23 +300,59 @@ def make_ontology(symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> FlatOnt
     for a in axs:
         for n, k in a.refs():
             sig.add(Symbol(n, k))
-    return FlatOntology(frozenset(sig), axs, _index_kinds(sig, {}))
+    return FlatOntology(frozenset(sig), axs)
+
+
+class Accumulator:
+    """A flat ontology under construction, written in place by one expansion:
+    a signature set, an axiom set and their name -> kind index. It shares the
+    frozen `seed` it starts from until its first write copies it; a merge
+    that adds nothing writes nothing. What `freeze` returns is a value."""
+
+    __slots__ = ("signature", "axioms", "kinds", "seed")
+
+    def reset(self, seed: FlatOntology = EMPTY_ONTOLOGY) -> None:
+        self.signature, self.axioms, self.kinds, self.seed = seed.signature, seed.axioms, seed.kinds, seed
+
+    __init__ = reset
+
+    def freeze(self) -> FlatOntology:
+        """What it holds, as a value: its seed while it has not been written."""
+        return self.seed if self.seed is not None else FlatOntology(
+            frozenset(self.signature), frozenset(self.axioms), dict(self.kinds))
+
+    def add(self, o: FlatOntology) -> None:
+        """Merge `o`; one that holds only the empty ontology takes `o` itself."""
+        if self.seed is EMPTY_ONTOLOGY:
+            return self.reset(o)
+        self.merge(o.signature, o.axioms)
+
+    def merge(self, symbols: AbstractSet[Symbol], axioms: Collection[Axiom]) -> None:
+        """Same Name - Same Thing union, in place, with the ontology of the
+        signature `symbols` and `axioms`: each symbol it lacks is checked
+        against its index, with the KindClash of `_index_kinds`."""
+        new = symbols - self.signature
+        if self.seed is not None:
+            if not new and self.axioms.issuperset(axioms):
+                return
+            if self.seed is EMPTY_ONTOLOGY:  # the first write to one that holds nothing makes a value
+                return self.reset(FlatOntology(frozenset(new), frozenset(axioms)))
+            self.signature, self.axioms, self.kinds, self.seed = (
+                set(self.signature), set(self.axioms), dict(self.kinds), None)
+        _index_kinds(new, self.kinds)
+        self.signature.update(new)
+        self.axioms.update(axioms)
 
 
 def union_flat(a: FlatOntology, b: FlatOntology) -> FlatOntology:
-    """Same Name - Same Thing union: deduplicating, kind-clash checked.
-
-    Only the smaller operand's new symbols are checked, against a copy of the
-    larger operand's index.
-    """
-    large, small = (a, b) if len(a.signature) >= len(b.signature) else (b, a)
-    if small.is_empty():
-        return large
-    kinds = _index_kinds(small.signature - large.signature, dict(large.kinds))
-    return FlatOntology(large.signature | small.signature, large.axioms | small.axioms, kinds)
+    """Same Name - Same Thing union: deduplicating, kind-clash checked. The
+    smaller operand is merged into an accumulator seeded with the larger."""
+    acc = Accumulator(a if len(a.signature) >= len(b.signature) else b)
+    acc.add(b if acc.seed is a else a)
+    return acc.freeze()
 
 
-def _elide(o: FlatOntology, dead: Callable[[NameTerm], bool]) -> FlatOntology:
+def _elide(o: FlatOntology | Accumulator, dead: Callable[[NameTerm], bool]) -> FlatOntology:
     """`o` without its dead symbols and every axiom that mentions one."""
     sig = frozenset(s for s in o.signature if not dead(s.name))
     axs = frozenset(a for a in o.axioms if not any(dead(n) for n, _ in a.refs()))
@@ -332,7 +369,7 @@ def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:
     renaming left vacuous; kind-clash checked on merge."""
     sig = frozenset(Symbol(fn(s.name), s.kind) for s in o.signature)
     axs = frozenset(a for a in (a.rename(fn) for a in o.axioms) if not a.is_vacuous())
-    return FlatOntology(sig, axs, _index_kinds(sig, {}))
+    return FlatOntology(sig, axs)
 
 
 # ---------------------------------------------------------------------------

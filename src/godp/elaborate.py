@@ -78,8 +78,9 @@ from .syntax import (
 class ParamSpec(Record):
     """A clause's parameter: a list one's `shape` is its template, a plain
     one's the ontology of its frames, with the `new_symbols` it adds and the
-    `plan` of its fit sources and its axioms' names, compiled in `scope` (its
-    definition's `_Draft.chain`) when first read, for every fit and check."""
+    `plan` of its frames' names, compiled in `scope` (its definition's
+    `_Draft.chain`) when first read, for every fit and check, and whether a
+    check fills it: for its axioms, or to read a definer's list head."""
 
     index: int
     optional: bool
@@ -87,8 +88,8 @@ class ParamSpec(Record):
     new_symbols: tuple[Symbol, ...]
     scope: tuple = field(compare=False)
     __slots__ = ("plan",)
-    __getattr__ = _compiled(lambda p: (compile_names(p.shape.kinds, p.scope), compile_names(
-        [n for a in p.shape.axioms for n, _ in a.refs()], p.scope)))
+    __getattr__ = _compiled(lambda p: (compile_names(p.shape.kinds, p.scope), p.shape.axioms or any(
+        level[b][1] is None for level in p.scope[1:] for n in p.shape.kinds for b in n.bases() if b in level)))
 
     @property
     def is_list(self) -> bool:
@@ -648,11 +649,7 @@ def _tarjan_scc(nodes: set[str], adj: dict[str, set[str]]) -> dict[str, int]:
     """Each node's strongly connected component, numbered callees first:
     Tarjan's algorithm without recursion, taking roots and successors in
     sorted order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    comp: dict[str, int] = {}
-    count = 0
+    index, low, stack, comp, count = {}, {}, [], {}, 0  # comp: node -> its component
     for root in sorted(nodes):
         work = [] if root in index else [(root, None)]
         while work:

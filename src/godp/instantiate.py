@@ -39,6 +39,14 @@ head or tail that its run's clause does not bind is an error when it is
 read. Nothing a run makes points back at its caller or at a definition, so a
 finished expansion is freed by reference counting alone.
 
+One private `Accumulator` serves each closed expansion, each ontology
+argument (seeded from the environment its instantiation starts from) and
+each `expand` or `derive_fitting` call; instantiations write into it and
+elide their own placeholders from it. It is frozen only where a value leaves
+the engine: a memo entry, a top-level result or an argument being fitted. A
+list binding keeps the kind its items were declared with, so a tail passed
+on to a list parameter of that kind is not checked again, only the heads.
+
 Expansion is pure over an immutable Library. Every top-level call gets its own
 context: a depth budget and the names of the 0-parameter expansions it has
 reached. Their ontologies live only in the library's memo, which every
@@ -53,9 +61,10 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .blocks import BlockTemplate, _splice, compile_names, fill_block, fill_names
+from .blocks import BlockTemplate, ListVar, _splice, compile_names, fill_block, fill_names
 from .core import (
     EMPTY_ONTOLOGY,
+    Accumulator,
     Axiom,
     FittingMorphism,
     FlatOntology,
@@ -110,13 +119,14 @@ DEFAULT_DEPTH = 10_000
 
 class Bindings(Record, frozen=False):
     """One run of a clause: the names it binds itself (its list heads, its
-    parameters' new symbols and fit sources that no run around it binds)
-    and the lists its own template tails bind. It heads the run's display,
-    followed by its definers' runs, where a slot's walk and a `ListVar`
-    read the run `up` definitions out."""
+    parameters' new symbols and fit sources that no run around it binds),
+    the lists its own template tails bind and the kind of each, that of its
+    template. It heads the run's display, followed by its definers' runs,
+    where a slot's walk and a `ListVar` read the run `up` definitions out."""
 
     name_map: dict[NameTerm, NameTerm] = field(factory=dict)
     list_map: dict[str, tuple[NameTerm, ...]] = field(factory=dict)
+    list_kinds: dict[str, SymbolKind] = field(factory=dict)
 
 
 def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
@@ -167,12 +177,8 @@ class _Ctx(Record, frozen=False):
 # Template matching
 # ---------------------------------------------------------------------------
 
-def _select_clause(
-    clauses: Sequence[Clause],
-    forms: Sequence[ArgumentForm | _ExprArg],
-    owner: str | None,
-    pos: SourcePos | None,
-) -> Clause:
+def _select_clause(clauses: Sequence[Clause], forms: Sequence[ArgumentForm | _ExprArg], owner: str | None,
+                   pos: SourcePos | None) -> Clause:
     for clause in clauses:
         for p, f in zip(clause.params, forms):
             if p.is_list and not p.shape.matches(len(f.items)):
@@ -187,16 +193,12 @@ def _select_clause(
     )
 
 
-def match_template(
-    clauses: Sequence[Clause], arg: ListArg
-) -> tuple[Clause, Bindings]:
+def match_template(clauses: Sequence[Clause], arg: ListArg) -> tuple[Clause, Bindings]:
     """First clause (source order) whose list template matches the argument's
     length structure, with head/tail bindings; raises NoMatch otherwise. The
     argument is checked as `expand` checks it."""
     if any(sum(p.is_list for p in c.params) != 1 for c in clauses):
-        raise UnsupportedArgument(
-            "match_template expects clauses with exactly one list parameter"
-        )
+        raise UnsupportedArgument("match_template expects clauses with exactly one list parameter")
     # the clauses of one pattern share their parameter shapes; the clause
     # test reads only the list position
     params = clauses[0].params if clauses else ()
@@ -214,6 +216,7 @@ def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings)
         b.name_map[NameTerm(head)] = item
     if tmpl.tail is not None:
         b.list_map[tmpl.tail] = items[tmpl.min_len:]
+        b.list_kinds[tmpl.tail] = tmpl.kind
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +231,15 @@ def check_compatibility(fittings: Sequence[FittingMorphism]) -> None:
             _bind_fit(seen, src.name, dst.name, ((0, False),), None)
 
 
-def check_constraints(
-    param_axioms: Iterable[Axiom], m: FittingMorphism, available: FlatOntology
-) -> None:
+def check_constraints(param_axioms: Iterable[Axiom], m: FittingMorphism, available: FlatOntology) -> None:
     """Translated parameter axioms must already hold (syntactic membership
     after canonicalization) in the available environment."""
     table = {src.name: dst.name for src, dst in m.pairs}
     _check_constraints(param_axioms, lambda n: table.get(n, n), available, None)
 
 
-def _check_constraints(
-    axioms: Iterable[Axiom],
-    rename: Callable[[NameTerm], NameTerm],
-    available: FlatOntology,
-    pos: SourcePos | None,
-) -> None:
+def _check_constraints(axioms: Iterable[Axiom], rename: Callable[[NameTerm], NameTerm],
+                       available: FlatOntology | Accumulator, pos: SourcePos | None) -> None:
     for ax in sorted(axioms, key=Axiom.sort_key):
         translated = ax.rename(rename)
         if any(is_placeholder(n) for n, _ in translated.refs()):
@@ -285,11 +282,10 @@ def derive_fitting(
         return FittingMorphism.of({})
     runs = tuple([Bindings() for _ in param.scope])
     if isinstance(form, LocalSymbolArg):
-        _fit_local(None, param, form, runs, env)
+        _fit_local(None, param, form, runs, Accumulator(env))
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
-        arg_ont = _eval_expr(ctx, form.expr, env, ())
-        _fit_ontology(param, form, arg_ont, env, runs)
+        _fit_ontology(param, form, _evaluated(ctx, form.expr, env, ()), env, runs)
     return FittingMorphism.of(
         {n: Symbol(runs[0].name_map[n.name], n.kind) for n in param.new_symbols}
     )
@@ -310,13 +306,7 @@ def _bind_fit(runs: tuple, src: NameTerm, dst: NameTerm, walk: Sequence, pos) ->
     runs[0].name_map[src] = dst
 
 
-def _fit_local(
-    owner: str | None,
-    pspec: ParamSpec,
-    form: LocalSymbolArg,
-    runs: tuple,
-    avail: FlatOntology,
-) -> FlatOntology:
+def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: tuple, acc: Accumulator) -> None:
     if len(pspec.new_symbols) != 1:
         raise UnsupportedArgument(
             f"parameter {pspec.index + 1}{_of(owner)} defines "
@@ -328,22 +318,16 @@ def _fit_local(
     term = runs[0].name_map[n.name] = form.term  # a new symbol shadows what a definer binds
     for src, dst in form.fits:  # a fit of the parameter must agree
         _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
-    return _declare(
-        avail, ((term, n.kind),), form.pos,
+    _declare(
+        acc, ((term, n.kind),), form.pos,
         lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
         f"'{n.name.render()}' needs {n.kind.value}",
     )
 
 
-def _fit_ontology(
-    pspec: ParamSpec,
-    form: _ExprArg,
-    arg_ont: FlatOntology,
-    env: FlatOntology,
-    runs: tuple,
-) -> None:
+def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: FlatOntology, runs: tuple) -> None:
     explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
-    pool = [s for s in arg_ont.sorted_signature() if s not in env.signature]
+    pool = sorted(arg_ont.signature - env.signature, key=Symbol.key)
     for n in pspec.new_symbols:
         image = explicit.get(n.name)
         if image is not None:
@@ -402,16 +386,17 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
         elif not _charge_memo(ctx, d.qual):
             ctx.frame = frame = [[], 0]
             ctx.running = 0  # it starts from an empty environment: no placeholder is visible
+            acc = Accumulator()
             try:
-                out = _instantiate(ctx, d, (), [], EMPTY_ONTOLOGY, pos)
+                _instantiate(ctx, d, (), [], acc, pos)
             except GodpError as e:
                 if not isinstance(e, DepthExceeded):  # that one depends on the budget
                     ticks, error = budget - ctx.budget - frame[1], (type(e), e.message, e.pos)
                     ctx.memo.setdefault(d.qual, _Memo(None, ticks, tuple(frame[0]), error))
                 raise
             ctx.frame, ctx.running = parent, running
-            # an entry is never replaced: one already there equals `out`
-            ctx.memo.setdefault(d.qual, _Memo(out, budget - ctx.budget - frame[1], tuple(frame[0])))
+            # an entry is never replaced: one already there equals this one
+            ctx.memo.setdefault(d.qual, _Memo(acc.freeze(), budget - ctx.budget - frame[1], tuple(frame[0])))
             ctx.reached.add(d.qual)
     finally:  # a failed lookup is charged to its caller too
         if parent is not None:
@@ -430,8 +415,7 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     if qual not in ctx.memo:
         return False
     ticks = 0
-    reached: set[str] = set()
-    todo = [qual]
+    reached, todo = set(), [qual]
     while todo:
         q = todo.pop()
         if q in ctx.reached or q in reached:
@@ -451,27 +435,42 @@ def _charge_memo(ctx: _Ctx, qual: str) -> bool:
     return True
 
 
-def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, runs: tuple) -> FlatOntology:
-    if isinstance(expr, tuple):  # a `then` chain
-        for term in expr:
-            env = _eval_expr(ctx, term, env, runs)
-        return env
-    if isinstance(expr, FlatOntology):  # an `AnonymousArg`'s
-        return union_flat(env, expr)
-    try:
-        if isinstance(expr, BlockTemplate):
-            return union_flat(env, fill_block(expr.plan, runs))
-        target = ctx.lib.quals[expr.qual]
-        if expr.args is None and expr.up is None:
-            return union_flat(env, _closed_expansion(ctx, target, expr.pos))
-        names = [fill_names(p, runs) for p in expr.plan or ()]  # every head read before any tail
-        forms = [_apply_form(f, n, runs) for f, n in zip(expr.args, names)] if names else expr.args or ()
-        # a local shares the parameters around it: its definers' runs
-        base = () if expr.up is None else runs[expr.up:]
-        return _instantiate(ctx, target, base, forms, env, expr.pos, runs)
-    except GodpError as e:
-        e.ensure_pos(expr.pos)
-        raise
+def _evaluated(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, runs: tuple) -> FlatOntology:
+    """An argument's value on top of `env`, in the display `runs`."""
+    acc = Accumulator(env)
+    _eval_expr(ctx, expr, acc, runs)
+    return acc.freeze()
+
+
+def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, acc: Accumulator, runs: tuple) -> None:
+    """Write `expr`, in the display `runs`, into `acc`, term by term."""
+    if type(expr) is FlatOntology:  # an `AnonymousArg`'s
+        return acc.add(expr)
+    for term in expr if type(expr) is tuple else (expr,):
+        try:
+            if type(term) is BlockTemplate:
+                fill_block(term.plan, runs, acc)
+                continue
+            target = ctx.lib.quals[term.qual]
+            if term.args is None and term.up is None:
+                acc.add(_closed_expansion(ctx, target, term.pos))
+                continue
+            names = [fill_names(p, runs) for p in term.plan or ()]  # every head read before any tail
+            forms = [_apply_form(f, n, runs) for f, n in zip(term.args, names)] if names else term.args or ()
+            # a local shares the parameters around it: its definers' runs
+            base = () if term.up is None else runs[term.up:]
+            _instantiate(ctx, target, base, forms, acc, term.pos, runs)
+        except GodpError as e:
+            e.ensure_pos(term.pos)
+            raise
+
+
+class _Spliced(ListArg):
+    """A list argument as a call passes it on: `items[heads:]` is the list
+    that a run of the caller binds, its items declared with `kind`."""
+
+    heads: int
+    kind: SymbolKind
 
 
 def _apply_form(form: ArgumentForm | _ExprArg, names: dict, runs: tuple) -> ArgumentForm | _ExprArg:
@@ -479,7 +478,11 @@ def _apply_form(form: ArgumentForm | _ExprArg, names: dict, runs: tuple) -> Argu
     names read from `names`, its plan filled in `runs`, its list tails
     spliced."""
     if isinstance(form, ListArg):
-        return ListArg(tuple(_splice(form.items, names, runs, form.pos)), form.pos)
+        items = tuple(_splice(form.items, names, runs, form.pos))
+        if form.items and type(last := form.items[-1]) is ListVar:
+            run = runs[last.up]
+            return _Spliced(items, form.pos, len(items) - len(run.list_map[last.name]), run.list_kinds[last.name])
+        return ListArg(items, form.pos)
     if isinstance(form, EmptyOptArg):
         return form
     # fit sources name the callee's parameter symbols and stay as written;
@@ -490,85 +493,78 @@ def _apply_form(form: ArgumentForm | _ExprArg, names: dict, runs: tuple) -> Argu
     return _ExprArg(form.expr, fits, form.pos)
 
 
-def _instantiate(
-    ctx: _Ctx,
-    target: PatternDef,
-    base: tuple,
-    forms: Sequence[ArgumentForm | _ExprArg],
-    env: FlatOntology,
-    pos: SourcePos | None,
-    caller: tuple = (),
-) -> FlatOntology:
-    """`target` run on the checked `forms`: its display is its own new run,
-    then `base`, its definers' runs; expression arguments are evaluated in
-    the `caller`'s display."""
+def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[ArgumentForm | _ExprArg],
+                 acc: Accumulator, pos: SourcePos | None, caller: tuple = ()) -> None:
+    """`target` run on the checked `forms`, into `acc`: its display is its own
+    new run, then `base`, its definers' runs; expression arguments are
+    evaluated in the `caller`'s display, on top of what `acc` held on entry."""
     ctx.tick(pos)
     level = ctx.running
     ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
-    runs = (Bindings({}, {}), *base)
+    runs = (Bindings({}, {}, {}), *base)
+    env = acc.freeze() if _ExprArg in map(type, forms) else None
     imports_ont = EMPTY_ONTOLOGY
     for imp in target.imports:
         imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
-    avail = union_flat(env, imports_ont)
-    dead: set[str] = set()
+    acc.add(imports_ont)
+    dead = set()  # the bases of its placeholders
 
     for pspec, form in zip(clause.params, forms):
         try:
             if pspec.is_list:
-                tmpl: ListTemplate = pspec.shape
-                avail = _declare(
-                    avail, zip(form.items, repeat(tmpl.kind)), form.pos,
+                tmpl = pspec.shape
+                items = form.items
+                if type(form) is _Spliced and form.kind is tmpl.kind:
+                    items = items[:form.heads]  # the rest were declared with this kind when bound
+                _declare(
+                    acc, zip(items, repeat(tmpl.kind)), form.pos,
                     lambda t, k: f"list item '{t.render()}' has kind {k.value}, "
                     f"expected {tmpl.kind.value}",
                 )
                 _bind_template(tmpl, form.items, runs[0])
             elif isinstance(form, EmptyOptArg):
-                elided = []
-                for s in pspec.new_symbols:
+                for s in pspec.new_symbols:  # each a fresh placeholder
                     ph = runs[0].name_map[s.name] = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
                     dead.add(ph.base)
-                    elided.append((ph, s.kind))
-                avail = _declare(avail, elided, form.pos, None)
+                    acc.merge({Symbol(ph, s.kind)}, ())
             else:
                 if isinstance(form, LocalSymbolArg):
-                    avail = _fit_local(target.name, pspec, form, runs, avail)
+                    _fit_local(target.name, pspec, form, runs, acc)
                 else:  # evaluated on top of env, in the caller's display
-                    added = _eval_expr(ctx, form.expr, env, caller)
+                    added = _evaluated(ctx, form.expr, env, caller)
                     _fit_ontology(pspec, form, added, env, runs)
-                    avail = union_flat(avail, added)
-                if axioms := pspec.shape.axioms:
-                    _check_constraints(axioms, fill_names(pspec.plan[1], runs).__getitem__, avail, form.pos)
+                    acc.add(added)
+                if pspec.shape.axioms or pspec.scope[1:]:  # a local's frames may name a definer's list head
+                    plan, read = pspec.plan
+                    if read:
+                        _check_constraints(pspec.shape.axioms, fill_names(plan, runs).__getitem__, acc, form.pos)
         except GodpError as e:
             e.ensure_pos(form.pos or pos)
             raise
 
-    out = _eval_expr(ctx, clause.body, avail, runs)
+    _eval_expr(ctx, clause.body, acc, runs)
     if dead:
-        out = _elide(out, lambda n: not dead.isdisjoint(n.bases()))
+        acc.reset(_elide(acc, lambda n: not dead.isdisjoint(n.bases())))
     ctx.running -= 1
-    return out
 
 
-def _declare(
-    avail: FlatOntology,
-    terms: Iterable[tuple[NameTerm, SymbolKind]],
-    pos: SourcePos | None,
-    clash: Callable[[NameTerm, SymbolKind], str] | None,
-) -> FlatOntology:
-    """`avail` plus each term it does not have yet, declared with its kind.
-    A term it has with another kind is a KindMismatch with the text
+def _declare(acc: Accumulator, terms: Iterable[tuple[NameTerm, SymbolKind]], pos: SourcePos | None,
+             clash: Callable[[NameTerm, SymbolKind], str]) -> None:
+    """Declare in `acc` each term it lacks, with its kind. A term it has
+    with another kind is a KindMismatch with the text
     `clash(term, kind found)`, unless the term is a placeholder: every
-    sentence that mentions one goes anyway. Without `clash` the terms are
-    fresh placeholders, declared without a lookup."""
+    sentence that mentions one goes anyway."""
     symbols = []
+    kinds = acc.kinds
     for term, kind in terms:
-        found = avail.kind_of(term) if clash is not None else None
+        found = kinds.get(term)
         if found is None:
             symbols.append(Symbol(term, kind))
         elif found is not kind and not is_placeholder(term):
             raise KindMismatch(clash(term, found), pos)
-    return union_flat(avail, make_ontology(symbols, [])) if symbols else avail
+    if symbols:
+        acc.add(make_ontology(symbols, []))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +597,9 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     target = lib.require(inst.pattern)
     decls = [(p.optional, p.shape) for p in target.clauses[0].params]
     forms = [_entry_form(lib, f) for f in _check_args(target.name, decls, inst.args, None)]
-    return _instantiate(ctx, target, (), forms, inst.local_env, None)
+    acc = Accumulator(inst.local_env)
+    _instantiate(ctx, target, (), forms, acc, None)
+    return acc.freeze()
 
 
 def expand_named(lib: Library, name: str, depth: int = DEFAULT_DEPTH) -> FlatOntology:

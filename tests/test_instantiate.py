@@ -27,6 +27,7 @@ from godp.core import (
     DifferentIndividuals,
     Domain,
     FittingMorphism,
+    FlatOntology,
     NameTerm,
     Range,
     Symbol,
@@ -226,10 +227,10 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
     def fitted(pspec, sigma):
         return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.new_symbols}
 
-    def record_local(owner, pspec, form, runs, avail):  # `runs[0]`: the run it binds in
-        added = fit_local(owner, pspec, form, runs, avail)
+    def record_local(owner, pspec, form, runs, acc):  # `runs[0]`: the run it binds in
+        avail = FlatOntology(frozenset(acc.signature), frozenset(acc.axioms))  # what it fits in
+        fit_local(owner, pspec, form, runs, acc)
         calls.append((pspec, form, avail, fitted(pspec, runs[0]), runs[0]))
-        return added
 
     def record_ontology(pspec, form, arg_ont, env, runs):
         fit_ontology(pspec, form, arg_ont, env, runs)
@@ -1112,38 +1113,97 @@ def test_placeholder_after_a_memo_hit_keeps_its_name(monkeypatch):
 
 # -- work that grows with list length ---------------------------------------------
 
+_CHAIN = (
+    "ontology Chain [Individual: x :: xs] = { Individual: x } then Chain[xs]\n"
+    "ontology Chain [empty] = { }\n"
+)
+
+
+def _long_lists(n: int) -> str:
+    listed = ", ".join(f"v{i}" for i in range(n))
+    return (
+        f"ontology A = ValSet[Val; {listed}; greater[Val]]\n"
+        f"ontology B = ValSetWithOrder[Val; {listed}]\n"
+        f"ontology C = GradedRelsSub[p; S; T; Val; {listed}]\n"
+        f"ontology D = Chain[{listed}]\n"
+    )
+
+
 def test_instantiations_and_unions_grow_linearly_with_list_length(monkeypatch):
-    """Expanding ValSet, ValSetWithOrder and GradedRelsSub over n items, the
-    counts of instantiations and of unions grow at most 2.2x when n doubles.
-    Kind checks are left out: each level still checks the whole remaining
-    list again, n^2/2 in all, until list items are declared once."""
+    """Expanding ValSet, ValSetWithOrder, GradedRelsSub and Chain over n
+    items, three counts grow at most 2.2x when n doubles: instantiations,
+    the symbols merged through the engine's one merge point
+    (`Accumulator.merge`), and the (term, kind) pairs that reach the kind
+    check. A list item is checked where a call writes it, not again at each
+    level that passes on the tail it is in."""
+    import godp.core as core
     import godp.instantiate as engine
 
-    src = "".join(p.read_text(encoding="utf-8") for p in corpus_paths())
+    src = "".join(p.read_text(encoding="utf-8") for p in corpus_paths()) + _CHAIN
     counts = {}
     for n in (100, 200):
-        listed = ", ".join(f"v{i}" for i in range(n))
-        lib = lib_of(
-            src
-            + f"ontology A = ValSet[Val; {listed}; greater[Val]]\n"
-            + f"ontology B = ValSetWithOrder[Val; {listed}]\n"
-            + f"ontology C = GradedRelsSub[p; S; T; Val; {listed}]\n"
-        )
-        tally = counts[n] = {"instantiations": 0, "unions": 0}
+        lib = lib_of(src + _long_lists(n))
+        tally = counts[n] = {"instantiations": 0, "merged symbols": 0, "kind checks": 0}
+        instantiate, merge, declare = engine._instantiate, core.Accumulator.merge, engine._declare
 
-        def counting(key, fn):
-            def counted(*args):
-                tally[key] += 1
-                return fn(*args)
-            return counted
+        def instantiating(*args):
+            tally["instantiations"] += 1
+            return instantiate(*args)
+
+        def merging(acc, symbols, axioms):
+            tally["merged symbols"] += len(symbols)
+            return merge(acc, symbols, axioms)
+
+        def declaring(acc, terms, pos, clash):
+            terms = list(terms)
+            tally["kind checks"] += len(terms)
+            return declare(acc, terms, pos, clash)
 
         with monkeypatch.context() as m:
-            m.setattr(engine, "_instantiate", counting("instantiations", engine._instantiate))
-            m.setattr(engine, "union_flat", counting("unions", engine.union_flat))
-            for target in "ABC":
+            m.setattr(engine, "_instantiate", instantiating)
+            m.setattr(core.Accumulator, "merge", merging)
+            m.setattr(engine, "_declare", declaring)
+            for target in "ABCD":
                 expand_named(lib, target)
     for key, small in counts[100].items():
-        assert counts[200][key] <= 2.2 * small, (key, small, counts[200][key])
+        assert 0 < small and counts[200][key] <= 2.2 * small, (key, small, counts[200][key])
+
+
+def test_long_lists_and_long_definition_chains_expand_under_the_default_recursion_limit(tmp_path, capsys):
+    # two Python frames per list item and three per closed expansion: 400
+    # items and 250 definitions stay below the interpreter's limit
+    f = tmp_path / "long.gdp"
+    f.write_text(_CHAIN + _long_lists(400), encoding="utf-8")
+    for target in "ABCD":
+        assert main(["expand", "--target", target, "--format", "dump", *map(str, corpus_paths()), str(f)]) == 0
+    assert capsys.readouterr().out.count("SYM Individual v399\n") == 4
+    chain = tmp_path / "chain.gdp"
+    chain.write_text(
+        "".join(f"ontology D{i} = D{i + 1} then {{ Class: c{i} }}\n" for i in range(250)) + "ontology D250 = { Class: z }\n",
+        encoding="utf-8",
+    )
+    assert main(["check", str(chain)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("target", ["B", "C"])
+def test_traced_memory_grows_about_linearly_with_list_length(target):
+    """The traced peak of expanding ValSetWithOrder or GradedRelsSub over 300
+    items is at most 3.2x that over 150: one accumulator per expansion, no
+    copy per level. What grows faster is the tail each level binds."""
+    import tracemalloc
+
+    src = "".join(p.read_text(encoding="utf-8") for p in corpus_paths()) + _CHAIN
+    peaks = []
+    for n in (150, 300):
+        lib = lib_of(src + _long_lists(n))
+        tracemalloc.start()
+        try:
+            expand_named(lib, target)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 3.2 * peaks[0], peaks
 
 
 def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch):
@@ -1182,10 +1242,9 @@ def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch)
     def in_a_fill(fn):
         return called_in(blocks.fill_block.__code__, from_fills, fn)
 
-    def fill(plan, scope):
-        out = blocks.fill_block(plan, scope)
-        filled.append((plan, out))
-        return out
+    def fill(plan, scope, acc):
+        filled.append(plan)
+        return blocks.fill_block(plan, scope, acc)
 
     monkeypatch.setattr(blocks, "make_ontology", in_a_fill(blocks.make_ontology))
     monkeypatch.setattr(engine, "make_ontology", in_a_fill(engine.make_ontology))
@@ -1198,8 +1257,9 @@ def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch)
         expand_named(lib, target)
     assert len(filled) > 500 and from_fills and not any(from_fills)
     assert not any(from_instantiations)
-    constant = [out for plan, out in filled if "Src" in {n.base for n in plan[0] if n is not None}]
-    assert len(constant) == 2 and constant[0] is constant[1]
+    # the one ontology object that the plan of a block with nothing to bind holds fills each run
+    constant = [plan[-1] for plan in filled if "Src" in {n.base for n in plan[0] if n is not None}]
+    assert len(constant) == 2 and constant[0] is constant[1] is not None
 
 
 # -- placeholders are names no user can write ------------------------------------
@@ -1581,6 +1641,23 @@ def test_a_local_parameter_frame_reads_a_definer_head_from_its_run(tmp_path, cap
     )
     error = (1, "", f"F:2:65: error: {_NOT_BOUND}\n")
     assert _cli(tmp_path, capsys, source, "U") == [error, error]
+
+
+def test_a_definer_head_that_only_a_frame_without_fields_names_is_read_too(tmp_path, capsys):
+    # every name of L's frames is read when its argument is checked, `h` in
+    # `Class: h` too, though no axiom of L's names it: in the clause D[empty]
+    # runs, D binds no head `h`
+    source = (
+        "ontology D [Class: h :: hs] = let ontology L [Class: h  ObjectProperty: q Domain: C] = "
+        "{ ObjectProperty: q } in L[{ Class: C ObjectProperty: owns Domain: C }]\n"
+        "ontology D [empty] = L[{ Class: C ObjectProperty: owns Domain: C }]\n"
+        "ontology U = D[empty]\n"
+        "ontology V = D[k]\n"
+    )
+    error = (1, "", f"F:2:24: error: {_NOT_BOUND.replace('x', 'h', 1)}\n")
+    assert _cli(tmp_path, capsys, source, "U", "V") == [
+        error, (0, "AX Domain owns C\nSYM Class C\nSYM Class k\nSYM ObjectProperty owns\n", ""), error,
+    ]
 
 
 def test_a_local_parameter_named_like_a_definer_head_is_its_own(tmp_path, capsys):
