@@ -237,10 +237,10 @@ def _splice(names: Iterable, vals: Mapping, runs: Sequence, pos: SourcePos | Non
     for n in names:
         if type(n) is not ListVar:
             out.append(vals[n])
-        elif (items := runs[n.up].list_map.get(n.name)) is None:
+        elif (bound := runs[n.up].list_map.get(n.name)) is None:
             raise _not_a_list(n.name, pos)
         else:
-            out += items
+            out += bound[0]
     return out
 
 

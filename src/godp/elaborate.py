@@ -23,7 +23,8 @@ of the first step that meets one: (1) each definition, before its locals,
 checks its clauses against each other and walks each clause's parameters once
 (`_walk_params`), building equal plain frames once; (2) each library
 definition, with its locals, takes its imports, then resolves each clause body
-in one walk, checking each call against its callee's first clause; (3) the
+in one walk, with the list tails and strips derived from the clause's roles
+and templates, checking each call against its callee's first clause; (3) the
 recursion guard sees every call and import; (4) in an order where each import
 is expanded (by `instantiate.expand_named`, with a fresh default depth budget)
 only after everything it reaches has its clauses, each `ParamSpec` and
@@ -360,10 +361,10 @@ def _build_def(
 
 def _walk_params(params: tuple, plain: tuple, head: tuple, tail: tuple, deltas: dict) -> tuple:
     """One clause's parameters walked once: their (optional, shape) pairs as
-    `_check_arg` takes them; each name they bind to its role, the last binding
-    counting (a plain parameter binds the bases of its names); the `ListVar`
-    of each list tail and the items its template strips. A tail that a later
-    parameter binds again is no list in a run: its template drops it."""
+    `_check_arg` takes them, and each name they bind to its role, the last
+    binding counting (a plain parameter binds the bases of its names). A tail
+    that a later parameter binds again is no list in a run: its template
+    drops it."""
     names, decls = {} if params else _NO_NAMES, []
     for p in params:
         pl = p.payload
@@ -379,18 +380,10 @@ def _walk_params(params: tuple, plain: tuple, head: tuple, tail: tuple, deltas: 
             names.update(dict.fromkeys(built[1], plain))
             pl = built[0]
         decls.append((p.optional, pl))
-    tails = strips = _NO_NAMES
     for i, (optional, shape) in enumerate(decls):
-        if type(shape) is not ListTemplate or shape.tail is None:
-            continue
-        if names[shape.tail] is not tail:
-            decls[i] = (optional, ListTemplate(shape.kind, shape.head, shape.head2, None))
-            continue
-        if not strips:
-            tails, strips = {}, {}
-        tails[NameTerm(shape.tail)] = ListVar(shape.tail, 0)
-        strips[shape.tail] = shape.min_len
-    return tuple(decls), names, tails, strips
+        if type(shape) is ListTemplate and shape.tail and names[shape.tail] is not tail:
+            decls[i] = (optional, ListTemplate(shape.kind, shape.heads, None))
+    return tuple(decls), names
 
 
 def build_library(ast: LibraryAst) -> Library:
@@ -502,13 +495,14 @@ def _resolve(rs: _Resolver, dr: _Draft) -> None:
                 f"local '{name}' of '{d.qual}' has the name of a parameter of '{owner[0]}'", loc.pos
             )
     rs.dr, level = dr, d.qual.count("::")  # a definer's qual is a prefix of d's, one level shorter each
-    for ca, (_, names, tails, strips) in zip(dr.asts, dr.clauses):
-        seen = names
-        if above:  # the innermost binding counts
-            seen = {**above, **names}
-            tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t}
-        rs.seen, rs.tails, rs.strips = seen, tails, strips
+    for ca, (decls, names) in zip(dr.asts, dr.clauses):
+        rs.seen = seen = {**above, **names} if above else names  # the innermost binding counts
+        rs.tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t} or _NO_NAMES
+        rs.strips = {s.tail: len(s.heads) for _, s in decls if type(s) is ListTemplate and s.tail} or _NO_NAMES
         dr.bodies.append(rs.expr(ca.body))
+
+
+_EMPTY_ARGS = (ArgAst(MissingArg()),)  # `G[]`
 
 
 def _reference(name: str, target: PatternDef | None, up: int | None, pos: SourcePos | None) -> Call:
@@ -525,9 +519,10 @@ def _reference(name: str, target: PatternDef | None, up: int | None, pos: Source
 class _Resolver(Record, frozen=False):
     """Resolves the clause bodies of a library, one at a time. `calls` gets
     the recursion guard's edges, `decls` holds each definition's first-clause
-    parameters by qual; the rest is the clause in hand, of `dr`: the role of
-    each parameter name it sees, the innermost binding counting, the
-    `ListVar` of each list tail among them and what its own tails strip."""
+    parameters by qual; the rest is the clause in hand, of `dr`, as `_resolve`
+    derives it: the role of each parameter name it sees, the innermost binding
+    counting, the `ListVar` of each list tail among them, and the heads each
+    of its own templates strips from its tail, which the guard reads."""
 
     lib: Library
     calls: list
@@ -540,7 +535,8 @@ class _Resolver(Record, frozen=False):
     def expr(self, e: ExprAst) -> Expr:
         """`e` where an ontology is expected, each call's arguments checked
         and its edge recorded before those of the calls in them: caller,
-        callee, whether an argument shrinks a list of the caller, position."""
+        callee, whether an argument shrinks a list of the caller, position.
+        `G[]` on a 0-parameter definition is the reference `G`."""
         t = type(e)
         if t is BlockExpr:
             return BlockTemplate(e.frames, (self.dr.chain, self.tails), e.pos)
@@ -557,16 +553,13 @@ class _Resolver(Record, frozen=False):
         else:
             target = self.lib.defs.get(e.name)
         caller = self.dr.d.qual
-        if target is None or t is RefExpr:
+        if target is None or t is RefExpr or not self.decls[target.qual] and e.args == _EMPTY_ARGS:
             call = _reference(e.name, target, up, e.pos)
             self.calls.append((caller, target.qual, False, e.pos))
             return call
-        decls, args = self.decls[target.qual], e.args
-        if not decls and len(args) == 1 and type(args[0].value) is MissingArg:
-            args = ()  # G[] on a 0-parameter pattern
         edge = len(self.calls)
         self.calls.append(None)
-        forms = _check_args(target.name, decls, args, e.pos, self.arg)
+        forms = _check_args(target.name, self.decls[target.qual], e.args, e.pos, self.arg)
         # only a list that ends in an own tail can shrink
         shrinks = bool(self.strips) and any(_arg_shrinks(f, self.strips) for f in forms if type(f) is ListArg)
         self.calls[edge] = (caller, target.qual, shrinks, e.pos)

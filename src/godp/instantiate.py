@@ -120,13 +120,12 @@ DEFAULT_DEPTH = 10_000
 class Bindings(Record, frozen=False):
     """One run of a clause: the names it binds itself (its list heads, its
     parameters' new symbols and fit sources that no run around it binds),
-    the lists its own template tails bind and the kind of each, that of its
-    template. It heads the run's display, followed by its definers' runs,
+    and each list its own template tails bind, as (items, the kind of its
+    template). It heads the run's display, followed by its definers' runs,
     where a slot's walk and a `ListVar` read the run `up` definitions out."""
 
     name_map: dict[NameTerm, NameTerm] = field(factory=dict)
-    list_map: dict[str, tuple[NameTerm, ...]] = field(factory=dict)
-    list_kinds: dict[str, SymbolKind] = field(factory=dict)
+    list_map: dict[str, tuple[tuple[NameTerm, ...], SymbolKind]] = field(factory=dict)
 
 
 def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
@@ -215,8 +214,7 @@ def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings)
     for head, item in zip(tmpl.heads, items):
         b.name_map[NameTerm(head)] = item
     if tmpl.tail is not None:
-        b.list_map[tmpl.tail] = items[tmpl.min_len:]
-        b.list_kinds[tmpl.tail] = tmpl.kind
+        b.list_map[tmpl.tail] = (items[len(tmpl.heads):], tmpl.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +379,7 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     parent, budget, running = ctx.frame, ctx.budget, ctx.running
     try:
-        if d.qual in ctx.reached:
-            ctx.tick(pos)
-        elif not _charge_memo(ctx, d.qual):
+        if not _charge_memo(ctx, d.qual):
             ctx.frame = frame = [[], 0]
             ctx.running = 0  # it starts from an empty environment: no placeholder is visible
             acc = Accumulator()
@@ -480,8 +476,8 @@ def _apply_form(form: ArgumentForm | _ExprArg, names: dict, runs: tuple) -> Argu
     if isinstance(form, ListArg):
         items = tuple(_splice(form.items, names, runs, form.pos))
         if form.items and type(last := form.items[-1]) is ListVar:
-            run = runs[last.up]
-            return _Spliced(items, form.pos, len(items) - len(run.list_map[last.name]), run.list_kinds[last.name])
+            tail, kind = runs[last.up].list_map[last.name]
+            return _Spliced(items, form.pos, len(items) - len(tail), kind)
         return ListArg(items, form.pos)
     if isinstance(form, EmptyOptArg):
         return form
@@ -502,7 +498,7 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
     level = ctx.running
     ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
-    runs = (Bindings({}, {}, {}), *base)
+    runs = (Bindings({}, {}), *base)
     env = acc.freeze() if _ExprArg in map(type, forms) else None
     imports_ont = EMPTY_ONTOLOGY
     for imp in target.imports:

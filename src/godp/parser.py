@@ -372,15 +372,15 @@ class _Parser:
         j = self.i = i + optional  # past the `?`
         if values[j] == "empty":
             self.i = j + 1
-            payload = ListTemplate(None, None, None, None)
+            payload = ListTemplate(None, (), None)
         elif (values[j] in KIND_KEYWORDS and values[j + 1] == ":" and self.kinds[j + 2] == "IDENT"
                 and values[j + 3] == "::"):
             self.i = j + 4  # the kind, its colon, the head and `::`
-            head, second, tail = values[j + 2], None, self.parse_plain_name()
+            heads, tail = (values[j + 2],), self.parse_plain_name()
             if values[self.i] == "::":
                 self.i += 1
-                second, tail = tail, self.parse_plain_name()
-            payload = ListTemplate(KIND_KEYWORDS[values[j]], head, second, tail)
+                heads, tail = (*heads, tail), self.parse_plain_name()
+            payload = ListTemplate(KIND_KEYWORDS[values[j]], heads, tail)
         else:
             payload = FramesParam(self.parse_frames((";", "]")))
         return ParamClauseAst(optional, payload, self.pos(i))

@@ -128,25 +128,14 @@ class FramesParam(Record):
 
 class ListTemplate(Record):
     """A list parameter `Kind: head :: tail` or `Kind: head :: head2 ::
-    tail`; all four fields are None for the `empty` template."""
+    tail`; the `empty` template has no kind, no heads and no tail."""
 
     kind: SymbolKind | None
-    head: str | None
-    head2: str | None
+    heads: tuple[str, ...]
     tail: str | None
-    __slots__ = ("heads",)  # the bound heads, not a field
-
-    def __init__(self, kind, head, head2, tail) -> None:
-        for attr, value in zip(self._fields, (kind, head, head2, tail)):
-            object.__setattr__(self, attr, value)
-        object.__setattr__(self, "heads", tuple(h for h in (head, head2) if h is not None))
-
-    @property
-    def min_len(self) -> int:
-        return len(self.heads)
 
     def matches(self, n: int) -> bool:
-        return n == 0 if self.head is None else n >= self.min_len
+        return n >= len(self.heads) if self.heads else n == 0
 
 
 ParamPayload = Union[FramesParam, ListTemplate]
@@ -233,7 +222,7 @@ def pp_param(p: ParamClauseAst) -> str:
     pl = p.payload
     if isinstance(pl, FramesParam):
         return prefix + pp_frames(pl.frames)
-    if pl.head is None:  # the other payload, a list template
+    if not pl.heads:  # the other payload, a list template
         return prefix + "empty"
     return prefix + f"{pl.kind.value}: " + " :: ".join([*pl.heads, pl.tail])
 

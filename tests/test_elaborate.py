@@ -64,7 +64,7 @@ def test_tail_recursion_is_legal():
         "ontology B [Class: X :: Xs] = { Class: X } then B[Xs]\n"
         "ontology B [empty] = { }\n"
     )
-    assert lib.defs["B"].clauses[1].params[0].shape == ListTemplate(None, None, None, None)
+    assert lib.defs["B"].clauses[1].params[0].shape == ListTemplate(None, (), None)
 
 
 def test_mutual_cycle_without_shrink_is_illegal():
@@ -399,6 +399,29 @@ def test_individual_different_from_a_list_tail():
 def test_an_empty_argument_list_on_a_zero_parameter_definition_is_a_reference():
     lib = lib_of("ontology Agents = { Class: Person }\nontology U = Agents[]\n")
     assert emit_struct_dump(expand_named(lib, "U")) == "SYM Class Person\n"
+
+
+@pytest.mark.parametrize("source", [
+    # a clash reported at the reference, not inside the definition it names
+    "ontology A = { Class: X }\nontology B = { ObjectProperty: X } then A[]\n",
+    # a definition reached twice: the second time it costs one tick
+    "ontology A = { Class: X }\nontology C = A then A then A then A\nontology D = C[] then C\n",
+    # in an argument, and a definition with nothing new for the fit
+    "ontology A = { Class: X }\nontology C = A then A\nontology P [Class: Y] = { Individual: i Types: Y }\n"
+    "ontology E = P[C[]] then C\nontology F = A then P[A[]]\n",
+])
+def test_g_with_an_empty_argument_list_runs_as_the_bare_reference(tmp_path, capsys, source):
+    """`G[]` on a 0-parameter library definition and `G` give the same dump,
+    the same diagnostics and the same outcome at every depth."""
+    f = tmp_path / "g.gdp"
+
+    def outcomes(text):
+        f.write_text(text)
+        runs = [(main(["check", "--depth", str(depth), str(f)]), capsys.readouterr()) for depth in range(1, 16)]
+        last = text.splitlines()[-1].split()[1]
+        return runs, main(["expand", "--target", last, "--format", "dump", str(f)]), capsys.readouterr()
+
+    assert outcomes(source) == outcomes(source.replace("[]", "  "))  # at the same columns
 
 
 def test_unknown_reference_in_body():

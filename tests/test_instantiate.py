@@ -1004,17 +1004,29 @@ _FAILING = (
 )
 
 
+# a definition reached twice in one context, as `G[]` in a body and as
+# `P[G[]]`, an argument; a local named with an empty argument list
+_EMPTY_ARG_LISTS = (
+    "ontology G = { Class: G1 }\n"
+    "ontology P [Class: A] = { ObjectProperty: r Domain: A }\n"
+    "ontology T = P[G[]] then G[] then { Class: T1 }\n"
+    "ontology U = T then G[] then P[G[] fit A |-> G1] then G\n"
+    "ontology V = let ontology M = G[] then { Class: M1 } in M[] then P[M[] fit A |-> M1] then T\n"
+    "ontology W = U then P[G[]]\n"
+)
+
+
 def _warm_cold_cases():
     """Libraries, each with the targets to compare: the corpus targets, then
-    each error file's targets next to the corpus, then the diamond, then the
-    failing chain."""
+    each error file's targets next to the corpus, then the diamond, the
+    failing chain and the empty argument lists."""
     for extra in [None, *sorted(ERRORS.glob("*.gdp"))]:
         lib = load_library(corpus_paths() + ([extra] if extra else []))
         yield lib, [
             t for t in sorted(lib.zero_param_names())
             if extra is None or lib.defs[t].pos.file == str(extra)
         ]
-    for src in (_DIAMOND, _FAILING):
+    for src in (_DIAMOND, _FAILING, _EMPTY_ARG_LISTS):
         lib = lib_of(src)
         yield lib, sorted(lib.zero_param_names())
 

@@ -60,7 +60,7 @@ def test_parse_empty_input():
 def test_parse_list_parameter_header():
     ast = parse_library("ontology G [Class: C :: Cs] = { Class: C }")
     p = ast.items[0].params[0].payload
-    assert p == ListTemplate(SymbolKind.CLASS, "C", None, "Cs")
+    assert p == ListTemplate(SymbolKind.CLASS, ("C",), "Cs")
 
 
 def test_parse_double_cons_header_and_empty_template():
@@ -68,8 +68,8 @@ def test_parse_double_cons_header_and_empty_template():
         "ontology G [Individual: x :: y :: ys] = { Individual: x }\n"
         "ontology G [empty] = { }\n"
     )
-    assert ast.items[0].params[0].payload == ListTemplate(SymbolKind.INDIVIDUAL, "x", "y", "ys")
-    assert ast.items[1].params[0].payload == ListTemplate(None, None, None, None)
+    assert ast.items[0].params[0].payload == ListTemplate(SymbolKind.INDIVIDUAL, ("x", "y"), "ys")
+    assert ast.items[1].params[0].payload == ListTemplate(None, (), None)
 
 
 def test_parse_frames_property_fields():

@@ -166,14 +166,14 @@ _params = st.one_of(
         st.lists(_frames, min_size=1, max_size=2),
     ),
     st.builds(
-        lambda opt, kind, h, h2, t: ParamClauseAst(opt, ListTemplate(kind, h, h2, t)),
+        lambda opt, kind, h, h2, t: ParamClauseAst(opt, ListTemplate(kind, (h,) if h2 is None else (h, h2), t)),
         st.booleans(),
         st.sampled_from(list(SymbolKind)),
         _idents,
         st.none() | _idents,
         _idents,
     ),
-    st.builds(lambda opt: ParamClauseAst(opt, ListTemplate(None, None, None, None)), st.booleans()),
+    st.builds(lambda opt: ParamClauseAst(opt, ListTemplate(None, (), None)), st.booleans()),
 )
 
 _defs = st.builds(
@@ -273,7 +273,7 @@ def _frames_built_by_substitution(frames, run: Bindings, tails: set[str]):
         return _substituted(n, run.name_map)
 
     many = lambda ns: [
-        m for n in ns for m in (run.list_map[n.base] if n.base in tails and not n.args else [one(n)])
+        m for n in ns for m in (run.list_map[n.base][0] if n.base in tails and not n.args else [one(n)])
     ]
     symbols, axioms = [], []
     for f in frames:
@@ -338,7 +338,7 @@ def _outcome(build):
 def test_a_block_fill_is_make_ontology_over_the_substituted_frames(block_run):
     frames, name_map, lists, unbound = block_run
     frames = [replace(f, pos=SourcePos("<block>", i + 1, 1)) for i, f in enumerate(frames)]
-    run = Bindings(name_map, lists)
+    run = Bindings(name_map, {t: (items, SymbolKind.INDIVIDUAL) for t, items in lists.items()})
     bound = {b for n in name_map for b in n.bases()} | set(lists) | unbound
     tails = {NameTerm(t): ListVar(t, 0) for t in lists}
     expected = _outcome(lambda: _frames_built_by_substitution(frames, run, set(lists)))
@@ -615,7 +615,7 @@ def _corpus_parameter_names() -> tuple[set[str], set[str]]:
 
     def binds(p: ParamClauseAst) -> set[str]:
         if isinstance(p.payload, ListTemplate):
-            return {n for n in (p.payload.head, p.payload.head2, p.payload.tail) if n}
+            return {n for n in (*p.payload.heads, p.payload.tail) if n}
         if isinstance(p.payload, FramesParam):
             return {b for s in build_block(p.payload.frames).signature for b in s.name.bases()}
         return set()
