@@ -257,9 +257,9 @@ class PatternDef(Record, frozen=False):
 class Library(Record, frozen=False):
     defs: dict[str, PatternDef]
     quals: dict[str, PatternDef] = field(compare=False)  # every definition by qual, locals too
-    # finished 0-parameter expansions by qual, filled as they are used
-    # (instantiate._Memo); entries are written child before parent and never
-    # replaced, so threads may share it
+    # closed expansions, filled as they are used (instantiate._Memo): by
+    # qual, or by (qual, depth) for one that ran out of that depth; an entry
+    # is never replaced, so threads may share it
     memo: dict = field(factory=dict, compare=False)
 
     def require(self, name: str) -> PatternDef:

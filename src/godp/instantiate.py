@@ -48,12 +48,16 @@ list binding keeps the kind its items were declared with, so a tail passed
 on to a list parameter of that kind is not checked again, only the heads.
 
 Expansion is pure over an immutable Library. Every top-level call gets its own
-context: a depth budget and the names of the 0-parameter expansions it has
-reached. Their ontologies live only in the library's memo, which every
-finished 0-parameter expansion joins and all later calls share. A memo hit
-charges exactly the ticks expanding it in this context would spend, so
-budgets and `DepthExceeded` positions do not depend on what ran before, and
-independent expansions can run concurrently.
+context. A closed expansion, a 0-parameter library definition reached by name
+(a target, an import, a reference in a body or an argument), runs on a budget
+of its own of `depth` ticks: each instantiation costs one, and the reference
+costs its caller one, paid before the memo is read. Closed expansions live
+only in the library's memo, which every one that runs joins and all later
+calls share: an entry holds the ontology or the error, and `need`, the least
+depth that gives it again. An entry whose `need` is within the depth is taken
+as it is, in one lookup; a DepthExceeded is kept for its depth. So an
+outcome depends only on the target and the depth, not on what ran before,
+and independent expansions can run concurrently.
 """
 
 from __future__ import annotations
@@ -147,23 +151,27 @@ def is_placeholder(n: NameTerm) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Memo(NamedTuple):
-    """A finished 0-parameter expansion, or one that failed with `error`, not
-    a DepthExceeded. `ticks` are its own, up to a failure: they leave out
-    those of its nested closed lookups, listed in order (a failed one last)."""
+    """A finished closed expansion, or one that failed with `error`, kept
+    under its qual; one that failed with a DepthExceeded is kept under
+    `(qual, depth)`. `need` is the least depth that gives it again: its own
+    ticks, or more where a closed expansion it reached needs more."""
 
     ontology: FlatOntology | None
-    ticks: int
-    lookups: tuple[str, ...]
+    need: int
     error: tuple[type, str, SourcePos | None] | None = None
 
 
 class _Ctx(Record, frozen=False):
+    """One top-level call. `budget` and `need` are those of the innermost
+    closed expansion running, or of the call itself outside any: the ticks
+    left of `depth`, and the greatest `need` of the closed expansions it
+    reached."""
+
     lib: Library
+    depth: int
     budget: int
-    reached: set[str] = field(factory=set)  # closed expansions, read from memo
-    memo: dict[str, _Memo] = field(factory=dict)
-    # the running closed expansion: [nested lookups, their ticks]
-    frame: list | None = None
+    memo: dict
+    need: int = 0
     running: int = 0  # instantiations running inside the innermost closed expansion
 
     def tick(self, pos: SourcePos | None) -> None:
@@ -282,7 +290,7 @@ def derive_fitting(
     if isinstance(form, LocalSymbolArg):
         _fit_local(None, param, form, runs, Accumulator(env))
     else:
-        ctx = _Ctx(lib, DEFAULT_DEPTH, memo=lib.memo if lib is not None else {})
+        ctx = _Ctx(lib, DEFAULT_DEPTH, DEFAULT_DEPTH, lib.memo if lib is not None else {})
         _fit_ontology(param, form, _evaluated(ctx, form.expr, env, ()), env, runs)
     return FittingMorphism.of(
         {n: Symbol(runs[0].name_map[n.name], n.kind) for n in param.new_symbols}
@@ -377,58 +385,31 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
 # ---------------------------------------------------------------------------
 
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
-    parent, budget, running = ctx.frame, ctx.budget, ctx.running
-    try:
-        if not _charge_memo(ctx, d.qual):
-            ctx.frame = frame = [[], 0]
-            ctx.running = 0  # it starts from an empty environment: no placeholder is visible
-            acc = Accumulator()
-            try:
-                _instantiate(ctx, d, (), [], acc, pos)
-            except GodpError as e:
-                if not isinstance(e, DepthExceeded):  # that one depends on the budget
-                    ticks, error = budget - ctx.budget - frame[1], (type(e), e.message, e.pos)
-                    ctx.memo.setdefault(d.qual, _Memo(None, ticks, tuple(frame[0]), error))
-                raise
-            ctx.frame, ctx.running = parent, running
-            # an entry is never replaced: one already there equals this one
-            ctx.memo.setdefault(d.qual, _Memo(acc.freeze(), budget - ctx.budget - frame[1], tuple(frame[0])))
-            ctx.reached.add(d.qual)
-    finally:  # a failed lookup is charged to its caller too
-        if parent is not None:
-            parent[0].append(d.qual)
-            parent[1] += budget - ctx.budget
-    return ctx.memo[d.qual].ontology
-
-
-def _charge_memo(ctx: _Ctx, qual: str) -> bool:
-    """Take `qual` from the memo, charging what expanding it in this context
-    would spend, and mark as reached the closed expansions that expansion
-    would reach; their ontologies stay in the memo. An expansion that failed
-    raises its error again once its ticks are charged. False, with nothing
-    charged, if there is no entry or the budget is short: the real expansion
-    then fails where it always did."""
-    if qual not in ctx.memo:
-        return False
-    ticks = 0
-    reached, todo = set(), [qual]
-    while todo:
-        q = todo.pop()
-        if q in ctx.reached or q in reached:
-            ticks += 1  # reached before: a lookup
-            continue
-        entry = ctx.memo[q]  # written before any entry that looks it up
-        reached.add(q)
-        ticks += entry.ticks
-        todo.extend(entry.lookups)  # the sum does not depend on the order
-    if ctx.budget < ticks:
-        return False
-    ctx.budget -= ticks
-    error = ctx.memo[qual].error
-    if error is not None:
-        raise error[0](error[1], error[2])
-    ctx.reached |= reached
-    return True
+    """`d`, reached at `pos`, from the memo, or expanded on a budget of its
+    own into the memo; an error it failed with is raised again."""
+    ctx.tick(pos)  # the caller pays for the reference, hit or not
+    entry = ctx.memo.get(d.qual)
+    if entry is None or entry.need > ctx.depth:
+        entry = ctx.memo.get((d.qual, ctx.depth))
+    if entry is None:
+        saved = ctx.budget, ctx.need, ctx.running
+        ctx.budget, ctx.need, ctx.running = ctx.depth, 0, 0  # no placeholder is visible from outside
+        key, acc = d.qual, Accumulator()
+        try:
+            _instantiate(ctx, d, (), [], acc, pos)
+            ontology, error = acc.freeze(), None
+        except GodpError as e:
+            ontology, error = None, (type(e), e.message, e.pos)
+            if isinstance(e, DepthExceeded):
+                key = (d.qual, ctx.depth)
+        need = max(ctx.need, ctx.depth - ctx.budget)
+        ctx.budget, ctx.need, ctx.running = saved
+        # never replaced: an entry already there equals this one
+        entry = ctx.memo.setdefault(key, _Memo(ontology, need, error))
+    ctx.need = max(ctx.need, entry.need)
+    if entry.error is not None:
+        raise entry.error[0](entry.error[1], entry.error[2])
+    return entry.ontology
 
 
 def _evaluated(ctx: _Ctx, expr: Expr | FlatOntology, env: FlatOntology, runs: tuple) -> FlatOntology:
@@ -500,10 +481,11 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
     clause = _select_clause(target.clauses, forms, target.name, pos)
     runs = (Bindings({}, {}), *base)
     env = acc.freeze() if _ExprArg in map(type, forms) else None
-    imports_ont = EMPTY_ONTOLOGY
-    for imp in target.imports:
-        imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
-    acc.add(imports_ont)
+    if target.imports:
+        imports_ont = EMPTY_ONTOLOGY
+        for imp in target.imports:
+            imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
+        acc.add(imports_ont)
     dead = set()  # the bases of its placeholders
 
     for pspec, form in zip(clause.params, forms):
@@ -589,7 +571,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     """Expand one instantiation against its local environment; its arguments,
     and those left out at the end, are checked as in `.gdp` text, then
     resolved."""
-    ctx = _Ctx(lib, depth, memo=lib.memo)
+    ctx = _Ctx(lib, depth, depth, lib.memo)
     target = lib.require(inst.pattern)
     decls = [(p.optional, p.shape) for p in target.clauses[0].params]
     forms = [_entry_form(lib, f) for f in _check_args(target.name, decls, inst.args, None)]
@@ -600,7 +582,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
 
 def expand_named(lib: Library, name: str, depth: int = DEFAULT_DEPTH) -> FlatOntology:
     """Expand a 0-parameter definition to its flat ontology."""
-    ctx = _Ctx(lib, depth, memo=lib.memo)
+    ctx = _Ctx(lib, depth, depth, lib.memo)
     target = lib.require(name)
     if target.arity != 0:
         raise ArityMismatch(f"'{name}' is generic and needs arguments", target.pos)

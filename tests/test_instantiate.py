@@ -960,23 +960,25 @@ def test_local_zero_param_subpattern_as_argument_expands_in_context():
         [sym(name("rel", "Thing"), OP), sym(name("Thing"), CLS)],
         [Domain(name("rel", "Thing"), name("Thing"))],
     )
-    assert set(lib.memo) <= set(lib.defs)  # local sub-patterns never enter the memo
+    # local sub-patterns never enter the memo, under their qual or, out of
+    # budget, under (qual, depth)
+    assert {k if isinstance(k, str) else k[0] for k in lib.memo} <= set(lib.defs)
 
 
 # -- the library's memo of closed expansions ----------------------------------------
 
 def _engine_run(lib, target, depth, memo):
     """Outcome of expanding `target` on a context reading `memo`, with the
-    budget it ends with and the closed expansions it reached."""
+    budget it ends with and the least depth that gives it (its `need`)."""
     import godp.instantiate as engine
 
-    ctx = engine._Ctx(lib, depth, memo=memo)
+    ctx = engine._Ctx(lib, depth, depth, memo)
     d = lib.defs[target]
     try:
         out = engine._closed_expansion(ctx, d, d.pos)
     except GodpError as e:
         return (type(e).__name__, e.message, e.pos)
-    return (out, ctx.budget, sorted(ctx.reached))
+    return (out, ctx.budget, ctx.need)
 
 
 # closed lookups that meet again (imports too), and placeholders made at
@@ -1045,6 +1047,33 @@ def test_warm_memo_gives_the_cold_outcome_at_every_depth():
                 assert _engine_run(lib, t, depth, {}) == cold  # no memo at all
 
 
+def test_a_target_needs_exactly_the_depth_its_memo_entry_names():
+    """The `need` of a target's memo entry, after a run at the default depth,
+    is the least depth that gives that run's outcome, warm and cold: at
+    `need` the same, at `need - 1` a DepthExceeded."""
+
+    def outcome(lib, target, depth=DEFAULT_DEPTH):
+        try:
+            return expand_named(lib, target, depth)
+        except GodpError as e:
+            return (type(e).__name__, e.message, e.pos)
+
+    cases = 0
+    for lib, targets in _warm_cold_cases():
+        fresh = dict(lib.memo)  # what a freshly built library holds
+        for t in targets:
+            expected = outcome(lib, t)
+            need = lib.memo[t].need
+            for warm in (True, False):
+                run = lib if warm else replace(lib, memo=dict(fresh))
+                assert outcome(run, t, need) == expected, (t, need, warm)
+                if need > 1:
+                    run = lib if warm else replace(lib, memo=dict(fresh))
+                    assert outcome(run, t, need - 1)[0] == "DepthExceeded", (t, need, warm)
+                cases += 1
+    assert cases == 66  # 33 targets, warm and cold
+
+
 def test_a_failed_closed_expansion_is_taken_from_the_memo(tmp_path, monkeypatch, capsys):
     import godp.instantiate as engine
 
@@ -1065,15 +1094,21 @@ def test_a_failed_closed_expansion_is_taken_from_the_memo(tmp_path, monkeypatch,
     assert main(["check", str(f)]) == 1
     assert ran == ["V", "L", "W"]  # W meets V's failure in the memo
     assert capsys.readouterr().err == f"{f}:1:55: error: kind clash for '?B_1_0': Class vs ObjectProperty\n"
-    # a budget that does not reach the failure runs the expansion again
     lib = load_library([f])
     with pytest.raises(GodpError):
         expand_named(lib, "V")
     assert lib.memo["V"].error is not None
+    # V fails within 2 ticks of its own budget: W meets that in the memo
     ran.clear()
-    with pytest.raises(DepthExceeded):
+    with pytest.raises(KindClash):
         expand_named(lib, "W", depth=2)
-    assert ran == ["W", "V", "L"]  # L's tick is the third
+    assert ran == ["W"]
+    # a budget that does not reach the failure runs the expansion again
+    ran.clear()
+    with pytest.raises(DepthExceeded) as exc:
+        expand_named(lib, "V", depth=1)
+    assert (exc.value.pos.line, exc.value.pos.col) == (2, 14)
+    assert ran == ["V", "L"]  # L's tick is the second
 
 
 def test_depth_exceeded_position_holds_with_a_warm_memo(capsys):
@@ -1196,6 +1231,27 @@ def test_long_lists_and_long_definition_chains_expand_under_the_default_recursio
     )
     assert main(["check", str(chain)]) == 0
     assert capsys.readouterr() == ("", "")
+
+
+def test_closed_expansions_cost_work_linear_in_the_chain_length():
+    """`check` of a chain of n closed expansions, `given` imports, `then`
+    references, and one chain whose last definition runs out of `--depth 20`,
+    traces at most 2.2x the line events in `src/godp` when n doubles: a memo
+    hit is a lookup, and a DepthExceeded is kept for its depth, so the failure
+    that every target of the last chain reaches runs once, and is reported
+    once."""
+    from engine_cost import CHAINS, SIZES, check_cost
+
+    small, large = SIZES
+    for name, (make, options) in CHAINS.items():
+        lines, _, _ = check_cost(make(small), options)
+        more, code, err = check_cost(make(large), options)
+        assert more <= 2.2 * lines, (name, lines, more)
+        if name == "failing chain":
+            assert code == 1 and err.count("\n") == 1
+            assert f"chain.gdp:{large + 1}:" in err and err.endswith(": error: expansion depth budget exceeded\n")
+        else:
+            assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("target", ["B", "C"])
