@@ -197,8 +197,8 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
 def fill_block(plan: tuple, runs: Sequence, acc: Accumulator) -> None:
     """Merge into `acc` the flat ontology of a block's `plan` in the display
     `runs`, as `fill_names` reads it: each name filled once, the axioms built
-    from them, their kind index taken from their static kinds. Only a kind
-    clash inside the block goes through `make_ontology`."""
+    from them, and merged with the name -> kind map of their static kinds.
+    Only a kind clash inside the block goes through `make_ontology`."""
     ops, symbols, fixed, lists, frame_pos, ontology = plan
     if ontology is not None:
         return acc.add(ontology)
@@ -221,7 +221,7 @@ def fill_block(plan: tuple, runs: Sequence, acc: Accumulator) -> None:
         for n in names:
             clash |= kinds.setdefault(n, kind) is not kind
     if not clash:
-        return acc.merge(set(map(Symbol, kinds, kinds.values())), axioms)
+        return acc.merge(kinds, axioms)
     try:  # make_ontology raises the clash, named as it always has been
         make_ontology([Symbol(vals[s], k) for s, k in symbols], axioms)
     except GodpError as e:

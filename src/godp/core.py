@@ -26,9 +26,9 @@ one merge point, `union_flat` included, and `freeze` hands out a value.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import repeat
+from itertools import filterfalse, repeat
 from operator import attrgetter
-from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Collection, Container, Iterable, Iterator, Mapping
 
 from .diagnostics import KindClash, UnmappedSymbol
 from .record import Record, field
@@ -307,14 +307,26 @@ class Accumulator:
     """A flat ontology under construction, written in place by one expansion:
     a signature set, an axiom set and their name -> kind index. It shares the
     frozen `seed` it starts from until its first write copies it; a merge
-    that adds nothing writes nothing. What `freeze` returns is a value."""
+    that adds nothing writes nothing. What `freeze` returns is a value.
 
-    __slots__ = ("signature", "axioms", "kinds", "seed")
+    While a placeholder is live, from `open` to `close`, each merge indexes
+    under it the new symbols and axioms that die with it (`_dead_in`): `live`
+    maps it to them, `marked` each name held that dies to its placeholders."""
 
-    def reset(self, seed: FlatOntology = EMPTY_ONTOLOGY) -> None:
+    __slots__ = ("signature", "axioms", "kinds", "seed", "live", "marked")
+
+    def __init__(self, seed: FlatOntology = EMPTY_ONTOLOGY) -> None:
+        self._share(seed)
+        self.live, self.marked = {}, {}
+
+    def _share(self, seed: FlatOntology) -> None:
         self.signature, self.axioms, self.kinds, self.seed = seed.signature, seed.axioms, seed.kinds, seed
 
-    __init__ = reset
+    def _own(self) -> None:
+        """Copy the seed it shares, before its first write."""
+        if self.seed is not None:
+            self.signature, self.axioms, self.kinds, self.seed = (
+                set(self.signature), set(self.axioms), dict(self.kinds), None)
 
     def freeze(self) -> FlatOntology:
         """What it holds, as a value: its seed while it has not been written."""
@@ -324,24 +336,80 @@ class Accumulator:
     def add(self, o: FlatOntology) -> None:
         """Merge `o`; one that holds only the empty ontology takes `o` itself."""
         if self.seed is EMPTY_ONTOLOGY:
-            return self.reset(o)
-        self.merge(o.signature, o.axioms)
+            return self._share(o)
+        self.merge(o.kinds, o.axioms, o.signature)
 
-    def merge(self, symbols: AbstractSet[Symbol], axioms: Collection[Axiom]) -> None:
+    def merge(self, kinds: Mapping[NameTerm, SymbolKind], axioms: Collection[Axiom],
+              signature: AbstractSet[Symbol] | None = None) -> None:
         """Same Name - Same Thing union, in place, with the ontology of the
-        signature `symbols` and `axioms`: each symbol it lacks is checked
-        against its index, with the KindClash of `_index_kinds`."""
-        new = symbols - self.signature
+        name -> kind map `kinds` (its signature, if given) and `axioms`. A
+        `Symbol` is made only for a name it lacks, or holds with another
+        kind: the KindClash of `_index_kinds`."""
+        if signature is not None:
+            new = signature - self.signature
+        elif new := [*filterfalse(self.kinds.items().__contains__, kinds.items())]:
+            new = [Symbol(n, k) for n, k in new]
+        if self.live:
+            self._mark(new, kinds, axioms)
         if self.seed is not None:
             if not new and self.axioms.issuperset(axioms):
                 return
             if self.seed is EMPTY_ONTOLOGY:  # the first write to one that holds nothing makes a value
-                return self.reset(FlatOntology(frozenset(new), frozenset(axioms)))
-            self.signature, self.axioms, self.kinds, self.seed = (
-                set(self.signature), set(self.axioms), dict(self.kinds), None)
-        _index_kinds(new, self.kinds)
-        self.signature.update(new)
+                return self._share(FlatOntology(frozenset(new), frozenset(axioms), dict(kinds)))
+            self._own()
+        if new:
+            _index_kinds(new, self.kinds)
+            self.signature.update(new)
         self.axioms.update(axioms)
+
+    def _mark(self, new: Iterable[Symbol], kinds: Mapping[NameTerm, SymbolKind], axioms: Iterable[Axiom]) -> None:
+        """Index under each live placeholder what dies with it of the `new` symbols and new `axioms`."""
+        live, marked = self.live, self.marked
+        for s in new:
+            if found := _dead_in(s.name, live):
+                marked[s.name] = found
+                for ph in found:
+                    live[ph][0].append(s)
+        if not marked.keys().isdisjoint(kinds.keys()):  # `kinds` names every name of `axioms`
+            for a in filterfalse(self.axioms.__contains__, axioms):
+                for ph in {ph for n, _ in a.refs() for ph in marked.get(n, ())}:
+                    live[ph][1].append(a)
+
+    def open(self, ph: NameTerm, kind: SymbolKind) -> None:
+        """Declare the placeholder `ph` with `kind`; it is live until `close`."""
+        self.live[ph] = ([], [])
+        self.merge({ph: kind}, ())
+
+    def close(self, placeholders: Collection[NameTerm]) -> None:
+        """Elide the live `placeholders`: what the index holds for them."""
+        entries = [self.live.pop(ph) for ph in placeholders]
+        self.elide(placeholders, [s for e in entries for s in e[0]], [a for e in entries for a in e[1]])
+
+    def elide(self, dead: Collection[NameTerm], symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> None:
+        """Remove, in place, those of `symbols` and `axioms` that die with
+        the names `dead` (`_dead_in`)."""
+        symbols = [s for s in symbols if _dead_in(s.name, dead)]
+        axioms = [a for a in axioms if any(_dead_in(n, dead) for n, _ in a.refs())]
+        if symbols or axioms:
+            self._own()
+            for s in symbols:
+                self.signature.discard(s)
+                self.kinds.pop(s.name, None)
+                self.marked.pop(s.name, None)
+            self.axioms.difference_update(axioms)
+
+
+def _dead_in(n: NameTerm, dead: Container[NameTerm]) -> list[NameTerm]:
+    """The names of `dead` that `n` dies with, by the one rule of elision: it
+    dies when it is a dead name, when its base is a plain dead name, or when
+    one of its arguments dies."""
+    found = [n] if n in dead else []
+    if n.args:
+        if (base := _NAMES.get((n.base, ()))) in dead:  # its base as a plain name, if one was made
+            found.append(base)
+        for a in n.args:
+            found += _dead_in(a, dead)
+    return found
 
 
 def union_flat(a: FlatOntology, b: FlatOntology) -> FlatOntology:
@@ -352,16 +420,10 @@ def union_flat(a: FlatOntology, b: FlatOntology) -> FlatOntology:
     return acc.freeze()
 
 
-def _elide(o: FlatOntology | Accumulator, dead: Callable[[NameTerm], bool]) -> FlatOntology:
-    """`o` without its dead symbols and every axiom that mentions one."""
-    sig = frozenset(s for s in o.signature if not dead(s.name))
-    axs = frozenset(a for a in o.axioms if not any(dead(n) for n, _ in a.refs()))
-    return FlatOntology(sig, axs)
-
-
 def axioms_mentioning(o: FlatOntology, dead: Iterable[Symbol]) -> frozenset[Axiom]:
     """Exactly the axioms referencing at least one symbol in `dead`."""
-    return o.axioms - _elide(o, frozenset(s.name for s in dead).__contains__).axioms
+    names = frozenset(s.name for s in dead)
+    return frozenset(a for a in o.axioms if any(n in names for n, _ in a.refs()))
 
 
 def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:

@@ -42,7 +42,7 @@ from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence, Union
 
 from .blocks import BlockTemplate, ListVar, _compiled, _no_tails, _not_a_list, build_block, compile_names
-from .core import FlatOntology, NameTerm, Symbol, make_ontology, union_flat
+from .core import Axiom, FlatOntology, NameTerm, Symbol, make_ontology, union_flat
 from .diagnostics import (
     ArityMismatch,
     DuplicateDefinition,
@@ -80,8 +80,9 @@ class ParamSpec(Record):
     """A clause's parameter: a list one's `shape` is its template, a plain
     one's the ontology of its frames, with the `new_symbols` it adds and the
     `plan` of its frames' names, compiled in `scope` (its definition's
-    `_Draft.chain`) when first read, for every fit and check, and whether a
-    check fills it: for its axioms, or to read a definer's list head."""
+    `_Draft.chain`) when first read, for every fit and check, and the axioms
+    a check reads, sorted, or None if no check fills it: for its axioms, or
+    to read a definer's list head."""
 
     index: int
     optional: bool
@@ -89,8 +90,10 @@ class ParamSpec(Record):
     new_symbols: tuple[Symbol, ...]
     scope: tuple = field(compare=False)
     __slots__ = ("plan",)
-    __getattr__ = _compiled(lambda p: (compile_names(p.shape.kinds, p.scope), p.shape.axioms or any(
-        level[b][1] is None for level in p.scope[1:] for n in p.shape.kinds for b in n.bases() if b in level)))
+    __getattr__ = _compiled(lambda p: (compile_names(p.shape.kinds, p.scope), tuple(
+        sorted(p.shape.axioms, key=Axiom.sort_key)) if p.shape.axioms or any(
+            level[b][1] is None for level in p.scope[1:] for n in p.shape.kinds for b in n.bases() if b in level)
+        else None))
 
     @property
     def is_list(self) -> bool:

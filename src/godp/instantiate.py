@@ -23,7 +23,8 @@ An elided optional symbol becomes a placeholder, a name whose base starts with
 alone. A placeholder lives until the instantiation that made it returns, so it
 is numbered by that instantiation's depth inside the innermost closed
 expansion and its own index there: unique among live ones, and unchanged by
-memo hits.
+memo hits. While it lives, its accumulator indexes what dies with it, by
+`elide_optional`'s rule, and its instantiation ends by removing just that.
 
 Calls, their argument forms and list tails arrive resolved by
 `build_library`, so the engine looks no name up: a call names its callee by
@@ -41,8 +42,9 @@ finished expansion is freed by reference counting alone.
 
 One private `Accumulator` serves each closed expansion, each ontology
 argument (seeded from the environment its instantiation starts from) and
-each `expand` or `derive_fitting` call; instantiations write into it and
-elide their own placeholders from it. It is frozen only where a value leaves
+each `expand` or `derive_fitting` call; instantiations write into it, each
+write a name -> kind map and axioms (`Accumulator.merge`), and elide their
+own placeholders from it in place. It is frozen only where a value leaves
 the engine: a memo entry, a top-level result or an argument being fitted. A
 list binding keeps the kind its items were declared with, so a tail passed
 on to a list parameter of that kind is not checked again, only the heads.
@@ -75,8 +77,7 @@ from .core import (
     NameTerm,
     Symbol,
     SymbolKind,
-    _elide,
-    make_ontology,
+    make_ontology,  # noqa: F401 (the benchmark's tracer wraps it in each engine module)
     union_flat,
 )
 from .diagnostics import (
@@ -188,7 +189,7 @@ def _select_clause(clauses: Sequence[Clause], forms: Sequence[ArgumentForm | _Ex
                    pos: SourcePos | None) -> Clause:
     for clause in clauses:
         for p, f in zip(clause.params, forms):
-            if p.is_list and not p.shape.matches(len(f.items)):
+            if type(p.shape) is ListTemplate and not p.shape.matches(len(f.items)):
                 break
         else:
             return clause
@@ -241,12 +242,12 @@ def check_constraints(param_axioms: Iterable[Axiom], m: FittingMorphism, availab
     """Translated parameter axioms must already hold (syntactic membership
     after canonicalization) in the available environment."""
     table = {src.name: dst.name for src, dst in m.pairs}
-    _check_constraints(param_axioms, lambda n: table.get(n, n), available, None)
+    _check_constraints(sorted(param_axioms, key=Axiom.sort_key), lambda n: table.get(n, n), available, None)
 
 
 def _check_constraints(axioms: Iterable[Axiom], rename: Callable[[NameTerm], NameTerm],
                        available: FlatOntology | Accumulator, pos: SourcePos | None) -> None:
-    for ax in sorted(axioms, key=Axiom.sort_key):
+    for ax in axioms:  # in their order: the first that fails is reported
         translated = ax.rename(rename)
         if any(is_placeholder(n) for n, _ in translated.refs()):
             continue  # the elided branch contributes nothing to check
@@ -376,8 +377,11 @@ def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: 
 # ---------------------------------------------------------------------------
 
 def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
-    """Remove the dead symbols and every axiom mentioning one of them."""
-    return _elide(body, frozenset(s.name for s in dead).__contains__)
+    """`body` less what dies with the dead symbols' names, by the rule an
+    instantiation elides its placeholders by (`core._dead_in`)."""
+    acc = Accumulator(body)
+    acc.elide({s.name for s in dead}, body.signature, body.axioms)
+    return acc.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -486,26 +490,25 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
         for imp in target.imports:
             imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
         acc.add(imports_ont)
-    dead = set()  # the bases of its placeholders
+    dead = []  # its placeholders
 
     for pspec, form in zip(clause.params, forms):
         try:
-            if pspec.is_list:
-                tmpl = pspec.shape
+            if type(shape := pspec.shape) is ListTemplate:
                 items = form.items
-                if type(form) is _Spliced and form.kind is tmpl.kind:
+                if type(form) is _Spliced and form.kind is shape.kind:
                     items = items[:form.heads]  # the rest were declared with this kind when bound
                 _declare(
-                    acc, zip(items, repeat(tmpl.kind)), form.pos,
+                    acc, zip(items, repeat(shape.kind)), form.pos,
                     lambda t, k: f"list item '{t.render()}' has kind {k.value}, "
-                    f"expected {tmpl.kind.value}",
+                    f"expected {shape.kind.value}",
                 )
-                _bind_template(tmpl, form.items, runs[0])
+                _bind_template(shape, form.items, runs[0])
             elif isinstance(form, EmptyOptArg):
                 for s in pspec.new_symbols:  # each a fresh placeholder
                     ph = runs[0].name_map[s.name] = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
-                    dead.add(ph.base)
-                    acc.merge({Symbol(ph, s.kind)}, ())
+                    dead.append(ph)
+                    acc.open(ph, s.kind)
             else:
                 if isinstance(form, LocalSymbolArg):
                     _fit_local(target.name, pspec, form, runs, acc)
@@ -513,17 +516,17 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
                     added = _evaluated(ctx, form.expr, env, caller)
                     _fit_ontology(pspec, form, added, env, runs)
                     acc.add(added)
-                if pspec.shape.axioms or pspec.scope[1:]:  # a local's frames may name a definer's list head
-                    plan, read = pspec.plan
-                    if read:
-                        _check_constraints(pspec.shape.axioms, fill_names(plan, runs).__getitem__, acc, form.pos)
+                if shape.axioms or pspec.scope[1:]:  # a local's frames may name a definer's list head
+                    plan, checks = pspec.plan
+                    if checks is not None:
+                        _check_constraints(checks, fill_names(plan, runs).__getitem__, acc, form.pos)
         except GodpError as e:
             e.ensure_pos(form.pos or pos)
             raise
 
     _eval_expr(ctx, clause.body, acc, runs)
     if dead:
-        acc.reset(_elide(acc, lambda n: not dead.isdisjoint(n.bases())))
+        acc.close(dead)
     ctx.running -= 1
 
 
@@ -533,16 +536,16 @@ def _declare(acc: Accumulator, terms: Iterable[tuple[NameTerm, SymbolKind]], pos
     with another kind is a KindMismatch with the text
     `clash(term, kind found)`, unless the term is a placeholder: every
     sentence that mentions one goes anyway."""
-    symbols = []
-    kinds = acc.kinds
+    new = {}
+    held = acc.kinds
     for term, kind in terms:
-        found = kinds.get(term)
+        found = held.get(term)
         if found is None:
-            symbols.append(Symbol(term, kind))
+            new[term] = kind
         elif found is not kind and not is_placeholder(term):
             raise KindMismatch(clash(term, found), pos)
-    if symbols:
-        acc.add(make_ontology(symbols, []))
+    if new:
+        acc.merge(new, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""The engine's work on chains of closed expansions, in traced line events of
-`src/godp` per definition: `godp check` of three generated libraries of n
-definitions, at n = 100 and 200, and the ratio of the two counts.
+"""The engine's work on chains of closed expansions and on one list
+recursion, in traced line events of `src/godp` per step (a definition of a
+chain, an item of the list): `godp check` of four generated libraries of n
+steps, at n = 100 and 200, and the ratio of the two counts.
 
 - import chain: `ontology Di given D(i+1) = { Class: ci }`;
 - then chain: `ontology Di = D(i+1) then { Class: ci }`;
 - failing chain, run with `--depth 20`:
   `ontology Di = P[ai] then P[bi] then P[ci] then D(i+1) then { Class: ci }`,
-  whose last definition makes 30 calls, more than 20 ticks allow.
+  whose last definition makes 30 calls, more than 20 ticks allow;
+- elision chain, a list recursion that elides an optional parameter at each
+  of its n levels: `ontology E [? Class: C; Individual: x :: xs] =
+  { Individual: x } then E[ ; xs]`, `ontology E [? Class: C; empty] = { }`
+  and `ontology T = E[ ; i0, …]` over n items.
 
 A count is exact: the same on any machine with the same Python. Each library
 is checked twice and the second run counted, so names that the first run
@@ -56,11 +61,21 @@ def _failing_chain(n: int) -> str:
     )
 
 
-# name -> (library of n definitions, the arguments of `check` before its file)
+def _elision_chain(n: int) -> str:
+    items = ", ".join(f"i{j}" for j in range(n))
+    return (
+        "ontology E [? Class: C; Individual: x :: xs] = { Individual: x } then E[ ; xs]\n"
+        "ontology E [? Class: C; empty] = { }\n"
+        f"ontology T = E[ ; {items}]\n"
+    )
+
+
+# name -> (library of n steps, the arguments of `check` before its file)
 CHAINS = {
     "import chain": (_import_chain, []),
     "then chain": (_then_chain, []),
     "failing chain": (_failing_chain, ["--depth", "20"]),
+    "elision chain": (_elision_chain, []),
 }
 
 
@@ -95,7 +110,7 @@ def check_cost(text: str, options: list[str]) -> tuple[int, int, str]:
 def main() -> int:
     for name, (make, options) in CHAINS.items():
         counts = [check_cost(make(n), options)[0] for n in SIZES]
-        per = ", ".join(f"n={n} {c} ({c / n:.0f} per definition)" for n, c in zip(SIZES, counts))
+        per = ", ".join(f"n={n} {c} ({c / n:.0f} per step)" for n, c in zip(SIZES, counts))
         print(f"{name}: {per}; x{counts[1] / counts[0]:.2f} when n doubles")
     print(f"(line events in src/godp, Python {sys.version.split()[0]})")
     return 0

@@ -440,7 +440,7 @@ def test_a_check_and_an_expansion_leave_nothing_for_the_cyclic_collector(capsys)
 
 # -- the traced benchmark's wrap points ------------------------------------------
 
-def test_the_benchmark_tracer_wraps_every_layer_it_reads(monkeypatch, capsys):
+def test_the_benchmark_tracer_wraps_every_layer_it_reads(monkeypatch, capsys, tmp_path):
     # bench/spans.py looks up functions by module attribute, so a moved import
     # would break only traced runs
     monkeypatch.syspath_prepend(str(CORPUS.parent / "bench"))
@@ -448,12 +448,16 @@ def test_the_benchmark_tracer_wraps_every_layer_it_reads(monkeypatch, capsys):
 
     rec = spans.Recorder()
     restore = spans.install(rec)
+    clash = tmp_path / "clash.gdp"  # a parameter whose frames clash with one before it makes an ontology
+    clash.write_text("ontology P [Class: X; Individual: X] = { }\n", encoding="utf-8")
     try:
         code = main(["check", *(str(p) for p in corpus_paths())])
+        assert capsys.readouterr() == ("", "")
+        assert main(["check", str(clash)]) == 1
     finally:
         restore()
     assert code == 0
-    assert capsys.readouterr() == ("", "")
+    assert capsys.readouterr() == ("", f"{clash}:1:23: error: kind clash for 'X': Class vs Individual\n")
     names = {s[spans.NAME] for s in rec.take()}
     assert {
         "elaborate.build_library", "instantiate.expand_named", "core.union_flat", "core.make_ontology",

@@ -658,6 +658,27 @@ def test_elide_whole_signature_gives_empty():
     assert elide_optional(o, o.signature) == EMPTY_ONTOLOGY
 
 
+def test_elide_optional_decides_as_an_instantiation_elides():
+    """A name dies with a dead symbol's name, with a plain dead base, or with
+    a dead argument: `elide_optional` of H's body with `gt` bound, dead
+    `gt`, is H with `gt` left out."""
+    lib = lib_of(
+        "ontology H [Class: Val; ? ObjectProperty: gt] =\n"
+        "  { ObjectProperty: gt Domain: Val\n"
+        "    ObjectProperty: inv[gt] Domain: Val InverseOf: gt\n"
+        "    ObjectProperty: gt[Val] Range: Val }\n"
+        "ontology U = H[V; ]\n"
+    )
+    v, gt = LocalSymbolArg(name("V")), Symbol(name("gt"), OP)
+    body = expand(lib, Instantiation("H", (v, LocalSymbolArg(gt.name))))
+    assert {s.name for s in body.signature} == {name("V"), name("gt"), name("inv", "gt"), name("gt", "V")}
+    assert len(body.axioms) == 4
+    elided = elide_optional(body, {gt})
+    assert elided == expand(lib, Instantiation("H", (v, EmptyOptArg()))) == expand_named(lib, "U")
+    assert emit_struct_dump(elided) == "SYM Class V\n"
+    assert elided.kinds == {name("V"): CLS}
+
+
 # -- match_template ----------------------------------------------------------------
 
 def _items(*names_):
@@ -1018,17 +1039,46 @@ _EMPTY_ARG_LISTS = (
 )
 
 
+# an elided optional symbol written by every path into an accumulator: a
+# block of its own clause, a callee's block through a plain parameter, a
+# list item, an ontology argument that fits it, and a compound name built
+# two calls down; a memo hit of G between them. O elides the symbol that it
+# passes on to H, so H's writes die with O's placeholder
+_ELIDED_EVERYWHERE = (
+    "ontology G = { Class: g1 }\n"
+    "ontology Q [ObjectProperty: r; Class: C] = { ObjectProperty: r Range: C }\n"
+    "ontology L [Class: C; Individual: x :: xs] = { Individual: x Types: C } then L[C; xs]\n"
+    "ontology L [Class: C; empty] = { }\n"
+    "ontology P [Class: C; ObjectProperty: p] = { ObjectProperty: p Domain: C }\n"
+    "ontology N2 [ObjectProperty: s] = { ObjectProperty: sub[s] SubPropertyOf: s }\n"
+    "ontology N1 [ObjectProperty: s] = N2[s]\n"
+    "ontology H [Class: A; ? ObjectProperty: gt] =\n"
+    "  { ObjectProperty: gt Domain: A Characteristics: Transitive }\n"
+    "  then G\n"
+    "  then Q[gt; A]\n"
+    "  then L[A; val[gt], k]\n"
+    "  then P[A; { ObjectProperty: gt  ObjectProperty: w[gt] SubPropertyOf: gt } fit p |-> gt]\n"
+    "  then N1[gt]\n"
+    "  then { Class: A }\n"
+    "ontology O [Class: B; ? ObjectProperty: q] = H[B; q] then { Individual: m[q] Types: B }\n"
+    "ontology T = G then H[a; ]\n"
+    "ontology U = H[b; rel]\n"
+    "ontology V = O[c; ] then O[d; e]\n"
+)
+
+
 def _warm_cold_cases():
     """Libraries, each with the targets to compare: the corpus targets, then
     each error file's targets next to the corpus, then the diamond, the
-    failing chain and the empty argument lists."""
+    failing chain, the empty argument lists and the elided symbol written
+    everywhere."""
     for extra in [None, *sorted(ERRORS.glob("*.gdp"))]:
         lib = load_library(corpus_paths() + ([extra] if extra else []))
         yield lib, [
             t for t in sorted(lib.zero_param_names())
             if extra is None or lib.defs[t].pos.file == str(extra)
         ]
-    for src in (_DIAMOND, _FAILING, _EMPTY_ARG_LISTS):
+    for src in (_DIAMOND, _FAILING, _EMPTY_ARG_LISTS, _ELIDED_EVERYWHERE):
         lib = lib_of(src)
         yield lib, sorted(lib.zero_param_names())
 
@@ -1071,7 +1121,7 @@ def test_a_target_needs_exactly_the_depth_its_memo_entry_names():
                     run = lib if warm else replace(lib, memo=dict(fresh))
                     assert outcome(run, t, need - 1)[0] == "DepthExceeded", (t, need, warm)
                 cases += 1
-    assert cases == 66  # 33 targets, warm and cold
+    assert cases == 74  # 37 targets, warm and cold
 
 
 def test_a_failed_closed_expansion_is_taken_from_the_memo(tmp_path, monkeypatch, capsys):
@@ -1127,16 +1177,17 @@ def test_depth_exceeded_position_holds_with_a_warm_memo(capsys):
 
 
 def test_placeholder_after_a_memo_hit_keeps_its_name(monkeypatch):
-    import godp.instantiate as engine
+    import godp.core as core
 
     made = []  # the placeholders each instantiation elides, in the order they end
-    elide = engine._elide
+    close = core.Accumulator.close
 
-    def recording(body, dead):
-        made.extend(sorted(s.name.base for s in body.signature if not s.name.args and dead(s.name)))
-        return elide(body, dead)
+    def recording(acc, placeholders):
+        made.extend(sorted(ph.base for ph in placeholders if ph in acc.kinds))
+        close(acc, placeholders)
+        assert not any(ph in acc.kinds for ph in placeholders)
 
-    monkeypatch.setattr(engine, "_elide", recording)
+    monkeypatch.setattr(core.Accumulator, "close", recording)
     src = (
         "ontology H [Class: A; ? Class: B; ? Class: C] =\n"
         "  { ObjectProperty: rel[B] Domain: A Range: C }\n"
@@ -1156,6 +1207,62 @@ def test_placeholder_after_a_memo_hit_keeps_its_name(monkeypatch):
         made.clear()
         assert expand_named(warm, "Top") == reference
         assert made == rerun
+
+
+def test_an_elided_symbol_leaves_nothing_of_what_any_write_built_from_it(tmp_path, capsys):
+    """Whatever path wrote a sentence or a name built from an elided optional
+    symbol, it goes when the instantiation that elided it ends: T is U with
+    `a` for `b`, less every name and sentence built from `rel`. V's first O
+    elides the symbol that it passes on to H, its second passes `e`."""
+    f = tmp_path / "index.gdp"
+    f.write_text(_ELIDED_EVERYWHERE, encoding="utf-8")
+    dumps = {
+        "T": (
+            "AX ClassAssertion a k\n"
+            "SYM Class a\n"
+            "SYM Class g1\n"
+            "SYM Individual k\n"
+        ),
+        "U": (
+            "AX ClassAssertion b k\n"
+            "AX ClassAssertion b val_rel\n"
+            "AX Domain rel b\n"
+            "AX Range rel b\n"
+            "AX SubPropertyOf sub_rel rel\n"
+            "AX SubPropertyOf w_rel rel\n"
+            "AX Transitive rel\n"
+            "SYM Class b\n"
+            "SYM Class g1\n"
+            "SYM Individual k\n"
+            "SYM Individual val_rel\n"
+            "SYM ObjectProperty rel\n"
+            "SYM ObjectProperty sub_rel\n"
+            "SYM ObjectProperty w_rel\n"
+        ),
+        "V": (
+            "AX ClassAssertion c k\n"
+            "AX ClassAssertion d k\n"
+            "AX ClassAssertion d m_e\n"
+            "AX ClassAssertion d val_e\n"
+            "AX Domain e d\n"
+            "AX Range e d\n"
+            "AX SubPropertyOf sub_e e\n"
+            "AX SubPropertyOf w_e e\n"
+            "AX Transitive e\n"
+            "SYM Class c\n"
+            "SYM Class d\n"
+            "SYM Class g1\n"
+            "SYM Individual k\n"
+            "SYM Individual m_e\n"
+            "SYM Individual val_e\n"
+            "SYM ObjectProperty e\n"
+            "SYM ObjectProperty sub_e\n"
+            "SYM ObjectProperty w_e\n"
+        ),
+    }
+    for target, dump in dumps.items():
+        assert main(["expand", "--target", target, "--format", "dump", str(f)]) == 0
+        assert capsys.readouterr() == (dump, ""), target
 
 
 # -- work that grows with list length ---------------------------------------------
@@ -1179,7 +1286,7 @@ def _long_lists(n: int) -> str:
 def test_instantiations_and_unions_grow_linearly_with_list_length(monkeypatch):
     """Expanding ValSet, ValSetWithOrder, GradedRelsSub and Chain over n
     items, three counts grow at most 2.2x when n doubles: instantiations,
-    the symbols merged through the engine's one merge point
+    the names merged through the engine's one merge point
     (`Accumulator.merge`), and the (term, kind) pairs that reach the kind
     check. A list item is checked where a call writes it, not again at each
     level that passes on the tail it is in."""
@@ -1190,16 +1297,16 @@ def test_instantiations_and_unions_grow_linearly_with_list_length(monkeypatch):
     counts = {}
     for n in (100, 200):
         lib = lib_of(src + _long_lists(n))
-        tally = counts[n] = {"instantiations": 0, "merged symbols": 0, "kind checks": 0}
+        tally = counts[n] = {"instantiations": 0, "merged names": 0, "kind checks": 0}
         instantiate, merge, declare = engine._instantiate, core.Accumulator.merge, engine._declare
 
         def instantiating(*args):
             tally["instantiations"] += 1
             return instantiate(*args)
 
-        def merging(acc, symbols, axioms):
-            tally["merged symbols"] += len(symbols)
-            return merge(acc, symbols, axioms)
+        def merging(acc, kinds, axioms, signature=None):
+            tally["merged names"] += len(kinds)
+            return merge(acc, kinds, axioms, signature)
 
         def declaring(acc, terms, pos, clash):
             terms = list(terms)
@@ -1236,10 +1343,12 @@ def test_long_lists_and_long_definition_chains_expand_under_the_default_recursio
 def test_closed_expansions_cost_work_linear_in_the_chain_length():
     """`check` of a chain of n closed expansions, `given` imports, `then`
     references, and one chain whose last definition runs out of `--depth 20`,
-    traces at most 2.2x the line events in `src/godp` when n doubles: a memo
-    hit is a lookup, and a DepthExceeded is kept for its depth, so the failure
-    that every target of the last chain reaches runs once, and is reported
-    once."""
+    and of a list recursion that elides an optional parameter at each of its
+    n levels, traces at most 2.2x the line events in `src/godp` when n
+    doubles: a memo hit is a lookup, and a DepthExceeded is kept for its
+    depth, so the failure that every target of the failing chain reaches runs
+    once, and is reported once; an instantiation elides what its own
+    placeholders' index holds, not its whole accumulator."""
     from engine_cost import CHAINS, SIZES, check_cost
 
     small, large = SIZES
@@ -1277,9 +1386,10 @@ def test_traced_memory_grows_about_linearly_with_list_length(target):
 def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch):
     """Expanding ValSet and GradedRelsSub over 100 items fills each block
     from its plan: no call of make_ontology or substitute_name comes from a
-    block fill. A block with nothing to bind gives one ontology object on
-    every run. No substitute_name call comes from an instantiation at all,
-    its arguments, fits and parameter constraints included."""
+    block fill; only a kind clash inside a block makes one. A block with
+    nothing to bind gives one ontology object on every run. No
+    substitute_name call comes from an instantiation at all, its arguments,
+    fits and parameter constraints included."""
     import sys
 
     import godp.blocks as blocks
@@ -1323,11 +1433,15 @@ def test_block_fills_call_neither_make_ontology_nor_substitute_name(monkeypatch)
     monkeypatch.setattr(engine, "fill_block", fill)
     for target in "ACEF":
         expand_named(lib, target)
-    assert len(filled) > 500 and from_fills and not any(from_fills)
+    assert len(filled) > 500 and not any(from_fills)
     assert not any(from_instantiations)
     # the one ontology object that the plan of a block with nothing to bind holds fills each run
     constant = [plan[-1] for plan in filled if "Src" in {n.base for n in plan[0] if n is not None}]
     assert len(constant) == 2 and constant[0] is constant[1] is not None
+    # the watch sees the call that a kind clash inside a block makes
+    with pytest.raises(KindClash):
+        expand_named(lib_of("ontology P [Class: C] = { Class: C  Individual: C }\nontology K = P[k]\n"), "K")
+    assert from_fills == [True]
 
 
 # -- placeholders are names no user can write ------------------------------------
