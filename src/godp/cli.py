@@ -10,15 +10,19 @@ file that is not valid UTF-8 is an I/O error).
 Diagnostics go to stderr in `file:line:col: severity: message` form; payload
 goes to stdout or `-o`. The GODP_DEPTH environment variable overrides the
 default expansion depth of `check` and `expand`; an explicit --depth wins
-over both.
+over both. A command runs with the cyclic collector suspended, restored as it
+was on every exit: what it makes holds no reference cycle but the formatter of
+an argparse usage message, which the next collection frees.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
+from _thread import allocate_lock
 from pathlib import Path
 
 from .diagnostics import GodpError, render_diagnostics
@@ -27,6 +31,8 @@ from .emit import emit_manchester, emit_struct_dump, stratify
 from .instantiate import DEFAULT_DEPTH, expand_named
 from .parser import parse_library
 from .syntax import LibraryAst, PatternDefAst
+
+_GC_LOCK = allocate_lock()  # so no command's enable falls between another's read and disable
 
 
 def _default_depth() -> int | None:
@@ -125,32 +131,40 @@ def _argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with _GC_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
     try:
-        ns = _argparser().parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+        try:
+            ns = _argparser().parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
 
-    if ns.command != "list":  # the commands that expand
-        option = "--depth"
-        if ns.depth is None:
-            ns.depth, option = _default_depth(), "GODP_DEPTH"
+        if ns.command != "list":  # the commands that expand
+            option = "--depth"
             if ns.depth is None:
+                ns.depth, option = _default_depth(), "GODP_DEPTH"
+                if ns.depth is None:
+                    return 2
+            if ns.depth < 1:
+                sys.stderr.write(f"godp: {option} must be at least 1\n")
                 return 2
-        if ns.depth < 1:
-            sys.stderr.write(f"godp: {option} must be at least 1\n")
+        try:
+            if ns.command == "check":
+                return run_check(ns)
+            if ns.command == "expand":
+                return run_expand(ns)
+            return run_list(ns)
+        except OSError as e:
+            sys.stderr.write(f"godp: {e}\n")
             return 2
-    try:
-        if ns.command == "check":
-            return run_check(ns)
-        if ns.command == "expand":
-            return run_expand(ns)
-        return run_list(ns)
-    except OSError as e:
-        sys.stderr.write(f"godp: {e}\n")
-        return 2
-    except GodpError as e:
-        sys.stderr.write(render_diagnostics([e.to_diagnostic()]))
-        return 1
+        except GodpError as e:
+            sys.stderr.write(render_diagnostics([e.to_diagnostic()]))
+            return 1
+    finally:
+        if enabled:
+            with _GC_LOCK:
+                gc.enable()
 
 
 if __name__ == "__main__":

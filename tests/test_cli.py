@@ -4,15 +4,20 @@ import gc
 import os
 import subprocess
 import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
+import godp.cli
 from godp import parse_library, render_diagnostics
-from godp.cli import _argparser, main
+from godp.cli import _argparser, _read_library, main
 from godp.diagnostics import ParseError
 from godp.parser import MAX_NESTING
 
 from conftest import CORPUS, ERRORS, ROOT, corpus_paths
+from test_cli_bytes import _invocations, _run
 
 
 def corpus_args():
@@ -414,28 +419,150 @@ def test_elided_symbol_in_a_diagnostic_is_the_same_at_every_depth(tmp_path, caps
 
 # -- memory ----------------------------------------------------------------------
 
-def test_a_check_and_an_expansion_leave_nothing_for_the_cyclic_collector(capsys):
-    # a built library and a finished expansion hold no reference cycle, so
-    # reference counting alone frees them; the argument parser, built once
-    # per process, is built before
-    _argparser()
-    errors = [str(p) for p in sorted(ERRORS.glob("*.gdp"))]
-    for argv in (
-        ["check", *corpus_args(), *errors],
-        ["check", *corpus_args()],
-        ["expand", "--target", "GradedRelsSub_Significance", "--format", "dump", *corpus_args()],
-    ):
+def _garbage_of(argv: list[str]) -> list:
+    """What the cyclic collector would find after one in-process run."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _run(argv)
         gc.collect()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            main(argv)
-            gc.collect()
-            garbage = list(gc.garbage)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-        capsys.readouterr()
-        assert garbage == [], argv[:3]
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_a_check_and_an_expansion_leave_nothing_for_the_cyclic_collector(tmp_path, monkeypatch):
+    # a built library and a finished expansion hold no reference cycle, so
+    # reference counting alone frees them, on every exit path; this is what
+    # lets `main` suspend the collector. The argument parser, built once per
+    # process, is built before. Usage errors are left out: argparse's
+    # `HelpFormatter` makes a cycle of its own (a formatter, a `_Section`, a
+    # list, two tuples and a bound method) that godp cannot avoid, and the
+    # first collection after the command frees it
+    _argparser()
+    corpus = corpus_args()
+    latin = tmp_path / "latin1.gdp"
+    latin.write_bytes("ontology Latin = { Class: Café }\n".encode("latin-1"))
+    exits = [
+        ["check", str(CORPUS / "does_not_exist.gdp")],
+        ["check", str(latin)],
+        ["check", "--depth", "0", *corpus],
+        ["expand", "--target", "Nowhere", *corpus],
+        ["expand", "--target", "Broken", "--depth", "20", str(ERRORS / "depth_exceeded.gdp")],
+        ["expand", "--target", "PersonRels", "-o", str(tmp_path / "out.omn"), *corpus],
+    ]
+    for argv in _invocations() + exits:
+        assert _garbage_of(argv) == [], argv[:3]
+    monkeypatch.setenv("GODP_DEPTH", "soup")
+    assert _garbage_of(["check", *corpus]) == []
+
+
+def _collections_during(argv: list[str]) -> tuple[int, int]:
+    """The exit code of one run and the automatic collections it triggered."""
+    starts = []
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        code = _run(argv)[0]
+    finally:
+        gc.callbacks.remove(count)
+    return code, len(starts)
+
+
+def test_a_command_triggers_no_collection():
+    # each of these triggers two or three with the collector on
+    corpus = corpus_args()
+    errors = [str(p) for p in sorted(ERRORS.glob("*.gdp"))]
+    for argv, expected in (
+        (["check", *corpus], 0),
+        (["check", *corpus, *errors], 1),
+        (["expand", "--target", "GradedRelsSub_Significance", "--format", "dump", *corpus], 0),
+        (["list", *corpus], 0),
+    ):
+        assert gc.isenabled()
+        assert _collections_during(argv) == (expected, 0), argv[:3]
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_every_exit_gives_the_collector_back_as_it_was(monkeypatch, enabled):
+    corpus = corpus_args()
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, expected in (
+            (["check", *corpus], 0),
+            (["check", str(ERRORS / "kind_clash.gdp")], 1),
+            (["check", str(CORPUS / "does_not_exist.gdp")], 2),
+            (["expand"], 2),  # argparse: missing required arguments
+        ):
+            assert _run(argv)[0] == expected, argv
+            assert gc.isenabled() is enabled, argv
+
+        def broken(ast):
+            raise RuntimeError("boom")
+
+        with monkeypatch.context() as m:
+            m.setattr(godp.cli, "build_library", broken)
+            with pytest.raises(RuntimeError, match="boom"):
+                _run(["check", *corpus])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _slow_read() -> bool:
+    """`gc.isenabled`, but when it reads "off", other threads run before its
+    caller acts on it: long enough for another command to end."""
+    enabled = gc.isenabled()
+    if not enabled:
+        time.sleep(0.01)
+    return enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_concurrent_commands_give_the_collector_back_as_it_was(tmp_path, capsys, monkeypatch, enabled):
+    # a read of the collector's state and the disable that follows must not be
+    # split by another command's enable, or one that read "off" leaves it off
+    # for good; a slow read widens that window, so a wrapper without the lock
+    # fails here in most runs
+    monkeypatch.setattr(godp.cli, "gc", SimpleNamespace(isenabled=_slow_read, disable=gc.disable, enable=gc.enable))
+    corpus = corpus_args()
+    targets = sorted(_read_library(corpus).zero_param_names())
+    threads = 8
+    outs = [tmp_path / f"{i}.omn" for i in range(threads)]
+    codes: list[list[int]] = [[] for _ in range(threads)]
+
+    def commands(i: int) -> None:
+        for _ in range(3):
+            codes[i].append(main(["check", *corpus]))
+            codes[i].append(main(["expand", "--target", targets[i % len(targets)], "-o", str(outs[i]), *corpus]))
+
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    (gc.enable if enabled else gc.disable)()
+    sys.setswitchinterval(1e-6)
+    try:
+        running = [threading.Thread(target=commands, args=(i,)) for i in range(threads)]
+        for t in running:
+            t.start()
+        for t in running:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert gc.isenabled() is enabled
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()
+    assert codes == [[0] * 6] * threads
+    assert capsys.readouterr() == ("", "")
+    for i, out in enumerate(outs):
+        alone = tmp_path / "alone.omn"
+        assert main(["expand", "--target", targets[i % len(targets)], "-o", str(alone), *corpus]) == 0
+        assert out.read_bytes() == alone.read_bytes(), targets[i % len(targets)]
 
 
 # -- the traced benchmark's wrap points ------------------------------------------
