@@ -131,10 +131,11 @@ def _argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    with _GC_LOCK:
-        enabled = gc.isenabled()
-        gc.disable()
-    try:
+    enabled = False
+    try:  # so an interrupt that lands after the disable still meets the `finally`
+        with _GC_LOCK:
+            enabled = gc.isenabled()
+            gc.disable()
         try:
             ns = _argparser().parse_args(argv)
         except SystemExit as e:

@@ -445,6 +445,7 @@ def test_a_check_and_an_expansion_leave_nothing_for_the_cyclic_collector(tmp_pat
     latin = tmp_path / "latin1.gdp"
     latin.write_bytes("ontology Latin = { Class: Café }\n".encode("latin-1"))
     exits = [
+        ["check", *corpus, *(str(p) for p in sorted(ERRORS.glob("*.gdp")))],
         ["check", str(CORPUS / "does_not_exist.gdp")],
         ["check", str(latin)],
         ["check", "--depth", "0", *corpus],

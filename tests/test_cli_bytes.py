@@ -19,9 +19,11 @@ and says in CHANGES.md which outputs changed and why.
 
     PYTHONPATH=src python tests/test_cli_bytes.py --check
 
-compares every run with the table instead, and exits 1 if one differs. This
-script mode imports neither pytest nor hypothesis, so it runs on any
-supported Python with nothing installed.
+compares every run with the table instead, and exits 1 if one differs or if
+an exception was raised where none can propagate, such as the warning about a
+file left unclosed under `python -W error::ResourceWarning`. This script mode
+imports neither pytest nor hypothesis, so it runs on any supported Python
+with nothing installed.
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ def _script(args: list[str]) -> int:
     if args not in ([], ["--check"]):
         sys.stderr.write("usage: test_cli_bytes.py [--check]\n")
         return 2
+    ignored = []  # exceptions in finalizers and the like, printed as usual and counted
+
+    def hook(unraisable) -> None:
+        sys.__unraisablehook__(unraisable)
+        ignored.append(unraisable.exc_type)
+
+    sys.unraisablehook = hook
     table = {" ".join(argv): _digest(_run(argv)) for argv in _invocations()}
     if not args:
         TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -89,7 +98,9 @@ def _script(args: list[str]) -> int:
     for invocation in differ:
         sys.stdout.write(f"differs: godp {invocation}\n")
     sys.stdout.write(f"{len(table) - len(differ)} of {len(table)} runs match {TABLE.relative_to(ROOT)}\n")
-    return 1 if differ else 0
+    if ignored:
+        sys.stdout.write(f"{len(ignored)} exceptions ignored during the runs\n")
+    return 1 if differ or ignored else 0
 
 
 if __name__ == "__main__":
