@@ -12,11 +12,12 @@ call. Their tables live for the process and hold each distinct name and
 symbol once.
 
 All values are immutable; operations are pure functions, so everything here is
-safe to share across threads. Flat ontologies keep their axiom sets canonical
-(see `Axiom.canonical`) and signature-closed: every symbol occurring in an
-axiom is also in the signature. Each flat ontology also carries a name -> kind
-index of its signature; it is built once, when the ontology is constructed,
-and never mutated afterwards, so it too is safe to share across threads.
+safe to share across threads. A flat ontology is its signature, held as a
+name -> kind map (`kinds`: under Same Name - Same Thing a name has one kind),
+and its axioms; its `Symbol`s are made only when `signature` is read. It
+keeps its axiom set canonical (see `Axiom.canonical`) and signature-closed:
+every name occurring in an axiom is in `kinds`, with the kind it has there.
+Its map is never mutated once it is built.
 
 The one mutable thing, an `Accumulator`, is a flat ontology under
 construction, private to the expansion that writes it; its `merge` is the
@@ -28,10 +29,10 @@ from __future__ import annotations
 from enum import Enum
 from itertools import filterfalse, repeat
 from operator import attrgetter
-from typing import AbstractSet, Callable, Collection, Container, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
 from .diagnostics import KindClash, UnmappedSymbol
-from .record import Record, field
+from .record import Record
 
 _set = object.__setattr__
 
@@ -255,15 +256,17 @@ class EquivalentToUnion(Axiom):
 # ---------------------------------------------------------------------------
 
 class FlatOntology(Record):
-    signature: frozenset[Symbol]
-    axioms: frozenset[Axiom]
-    # name -> kind index of the signature; built from it when not given
-    kinds: Mapping[NameTerm, SymbolKind] = field(None, compare=False)
+    """A flat ontology: its signature as a name -> kind map, and its axioms."""
 
-    def __init__(self, signature, axioms, kinds=None):
-        _set(self, "signature", signature)
-        _set(self, "axioms", axioms)
-        _set(self, "kinds", _index_kinds(signature, {}) if kinds is None else kinds)
+    kinds: Mapping[NameTerm, SymbolKind]
+    axioms: frozenset[Axiom]
+
+    def __hash__(self) -> int:  # a dict has no hash; equal maps have equal sizes
+        return hash((len(self.kinds), self.axioms))
+
+    @property
+    def signature(self) -> frozenset[Symbol]:
+        return frozenset(map(Symbol, self.kinds, self.kinds.values()))
 
     def sorted_signature(self) -> list[Symbol]:
         return sorted(self.signature, key=Symbol.key)
@@ -273,103 +276,95 @@ class FlatOntology(Record):
 
 
 def _index_kinds(
-    symbols: Collection[Symbol], index: dict[NameTerm, SymbolKind]
+    pairs: Collection[tuple[NameTerm, SymbolKind]], index: dict[NameTerm, SymbolKind]
 ) -> dict[NameTerm, SymbolKind]:
-    """Add `symbols` to the name -> kind `index`, a dict the caller owns.
+    """Add the (name, kind) `pairs` to the name -> kind `index`, a dict the
+    caller owns.
 
     A clash names the least clashing name and its two least kinds, so the
-    message does not depend on set iteration order.
+    message does not depend on iteration order.
     """
-    clashes = [s.name for s in symbols if index.setdefault(s.name, s.kind) is not s.kind]
+    clashes = [n for n, k in pairs if index.setdefault(n, k) is not k]
     if clashes:
         n = min(clashes, key=NameTerm.key)
-        kinds = {index[n]} | {s.kind for s in symbols if s.name == n}
+        kinds = {index[n]} | {k for m, k in pairs if m is n}
         first, second = sorted(kinds, key=kind_order)[:2]
         raise KindClash(f"kind clash for '{n.render()}': {first.value} vs {second.value}")
     return index
 
 
-EMPTY_ONTOLOGY = FlatOntology(frozenset(), frozenset())
+EMPTY_ONTOLOGY = FlatOntology({}, frozenset())
 
 
 def make_ontology(symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> FlatOntology:
     """Canonicalize axioms, drop the vacuous ones, close the signature over
     axiom references, check kinds."""
-    sig = set(symbols)
     axs = frozenset(a for a in map(Axiom.canonical, axioms) if not a.is_vacuous())
-    for a in axs:
-        for n, k in a.refs():
-            sig.add(Symbol(n, k))
-    return FlatOntology(frozenset(sig), axs)
+    pairs = [(s.name, s.kind) for s in symbols]
+    pairs += [ref for a in axs for ref in a.refs()]
+    return FlatOntology(_index_kinds(pairs, {}), axs)
 
 
 class Accumulator:
     """A flat ontology under construction, written in place by one expansion:
-    a signature set, an axiom set and their name -> kind index. It shares the
-    frozen `seed` it starts from until its first write copies it; a merge
-    that adds nothing writes nothing. What `freeze` returns is a value.
+    a name -> kind map and an axiom set. It shares the frozen `seed` it
+    starts from until its first write copies it; a merge that adds nothing
+    writes nothing. What `freeze` returns is a value.
 
     While a placeholder is live, from `open` to `close`, each merge indexes
-    under it the new symbols and axioms that die with it (`_dead_in`): `live`
+    under it the new names and axioms that die with it (`_dead_in`): `live`
     maps it to them, `marked` each name held that dies to its placeholders."""
 
-    __slots__ = ("signature", "axioms", "kinds", "seed", "live", "marked")
+    __slots__ = ("kinds", "axioms", "seed", "live", "marked")
 
     def __init__(self, seed: FlatOntology = EMPTY_ONTOLOGY) -> None:
         self._share(seed)
         self.live, self.marked = {}, {}
 
     def _share(self, seed: FlatOntology) -> None:
-        self.signature, self.axioms, self.kinds, self.seed = seed.signature, seed.axioms, seed.kinds, seed
+        self.kinds, self.axioms, self.seed = seed.kinds, seed.axioms, seed
 
     def _own(self) -> None:
         """Copy the seed it shares, before its first write."""
         if self.seed is not None:
-            self.signature, self.axioms, self.kinds, self.seed = (
-                set(self.signature), set(self.axioms), dict(self.kinds), None)
+            self.kinds, self.axioms, self.seed = dict(self.kinds), set(self.axioms), None
 
     def freeze(self) -> FlatOntology:
         """What it holds, as a value: its seed while it has not been written."""
-        return self.seed if self.seed is not None else FlatOntology(
-            frozenset(self.signature), frozenset(self.axioms), dict(self.kinds))
+        return self.seed if self.seed is not None else FlatOntology(dict(self.kinds), frozenset(self.axioms))
 
     def add(self, o: FlatOntology) -> None:
         """Merge `o`; one that holds only the empty ontology takes `o` itself."""
         if self.seed is EMPTY_ONTOLOGY:
             return self._share(o)
-        self.merge(o.kinds, o.axioms, o.signature)
+        self.merge(o.kinds, o.axioms)
 
-    def merge(self, kinds: Mapping[NameTerm, SymbolKind], axioms: Collection[Axiom],
-              signature: AbstractSet[Symbol] | None = None) -> None:
+    def merge(self, kinds: Mapping[NameTerm, SymbolKind], axioms: Collection[Axiom]) -> None:
         """Same Name - Same Thing union, in place, with the ontology of the
-        name -> kind map `kinds` (its signature, if given) and `axioms`. A
-        `Symbol` is made only for a name it lacks, or holds with another
-        kind: the KindClash of `_index_kinds`."""
-        if signature is not None:
-            new = signature - self.signature
-        elif new := [*filterfalse(self.kinds.items().__contains__, kinds.items())]:
-            new = [Symbol(n, k) for n, k in new]
+        name -> kind map `kinds` and `axioms`. A name it holds with another
+        kind is the KindClash of `_index_kinds`."""
+        new = [*filterfalse(self.kinds.items().__contains__, kinds.items())]
         if self.live:
             self._mark(new, kinds, axioms)
         if self.seed is not None:
             if not new and self.axioms.issuperset(axioms):
                 return
             if self.seed is EMPTY_ONTOLOGY:  # the first write to one that holds nothing makes a value
-                return self._share(FlatOntology(frozenset(new), frozenset(axioms), dict(kinds)))
+                return self._share(FlatOntology(dict(kinds), frozenset(axioms)))
             self._own()
         if new:
             _index_kinds(new, self.kinds)
-            self.signature.update(new)
         self.axioms.update(axioms)
 
-    def _mark(self, new: Iterable[Symbol], kinds: Mapping[NameTerm, SymbolKind], axioms: Iterable[Axiom]) -> None:
-        """Index under each live placeholder what dies with it of the `new` symbols and new `axioms`."""
+    def _mark(self, new: Iterable[tuple[NameTerm, SymbolKind]], kinds: Mapping[NameTerm, SymbolKind],
+              axioms: Iterable[Axiom]) -> None:
+        """Index under each live placeholder what dies with it of the `new` names and new `axioms`."""
         live, marked = self.live, self.marked
-        for s in new:
-            if found := _dead_in(s.name, live):
-                marked[s.name] = found
+        for n, _ in new:
+            if found := _dead_in(n, live):
+                marked[n] = found
                 for ph in found:
-                    live[ph][0].append(s)
+                    live[ph][0].append(n)
         if not marked.keys().isdisjoint(kinds.keys()):  # `kinds` names every name of `axioms`
             for a in filterfalse(self.axioms.__contains__, axioms):
                 for ph in {ph for n, _ in a.refs() for ph in marked.get(n, ())}:
@@ -383,19 +378,18 @@ class Accumulator:
     def close(self, placeholders: Collection[NameTerm]) -> None:
         """Elide the live `placeholders`: what the index holds for them."""
         entries = [self.live.pop(ph) for ph in placeholders]
-        self.elide(placeholders, [s for e in entries for s in e[0]], [a for e in entries for a in e[1]])
+        self.elide(placeholders, [n for e in entries for n in e[0]], [a for e in entries for a in e[1]])
 
-    def elide(self, dead: Collection[NameTerm], symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> None:
-        """Remove, in place, those of `symbols` and `axioms` that die with
+    def elide(self, dead: Collection[NameTerm], names: Iterable[NameTerm], axioms: Iterable[Axiom]) -> None:
+        """Remove, in place, those of `names` and `axioms` that die with
         the names `dead` (`_dead_in`)."""
-        symbols = [s for s in symbols if _dead_in(s.name, dead)]
+        names = [n for n in names if _dead_in(n, dead)]
         axioms = [a for a in axioms if any(_dead_in(n, dead) for n, _ in a.refs())]
-        if symbols or axioms:
+        if names or axioms:
             self._own()
-            for s in symbols:
-                self.signature.discard(s)
-                self.kinds.pop(s.name, None)
-                self.marked.pop(s.name, None)
+            for n in names:
+                self.kinds.pop(n, None)
+                self.marked.pop(n, None)
             self.axioms.difference_update(axioms)
 
 
@@ -415,7 +409,7 @@ def _dead_in(n: NameTerm, dead: Container[NameTerm]) -> list[NameTerm]:
 def union_flat(a: FlatOntology, b: FlatOntology) -> FlatOntology:
     """Same Name - Same Thing union: deduplicating, kind-clash checked. The
     smaller operand is merged into an accumulator seeded with the larger."""
-    acc = Accumulator(a if len(a.signature) >= len(b.signature) else b)
+    acc = Accumulator(a if len(a.kinds) >= len(b.kinds) else b)
     acc.add(b if acc.seed is a else a)
     return acc.freeze()
 
@@ -429,9 +423,9 @@ def axioms_mentioning(o: FlatOntology, dead: Iterable[Symbol]) -> frozenset[Axio
 def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:
     """Rename every symbol and axiom occurrence, dropping the axioms that
     renaming left vacuous; kind-clash checked on merge."""
-    sig = frozenset(Symbol(fn(s.name), s.kind) for s in o.signature)
+    kinds = _index_kinds([*zip(map(fn, o.kinds), o.kinds.values())], {})
     axs = frozenset(a for a in (a.rename(fn) for a in o.axioms) if not a.is_vacuous())
-    return FlatOntology(sig, axs)
+    return FlatOntology(kinds, axs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +457,8 @@ class FittingMorphism(Record):
 def apply_morphism(m: FittingMorphism, o: FlatOntology) -> FlatOntology:
     """Rename symbols and all axiom occurrences; m must be total on o.signature."""
     table = {src.name: dst.name for src, dst in m.pairs}
-    dom = m.domain()
-    for s in o.signature:
-        if s not in dom:
-            raise UnmappedSymbol(f"morphism undefined on '{s.name.render()}'")
+    if unmapped := o.signature - m.domain():  # the least, whatever the set's order
+        raise UnmappedSymbol(f"morphism undefined on '{min(unmapped, key=Symbol.key).name.render()}'")
 
     def fn(n: NameTerm) -> NameTerm:
         return table.get(n, n)

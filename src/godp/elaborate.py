@@ -379,7 +379,7 @@ def _walk_params(params: tuple, plain: tuple, head: tuple, tail: tuple, deltas: 
             built = deltas.get(pl.frames)
             if built is None:
                 delta = build_block(pl.frames)
-                built = deltas[pl.frames] = delta, {b for s in delta.signature for b in s.name.bases()}
+                built = deltas[pl.frames] = delta, {b for n in delta.kinds for b in n.bases()}
             names.update(dict.fromkeys(built[1], plain))
             pl = built[0]
         decls.append((p.optional, pl))
@@ -468,7 +468,7 @@ def _clauses(dr: _Draft, env: dict) -> tuple[tuple[Clause, ...], dict]:
         for i, (optional, shape) in enumerate(walked[0]):
             listed = type(shape) is ListTemplate
             if not listed and (p := plain.get((i, heads))) is None:
-                new = [s for s in shape.signature if s.name not in kinds]
+                new = [Symbol(n, k) for n, k in shape.kinds.items() if n not in kinds]
                 new = tuple(sorted(new, key=Symbol.key) if len(new) > 1 else new)
                 p = plain[i, heads] = ParamSpec(i, optional, shape, new, dr.chain)
             try:  # a clash is at a list parameter, or at a plain one's first frame

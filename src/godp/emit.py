@@ -74,6 +74,6 @@ def emit_manchester(o: FlatOntology) -> str:
 
 def emit_struct_dump(o: FlatOntology) -> str:
     """Canonical line dump: `SYM kind name` and `AX ...` lines, sorted; byte-stable."""
-    lines = [f"SYM {s.kind.value} {s.name.render()}" for s in o.signature]
+    lines = [f"SYM {k.value} {n.render()}" for n, k in o.kinds.items()]
     lines.extend("AX " + " ".join(a.dump_fields()) for a in o.axioms)
     return "".join(line + "\n" for line in sorted(lines))

@@ -334,7 +334,8 @@ def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: 
 
 def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: FlatOntology, runs: tuple) -> None:
     explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
-    pool = sorted(arg_ont.signature - env.signature, key=Symbol.key)
+    kinds = arg_ont.kinds
+    pool = sorted(kinds.keys() - env.kinds.keys(), key=NameTerm.key)  # `arg_ont` holds `env`
     for n in pspec.new_symbols:
         image = explicit.get(n.name)
         if image is not None:
@@ -351,7 +352,7 @@ def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: 
                     form.pos,
                 )
         else:
-            candidates = [s for s in pool if s.kind is n.kind]
+            candidates = [c for c in pool if kinds[c] is n.kind]
             if not candidates:
                 raise NoCandidate(
                     f"no {n.kind.value} symbol in the argument to fit parameter "
@@ -362,11 +363,11 @@ def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: 
                 raise AmbiguousFitting(
                     f"parameter '{n.name.render()}' has {len(candidates)} "
                     f"{n.kind.value} candidates "
-                    f"({', '.join(c.name.render() for c in candidates)}); "
+                    f"({', '.join(c.render() for c in candidates)}); "
                     f"give an explicit fit map",
                     form.pos,
                 )
-            image = candidates[0].name
+            image = candidates[0]
         runs[0].name_map[n.name] = image
     for src, dst in form.fits:
         _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
@@ -380,7 +381,7 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
     """`body` less what dies with the dead symbols' names, by the rule an
     instantiation elides its placeholders by (`core._dead_in`)."""
     acc = Accumulator(body)
-    acc.elide({s.name for s in dead}, body.signature, body.axioms)
+    acc.elide({s.name for s in dead}, body.kinds, body.axioms)
     return acc.freeze()
 
 

@@ -11,8 +11,9 @@ raises `dataclasses.FrozenInstanceError`. A class declared with
 `replace` copies a record with some fields changed.
 
 A class may define its own `__init__`, to compute or check a field; it sets
-its fields with `object.__setattr__`. It may also name in `__slots__`
-attributes that are not fields.
+its fields with `object.__setattr__`. A frozen one may define its own
+`__hash__`, consistent with `==`, for a field that has no hash. It may also
+name in `__slots__` attributes that are not fields.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class _RecordType(type):
         specs = [(f, s if isinstance(s := ns.pop(f, _MISSING), field) else field(s)) for f in own]
         ns["__slots__"] = (*own, *ns.get("__slots__", ()))
         if frozen:
-            ns.update(__setattr__=_refuse, __delattr__=_refuse, __hash__=_hash)
+            ns.update(__setattr__=_refuse, __delattr__=_refuse, __hash__=ns.get("__hash__", _hash))
         else:
             ns["__hash__"] = None
         cls = super().__new__(mcls, name, bases, ns)

@@ -18,6 +18,10 @@ is checked twice and the second run counted, so names that the first run
 interned, and the CLI's cached argument parser, cost the same at every n. A
 tier-1 test in `test_instantiate.py` bounds the ratios with `check_cost`.
 
+Run as a script, it also prints each chain's `tracemalloc` peak, in MB, of
+the second of two untraced checks at the same sizes (`check_peak`): what the
+memo entries and accumulators of a run hold at once. No test reads it.
+
     PYTHONPATH=src python tests/engine_cost.py
 """
 
@@ -28,6 +32,7 @@ import io
 import os
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import godp
@@ -79,6 +84,14 @@ CHAINS = {
 }
 
 
+@contextlib.contextmanager
+def _library_file(text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "chain.gdp")
+        path.write_text(text, encoding="utf-8")
+        yield path
+
+
 def check_cost(text: str, options: list[str]) -> tuple[int, int, str]:
     """`godp check` of the library `text`: the line events it traces in
     `src/godp` on its second run, its exit code and its stderr."""
@@ -92,9 +105,7 @@ def check_cost(text: str, options: list[str]) -> tuple[int, int, str]:
     def call(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(SOURCES) else None
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "chain.gdp")
-        path.write_text(text, encoding="utf-8")
+    with _library_file(text) as path:
         previous = sys.gettrace()
         for tracer in (previous, call):
             err = io.StringIO()
@@ -107,12 +118,30 @@ def check_cost(text: str, options: list[str]) -> tuple[int, int, str]:
     return lines, code, err.getvalue()
 
 
+def check_peak(text: str, options: list[str]) -> float:
+    """`godp check` of the library `text`: the `tracemalloc` peak of its
+    second run, in MB."""
+    with _library_file(text) as path, contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["check", *options, str(path)])
+        tracemalloc.start()
+        try:
+            cli.main(["check", *options, str(path)])
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+
 def main() -> int:
     for name, (make, options) in CHAINS.items():
         counts = [check_cost(make(n), options)[0] for n in SIZES]
         per = ", ".join(f"n={n} {c} ({c / n:.0f} per step)" for n, c in zip(SIZES, counts))
         print(f"{name}: {per}; x{counts[1] / counts[0]:.2f} when n doubles")
     print(f"(line events in src/godp, Python {sys.version.split()[0]})")
+    for name, (make, options) in CHAINS.items():
+        peaks = [check_peak(make(n), options) for n in SIZES]
+        per = ", ".join(f"n={n} {p:.2f} MB" for n, p in zip(SIZES, peaks))
+        print(f"{name}: {per}; x{peaks[1] / peaks[0]:.2f} when n doubles")
+    print("(tracemalloc peak of the second check)")
     return 0
 
 

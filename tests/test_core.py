@@ -217,6 +217,18 @@ def test_morphism_must_be_total():
         apply_morphism(m, o)
 
 
+def test_an_unmapped_symbol_is_the_least_however_the_symbols_were_allocated():
+    """`apply_morphism` names the least unmapped symbol by `Symbol.key`, not
+    the first of a set whose order follows where the symbols were allocated."""
+    for i in range(20):
+        padding = [object() for _ in range(i)]  # held while the fresh symbols are allocated, to shift them
+        o = make_ontology([Symbol(name(f"{c}{i}"), CLS) for c in "EDCBA"], [])
+        m = FittingMorphism.of({Symbol(name(f"E{i}"), CLS): Symbol(name(f"E{i}"), CLS)})
+        with pytest.raises(UnmappedSymbol) as exc:
+            apply_morphism(m, o)
+        assert exc.value.message == f"morphism undefined on 'A{i}'"
+
+
 def test_morphism_kind_preserving():
     with pytest.raises(KindClash):
         FittingMorphism.of({Symbol(name("p"), OP): Symbol(name("C"), CLS)})
@@ -368,7 +380,7 @@ _RECORDS = sorted(set(_subclasses(Record)), key=lambda c: (c.__module__, c.__qua
 # block's link to the names its body sees; but the positions of a diagnostic
 # and of a resolved call or definition are part of it, as is the memo of a
 # running expansion
-_NOT_THE_VALUE = {"pos", "end", "kinds", "memo", "quals", "parent", "scope"}
+_NOT_THE_VALUE = {"pos", "end", "memo", "quals", "parent", "scope"}
 _PART_OF_THE_VALUE = {("Diagnostic", "pos"), ("Call", "pos"), ("PatternDef", "pos"), ("_Ctx", "memo")}
 
 

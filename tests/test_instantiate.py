@@ -27,7 +27,6 @@ from godp.core import (
     DifferentIndividuals,
     Domain,
     FittingMorphism,
-    FlatOntology,
     NameTerm,
     Range,
     Symbol,
@@ -228,7 +227,7 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
         return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.new_symbols}
 
     def record_local(owner, pspec, form, runs, acc):  # `runs[0]`: the run it binds in
-        avail = FlatOntology(frozenset(acc.signature), frozenset(acc.axioms))  # what it fits in
+        avail = acc.freeze()  # what it fits in
         fit_local(owner, pspec, form, runs, acc)
         calls.append((pspec, form, avail, fitted(pspec, runs[0]), runs[0]))
 
@@ -1304,9 +1303,9 @@ def test_instantiations_and_unions_grow_linearly_with_list_length(monkeypatch):
             tally["instantiations"] += 1
             return instantiate(*args)
 
-        def merging(acc, kinds, axioms, signature=None):
+        def merging(acc, kinds, axioms):
             tally["merged names"] += len(kinds)
-            return merge(acc, kinds, axioms, signature)
+            return merge(acc, kinds, axioms)
 
         def declaring(acc, terms, pos, clash):
             terms = list(terms)
@@ -1361,6 +1360,20 @@ def test_closed_expansions_cost_work_linear_in_the_chain_length():
             assert f"chain.gdp:{large + 1}:" in err and err.endswith(": error: expansion depth budget exceeded\n")
         else:
             assert (code, err) == (0, "")
+
+
+def test_an_expansion_makes_no_symbol():
+    """Expanding a `then` chain of 200 definitions over fresh names interns
+    no `Symbol`: an accumulator and a flat ontology hold their signature as
+    a name -> kind map."""
+    from godp import core
+
+    text = "".join(f"ontology Fresh{i} = Fresh{i + 1} then {{ Class: fresh{i} }}\n" for i in range(200))
+    assert ("fresh0", ()) not in core._NAMES
+    lib = lib_of(text + "ontology Fresh200 = { Class: fresh200 }\n")
+    symbols = len(core._SYMBOLS)
+    assert len(expand_named(lib, "Fresh0").kinds) == 201
+    assert len(core._SYMBOLS) == symbols
 
 
 @pytest.mark.parametrize("target", ["B", "C"])
