@@ -2,8 +2,9 @@
 filled per run (`fill_names`, `fill_block`) in its display: its own bindings,
 then its definers' runs, innermost first, so a name bound `up` definitions out
 is read from `runs[up]`. A block is filled into the accumulator of the
-expansion that runs it. `build_block` is both for frames on their own, and
-`frames_of` its inverse.
+expansion that runs it. `build_block` does both for frames on their own;
+`emit.emit_manchester` writes its inverse, reading which axiom fills which
+frame field from `_FIELD_AXIOMS`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Accumulator,
-    Axiom,
     ClassAssertion,
     DifferentIndividuals,
     Domain,
@@ -25,22 +25,13 @@ from .core import (
     Reflexive,
     SubPropertyOf,
     Symbol,
-    SymbolKind,
     Transitive,
     _sorted_set,
     make_ontology,
 )
 from .diagnostics import GodpError, SourcePos, UnknownReference
 from .record import Record, field
-from .syntax import (
-    _HEADERS,
-    FRAME_FIELDS,
-    ClassFrame,
-    DifferentIndividualsFrame,
-    Frame,
-    IndividualFrame,
-    ObjectPropertyFrame,
-)
+from .syntax import _HEADERS, FRAME_FIELDS, Frame
 
 
 class ListVar(NamedTuple):
@@ -149,7 +140,6 @@ _FIELD_AXIOMS = {
     "different_from": (DifferentIndividuals, True),
     "equivalent": (EquivalentToUnion, None), "items": (DifferentIndividuals, None),
 }
-_HEADER_KINDS = {frame: SymbolKind(word) for frame, word in _HEADERS.items()}
 
 
 def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping = {}) -> tuple:
@@ -163,9 +153,9 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
         if type(f) not in FRAME_FIELDS:
             raise TypeError(f"not a frame: {f!r}")
         frame_pos = frame_pos or f.pos
-        subj = f.name if type(f) in _HEADER_KINDS else None
+        subj = f.name if type(f) in _HEADERS else None
         if subj is not None:
-            symbols[subj, _HEADER_KINDS[type(f)]] = None
+            symbols[subj, _HEADERS[type(f)]] = None
             names.append(subj)
         for attr in FRAME_FIELDS[type(f)].values():
             if not (v := getattr(f, attr)):
@@ -242,42 +232,3 @@ def _splice(names: Iterable, vals: Mapping, runs: Sequence, pos: SourcePos | Non
         else:
             out += bound[0]
     return out
-
-
-# The inverse of build_block: axiom type -> the frame field it is read from,
-# the axiom field naming the frame's symbol and the one holding the value
-# (None: the type's name, a characteristic).
-_FRAME_FIELD = {
-    cls: (attr, *cls._fields[:: 1 if first else -1]) for attr, (cls, first) in _FIELD_AXIOMS.items()
-    if first is not None and not cls.NARY
-} | {c: ("characteristics", "prop", None) for c in (Transitive, Reflexive)}
-
-
-def frames_of(o: FlatOntology) -> list[Frame]:
-    """Frames that `build_block` reads back as `o`: one per symbol in
-    `Symbol.key` order, each field's names sorted and distinct, but one per
-    EquivalentTo union for a class; then one per DifferentIndividuals axiom."""
-    fields, unions, different = {}, {}, []  # subject -> field -> names; class -> its unions; the rest
-    for a in o.axioms:
-        entry = _FRAME_FIELD.get(type(a))
-        if entry is not None:
-            attr, subject, value = entry
-            values = fields.setdefault(getattr(a, subject), {}).setdefault(attr, set())
-            values.add(type(a).__name__ if value is None else getattr(a, value))
-        elif isinstance(a, EquivalentToUnion):
-            unions.setdefault(a.cls, []).append(a)
-        else:
-            different.append(a)
-    frames = []
-    for s in o.sorted_signature():
-        if s.kind is SymbolKind.CLASS:
-            equivalents = [u.members for u in sorted(unions.get(s.name, ()), key=Axiom.sort_key)]
-            frames.extend(ClassFrame(s.name, eq) for eq in equivalents or [None])
-            continue
-        frame = ObjectPropertyFrame if s.kind is SymbolKind.OBJECT_PROPERTY else IndividualFrame
-        frames.append(frame(s.name, **{
-            attr: tuple(sorted(values, key=None if attr == "characteristics" else NameTerm.key))
-            for attr, values in fields.get(s.name, {}).items()
-        }))
-    frames.extend(DifferentIndividualsFrame(a.individuals) for a in sorted(different, key=Axiom.sort_key))
-    return frames

@@ -2,14 +2,15 @@
 
 Each axiom class states the kind of each of its fields once (`Axiom.KINDS`);
 `Axiom` derives from that the references, renaming, canonical form and dump
-fields of all of them. `Axiom.is_vacuous` says which axioms say nothing (an
-n-ary one with fewer members than its `NARY`); `make_ontology` and
-`rename_ontology` drop them.
+fields (each name as a given function writes it) of all of them.
+`Axiom.is_vacuous` says which axioms say nothing (an n-ary one with fewer
+members than its `NARY`); `make_ontology` and `rename_ontology` drop them.
 
 Names (`NameTerm`) and symbols (`Symbol`) are interned: one object per value,
 however it is built, so `==` on them is identity and hashing costs no Python
 call. Their tables live for the process and hold each distinct name and
-symbol once.
+symbol once. Expansion makes no `Symbol`, and the emitters of `godp.emit`
+make neither a name nor a symbol: they write each name as text.
 
 All values are immutable; operations are pure functions, so everything here is
 safe to share across threads. A flat ontology is its signature, held as a
@@ -97,9 +98,6 @@ class NameTerm(_Interned):
     def __new__(cls, base: str, args: tuple[NameTerm, ...] = ()):
         return _NAMES.get((base, args)) or _intern(cls, _NAMES, (base, args))
 
-    def is_plain(self) -> bool:
-        return not self.args
-
     def key(self):
         return (self.base, tuple(a.key() for a in self.args))
 
@@ -178,12 +176,14 @@ class Axiom(Record):
     def canonical(self) -> "Axiom":
         return self.rename(lambda n: n) if self.NARY else self
 
-    def dump_fields(self) -> tuple[str, ...]:
+    def dump_fields(self, text: Callable[[NameTerm], str] = NameTerm.render, resort: bool = False) -> tuple[str, ...]:
+        """Its class's name, then each name as `text` writes it: an n-ary
+        set's in its own order, or in the order of those texts if `resort`."""
         values = self._values(self)
         if self.NARY:
             *fixed, rest = values
-            values = (*fixed, *rest)
-        return (type(self).__name__, *map(NameTerm.render, values))
+            values = (*fixed, *(sorted(rest, key=text) if resort else rest))
+        return (type(self).__name__, *map(text, values))
 
     def sort_key(self):
         return self.dump_fields()
@@ -256,7 +256,8 @@ class EquivalentToUnion(Axiom):
 # ---------------------------------------------------------------------------
 
 class FlatOntology(Record):
-    """A flat ontology: its signature as a name -> kind map, and its axioms."""
+    """A flat ontology: its signature as a name -> kind map, and its axioms,
+    which mention only names of that map (`godp.emit` relies on it)."""
 
     kinds: Mapping[NameTerm, SymbolKind]
     axioms: frozenset[Axiom]
@@ -267,9 +268,6 @@ class FlatOntology(Record):
     @property
     def signature(self) -> frozenset[Symbol]:
         return frozenset(map(Symbol, self.kinds, self.kinds.values()))
-
-    def sorted_signature(self) -> list[Symbol]:
-        return sorted(self.signature, key=Symbol.key)
 
     def kind_of(self, n: NameTerm) -> SymbolKind | None:
         return self.kinds.get(n)

@@ -5,75 +5,120 @@ identifiers (`greater[Significance]` -> `greater_Significance`), inner terms
 first, and prefixes digit-initial plain names with `_` so the result is a
 legal identifier. Collisions are hard errors, never silently renamed.
 
-Manchester emission prints the frames of `blocks.frames_of`, laid out by
-`syntax.frame_fields` with one field per line: frames sorted by (kind, name),
-fields in a fixed order, names sorted. Output is byte-stable, and
-`build_block` reads it back as the ontology it came from; a class with
-several EquivalentTo unions is written as one `Class:` frame per union. The
-structural dump is a line-oriented canonical form for golden tests.
+Both emitters write straight from a flat ontology's name -> kind map and its
+axioms, each name as the one text `_texts` gives it: its stratified form
+with `flat=True`, else its rendering. So `emit_x(o, flat=True)` is
+`emit_x(stratify(o))`, byte for byte, without the stratified copy, and
+emission makes no `NameTerm` and no `Symbol`. Manchester emission writes a
+frame per name, sorted by (kind, name), with its fields in
+`syntax.FRAME_FIELDS` order, one `syntax.field_line` each, and each field's
+names sorted; `blocks._FIELD_AXIOMS` says which axiom fills which field.
+Output is byte-stable, and `build_block` reads it back as the ontology it
+came from; a class with several EquivalentTo unions is written as one
+`Class:` frame per union. The structural dump is a line-oriented canonical
+form for golden tests.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import FlatOntology, NameTerm, rename_ontology
+from .blocks import _FIELD_AXIOMS
+from .core import (
+    DifferentIndividuals,
+    FlatOntology,
+    NameTerm,
+    Reflexive,
+    SymbolKind,
+    Transitive,
+    kind_order,
+    rename_ontology,
+)
 from .diagnostics import StratificationClash, UnstratifiedName
-from .blocks import frames_of
-from .syntax import frame_fields
+from .syntax import _HEADERS, FRAME_FIELDS, DifferentIndividualsFrame, field_line
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Each axiom class that fills a field of its subject's frame -> the field's
+# attribute, and where its `dump_fields` hold the subject and the value (0:
+# its class's name, a characteristic; a slice: an n-ary set).
+# DifferentIndividuals makes frames of its own.
+_FIELD_OF = {
+    cls: (attr, 2, 1) if first is False else (attr, 1, 2 if first else slice(2, None))
+    for attr, (cls, first) in _FIELD_AXIOMS.items() if cls is not DifferentIndividuals
+} | dict.fromkeys((Transitive, Reflexive), ("characteristics", 1, 0))
 
-def _flatten_raw(n: NameTerm) -> str:
-    return "_".join([n.base, *map(_flatten_raw, n.args)])
+
+def _joined(n: NameTerm) -> str:
+    return "_".join([n.base, *map(_joined, n.args)])
 
 
-def flatten_name(n: NameTerm) -> NameTerm:
-    """The stratified form of one name term.
+def flat_text(n: NameTerm) -> str:
+    """The stratified form of one name, as text.
 
     Digit-initial results get a `_` prefix so the whole name is a legal
     identifier; inner occurrences are already guarded by the joining
     underscore and stay untouched.
     """
-    flat = _flatten_raw(n)
-    if flat and flat[0].isdigit():
-        flat = "_" + flat
-    return NameTerm(flat)
+    flat = _joined(n)
+    return "_" + flat if flat[:1].isdigit() else flat
+
+
+def _texts(o: FlatOntology, flat: bool, plain: bool = False) -> dict[NameTerm, str]:
+    """Each name of `o` to the text it is written as, computed once: its
+    stratified form if `flat`, else its rendering, which `plain` requires to
+    be a plain name. An error names the first clash, or the least
+    parameterized name, in (kind, name) order; only then are names sorted."""
+    texts = dict(zip(o.kinds, map(flat_text if flat else NameTerm.render, o.kinds)))
+    if (len(set(texts.values())) < len(texts)) if flat else plain and any(n.args for n in o.kinds):
+        seen = {}
+        for n in sorted(o.kinds, key=lambda n: (kind_order(o.kinds[n]), n.key())):
+            if not flat and n.args:
+                raise UnstratifiedName(f"'{n.render()}' is parameterized; stratify before emitting Manchester output")
+            if (other := seen.setdefault(texts[n], n)) is not n:
+                raise StratificationClash(
+                    f"stratification maps both '{other.render()}' and '{n.render()}' to '{texts[n]}'"
+                )
+    return texts
 
 
 def stratify(o: FlatOntology) -> FlatOntology:
-    """Rewrite every name to its flat form; injective on the signature."""
-    table: dict[NameTerm, NameTerm] = {}
-    seen: dict[NameTerm, NameTerm] = {}
-    for s in o.sorted_signature():
-        flat = flatten_name(s.name)
-        other = seen.get(flat)
-        if other is not None and other != s.name:
-            raise StratificationClash(
-                f"stratification maps both '{other.render()}' and "
-                f"'{s.name.render()}' to '{flat.render()}'"
-            )
-        seen[flat] = s.name
-        table[s.name] = flat
-
-    return rename_ontology(o, lambda n: table.get(n) or flatten_name(n))
+    """Rewrite every name to its flat form by `rename_ontology`. Injective on
+    the signature, so no axiom becomes vacuous."""
+    texts = _texts(o, True)
+    return rename_ontology(o, lambda n: NameTerm(texts[n]))
 
 
-def emit_manchester(o: FlatOntology) -> str:
-    """Serialize to Manchester-style frames, those of `frames_of`, one field
-    per line; requires stratified (flat) names."""
-    for s in o.sorted_signature():
-        if not s.name.is_plain():
-            raise UnstratifiedName(
-                f"'{s.name.render()}' is parameterized; stratify before emitting Manchester output"
-            )
-    blocks = ["\n    ".join(frame_fields(f)) for f in frames_of(o)]
-    return "\n\n".join(blocks) + "\n" if blocks else ""
+def emit_manchester(o: FlatOntology, *, flat: bool = False) -> str:
+    """Serialize to Manchester-style frames, one field per line, with the
+    names stratified if `flat`; else every name must be plain already."""
+    texts = _texts(o, flat, plain=True)
+    fields, different = {}, []  # (subject, field attribute) -> values; the DifferentIndividuals sets
+    for a in o.axioms:
+        row = a.dump_fields(texts.__getitem__, flat)
+        if type(a) in _FIELD_OF:
+            attr, subject, value = _FIELD_OF[type(a)]
+            fields.setdefault((row[subject], attr), []).append(row[value])
+        else:
+            different.append(row[1:])
+    frames = []
+    for frame, kind in _HEADERS.items():  # in kind order
+        for t in sorted([t for t, k in zip(texts.values(), o.kinds.values()) if k is kind]):
+            head = f"{kind.value}: {t}"
+            if kind is SymbolKind.CLASS:  # a frame per EquivalentTo union
+                frames += [f"{head}\n    {field_line(w, u)}" for w, attr in FRAME_FIELDS[frame].items()
+                           for u in sorted(fields.get((t, attr), ()))] or [head]
+            else:
+                frames.append("\n    ".join([head, *[field_line(w, sorted(fields[t, attr]))
+                                                   for w, attr in FRAME_FIELDS[frame].items() if (t, attr) in fields]]))
+    frames += [field_line(w, d) for w in FRAME_FIELDS[DifferentIndividualsFrame] for d in sorted(different)]
+    return "\n\n".join(frames) + "\n" if frames else ""
 
 
-def emit_struct_dump(o: FlatOntology) -> str:
-    """Canonical line dump: `SYM kind name` and `AX ...` lines, sorted; byte-stable."""
-    lines = [f"SYM {k.value} {n.render()}" for n, k in o.kinds.items()]
-    lines.extend("AX " + " ".join(a.dump_fields()) for a in o.axioms)
+def emit_struct_dump(o: FlatOntology, *, flat: bool = False) -> str:
+    """Canonical line dump: `SYM kind name` and `AX ...` lines, sorted;
+    byte-stable. The names are stratified if `flat`."""
+    texts = _texts(o, flat)
+    lines = [f"SYM {k.value} {t}" for t, k in zip(texts.values(), o.kinds.values())]
+    lines += ["AX " + " ".join(a.dump_fields(texts.__getitem__, flat)) for a in o.axioms]
     return "".join(line + "\n" for line in sorted(lines))

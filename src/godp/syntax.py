@@ -3,13 +3,14 @@
 Positions are carried on every node but excluded from equality, so structural
 comparison of reparsed output works directly with `==`. `FRAME_FIELDS` states
 each frame's fields once, for the parser, the printers and the resolver.
-`frame_fields` lays out one frame for both printers: `pp_frame` joins its
-fields on one line, the Manchester emitter puts each on a line of its own.
+`field_line` lays out one field for both printers: `pp_frame` joins a
+frame's fields on one line, the Manchester emitter puts each on a line of
+its own.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterable, Union
 
 from .core import NameTerm, SymbolKind
 from .diagnostics import SourcePos
@@ -165,22 +166,26 @@ class LibraryAst(Record):
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-_HEADERS = {ClassFrame: "Class", ObjectPropertyFrame: "ObjectProperty", IndividualFrame: "Individual"}
+# Each headed frame -> the kind of the symbol it declares, whose value is
+# the header word; in kind order.
+_HEADERS = {
+    ClassFrame: SymbolKind.CLASS, ObjectPropertyFrame: SymbolKind.OBJECT_PROPERTY, IndividualFrame: SymbolKind.INDIVIDUAL,
+}
 
 
-def frame_fields(f: Frame) -> list[str]:
-    """A frame's header, then each of its non-empty fields with one comma list."""
-    out = [f"{_HEADERS[type(f)]}: {f.name.render()}"] if type(f) in _HEADERS else []
-    for word, attr in FRAME_FIELDS[type(f)].items():
-        values = getattr(f, attr)
-        if values:
-            names = ", ".join(v if isinstance(v, str) else v.render() for v in values)
-            out.append(f"{word}: {{{names}}}" if word == "EquivalentTo" else f"{word}: {names}")
-    return out
+def field_line(word: str, names: Iterable[str]) -> str:
+    """The field `word` with one comma list of `names`, EquivalentTo's in braces."""
+    text = ", ".join(names)
+    return f"{word}: {{{text}}}" if word == "EquivalentTo" else f"{word}: {text}"
 
 
 def pp_frame(f: Frame) -> str:
-    return " ".join(frame_fields(f))
+    """A frame's header, then each of its non-empty fields, on one line."""
+    out = [f"{_HEADERS[type(f)].value}: {f.name.render()}"] if type(f) in _HEADERS else []
+    for word, attr in FRAME_FIELDS[type(f)].items():
+        if values := getattr(f, attr):
+            out.append(field_line(word, [v if isinstance(v, str) else v.render() for v in values]))
+    return " ".join(out)
 
 
 def pp_frames(frames: tuple[Frame, ...]) -> str:

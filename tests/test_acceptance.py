@@ -191,7 +191,7 @@ def test_criterion_6_stratification(corpus_lib, capsys):
     for target in sorted(corpus_lib.zero_param_names()):
         o = stratify(expand_named(corpus_lib, target))
         for s in o.signature:
-            assert s.name.is_plain() and IDENTIFIER_RE.match(s.name.base), s
+            assert not s.name.args and IDENTIFIER_RE.match(s.name.base), s
         assert stratify(o) == o
         code = main(["expand", "--target", target, "--format", "manchester", *corpus])
         text = capsys.readouterr().out
@@ -200,9 +200,9 @@ def test_criterion_6_stratification(corpus_lib, capsys):
         for token in re.findall(r"[A-Za-z0-9_]+", text):
             assert IDENTIFIER_RE.match(token), f"illegal identifier {token!r} in {target}"
     # the specific rewrite from the naming scheme
-    from godp.emit import flatten_name
+    from godp.emit import flat_text
 
-    assert flatten_name(name("greater", "Significance")) == name("greater_Significance")
+    assert flat_text(name("greater", "Significance")) == "greater_Significance"
     _passed(6, "stratification")
 
 

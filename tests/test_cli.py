@@ -578,15 +578,26 @@ def test_the_benchmark_tracer_wraps_every_layer_it_reads(monkeypatch, capsys, tm
     restore = spans.install(rec)
     clash = tmp_path / "clash.gdp"  # a parameter whose frames clash with one before it makes an ontology
     clash.write_text("ontology P [Class: X; Individual: X] = { }\n", encoding="utf-8")
+    corpus = [str(p) for p in corpus_paths()]
     try:
-        code = main(["check", *(str(p) for p in corpus_paths())])
+        code = main(["check", *corpus])
         assert capsys.readouterr() == ("", "")
         assert main(["check", str(clash)]) == 1
+        assert capsys.readouterr() == ("", f"{clash}:1:23: error: kind clash for 'X': Class vs Individual\n")
+        emitted = {}
+        for fmt in ("manchester", "dump"):
+            assert main(["expand", "--target", "GradedRelsSub_Significance", "--format", fmt, *corpus]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            emitted[fmt] = len(out.encode("utf-8"))
     finally:
         restore()
     assert code == 0
-    assert capsys.readouterr() == ("", f"{clash}:1:23: error: kind clash for 'X': Class vs Individual\n")
-    names = {s[spans.NAME] for s in rec.take()}
+    spans_taken = rec.take()
+    names = {s[spans.NAME] for s in spans_taken}
     assert {
         "elaborate.build_library", "instantiate.expand_named", "core.union_flat", "core.make_ontology",
     } <= names
+    # each emitter's span, sized by the bytes it wrote
+    sizes = {s[spans.NAME]: s[spans.INFO] for s in spans_taken if s[spans.NAME].startswith("emit.")}
+    assert sizes == {"emit.emit_manchester": emitted["manchester"], "emit.emit_struct_dump": emitted["dump"]}

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import godp.core
 import godp.emit
 from godp import (
     Instantiation,
@@ -18,8 +19,12 @@ from godp import (
 )
 from godp.core import (
     EMPTY_ONTOLOGY,
+    ClassAssertion,
     DifferentIndividuals,
+    Domain,
+    EquivalentToUnion,
     FittingMorphism,
+    FlatOntology,
     Symbol,
     SymbolKind,
     Transitive,
@@ -28,9 +33,9 @@ from godp.core import (
     name,
 )
 from godp.cli import main
-from godp.diagnostics import StratificationClash, UnstratifiedName
+from godp.diagnostics import GodpError, KindClash, StratificationClash, UnstratifiedName
 from godp.elaborate import build_block
-from godp.emit import IDENTIFIER_RE, flatten_name
+from godp.emit import IDENTIFIER_RE, flat_text
 
 from conftest import GOLDEN, lib_of
 
@@ -47,18 +52,38 @@ def test_stratify_parameterized_name():
     assert {s.name for s in out.signature} == {name("greater_Significance")}
 
 
-def test_stratify_flattens_each_name_once(corpus_lib, monkeypatch):
-    items = tuple(name(f"g{i}") for i in range(48))
+def _graded_rels_sub(lib, items):
     plain = tuple(LocalSymbolArg(name(n)) for n in ("p", "S", "T", "Val"))
-    o = expand(corpus_lib, Instantiation("GradedRelsSub", (*plain, ListArg(items))))
+    return expand(lib, Instantiation("GradedRelsSub", (*plain, ListArg(items))))
+
+
+@pytest.mark.parametrize("run", [
+    stratify, lambda o: emit_manchester(o, flat=True), lambda o: emit_struct_dump(o, flat=True),
+], ids=["stratify", "emit_manchester", "emit_struct_dump"])
+def test_stratify_flattens_each_name_once(corpus_lib, monkeypatch, run):
+    o = _graded_rels_sub(corpus_lib, tuple(name(f"g{i}") for i in range(48)))
     calls = []
-    flatten = godp.emit.flatten_name
-    monkeypatch.setattr(godp.emit, "flatten_name", lambda n: calls.append(n) or flatten(n))
-    out = stratify(o)
+    flatten = godp.emit.flat_text
+    monkeypatch.setattr(godp.emit, "flat_text", lambda n: calls.append(n) or flatten(n))
+    out = run(o)
     assert len(calls) == len(o.signature) == 194
     assert set(calls) == {s.name for s in o.signature}
     monkeypatch.undo()
-    assert out == stratify(o)
+    assert out == run(o)
+
+
+def test_emission_interns_no_name_and_no_symbol(corpus_lib):
+    prefix = "unemitted"
+    while any(base.startswith(prefix) for base, _ in list(godp.core._NAMES)):
+        prefix += "_"
+    o = _graded_rels_sub(corpus_lib, tuple(name(f"{prefix}{i}") for i in range(48)))
+    before = len(godp.core._NAMES), len(godp.core._SYMBOLS)
+    manchester, dump = emit_manchester(o, flat=True), emit_struct_dump(o, flat=True)
+    assert (len(godp.core._NAMES), len(godp.core._SYMBOLS)) == before
+    assert f"p_atLeast_{prefix}0" in manchester and f"p_atLeast_{prefix}0" in dump
+    # what emitting the stratified copy costs: a flat name for each renamed one
+    stratify(o)
+    assert len(godp.core._NAMES) > before[0]
 
 
 def test_a_rename_that_leaves_an_nary_axiom_vacuous_drops_it():
@@ -76,9 +101,19 @@ def test_stratify_plain_name_unchanged():
     assert stratify(o) == o
 
 
+def test_an_axiom_name_outside_the_signature_is_outside_what_emission_accepts():
+    o = FlatOntology({}, frozenset([Transitive(name("p", "a"))]))  # built by hand, not signature-closed
+    for run in (stratify, emit_manchester, emit_struct_dump, lambda o: emit_manchester(o, flat=True)):
+        with pytest.raises(KeyError, match=r"p\[a\]"):
+            run(o)
+    closed = make_ontology([], o.axioms)  # what every builder gives
+    assert closed.kinds == {name("p", "a"): OP}
+    assert emit_struct_dump(closed, flat=True) == "AX Transitive p_a\nSYM ObjectProperty p_a\n"
+
+
 def test_stratify_nested_and_clash():
     nested = name("p", name("a", "b"), name("c"))
-    assert flatten_name(nested) == name("p_a_b_c")
+    assert flat_text(nested) == "p_a_b_c"
     o = make_ontology([Symbol(nested, OP)], [])
     assert {s.name for s in stratify(o).signature} == {name("p_a_b_c")}
     clash = make_ontology([Symbol(nested, OP), Symbol(name("p_a_b_c"), OP)], [])
@@ -90,9 +125,7 @@ def test_stratify_digit_initial_prefix():
     o = make_ontology([Symbol(name("0Insignificant"), IND)], [])
     assert {s.name for s in stratify(o).signature} == {name("_0Insignificant")}
     # embedded occurrences stay guarded by the joining underscore
-    assert flatten_name(name("hasIngredient", "0Insignificant")) == name(
-        "hasIngredient_0Insignificant"
-    )
+    assert flat_text(name("hasIngredient", "0Insignificant")) == "hasIngredient_0Insignificant"
 
 
 def test_stratify_idempotent_on_corpus(corpus_lib):
@@ -123,9 +156,72 @@ _name_terms = st.recursive(
 @settings(max_examples=60)
 @given(_name_terms)
 def test_flatten_idempotent_and_legal(t):
-    flat = flatten_name(t)
-    assert flatten_name(flat) == flat
-    assert IDENTIFIER_RE.match(flat.base)
+    flat = flat_text(t)
+    assert flat_text(name(flat)) == flat
+    assert IDENTIFIER_RE.match(flat)
+
+
+# -- emitting with flat=True is emitting the stratified copy -------------------------
+
+def _outcome(run, o):
+    try:
+        return run(o)
+    except GodpError as e:
+        return type(e), str(e)
+
+
+def assert_flat_emission_is_stratified_emission(o: FlatOntology) -> None:
+    """Both emitters give `o` with `flat=True` the bytes, or the error class
+    and message, that they give `stratify(o)`."""
+    for emit in (emit_manchester, emit_struct_dump):
+        assert _outcome(lambda o: emit(o, flat=True), o) == _outcome(lambda o: emit(stratify(o)), o)
+
+
+def test_flat_emission_is_stratified_emission_on_corpus(corpus_lib):
+    for target in sorted(corpus_lib.zero_param_names()):
+        o = expand_named(corpus_lib, target)
+        assert_flat_emission_is_stratified_emission(o)
+        assert emit_manchester(o, flat=True) == emit_manchester(stratify(o))  # no error on the corpus
+
+
+_drawn_axioms = st.one_of(
+    st.builds(Transitive, _name_terms),
+    st.builds(Domain, _name_terms, _name_terms),
+    st.builds(ClassAssertion, _name_terms, _name_terms),
+    st.builds(EquivalentToUnion, _name_terms, st.lists(_name_terms, max_size=3).map(tuple)),
+    st.builds(DifferentIndividuals, st.lists(_name_terms, max_size=3).map(tuple)),
+)
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(_name_terms, st.sampled_from(list(SymbolKind)), max_size=6), st.lists(_drawn_axioms, max_size=4))
+def test_flat_emission_is_stratified_emission_on_drawn_names(kinds, axioms):
+    try:
+        o = make_ontology([Symbol(n, k) for n, k in kinds.items()], axioms)
+    except KindClash:
+        assume(False)
+    assert_flat_emission_is_stratified_emission(o)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_clash_is_the_same_error_however_it_is_emitted(reverse):
+    symbols = [Symbol(name("p", "a", "b"), OP), Symbol(name("p_a", "b"), OP), Symbol(name("c"), CLS)]
+    o = make_ontology(symbols[::-1] if reverse else symbols, [])
+    message = "stratification maps both 'p[a,b]' and 'p_a[b]' to 'p_a_b'"
+    for run in (stratify, lambda o: emit_manchester(o, flat=True), lambda o: emit_struct_dump(o, flat=True)):
+        assert _outcome(run, o) == (StratificationClash, message)
+    assert_flat_emission_is_stratified_emission(o)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_an_unstratified_name_is_the_least_in_kind_and_name_order(reverse):
+    symbols = [Symbol(name("a", "x"), IND), Symbol(name("z", "y"), CLS), Symbol(name("b"), CLS),
+               Symbol(name("q", "c"), CLS), Symbol(name("p", "z"), OP)]
+    o = make_ontology(symbols[::-1] if reverse else symbols, [])
+    message = "'q[c]' is parameterized; stratify before emitting Manchester output"
+    assert _outcome(emit_manchester, o) == (UnstratifiedName, message)
+    assert emit_manchester(o, flat=True) == emit_manchester(stratify(o))
+    assert "SYM Individual a[x]\n" in emit_struct_dump(o)
 
 
 # -- emit_manchester -------------------------------------------------------------

@@ -89,6 +89,7 @@ from godp.record import replace
 
 from conftest import ERRORS, corpus_paths, lib_of, load_corpus_library, load_library, unresolved
 from test_core import _axioms
+from test_emit import assert_flat_emission_is_stratified_emission
 
 RESERVED = KEYWORDS | set(KIND_KEYWORDS) | FIELD_KEYWORDS | {"DifferentIndividuals", "Transitive", "Reflexive"}
 
@@ -248,6 +249,16 @@ def test_emitted_manchester_reads_back_as_the_same_ontology(frames, axioms):
     back = build_block(parse_frames(text, "<emitted>") if text else ())
     assert back == o
     assert emit_manchester(back) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_frames, max_size=5), st.lists(_axioms, max_size=4))
+def test_flat_emission_of_built_frames_is_emission_of_their_stratified_copy(frames, axioms):
+    try:
+        o = union_flat(build_block(frames), make_ontology([], axioms))
+    except KindClash:
+        return  # frames that build no flat ontology have nothing to emit
+    assert_flat_emission_is_stratified_emission(o)
 
 
 def _substituted(n: NameTerm, name_map: dict) -> NameTerm:
@@ -580,6 +591,12 @@ _built_ontologies = st.one_of(
 def test_kind_index_agrees_with_signature_scan(o):
     for n in _probes:
         assert o.kind_of(n) == _scanned_kind(o, n)
+
+
+@settings(max_examples=100)
+@given(_built_ontologies)
+def test_flat_emission_of_a_built_ontology_is_emission_of_its_stratified_copy(o):
+    assert_flat_emission_is_stratified_emission(o)
 
 
 @settings(max_examples=100)
