@@ -17,8 +17,6 @@ from .core import (
     Symbol,
     SymbolKind,
     Transitive,
-    apply_morphism,
-    axioms_mentioning,
     make_ontology,
     name,
     union_flat,
@@ -50,7 +48,7 @@ __all__ = [
     "Axiom", "ClassAssertion", "DifferentIndividuals", "Domain", "EquivalentToUnion",
     "FittingMorphism", "FlatOntology", "EMPTY_ONTOLOGY", "InverseOf", "NameTerm",
     "Range", "Reflexive", "SubPropertyOf", "Symbol", "SymbolKind", "Transitive",
-    "apply_morphism", "axioms_mentioning", "make_ontology", "name", "union_flat",
+    "make_ontology", "name", "union_flat",
     "Diagnostic", "GodpError", "SourcePos", "render_diagnostics",
     "Library", "PatternDef", "build_library",
     "emit_manchester", "emit_struct_dump", "stratify",

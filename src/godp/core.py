@@ -4,7 +4,7 @@ Each axiom class states the kind of each of its fields once (`Axiom.KINDS`);
 `Axiom` derives from that the references, renaming, canonical form and dump
 fields (each name as a given function writes it) of all of them.
 `Axiom.is_vacuous` says which axioms say nothing (an n-ary one with fewer
-members than its `NARY`); `make_ontology` and `rename_ontology` drop them.
+members than its `NARY`); `make_ontology` drops them.
 
 Names (`NameTerm`) and symbols (`Symbol`) are interned: one object per value,
 however it is built, so `==` on them is identity and hashing costs no Python
@@ -32,7 +32,7 @@ from itertools import filterfalse, repeat
 from operator import attrgetter
 from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
-from .diagnostics import KindClash, UnmappedSymbol
+from .diagnostics import KindClash
 from .record import Record
 
 _set = object.__setattr__
@@ -412,20 +412,6 @@ def union_flat(a: FlatOntology, b: FlatOntology) -> FlatOntology:
     return acc.freeze()
 
 
-def axioms_mentioning(o: FlatOntology, dead: Iterable[Symbol]) -> frozenset[Axiom]:
-    """Exactly the axioms referencing at least one symbol in `dead`."""
-    names = frozenset(s.name for s in dead)
-    return frozenset(a for a in o.axioms if any(n in names for n, _ in a.refs()))
-
-
-def rename_ontology(o: FlatOntology, fn: RenameFn) -> FlatOntology:
-    """Rename every symbol and axiom occurrence, dropping the axioms that
-    renaming left vacuous; kind-clash checked on merge."""
-    kinds = _index_kinds([*zip(map(fn, o.kinds), o.kinds.values())], {})
-    axs = frozenset(a for a in (a.rename(fn) for a in o.axioms) if not a.is_vacuous())
-    return FlatOntology(kinds, axs)
-
-
 # ---------------------------------------------------------------------------
 # Fitting morphisms
 # ---------------------------------------------------------------------------
@@ -447,18 +433,3 @@ class FittingMorphism(Record):
     @staticmethod
     def of(mapping: Mapping[Symbol, Symbol]) -> "FittingMorphism":
         return FittingMorphism(tuple(sorted(mapping.items(), key=lambda p: p[0].key())))
-
-    def domain(self) -> frozenset[Symbol]:
-        return frozenset(src for src, _ in self.pairs)
-
-
-def apply_morphism(m: FittingMorphism, o: FlatOntology) -> FlatOntology:
-    """Rename symbols and all axiom occurrences; m must be total on o.signature."""
-    table = {src.name: dst.name for src, dst in m.pairs}
-    if unmapped := o.signature - m.domain():  # the least, whatever the set's order
-        raise UnmappedSymbol(f"morphism undefined on '{min(unmapped, key=Symbol.key).name.render()}'")
-
-    def fn(n: NameTerm) -> NameTerm:
-        return table.get(n, n)
-
-    return rename_ontology(o, fn)

@@ -74,10 +74,6 @@ class KindClash(GodpError):
     """One name used with two different symbol kinds."""
 
 
-class UnmappedSymbol(GodpError):
-    """A morphism was applied to a symbol outside its domain."""
-
-
 # -- library building --------------------------------------------------------
 
 class UnknownReference(GodpError):

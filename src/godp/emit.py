@@ -32,7 +32,6 @@ from .core import (
     SymbolKind,
     Transitive,
     kind_order,
-    rename_ontology,
 )
 from .diagnostics import StratificationClash, UnstratifiedName
 from .syntax import _HEADERS, FRAME_FIELDS, DifferentIndividualsFrame, field_line
@@ -83,10 +82,12 @@ def _texts(o: FlatOntology, flat: bool, plain: bool = False) -> dict[NameTerm, s
 
 
 def stratify(o: FlatOntology) -> FlatOntology:
-    """Rewrite every name to its flat form by `rename_ontology`. Injective on
-    the signature, so no axiom becomes vacuous."""
-    texts = _texts(o, True)
-    return rename_ontology(o, lambda n: NameTerm(texts[n]))
+    """`o` with every name rewritten to its flat form. `_texts` has raised
+    any clash, so the renaming is injective: no two names or axioms merge,
+    and no axiom becomes vacuous."""
+    flat = dict(zip(o.kinds, map(NameTerm, _texts(o, True).values())))
+    kinds = dict(zip(flat.values(), o.kinds.values()))
+    return FlatOntology(kinds, frozenset(a.rename(flat.__getitem__) for a in o.axioms))
 
 
 def emit_manchester(o: FlatOntology, *, flat: bool = False) -> str:

@@ -28,16 +28,17 @@ from godp.core import (
     Symbol,
     SymbolKind,
     Transitive,
-    apply_morphism,
-    axioms_mentioning,
     make_ontology,
     name,
     union_flat,
 )
-from godp.diagnostics import KindClash, UnmappedSymbol
-from godp.instantiate import Bindings, substitute_name
+from godp.diagnostics import KindClash
+from godp.emit import emit_struct_dump, stratify
+from godp.instantiate import Bindings, elide_optional, expand_named, substitute_name
 from godp.parser import parse_frames
 from godp.record import Record, replace
+
+from conftest import lib_of
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -168,89 +169,66 @@ def test_kind_clash_message_with_several_clashes_is_order_independent():
         assert _clash_message(lambda: make_ontology(order, [])) == expected
 
 
-# -- morphisms -----------------------------------------------------------------
-
-def test_apply_morphism_renames_body():
-    o = transitive_relation_body("p", "C")
-    m = FittingMorphism.of({
-        Symbol(name("p"), OP): Symbol(name("isAncestorOf"), OP),
-        Symbol(name("C"), CLS): Symbol(name("Person"), CLS),
-    })
-    out = apply_morphism(m, o)
-    assert out == transitive_relation_body("isAncestorOf", "Person")
-
-
-def test_identity_morphism_is_noop():
-    o = transitive_relation_body()
-    assert apply_morphism(FittingMorphism.of({s: s for s in o.signature}), o) == o
-
-
-def test_merging_morphism_shrinks_by_dedup():
-    # hand enumeration: {p, q} with Transitive(p), Transitive(q); p,q |-> r
-    o = make_ontology(
-        [Symbol(name("p"), OP), Symbol(name("q"), OP)],
-        [Transitive(name("p")), Transitive(name("q"))],
-    )
-    m = FittingMorphism.of({
-        Symbol(name("p"), OP): Symbol(name("r"), OP),
-        Symbol(name("q"), OP): Symbol(name("r"), OP),
-    })
-    out = apply_morphism(m, o)
-    assert len(out.signature) == 1
-    assert out.axioms == frozenset({Transitive(name("r"))})
-
-
-def test_a_morphism_that_merges_the_members_of_an_nary_axiom_drops_it():
-    a, b, c = name("a"), name("b"), name("c")
-    o = make_ontology([], [DifferentIndividuals((a, b)), ClassAssertion(name("C"), a)])
-    m = FittingMorphism.of({Symbol(a, IND): Symbol(c, IND), Symbol(b, IND): Symbol(c, IND),
-                            Symbol(name("C"), CLS): Symbol(name("C"), CLS)})
-    out = apply_morphism(m, o)
-    assert out.axioms == frozenset({ClassAssertion(name("C"), c)})
-    assert out == make_ontology(out.signature, [DifferentIndividuals((c, c)), ClassAssertion(name("C"), c)])
-
-
-def test_morphism_must_be_total():
-    o = transitive_relation_body()
-    m = FittingMorphism.of({Symbol(name("r"), OP): Symbol(name("s"), OP)})
-    with pytest.raises(UnmappedSymbol):
-        apply_morphism(m, o)
-
-
-def test_an_unmapped_symbol_is_the_least_however_the_symbols_were_allocated():
-    """`apply_morphism` names the least unmapped symbol by `Symbol.key`, not
-    the first of a set whose order follows where the symbols were allocated."""
-    for i in range(20):
-        padding = [object() for _ in range(i)]  # held while the fresh symbols are allocated, to shift them
-        o = make_ontology([Symbol(name(f"{c}{i}"), CLS) for c in "EDCBA"], [])
-        m = FittingMorphism.of({Symbol(name(f"E{i}"), CLS): Symbol(name(f"E{i}"), CLS)})
-        with pytest.raises(UnmappedSymbol) as exc:
-            apply_morphism(m, o)
-        assert exc.value.message == f"morphism undefined on 'A{i}'"
-
+# -- fitting morphisms, and fits that merge names -------------------------------
 
 def test_morphism_kind_preserving():
     with pytest.raises(KindClash):
         FittingMorphism.of({Symbol(name("p"), OP): Symbol(name("C"), CLS)})
 
 
-def test_morphism_composition():
-    o = transitive_relation_body("p", "C")
-    m1 = FittingMorphism.of({
-        Symbol(name("p"), OP): Symbol(name("q"), OP),
-        Symbol(name("C"), CLS): Symbol(name("D"), CLS),
-    })
-    m2 = FittingMorphism.of({
-        Symbol(name("q"), OP): Symbol(name("s"), OP),
-        Symbol(name("D"), CLS): Symbol(name("D"), CLS),
-    })
-    lhs = apply_morphism(m2, apply_morphism(m1, o))
-    after = dict(m2.pairs)
-    rhs = apply_morphism(FittingMorphism.of({src: after[dst] for src, dst in m1.pairs}), o)
-    assert lhs == rhs
+_MERGING = """\
+ontology P [Individual: a; Individual: b] = { Individual: a DifferentFrom: b }
+ontology U = P[c; c]
+ontology V = P[c; d]
+ontology Q [Individual: a; Individual: b] = { Class: C Individual: a Types: C DifferentFrom: b }
+ontology T = Q[c; c]
+ontology R [ObjectProperty: p; ObjectProperty: q] =
+  { ObjectProperty: p Characteristics: Transitive ObjectProperty: q Characteristics: Transitive }
+ontology W = R[r; r]
+"""
 
 
-# -- axioms_mentioning ------------------------------------------------------------
+def test_fits_that_merge_two_properties_dedupe_their_axioms():
+    out = expand_named(lib_of(_MERGING), "W")
+    assert len(out.kinds) == 1
+    assert out.axioms == frozenset({Transitive(name("r"))})
+
+
+def test_a_fit_that_merges_the_members_of_an_nary_axiom_drops_it():
+    lib, c, d = lib_of(_MERGING), name("c"), name("d")
+    out = expand_named(lib, "U")
+    assert emit_struct_dump(out) == "SYM Individual c\n"
+    assert out == make_ontology([Symbol(c, IND)], [DifferentIndividuals((c, c))])
+    assert expand_named(lib, "V") == make_ontology([], [DifferentIndividuals((c, d))])
+    assert expand_named(lib, "T").axioms == frozenset({ClassAssertion(name("C"), c)})
+
+
+_FITS = """\
+ontology TR [ObjectProperty: r; Class: C] = { ObjectProperty: r Domain: C Range: C Characteristics: Transitive }
+ontology A = TR[isAncestorOf; Person]
+ontology I = TR[r; C]
+ontology Q [ObjectProperty: q; Class: D] = TR[q; D]
+ontology S = Q[s; D]
+ontology S2 = TR[s; D]
+"""
+
+
+def test_a_fit_renames_the_body():
+    out = expand_named(lib_of(_FITS), "A")
+    assert out == transitive_relation_body("isAncestorOf", "Person")
+
+
+def test_a_fit_of_each_parameter_to_itself_is_the_body():
+    assert expand_named(lib_of(_FITS), "I") == transitive_relation_body()
+
+
+def test_fits_compose():
+    """TR fitted by (r ↦ q, C ↦ D), then by (q ↦ s, D ↦ D), is TR fitted by the composite."""
+    lib = lib_of(_FITS)
+    assert expand_named(lib, "S") == expand_named(lib, "S2") == transitive_relation_body("s", "D")
+
+
+# -- elision: one rule, `core._dead_in` -------------------------------------------
 
 def valset_like_body():
     """Hand-built stand-in for the ordered value-set body over greater[Val]."""
@@ -267,24 +245,24 @@ def valset_like_body():
     )
 
 
-def test_axioms_mentioning_order_relation():
+_ORDER = frozenset({
+    Transitive(name("greater", "Val")),
+    Domain(name("greater", "Val"), name("Val")),
+    Range(name("greater", "Val"), name("Val")),
+})
+
+
+@pytest.mark.parametrize("dead, elided", [
+    pytest.param(lambda o: {Symbol(name("greater", "Val"), OP)}, lambda o: _ORDER, id="order_relation"),
+    pytest.param(lambda o: set(), lambda o: frozenset(), id="empty_dead_set"),
+    pytest.param(lambda o: o.signature, lambda o: o.axioms, id="whole_signature"),
+])
+def test_elision_drops_exactly_the_axioms_that_mention_a_dead_name(dead, elided):
     o = valset_like_body()
-    gt = Symbol(name("greater", "Val"), OP)
-    hits = axioms_mentioning(o, {gt})
-    assert hits == frozenset({
-        Transitive(name("greater", "Val")),
-        Domain(name("greater", "Val"), name("Val")),
-        Range(name("greater", "Val"), name("Val")),
-    })
-
-
-def test_axioms_mentioning_empty_dead_set():
-    assert axioms_mentioning(valset_like_body(), set()) == frozenset()
-
-
-def test_axioms_mentioning_whole_signature():
-    o = valset_like_body()
-    assert axioms_mentioning(o, o.signature) == o.axioms
+    out = elide_optional(o, dead(o))
+    assert o.axioms - out.axioms == elided(o)
+    assert out.axioms <= o.axioms
+    assert validate_closure(out)
 
 
 # -- canonicalization ----------------------------------------------------------
@@ -475,26 +453,27 @@ def test_union_properties(a, b, c):
     assert union_flat(union_flat(a, b), c) == union_flat(a, union_flat(b, c))
 
 
+def _wrapped(o):
+    """`o` with each name `n` wrapped as `w[n]`, which `stratify` writes `w_n`."""
+    return make_ontology([], [a.rename(lambda n: name("w", n)) for a in o.axioms])
+
+
 @settings(max_examples=60)
 @given(_ontologies)
 def test_signature_closure_after_union_and_rename(o):
     assert validate_closure(o)
     assert validate_closure(union_flat(o, transitive_relation_body("p1", "C1")))
-    m = FittingMorphism.of({s: s for s in o.signature})
-    assert validate_closure(apply_morphism(m, o))
+    assert validate_closure(stratify(_wrapped(o)))
 
 
 @settings(max_examples=60)
 @given(_ontologies)
-def test_morphism_never_increases_axiom_count(o):
-    # collapse everything onto one symbol per kind
-    m = FittingMorphism.of({
-        s: Symbol(name({CLS: "C1", OP: "p1", IND: "i1"}[s.kind]), s.kind)
-        for s in o.signature
-    })
-    out = apply_morphism(m, o)
-    assert len(out.axioms) <= len(o.axioms)
-    inj = FittingMorphism.of({
-        s: Symbol(name(s.name.base + "_x"), s.kind) for s in o.signature
-    })
-    assert len(apply_morphism(inj, o).axioms) == len(o.axioms)
+def test_a_renaming_never_adds_axioms_and_stratify_keeps_their_count(o):
+    # collapse everything onto one name per kind
+    one = {CLS: name("C1"), OP: name("p1"), IND: name("i1")}
+    collapsed = make_ontology([], [a.rename(lambda n: one[o.kinds[n]]) for a in o.axioms])
+    assert len(collapsed.axioms) <= len(o.axioms)
+    # injective, since a clash is an error: no two axioms merge and none becomes vacuous
+    out = stratify(_wrapped(o))
+    assert {n.render() for n in out.kinds} == {f"w_{n.render()}" for n in o.kinds}
+    assert len(out.axioms) == len(o.axioms)

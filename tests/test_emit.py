@@ -23,12 +23,10 @@ from godp.core import (
     DifferentIndividuals,
     Domain,
     EquivalentToUnion,
-    FittingMorphism,
     FlatOntology,
     Symbol,
     SymbolKind,
     Transitive,
-    apply_morphism,
     make_ontology,
     name,
 )
@@ -86,11 +84,11 @@ def test_emission_interns_no_name_and_no_symbol(corpus_lib):
     assert len(godp.core._NAMES) > before[0]
 
 
-def test_a_rename_that_leaves_an_nary_axiom_vacuous_drops_it():
-    a, b, c = name("a"), name("b"), name("c")
-    m = FittingMorphism.of({Symbol(a, IND): Symbol(c, IND), Symbol(b, IND): Symbol(c, IND)})
-    o = stratify(apply_morphism(m, make_ontology([], [DifferentIndividuals((a, b))])))
-    assert o == make_ontology([Symbol(c, IND)], [])
+def test_a_fit_that_leaves_an_nary_axiom_vacuous_drops_it():
+    lib = lib_of("ontology P [Individual: a; Individual: b] = { Individual: a DifferentFrom: b }\n"
+                 "ontology U = P[c; c]\n")
+    o = stratify(expand_named(lib, "U"))
+    assert o == make_ontology([Symbol(name("c"), IND)], [])
     text = emit_manchester(o)
     assert text == "Individual: c\n"
     assert build_block(parse_frames(text, "<emitted>")) == o

@@ -57,7 +57,6 @@ from godp.core import (
     Transitive,
     make_ontology,
     name,
-    rename_ontology,
     union_flat,
 )
 from godp.diagnostics import GodpError, KindClash, SourcePos, StratificationClash, UnknownReference
@@ -581,7 +580,7 @@ _built_ontologies = st.one_of(
         lambda sig, i, j: union_flat(make_ontology(sig[:i], []), FlatOntology(_kinds(sig[j:]), frozenset())),
         _signatures, st.integers(0, 5), st.integers(0, 5),
     ),
-    _signatures.map(lambda sig: rename_ontology(make_ontology(sig, []), _wrapped)),
+    _signatures.map(lambda sig: make_ontology([Symbol(_wrapped(s.name), s.kind) for s in sig], [])),
     st.builds(lambda sig, i: elide_optional(make_ontology(sig, []), sig[:i]), _signatures, st.integers(0, 5)),
 )
 
