@@ -9,8 +9,9 @@ frame field from `_FIELD_AXIOMS`.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Accumulator,
@@ -34,13 +35,12 @@ from .record import Record, field
 from .syntax import _HEADERS, FRAME_FIELDS, Frame
 
 
-class ListVar(NamedTuple):
+class ListVar(namedtuple("ListVar", "name up")):
     """A list parameter's tail in a comma list of a clause body: a block's
     field or a list argument's item or `::` tail. `up` counts the definitions
     out to the one whose parameter it is, as `elaborate.Call.up` does."""
 
-    name: str
-    up: int
+    __slots__ = ()
 
 
 def _not_a_list(tail: str, pos: SourcePos | None) -> UnknownReference:

@@ -5,14 +5,15 @@
                 [--depth N] [-o OUT] FILES...
     godp list FILES...
 
-Exit codes: 0 success, 1 semantic/parse error, 2 I/O or usage error (an input
-file that is not valid UTF-8 is an I/O error).
-Diagnostics go to stderr in `file:line:col: severity: message` form; payload
-goes to stdout or `-o`. The GODP_DEPTH environment variable overrides the
-default expansion depth of `check` and `expand`; an explicit --depth wins
-over both. A command runs with the cyclic collector suspended, restored as it
-was on every exit: what it makes holds no reference cycle but the formatter of
-an argparse usage message, which the next collection frees.
+Exit codes: 0 success, 1 semantic/parse error, 2 I/O or usage error (so is
+an input that is not UTF-8, or a stdout pipe whose reader has gone).
+Diagnostics go to stderr in `file:line:col: severity: message` form, naming
+a file as given; payload goes to stdout or `-o`. The GODP_DEPTH environment
+variable overrides the default expansion depth of `check` and `expand`; an
+explicit --depth wins over both. A command runs with the cyclic collector
+suspended, restored as it was on every exit: what it makes holds no reference
+cycle but the formatter of an argparse usage message, which the next
+collection frees.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import gc
 import os
 import sys
 from _thread import allocate_lock
-from pathlib import Path
 
 from .diagnostics import GodpError, render_diagnostics
 from .elaborate import Library, build_library
@@ -52,14 +52,14 @@ def _default_depth() -> int | None:
 def _read_library(inputs: list[str]) -> Library:
     """Concatenate the input files into one library namespace, in order."""
     items: list[PatternDefAst] = []
-    for path in map(Path, inputs):
+    for name in inputs:
         try:
-            # no newline translation, so positions match parse_library on the same text
-            text = path.read_bytes().decode("utf-8")
+            with open(name, "rb") as f:  # no newline translation: positions match parse_library's
+                text = f.read().decode("utf-8")
         except UnicodeDecodeError as e:
             # an unreadable input file, reported like the other I/O errors
-            raise OSError(f"{path}: not valid UTF-8 ({e.reason} at byte {e.start})") from None
-        ast = parse_library(text.removeprefix("\ufeff"), str(path))  # one byte-order mark
+            raise OSError(f"{name}: not valid UTF-8 ({e.reason} at byte {e.start})") from None
+        ast = parse_library(text.removeprefix("\ufeff"), name)  # one byte-order mark
         items.extend(ast.items)
     return build_library(LibraryAst(tuple(items)))
 
@@ -95,7 +95,8 @@ def run_expand(ns: argparse.Namespace) -> int:
         e.ensure_pos(target.pos)  # the emitters know no position
         raise
     if ns.out:
-        Path(ns.out).write_text(payload, encoding="utf-8")
+        with open(ns.out, "w", encoding="utf-8") as f:
+            f.write(payload)
     else:
         sys.stdout.write(payload)
     return 0
@@ -152,12 +153,13 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write(f"godp: {option} must be at least 1\n")
                 return 2
         try:
-            if ns.command == "check":
-                return run_check(ns)
-            if ns.command == "expand":
-                return run_expand(ns)
-            return run_list(ns)
+            code = {"check": run_check, "expand": run_expand, "list": run_list}[ns.command](ns)
+            sys.stdout.flush()  # so a closed pipe fails here, as an unbuffered stdout does, not at exit
+            return code
         except OSError as e:
+            if isinstance(e, BrokenPipeError):  # what stays unwritten goes nowhere at the interpreter's last flush
+                os.dup2(null := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                os.close(null)
             sys.stderr.write(f"godp: {e}\n")
             return 2
         except GodpError as e:

@@ -27,10 +27,10 @@ one merge point, `union_flat` included, and `freeze` hands out a value.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Container, Iterable, Iterator, Mapping
 from enum import Enum
 from itertools import filterfalse, repeat
 from operator import attrgetter
-from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
 from .diagnostics import KindClash
 from .record import Record

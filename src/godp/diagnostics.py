@@ -8,20 +8,22 @@ inside the offending input.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .record import Record
 
 
-class SourcePos(NamedTuple):
+class SourcePos(namedtuple("SourcePos", "file line col")):
     """A 1-based (line, column) position in a named input."""
 
-    file: str
-    line: int
-    col: int
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
+
+
+_NOWHERE = SourcePos("<input>", 1, 1)  # where the diagnostic of an error without a position points
 
 
 class Diagnostic(Record):
@@ -53,9 +55,8 @@ class GodpError(Exception):
         if self.pos is None and pos is not None:
             self.pos = pos
 
-    def to_diagnostic(self, fallback_file: str = "<input>") -> Diagnostic:
-        pos = self.pos if self.pos is not None else SourcePos(fallback_file, 1, 1)
-        return Diagnostic(self.severity, self.message, pos)
+    def to_diagnostic(self) -> Diagnostic:
+        return Diagnostic(self.severity, self.message, self.pos or _NOWHERE)
 
 
 # -- syntax-level ------------------------------------------------------------

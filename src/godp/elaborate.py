@@ -38,8 +38,8 @@ compiled into when they are first read.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from operator import attrgetter, itemgetter
-from typing import Mapping, Sequence, Union
 
 from .blocks import BlockTemplate, ListVar, _compiled, _no_tails, _not_a_list, build_block, compile_names
 from .core import Axiom, FlatOntology, NameTerm, Symbol, make_ontology, union_flat
@@ -130,7 +130,7 @@ class Call(Record):
 
 
 # a resolved expression; a tuple is a `then` chain
-Expr = Union[Call, BlockTemplate, tuple]
+Expr = Call | BlockTemplate | tuple
 
 
 # -- argument forms ----------------------------------------------------------------
@@ -178,7 +178,7 @@ class _ExprArg(Record):
     pos: SourcePos | None = _POS
 
 
-ArgumentForm = Union[NamedOntologyArg, AnonymousArg, LocalSymbolArg, EmptyOptArg, ListArg]
+ArgumentForm = NamedOntologyArg | AnonymousArg | LocalSymbolArg | EmptyOptArg | ListArg
 
 _LIST_FITS = "fit maps are not allowed on list arguments"
 _EMPTY_FITS = "fit maps are meaningless on an empty argument"

@@ -64,8 +64,9 @@ and independent expansions can run concurrently.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .blocks import BlockTemplate, ListVar, _splice, compile_names, fill_block, fill_names
 from .core import (
@@ -151,15 +152,13 @@ def is_placeholder(n: NameTerm) -> bool:
 # Engine context
 # ---------------------------------------------------------------------------
 
-class _Memo(NamedTuple):
+class _Memo(namedtuple("_Memo", "ontology need error", defaults=(None,))):
     """A finished closed expansion, or one that failed with `error`, kept
     under its qual; one that failed with a DepthExceeded is kept under
     `(qual, depth)`. `need` is the least depth that gives it again: its own
     ticks, or more where a closed expansion it reached needs more."""
 
-    ontology: FlatOntology | None
-    need: int
-    error: tuple[type, str, SourcePos | None] | None = None
+    __slots__ = ()
 
 
 class _Ctx(Record, frozen=False):

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Callable, Iterator
 from itertools import repeat
-from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .core import NameTerm, SymbolKind
 from .diagnostics import LexError, ParseError, SourcePos
@@ -85,12 +85,10 @@ CHARACTERISTICS = {"Transitive", "Reflexive"}
 # accepts; deeper input is a ParseError, never an interpreter recursion error.
 MAX_NESTING = 100
 
-_T = TypeVar("_T")
-
 FRAME_WORDS = {*KIND_KEYWORDS, "DifferentIndividuals"}  # each starts a frame before a colon
 
 # builds a SourcePos from a tuple of its fields without the Python frame of
-# the NamedTuple constructor
+# the namedtuple's `__new__`
 _new = tuple.__new__
 
 
@@ -182,7 +180,7 @@ class _Parser:
 
     # -- token access ------------------------------------------------------
 
-    def fail(self, what: str) -> NoReturn:
+    def fail(self, what: str):
         """Raise `expected <what>, got <the current token>` at that token."""
         i = self.i
         raise ParseError(f"expected {what}, got {self.values[i] or self.kinds[i]!r}", self.pos(i))
@@ -219,7 +217,7 @@ class _Parser:
         self.depth -= 1
         return NameTerm(base, args)
 
-    def _sep_list(self, parse: Callable[[], _T], sep: str = ",") -> tuple[_T, ...]:
+    def _sep_list(self, parse: Callable, sep: str = ",") -> tuple:
         """One or more of what `parse` reads, separated by `sep` tokens: a
         comma list by default."""
         items = [parse()]

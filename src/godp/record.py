@@ -14,27 +14,29 @@ A class may define its own `__init__`, to compute or check a field; it sets
 its fields with `object.__setattr__`. A frozen one may define its own
 `__hash__`, consistent with `==`, for a field that has no hash. It may also
 name in `__slots__` attributes that are not fields.
+
+`field`, like godp's other plain tuples, is a `collections.namedtuple`, so
+importing godp needs neither `dataclasses` nor `typing`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple
 
 _MISSING = object()
 
 
-class field(NamedTuple):
+class field(namedtuple("field", "default factory compare", defaults=(_MISSING, None, True))):
     """A field's `default`, or the `factory` that makes one for each instance;
     with `compare=False` the field is not part of the value, so `==`, `hash`
     and `repr` leave it out."""
 
-    default: Any = _MISSING
-    factory: Callable[[], Any] | None = None
-    compare: bool = True
+    __slots__ = ()
 
 
-def _refuse(self, attr: str, value: Any = None) -> None:
+def _refuse(self, attr: str, value: object = None) -> None:
     from dataclasses import FrozenInstanceError  # on this path only: it costs more than every record class
 
     raise FrozenInstanceError(f"cannot assign to or delete field {attr!r} of a frozen {type(self).__name__}")
@@ -44,7 +46,7 @@ def _hash(self) -> int:
     return hash(self._key(self))
 
 
-def _constructor(setters: tuple) -> Callable[..., None]:
+def _constructor(setters: tuple) -> Callable:
     """The `__init__` that fills a record's slots, in field order, through
     their `setters`, which neither look a name up nor meet a frozen
     `__setattr__`. Up to three fields, as the records built most often have,
@@ -54,14 +56,14 @@ def _constructor(setters: tuple) -> Callable[..., None]:
     if n == 1:
         (s0,) = setters
 
-        def __init__(self, *args: Any, **kwargs: Any) -> None:
+        def __init__(self, *args: object, **kwargs: object) -> None:
             if kwargs or len(args) != 1:
                 args = self._bind(args, kwargs)
             s0(self, args[0])
     elif n == 2:
         s0, s1 = setters
 
-        def __init__(self, *args: Any, **kwargs: Any) -> None:
+        def __init__(self, *args: object, **kwargs: object) -> None:
             if kwargs or len(args) != 2:
                 args = self._bind(args, kwargs)
             s0(self, args[0])
@@ -69,14 +71,14 @@ def _constructor(setters: tuple) -> Callable[..., None]:
     elif n == 3:
         s0, s1, s2 = setters
 
-        def __init__(self, *args: Any, **kwargs: Any) -> None:
+        def __init__(self, *args: object, **kwargs: object) -> None:
             if kwargs or len(args) != 3:
                 args = self._bind(args, kwargs)
             s0(self, args[0])
             s1(self, args[1])
             s2(self, args[2])
     else:
-        def __init__(self, *args: Any, **kwargs: Any) -> None:
+        def __init__(self, *args: object, **kwargs: object) -> None:
             if kwargs or len(args) != n:
                 args = self._bind(args, kwargs)
             for set_field, value in zip(setters, args):
@@ -144,7 +146,7 @@ class Record(metaclass=_RecordType, frozen=False):
         return type(self), self._values(self)
 
 
-def replace(record: Record, /, **changes: Any) -> Any:
+def replace(record: Record, /, **changes: object) -> Record:
     """A copy of `record` with `changes` to some of its fields."""
     values = [changes.pop(f, v) for f, v in zip(record._fields, record._values(record))]
     if changes:

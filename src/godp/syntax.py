@@ -10,7 +10,7 @@ its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .core import NameTerm, SymbolKind
 from .diagnostics import SourcePos
@@ -51,7 +51,7 @@ class DifferentIndividualsFrame(Record):
     pos: SourcePos = _POS
 
 
-Frame = Union[ClassFrame, ObjectPropertyFrame, IndividualFrame, DifferentIndividualsFrame]
+Frame = ClassFrame | ObjectPropertyFrame | IndividualFrame | DifferentIndividualsFrame
 
 # Each frame's `Word:` fields, keyword -> attribute, in layout order; a
 # DifferentIndividuals frame is its header's list. Every field but
@@ -96,9 +96,6 @@ class ListArgAst(Record):
     tail: NameTerm | None = None
 
 
-ArgValue = Union[MissingArg, EmptyArg, ListArgAst, "ExprAst"]
-
-
 class ArgAst(Record):
     value: ArgValue
     fits: tuple[tuple[NameTerm, NameTerm], ...] = ()
@@ -112,11 +109,12 @@ class InstExpr(Record):
 
 
 class ThenExpr(Record):
-    terms: tuple["ExprAst", ...]
+    terms: tuple[ExprAst, ...]
     pos: SourcePos = _POS
 
 
-ExprAst = Union[BlockExpr, RefExpr, InstExpr, ThenExpr]
+ExprAst = BlockExpr | RefExpr | InstExpr | ThenExpr
+ArgValue = MissingArg | EmptyArg | ListArgAst | ExprAst
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ class ListTemplate(Record):
         return n >= len(self.heads) if self.heads else n == 0
 
 
-ParamPayload = Union[FramesParam, ListTemplate]
+ParamPayload = FramesParam | ListTemplate
 
 
 class ParamClauseAst(Record):

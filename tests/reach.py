@@ -37,13 +37,11 @@ SEED = 7
 
 ENTRY = "a public entry that ROADMAP item 21 keeps"
 VALUE = "the value protocol"
-ERROR = "an error path that tests reach"
 PRETTY = "the pretty-printer used for round trips"
 SPANS = "read by bench/spans.py"
 
 # Each function that no run reaches, by qualified name, and why it stays.
 KEEP = {
-    "blocks._not_a_list": ERROR,
     "core.Axiom.canonical": ENTRY,  # make_ontology's
     "core.Axiom.is_vacuous": ENTRY,  # make_ontology's
     "core.FittingMorphism.__init__": ENTRY,  # what derive_fitting returns
@@ -58,7 +56,6 @@ KEEP = {
     "core._Interned.__setattr__": VALUE,
     "core.make_ontology": SPANS,
     "core.name": ENTRY,
-    "elaborate._check_clause_compatibility.disagree": ERROR,
     "emit.stratify": SPANS,
     "instantiate._entry_form": ENTRY,  # expand's and derive_fitting's
     "instantiate.check_compatibility": ENTRY,
@@ -70,7 +67,6 @@ KEEP = {
     "instantiate.substitute_name": ENTRY,
     "parser.Tokens.__iter__": VALUE,
     "parser.Tokens.__len__": SPANS,
-    "parser._Parser.fail": ERROR,
     "parser.parse_frames": ENTRY,
     "record.Record.__reduce__": VALUE,
     "record.Record.__repr__": VALUE,

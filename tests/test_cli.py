@@ -198,17 +198,42 @@ def test_expand_generic_target_is_an_error(capsys):
     assert "generic" in err
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_module_that_godp_does_not_run():
     """A start-up gate that counts modules, not milliseconds, so it gives the
     same answer on any machine: `dataclasses`, which imports `inspect`, cost
-    as much start-up as all of godp's own modules."""
+    as much start-up as all of godp's own modules, and `typing` and `pathlib`
+    (which imports `urllib.parse` and `ipaddress`) about a third of the
+    import. Without `-S`, `site` may load any of them from a `.pth` file."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    probe = "import sys, godp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unused = {"dataclasses", "inspect", "typing", "pathlib", "urllib", "ipaddress"}
+    probe = f"import sys, godp.cli; print(sorted({unused!r} & set(sys.modules)))"
     done = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("command", [["list"], ["expand", "--target", "PersonRels"]])
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_a_closed_stdout_pipe_exits_two_with_one_line(command, unbuffered):
+    """Buffered, the write to a pipe whose reader is gone fails only when
+    stdout is flushed; `main` flushes it, so the error is the command's own,
+    and what stays unwritten cannot fail the interpreter's flush at exit."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "godp", *command, *corpus_args()], env={**env, "PYTHONPATH": path},
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, b"godp: [Errno 32] Broken pipe\n")
 
 
 _GENERIC_P = "ontology P [Class: C] = { Class: C }\n"

@@ -6,9 +6,13 @@ the working directory and relative paths:
 
 - `list`, `check` and `check --depth 20` over `corpus/`, and over `corpus/`
   plus each `corpus/errors/` file;
-- `check` of each `corpus/errors/` file alone;
+- `check` of each `corpus/errors/` file alone, and of each `tests/errors/`
+  file alone: the front end's errors and the build's, which no expansion
+  reaches;
 - `expand` of every definition of `corpus/` in both formats, with and
-  without `--no-stratify`.
+  without `--no-stratify`;
+- a few runs whose file names are not clean (`./`, `//`, a missing file, an
+  `-o` file in a missing directory): a diagnostic names a file as given.
 
 A change that alters any of these outputs on purpose regenerates the table
 with
@@ -44,19 +48,30 @@ TABLE = ROOT / "tests" / "golden" / "cli_bytes.json"
 
 def _invocations() -> list[list[str]]:
     corpus = sorted((ROOT / "corpus").glob("*.gdp"))
-    errors = [p.relative_to(ROOT).as_posix() for p in sorted((ROOT / "corpus" / "errors").glob("*.gdp"))]
+    errors = _relative((ROOT / "corpus" / "errors").glob("*.gdp"))
     targets = sorted(_read_library([str(p) for p in corpus]).defs)
-    corpus = [p.relative_to(ROOT).as_posix() for p in corpus]
+    corpus = _relative(corpus)
     runs = []
     for files in [corpus] + [corpus + [e] for e in errors]:
         for command in (["list"], ["check"], ["check", "--depth", "20"]):
             runs.append(command + files)
-    runs.extend(["check", e] for e in errors)
+    runs.extend(["check", e] for e in errors + _relative((ROOT / "tests" / "errors").glob("*.gdp")))
     for target in targets:
         for fmt in ("manchester", "dump"):
             for stratify in ([], ["--no-stratify"]):
                 runs.append(["expand", "--target", target, "--format", fmt, *stratify, *corpus])
+    runs += [
+        ["check", "./tests/errors/lex_error.gdp"],
+        ["check", "tests//errors/not_utf8.gdp"],
+        ["check", "./missing.gdp"],
+        ["expand", "--target", "PersonRels", "-o", "./no/such/dir/out.omn", *corpus],
+    ]
     return runs
+
+
+def _relative(paths) -> list[str]:
+    """`paths`, sorted, relative to the repository root."""
+    return [p.relative_to(ROOT).as_posix() for p in sorted(paths)]
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
