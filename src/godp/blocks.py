@@ -25,7 +25,6 @@ from .core import (
     Range,
     Reflexive,
     SubPropertyOf,
-    Symbol,
     Transitive,
     _sorted_set,
     make_ontology,
@@ -213,7 +212,7 @@ def fill_block(plan: tuple, runs: Sequence, acc: Accumulator) -> None:
     if not clash:
         return acc.merge(kinds, axioms)
     try:  # make_ontology raises the clash, named as it always has been
-        make_ontology([Symbol(vals[s], k) for s, k in symbols], axioms)
+        make_ontology([(vals[s], k) for s, k in symbols], axioms)
     except GodpError as e:
         e.ensure_pos(frame_pos)
         raise

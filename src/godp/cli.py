@@ -110,9 +110,17 @@ def run_list(ns: argparse.Namespace) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file=None) -> None:
+        """Write as argparse does, but let an OSError such as a closed
+        pipe's through, which argparse drops from Python 3.11 on."""
+        if message:
+            (file or sys.stderr).write(message)
+
+
 @functools.cache  # one per process: building it costs ten times parsing with it
 def _argparser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="godp", description="Generic ontology design patterns")
+    parser = _ArgumentParser(prog="godp", description="Generic ontology design patterns")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="parse, build, and dry-expand a library")
@@ -132,6 +140,19 @@ def _argparser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(ns: argparse.Namespace) -> int:
+    if ns.command != "list":  # the commands that expand
+        option = "--depth"
+        if ns.depth is None:
+            ns.depth, option = _default_depth(), "GODP_DEPTH"
+            if ns.depth is None:
+                return 2
+        if ns.depth < 1:
+            sys.stderr.write(f"godp: {option} must be at least 1\n")
+            return 2
+    return {"check": run_check, "expand": run_expand, "list": run_list}[ns.command](ns)
+
+
 def main(argv: list[str] | None = None) -> int:
     enabled = False
     try:  # so an interrupt that lands after the disable still meets the `finally`
@@ -139,21 +160,12 @@ def main(argv: list[str] | None = None) -> int:
             enabled = gc.isenabled()
             gc.disable()
         try:
-            ns = _argparser().parse_args(argv)
-        except SystemExit as e:
-            return 2 if e.code not in (0, None) else 0
-
-        if ns.command != "list":  # the commands that expand
-            option = "--depth"
-            if ns.depth is None:
-                ns.depth, option = _default_depth(), "GODP_DEPTH"
-                if ns.depth is None:
-                    return 2
-            if ns.depth < 1:
-                sys.stderr.write(f"godp: {option} must be at least 1\n")
-                return 2
-        try:
-            code = {"check": run_check, "expand": run_expand, "list": run_list}[ns.command](ns)
+            try:
+                ns = _argparser().parse_args(argv)
+            except SystemExit as e:  # after argparse's usage error or help
+                code = 2 if e.code not in (0, None) else 0
+            else:
+                code = _run(ns)
             sys.stdout.flush()  # so a closed pipe fails here, as an unbuffered stdout does, not at exit
             return code
         except OSError as e:

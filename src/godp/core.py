@@ -6,19 +6,22 @@ fields (each name as a given function writes it) of all of them.
 `Axiom.is_vacuous` says which axioms say nothing (an n-ary one with fewer
 members than its `NARY`); `make_ontology` drops them.
 
-Names (`NameTerm`) and symbols (`Symbol`) are interned: one object per value,
-however it is built, so `==` on them is identity and hashing costs no Python
-call. Their tables live for the process and hold each distinct name and
-symbol once. Expansion makes no `Symbol`, and the emitters of `godp.emit`
-make neither a name nor a symbol: they write each name as text.
+Names (`NameTerm`) are interned: one object per value, however it is built,
+so `==` on them is identity and hashing costs no Python call. Their table,
+`_NAMES`, lives for the process and holds each distinct name once. It is
+godp's one intern table. A symbol (`Symbol`) is a plain `(name, kind)`
+namedtuple: equal to that pair, an item of a `kinds` map, and hashed as it
+is. Expansion makes no `Symbol`, and the emitters of `godp.emit` make
+neither a name nor a symbol: they write each name as text.
 
 All values are immutable; operations are pure functions, so everything here is
 safe to share across threads. A flat ontology is its signature, held as a
 name -> kind map (`kinds`: under Same Name - Same Thing a name has one kind),
-and its axioms; its `Symbol`s are made only when `signature` is read. It
-keeps its axiom set canonical (see `Axiom.canonical`) and signature-closed:
-every name occurring in an axiom is in `kinds`, with the kind it has there.
-Its map is never mutated once it is built.
+and its axioms; `signature` is the set of that map's items, as `Symbol`s,
+made only when it is read. It keeps its axiom set canonical (see
+`Axiom.canonical`) and signature-closed: every name occurring in an axiom is
+in `kinds`, with the kind it has there. Its map is never mutated once it is
+built.
 
 The one mutable thing, an `Accumulator`, is a flat ontology under
 construction, private to the expansion that writes it; its `merge` is the
@@ -27,10 +30,10 @@ one merge point, `union_flat` included, and `freeze` hands out a value.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Collection, Container, Iterable, Iterator, Mapping
 from enum import Enum
 from itertools import filterfalse, repeat
-from operator import attrgetter
 
 from .diagnostics import KindClash
 from .record import Record
@@ -53,50 +56,44 @@ def kind_order(kind: SymbolKind) -> int:
     return _KIND_ORDER[kind]
 
 
-class _Interned:
-    """Base of the hash-consed value classes. Each class keeps one table, for
-    the life of the process, of one object per value (the `__slots__` fields
-    in order), so `==` and `hash` are the inherited identity ones. Instances
-    are immutable, and a copy or an unpickled one is the instance itself."""
-
-    __slots__ = ()
-
-    def __setattr__(self, attr, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), attrgetter(*self.__slots__)(self)
-
-    def __copy__(self, memo=None):
-        return self
-
-    __deepcopy__ = __copy__
-
-
-def _intern(cls, table: dict, fields: tuple):
-    """A new `cls` object for `fields`, unless a thread making the same value
-    stored one first."""
-    obj = object.__new__(cls)
-    for attr, value in zip(cls.__slots__, fields):
-        object.__setattr__(obj, attr, value)
-    return table.setdefault(fields, obj)
-
-
 _NAMES: dict[tuple, NameTerm] = {}
-_SYMBOLS: dict[tuple, Symbol] = {}
 
 
-class NameTerm(_Interned):
-    """A possibly parameterized name: a base identifier plus argument terms."""
+def _intern(base: str, args: tuple) -> NameTerm:
+    """A new `NameTerm` for `(base, args)`, unless a thread making the same
+    name stored one first."""
+    obj = object.__new__(NameTerm)
+    _set(obj, "base", base)
+    _set(obj, "args", args)
+    return _NAMES.setdefault((base, args), obj)
+
+
+class NameTerm:
+    """A possibly parameterized name: a base identifier plus argument terms.
+
+    Hash-consed: `_NAMES` keeps, for the life of the process, one object per
+    `(base, args)`, so `==` and `hash` are the inherited identity ones. A
+    name is immutable, and a copy or an unpickled one is the name itself."""
 
     __slots__ = ("base", "args")
     base: str
     args: tuple[NameTerm, ...]
 
     def __new__(cls, base: str, args: tuple[NameTerm, ...] = ()):
-        return _NAMES.get((base, args)) or _intern(cls, _NAMES, (base, args))
+        return _NAMES.get((base, args)) or _intern(base, args)
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError("NameTerm is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return NameTerm, (self.base, self.args)
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
 
     def key(self):
         return (self.base, tuple(a.key() for a in self.args))
@@ -121,21 +118,14 @@ def name(base: str, *args: NameTerm | str) -> NameTerm:
     return NameTerm(base, tuple(a if isinstance(a, NameTerm) else NameTerm(a) for a in args))
 
 
-class Symbol(_Interned):
-    """A name with its kind; interned like `NameTerm`."""
+class Symbol(namedtuple("Symbol", "name kind")):
+    """A name with its kind: equal to the `(name, kind)` pair, an item of a
+    `kinds` map, and hashed as it is."""
 
-    __slots__ = ("name", "kind")
-    name: NameTerm
-    kind: SymbolKind
-
-    def __new__(cls, name: NameTerm, kind: SymbolKind):
-        return _SYMBOLS.get((name, kind)) or _intern(cls, _SYMBOLS, (name, kind))
+    __slots__ = ()
 
     def key(self):
         return (kind_order(self.kind), self.name.key())
-
-    def __repr__(self) -> str:
-        return f"Symbol({self.kind.value} {self.name.render()})"
 
 
 RenameFn = Callable[[NameTerm], NameTerm]
@@ -267,7 +257,7 @@ class FlatOntology(Record):
 
     @property
     def signature(self) -> frozenset[Symbol]:
-        return frozenset(map(Symbol, self.kinds, self.kinds.values()))
+        return frozenset(map(Symbol._make, self.kinds.items()))
 
     def kind_of(self, n: NameTerm) -> SymbolKind | None:
         return self.kinds.get(n)
@@ -294,12 +284,11 @@ def _index_kinds(
 EMPTY_ONTOLOGY = FlatOntology({}, frozenset())
 
 
-def make_ontology(symbols: Iterable[Symbol], axioms: Iterable[Axiom]) -> FlatOntology:
-    """Canonicalize axioms, drop the vacuous ones, close the signature over
-    axiom references, check kinds."""
+def make_ontology(symbols: Iterable[tuple[NameTerm, SymbolKind]], axioms: Iterable[Axiom]) -> FlatOntology:
+    """Canonicalize axioms, drop the vacuous ones, close the signature of
+    `(name, kind)` pairs (or `Symbol`s) over axiom references, check kinds."""
     axs = frozenset(a for a in map(Axiom.canonical, axioms) if not a.is_vacuous())
-    pairs = [(s.name, s.kind) for s in symbols]
-    pairs += [ref for a in axs for ref in a.refs()]
+    pairs = [*symbols, *(ref for a in axs for ref in a.refs())]
     return FlatOntology(_index_kinds(pairs, {}), axs)
 
 

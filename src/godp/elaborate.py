@@ -451,7 +451,7 @@ def _extend(kinds: dict, add: dict) -> None:
     the KindClash that `union_flat` reports for their ontologies."""
     for n in kinds.keys() & add.keys():
         if kinds[n] is not add[n]:
-            union_flat(*[make_ontology(map(Symbol, k, k.values()), ()) for k in (kinds, add)])
+            union_flat(*[make_ontology(k.items(), ()) for k in (kinds, add)])
     kinds.update(add)
 
 

@@ -21,8 +21,6 @@ form for golden tests.
 
 from __future__ import annotations
 
-import re
-
 from .blocks import _FIELD_AXIOMS
 from .core import (
     DifferentIndividuals,
@@ -35,8 +33,6 @@ from .core import (
 )
 from .diagnostics import StratificationClash, UnstratifiedName
 from .syntax import _HEADERS, FRAME_FIELDS, DifferentIndividualsFrame, field_line
-
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Each axiom class that fills a field of its subject's frame -> the field's
 # attribute, and where its `dump_fields` hold the subject and the value (0:

@@ -320,14 +320,14 @@ def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: 
             f"only single-symbol parameters",
             form.pos,
         )
-    n = pspec.new_symbols[0]
-    term = runs[0].name_map[n.name] = form.term  # a new symbol shadows what a definer binds
+    [(n, kind)] = pspec.new_symbols
+    term = runs[0].name_map[n] = form.term  # a new symbol shadows what a definer binds
     for src, dst in form.fits:  # a fit of the parameter must agree
         _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
     _declare(
-        acc, ((term, n.kind),), form.pos,
+        acc, ((term, kind),), form.pos,
         lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
-        f"'{n.name.render()}' needs {n.kind.value}",
+        f"'{n.render()}' needs {kind.value}",
     )
 
 
@@ -335,8 +335,8 @@ def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: 
     explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
     kinds = arg_ont.kinds
     pool = sorted(kinds.keys() - env.kinds.keys(), key=NameTerm.key)  # `arg_ont` holds `env`
-    for n in pspec.new_symbols:
-        image = explicit.get(n.name)
+    for n, kind in pspec.new_symbols:
+        image = explicit.get(n)
         if image is not None:
             k = arg_ont.kind_of(image)
             if k is None:
@@ -344,30 +344,30 @@ def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: 
                     f"fit target '{image.render()}' is not a symbol of the argument",
                     form.pos,
                 )
-            if k is not n.kind:
+            if k is not kind:
                 raise KindMismatch(
                     f"fit target '{image.render()}' has kind {k.value}, parameter "
-                    f"'{n.name.render()}' needs {n.kind.value}",
+                    f"'{n.render()}' needs {kind.value}",
                     form.pos,
                 )
         else:
-            candidates = [c for c in pool if kinds[c] is n.kind]
+            candidates = [c for c in pool if kinds[c] is kind]
             if not candidates:
                 raise NoCandidate(
-                    f"no {n.kind.value} symbol in the argument to fit parameter "
-                    f"'{n.name.render()}'",
+                    f"no {kind.value} symbol in the argument to fit parameter "
+                    f"'{n.render()}'",
                     form.pos,
                 )
             if len(candidates) > 1:
                 raise AmbiguousFitting(
-                    f"parameter '{n.name.render()}' has {len(candidates)} "
-                    f"{n.kind.value} candidates "
+                    f"parameter '{n.render()}' has {len(candidates)} "
+                    f"{kind.value} candidates "
                     f"({', '.join(c.render() for c in candidates)}); "
                     f"give an explicit fit map",
                     form.pos,
                 )
             image = candidates[0]
-        runs[0].name_map[n.name] = image
+        runs[0].name_map[n] = image
     for src, dst in form.fits:
         _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
 
@@ -380,7 +380,7 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
     """`body` less what dies with the dead symbols' names, by the rule an
     instantiation elides its placeholders by (`core._dead_in`)."""
     acc = Accumulator(body)
-    acc.elide({s.name for s in dead}, body.kinds, body.axioms)
+    acc.elide({n for n, _ in dead}, body.kinds, body.axioms)
     return acc.freeze()
 
 
@@ -505,10 +505,10 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
                 )
                 _bind_template(shape, form.items, runs[0])
             elif isinstance(form, EmptyOptArg):
-                for s in pspec.new_symbols:  # each a fresh placeholder
-                    ph = runs[0].name_map[s.name] = NameTerm(f"?{s.name.base}_{level}_{len(dead)}")
+                for n, kind in pspec.new_symbols:  # each a fresh placeholder
+                    ph = runs[0].name_map[n] = NameTerm(f"?{n.base}_{level}_{len(dead)}")
                     dead.append(ph)
-                    acc.open(ph, s.kind)
+                    acc.open(ph, kind)
             else:
                 if isinstance(form, LocalSymbolArg):
                     _fit_local(target.name, pspec, form, runs, acc)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import settings
 
 from godp import build_library, parse_library
 from godp.blocks import BlockTemplate
+from godp.core import Symbol
 from godp.elaborate import Call
 from godp.instantiate import EmptyOptArg, ListArg, LocalSymbolArg, _ExprArg
 from godp.syntax import LibraryAst
@@ -15,6 +17,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 ERRORS = CORPUS / "errors"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+# a legal identifier in emitted text: what stratification makes every name
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Every run draws the same examples, so a shared or slow machine neither
 # changes what is tested nor fails a test on time; `--hypothesis-profile`
@@ -81,6 +86,26 @@ def unresolved(lib) -> list:
 
 
 _FORMS = (LocalSymbolArg, EmptyOptArg, ListArg, _ExprArg)
+
+
+@pytest.fixture
+def symbols_made(monkeypatch) -> list:
+    """The fields of each `Symbol` made while the test runs, by
+    `Symbol(name, kind)` (pickle and copy too) or by `Symbol._make`."""
+    made = []
+    new, make = Symbol.__new__, Symbol._make
+
+    def counted_new(cls, *fields):
+        made.append(fields)
+        return new(cls, *fields)
+
+    def counted_make(fields):
+        made.append(fields)
+        return make(fields)
+
+    monkeypatch.setattr(Symbol, "__new__", counted_new)
+    monkeypatch.setattr(Symbol, "_make", staticmethod(counted_make))
+    return made
 
 
 @pytest.fixture(scope="session")

@@ -35,10 +35,9 @@ from godp.core import (
 )
 from godp.diagnostics import UnmetConstraint
 from godp.elaborate import build_block
-from godp.emit import IDENTIFIER_RE
 from godp.instantiate import is_placeholder
 
-from conftest import CORPUS, ERRORS, corpus_paths, lib_of
+from conftest import CORPUS, ERRORS, IDENTIFIER_RE, corpus_paths, lib_of
 
 OP = SymbolKind.OBJECT_PROPERTY
 

@@ -214,12 +214,14 @@ def test_importing_the_cli_loads_no_module_that_godp_does_not_run():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-@pytest.mark.parametrize("command", [["list"], ["expand", "--target", "PersonRels"]])
+@pytest.mark.parametrize("command", [["list"], ["expand", "--target", "PersonRels"], ["--help"], ["check", "--help"]])
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_a_closed_stdout_pipe_exits_two_with_one_line(command, unbuffered):
     """Buffered, the write to a pipe whose reader is gone fails only when
-    stdout is flushed; `main` flushes it, so the error is the command's own,
-    and what stays unwritten cannot fail the interpreter's flush at exit."""
+    stdout is flushed; `main` flushes it, after argparse's help too, so the
+    error is the command's own, and what stays unwritten cannot fail the
+    interpreter's flush at exit. Unbuffered, the help's own write fails,
+    which argparse would drop."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:

@@ -59,7 +59,7 @@ def validate_closure(o) -> bool:
     return all((n, k) in have for a in o.axioms for n, k in a.refs())
 
 
-# -- interned names and symbols ------------------------------------------------
+# -- interned names, and symbols as pairs -----------------------------------
 
 def test_a_name_is_one_object_however_it_is_built():
     n = name("p", "x", name("q", "y"))
@@ -73,21 +73,43 @@ def test_a_name_is_one_object_however_it_is_built():
     assert copy.copy(n) is n and copy.deepcopy(n) is n
     assert copy.deepcopy([n, (n, n)])[1][0] is n
     assert n != name("p", "x", name("q", "z")) and n != "p[x,q[y]]"
-    # equality and hash are the C-level identity ones
-    for cls in (NameTerm, Symbol):
-        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    # equality and hash are the C-level identity ones; a symbol's are the
+    # tuple's, over its interned name and its kind
+    assert NameTerm.__eq__ is object.__eq__ and NameTerm.__hash__ is object.__hash__
+    assert Symbol.__eq__ is tuple.__eq__ and Symbol.__hash__ is tuple.__hash__
     assert SymbolKind.__hash__ is object.__hash__
 
 
-def test_a_symbol_is_one_object_however_it_is_built():
+def test_a_symbol_is_its_name_and_kind_pair():
     s = Symbol(name("p", "x"), OP)
-    assert Symbol(NameTerm("p", (NameTerm("x"),)), SymbolKind("ObjectProperty")) is s
-    assert Symbol(name("p", "x"), CLS) is not s
+    built = Symbol(NameTerm("p", (NameTerm("x"),)), SymbolKind("ObjectProperty"))
+    assert built == s and hash(built) == hash(s) and built.name is s.name
+    assert s == (name("p", "x"), OP) and hash(s) == hash((name("p", "x"), OP))
+    assert Symbol(name("p", "x"), CLS) != s
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(s, protocol)) is s
-    assert copy.copy(s) is s and copy.deepcopy(s) is s
+        back = pickle.loads(pickle.dumps(s, protocol))
+        assert type(back) is Symbol and back == s and back.name is s.name
+    for copied in (copy.copy(s), copy.deepcopy(s), copy.deepcopy([s, (s, s)])[1][0]):
+        assert type(copied) is Symbol and copied == s and copied.name is s.name
     assert make_ontology([], [Transitive(name("p", "x"))]).signature == {s}
-    assert next(iter(make_ontology([], [Transitive(name("p", "x"))]).signature)) is s
+    assert type(next(iter(make_ontology([], [Transitive(name("p", "x"))]).signature))) is Symbol
+
+
+def test_every_corpus_target_holds_its_signature_as_its_kinds_items(corpus_lib):
+    """A symbol is the `(name, kind)` item of a `kinds` map that it names:
+    the signature is the set of those items, the items rebuild the ontology,
+    and a symbol keeps its interned name through pickle and deepcopy."""
+    targets = sorted(corpus_lib.zero_param_names())
+    assert len(targets) == 10
+    for target in targets:
+        o = expand_named(corpus_lib, target)
+        assert o.signature == set(o.kinds.items()), target
+        assert make_ontology(o.kinds.items(), o.axioms) == o, target
+        for n, k in o.kinds.items():
+            s = Symbol(n, k)
+            assert s == (n, k) and hash(s) == hash((n, k))
+            back = pickle.loads(pickle.dumps(s)), copy.deepcopy(s)
+            assert back == (s, s) and back[0].name is n and back[1].name is n
 
 
 @pytest.mark.parametrize("value, attr", [(name("p", "x"), "base"), (name("p"), "args"),
@@ -123,7 +145,7 @@ def test_threads_building_the_same_names_get_the_same_objects():
     assert len(set(terms)) == 1000 and len(set(symbols)) == 1000
     for other_terms, other_symbols in results[1:]:
         assert all(a is b and a.args[0] is b.args[0] for a, b in zip(terms, other_terms))
-        assert all(a is b for a, b in zip(symbols, other_symbols))
+        assert all(a == b and a.name is b.name for a, b in zip(symbols, other_symbols))
 
 
 # -- union -------------------------------------------------------------------

@@ -33,9 +33,9 @@ from godp.core import (
 from godp.cli import main
 from godp.diagnostics import GodpError, KindClash, StratificationClash, UnstratifiedName
 from godp.elaborate import build_block
-from godp.emit import IDENTIFIER_RE, flat_text
+from godp.emit import flat_text
 
-from conftest import GOLDEN, lib_of
+from conftest import GOLDEN, IDENTIFIER_RE, lib_of
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -70,18 +70,21 @@ def test_stratify_flattens_each_name_once(corpus_lib, monkeypatch, run):
     assert out == run(o)
 
 
-def test_emission_interns_no_name_and_no_symbol(corpus_lib):
+def test_emission_interns_no_name_and_makes_no_symbol(corpus_lib, symbols_made):
     prefix = "unemitted"
     while any(base.startswith(prefix) for base, _ in list(godp.core._NAMES)):
         prefix += "_"
     o = _graded_rels_sub(corpus_lib, tuple(name(f"{prefix}{i}") for i in range(48)))
-    before = len(godp.core._NAMES), len(godp.core._SYMBOLS)
+    before = len(godp.core._NAMES)
+    symbols_made.clear()
     manchester, dump = emit_manchester(o, flat=True), emit_struct_dump(o, flat=True)
-    assert (len(godp.core._NAMES), len(godp.core._SYMBOLS)) == before
+    assert (len(godp.core._NAMES), symbols_made) == (before, [])
     assert f"p_atLeast_{prefix}0" in manchester and f"p_atLeast_{prefix}0" in dump
     # what emitting the stratified copy costs: a flat name for each renamed one
     stratify(o)
-    assert len(godp.core._NAMES) > before[0]
+    assert len(godp.core._NAMES) > before
+    # the count sees what makes symbols: reading the signature makes one per name
+    assert len(o.signature) == len(symbols_made) == len(o.kinds)
 
 
 def test_a_fit_that_leaves_an_nary_axiom_vacuous_drops_it():

@@ -883,21 +883,31 @@ def test_checked_constraints_hold_in_their_environment(monkeypatch):
         assert env_axioms <= out.axioms
 
 
+def _selections(lib):
+    """The definition of `lib` whose clauses an instantiation selects from
+    (`_select_clause` runs once per instantiation, given its target's
+    clauses), found by value, so in any build of the same text."""
+    by_clauses = {d.clauses: d for d in lib.quals.values()}
+    assert len(by_clauses) == len(lib.quals)  # no two definitions have equal clauses
+    return by_clauses.__getitem__
+
+
 def test_at_least_step_call_schedule(monkeypatch):
     # on the 4-grade list the recursive clause (binding two heads) fires three
     # times and the one-element final clause (binding one head) once
     import godp.instantiate as engine
 
+    lib = load_corpus_library()
     calls = []  # (pattern, list heads its clause binds)
-    instantiate, select = engine._instantiate, engine._select_clause
+    select, selecting = engine._select_clause, _selections(lib)
 
-    def recording(ctx, target, found_scope, forms, *rest):
-        clause = select(target.clauses, forms, target.name, None)
-        calls.append((target.qual, sum(len(p.shape.heads) for p in clause.params if p.is_list)))
-        return instantiate(ctx, target, found_scope, forms, *rest)
+    def recording(clauses, forms, *rest):
+        clause = select(clauses, forms, *rest)
+        calls.append((selecting(clauses).qual, sum(len(p.shape.heads) for p in clause.params if p.is_list)))
+        return clause
 
-    monkeypatch.setattr(engine, "_instantiate", recording)
-    expand_named(load_corpus_library(), "GradedRelsSub_Significance")
+    monkeypatch.setattr(engine, "_select_clause", recording)
+    expand_named(lib, "GradedRelsSub_Significance")
     als_calls = [heads for qual, heads in calls if qual == "GradedRelsSub::AtLeastStep"]
     assert als_calls == [2, 2, 2, 1]
     link_calls = [qual for qual, _ in calls if qual == "GradedRelsSub::AtLeastLink"]
@@ -1126,20 +1136,20 @@ def test_a_target_needs_exactly_the_depth_its_memo_entry_names():
 def test_a_failed_closed_expansion_is_taken_from_the_memo(tmp_path, monkeypatch, capsys):
     import godp.instantiate as engine
 
-    ran = []
-    instantiate = engine._instantiate
-
-    def recording(ctx, target, *args):
-        ran.append(target.name)
-        return instantiate(ctx, target, *args)
-
-    monkeypatch.setattr(engine, "_instantiate", recording)
     f = tmp_path / "f.gdp"
     f.write_text(
         "ontology L [Class: A; ? Class: B] = { Class: A } then { ObjectProperty: B }\n"
         "ontology V = L[X; ]\n"
         "ontology W = V then { Class: Y }\n"
     )
+    ran = []  # each instantiation, where it selects its clause
+    select, selecting = engine._select_clause, _selections(load_library([f]))
+
+    def recording(clauses, *args):
+        ran.append(selecting(clauses).name)
+        return select(clauses, *args)
+
+    monkeypatch.setattr(engine, "_select_clause", recording)
     assert main(["check", str(f)]) == 1
     assert ran == ["V", "L", "W"]  # W meets V's failure in the memo
     assert capsys.readouterr().err == f"{f}:1:55: error: kind clash for '?B_1_0': Class vs ObjectProperty\n"
@@ -1157,7 +1167,7 @@ def test_a_failed_closed_expansion_is_taken_from_the_memo(tmp_path, monkeypatch,
     with pytest.raises(DepthExceeded) as exc:
         expand_named(lib, "V", depth=1)
     assert (exc.value.pos.line, exc.value.pos.col) == (2, 14)
-    assert ran == ["V", "L"]  # L's tick is the second
+    assert ran == ["V"]  # L's tick, the second, fails before L selects its clause: 2:14 is L's call
 
 
 def test_depth_exceeded_position_holds_with_a_warm_memo(capsys):
@@ -1362,8 +1372,8 @@ def test_closed_expansions_cost_work_linear_in_the_chain_length():
             assert (code, err) == (0, "")
 
 
-def test_an_expansion_makes_no_symbol():
-    """Expanding a `then` chain of 200 definitions over fresh names interns
+def test_an_expansion_makes_no_symbol(symbols_made):
+    """Expanding a `then` chain of 200 definitions over fresh names makes
     no `Symbol`: an accumulator and a flat ontology hold their signature as
     a name -> kind map."""
     from godp import core
@@ -1371,9 +1381,10 @@ def test_an_expansion_makes_no_symbol():
     text = "".join(f"ontology Fresh{i} = Fresh{i + 1} then {{ Class: fresh{i} }}\n" for i in range(200))
     assert ("fresh0", ()) not in core._NAMES
     lib = lib_of(text + "ontology Fresh200 = { Class: fresh200 }\n")
-    symbols = len(core._SYMBOLS)
-    assert len(expand_named(lib, "Fresh0").kinds) == 201
-    assert len(core._SYMBOLS) == symbols
+    symbols_made.clear()
+    o = expand_named(lib, "Fresh0")
+    assert (len(o.kinds), symbols_made) == (201, [])
+    assert len(o.signature) == len(symbols_made) == 201  # the count sees what makes symbols
 
 
 @pytest.mark.parametrize("target", ["B", "C"])
@@ -1927,22 +1938,19 @@ def test_a_run_holds_only_what_its_own_definition_binds(monkeypatch):
         + f"ontology A = ValSet[Val; {listed}; greater[Val]]\n"
         + f"ontology C = GradedRelsSub[p; S; T; Val; {listed}]\n"
     )
-    running, runs = [], []
-    instantiate, bindings = engine._instantiate, engine.Bindings
+    selected, runs = [], []  # an instantiation makes its run just after it selects its clause
+    select, selecting, bindings = engine._select_clause, _selections(lib), engine.Bindings
 
-    def tracked(ctx, target, *rest):
-        running.append(target)
-        try:
-            return instantiate(ctx, target, *rest)
-        finally:
-            running.pop()
+    def tracked(clauses, *rest):
+        selected.append(selecting(clauses))
+        return select(clauses, *rest)
 
     def made(*fields):
         run = bindings(*fields)
-        runs.append((running[-1], run))
+        runs.append((selected[-1], run))
         return run
 
-    monkeypatch.setattr(engine, "_instantiate", tracked)
+    monkeypatch.setattr(engine, "_select_clause", tracked)
     monkeypatch.setattr(engine, "Bindings", made)
     for target in sorted(lib.zero_param_names()):
         expand_named(lib, target)
