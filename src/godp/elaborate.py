@@ -263,7 +263,11 @@ class Library(Record, frozen=False):
     # closed expansions, filled as they are used (instantiate._Memo): by
     # qual, or by (qual, depth) for one that ran out of that depth; an entry
     # is never replaced, so threads may share it
-    memo: dict = field(factory=dict, compare=False)
+    memo: dict = field(None, compare=False)  # a new one when left out
+
+    def __init__(self, defs, quals, memo=None):
+        for f, value in zip(self._fields, (defs, quals, {} if memo is None else memo)):
+            object.__setattr__(self, f, value)
 
     def require(self, name: str) -> PatternDef:
         d = self.defs.get(name)
@@ -314,7 +318,7 @@ class _Draft(Record, frozen=False):
     merged: dict
     chain: tuple = ()
     visible: Mapping = _NO_NAMES  # its locals and its definers', the innermost counting
-    bodies: list[Expr] = field(factory=list)
+    bodies: tuple[Expr, ...] = ()
     rank: int = 0  # its place in the order that makes the clauses
     sees: Mapping = _NO_NAMES  # the name -> kind index its locals' parameters see
     parent: "_Draft | None" = field(None, compare=False)
@@ -337,9 +341,8 @@ def _build_def(
             clause_asts[1].pos,
         )
 
-    # every field in order: a record binds a shorter or keyword call in Python
     d = PatternDef(name, qual, len(first.params), {}, first.pos, (), ())
-    dr = _Draft(d, clause_asts, [], _NO_NAMES, (), _NO_NAMES, [], 0, _NO_NAMES, parent)
+    dr = _Draft(d, clause_asts, [], _NO_NAMES, (), _NO_NAMES, (), 0, _NO_NAMES, parent)
     tree = [dr]
     # locals from all clause defs merge; same-name local defs become clauses
     local_asts: dict[str, list[PatternDefAst]] = {}
@@ -502,7 +505,7 @@ def _resolve(rs: _Resolver, dr: _Draft) -> None:
         rs.seen = seen = {**above, **names} if above else names  # the innermost binding counts
         rs.tails = {NameTerm(n): ListVar(n, level - q.count("::")) for n, (q, t) in seen.items() if t} or _NO_NAMES
         rs.strips = {s.tail: len(s.heads) for _, s in decls if type(s) is ListTemplate and s.tail} or _NO_NAMES
-        dr.bodies.append(rs.expr(ca.body))
+        dr.bodies += (rs.expr(ca.body),)
 
 
 _EMPTY_ARGS = (ArgAst(MissingArg()),)  # `G[]`

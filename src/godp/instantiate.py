@@ -113,7 +113,7 @@ from .elaborate import (  # the argument forms and their check live beside `Call
     _of,
     _reference,
 )
-from .record import Record, field, replace
+from .record import Record, replace
 from .syntax import ListTemplate
 
 DEFAULT_DEPTH = 10_000
@@ -130,8 +130,12 @@ class Bindings(Record, frozen=False):
     template). It heads the run's display, followed by its definers' runs,
     where a slot's walk and a `ListVar` read the run `up` definitions out."""
 
-    name_map: dict[NameTerm, NameTerm] = field(factory=dict)
-    list_map: dict[str, tuple[tuple[NameTerm, ...], SymbolKind]] = field(factory=dict)
+    name_map: dict[NameTerm, NameTerm] = None  # each a new map when left out
+    list_map: dict[str, tuple[tuple[NameTerm, ...], SymbolKind]] = None
+
+    def __init__(self, name_map=None, list_map=None):
+        object.__setattr__(self, "name_map", {} if name_map is None else name_map)
+        object.__setattr__(self, "list_map", {} if list_map is None else list_map)
 
 
 def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:

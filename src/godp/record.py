@@ -1,19 +1,33 @@
 """Record classes: godp's immutable values and its few mutable ones.
 
 A subclass of `Record` declares its fields as a dataclass does: annotations
-in order, each with an optional default, or a `field` for a default made per
-instance or a field that is not part of the value. From them the class gets,
-without generating code, its `__slots__`, a constructor that takes the
-fields in order or by name, and `==`, `hash` and `repr` that see the type
-and the fields that are part of the value. A record is frozen: a write
-raises `dataclasses.FrozenInstanceError`. A class declared with
+in order, each with an optional default, or a `field` for a field that is
+not part of the value. From them the class gets its `__slots__`, an
+`__init__` whose parameters are its fields, and `==`, `hash` and `repr` that
+see the type and the fields that are part of the value. A record is frozen:
+a write raises `dataclasses.FrozenInstanceError`. A class declared with
 `frozen=False` is mutable and, like a mutable dataclass, unhashable.
 `replace` copies a record with some fields changed.
 
-A class may define its own `__init__`, to compute or check a field; it sets
-its fields with `object.__setattr__`. A frozen one may define its own
-`__hash__`, consistent with `==`, for a field that has no hash. It may also
-name in `__slots__` attributes that are not fields.
+The `__init__` is made without compiling anything. `_templates` holds one
+hand-written constructor for each field count in use; a class gets a copy of
+the one for its count (`CodeType.replace`), with its fields as the
+parameters, the class's name as the function's, its fields' defaults, and
+its slots' setters as the closure. So Python binds a call's arguments
+itself, by position or by name, and its own messages name the class:
+`RefExpr() missing 1 required positional argument: 'name'`. A default holds
+only after the last field without one: `_Spliced` adds required fields after
+`ListArg`'s defaulted `pos`, so its `pos` is required. A field count with no
+template is a `TypeError` when the class is made. An `exec` per class, as
+`dataclasses` does it, would bind as fast, but compiling the constructors
+would cost each process more than making every record class does.
+
+A class may define its own `__init__`, to compute or check a field, or to
+make a default per instance (declared `None`). It sets its fields with
+`object.__setattr__`, which a frozen class, or a frozen subclass of a
+mutable one, allows. A frozen class may define its own `__hash__`,
+consistent with `==`, for a field that has no hash. It may also name in
+`__slots__` attributes that are not fields.
 
 `field`, like godp's other plain tuples, is a `collections.namedtuple`, so
 importing godp needs neither `dataclasses` nor `typing`.
@@ -22,16 +36,15 @@ importing godp needs neither `dataclasses` nor `typing`.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from operator import attrgetter
+from types import CellType, FunctionType
 
 _MISSING = object()
 
 
-class field(namedtuple("field", "default factory compare", defaults=(_MISSING, None, True))):
-    """A field's `default`, or the `factory` that makes one for each instance;
-    with `compare=False` the field is not part of the value, so `==`, `hash`
-    and `repr` leave it out."""
+class field(namedtuple("field", "default compare", defaults=(_MISSING, True))):
+    """A field's `default`, if it has one; with `compare=False` the field is
+    not part of the value, so `==`, `hash` and `repr` leave it out."""
 
     __slots__ = ()
 
@@ -46,44 +59,94 @@ def _hash(self) -> int:
     return hash(self._key(self))
 
 
-def _constructor(setters: tuple) -> Callable:
-    """The `__init__` that fills a record's slots, in field order, through
-    their `setters`, which neither look a name up nor meet a frozen
-    `__setattr__`. Up to three fields, as the records built most often have,
-    it does so without a loop, which costs more than the fields: so it is no
-    slower than the `__init__` that a frozen dataclass generates."""
-    n = len(setters)
-    if n == 1:
-        (s0,) = setters
+def _templates() -> dict:
+    """The code of a record constructor for each field count in use, by that
+    count. A template's parameters `a`, `b`, … are renamed for a class's
+    fields, in order, and each is set by the same letter in capitals: a free
+    variable, whose closure cell holds the field's slot setter, which neither
+    looks a name up nor meets a frozen `__setattr__`. There is no loop, which
+    would cost more than the fields."""
+    A = B = C = D = E = F = G = H = I = J = None
 
-        def __init__(self, *args: object, **kwargs: object) -> None:
-            if kwargs or len(args) != 1:
-                args = self._bind(args, kwargs)
-            s0(self, args[0])
-    elif n == 2:
-        s0, s1 = setters
+    def t1(self, a):
+        A(self, a)
 
-        def __init__(self, *args: object, **kwargs: object) -> None:
-            if kwargs or len(args) != 2:
-                args = self._bind(args, kwargs)
-            s0(self, args[0])
-            s1(self, args[1])
-    elif n == 3:
-        s0, s1, s2 = setters
+    def t2(self, a, b):
+        A(self, a)
+        B(self, b)
 
-        def __init__(self, *args: object, **kwargs: object) -> None:
-            if kwargs or len(args) != 3:
-                args = self._bind(args, kwargs)
-            s0(self, args[0])
-            s1(self, args[1])
-            s2(self, args[2])
-    else:
-        def __init__(self, *args: object, **kwargs: object) -> None:
-            if kwargs or len(args) != n:
-                args = self._bind(args, kwargs)
-            for set_field, value in zip(setters, args):
-                set_field(self, value)
-    return __init__
+    def t3(self, a, b, c):
+        A(self, a)
+        B(self, b)
+        C(self, c)
+
+    def t4(self, a, b, c, d):
+        A(self, a)
+        B(self, b)
+        C(self, c)
+        D(self, d)
+
+    def t5(self, a, b, c, d, e):
+        A(self, a)
+        B(self, b)
+        C(self, c)
+        D(self, d)
+        E(self, e)
+
+    def t6(self, a, b, c, d, e, f):
+        A(self, a)
+        B(self, b)
+        C(self, c)
+        D(self, d)
+        E(self, e)
+        F(self, f)
+
+    def t7(self, a, b, c, d, e, f, g):
+        A(self, a)
+        B(self, b)
+        C(self, c)
+        D(self, d)
+        E(self, e)
+        F(self, f)
+        G(self, g)
+
+    def t10(self, a, b, c, d, e, f, g, h, i, j):
+        A(self, a)
+        B(self, b)
+        C(self, c)
+        D(self, d)
+        E(self, e)
+        F(self, f)
+        G(self, g)
+        H(self, h)
+        I(self, i)
+        J(self, j)
+
+    return {t.__code__.co_argcount - 1: t.__code__ for t in (t1, t2, t3, t4, t5, t6, t7, t10)}
+
+
+_TEMPLATES = _templates()
+
+
+def _native_init(cls: type) -> FunctionType:
+    """`cls`'s `__init__`: the template for its field count, with the fields
+    as parameters, the defaults after its last field without one, and the
+    class's name, so that Python's own messages name the class."""
+    fields, name = cls._fields, cls.__name__
+    code = _TEMPLATES.get(len(fields))
+    if code is None:
+        raise TypeError(
+            f"{name} has {len(fields)} fields, which no constructor template takes: define {name}.__init__"
+        )
+    code = code.replace(co_varnames=("self", *fields), co_name=name)
+    if hasattr(code, "co_qualname"):  # from Python 3.11; before, a function's qualname is its code's name
+        code = code.replace(co_qualname=name)
+    n = len(fields)
+    while n and fields[n - 1] in cls._defaults:
+        n -= 1
+    # a closure's cells follow `code.co_freevars`, which are sorted: `A`, `B`, …
+    setters = tuple([CellType(getattr(cls, f).__set__) for f in fields])
+    return FunctionType(code, globals(), name, tuple(map(cls._defaults.get, fields[n:])), setters)
 
 
 class _RecordType(type):
@@ -97,12 +160,10 @@ class _RecordType(type):
             ns["__hash__"] = None
         cls = super().__new__(mcls, name, bases, ns)
         cls._fields = fields = (*getattr(cls, "_fields", ()), *own)
+        own_defaults = {f: s.default for f, s in specs if s.default is not _MISSING}
+        cls._defaults = {**getattr(cls, "_defaults", {}), **own_defaults}
         if own and "__init__" not in ns:  # else it inherits one
-            cls.__init__ = _constructor(tuple(getattr(cls, f).__set__ for f in fields))
-        cls._defaults = {
-            **getattr(cls, "_defaults", {}),
-            **{f: s for f, s in specs if s.default is not _MISSING or s.factory is not None},
-        }
+            cls.__init__ = _native_init(cls)
         cls._compared = (*getattr(cls, "_compared", ()), *(f for f, s in specs if s.compare))
         cls._key = attrgetter("__class__", *cls._compared)  # no descriptor: `self._key` is the getter
         get = attrgetter(*fields) if fields else None  # `_values`: a tuple of the fields, however many
@@ -112,25 +173,6 @@ class _RecordType(type):
 
 class Record(metaclass=_RecordType, frozen=False):
     """Base of the record classes; see the module docstring."""
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """Every field's value from a call's arguments, bound as a signature
-        listing the fields in order, with their defaults, would bind them."""
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, got {len(args)}")
-        values = list(args)
-        for f in cls._fields[len(args):]:
-            spec = cls._defaults.get(f)
-            if f in kwargs:
-                values.append(kwargs.pop(f))
-            elif spec is None:
-                raise TypeError(f"{cls.__name__}() missing argument {f!r}")
-            else:
-                values.append(spec.default if spec.factory is None else spec.factory())
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
-        return values
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -1,7 +1,9 @@
 """The front end's work over `corpus/*.gdp`, in Python calls per token:
 `parse_library`, then `build_library` (its import expansions included), each
-counted with `sys.setprofile`. A number that is the same on any machine with
-the same Python; tier-1 tests in `test_parser.py` bound both.
+counted with `sys.setprofile`; and `build_library`'s over a library shaped
+like the `wide_library` benchmark's. Numbers that are the same on any
+machine with the same Python; tier-1 tests in `test_parser.py` bound all
+three.
 
     PYTHONPATH=src python tests/front_end_cost.py
 """
@@ -13,10 +15,13 @@ from pathlib import Path
 from typing import Callable
 
 from godp import build_library, parse_library
+from godp.elaborate import Library
 from godp.parser import tokenize
 from godp.syntax import LibraryAst
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# the corpus files whose patterns `wide_library` calls
+PATTERNS = ["patterns.gdp", "orders.gdp", "value_sets.gdp"]
 
 
 def count_calls(fn: Callable, *args) -> tuple[int, object]:
@@ -35,16 +40,57 @@ def count_calls(fn: Callable, *args) -> tuple[int, object]:
     return calls, result
 
 
-def main() -> int:
-    texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(CORPUS.glob("*.gdp"))]
+def wide_library(groups: int = 4, per_group: int = 8) -> str:
+    """Small definitions over the corpus patterns, in groups that share a
+    `given` base: every argument form (a bare name, an instance name, inline
+    frames, a named ontology with a fit map, a list) and, in every other one,
+    ValSet's optional order left out."""
+    out = []
+    for g in range(groups):
+        out.append(f"ontology B{g} = {{ Class: K{g}  ObjectProperty: o{g} Domain: K{g} Range: K{g} }}\n")
+        for i in range(per_group):
+            s, order = f"{g}x{i}", f"; greater[V{g}x{i}]" if i % 2 else ""
+            out.append(
+                f"ontology P{s} = {{ ObjectProperty: h{s}  ObjectProperty: k{s} }}\n"
+                f"ontology W{s} given B{g} =\n"
+                f"  {{ Class: A{s} }}\n"
+                f"  then TransitiveRelation[r{s}; A{s}]\n"
+                f"  then SubProp[u{s}; A{s}; A{s}; r{s}]\n"
+                f"  then ReflexiveRelation[{{ ObjectProperty: q{s} }}; K{g}]\n"
+                f"  then InverseRelation[P{s} fit r |-> h{s}; k{s}; A{s}; K{g}]\n"
+                f"  then ValSet[V{s}; {', '.join(f'v{s}y{j}' for j in range(2 + i % 4))}{order}]\n"
+            )
+    return "".join(out)
+
+
+def corpus_texts(case: str) -> list[tuple[str, str]]:
+    """Each file's text and name: for `"corpus"`, `corpus/*.gdp`; for
+    `"wide"`, the `PATTERNS` files and `wide_library()`."""
+    paths = sorted(CORPUS.glob("*.gdp"))
+    if case == "corpus":
+        return [(p.read_text(encoding="utf-8"), str(p)) for p in paths]
+    return [(p.read_text(encoding="utf-8"), str(p)) for p in paths if p.name in PATTERNS] + [(wide_library(), "<wide>")]
+
+
+def build_cost(texts: list[tuple[str, str]]) -> tuple[int, int, Library]:
+    """The tokens of `texts`, the Python calls that `build_library` makes
+    over their items, and the library it builds."""
     tokens = sum(len(tokenize(text, file)) for text, file in texts)
-    parsed, items = 0, []
-    for text, file in texts:
-        calls, ast = count_calls(parse_library, text, file)
-        parsed, items = parsed + calls, items + list(ast.items)
-    built, _ = count_calls(build_library, LibraryAst(tuple(items)))
+    ast = LibraryAst(tuple(item for text, file in texts for item in parse_library(text, file).items))
+    calls, lib = count_calls(build_library, ast)
+    return tokens, calls, lib
+
+
+def main() -> int:
+    texts = corpus_texts("corpus")
+    tokens = sum(len(tokenize(text, file)) for text, file in texts)
+    parsed = sum(count_calls(parse_library, text, file)[0] for text, file in texts)
+    _, built, _ = build_cost(texts)
+    wide_tokens, wide_built, _ = build_cost(corpus_texts("wide"))
     print(f"{tokens} tokens: parse_library {parsed / tokens:.2f}, build_library {built / tokens:.2f} "
           f"Python calls per token (Python {sys.version.split()[0]})")
+    print(f"{wide_tokens} tokens shaped like the wide_library benchmark's: build_library "
+          f"{wide_built / wide_tokens:.2f} Python calls per token")
     return 0
 
 

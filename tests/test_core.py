@@ -3,7 +3,9 @@ from __future__ import annotations
 import concurrent.futures
 import copy
 import dataclasses
+import inspect
 import itertools
+import pathlib
 import pickle
 import sys
 import threading
@@ -38,7 +40,7 @@ from godp.instantiate import Bindings, elide_optional, expand_named, substitute_
 from godp.parser import parse_frames
 from godp.record import Record, replace
 
-from conftest import lib_of
+from conftest import ROOT, lib_of
 
 OP = SymbolKind.OBJECT_PROPERTY
 CLS = SymbolKind.CLASS
@@ -392,17 +394,41 @@ def _fields_of(cls: type, tag: str = "") -> tuple:
     return tuple(f"{cls.__name__}.{f}{tag}" for f in cls._fields)
 
 
+def _defaults_of(cls: type) -> dict:
+    """The fields that a call may leave out, and their defaults: those after
+    the last field without one (`_Spliced` adds required fields after
+    `ListArg`'s defaulted `pos`, so its `pos` is required)."""
+    n = len(cls._fields)
+    while n and cls._fields[n - 1] in cls._defaults:
+        n -= 1
+    return {f: cls._defaults[f] for f in cls._fields[n:]}
+
+
+# the fields declared `None` whose own `__init__` makes a new map for each
+# instance that leaves them out
+_MADE_PER_INSTANCE = {("Bindings", "name_map"), ("Bindings", "list_map"), ("Library", "memo")}
+
+
 @pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__qualname__)
 def test_every_record_class_is_a_value_of_its_type(cls):
     values = _fields_of(cls)
     a, frozen = cls(*values), cls.__hash__ is not None
     assert a == cls(*values) and not a != cls(*values)
+    assert cls(**dict(zip(cls._fields, values))) == a  # every field by keyword
+    defaults = _defaults_of(cls)
+    required = {f: v for f, v in zip(cls._fields, values) if f not in defaults}
+    bare, by_name = cls(*required.values()), cls(**required)  # every defaulted field left out
+    for f, default in defaults.items():
+        if (cls.__name__, f) in _MADE_PER_INSTANCE:
+            assert getattr(bare, f) == {} and getattr(bare, f) is not getattr(by_name, f)
+        else:
+            assert getattr(bare, f) is default and getattr(by_name, f) is default
     if frozen:
         assert hash(a) == hash(cls(*values))
     else:  # as a mutable dataclass
         with pytest.raises(TypeError):
             hash(a)
-    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert copy.copy(a) == a and copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     twin = type("Twin", (cls,), {})(*values)  # the same fields, another type
     assert a != twin and twin != a
     assert not frozen or len({a, twin}) == 2
@@ -425,17 +451,49 @@ def test_every_record_class_is_a_value_of_its_type(cls):
 
 
 def test_a_record_is_built_from_its_fields_only():
-    from godp.syntax import ClassFrame, RefExpr
+    # Python binds the arguments, with the constructor named after its class
+    from godp.syntax import RefExpr
 
     for build, message in (
-        (lambda: RefExpr("a", None, 3), "RefExpr() takes 2 arguments, got 3"),
-        (lambda: ClassFrame(), "ClassFrame() missing argument 'name'"),
-        (lambda: RefExpr("a", bogus=1), "RefExpr() got an unexpected or repeated argument 'bogus'"),
+        (lambda: RefExpr(), "RefExpr() missing 1 required positional argument: 'name'"),
+        (lambda: RefExpr("a", None, 3), "RefExpr() takes from 2 to 3 positional arguments but 4 were given"),
+        (lambda: RefExpr("a", bogus=1), "RefExpr() got an unexpected keyword argument 'bogus'"),
+        (lambda: RefExpr("a", name="b"), "RefExpr() got multiple values for argument 'name'"),
         (lambda: replace(RefExpr("a"), bogus=1), "RefExpr has no field 'bogus'"),
     ):
         with pytest.raises(TypeError) as exc:
             build()
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__qualname__)
+def test_a_record_constructor_is_godp_source_and_takes_exactly_its_fields(cls):
+    # made from a template in godp's own files, not compiled from a string
+    # at import (as `dataclasses` does, at a cost to every process)
+    if not cls._fields:
+        assert cls.__init__ is object.__init__
+        return
+    assert ROOT / "src" / "godp" in pathlib.Path(cls.__init__.__code__.co_filename).resolve().parents
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls._fields
+    assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = _defaults_of(cls)
+    assert [f for f, p in params.items() if p.default is not p.empty] == list(defaults)
+    assert all(params[f].default is d for f, d in defaults.items())
+
+
+def test_a_record_class_whose_field_count_has_no_template_is_refused_when_it_is_made():
+    fields = {f"f{i}": int for i in range(8)}
+    with pytest.raises(TypeError) as exc:
+        type("Eight", (Record,), {"__annotations__": fields})
+    assert str(exc.value) == "Eight has 8 fields, which no constructor template takes: define Eight.__init__"
+
+    def __init__(self, *values):
+        for f, value in zip(self._fields, values):
+            object.__setattr__(self, f, value)
+
+    eight = type("Eight", (Record,), {"__annotations__": fields, "__init__": __init__})
+    assert eight(*range(8)) == eight(*range(8)) != eight(*range(1, 9))
 
 
 # -- hypothesis properties -------------------------------------------------------
