@@ -296,7 +296,9 @@ class Accumulator:
     """A flat ontology under construction, written in place by one expansion:
     a name -> kind map and an axiom set. It shares the frozen `seed` it
     starts from until its first write copies it; a merge that adds nothing
-    writes nothing. What `freeze` returns is a value.
+    writes nothing. What `freeze` returns is a value, which takes its map:
+    from then on it shares that value as it shares a seed, and a later write
+    copies it.
 
     While a placeholder is live, from `open` to `close`, each merge indexes
     under it the new names and axioms that die with it (`_dead_in`): `live`
@@ -317,8 +319,12 @@ class Accumulator:
             self.kinds, self.axioms, self.seed = dict(self.kinds), set(self.axioms), None
 
     def freeze(self) -> FlatOntology:
-        """What it holds, as a value: its seed while it has not been written."""
-        return self.seed if self.seed is not None else FlatOntology(dict(self.kinds), frozenset(self.axioms))
+        """What it holds, as a value: its seed while it has not been written,
+        else a new one, which it is seeded with from then on."""
+        if self.seed is None:
+            self.seed = FlatOntology(self.kinds, frozenset(self.axioms))
+            self.axioms = self.seed.axioms
+        return self.seed
 
     def add(self, o: FlatOntology) -> None:
         """Merge `o`; one that holds only the empty ontology takes `o` itself."""
@@ -339,8 +345,11 @@ class Accumulator:
             if self.seed is EMPTY_ONTOLOGY:  # the first write to one that holds nothing makes a value
                 return self._share(FlatOntology(dict(kinds), frozenset(axioms)))
             self._own()
-        if new:
-            _index_kinds(new, self.kinds)
+        held, clash = self.kinds, False
+        for n, k in new:  # no call where nothing clashes
+            clash |= held.setdefault(n, k) is not k
+        if clash:
+            _index_kinds(new, held)  # raises the KindClash, naming the least clashing name
         self.axioms.update(axioms)
 
     def _mark(self, new: Iterable[tuple[NameTerm, SymbolKind]], kinds: Mapping[NameTerm, SymbolKind],

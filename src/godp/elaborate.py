@@ -115,8 +115,10 @@ class Call(Record):
     (`_check_args`): a list parameter's is a `ListArg`, and a left-out
     trailing one an `EmptyOptArg`. Running it reads the caller's names in
     them (list items, symbols and fit targets), compiled in `scope`, the
-    caller's `_Draft.chain`, into `plan`; where the caller binds no name,
-    there is nothing to read."""
+    caller's `_Draft.chain`, into one `plan`, filled once per call, where
+    each name is read at the position of the first argument that names it;
+    where the caller binds no name, the plan is None: there is nothing to
+    read, and no list tail to splice."""
 
     qual: str
     args: tuple[ArgumentForm | _ExprArg, ...] | None
@@ -124,9 +126,18 @@ class Call(Record):
     pos: SourcePos
     scope: tuple = field((), compare=False)
     __slots__ = ("plan",)
-    __getattr__ = _compiled(lambda c: any(c.scope) and [compile_names([n for n in (
-        *getattr(f, "items", ()), getattr(f, "term", None), *[t for _, t in getattr(f, "fits", ())]
-    ) if type(n) is NameTerm], c.scope, f.pos) for f in c.args])
+
+    def _plan(self) -> dict | None:
+        if not any(self.scope):
+            return None
+        ops = {}
+        for f in self.args:
+            names = [*getattr(f, "items", ()), getattr(f, "term", None), *[t for _, t in getattr(f, "fits", ())]]
+            for n, op in compile_names([n for n in names if type(n) is NameTerm], self.scope, f.pos).items():
+                ops.setdefault(n, op)  # its parts were compiled before it, here or by an earlier argument
+        return ops
+
+    __getattr__ = _compiled(_plan)
 
 
 # a resolved expression; a tuple is a `then` chain
@@ -266,8 +277,7 @@ class Library(Record, frozen=False):
     memo: dict = field(None, compare=False)  # a new one when left out
 
     def __init__(self, defs, quals, memo=None):
-        for f, value in zip(self._fields, (defs, quals, {} if memo is None else memo)):
-            object.__setattr__(self, f, value)
+        self.defs, self.quals, self.memo = defs, quals, {} if memo is None else memo
 
     def require(self, name: str) -> PatternDef:
         d = self.defs.get(name)

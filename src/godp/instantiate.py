@@ -35,7 +35,8 @@ or `ListVar` bound `up` definitions out is read from `runs[up]`
 (`blocks.compile_names`), and a local callee's definers are `runs[up:]`.
 Every name a run reads, in a block, in a call's arguments, in a fit or in a
 parameter's constraints, comes from a plan compiled once per library when it
-is first read (`BlockTemplate.plan`, `Call.plan`, `ParamSpec.plan`). A list
+is first read (`BlockTemplate.plan`, `Call.plan`, `ParamSpec.plan`); a call
+fills one plan for all its arguments, once each time it runs. A list
 head or tail that its run's clause does not bind is an error when it is
 read. Nothing a run makes points back at its caller or at a definition, so a
 finished expansion is freed by reference counting alone.
@@ -44,8 +45,11 @@ One private `Accumulator` serves each closed expansion, each ontology
 argument (seeded from the environment its instantiation starts from) and
 each `expand` or `derive_fitting` call; instantiations write into it, each
 write a name -> kind map and axioms (`Accumulator.merge`), and elide their
-own placeholders from it in place. It is frozen only where a value leaves
-the engine: a memo entry, a top-level result or an argument being fitted. A
+own placeholders from it in place. An instantiation kind-checks each symbol
+and list item its arguments declare where it binds it (`_declare`), and
+writes them in one merge. The accumulator is frozen only where a value
+leaves the engine: a memo entry, a top-level result or an argument being
+fitted, and the value takes its map without a copy. A
 list binding keeps the kind its items were declared with, so a tail passed
 on to a list parameter of that kind is not checked again, only the heads.
 
@@ -65,8 +69,7 @@ and independent expansions can run concurrently.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
-from itertools import repeat
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .blocks import BlockTemplate, ListVar, _splice, compile_names, fill_block, fill_names
 from .core import (
@@ -134,8 +137,8 @@ class Bindings(Record, frozen=False):
     list_map: dict[str, tuple[tuple[NameTerm, ...], SymbolKind]] = None
 
     def __init__(self, name_map=None, list_map=None):
-        object.__setattr__(self, "name_map", {} if name_map is None else name_map)
-        object.__setattr__(self, "list_map", {} if list_map is None else list_map)
+        self.name_map = {} if name_map is None else name_map
+        self.list_map = {} if list_map is None else list_map
 
 
 def substitute_name(n: NameTerm, b: Bindings) -> NameTerm:
@@ -177,11 +180,6 @@ class _Ctx(Record, frozen=False):
     memo: dict
     need: int = 0
     running: int = 0  # instantiations running inside the innermost closed expansion
-
-    def tick(self, pos: SourcePos | None) -> None:
-        if self.budget <= 0:
-            raise DepthExceeded("expansion depth budget exceeded", pos)
-        self.budget -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +290,7 @@ def derive_fitting(
         return FittingMorphism.of({})
     runs = tuple([Bindings() for _ in param.scope])
     if isinstance(form, LocalSymbolArg):
-        _fit_local(None, param, form, runs, Accumulator(env))
+        _fit_local(None, param, form, runs, env.kinds, {})
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, DEFAULT_DEPTH, lib.memo if lib is not None else {})
         _fit_ontology(param, form, _evaluated(ctx, form.expr, env, ()), env, runs)
@@ -316,7 +314,10 @@ def _bind_fit(runs: tuple, src: NameTerm, dst: NameTerm, walk: Sequence, pos) ->
     runs[0].name_map[src] = dst
 
 
-def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: tuple, acc: Accumulator) -> None:
+def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: tuple, held: Mapping,
+               new: dict) -> None:
+    """Bind the parameter's one new symbol to the argument's term and declare
+    the term, as `_declare` does with `held` and `new`."""
     if len(pspec.new_symbols) != 1:
         raise UnsupportedArgument(
             f"parameter {pspec.index + 1}{_of(owner)} defines "
@@ -325,20 +326,16 @@ def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: 
             form.pos,
         )
     [(n, kind)] = pspec.new_symbols
-    term = runs[0].name_map[n] = form.term  # a new symbol shadows what a definer binds
+    runs[0].name_map[n] = form.term  # a new symbol shadows what a definer binds
     for src, dst in form.fits:  # a fit of the parameter must agree
         _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
-    _declare(
-        acc, ((term, kind),), form.pos,
-        lambda t, k: f"'{t.render()}' has kind {k.value}, parameter "
-        f"'{n.render()}' needs {kind.value}",
-    )
+    _declare(held, new, (form.term,), kind, form.pos, n)
 
 
 def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: FlatOntology, runs: tuple) -> None:
     explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
     kinds = arg_ont.kinds
-    pool = sorted(kinds.keys() - env.kinds.keys(), key=NameTerm.key)  # `arg_ont` holds `env`
+    pool = kinds.keys() - env.kinds.keys()  # `arg_ont` holds `env`
     for n, kind in pspec.new_symbols:
         image = explicit.get(n)
         if image is not None:
@@ -363,6 +360,7 @@ def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: 
                     form.pos,
                 )
             if len(candidates) > 1:
+                candidates.sort(key=NameTerm.key)
                 raise AmbiguousFitting(
                     f"parameter '{n.render()}' has {len(candidates)} "
                     f"{kind.value} candidates "
@@ -395,7 +393,9 @@ def elide_optional(body: FlatOntology, dead: Iterable[Symbol]) -> FlatOntology:
 def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     """`d`, reached at `pos`, from the memo, or expanded on a budget of its
     own into the memo; an error it failed with is raised again."""
-    ctx.tick(pos)  # the caller pays for the reference, hit or not
+    if ctx.budget <= 0:  # the caller pays for the reference, hit or not
+        raise DepthExceeded("expansion depth budget exceeded", pos)
+    ctx.budget -= 1
     entry = ctx.memo.get(d.qual)
     if entry is None or entry.need > ctx.depth:
         entry = ctx.memo.get((d.qual, ctx.depth))
@@ -440,8 +440,11 @@ def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, acc: Accumulator, runs: tup
             if term.args is None and term.up is None:
                 acc.add(_closed_expansion(ctx, target, term.pos))
                 continue
-            names = [fill_names(p, runs) for p in term.plan or ()]  # every head read before any tail
-            forms = [_apply_form(f, n, runs) for f, n in zip(term.args, names)] if names else term.args or ()
+            if term.plan is None:
+                forms = term.args or ()
+            else:
+                names = fill_names(term.plan, runs)  # every head read before any tail
+                forms = [_apply_form(f, names, runs) for f in term.args]
             # a local shares the parameters around it: its definers' runs
             base = () if term.up is None else runs[term.up:]
             _instantiate(ctx, target, base, forms, acc, term.pos, runs)
@@ -482,8 +485,13 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
                  acc: Accumulator, pos: SourcePos | None, caller: tuple = ()) -> None:
     """`target` run on the checked `forms`, into `acc`: its display is its own
     new run, then `base`, its definers' runs; expression arguments are
-    evaluated in the `caller`'s display, on top of what `acc` held on entry."""
-    ctx.tick(pos)
+    evaluated in the `caller`'s display, on top of what `acc` held on entry.
+    The symbols and list items its arguments declare are checked where they
+    are bound and written in one merge, before a placeholder opens, an
+    ontology argument is added or the body runs."""
+    if ctx.budget <= 0:
+        raise DepthExceeded("expansion depth budget exceeded", pos)
+    ctx.budget -= 1
     level = ctx.running
     ctx.running += 1
     clause = _select_clause(target.clauses, forms, target.name, pos)
@@ -495,6 +503,7 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
             imports_ont = union_flat(imports_ont, _closed_expansion(ctx, imp, pos))
         acc.add(imports_ont)
     dead = []  # its placeholders
+    new = {}  # what its arguments declare, until the next merge
 
     for pspec, form in zip(clause.params, forms):
         try:
@@ -502,23 +511,25 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
                 items = form.items
                 if type(form) is _Spliced and form.kind is shape.kind:
                     items = items[:form.heads]  # the rest were declared with this kind when bound
-                _declare(
-                    acc, zip(items, repeat(shape.kind)), form.pos,
-                    lambda t, k: f"list item '{t.render()}' has kind {k.value}, "
-                    f"expected {shape.kind.value}",
-                )
+                _declare(acc.kinds, new, items, shape.kind, form.pos)
                 _bind_template(shape, form.items, runs[0])
             elif isinstance(form, EmptyOptArg):
+                if new:
+                    acc.merge(new, ())
+                    new.clear()
                 for n, kind in pspec.new_symbols:  # each a fresh placeholder
                     ph = runs[0].name_map[n] = NameTerm(f"?{n.base}_{level}_{len(dead)}")
                     dead.append(ph)
                     acc.open(ph, kind)
             else:
                 if isinstance(form, LocalSymbolArg):
-                    _fit_local(target.name, pspec, form, runs, acc)
+                    _fit_local(target.name, pspec, form, runs, acc.kinds, new)
                 else:  # evaluated on top of env, in the caller's display
                     added = _evaluated(ctx, form.expr, env, caller)
                     _fit_ontology(pspec, form, added, env, runs)
+                    if new:
+                        acc.merge(new, ())
+                        new.clear()
                     acc.add(added)
                 if shape.axioms or pspec.scope[1:]:  # a local's frames may name a definer's list head
                     plan, checks = pspec.plan
@@ -528,28 +539,29 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
             e.ensure_pos(form.pos or pos)
             raise
 
+    if new:
+        acc.merge(new, ())
     _eval_expr(ctx, clause.body, acc, runs)
     if dead:
         acc.close(dead)
     ctx.running -= 1
 
 
-def _declare(acc: Accumulator, terms: Iterable[tuple[NameTerm, SymbolKind]], pos: SourcePos | None,
-             clash: Callable[[NameTerm, SymbolKind], str]) -> None:
-    """Declare in `acc` each term it lacks, with its kind. A term it has
-    with another kind is a KindMismatch with the text
-    `clash(term, kind found)`, unless the term is a placeholder: every
-    sentence that mentions one goes anyway."""
-    new = {}
-    held = acc.kinds
-    for term, kind in terms:
-        found = held.get(term)
-        if found is None:
-            new[term] = kind
-        elif found is not kind and not is_placeholder(term):
-            raise KindMismatch(clash(term, found), pos)
-    if new:
-        acc.merge(new, ())
+def _declare(held: Mapping[NameTerm, SymbolKind], new: dict[NameTerm, SymbolKind], terms: Iterable[NameTerm],
+             kind: SymbolKind, pos: SourcePos | None, param: NameTerm | None = None) -> None:
+    """Declare each of `terms` with `kind`: one that neither the kinds
+    `held` nor those `new`, still to be merged, hold goes into `new`. One
+    held with another kind is a KindMismatch, named as a list item, or as the
+    argument of the symbol parameter `param`, unless the term is a
+    placeholder: every sentence that mentions one goes anyway."""
+    for term in terms:
+        found = held.get(term) or new.setdefault(term, kind)
+        if found is not kind and not is_placeholder(term):
+            raise KindMismatch(
+                f"list item '{term.render()}' has kind {found.value}, expected {kind.value}" if param is None else
+                f"'{term.render()}' has kind {found.value}, parameter '{param.render()}' needs {kind.value}",
+                pos,
+            )
 
 
 # ---------------------------------------------------------------------------

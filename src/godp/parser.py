@@ -326,6 +326,10 @@ class _Parser:
         values = self.values
         if values[i] in (";", "]"):
             return ArgAst(MissingArg(), (), self.pos(i))
+        if values[i + 1] in (";", "]") and self.kinds[i] == "IDENT":  # a bare name, as `parse_term` reads it
+            self.i = i + 1
+            pos = self.pos(i)
+            return ArgAst(RefExpr(values[i], pos), (), pos)
         if values[i] == "empty":
             self.i = i + 1
             value, pos = EmptyArg(), self.pos(i)

@@ -6,8 +6,10 @@ not part of the value. From them the class gets its `__slots__`, an
 `__init__` whose parameters are its fields, and `==`, `hash` and `repr` that
 see the type and the fields that are part of the value. A record is frozen:
 a write raises `dataclasses.FrozenInstanceError`. A class declared with
-`frozen=False` is mutable and, like a mutable dataclass, unhashable.
-`replace` copies a record with some fields changed.
+`frozen=False` is mutable and, like a mutable dataclass, unhashable. A class
+that declares neither is as mutable as its first base, a record class; a
+direct subclass of `Record` is frozen. `replace` copies a record with some
+fields changed.
 
 The `__init__` is made without compiling anything. `_templates` holds one
 hand-written constructor for each field count in use; a class gets a copy of
@@ -23,9 +25,8 @@ template is a `TypeError` when the class is made. An `exec` per class, as
 would cost each process more than making every record class does.
 
 A class may define its own `__init__`, to compute or check a field, or to
-make a default per instance (declared `None`). It sets its fields with
-`object.__setattr__`, which a frozen class, or a frozen subclass of a
-mutable one, allows. A frozen class may define its own `__hash__`,
+make a default per instance (declared `None`); a frozen one sets its fields
+with `object.__setattr__`. A frozen class may define its own `__hash__`,
 consistent with `==`, for a field that has no hash. It may also name in
 `__slots__` attributes that are not fields.
 
@@ -150,7 +151,9 @@ def _native_init(cls: type) -> FunctionType:
 
 
 class _RecordType(type):
-    def __new__(mcls, name: str, bases: tuple, ns: dict, frozen: bool = True):
+    def __new__(mcls, name: str, bases: tuple, ns: dict, frozen: bool | None = None):
+        if frozen is None:  # as its first base, unless that is `Record`
+            frozen = bases[0] is Record or bases[0]._frozen
         own = tuple(ns.get("__annotations__", ()))
         specs = [(f, s if isinstance(s := ns.pop(f, _MISSING), field) else field(s)) for f in own]
         ns["__slots__"] = (*own, *ns.get("__slots__", ()))
@@ -159,6 +162,7 @@ class _RecordType(type):
         else:
             ns["__hash__"] = None
         cls = super().__new__(mcls, name, bases, ns)
+        cls._frozen = frozen
         cls._fields = fields = (*getattr(cls, "_fields", ()), *own)
         own_defaults = {f: s.default for f, s in specs if s.default is not _MISSING}
         cls._defaults = {**getattr(cls, "_defaults", {}), **own_defaults}

@@ -22,6 +22,13 @@ Run as a script, it also prints each chain's `tracemalloc` peak, in MB, of
 the second of two untraced checks at the same sizes (`check_peak`): what the
 memo entries and accumulators of a run hold at once. No test reads it.
 
+Last, it prints the Python calls per instantiation (`instantiation_cost`)
+while every 0-parameter definition of `front_end_cost`'s library shaped like
+the `wide_library` benchmark's is expanded once, in a fresh library, after a
+first run has interned the names: an instantiation is a call of
+`instantiate._instantiate`, and every call counts, a memo hit's and a plan's
+first compilation included. A tier-1 test bounds it.
+
     PYTHONPATH=src python tests/engine_cost.py
 """
 
@@ -36,7 +43,11 @@ import tracemalloc
 from pathlib import Path
 
 import godp
-from godp import cli
+from godp import build_library, cli, expand_named, parse_library
+from godp import instantiate as engine
+from godp.syntax import LibraryAst
+
+from front_end_cost import corpus_texts
 
 SOURCES = str(Path(godp.__file__).parent) + os.sep  # as the code objects name their files
 SIZES = (100, 200)
@@ -131,6 +142,39 @@ def check_peak(text: str, options: list[str]) -> float:
             tracemalloc.stop()
 
 
+def instantiation_cost() -> tuple[int, int]:
+    """The Python calls, counted with `sys.setprofile`, that expanding each
+    0-parameter definition of the `front_end_cost` wide-shaped library once
+    makes in a fresh library, the names interned by a first run, and the
+    instantiations among them."""
+    texts = corpus_texts("wide")
+
+    def fresh():
+        return build_library(LibraryAst(tuple(i for text, file in texts for i in parse_library(text, file).items)))
+
+    lib = fresh()
+    targets = lib.zero_param_names()
+    for target in targets:
+        expand_named(lib, target)
+    lib = fresh()
+    calls = instantiations = 0
+    code = engine._instantiate.__code__
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls, instantiations
+        if event == "call":
+            calls += 1
+            instantiations += frame.f_code is code
+
+    sys.setprofile(count)
+    try:
+        for target in targets:
+            expand_named(lib, target)
+    finally:
+        sys.setprofile(None)
+    return calls, instantiations
+
+
 def main() -> int:
     for name, (make, options) in CHAINS.items():
         counts = [check_cost(make(n), options)[0] for n in SIZES]
@@ -142,6 +186,9 @@ def main() -> int:
         per = ", ".join(f"n={n} {p:.2f} MB" for n, p in zip(SIZES, peaks))
         print(f"{name}: {per}; x{peaks[1] / peaks[0]:.2f} when n doubles")
     print("(tracemalloc peak of the second check)")
+    calls, instantiations = instantiation_cost()
+    print(f"{calls} Python calls for {instantiations} instantiations: {calls / instantiations:.2f} per "
+          f"instantiation, expanding the wide_library-shaped library (Python {sys.version.split()[0]})")
     return 0
 
 

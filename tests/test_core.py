@@ -450,6 +450,31 @@ def test_every_record_class_is_a_value_of_its_type(cls):
             assert getattr(a, f) == value
 
 
+def test_a_record_subclass_keeps_the_mutability_of_its_record_base():
+    # a twin of a mutable record is mutable and unhashable, and a twin of a
+    # frozen one frozen and hashable, without restating `frozen`
+    from godp.elaborate import Library, ListArg, PatternDef
+    from godp.instantiate import Bindings
+
+    for cls in (PatternDef, Library, Bindings):
+        values = _fields_of(cls)
+        twin = type("Twin", (cls,), {})(*values)
+        for f, value in zip(cls._fields, _fields_of(cls, "'")):
+            setattr(twin, f, value)
+            assert getattr(twin, f) == value
+        with pytest.raises(TypeError):
+            hash(twin)
+    twin = type("Twin", (ListArg,), {})((C,), None)
+    assert hash(twin) == hash(type(twin)((C,), None))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        twin.items = ()
+    # a direct subclass of `Record` is frozen unless it says otherwise
+    point = type("Point", (Record,), {"__annotations__": {"x": int}})(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.x = 2
+    assert hash(point) == hash(type(point)(1))
+
+
 def test_a_record_is_built_from_its_fields_only():
     # Python binds the arguments, with the constructor named after its class
     from godp.syntax import RefExpr

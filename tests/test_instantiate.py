@@ -226,9 +226,9 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
     def fitted(pspec, sigma):
         return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.new_symbols}
 
-    def record_local(owner, pspec, form, runs, acc):  # `runs[0]`: the run it binds in
-        avail = acc.freeze()  # what it fits in
-        fit_local(owner, pspec, form, runs, acc)
+    def record_local(owner, pspec, form, runs, held, new):  # `runs[0]`: the run it binds in
+        avail = make_ontology({**held, **new}.items(), ())  # what it fits in: held, and declared by the call
+        fit_local(owner, pspec, form, runs, held, new)
         calls.append((pspec, form, avail, fitted(pspec, runs[0]), runs[0]))
 
     def record_ontology(pspec, form, arg_ont, env, runs):
@@ -376,6 +376,31 @@ def test_argument_diagnostics_of_gdp_text(call, error, message, col):
             lib_of(source)
     assert exc.value.message == message
     assert (exc.value.pos.line, exc.value.pos.col) == (7, col)
+
+
+# a symbol argument, a list item or an ontology argument clashes with a symbol
+# that an earlier argument of the same call declares, across a list and
+# across an elided argument
+_DECLARING = """\
+ontology P [Class: C; ObjectProperty: r] = { Class: C ObjectProperty: r }
+ontology M [Class: C; Individual: i :: is] = { Class: C }
+ontology M [Class: C; empty] = { }
+ontology O [Class: C; ? Class: D; ObjectProperty: r] = { Class: C }
+"""
+
+
+@pytest.mark.parametrize("call, error, message, col", [
+    ("P[x; x]", KindMismatch, "'x' has kind Class, parameter 'r' needs ObjectProperty", 20),
+    ("M[a; b, a]", KindMismatch, "list item 'a' has kind Class, expected Individual", 20),
+    ("O[x; ; x]", KindMismatch, "'x' has kind Class, parameter 'r' needs ObjectProperty", 22),
+    ("P[x; { ObjectProperty: x }]", KindClash, "kind clash for 'x': Class vs ObjectProperty", 20),
+])
+def test_an_argument_is_kind_checked_against_those_its_call_declared_before_it(call, error, message, col):
+    lib = lib_of(_DECLARING + f"ontology Ui = {call}\n")
+    with pytest.raises(error) as exc:
+        expand_named(lib, "Ui")
+    assert exc.value.message == message
+    assert (exc.value.pos.line, exc.value.pos.col) == (5, col)
 
 
 def test_a_list_variable_passed_to_a_plain_parameter_is_an_error(tmp_path, capsys):
@@ -1317,10 +1342,10 @@ def test_instantiations_and_unions_grow_linearly_with_list_length(monkeypatch):
             tally["merged names"] += len(kinds)
             return merge(acc, kinds, axioms)
 
-        def declaring(acc, terms, pos, clash):
+        def declaring(held, new, terms, *rest):
             terms = list(terms)
             tally["kind checks"] += len(terms)
-            return declare(acc, terms, pos, clash)
+            return declare(held, new, terms, *rest)
 
         with monkeypatch.context() as m:
             m.setattr(engine, "_instantiate", instantiating)
@@ -1370,6 +1395,18 @@ def test_closed_expansions_cost_work_linear_in_the_chain_length():
             assert f"chain.gdp:{large + 1}:" in err and err.endswith(": error: expansion depth budget exceeded\n")
         else:
             assert (code, err) == (0, "")
+
+
+def test_an_instantiation_makes_at_most_thirty_six_python_calls():
+    """A gate on what every pattern call costs that holds on any machine: the
+    Python calls that expanding each 0-parameter definition of a library
+    shaped like the `wide_library` benchmark's makes, counted by a profile
+    hook, per instantiation (`tests/engine_cost.py`). A call fills its names
+    once, and an instantiation declares its arguments in one write."""
+    from engine_cost import instantiation_cost
+
+    calls, instantiations = instantiation_cost()
+    assert instantiations > 300 and calls <= 36 * instantiations, (calls, instantiations)
 
 
 def test_an_expansion_makes_no_symbol(symbols_made):
