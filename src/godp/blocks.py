@@ -14,6 +14,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import itemgetter
 
 from .core import (
+    CHARACTERISTICS,
     Accumulator,
     ClassAssertion,
     DifferentIndividuals,
@@ -23,9 +24,7 @@ from .core import (
     InverseOf,
     NameTerm,
     Range,
-    Reflexive,
     SubPropertyOf,
-    Transitive,
     _sorted_set,
     make_ontology,
 )
@@ -160,7 +159,7 @@ def compile_block(frames: Iterable[Frame], chain: Sequence = (), tails: Mapping 
             if not (v := getattr(f, attr)):
                 continue
             if attr == "characteristics":
-                fixed += [(Transitive if c == "Transitive" else Reflexive, subj, None) for c in v]
+                fixed += [(CHARACTERISTICS[c], subj, None) for c in v]
                 continue
             cls, first = _FIELD_AXIOMS[attr]
             kind = cls.KINDS[0 if first is False else -1]
@@ -219,13 +218,13 @@ def fill_block(plan: tuple, runs: Sequence, acc: Accumulator) -> None:
 
 
 def _splice(names: Iterable, vals: Mapping, runs: Sequence, pos: SourcePos | None) -> list:
-    """`names` read from `vals`, each list tail (a `ListVar`) spliced into
-    the items its run, `runs[up]` in the display `runs`, bound; a tail that
-    run's clause lacks is an error."""
+    """`names` read from `vals` (one it lacks as written), each list tail (a
+    `ListVar`) spliced into the items its run, `runs[up]` in the display
+    `runs`, bound; a tail that run's clause lacks is an error."""
     out = []
     for n in names:
         if type(n) is not ListVar:
-            out.append(vals[n])
+            out.append(vals.get(n, n))
         elif (bound := runs[n.up].list_map.get(n.name)) is None:
             raise _not_a_list(n.name, pos)
         else:

@@ -196,6 +196,10 @@ class Transitive(Axiom):
     KINDS = (_OP,)
 
 
+# each word of a frame's `Characteristics` field -> the axiom it states
+CHARACTERISTICS = {"Transitive": Transitive, "Reflexive": Reflexive}
+
+
 class InverseOf(Axiom):
     prop: NameTerm
     inverse: NameTerm

@@ -22,15 +22,7 @@ form for golden tests.
 from __future__ import annotations
 
 from .blocks import _FIELD_AXIOMS
-from .core import (
-    DifferentIndividuals,
-    FlatOntology,
-    NameTerm,
-    Reflexive,
-    SymbolKind,
-    Transitive,
-    kind_order,
-)
+from .core import CHARACTERISTICS, DifferentIndividuals, FlatOntology, NameTerm, SymbolKind, kind_order
 from .diagnostics import StratificationClash, UnstratifiedName
 from .syntax import _HEADERS, FRAME_FIELDS, DifferentIndividualsFrame, field_line
 
@@ -41,7 +33,7 @@ from .syntax import _HEADERS, FRAME_FIELDS, DifferentIndividualsFrame, field_lin
 _FIELD_OF = {
     cls: (attr, 2, 1) if first is False else (attr, 1, 2 if first else slice(2, None))
     for attr, (cls, first) in _FIELD_AXIOMS.items() if cls is not DifferentIndividuals
-} | dict.fromkeys((Transitive, Reflexive), ("characteristics", 1, 0))
+} | dict.fromkeys(CHARACTERISTICS.values(), ("characteristics", 1, 0))
 
 
 def _joined(n: NameTerm) -> str:

@@ -16,7 +16,10 @@ entry point: `build_library` runs it once on each call in `.gdp` text,
 what the Python API alone gives (`_entry_form`): a `NamedOntologyArg` is the
 `Call` that its name written bare in `.gdp` text is, and an `AnonymousArg` an
 expression whose value is its ontology. The engine takes the checked forms
-as they are, and only substitutes the caller's names in them.
+as they are: a call hands its callee its forms and the names its plan
+filled, and the callee reads each symbol, fit target and list item through
+that map where it binds it; one that names nothing of its caller's, and an
+entry point, hand one shared empty map, so every name reads as written.
 
 An elided optional symbol becomes a placeholder, a name whose base starts with
 `?` as no identifier in `.gdp` text can, so `is_placeholder` reads the name
@@ -51,7 +54,8 @@ writes them in one merge. The accumulator is frozen only where a value
 leaves the engine: a memo entry, a top-level result or an argument being
 fitted, and the value takes its map without a copy. A
 list binding keeps the kind its items were declared with, so a tail passed
-on to a list parameter of that kind is not checked again, only the heads.
+on to a list parameter of that kind is not checked again, only the heads:
+`_instantiate` reads that kind where it binds the list.
 
 Expansion is pure over an immutable Library. Every top-level call gets its own
 context. A closed expansion, a 0-parameter library definition reached by name
@@ -121,6 +125,10 @@ from .syntax import ListTemplate
 
 DEFAULT_DEPTH = 10_000
 
+# the names of a call that reads none of its caller's, and of an entry point:
+# each reads as written; never written
+_NO_NAMES = {}
+
 
 # ---------------------------------------------------------------------------
 # Bindings and name substitution
@@ -134,7 +142,7 @@ class Bindings(Record, frozen=False):
     where a slot's walk and a `ListVar` read the run `up` definitions out."""
 
     name_map: dict[NameTerm, NameTerm] = None  # each a new map when left out
-    list_map: dict[str, tuple[tuple[NameTerm, ...], SymbolKind]] = None
+    list_map: dict[str, tuple[Sequence[NameTerm], SymbolKind]] = None
 
     def __init__(self, name_map=None, list_map=None):
         self.name_map = {} if name_map is None else name_map
@@ -186,15 +194,17 @@ class _Ctx(Record, frozen=False):
 # Template matching
 # ---------------------------------------------------------------------------
 
-def _select_clause(clauses: Sequence[Clause], forms: Sequence[ArgumentForm | _ExprArg], owner: str | None,
+def _select_clause(clauses: Sequence[Clause], items: Sequence[Sequence[NameTerm] | None], owner: str | None,
                    pos: SourcePos | None) -> Clause:
+    """The first clause whose list templates match `items`, the items of
+    each list argument (None for any other argument)."""
     for clause in clauses:
-        for p, f in zip(clause.params, forms):
-            if type(p.shape) is ListTemplate and not p.shape.matches(len(f.items)):
+        for p, listed in zip(clause.params, items):
+            if type(p.shape) is ListTemplate and not p.shape.matches(len(listed)):
                 break
         else:
             return clause
-    lengths = [len(f.items) for f in forms if isinstance(f, ListArg)]
+    lengths = [len(listed) for listed in items if listed is not None]
     raise NoMatch(
         f"no template clause{_of(owner)} matches list argument length(s) "
         f"{lengths}; the instantiation is incorrect",
@@ -211,16 +221,16 @@ def match_template(clauses: Sequence[Clause], arg: ListArg) -> tuple[Clause, Bin
     # the clauses of one pattern share their parameter shapes; the clause
     # test reads only the list position
     params = clauses[0].params if clauses else ()
-    forms = [_check_arg(p.index, p.optional, p.shape, arg, None) if p.is_list else EmptyOptArg() for p in params]
-    clause = _select_clause(clauses, forms, None, None)
+    items = [_check_arg(p.index, p.optional, p.shape, arg, None).items if p.is_list else None for p in params]
+    clause = _select_clause(clauses, items, None, None)
     b = Bindings()
-    for p, f in zip(clause.params, forms):
+    for p, listed in zip(clause.params, items):
         if p.is_list:
-            _bind_template(p.shape, f.items, b)
+            _bind_template(p.shape, listed, b)
     return clause, b
 
 
-def _bind_template(tmpl: ListTemplate, items: tuple[NameTerm, ...], b: Bindings) -> None:
+def _bind_template(tmpl: ListTemplate, items: Sequence[NameTerm], b: Bindings) -> None:
     for head, item in zip(tmpl.heads, items):
         b.name_map[NameTerm(head)] = item
     if tmpl.tail is not None:
@@ -290,10 +300,10 @@ def derive_fitting(
         return FittingMorphism.of({})
     runs = tuple([Bindings() for _ in param.scope])
     if isinstance(form, LocalSymbolArg):
-        _fit_local(None, param, form, runs, env.kinds, {})
+        _fit_local(None, param, form, _NO_NAMES, runs, env.kinds, {})
     else:
         ctx = _Ctx(lib, DEFAULT_DEPTH, DEFAULT_DEPTH, lib.memo if lib is not None else {})
-        _fit_ontology(param, form, _evaluated(ctx, form.expr, env, ()), env, runs)
+        _fit_ontology(param, form, _NO_NAMES, _evaluated(ctx, form.expr, env, ()), env, runs)
     return FittingMorphism.of(
         {n: Symbol(runs[0].name_map[n.name], n.kind) for n in param.new_symbols}
     )
@@ -314,10 +324,11 @@ def _bind_fit(runs: tuple, src: NameTerm, dst: NameTerm, walk: Sequence, pos) ->
     runs[0].name_map[src] = dst
 
 
-def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: tuple, held: Mapping,
-               new: dict) -> None:
+def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, names: Mapping, runs: tuple,
+               held: Mapping, new: dict) -> None:
     """Bind the parameter's one new symbol to the argument's term and declare
-    the term, as `_declare` does with `held` and `new`."""
+    the term, as `_declare` does with `held` and `new`; the term and each fit
+    target are read from the caller's `names`."""
     if len(pspec.new_symbols) != 1:
         raise UnsupportedArgument(
             f"parameter {pspec.index + 1}{_of(owner)} defines "
@@ -326,19 +337,24 @@ def _fit_local(owner: str | None, pspec: ParamSpec, form: LocalSymbolArg, runs: 
             form.pos,
         )
     [(n, kind)] = pspec.new_symbols
-    runs[0].name_map[n] = form.term  # a new symbol shadows what a definer binds
+    term = runs[0].name_map[n] = names.get(form.term, form.term)  # a new symbol shadows what a definer binds
     for src, dst in form.fits:  # a fit of the parameter must agree
-        _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
-    _declare(held, new, (form.term,), kind, form.pos, n)
+        _bind_fit(runs, src, names.get(dst, dst), pspec.plan[0][src][1], form.pos)
+    _declare(held, new, (term,), kind, form.pos, n)
 
 
-def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: FlatOntology, runs: tuple) -> None:
+def _fit_ontology(pspec: ParamSpec, form: _ExprArg, names: Mapping, arg_ont: FlatOntology, env: FlatOntology,
+                  runs: tuple) -> None:
+    """Bind each new symbol of the parameter to its fit target, read from the
+    caller's `names`, or else to the one symbol of its kind that the
+    argument adds to `env`, then bind every fit."""
     explicit = dict(reversed(form.fits))  # a symbol's first fit; every fit is bound below
     kinds = arg_ont.kinds
     pool = kinds.keys() - env.kinds.keys()  # `arg_ont` holds `env`
     for n, kind in pspec.new_symbols:
         image = explicit.get(n)
         if image is not None:
+            image = names.get(image, image)
             k = arg_ont.kind_of(image)
             if k is None:
                 raise NoCandidate(
@@ -371,7 +387,7 @@ def _fit_ontology(pspec: ParamSpec, form: _ExprArg, arg_ont: FlatOntology, env: 
             image = candidates[0]
         runs[0].name_map[n] = image
     for src, dst in form.fits:
-        _bind_fit(runs, src, dst, pspec.plan[0][src][1], form.pos)
+        _bind_fit(runs, src, names.get(dst, dst), pspec.plan[0][src][1], form.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +420,7 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
         ctx.budget, ctx.need, ctx.running = ctx.depth, 0, 0  # no placeholder is visible from outside
         key, acc = d.qual, Accumulator()
         try:
-            _instantiate(ctx, d, (), [], acc, pos)
+            _instantiate(ctx, d, (), (), _NO_NAMES, acc, pos)
             ontology, error = acc.freeze(), None
         except GodpError as e:
             ontology, error = None, (type(e), e.message, e.pos)
@@ -440,61 +456,36 @@ def _eval_expr(ctx: _Ctx, expr: Expr | FlatOntology, acc: Accumulator, runs: tup
             if term.args is None and term.up is None:
                 acc.add(_closed_expansion(ctx, target, term.pos))
                 continue
-            if term.plan is None:
-                forms = term.args or ()
-            else:
-                names = fill_names(term.plan, runs)  # every head read before any tail
-                forms = [_apply_form(f, names, runs) for f in term.args]
+            # every head read before any tail
+            names = _NO_NAMES if term.plan is None else fill_names(term.plan, runs)
             # a local shares the parameters around it: its definers' runs
             base = () if term.up is None else runs[term.up:]
-            _instantiate(ctx, target, base, forms, acc, term.pos, runs)
+            _instantiate(ctx, target, base, term.args or (), names, acc, term.pos, runs)
         except GodpError as e:
             e.ensure_pos(term.pos)
             raise
 
 
-class _Spliced(ListArg):
-    """A list argument as a call passes it on: `items[heads:]` is the list
-    that a run of the caller binds, its items declared with `kind`."""
-
-    heads: int
-    kind: SymbolKind
-
-
-def _apply_form(form: ArgumentForm | _ExprArg, names: dict, runs: tuple) -> ArgumentForm | _ExprArg:
-    """A call's checked argument form in the caller's display `runs`: its
-    names read from `names`, its plan filled in `runs`, its list tails
-    spliced."""
-    if isinstance(form, ListArg):
-        items = tuple(_splice(form.items, names, runs, form.pos))
-        if form.items and type(last := form.items[-1]) is ListVar:
-            tail, kind = runs[last.up].list_map[last.name]
-            return _Spliced(items, form.pos, len(items) - len(tail), kind)
-        return ListArg(items, form.pos)
-    if isinstance(form, EmptyOptArg):
-        return form
-    # fit sources name the callee's parameter symbols and stay as written;
-    # targets live in the caller's context and get substituted
-    fits = tuple([(src, names[dst]) for src, dst in form.fits])
-    if isinstance(form, LocalSymbolArg):
-        return LocalSymbolArg(names[form.term], fits, form.pos)
-    return _ExprArg(form.expr, fits, form.pos)
-
-
 def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[ArgumentForm | _ExprArg],
-                 acc: Accumulator, pos: SourcePos | None, caller: tuple = ()) -> None:
+                 names: Mapping, acc: Accumulator, pos: SourcePos | None, caller: tuple = ()) -> None:
     """`target` run on the checked `forms`, into `acc`: its display is its own
-    new run, then `base`, its definers' runs; expression arguments are
-    evaluated in the `caller`'s display, on top of what `acc` held on entry.
-    The symbols and list items its arguments declare are checked where they
-    are bound and written in one merge, before a placeholder opens, an
-    ontology argument is added or the body runs."""
+    new run, then `base`, its definers' runs. The forms are read in the
+    `caller`'s display: their names from `names`, which its call filled,
+    their list tails spliced before the tick, and expression arguments
+    evaluated on top of what `acc` held on entry. The symbols and list items
+    its arguments declare are checked where they are bound and written in one
+    merge, before a placeholder opens, an ontology argument is added or the
+    body runs; the items of a tail that a run of the caller bound with the
+    parameter's kind were checked then."""
+    items = []  # each list argument's, None for any other: an unbound tail is reported before the tick
+    for f in forms:
+        items.append(_splice(f.items, names, caller, f.pos) if type(f) is ListArg else None)
     if ctx.budget <= 0:
         raise DepthExceeded("expansion depth budget exceeded", pos)
     ctx.budget -= 1
     level = ctx.running
     ctx.running += 1
-    clause = _select_clause(target.clauses, forms, target.name, pos)
+    clause = _select_clause(target.clauses, items, target.name, pos)
     runs = (Bindings({}, {}), *base)
     env = acc.freeze() if _ExprArg in map(type, forms) else None
     if target.imports:
@@ -505,14 +496,16 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
     dead = []  # its placeholders
     new = {}  # what its arguments declare, until the next merge
 
-    for pspec, form in zip(clause.params, forms):
+    for pspec, form, listed in zip(clause.params, forms, items):
         try:
             if type(shape := pspec.shape) is ListTemplate:
-                items = form.items
-                if type(form) is _Spliced and form.kind is shape.kind:
-                    items = items[:form.heads]  # the rest were declared with this kind when bound
-                _declare(acc.kinds, new, items, shape.kind, form.pos)
-                _bind_template(shape, form.items, runs[0])
+                declared = listed
+                if form.items and type(last := form.items[-1]) is ListVar:
+                    tail, kind = caller[last.up].list_map[last.name]
+                    if kind is shape.kind:  # its items were declared with this kind when bound
+                        declared = listed[:len(listed) - len(tail)]
+                _declare(acc.kinds, new, declared, shape.kind, form.pos)
+                _bind_template(shape, listed, runs[0])
             elif isinstance(form, EmptyOptArg):
                 if new:
                     acc.merge(new, ())
@@ -523,10 +516,10 @@ def _instantiate(ctx: _Ctx, target: PatternDef, base: tuple, forms: Sequence[Arg
                     acc.open(ph, kind)
             else:
                 if isinstance(form, LocalSymbolArg):
-                    _fit_local(target.name, pspec, form, runs, acc.kinds, new)
+                    _fit_local(target.name, pspec, form, names, runs, acc.kinds, new)
                 else:  # evaluated on top of env, in the caller's display
                     added = _evaluated(ctx, form.expr, env, caller)
-                    _fit_ontology(pspec, form, added, env, runs)
+                    _fit_ontology(pspec, form, names, added, env, runs)
                     if new:
                         acc.merge(new, ())
                         new.clear()
@@ -595,7 +588,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     decls = [(p.optional, p.shape) for p in target.clauses[0].params]
     forms = [_entry_form(lib, f) for f in _check_args(target.name, decls, inst.args, None)]
     acc = Accumulator(inst.local_env)
-    _instantiate(ctx, target, (), forms, acc, None)
+    _instantiate(ctx, target, (), forms, _NO_NAMES, acc, None)
     return acc.freeze()
 
 

@@ -44,7 +44,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from itertools import repeat
 
-from .core import NameTerm, SymbolKind
+from .core import CHARACTERISTICS, NameTerm, SymbolKind
 from .diagnostics import LexError, ParseError, SourcePos
 from .syntax import (
     FRAME_FIELDS,
@@ -78,8 +78,6 @@ KIND_KEYWORDS = {
 }
 
 FIELD_KEYWORDS = {w for fields in FRAME_FIELDS.values() for w in fields} - {"DifferentIndividuals"}
-
-CHARACTERISTICS = {"Transitive", "Reflexive"}
 
 # Deepest nesting of `[` (names and instantiations) and `let` the parser
 # accepts; deeper input is a ParseError, never an interpreter recursion error.

@@ -18,8 +18,8 @@ parameters, the class's name as the function's, its fields' defaults, and
 its slots' setters as the closure. So Python binds a call's arguments
 itself, by position or by name, and its own messages name the class:
 `RefExpr() missing 1 required positional argument: 'name'`. A default holds
-only after the last field without one: `_Spliced` adds required fields after
-`ListArg`'s defaulted `pos`, so its `pos` is required. A field count with no
+only after the last field without one: a subclass that adds a required field
+after its base's defaulted one makes that one required. A field count with no
 template is a `TypeError` when the class is made. An `exec` per class, as
 `dataclasses` does it, would bind as fast, but compiling the constructors
 would cost each process more than making every record class does.

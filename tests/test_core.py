@@ -396,8 +396,8 @@ def _fields_of(cls: type, tag: str = "") -> tuple:
 
 def _defaults_of(cls: type) -> dict:
     """The fields that a call may leave out, and their defaults: those after
-    the last field without one (`_Spliced` adds required fields after
-    `ListArg`'s defaulted `pos`, so its `pos` is required)."""
+    the last field without one (a subclass that adds a required field after
+    its base's defaulted one makes that one required)."""
     n = len(cls._fields)
     while n and cls._fields[n - 1] in cls._defaults:
         n -= 1
@@ -505,6 +505,23 @@ def test_a_record_constructor_is_godp_source_and_takes_exactly_its_fields(cls):
     defaults = _defaults_of(cls)
     assert [f for f, p in params.items() if p.default is not p.empty] == list(defaults)
     assert all(params[f].default is d for f, d in defaults.items())
+
+
+def test_a_defaulted_base_field_before_a_required_field_is_required():
+    # a default holds only after the last field without one, as Python's own
+    # defaults do: the subclass's `tag` makes `ListArg`'s defaulted `pos` required
+    from godp.elaborate import ListArg
+
+    tagged = type("Tagged", (ListArg,), {"__annotations__": {"tag": str}})
+    assert tagged._fields == ("items", "pos", "tag") and tagged._defaults == {"pos": None}
+    assert _defaults_of(tagged) == {}
+    params = inspect.signature(tagged).parameters
+    assert tuple(params) == tagged._fields and all(p.default is p.empty for p in params.values())
+    with pytest.raises(TypeError) as exc:
+        tagged((C,), tag="t")
+    assert str(exc.value) == "Tagged() missing 1 required positional argument: 'pos'"
+    assert tagged((C,), None, "t") == tagged(items=(C,), pos=None, tag="t")
+    assert ListArg((C,)).pos is None  # the base keeps its default
 
 
 def test_a_record_class_whose_field_count_has_no_template_is_refused_when_it_is_made():

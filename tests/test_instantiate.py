@@ -226,19 +226,23 @@ def test_derive_fitting_replays_every_engine_fitting(monkeypatch):
     def fitted(pspec, sigma):
         return {n: sym(sigma.name_map[n.name], n.kind) for n in pspec.new_symbols}
 
-    def record_local(owner, pspec, form, runs, held, new):  # `runs[0]`: the run it binds in
+    def fits(form, names):  # as the call gave them: each target read from the names its plan filled
+        return tuple((src, names.get(dst, dst)) for src, dst in form.fits)
+
+    def record_local(owner, pspec, form, names, runs, held, new):  # `runs[0]`: the run it binds in
         avail = make_ontology({**held, **new}.items(), ())  # what it fits in: held, and declared by the call
-        fit_local(owner, pspec, form, runs, held, new)
+        fit_local(owner, pspec, form, names, runs, held, new)
+        form = LocalSymbolArg(names.get(form.term, form.term), fits(form, names), form.pos)
         calls.append((pspec, form, avail, fitted(pspec, runs[0]), runs[0]))
 
-    def record_ontology(pspec, form, arg_ont, env, runs):
-        fit_ontology(pspec, form, arg_ont, env, runs)
+    def record_ontology(pspec, form, names, arg_ont, env, runs):
+        fit_ontology(pspec, form, names, arg_ont, env, runs)
         expr = getattr(form, "expr", None)
         if isinstance(expr, Call) and expr.args is None and expr.up is None:
             # a bare library name is replayed as the form the Python API gives it
-            form = NamedOntologyArg(expr.qual, form.fits)  # a library definition's qual is its name
+            form = NamedOntologyArg(expr.qual, fits(form, names))  # a library definition's qual is its name
         elif isinstance(form, engine._ExprArg):  # an expression argument, already evaluated
-            form = AnonymousArg(arg_ont, form.fits)
+            form = AnonymousArg(arg_ont, fits(form, names))
         calls.append((pspec, form, env, fitted(pspec, runs[0]), runs[0]))
 
     monkeypatch.setattr(engine, "_fit_local", record_local)
@@ -431,6 +435,28 @@ def test_a_list_variable_the_running_clause_does_not_bind_is_an_error(tmp_path, 
     assert capsys.readouterr() == (
         "", f"{f}:4:51: error: 'xs' is not a list in scope (expected a list-parameter tail)\n"
     )
+
+
+@pytest.mark.parametrize("depth, error, position", [
+    # U, D and L each tick once: L's tick is the last that depth 2 lacks
+    (2, DepthExceeded, (5, 22)),
+    # the budget runs out exactly at Q[xs]: its tail is spliced before its tick
+    (3, UnknownReference, (4, 51)),
+])
+def test_an_unbound_tail_is_reported_before_the_call_ticks(depth, error, position):
+    lib = lib_of(
+        "ontology Q [Individual: y :: ys] = { Individual: y }\n"
+        "ontology Q [empty] = { }\n"
+        "ontology D [Individual: x :: xs] =\n"
+        "  let ontology L [Class: C] = { Class: C } then Q[xs] in L[K1]\n"
+        "ontology D [empty] = L[K2]\n"
+        "ontology U = D[empty]\n"
+    )
+    with pytest.raises(error) as exc:
+        expand_named(lib, "U", depth=depth)
+    assert (exc.value.pos.line, exc.value.pos.col) == position
+    if error is UnknownReference:
+        assert exc.value.message == "'xs' is not a list in scope (expected a list-parameter tail)"
 
 
 def test_expand_named_of_an_unknown_name_is_an_unknown_reference():
@@ -1397,16 +1423,17 @@ def test_closed_expansions_cost_work_linear_in_the_chain_length():
             assert (code, err) == (0, "")
 
 
-def test_an_instantiation_makes_at_most_thirty_six_python_calls():
+def test_an_instantiation_makes_at_most_thirty_five_python_calls():
     """A gate on what every pattern call costs that holds on any machine: the
     Python calls that expanding each 0-parameter definition of a library
     shaped like the `wide_library` benchmark's makes, counted by a profile
     hook, per instantiation (`tests/engine_cost.py`). A call fills its names
-    once, and an instantiation declares its arguments in one write."""
+    once and hands its checked arguments with those names to its callee, and
+    an instantiation declares its arguments in one write."""
     from engine_cost import instantiation_cost
 
     calls, instantiations = instantiation_cost()
-    assert instantiations > 300 and calls <= 36 * instantiations, (calls, instantiations)
+    assert instantiations > 300 and calls <= 35 * instantiations, (calls, instantiations)
 
 
 def test_an_expansion_makes_no_symbol(symbols_made):
