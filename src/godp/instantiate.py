@@ -117,6 +117,7 @@ from .elaborate import (  # the argument forms and their check live beside `Call
     _check_args,
     _EMPTY_FITS,
     _ExprArg,
+    _NO_NAMES,  # the names of a call that reads none of its caller's, and of an entry point
     _of,
     _reference,
 )
@@ -124,10 +125,6 @@ from .record import Record, replace
 from .syntax import ListTemplate
 
 DEFAULT_DEPTH = 10_000
-
-# the names of a call that reads none of its caller's, and of an entry point:
-# each reads as written; never written
-_NO_NAMES = {}
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,6 @@ class _Ctx(Record, frozen=False):
     lib: Library
     depth: int
     budget: int
-    memo: dict
     need: int = 0
     running: int = 0  # instantiations running inside the innermost closed expansion
 
@@ -302,7 +298,7 @@ def derive_fitting(
     if isinstance(form, LocalSymbolArg):
         _fit_local(None, param, form, _NO_NAMES, runs, env.kinds, {})
     else:
-        ctx = _Ctx(lib, DEFAULT_DEPTH, DEFAULT_DEPTH, lib.memo if lib is not None else {})
+        ctx = _Ctx(lib, DEFAULT_DEPTH, DEFAULT_DEPTH)  # without `lib`, it reaches no closed expansion
         _fit_ontology(param, form, _NO_NAMES, _evaluated(ctx, form.expr, env, ()), env, runs)
     return FittingMorphism.of(
         {n: Symbol(runs[0].name_map[n.name], n.kind) for n in param.new_symbols}
@@ -412,9 +408,10 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
     if ctx.budget <= 0:  # the caller pays for the reference, hit or not
         raise DepthExceeded("expansion depth budget exceeded", pos)
     ctx.budget -= 1
-    entry = ctx.memo.get(d.qual)
+    memo = ctx.lib.memo
+    entry = memo.get(d.qual)
     if entry is None or entry.need > ctx.depth:
-        entry = ctx.memo.get((d.qual, ctx.depth))
+        entry = memo.get((d.qual, ctx.depth))
     if entry is None:
         saved = ctx.budget, ctx.need, ctx.running
         ctx.budget, ctx.need, ctx.running = ctx.depth, 0, 0  # no placeholder is visible from outside
@@ -429,7 +426,7 @@ def _closed_expansion(ctx: _Ctx, d: PatternDef, pos) -> FlatOntology:
         need = max(ctx.need, ctx.depth - ctx.budget)
         ctx.budget, ctx.need, ctx.running = saved
         # never replaced: an entry already there equals this one
-        entry = ctx.memo.setdefault(key, _Memo(ontology, need, error))
+        entry = memo.setdefault(key, _Memo(ontology, need, error))
     ctx.need = max(ctx.need, entry.need)
     if entry.error is not None:
         raise entry.error[0](entry.error[1], entry.error[2])
@@ -583,7 +580,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
     """Expand one instantiation against its local environment; its arguments,
     and those left out at the end, are checked as in `.gdp` text, then
     resolved."""
-    ctx = _Ctx(lib, depth, depth, lib.memo)
+    ctx = _Ctx(lib, depth, depth)
     target = lib.require(inst.pattern)
     decls = [(p.optional, p.shape) for p in target.clauses[0].params]
     forms = [_entry_form(lib, f) for f in _check_args(target.name, decls, inst.args, None)]
@@ -594,7 +591,7 @@ def expand(lib: Library, inst: Instantiation, depth: int = DEFAULT_DEPTH) -> Fla
 
 def expand_named(lib: Library, name: str, depth: int = DEFAULT_DEPTH) -> FlatOntology:
     """Expand a 0-parameter definition to its flat ontology."""
-    ctx = _Ctx(lib, depth, depth, lib.memo)
+    ctx = _Ctx(lib, depth, depth)
     target = lib.require(name)
     if target.arity != 0:
         raise ArityMismatch(f"'{name}' is generic and needs arguments", target.pos)

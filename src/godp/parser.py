@@ -25,14 +25,15 @@ grade names like `0Insignificant` lex as names. Comments run from `%%` to end
 of line.
 
 The lexer is one loop over a compiled master regex (`_LEXEME`) that appends
-each token's value and start offset to the lists of a `Tokens`; the kinds
-follow from the values (`_KINDS`). It builds no object per token. A position
-(`SourcePos`) is made from an offset and the line starts only where one is
-kept: by an AST node that carries one, by an error, or when `Tokens` is
-iterated as `(kind, value, pos)` triples. The parser reads the kind and value
-lists, padded with copies of EOF, so lookahead is a plain index; a value
-names its kind except for names, so it reads kinds only to tell a name from a
-keyword. Nesting of `[` (in names and instantiations) and of `let` is bounded
+each token's value and start offset to the lists of a `Tokens`. A token is
+its value and its start: its kind follows from its value (`_KINDS`; a value
+not there is a name, and EOF is the empty value), and is read only when
+`Tokens` is iterated as `(kind, value, pos)` triples. The lexer builds no
+object per token. A position (`SourcePos`) is made from an offset and the
+line starts only where one is kept: by an AST node that carries one, or by
+an error. The parser reads the value list as the lexer left it, padded with
+copies of EOF, so lookahead is a plain index; a value in `_KINDS` is no
+name. Nesting of `[` (in names and instantiations) and of `let` is bounded
 by MAX_NESTING; deeper input is a positioned ParseError at the token that
 opens the level past the bound.
 """
@@ -71,11 +72,7 @@ from .syntax import (
 
 KEYWORDS = {"ontology", "given", "let", "in", "then", "fit", "empty", "end"}
 
-KIND_KEYWORDS = {
-    "Class": SymbolKind.CLASS,
-    "ObjectProperty": SymbolKind.OBJECT_PROPERTY,
-    "Individual": SymbolKind.INDIVIDUAL,
-}
+KIND_KEYWORDS = {k.value: k for k in SymbolKind}
 
 FIELD_KEYWORDS = {w for fields in FRAME_FIELDS.values() for w in fields} - {"DifferentIndividuals"}
 
@@ -91,22 +88,24 @@ _new = tuple.__new__
 
 
 class Tokens:
-    """One input's tokens: parallel lists of each token's kind, value and
-    start offset, the last token an EOF, and the offsets where lines start.
-    Its length is the number of tokens; iterating it gives each token as a
-    `(kind, value, pos)` triple."""
+    """One input's tokens: parallel lists of each token's value and start
+    offset, the last token an EOF, and the offsets where lines start. The
+    values go on past EOF with the three copies of it that the parser's
+    lookahead reads. Its length is the number of tokens, EOF counted once;
+    iterating it gives each token as a `(kind, value, pos)` triple."""
 
-    __slots__ = ("kinds", "values", "starts", "line_starts", "file")
+    __slots__ = ("values", "starts", "line_starts", "file")
 
     def __init__(self, line_starts: list[int], file: str):
-        self.kinds, self.values, self.starts = [], [], []  # `tokenize` fills them
+        self.values, self.starts = [], []  # `tokenize` fills them
         self.line_starts, self.file = line_starts, file
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.starts)
 
     def __iter__(self) -> Iterator[tuple[str, str, SourcePos]]:
-        return zip(self.kinds, self.values, map(self.pos, range(len(self.kinds))))
+        values = self.values
+        return zip(map(_KINDS.get, values, repeat("IDENT")), values, map(self.pos, range(len(self.starts))))
 
     def pos(self, i: int) -> SourcePos:
         """Token i's position."""
@@ -128,9 +127,9 @@ _LEXEME = re.compile(r"""
     )[ \t\r\n]*
 """, re.VERBOSE)
 
-# the kind of each value that is not a name
+# the kind of each value that is not a name; EOF's value is empty
 _KINDS = {
-    "::": "CONS", ":": "COLON", "|->": "MAPSTO",
+    "": "EOF", "::": "CONS", ":": "COLON", "|->": "MAPSTO",
     "[": "LBRACKET", "]": "RBRACKET", "{": "LBRACE", "}": "RBRACE",
     ";": "SEMI", ",": "COMMA", "=": "EQUALS", "?": "QUESTION",
     **dict.fromkeys(KEYWORDS, "KEYWORD"),
@@ -152,7 +151,6 @@ def tokenize(text: str, file: str) -> Tokens:
             break
         elif m.lastgroup == "COMMENT" and m.end("COMMENT") == len(text):
             end = m.start()
-    tokens.kinds += map(_KINDS.get, values, repeat("IDENT"))
     word = next(filter(str.isdigit, values), None)  # before `bad`: the first error in the text wins
     if word is not None:
         pos = tokens.pos(values.index(word))
@@ -160,18 +158,17 @@ def tokenize(text: str, file: str) -> Tokens:
     if bad is not None:
         add_start(bad.start())
         raise LexError(f"bad character {bad['BAD']!r}", tokens.pos(-1))
-    tokens.kinds.append("EOF")
-    add_value("")
+    values += ("",) * 4  # EOF, and the copies that the parser's lookahead reads
     add_start(end)
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens: Tokens):
-        # copies of EOF past the end let lookahead (at most 3 ahead) index
-        # without a bounds check; the parser never moves past the first EOF
-        self.kinds = tokens.kinds + ["EOF"] * 3
-        self.values = tokens.values + [""] * 3
+        # the values go on past EOF with copies of it, so lookahead (at most 3
+        # ahead) indexes without a bounds check; the parser never moves past
+        # the first EOF
+        self.values = tokens.values
         self.pos = tokens.pos
         self.i = 0
         self.depth = 0
@@ -181,7 +178,7 @@ class _Parser:
     def fail(self, what: str):
         """Raise `expected <what>, got <the current token>` at that token."""
         i = self.i
-        raise ParseError(f"expected {what}, got {self.values[i] or self.kinds[i]!r}", self.pos(i))
+        raise ParseError(f"expected {what}, got {self.values[i] or 'EOF'!r}", self.pos(i))
 
     def expect(self, value: str) -> None:
         """Step over the current token if it is `value`, else fail."""
@@ -200,7 +197,7 @@ class _Parser:
 
     def parse_plain_name(self) -> str:
         i = self.i
-        if self.kinds[i] != "IDENT":
+        if self.values[i] in _KINDS:
             self.fail("a name")
         self.i = i + 1
         return self.values[i]
@@ -270,7 +267,7 @@ class _Parser:
                 continue
             while True:
                 i = self.i
-                if self.kinds[i] != "IDENT":
+                if words[i] in _KINDS:
                     self.fail("a characteristic")
                 if words[i] not in CHARACTERISTICS:
                     raise ParseError(
@@ -305,7 +302,7 @@ class _Parser:
         if values[i] in FRAME_WORDS and values[i + 1] == ":":
             frames = self.parse_frames(())
             return BlockExpr(frames, frames[0].pos)
-        if self.kinds[i] != "IDENT":
+        if values[i] in _KINDS:
             self.fail("an ontology expression")
         if values[i + 1] != "[":
             self.i = i + 1
@@ -324,7 +321,7 @@ class _Parser:
         values = self.values
         if values[i] in (";", "]"):
             return ArgAst(MissingArg(), (), self.pos(i))
-        if values[i + 1] in (";", "]") and self.kinds[i] == "IDENT":  # a bare name, as `parse_term` reads it
+        if values[i + 1] in (";", "]") and values[i] not in _KINDS:  # a bare name, as `parse_term` reads it
             self.i = i + 1
             pos = self.pos(i)
             return ArgAst(RefExpr(values[i], pos), (), pos)
@@ -373,7 +370,7 @@ class _Parser:
         if values[j] == "empty":
             self.i = j + 1
             payload = ListTemplate(None, (), None)
-        elif (values[j] in KIND_KEYWORDS and values[j + 1] == ":" and self.kinds[j + 2] == "IDENT"
+        elif (values[j] in KIND_KEYWORDS and values[j + 1] == ":" and values[j + 2] not in _KINDS
                 and values[j + 3] == "::"):
             self.i = j + 4  # the kind, its colon, the head and `::`
             heads, tail = (values[j + 2],), self.parse_plain_name()
@@ -420,7 +417,7 @@ class _Parser:
 
     def parse_library(self) -> LibraryAst:
         items = []
-        while self.kinds[self.i] != "EOF":
+        while self.values[self.i]:  # up to EOF, the empty value
             if self.values[self.i] != "ontology":
                 self.fail("'ontology'")
             items.append(self.parse_def())
@@ -459,7 +456,7 @@ def parse_library(text: str, file: str = "<input>") -> LibraryAst:
 def parse_frames(text: str, file: str = "<frames>") -> tuple[Frame, ...]:
     """Parse a bare sequence of frames (the Manchester-like fragment)."""
     p = _Parser(tokenize(text, file))
-    frames = () if p.kinds[0] == "EOF" else p.parse_frames(())
-    if p.kinds[p.i] != "EOF":
+    frames = p.parse_frames(()) if p.values[0] else ()
+    if p.values[p.i]:
         p.fail("end of input")
     return frames

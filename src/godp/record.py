@@ -12,17 +12,18 @@ direct subclass of `Record` is frozen. `replace` copies a record with some
 fields changed.
 
 The `__init__` is made without compiling anything. `_templates` holds one
-hand-written constructor for each field count in use; a class gets a copy of
-the one for its count (`CodeType.replace`), with its fields as the
-parameters, the class's name as the function's, its fields' defaults, and
-its slots' setters as the closure. So Python binds a call's arguments
-itself, by position or by name, and its own messages name the class:
-`RefExpr() missing 1 required positional argument: 'name'`. A default holds
-only after the last field without one: a subclass that adds a required field
-after its base's defaulted one makes that one required. A field count with no
-template is a `TypeError` when the class is made. An `exec` per class, as
-`dataclasses` does it, would bind as fast, but compiling the constructors
-would cost each process more than making every record class does.
+hand-written constructor for each field count in use (1 to 5, 7 and 10); a
+class gets a copy of the one for its count (`CodeType.replace`), with its
+fields as the parameters, the class's name as the function's, its fields'
+defaults, and its slots' setters as the closure. So Python binds a call's
+arguments itself, by position or by name, and its own messages name the
+class: `RefExpr() missing 1 required positional argument: 'name'`. A default
+holds only after the last field without one: a subclass that adds a required
+field after its base's defaulted one makes that one required. A field count
+with no template is a `TypeError` when the class is made. An `exec` per
+class, as `dataclasses` does it, would bind as fast, but compiling the
+constructors would cost each process more than making every record class
+does.
 
 A class may define its own `__init__`, to compute or check a field, or to
 make a default per instance (declared `None`); a frozen one sets its fields
@@ -94,14 +95,6 @@ def _templates() -> dict:
         D(self, d)
         E(self, e)
 
-    def t6(self, a, b, c, d, e, f):
-        A(self, a)
-        B(self, b)
-        C(self, c)
-        D(self, d)
-        E(self, e)
-        F(self, f)
-
     def t7(self, a, b, c, d, e, f, g):
         A(self, a)
         B(self, b)
@@ -123,7 +116,7 @@ def _templates() -> dict:
         I(self, i)
         J(self, j)
 
-    return {t.__code__.co_argcount - 1: t.__code__ for t in (t1, t2, t3, t4, t5, t6, t7, t10)}
+    return {t.__code__.co_argcount - 1: t.__code__ for t in (t1, t2, t3, t4, t5, t7, t10)}
 
 
 _TEMPLATES = _templates()

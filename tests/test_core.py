@@ -380,10 +380,9 @@ _RECORDS = sorted(set(_subclasses(Record)), key=lambda c: (c.__module__, c.__qua
 # the fields left out of == and hash: source positions, derived indexes and
 # links, such as a library's table of every definition by qual and a compiled
 # block's link to the names its body sees; but the positions of a diagnostic
-# and of a resolved call or definition are part of it, as is the memo of a
-# running expansion
+# and of a resolved call or definition are part of it
 _NOT_THE_VALUE = {"pos", "end", "memo", "quals", "parent", "scope"}
-_PART_OF_THE_VALUE = {("Diagnostic", "pos"), ("Call", "pos"), ("PatternDef", "pos"), ("_Ctx", "memo")}
+_PART_OF_THE_VALUE = {("Diagnostic", "pos"), ("Call", "pos"), ("PatternDef", "pos")}
 
 
 def _fields_of(cls: type, tag: str = "") -> tuple:

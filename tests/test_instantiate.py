@@ -51,7 +51,7 @@ from godp.diagnostics import (
     UnsupportedArgument,
 )
 
-from godp.elaborate import Call
+from godp.elaborate import Call, Library
 from godp.instantiate import DEFAULT_DEPTH
 from godp.parser import FIELD_KEYWORDS
 from godp.record import replace
@@ -159,6 +159,28 @@ def test_derive_fitting_reads_and_fills_the_library_memo():
     m = derive_fitting(second, NamedOntologyArg("ValSet_CrustStyle"), EMPTY_ONTOLOGY, lib=lib)
     assert dict(m.pairs) == {sym("C", CLS): sym("CrustStyle", CLS)}
     assert lib.memo["ValSet_CrustStyle"].ontology == expand_named(lib, "ValSet_CrustStyle")
+
+
+def test_the_shared_empty_names_map_is_one_map_that_nothing_writes(capsys):
+    """The build and the engine share one empty map, for a clause that binds
+    no names and for a call that reads none of its caller's; it is still
+    empty after every command and entry point has read it."""
+    import godp.elaborate as elaborate
+    import godp.instantiate as engine
+
+    assert engine._NO_NAMES is elaborate._NO_NAMES
+    paths = [str(p) for p in corpus_paths()]
+    assert main(["check", *paths]) == 0
+    lib = load_corpus_library()
+    for target in lib.zero_param_names():
+        assert main(["expand", "--target", target, *paths]) == 0
+    capsys.readouterr()
+    second = lib.defs["TransitiveRelation"].clauses[0].params[1]
+    derive_fitting(second, NamedOntologyArg("ValSet_CrustStyle"), EMPTY_ONTOLOGY, lib=lib)
+    args = (LocalSymbolArg(name("Sig")), NamedOntologyArg("Agents"), EmptyOptArg())
+    expand(lib, Instantiation("ValSet", args))
+    match_template(lib.defs["GradedRelsSub"].locals["AtLeastStep"].clauses, ListArg(_items("g0", "g1")))
+    assert elaborate._NO_NAMES == {}
 
 
 def test_a_named_ontology_argument_is_evaluated_as_a_reference(corpus_lib):
@@ -1049,11 +1071,12 @@ def test_local_zero_param_subpattern_as_argument_expands_in_context():
 # -- the library's memo of closed expansions ----------------------------------------
 
 def _engine_run(lib, target, depth, memo):
-    """Outcome of expanding `target` on a context reading `memo`, with the
-    budget it ends with and the least depth that gives it (its `need`)."""
+    """Outcome of expanding `target` on a context whose library reads
+    `memo`, with the budget it ends with and the least depth that gives it
+    (its `need`)."""
     import godp.instantiate as engine
 
-    ctx = engine._Ctx(lib, depth, depth, memo)
+    ctx = engine._Ctx(Library(lib.defs, lib.quals, memo), depth, depth)
     d = lib.defs[target]
     try:
         out = engine._closed_expansion(ctx, d, d.pos)
